@@ -3,43 +3,28 @@
 // partitions x {single-model, 4-model mix} x {FIFS, ELSA}.
 //
 // Self-contained timing (std::chrono, no google-benchmark dependency).
-// Every configuration runs twice: once on the fast engine (compiled
-// profile lookups, incremental scheduler view, sorted arrival cursor) and
-// once on the reference (pre-optimization) engine, so the report carries
-// the speedup alongside the absolute throughput -- `engine_qps` is the
-// fast engine's simulated-queries-per-second, the perf trajectory number
-// CI tracks, and `speedup` is engine_qps / reference_qps on identical
-// record streams (checked by hash here, record-by-record in
-// engine_golden_test).
+// Every number is absolute: `engine_qps` is the engine's
+// simulated-queries-per-second per configuration, tracked against
+// recorded history rather than against an in-tree baseline.  Behaviour is
+// pinned separately by the golden digests in tests/.
 //
-// Headline: `speedup_256_mix4_elsa`, the 256-partition mixed-trace ELSA
-// configuration.  Run in Release without PE_BENCH_SMOKE for meaningful
-// numbers.
+// Headline: `engine_qps_256_mix4_elsa`, the 256-partition mixed-trace
+// ELSA configuration.  Run in Release without PE_BENCH_SMOKE for
+// meaningful numbers.
 //
 // A fleet-scaling leg follows the single-server grid: the same 4-model
 // mix served by a sharded router-fronted fleet (core::FleetTestbed, 100
 // servers / 1M queries in full mode), with every pipeline stage timed
-// fast vs reference through one MeasureStage helper:
-//   router_qps  batched (and, for hash, thread-chunked) RouteAll vs the
-//               per-query virtual Route loop, per policy
-//               (hash / least / po2c),
-//   split_qps   two-pass arena SplitTrace vs the per-query lower_bound
-//               reference split,
-//   sim_qps     the bucketed-calendar fast engine replaying the split at
-//               jobs=1 vs the reference (heap + per-event view refresh)
-//               engine on the identical split -- `sim_speedup_jobs1` is
-//               the CI-gated event-core trajectory number,
-//   stats_sec   zero-copy k-way FleetResult::Stats vs the merged-copy
-//               StatsReference,
+// through one MeasureStage helper:
+//   router_qps  RouteAll per policy (hash / least / po2c), thread-chunked
+//               for the stateless hash policy,
+//   split_qps   the two-pass arena SplitTrace (po2c),
+//   sim_qps     simulating the split at jobs=1,
+//   stats_sec   the FleetResult::Stats merge of per-server partials,
 //   fleet_qps   the end-to-end pipeline (route + split + simulate +
-//               stats) at --jobs 1 and hardware concurrency, against the
-//               all-reference pipeline (fleet_reference_qps) sharing the
-//               same simulate stage -- `fleet_speedup` is the CI-gated
-//               fleet trajectory number.
-// Every fast stage is cross-checked against its reference output
-// (assignment-for-assignment routing, record-for-record split,
-// field-for-field stats, jobs-1-identical records); any divergence fails
-// the bench.
+//               stats) at --jobs 1 and hardware concurrency; the two runs
+//               must produce identical records (`fleet_identical_jobs1`).
+// Chaos and degraded-capacity legs follow (see below).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -117,8 +102,8 @@ workload::QueryTrace MakeTrace(bool mixed, double rate_qps, std::size_t n,
   return workload::GenerateScenarioTrace(spec, n, seed);
 }
 
-// FNV-1a over the fields that define a record stream; equal hashes across
-// the two engines back the speedup's apples-to-apples claim.
+// FNV-1a over the fields that define a record stream; equal hashes back
+// the jobs-1 and empty-fault-plan identity checks below.
 std::uint64_t HashRecords(const std::vector<sim::QueryRecord>& records) {
   std::uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](std::uint64_t v) {
@@ -137,28 +122,6 @@ std::uint64_t HashRecords(const std::vector<sim::QueryRecord>& records) {
   return h;
 }
 
-struct Measurement {
-  double qps = 0.0;
-  std::uint64_t hash = 0;
-};
-
-// Best-of-`reps` wall-clock of a full Run (Reset + inject + drain).
-Measurement Measure(sim::InferenceServer& server,
-                    const workload::QueryTrace& trace, int reps) {
-  Measurement best;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto result = server.Run(trace);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double sec = std::chrono::duration<double>(t1 - t0).count();
-    const double qps =
-        sec > 0.0 ? static_cast<double>(trace.size()) / sec : 0.0;
-    if (qps > best.qps) best.qps = qps;
-    best.hash = HashRecords(result.records);
-  }
-  return best;
-}
-
 // Best-of-`reps` wall-clock seconds of fn().
 template <typename Fn>
 double TimeSec(Fn&& fn, int reps) {
@@ -172,104 +135,17 @@ double TimeSec(Fn&& fn, int reps) {
   return best;
 }
 
-struct StageResult {
-  double fast_sec = 0.0;
-  double reference_sec = 0.0;
-  double fast_qps = 0.0;
-  double reference_qps = 0.0;
-  double speedup = 0.0;
-  bool identical = false;
-};
-
-// One fleet pipeline stage, fast vs its retained reference: best-of-reps
-// both sides, identity cross-check, one table row.  Every stage (route,
-// split, sim, stats) funnels through here so a new stage is one call.
-template <typename FastFn, typename RefFn, typename SameFn>
-StageResult MeasureStage(Table& table, const std::string& stage,
-                         const std::string& variant, double n, int reps,
-                         FastFn&& fast_fn, RefFn&& ref_fn, SameFn&& same) {
-  StageResult r;
-  r.fast_sec = TimeSec(fast_fn, reps);
-  r.reference_sec = TimeSec(ref_fn, reps);
-  r.fast_qps = r.fast_sec > 0.0 ? n / r.fast_sec : 0.0;
-  r.reference_qps = r.reference_sec > 0.0 ? n / r.reference_sec : 0.0;
-  r.speedup = r.reference_qps > 0.0 ? r.fast_qps / r.reference_qps : 0.0;
-  r.identical = same();
-  table.AddRow({stage, variant, Table::Num(r.fast_qps, 0),
-                Table::Num(r.reference_qps, 0), Table::Num(r.speedup, 2),
-                r.identical ? "yes" : "NO"});
-  return r;
-}
-
-// Record-for-record equality of two trace splits (arena layout included).
-bool SameSplit(const fleet::TraceSplit& a, const fleet::TraceSplit& b) {
-  if (a.offsets != b.offsets || a.global_ids != b.global_ids ||
-      a.arena.size() != b.arena.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.arena.size(); ++i) {
-    const auto& x = a.arena[i];
-    const auto& y = b.arena[i];
-    if (x.id != y.id || x.arrival != y.arrival || x.batch != y.batch ||
-        x.model_id != y.model_id) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// Bit-exact field equality (doubles compared with ==, not a tolerance):
-// the zero-copy aggregate must reproduce the reference arithmetic.
-bool SameServerStats(const sim::ServerStats& a, const sim::ServerStats& b) {
-  if (a.completed != b.completed || a.mean_latency_ms != b.mean_latency_ms ||
-      a.p50_latency_ms != b.p50_latency_ms ||
-      a.p95_latency_ms != b.p95_latency_ms ||
-      a.p99_latency_ms != b.p99_latency_ms ||
-      a.max_latency_ms != b.max_latency_ms ||
-      a.mean_queue_delay_ms != b.mean_queue_delay_ms ||
-      a.sla_violation_rate != b.sla_violation_rate ||
-      a.achieved_qps != b.achieved_qps ||
-      a.mean_worker_utilization != b.mean_worker_utilization ||
-      a.reconfig_stalled != b.reconfig_stalled ||
-      a.model_swaps != b.model_swaps || a.workers.size() != b.workers.size() ||
-      a.models.size() != b.models.size()) {
-    return false;
-  }
-  for (std::size_t w = 0; w < a.workers.size(); ++w) {
-    const auto& x = a.workers[w];
-    const auto& y = b.workers[w];
-    if (x.index != y.index || x.gpcs != y.gpcs ||
-        x.busy_ticks != y.busy_ticks || x.queries != y.queries ||
-        x.utilization != y.utilization) {
-      return false;
-    }
-  }
-  for (std::size_t m = 0; m < a.models.size(); ++m) {
-    const auto& x = a.models[m];
-    const auto& y = b.models[m];
-    if (x.model != y.model || x.completed != y.completed ||
-        x.mean_latency_ms != y.mean_latency_ms ||
-        x.p95_latency_ms != y.p95_latency_ms ||
-        x.p99_latency_ms != y.p99_latency_ms ||
-        x.sla_violation_rate != y.sla_violation_rate || x.swaps != y.swaps) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool SameFleetStats(const fleet::FleetStats& a, const fleet::FleetStats& b) {
-  if (a.num_servers != b.num_servers ||
-      a.routed_queries != b.routed_queries ||
-      a.routed_per_server != b.routed_per_server ||
-      a.per_server.size() != b.per_server.size() ||
-      !SameServerStats(a.aggregate, b.aggregate)) {
-    return false;
-  }
-  for (std::size_t s = 0; s < a.per_server.size(); ++s) {
-    if (!SameServerStats(a.per_server[s], b.per_server[s])) return false;
-  }
-  return true;
+// One fleet pipeline stage: best-of-reps wall clock and one table row.
+// Every stage (route, split, sim, stats) funnels through here so a new
+// stage is one call.
+template <typename Fn>
+double MeasureStage(Table& table, const std::string& stage,
+                    const std::string& variant, double n, int reps,
+                    Fn&& fn) {
+  const double sec = TimeSec(fn, reps);
+  const double qps = sec > 0.0 ? n / sec : 0.0;
+  table.AddRow({stage, variant, Table::Num(qps, 0), Table::Num(sec, 4)});
+  return sec;
 }
 
 }  // namespace
@@ -278,7 +154,7 @@ int main() {
   using pe::bench::SmokeMode;
   pe::bench::PrintHeader(
       "Engine throughput (simulated queries / wall-clock second)",
-      "fast engine vs reference engine, identical record streams");
+      "absolute numbers; behaviour pinned by the golden digests in tests/");
 
   const auto repertoire = profile::BuildZooRepertoire(MixModels());
   // Strictest per-model SLA rule across the mix (Section V shape).
@@ -291,10 +167,8 @@ int main() {
   const std::size_t num_queries = pe::bench::Queries(60000);
   const int reps = SmokeMode() ? 1 : 2;
 
-  Table table({"workers", "workload", "sched", "queries", "engine_qps",
-               "reference_qps", "speedup", "identical"});
+  Table table({"workers", "workload", "sched", "queries", "engine_qps"});
   core::Json configs = core::Json::Array();
-  double headline_speedup = 0.0;
   double headline_qps = 0.0;
 
   for (const int workers : {8, 64, 256}) {
@@ -305,66 +179,45 @@ int main() {
           MakeTrace(mixed, rate, num_queries,
                     0x5EED0 + static_cast<std::uint64_t>(workers));
       for (const bool use_elsa : {false, true}) {
-        Measurement fast;
-        Measurement ref;
-        for (const bool reference : {false, true}) {
-          sim::ServerConfig sc;
-          sc.partition_gpcs = layout;
-          sc.sla_target = sla;
-          sc.seed = 0xBE7C4;
-          sc.reference_engine = reference;
-          std::unique_ptr<sched::Scheduler> scheduler;
-          if (use_elsa) {
-            sched::ElsaParams params;
-            params.compiled_lookups = !reference;
-            scheduler = std::make_unique<sched::ElsaScheduler>(repertoire,
-                                                               sla, params);
-          } else {
-            scheduler = std::make_unique<sched::FifsScheduler>();
-          }
-          sim::InferenceServer server(sc, repertoire, *scheduler);
-          (reference ? ref : fast) = Measure(server, trace, reps);
+        sim::ServerConfig sc;
+        sc.partition_gpcs = layout;
+        sc.sla_target = sla;
+        sc.seed = 0xBE7C4;
+        std::unique_ptr<sched::Scheduler> scheduler;
+        if (use_elsa) {
+          scheduler =
+              std::make_unique<sched::ElsaScheduler>(repertoire, sla);
+        } else {
+          scheduler = std::make_unique<sched::FifsScheduler>();
         }
-        const double speedup = ref.qps > 0.0 ? fast.qps / ref.qps : 0.0;
-        const bool identical = fast.hash == ref.hash;
+        sim::InferenceServer server(sc, repertoire, *scheduler);
+        // Best-of-reps wall clock of a full Run (Reset + inject + drain).
+        const double sec = TimeSec([&] { (void)server.Run(trace); }, reps);
+        const double qps =
+            sec > 0.0 ? static_cast<double>(trace.size()) / sec : 0.0;
         const std::string workload = mixed ? "mix4" : "single";
         const std::string sched_name = use_elsa ? "ELSA" : "FIFS";
         table.AddRow({std::to_string(workers), workload, sched_name,
-                      std::to_string(trace.size()), Table::Num(fast.qps, 0),
-                      Table::Num(ref.qps, 0), Table::Num(speedup, 2),
-                      identical ? "yes" : "NO"});
+                      std::to_string(trace.size()), Table::Num(qps, 0)});
         core::Json entry = core::Json::Object();
         entry.Set("workers", workers);
         entry.Set("workload", workload);
         entry.Set("scheduler", sched_name);
         entry.Set("queries", static_cast<std::uint64_t>(trace.size()));
-        entry.Set("engine_qps", fast.qps);
-        entry.Set("reference_qps", ref.qps);
-        entry.Set("speedup", speedup);
-        entry.Set("identical", identical);
+        entry.Set("engine_qps", qps);
         configs.Add(std::move(entry));
-        if (workers == 256 && mixed && use_elsa) {
-          headline_speedup = speedup;
-          headline_qps = fast.qps;
-        }
-        if (!identical) {
-          std::cerr << "error: engines diverged at " << workers << "/"
-                    << workload << "/" << sched_name << "\n";
-          return 1;
-        }
+        if (workers == 256 && mixed && use_elsa) headline_qps = qps;
       }
     }
   }
 
   table.Print(std::cout);
   std::cout << "\nheadline (256 partitions, 4-model mix, ELSA): "
-            << Table::Num(headline_qps, 0) << " simulated queries/sec, "
-            << Table::Num(headline_speedup, 2)
-            << "x over the reference engine\n";
+            << Table::Num(headline_qps, 0) << " simulated queries/sec\n";
 
   // ------------------------------------------------------------------
   // Fleet-scaling leg: the same 4-model mix behind a sharded router
-  // tier, each pipeline stage timed fast vs its retained reference.
+  // tier, each pipeline stage timed on its own.
   const int fleet_servers = SmokeMode() ? 4 : 100;
   const std::size_t fleet_queries = pe::bench::Queries(1'000'000);
   core::FleetTestbedConfig fleet_config;
@@ -386,71 +239,39 @@ int main() {
       1, static_cast<int>(std::thread::hardware_concurrency()));
   const double fleet_n = static_cast<double>(fleet_trace.size());
 
-  // Stage 1: routing.  Batched RouteAll (devirtualized loop, cached
-  // replica sets, memoized backlog costs, thread-chunked for the
-  // stateless hash policy) vs the per-query virtual Route loop, per
-  // policy; the assignment vectors must match exactly.
-  Table fleet_table(
-      {"stage", "policy", "fast_qps", "reference_qps", "speedup", "identical"});
+  // Stage 1: routing, per policy (thread-chunked for the stateless hash
+  // policy).
+  Table fleet_table({"stage", "variant", "qps", "sec"});
   core::Json router_qps = core::Json::Object();
-  core::Json router_reference_qps = core::Json::Object();
-  bool router_identical = true;
   // Routing alone is milliseconds per rep; take more reps than the
   // simulator-driving stages so best-of isn't noise-bound.
   const int route_reps = SmokeMode() ? 1 : 5;
   for (const auto policy :
        {fleet::RouterPolicy::kHash, fleet::RouterPolicy::kLeastLoaded,
         fleet::RouterPolicy::kPowerOfTwo}) {
-    auto fast_router =
+    auto router =
         fleet::MakeRouter(policy, fleet.placement(), &zoo, /*seed=*/0x70C5);
-    std::vector<int> fast_assign;
-    auto ref_router =
-        fleet::MakeRouter(policy, fleet.placement(), &zoo, /*seed=*/0x70C5);
-    std::vector<int> ref_assign;
-    const StageResult r = MeasureStage(
-        fleet_table, "route", ToString(policy), fleet_n, route_reps,
-        [&] {
-          fast_router->Reset();
-          fast_assign = fast_router->RouteAll(fleet_trace, fleet_jobs);
-        },
-        [&] {
-          ref_router->Reset();
-          ref_assign.clear();
-          ref_assign.reserve(fleet_trace.size());
-          for (const auto& q : fleet_trace.queries()) {
-            ref_assign.push_back(ref_router->Route(q));
-          }
-        },
-        [&] { return fast_assign == ref_assign; });
-    router_identical = router_identical && r.identical;
-    router_qps.Set(ToString(policy), r.fast_qps);
-    router_reference_qps.Set(ToString(policy), r.reference_qps);
+    const double sec = MeasureStage(
+        fleet_table, "route", ToString(policy), fleet_n, route_reps, [&] {
+          router->Reset();
+          (void)router->RouteAll(fleet_trace, fleet_jobs);
+        });
+    router_qps.Set(ToString(policy), sec > 0.0 ? fleet_n / sec : 0.0);
   }
 
-  // Stage 2: trace split.  Two-pass count-then-fill into the flat arena
-  // (routing parallelized for stateless policies) vs the reference
-  // per-query lower_bound remap; record-for-record identical sub-traces
-  // (po2c, the planted fleet policy).
+  // Stage 2: the two-pass count-then-fill split into the flat arena (po2c,
+  // the planted fleet policy).
   auto split_router = fleet.cluster().MakeFleetRouter();
-  fleet::TraceSplit fast_split;
-  fleet::TraceSplit ref_split;
-  const StageResult split_r = MeasureStage(
-      fleet_table, "split", "po2c", fleet_n, reps,
-      [&] {
+  fleet::TraceSplit split;
+  const double split_sec =
+      MeasureStage(fleet_table, "split", "po2c", fleet_n, reps, [&] {
         split_router->Reset();
-        fast_split = fleet::SplitTrace(fleet_trace, *split_router,
-                                       fleet.placement(), fleet_jobs);
-      },
-      [&] {
-        split_router->Reset();
-        ref_split = fleet::SplitTraceReference(fleet_trace, *split_router,
-                                               fleet.placement());
-      },
-      [&] { return SameSplit(fast_split, ref_split); });
-  const bool split_identical = split_r.identical;
+        split = fleet::SplitTrace(fleet_trace, *split_router,
+                                  fleet.placement(), fleet_jobs);
+      });
 
-  // Per-server record-stream hash: equal hashes across engine variants
-  // (and jobs counts) back every apples-to-apples claim below.
+  // Per-server record-stream hash: equal hashes back the jobs-1 and
+  // empty-fault-plan identity checks.
   const auto hash_fleet = [](const fleet::FleetResult& r) {
     std::uint64_t h = 1469598103934665603ull;
     for (const auto& server : r.per_server) {
@@ -459,107 +280,51 @@ int main() {
     return h;
   };
 
-  // Stage 3: simulate.  The fast event core (bucketed calendar, batched
-  // same-instant dispatch, epoch-coalesced view refresh) vs the reference
-  // engine (binary heap, per-event refresh) replaying the identical split
-  // at jobs=1, so the speedup isolates per-event work, not thread
-  // fan-out.  The reference fleet shares every config knob but the
-  // engine, hence the same placement and per-server seeds.
-  core::FleetTestbedConfig ref_fleet_config = fleet_config;
-  ref_fleet_config.reference_engine = true;
-  const core::FleetTestbed ref_fleet(ref_fleet_config);
+  // Stage 3: simulate the split at jobs=1, so the number reflects
+  // per-event work, not thread fan-out.
   fleet::FleetResult sim_result;
-  fleet::FleetResult sim_ref_result;
-  const StageResult sim_r = MeasureStage(
-      fleet_table, "sim", "jobs=1", fleet_n, reps,
-      [&] { sim_result = fleet.cluster().SimulateSplit(fast_split, 1); },
-      [&] {
-        sim_ref_result = ref_fleet.cluster().SimulateSplit(fast_split, 1);
-      },
-      [&] { return hash_fleet(sim_result) == hash_fleet(sim_ref_result); });
-  const bool sim_identical = sim_r.identical;
+  const double sim_sec =
+      MeasureStage(fleet_table, "sim", "jobs=1", fleet_n, reps, [&] {
+        sim_result = fleet.cluster().SimulateSplit(split, 1);
+      });
 
-  // Stage 4: stats reduction over the shared simulate result.  Zero-copy
-  // parallel Stats (k-way latency merge, no merged record vector) vs the
-  // merged-copy StatsReference; every field must match bit for bit.
-  fleet::FleetStats fast_stats;
-  fleet::FleetStats ref_stats;
-  const StageResult stats_r = MeasureStage(
-      fleet_table, "stats", "-", fleet_n, reps,
-      [&] {
-        fast_stats = sim_result.Stats(fleet.sla_target(),
-                                      /*warmup_fraction=*/0.1, fleet_jobs);
-      },
-      [&] {
-        ref_stats = sim_result.StatsReference(fleet.sla_target(),
-                                              /*warmup_fraction=*/0.1);
-      },
-      [&] { return SameFleetStats(fast_stats, ref_stats); });
-  const bool stats_identical = stats_r.identical;
+  // Stage 4: the stats merge over the simulate result.
+  fleet::FleetStats fleet_stats;
+  const double stats_sec =
+      MeasureStage(fleet_table, "stats", "-", fleet_n, reps, [&] {
+        fleet_stats = sim_result.Stats(fleet.sla_target(),
+                                       /*warmup_fraction=*/0.1, fleet_jobs);
+      });
 
-  // End to end: route + split + simulate + stats.  The fast pipeline at
-  // --jobs 1 and hardware concurrency; the reference pipeline (per-query
-  // Route inside SplitTraceReference, merged-copy StatsReference) shares
-  // the simulate stage and jobs count, so the speedup isolates the
-  // serial-stage work reduction.  The jobs-1 rerun pins the fleet
-  // driver's bit-identity claim.
+  // End to end: route + split + simulate + stats at --jobs 1 and hardware
+  // concurrency.  The jobs-1 rerun pins the fleet driver's bit-identity
+  // claim.
   std::uint64_t fleet_hash_jobs1 = 0;
   std::uint64_t fleet_hash_jobsn = 0;
-  const auto fast_pipeline = [&](int jobs, std::uint64_t* hash_out) {
+  const auto pipeline = [&](int jobs, std::uint64_t* hash_out) {
     auto router = fleet.cluster().MakeFleetRouter();
-    const auto split =
-        fleet::SplitTrace(fleet_trace, *router, fleet.placement(), jobs);
-    const auto result = fleet.cluster().SimulateSplit(split, jobs);
-    if (hash_out != nullptr) *hash_out = hash_fleet(result);
-    const auto stats =
-        result.Stats(fleet.sla_target(), /*warmup_fraction=*/0.1, jobs);
-    (void)stats;
+    const auto s = fleet::SplitTrace(fleet_trace, *router, fleet.placement(),
+                                     jobs);
+    const auto result = fleet.cluster().SimulateSplit(s, jobs);
+    *hash_out = hash_fleet(result);
+    (void)result.Stats(fleet.sla_target(), /*warmup_fraction=*/0.1, jobs);
   };
-  const double fast_sec_jobs1 =
-      TimeSec([&] { fast_pipeline(1, &fleet_hash_jobs1); }, reps);
-  const double fast_sec_jobsn =
-      TimeSec([&] { fast_pipeline(fleet_jobs, &fleet_hash_jobsn); }, reps);
-  const double ref_pipeline_sec = TimeSec(
-      [&] {
-        auto router = fleet.cluster().MakeFleetRouter();
-        const auto split = fleet::SplitTraceReference(fleet_trace, *router,
-                                                      fleet.placement());
-        const auto result = fleet.cluster().SimulateSplit(split, fleet_jobs);
-        const auto stats = result.StatsReference(fleet.sla_target(),
-                                                 /*warmup_fraction=*/0.1);
-        (void)stats;
-      },
-      reps);
-  const double fleet_qps = fast_sec_jobsn > 0.0 ? fleet_n / fast_sec_jobsn
-                                                : 0.0;
-  const double fleet_qps_jobs1 =
-      fast_sec_jobs1 > 0.0 ? fleet_n / fast_sec_jobs1 : 0.0;
-  const double fleet_reference_qps =
-      ref_pipeline_sec > 0.0 ? fleet_n / ref_pipeline_sec : 0.0;
-  const double fleet_speedup =
-      fleet_reference_qps > 0.0 ? fleet_qps / fleet_reference_qps : 0.0;
+  const double sec_jobs1 =
+      TimeSec([&] { pipeline(1, &fleet_hash_jobs1); }, reps);
+  const double sec_jobsn =
+      TimeSec([&] { pipeline(fleet_jobs, &fleet_hash_jobsn); }, reps);
+  const double fleet_qps = sec_jobsn > 0.0 ? fleet_n / sec_jobsn : 0.0;
+  const double fleet_qps_jobs1 = sec_jobs1 > 0.0 ? fleet_n / sec_jobs1 : 0.0;
   const bool fleet_identical = fleet_hash_jobs1 == fleet_hash_jobsn;
 
   std::cout << "\nfleet scaling (" << fleet_servers
             << " servers, sharded, po2c, " << fleet_trace.size()
             << " queries, jobs=" << fleet_jobs << "):\n";
   fleet_table.Print(std::cout);
-  std::cout << "sim stage (jobs=1): " << Table::Num(sim_r.speedup, 2)
-            << "x over the reference event core\n";
   std::cout << "fleet pipeline: " << Table::Num(fleet_qps, 0)
-            << " queries/sec end-to-end ("
-            << Table::Num(fleet_qps_jobs1, 0) << " at jobs=1), "
-            << Table::Num(fleet_speedup, 2)
-            << "x over the reference pipeline, jobs-1 identical: "
+            << " queries/sec end-to-end (" << Table::Num(fleet_qps_jobs1, 0)
+            << " at jobs=1), jobs-1 identical: "
             << (fleet_identical ? "yes" : "NO") << "\n";
-  if (!router_identical || !split_identical || !sim_identical ||
-      !stats_identical) {
-    std::cerr << "error: a fleet fast path diverged from its reference"
-              << " (router " << router_identical << ", split "
-              << split_identical << ", sim " << sim_identical << ", stats "
-              << stats_identical << ")\n";
-    return 1;
-  }
   if (!fleet_identical) {
     std::cerr << "error: fleet records diverged between --jobs 1 and --jobs "
               << fleet_jobs << "\n";
@@ -603,8 +368,8 @@ int main() {
   // Incident-window p99 vs the fault-free fleet p99: what the outage
   // costs the survivors' tail while it is in progress.
   const double chaos_p99_degradation =
-      fast_stats.aggregate.p99_latency_ms > 0.0
-          ? chaos.p99_incident_ms / fast_stats.aggregate.p99_latency_ms
+      fleet_stats.aggregate.p99_latency_ms > 0.0
+          ? chaos.p99_incident_ms / fleet_stats.aggregate.p99_latency_ms
           : 0.0;
 
   std::cout << "chaos (" << chaos_spec << "): "
@@ -685,27 +450,15 @@ int main() {
   core::Json data = core::Json::Object();
   data.Set("configs", std::move(configs));
   data.Set("engine_qps_256_mix4_elsa", headline_qps);
-  data.Set("speedup_256_mix4_elsa", headline_speedup);
   data.Set("fleet_servers", fleet_servers);
   data.Set("fleet_queries", static_cast<std::uint64_t>(fleet_trace.size()));
   data.Set("fleet_jobs", fleet_jobs);
   data.Set("router_qps", std::move(router_qps));
-  data.Set("router_reference_qps", std::move(router_reference_qps));
-  data.Set("router_identical", router_identical);
-  data.Set("split_qps", split_r.fast_qps);
-  data.Set("split_reference_qps", split_r.reference_qps);
-  data.Set("split_identical", split_identical);
-  data.Set("sim_qps", sim_r.fast_qps);
-  data.Set("sim_reference_qps", sim_r.reference_qps);
-  data.Set("sim_speedup_jobs1", sim_r.speedup);
-  data.Set("sim_identical", sim_identical);
-  data.Set("stats_sec", stats_r.fast_sec);
-  data.Set("stats_reference_sec", stats_r.reference_sec);
-  data.Set("stats_identical", stats_identical);
+  data.Set("split_qps", split_sec > 0.0 ? fleet_n / split_sec : 0.0);
+  data.Set("sim_qps", sim_sec > 0.0 ? fleet_n / sim_sec : 0.0);
+  data.Set("stats_sec", stats_sec);
   data.Set("fleet_qps", fleet_qps);
   data.Set("fleet_qps_jobs1", fleet_qps_jobs1);
-  data.Set("fleet_reference_qps", fleet_reference_qps);
-  data.Set("fleet_speedup", fleet_speedup);
   data.Set("fleet_identical_jobs1", fleet_identical);
   data.Set("chaos_spec", chaos_spec);
   data.Set("chaos_identity_ok", chaos_identity_ok);

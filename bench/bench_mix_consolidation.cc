@@ -49,7 +49,8 @@ int main() {
   std::vector<Row> rows;
 
   // Dedicated: each model's slice serves its own (re-numbered) traffic on
-  // its own workers; merged records give the fleet-level view.
+  // its own workers; merged records, with their trace ids restored (the
+  // warmup cut is keyed by query id), give the fleet-level view.
   {
     std::vector<sim::QueryRecord> merged;
     std::string layout;
@@ -58,8 +59,14 @@ int main() {
       auto scheduler = tb.MakeScheduler(core::SchedulerKind::kElsa);
       const auto result =
           tb.Run(sizes, *scheduler, trace.FilterModel(m), seed + m);
-      merged.insert(merged.end(), result.records.begin(),
-                    result.records.end());
+      std::vector<std::uint64_t> trace_ids;  // FilterModel's id -> trace id
+      for (const auto& q : trace.queries()) {
+        if (q.model_id == m) trace_ids.push_back(q.id);
+      }
+      for (sim::QueryRecord r : result.records) {
+        r.id = trace_ids[r.id];
+        merged.push_back(r);
+      }
       partition::PartitionPlan tmp;
       tmp.instance_gpcs = sizes;
       if (!layout.empty()) layout += " | ";

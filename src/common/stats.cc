@@ -2,49 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace pe {
-
-void StreamingStats::Add(double x) {
-  if (count_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double StreamingStats::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_);
-}
-
-double StreamingStats::stddev() const { return std::sqrt(variance()); }
-
-void StreamingStats::Merge(const StreamingStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
 
 void Percentile::Add(double x) {
   samples_.push_back(x);
@@ -86,31 +45,6 @@ double Percentile::Max() const {
 void Percentile::Clear() {
   samples_.clear();
   sorted_ = true;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  assert(hi > lo);
-  assert(bins > 0);
-}
-
-void Histogram::Add(double x) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<std::int64_t>((x - lo_) / width);
-  idx = std::clamp<std::int64_t>(idx, 0,
-                                 static_cast<std::int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i + 1);
 }
 
 }  // namespace pe

@@ -1,42 +1,13 @@
-// Statistics utilities used by the metrics and experiment layers:
-//  * StreamingStats -- O(1)-memory mean/variance/min/max (Welford).
-//  * Percentile     -- exact percentile over a retained sample vector
-//                      (tail latency is the paper's headline metric, so we
-//                      keep exact samples rather than an approximate sketch).
-//  * Histogram      -- fixed-width bin counts for distribution printing.
+// Percentile: exact percentile over a retained sample vector (tail
+// latency is the paper's headline metric, so we keep exact samples rather
+// than an approximate sketch).  Run statistics use sim::StatsAccumulator,
+// which reproduces Percentile's interpolation over integer ticks.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace pe {
-
-// Welford's online algorithm for mean and variance.
-class StreamingStats {
- public:
-  void Add(double x);
-
-  std::size_t count() const { return count_; }
-  double mean() const { return count_ > 0 ? mean_ : 0.0; }
-  // Population variance; zero for fewer than two samples.
-  double variance() const;
-  double stddev() const;
-  double min() const { return count_ > 0 ? min_ : 0.0; }
-  double max() const { return count_ > 0 ? max_ : 0.0; }
-  double sum() const { return sum_; }
-
-  // Merges another accumulator into this one (parallel Welford merge).
-  void Merge(const StreamingStats& other);
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
 
 // Exact percentile estimator.  Samples are retained; Value() sorts lazily.
 class Percentile {
@@ -65,27 +36,6 @@ class Percentile {
   mutable bool sorted_ = true;
 
   void EnsureSorted() const;
-};
-
-// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-// first/last bin so no sample is dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void Add(double x);
-
-  std::size_t bins() const { return counts_.size(); }
-  std::uint64_t bin_count(std::size_t i) const { return counts_.at(i); }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-  std::uint64_t total() const { return total_; }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace pe

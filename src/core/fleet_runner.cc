@@ -57,7 +57,6 @@ FleetTestbed::FleetTestbed(FleetTestbedConfig config)
   fc.latency_noise_sigma = config_.mix.latency_noise_sigma;
   fc.model_swap_cost = UsToTicks(config_.mix.swap_cost_us);
   fc.seed = config_.seed;
-  fc.reference_engine = config_.reference_engine;
 
   // Value-captured so the factory is self-contained (it runs on pool
   // threads during Simulate); the per-server repertoire argument is owned
@@ -68,11 +67,6 @@ FleetTestbed::FleetTestbed(FleetTestbedConfig config)
     // Keep the slack predictor honest by default: fold the simulator's
     // swap penalty into ELSA's Twait unless the caller tuned it already.
     elsa.swap_cost_sec = config_.mix.swap_cost_us * 1e-6;
-  }
-  if (config_.reference_engine) {
-    // Reference fleets run the full pre-optimization stack, scheduler
-    // lookups included (same pairing engine_golden_test pins).
-    elsa.compiled_lookups = false;
   }
   const SimTime sla = mix_.sla_target();
   fleet::SchedulerFactory factory =

@@ -47,7 +47,6 @@ struct FleetTestbedConfig {
   // Fleet seed: every server stream and the router stream derive from it
   // (fleet::Cluster::ServerSeed / RouterSeed).
   std::uint64_t seed = 0x5EED;
-  bool reference_engine = false;
 };
 
 class FleetTestbed {

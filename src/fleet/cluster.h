@@ -18,11 +18,10 @@
 // the per-server records are bit-identical at any --jobs count -- the same
 // discipline core/experiment established for probe fan-out.
 //
-// FleetStats merges the per-server ServerStats with a fleet-level
-// aggregate computed over the union of all records, re-mapped back to
-// fleet-global query ids, model ids, and (server-offset) worker indices so
-// percentiles, violation rates, and utilizations are measured over one
-// coherent population.
+// FleetStats pairs per-server ServerStats with a fleet-level aggregate
+// over the union of all records, re-keyed to fleet-global query ids, model
+// ids, and (server-offset) worker indices so percentiles, violation rates,
+// and utilizations are measured over one coherent population.
 #pragma once
 
 #include <cstdint>
@@ -56,8 +55,6 @@ struct FleetConfig {
   double latency_noise_sigma = 0.0;
   SimTime model_swap_cost = 0;
   std::uint64_t seed = 0x5EED;
-  // Forwarded to every ServerConfig (golden-determinism baseline).
-  bool reference_engine = false;
 };
 
 struct FleetStats {
@@ -68,7 +65,8 @@ struct FleetStats {
   // Fleet-level aggregate over every server's records (global model ids,
   // server-offset worker indices).
   sim::ServerStats aggregate;
-  // Per-server stats; ModelStats entries carry fleet-global model ids.
+  // Per-server stats under the same fleet-wide warmup cut as the
+  // aggregate; ModelStats entries carry fleet-global model ids.
   std::vector<sim::ServerStats> per_server;
   // Fleet-level fault accounting (defaults when no fault plan ran; see
   // fleet/fault.h).  The aggregate/per_server latency figures above
@@ -93,7 +91,7 @@ struct FleetResult {
   // fleet-wide (cumulative layout sizes).
   std::vector<int> worker_base;
   // Filled by fleet::SimulateWithFaults; defaults for fault-free runs.
-  // Copied into FleetStats by Stats()/StatsReference().
+  // Copied into FleetStats by Stats().
   FaultSummary fault;
 
   std::span<const std::uint64_t> GlobalIds(int s) const {
@@ -102,27 +100,16 @@ struct FleetResult {
             id_offsets[i + 1] - id_offsets[i]};
   }
 
-  // Fleet stats without materializing the merged record vector: per-server
-  // ComputeStats fans out over up to `jobs` threads, the merged arrival
-  // order is recovered in O(n) by scattering the global ids (the walk
-  // verifies sortedness as it goes and falls back to parallel pairwise
-  // merges of the per-server (arrival, server) key runs for unsorted
-  // source traces), order-sensitive accumulators (mean latency, Welford
-  // queue delay, per-model mean sums) run in exactly that order in one
-  // serial walk, percentiles come from linear-time selection over a flat
-  // latency pool (same order statistics, same interpolation arithmetic as
-  // Percentile), and integer counters sum associatively.  Field-for-field
-  // bit-identical to StatsReference() at any jobs count (pinned by
-  // fleet_stats_test).
+  // Fleet statistics.  Records count iff their global query id clears
+  // one fleet-wide warmup cut (sim::WarmupCut over the trace size: the
+  // routed total, or fault.injected under fault injection).  Each
+  // server's records reduce to a partial over up to `jobs` threads; a
+  // partial's Finish is that server's per_server entry (global model ids,
+  // local worker indices), and the partials merge into the aggregate with
+  // worker indices shifted by worker_base.  Order-free arithmetic makes
+  // the result identical at any jobs count.
   FleetStats Stats(SimTime sla_target, double warmup_fraction = 0.1,
                    int jobs = 1) const;
-
-  // Retained reference aggregate: deep-copies every record (re-keyed to
-  // global ids) into one merged vector and runs a single serial
-  // ComputeStats over it.  The golden baseline for Stats() and the
-  // denominator of the fleet-scaling bench's stats speedup.
-  FleetStats StatsReference(SimTime sla_target,
-                            double warmup_fraction = 0.1) const;
 };
 
 class Cluster {
@@ -155,9 +142,9 @@ class Cluster {
   std::unique_ptr<Router> MakeFleetRouter() const;
 
   // The ServerConfig Simulate() builds for `server_id` (layout, SLA,
-  // noise, per-server seed, engine flavour).  Exposed so external
-  // drivers -- fleet::SimulateWithFaults runs engines incrementally --
-  // construct bit-identical engines to the batch path.
+  // noise, per-server seed).  Exposed so external drivers --
+  // fleet::SimulateWithFaults runs engines incrementally -- construct
+  // bit-identical engines to the batch path.
   sim::ServerConfig MakeServerConfig(int server_id) const;
 
   // A fresh scheduler for `server_id` over its local repertoire, from

@@ -108,12 +108,14 @@ class BacklogModel {
     return std::max(0.0, free_at_[static_cast<size_t>(server)] - now_sec);
   }
 
+  // Advances `server`'s free-at clock past `now_sec` by the query's cost.
   void Charge(int server, const workload::Query& query, double now_sec) {
     double& free_at = free_at_[static_cast<size_t>(server)];
-    free_at = std::max(free_at, now_sec) + CostSec(server, query);
+    free_at = std::max(free_at, now_sec) + MemoCostSec(server, query);
   }
 
-  // Reference per-query cost: map-backed profile lookup each call.
+ private:
+  // Profiled service estimate over the server's lanes.
   double CostSec(int server, const workload::Query& query) const {
     const auto s = static_cast<size_t>(server);
     if (repertoire_ != nullptr && repertoire_->Has(query.model_id)) {
@@ -127,22 +129,10 @@ class BacklogModel {
            static_cast<double>(lanes_[s]);
   }
 
-  // Batch-loop charge: identical value to Charge(), but the profiled cost
-  // is memoized per (server class, model, clamped batch) -- it stores the
-  // already-divided CostSec result, so the arithmetic (and hence the
-  // backlog clocks) stay bit-identical to the reference path while the
-  // std::map profile lookup happens once per distinct key.
-  void ChargeMemo(int server, const workload::Query& query, double now_sec) {
-    double& free_at = free_at_[static_cast<size_t>(server)];
-    free_at = std::max(free_at, now_sec) + CostSecMemo(server, query);
-  }
-
-  double BacklogRaw(int server) const {
-    return free_at_[static_cast<size_t>(server)];
-  }
-
- private:
-  double CostSecMemo(int server, const workload::Query& query) {
+  // CostSec memoized per (server class, model, clamped batch): the table
+  // stores the already-divided CostSec value, so the std::map profile
+  // lookup happens once per distinct key.
+  double MemoCostSec(int server, const workload::Query& query) {
     if (repertoire_ == nullptr || !repertoire_->Has(query.model_id) ||
         query.batch < 0) {
       return CostSec(server, query);
@@ -182,33 +172,16 @@ class HashRouter final : public Router {
   explicit HashRouter(const PlacementMap& placement)
       : placement_(placement) {}
 
-  int Route(const workload::Query& query) override {
-    const std::vector<int>& reps =
-        RoutableReplicas(placement_, query.model_id);
-    if (reps.size() == 1) return reps[0];
-    // Salting with the model id decorrelates the replica choice across
-    // models sharing a replica-set size.
-    const std::uint64_t h =
-        Mix64(query.id ^ Mix64(static_cast<std::uint64_t>(query.model_id)));
-    return reps[h % reps.size()];
-  }
-
-  std::vector<int> RouteAll(const workload::QueryTrace& trace) override {
-    const std::vector<workload::Query>& queries = trace.queries();
-    const std::vector<ReplicaRef> reps = CacheReplicas(placement_);
-    const std::vector<std::uint64_t> salt = HoistSalts(reps.size());
-    std::vector<int> out(queries.size());
-    RouteRange(queries, reps, salt, out, 0, queries.size());
-    return out;
-  }
-
   std::vector<int> RouteAll(const workload::QueryTrace& trace,
                             int jobs) override {
     const std::vector<workload::Query>& queries = trace.queries();
-    if (jobs <= 1 || queries.size() < kParallelGrain) return RouteAll(trace);
     const std::vector<ReplicaRef> reps = CacheReplicas(placement_);
     const std::vector<std::uint64_t> salt = HoistSalts(reps.size());
     std::vector<int> out(queries.size());
+    if (jobs <= 1 || queries.size() < kParallelGrain) {
+      RouteRange(queries, reps, salt, out, 0, queries.size());
+      return out;
+    }
     // Chunk boundaries depend only on the query count, and out[i] depends
     // only on query i -- the assignment vector is identical for any jobs
     // (the serial loop included).  Chunks write disjoint ranges of `out`;
@@ -243,8 +216,10 @@ class HashRouter final : public Router {
     return salt;
   }
 
-  // The sealed hash kernel over queries[begin, end): shared by the serial
-  // fast path (one full-range call) and the parallel chunks.
+  // The hash kernel over queries[begin, end): one full-range call when
+  // serial, one call per parallel chunk otherwise.  Salting with the
+  // model id decorrelates the replica choice across models sharing a
+  // replica-set size.
   static void RouteRange(const std::vector<workload::Query>& queries,
                          const std::vector<ReplicaRef>& reps,
                          const std::vector<std::uint64_t>& salt,
@@ -274,25 +249,10 @@ class LeastLoadedRouter final : public Router {
                     const profile::ModelRepertoire* repertoire)
       : placement_(placement), backlog_(placement, repertoire) {}
 
-  int Route(const workload::Query& query) override {
-    const std::vector<int>& reps =
-        RoutableReplicas(placement_, query.model_id);
-    const double now = TicksToSec(query.arrival);
-    int best = reps[0];
-    double best_backlog = backlog_.BacklogSec(best, now);
-    for (std::size_t i = 1; i < reps.size(); ++i) {
-      const double b = backlog_.BacklogSec(reps[i], now);
-      // Strict < : ties break toward the lowest server id (reps ascend).
-      if (b < best_backlog) {
-        best = reps[i];
-        best_backlog = b;
-      }
-    }
-    backlog_.Charge(best, query, now);
-    return best;
-  }
-
-  std::vector<int> RouteAll(const workload::QueryTrace& trace) override {
+  // Stateful: each pick reads and advances the backlog clocks, so the
+  // loop is serial whatever `jobs` says.
+  std::vector<int> RouteAll(const workload::QueryTrace& trace,
+                            int /*jobs*/) override {
     const std::vector<workload::Query>& queries = trace.queries();
     const std::vector<ReplicaRef> reps = CacheReplicas(placement_);
     std::vector<int> out(queries.size());
@@ -308,12 +268,13 @@ class LeastLoadedRouter final : public Router {
       double best_backlog = backlog_.BacklogSec(best, now);
       for (std::uint32_t k = 1; k < r.size; ++k) {
         const double b = backlog_.BacklogSec(r.data[k], now);
+        // Strict < : ties break toward the lowest server id (reps ascend).
         if (b < best_backlog) {
           best = r.data[k];
           best_backlog = b;
         }
       }
-      backlog_.ChargeMemo(best, q, now);
+      backlog_.Charge(best, q, now);
       out[i] = best;
     }
     return out;
@@ -338,34 +299,9 @@ class PowerOfTwoRouter final : public Router {
         seed_(seed),
         rng_(seed) {}
 
-  int Route(const workload::Query& query) override {
-    const std::vector<int>& reps =
-        RoutableReplicas(placement_, query.model_id);
-    const double now = TicksToSec(query.arrival);
-    int choice;
-    if (reps.size() == 1) {
-      choice = reps[0];
-    } else {
-      const auto n = static_cast<std::int64_t>(reps.size());
-      // Two distinct candidates from the router's own stream.
-      const auto a = static_cast<std::size_t>(rng_.UniformInt(0, n - 1));
-      auto b = static_cast<std::size_t>(rng_.UniformInt(0, n - 2));
-      if (b >= a) ++b;
-      const double backlog_a = backlog_.BacklogSec(reps[a], now);
-      const double backlog_b = backlog_.BacklogSec(reps[b], now);
-      if (backlog_a < backlog_b) {
-        choice = reps[a];
-      } else if (backlog_b < backlog_a) {
-        choice = reps[b];
-      } else {
-        choice = std::min(reps[a], reps[b]);  // tie: lowest server id
-      }
-    }
-    backlog_.Charge(choice, query, now);
-    return choice;
-  }
-
-  std::vector<int> RouteAll(const workload::QueryTrace& trace) override {
+  // Stateful (RNG stream and backlog clocks): serial whatever `jobs` says.
+  std::vector<int> RouteAll(const workload::QueryTrace& trace,
+                            int /*jobs*/) override {
     const std::vector<workload::Query>& queries = trace.queries();
     const std::vector<ReplicaRef> reps = CacheReplicas(placement_);
     std::vector<int> out(queries.size());
@@ -382,6 +318,7 @@ class PowerOfTwoRouter final : public Router {
         choice = r.data[0];
       } else {
         const auto n = static_cast<std::int64_t>(r.size);
+        // Two distinct candidates from the router's own stream.
         const auto a = static_cast<std::size_t>(rng_.UniformInt(0, n - 1));
         auto b = static_cast<std::size_t>(rng_.UniformInt(0, n - 2));
         if (b >= a) ++b;
@@ -392,10 +329,10 @@ class PowerOfTwoRouter final : public Router {
         } else if (backlog_b < backlog_a) {
           choice = r.data[b];
         } else {
-          choice = std::min(r.data[a], r.data[b]);
+          choice = std::min(r.data[a], r.data[b]);  // tie: lowest id
         }
       }
-      backlog_.ChargeMemo(choice, q, now);
+      backlog_.Charge(choice, q, now);
       out[i] = choice;
     }
     return out;
@@ -418,23 +355,6 @@ class PowerOfTwoRouter final : public Router {
 };
 
 }  // namespace
-
-std::vector<int> Router::RouteAll(const workload::QueryTrace& trace) {
-  // Reference loop: one virtual dispatch per query.  The built-in
-  // policies override this with sealed loops that must match it exactly.
-  std::vector<int> out;
-  out.reserve(trace.queries().size());
-  for (const workload::Query& q : trace.queries()) out.push_back(Route(q));
-  return out;
-}
-
-std::vector<int> Router::RouteAll(const workload::QueryTrace& trace,
-                                  int jobs) {
-  // Stateful-policy fallback: per-query routing mutates policy state in
-  // arrival order, so threads cannot help; `jobs` is deliberately unused.
-  (void)jobs;
-  return RouteAll(trace);
-}
 
 const char* ToString(RouterPolicy policy) {
   switch (policy) {
@@ -483,6 +403,16 @@ TraceSplit SplitByAssignment(const workload::QueryTrace& trace,
   if (assignment.size() != queries.size()) {
     throw std::logic_error("SplitByAssignment: assignment size mismatch");
   }
+  // Fleet drivers index per-query state by Query::id (global ids, retry
+  // bookkeeping), so a fleet trace's ids must be its row positions.
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    if (queries[i].id != i) {
+      throw std::invalid_argument(
+          "SplitByAssignment: trace row " + std::to_string(i) +
+          " has query id " + std::to_string(queries[i].id) +
+          "; fleet trace ids must equal their row positions");
+    }
+  }
 
   TraceSplit split;
   split.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
@@ -524,53 +454,6 @@ TraceSplit SplitByAssignment(const workload::QueryTrace& trace,
     local.model_id = local_model;
     split.global_ids[at] = q.id;
     ++at;
-  }
-  return split;
-}
-
-TraceSplit SplitTraceReference(const workload::QueryTrace& trace,
-                               Router& router,
-                               const PlacementMap& placement) {
-  const int n = placement.num_servers();
-  std::vector<std::vector<workload::Query>> queries(static_cast<size_t>(n));
-  std::vector<std::vector<std::uint64_t>> global_ids(static_cast<size_t>(n));
-  for (const workload::Query& q : trace.queries()) {
-    const int server = router.Route(q);
-    if (server < 0 || server >= n) {
-      throw std::logic_error(
-          "SplitTraceReference: router returned bad server id");
-    }
-    const ServerPlacement& sp = placement.server(server);
-    const auto it = std::lower_bound(sp.model_ids.begin(),
-                                     sp.model_ids.end(), q.model_id);
-    if (it == sp.model_ids.end() || *it != q.model_id) {
-      throw std::logic_error(
-          "SplitTraceReference: router sent a query to a server not "
-          "hosting its model");
-    }
-    auto& bucket = queries[static_cast<size_t>(server)];
-    workload::Query local = q;
-    local.id = bucket.size();  // dense per-server ids, as the engine needs
-    local.model_id = static_cast<int>(it - sp.model_ids.begin());
-    bucket.push_back(local);
-    global_ids[static_cast<size_t>(server)].push_back(q.id);
-  }
-  // Pack the grown buckets into the arena layout SplitTrace emits
-  // directly.
-  TraceSplit split;
-  split.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (int s = 0; s < n; ++s) {
-    split.offsets[static_cast<std::size_t>(s) + 1] =
-        split.offsets[static_cast<std::size_t>(s)] +
-        queries[static_cast<std::size_t>(s)].size();
-  }
-  split.arena.reserve(split.offsets.back());
-  split.global_ids.reserve(split.offsets.back());
-  for (int s = 0; s < n; ++s) {
-    const auto& bucket = queries[static_cast<std::size_t>(s)];
-    split.arena.insert(split.arena.end(), bucket.begin(), bucket.end());
-    const auto& gids = global_ids[static_cast<std::size_t>(s)];
-    split.global_ids.insert(split.global_ids.end(), gids.begin(), gids.end());
   }
   return split;
 }

@@ -27,12 +27,11 @@
 // Coarse on purpose -- a real front tier routes on stale, aggregate
 // signals, not on the scheduler's internal state.
 //
-// Hot path: RouteAll() routes a whole trace in one sealed per-policy loop
-// (no virtual dispatch per query, replica sets resolved once per model,
-// profiled backlog charges memoized per (model, server-class, batch)).
-// The per-query Route() interface is the retained reference path; both
-// must produce the identical assignment sequence and the fleet tests pin
-// that identity per policy.
+// Each policy has exactly one routing loop, behind RouteAll(): a whole
+// trace per call (no virtual dispatch per query, replica sets resolved
+// once per model, profiled backlog charges memoized per (model,
+// server-class, batch)).  Checked-in assignment digests pin every
+// policy's decisions (tests/fleet_router_test.cc).
 #pragma once
 
 #include <cstdint>
@@ -59,29 +58,15 @@ class Router {
  public:
   virtual ~Router() = default;
 
-  // Server id for `query`, guaranteed to host query.model_id.  Must be
-  // called in arrival order (stateful policies advance their backlog
-  // clocks and RNG stream per call).  Throws std::logic_error when no
-  // server hosts the query's model (unplaced id or empty replica set).
-  virtual int Route(const workload::Query& query) = 0;
-
-  // Batch fast path: the server id for every query of `trace`, in order,
-  // identical to calling Route() per query on a fresh router.  Consumes
-  // the same policy state as the per-query loop (call Reset() to replay).
-  // The base implementation is the per-query reference loop; the built-in
-  // policies override it with devirtualized single-policy loops.
-  virtual std::vector<int> RouteAll(const workload::QueryTrace& trace);
-
-  // Parallel batch path: same assignment vector, computed with up to
-  // `jobs` threads when the policy is stateless (each query routed
-  // independently of every other).  `hash` chunks the trace across a
-  // thread pool -- out[i] depends only on query i, so the result is
-  // bit-identical at any jobs count by construction.  Stateful policies
-  // (`least`, `po2c` advance backlog clocks / an RNG stream per query)
-  // ignore `jobs` and run the serial fast path; this base implementation
-  // is that fallback.
+  // The server id for every query of `trace`, in arrival order; each id
+  // hosts its query's model.  Stateful policies advance their backlog
+  // clocks and RNG stream query by query (call Reset() to replay) and
+  // ignore `jobs`; the stateless `hash` spreads the trace over up to
+  // `jobs` threads -- out[i] depends only on query i, so the result is
+  // identical at any jobs count.  Throws std::logic_error when no server
+  // hosts a query's model (unplaced id or empty replica set).
   virtual std::vector<int> RouteAll(const workload::QueryTrace& trace,
-                                    int jobs);
+                                    int jobs) = 0;
 
   // Restores the construction-time state (backlog clocks, RNG stream), so
   // the same query sequence re-routes identically.
@@ -90,7 +75,7 @@ class Router {
   // The borrowed PlacementMap mutated underneath the router (a failover
   // repartition resized a server's layout, or a health change edited a
   // replica set).  Replica tables are re-read from the placement on every
-  // Route/RouteAll call, but the load-aware policies also snapshot each
+  // RouteAll call, but the load-aware policies also snapshot each
   // server's *layout geometry* (largest partition, worker-lane count) and
   // derived cost tables at construction; this hook rebuilds those from
   // the current placement -- virtual backlog clocks are preserved, so the
@@ -152,7 +137,8 @@ struct TraceSplit {
 // feeds the router's parallel batch path (stateless policies only; see
 // Router::RouteAll).  Throws std::logic_error if a query references a
 // model no server hosts, or if the router returns a server id out of
-// range / not hosting the model.
+// range / not hosting the model, and std::invalid_argument if a query's id
+// is not its row position in `trace`.
 TraceSplit SplitTrace(const workload::QueryTrace& trace, Router& router,
                       const PlacementMap& placement, int jobs = 1);
 
@@ -162,17 +148,12 @@ TraceSplit SplitTrace(const workload::QueryTrace& trace, Router& router,
 // driver pre-sheds queries whose model has no healthy replica at
 // arrival and routes the rest around the outage, then splits here.
 // Throws std::logic_error on a server id other than -1 outside
-// [0, num_servers) or a destination not hosting the query's model.
+// [0, num_servers) or a destination not hosting the query's model.  Every
+// fleet driver splits through here, and each indexes per-query state by
+// Query::id, so it also throws std::invalid_argument, naming the first bad
+// row, unless every query's id equals its row position.
 TraceSplit SplitByAssignment(const workload::QueryTrace& trace,
                              std::span<const int> assignment,
                              const PlacementMap& placement);
-
-// Retained reference implementation: per-query Route() calls into growing
-// per-server buckets with a lower_bound model remap, packed into the same
-// TraceSplit layout at the end.  SplitTrace must match it record for
-// record (pinned by fleet_stats_test for every policy); it is also the
-// denominator of the fleet-scaling bench's split speedup.
-TraceSplit SplitTraceReference(const workload::QueryTrace& trace,
-                               Router& router, const PlacementMap& placement);
 
 }  // namespace pe::fleet

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <optional>
+#include <span>
 
 #include "online/traffic_estimator.h"
 #include "sim/metrics.h"
@@ -56,7 +57,6 @@ ElasticResult ElasticServerSim::Run(const workload::QueryTrace& trace) {
   sc.sla_target = sla_target_;
   sc.seed = seed_;
   sc.model_swap_cost = model_swap_cost_;
-  sc.reference_engine = reference_engine_;
   auto scheduler = scheduler_factory_();
   std::optional<sim::InferenceServer> server;
   if (repertoire_ != nullptr) {
@@ -100,9 +100,8 @@ ElasticResult ElasticServerSim::Run(const workload::QueryTrace& trace) {
     const std::size_t begin = epoch * queries_per_epoch_;
     const std::size_t end =
         std::min(begin + queries_per_epoch_, sim_result.records.size());
-    const std::vector<sim::QueryRecord> slice(
-        sim_result.records.begin() + static_cast<std::ptrdiff_t>(begin),
-        sim_result.records.begin() + static_cast<std::ptrdiff_t>(end));
+    const std::span<const sim::QueryRecord> slice(
+        sim_result.records.data() + begin, end - begin);
     const auto stats =
         sim::ComputeStats(slice, sla_target_, /*warmup_fraction=*/0.0);
     EpochStats es;

@@ -80,11 +80,6 @@ class ElasticServerSim {
 
   ElasticResult Run(const workload::QueryTrace& trace);
 
-  // Routes the continuous run through the pre-optimization reference
-  // engine instead of the fast path (see ServerConfig::reference_engine);
-  // results are bit-identical -- the golden determinism suite drives both.
-  void set_reference_engine(bool reference) { reference_engine_ = reference; }
-
  private:
   RepartitionPolicy& controller_;
   // Exactly one of the two serving sources is set.
@@ -96,7 +91,6 @@ class ElasticServerSim {
   std::size_t queries_per_epoch_;
   std::uint64_t seed_;
   SimTime model_swap_cost_ = 0;  // repertoire form only
-  bool reference_engine_ = false;
 };
 
 }  // namespace pe::online

@@ -8,8 +8,7 @@ namespace pe::sched {
 
 ElsaScheduler::ElsaScheduler(const profile::ProfileTable& profile,
                              SimTime sla_target, ElsaParams params)
-    : profile_(&profile),
-      compiled_(profile),
+    : compiled_(profile),
       sla_target_(sla_target),
       params_(params) {
   assert(sla_target_ > 0);
@@ -17,25 +16,11 @@ ElsaScheduler::ElsaScheduler(const profile::ProfileTable& profile,
 
 ElsaScheduler::ElsaScheduler(const profile::ModelRepertoire& repertoire,
                              SimTime sla_target, ElsaParams params)
-    : repertoire_(&repertoire),
-      compiled_(repertoire),
+    : compiled_(repertoire),
       sla_target_(sla_target),
       params_(params) {
   assert(sla_target_ > 0);
   assert(!repertoire.empty());
-}
-
-double ElsaScheduler::EstimateSec(int model_id, int gpcs, int batch) const {
-  // Compiled values are produced by the uncompiled path at construction,
-  // so both branches return the same doubles; the single-profile form
-  // serves exactly one model and answers regardless of the id either way.
-  if (params_.compiled_lookups) {
-    return compiled_.EstimateSec(model_id, gpcs, batch);
-  }
-  if (repertoire_ != nullptr) {
-    return repertoire_->EstimateSec(model_id, gpcs, batch);
-  }
-  return profile_->LatencySec(gpcs, batch);
 }
 
 double ElsaScheduler::SlackSec(const WorkerState& worker, int batch) const {
@@ -45,7 +30,7 @@ double ElsaScheduler::SlackSec(const WorkerState& worker, int batch) const {
 double ElsaScheduler::SlackSec(const WorkerState& worker, int model_id,
                                int batch) const {
   const double t_wait = TicksToSec(worker.wait_ticks);
-  const double t_new = EstimateSec(model_id, worker.gpcs, batch);
+  const double t_new = compiled_.EstimateSec(model_id, worker.gpcs, batch);
   // Pending-swap charge: 0.0 when disabled or swap-free, so the legacy
   // predictor is reproduced exactly (x + 0.0 == x).
   const double t_swap =
@@ -114,14 +99,17 @@ int ElsaScheduler::OnQueryArrival(const workload::Query& query,
   // are fixed within one arrival, so one lookup per distinct partition
   // size covers every candidate.
   const auto tnew_sec = [&](int gpcs) {
-    if (gpcs < 0) return EstimateSec(query.model_id, gpcs, query.batch);
+    const auto estimate = [&] {
+      return compiled_.EstimateSec(query.model_id, gpcs, query.batch);
+    };
+    if (gpcs < 0) return estimate();
     const auto g = static_cast<std::size_t>(gpcs);
     if (g >= tnew_memo_.size()) {
       tnew_memo_.resize(g + 1, 0.0);
       tnew_stamp_.resize(g + 1, 0);
     }
     if (tnew_stamp_[g] != arrival_stamp_) {
-      tnew_memo_[g] = EstimateSec(query.model_id, gpcs, query.batch);
+      tnew_memo_[g] = estimate();
       tnew_stamp_[g] = arrival_stamp_;
     }
     return tnew_memo_[g];

@@ -18,21 +18,20 @@
 // query's own model profile plus the in-flight query's elapsed timestamp).
 //
 // Hot-path mechanics: Testimated lookups go through a CompiledProfile
-// (dense arrays instead of map + lower_bound; `compiled_lookups` in
-// ElsaParams re-enables the uncompiled path for the reference engine),
-// the size-ascending candidate order is computed once per layout and
-// cached against a stable WorkerView's layout_version() instead of
-// re-sorting every arrival, Testimated,new is computed once per distinct
-// partition size per arrival (it depends only on (model, batch, gpcs)),
-// and each candidate's slack/completion prediction is computed at most
-// once per arrival (Step A, the locality tie-break, and Step B share the
-// memo).  The cached order groups workers into contiguous equal-size
-// runs; when even a zero-wait worker of a size class has non-positive
-// slack, the whole class is skipped -- valid because slack is monotone
-// non-increasing in Twait under IEEE rounding (for alpha >= 0), so every
-// member would have failed the same test.  None of this changes any
-// decision: compiled values are bit-identical by construction and the
-// visit order (and every comparison outcome) is the same as before.
+// (dense arrays instead of map + lower_bound), the size-ascending
+// candidate order is computed once per layout and cached against a stable
+// WorkerView's layout_version() instead of re-sorting every arrival,
+// Testimated,new is computed once per distinct partition size per arrival
+// (it depends only on (model, batch, gpcs)), and each candidate's
+// slack/completion prediction is computed at most once per arrival (Step
+// A, the locality tie-break, and Step B share the memo).  The cached
+// order groups workers into contiguous equal-size runs; when even a
+// zero-wait worker of a size class has non-positive slack, the whole
+// class is skipped -- valid because slack is monotone non-increasing in
+// Twait under IEEE rounding (for alpha >= 0), so every member would have
+// failed the same test.  None of this changes any decision: compiled
+// values are bit-identical by construction, and the shadow-view test
+// compares every decision with a full, uncached scan.
 //
 // Multi-model extension: constructed from a ModelRepertoire, ELSA routes
 // every Testimated,new lookup through the *arriving query's* model profile,
@@ -77,11 +76,6 @@ struct ElsaParams {
   // the swap-oblivious predictor bit-for-bit (the added term is exactly
   // +0.0), which is what engine_golden_test pins.
   double swap_cost_sec = 0.0;
-  // Route Testimated lookups through the dense CompiledProfile (default).
-  // false restores the uncompiled map/lower_bound path -- the decisions
-  // are identical either way; the flag exists so the engine-throughput
-  // bench can measure a faithful pre-optimization baseline.
-  bool compiled_lookups = true;
 };
 
 class ElsaScheduler final : public Scheduler {
@@ -121,15 +115,11 @@ class ElsaScheduler final : public Scheduler {
   double SlackSec(const WorkerState& worker, int model_id, int batch) const;
 
  private:
-  double EstimateSec(int model_id, int gpcs, int batch) const;
   // Rebuilds the (gpcs, index)-ascending candidate order unless it is
   // already cached for this view's layout; also sizes the per-arrival
   // memo arrays.
   void RefreshCandidates(const WorkerView& workers);
 
-  // Exactly one of the two sources is set.
-  const profile::ProfileTable* profile_ = nullptr;
-  const profile::ModelRepertoire* repertoire_ = nullptr;
   profile::CompiledProfile compiled_;
   SimTime sla_target_;
   ElsaParams params_;

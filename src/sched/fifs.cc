@@ -5,12 +5,11 @@ namespace pe::sched {
 int FifsScheduler::OnQueryArrival(const workload::Query& query,
                                   const WorkerView& workers) {
   (void)query;
-  // Fast path: the server's live view maintains the (max gpcs, lowest
-  // index) idle worker incrementally, so the per-arrival cost is O(log W)
-  // instead of an O(W) scan.  Equivalence with the scan below (the
-  // reference path, exercised by engine_golden_test) is exact: both
-  // select the idle worker with maximum gpcs, lowest index among ties,
-  // and kNoAssignment when none is idle.
+  // The server's live view maintains the (max gpcs, lowest index) idle
+  // worker incrementally, so the per-arrival cost is O(log W) instead of
+  // an O(W) scan.  Ad-hoc views fall back to the scan below, which selects
+  // the same worker (the shadow-view test checks the two agree at every
+  // consultation).
   const int fast = workers.MaxGpcsIdleWorker();
   if (fast != WorkerView::kIdleScanUnsupported) return fast;
 

@@ -21,8 +21,8 @@
 // window onto the worker set.  The server's live view materializes a
 // worker's state lazily and only when it actually changed, so consulting
 // the scheduler no longer copies (or re-sorts) all W workers per arrival;
-// VectorWorkerView wraps a plain snapshot vector for tests and the
-// reference engine path.
+// VectorWorkerView wraps a plain snapshot vector for tests and ad-hoc
+// callers.
 #pragma once
 
 #include <cassert>
@@ -100,8 +100,8 @@ class WorkerView {
   virtual std::uint64_t layout_version() const { return 0; }
 };
 
-// Wraps a snapshot vector as a WorkerView (tests, the reference engine
-// path, and the vector convenience overloads below).  Borrows the vector.
+// Wraps a snapshot vector as a WorkerView (tests and the vector
+// convenience overloads below).  Borrows the vector.
 class VectorWorkerView final : public WorkerView {
  public:
   explicit VectorWorkerView(const std::vector<WorkerState>& states)

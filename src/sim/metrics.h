@@ -6,6 +6,8 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -100,16 +102,80 @@ struct ServerStats {
   std::vector<ModelStats> models;
 };
 
+// Leading query ids a warmup fraction excludes from a population of `n`
+// queries: a record counts iff its query id is >= this cut.  Keyed by id,
+// not by position, so the cut is the same however the records are split
+// or ordered (the fleet applies one cut over global ids to every server).
+// `warmup_fraction` must lie in [0, 1).
+std::uint64_t WarmupCut(double warmup_fraction, std::size_t n);
+
+// Order-free reduction of query records into ServerStats.  Sums are exact
+// integer nanosecond ticks and percentiles are order statistics, so the
+// result depends only on the multiset of records added -- not on their
+// order, and not on how they were spread over accumulators merged back
+// together.  That is what lets the fleet aggregate be a merge of
+// per-server partials computed in parallel.
+//
+// Conventions (the stats oracle in tests/ reproduces them):
+//  * failed and shed records are counted, never sampled;
+//  * means are double(sum of ticks) / kNsPerMs / completed;
+//  * percentiles interpolate between closest ranks exactly as
+//    Percentile::Value does over the latencies in milliseconds;
+//  * workers are keyed by (index, gpcs) -- a live reconfiguration reuses
+//    indices -- and utilization is busy ticks over the span from the
+//    earliest arrival to the latest finish among completions (zero when
+//    that span is empty).
+class StatsAccumulator {
+ public:
+  explicit StatsAccumulator(SimTime sla_target) : sla_target_(sla_target) {}
+
+  // Folds in one record, filed under model id `model` (the fleet passes a
+  // server-local record's global model id).  A completed record must name
+  // its worker (index >= 0).
+  void Add(const QueryRecord& r, int model);
+  void Add(const QueryRecord& r) { Add(r, r.model); }
+
+  // Absorbs `other` (built with the same SLA target), shifting its worker
+  // indices by `worker_base`; `other` is left empty.
+  void Merge(StatsAccumulator&& other, int worker_base = 0);
+
+  // Statistics of everything added so far.  Percentile selection reorders
+  // the internal latency pools, which no later Merge or Finish minds.
+  ServerStats Finish();
+
+ private:
+  using TickSum = unsigned __int128;  // 100M queries x 10 s ~ 1e18 ns
+  struct Model {
+    std::size_t completed = 0;
+    std::size_t violations = 0;
+    std::size_t swaps = 0;
+    TickSum latency_sum = 0;
+    std::vector<SimTime> latency;  // the completions' latency ticks
+  };
+
+  WorkerStats& Worker(int index, int gpcs);
+  Model& ModelAt(int model);
+
+  SimTime sla_target_;
+  std::size_t failed_ = 0;
+  std::size_t shed_ = 0;
+  std::size_t reconfig_stalled_ = 0;
+  TickSum queue_delay_sum_ = 0;
+  // Over completions only; the sentinels make an empty side neutral.
+  SimTime min_arrival_ = std::numeric_limits<SimTime>::max();
+  SimTime max_finish_ = std::numeric_limits<SimTime>::min();
+  // By worker index: one entry per partition size seen at that index.
+  std::vector<std::vector<WorkerStats>> workers_;
+  std::vector<Model> models_;  // by model id
+};
+
 // Aggregates records into ServerStats.
 //  * `sla_target`: latency bound for the violation-rate metric.
-//  * `warmup_fraction`: leading fraction of records (by arrival order)
-//    excluded from latency statistics, removing cold-start transients.
-// Worker utilization is measured over the span between the first and last
-// *included* completion.  Degenerate inputs -- empty records, or a
-// measurement span of zero ticks (possible for single-record or
-// reconfig-heavy epoch slices) -- yield zeroed rate/utilization metrics
-// rather than dividing by the zero-length span.
-ServerStats ComputeStats(const std::vector<QueryRecord>& records,
+//  * `warmup_fraction`: records whose query id is below
+//    WarmupCut(warmup_fraction, records.size()) are left out, removing
+//    cold-start transients.  For a single server's records (ids 0..n-1 in
+//    arrival order) that is the leading fraction of arrivals.
+ServerStats ComputeStats(std::span<const QueryRecord> records,
                          SimTime sla_target, double warmup_fraction = 0.1);
 
 }  // namespace pe::sim

@@ -115,7 +115,6 @@ void InferenceServer::Reset() {
   // probes -- keeps its event/arrival/record capacity instead of
   // reallocating it each time.
   calendar_.Clear();
-  events_.clear();
   arrivals_.clear();
   arrival_cursor_ = 0;
   next_seq_ = 0;
@@ -145,13 +144,9 @@ void InferenceServer::BuildWorkers(const std::vector<int>& partition_gpcs) {
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     workers_.emplace_back(static_cast<int>(i), sizes[i]);
   }
+  // A fresh layout starts all-idle.
   idle_workers_.clear();
-  if (!config_.reference_engine) {
-    // A fresh layout starts all-idle.
-    for (const auto& w : workers_) {
-      idle_workers_.emplace(-w.gpcs(), w.index());
-    }
-  }
+  for (const auto& w : workers_) idle_workers_.emplace(-w.gpcs(), w.index());
   snapshots_.reserve(workers_.size());
   done_seq_.assign(workers_.size(), 0);
   num_failed_ = 0;
@@ -159,7 +154,6 @@ void InferenceServer::BuildWorkers(const std::vector<int>& partition_gpcs) {
 }
 
 void InferenceServer::SyncIdle(const PartitionWorker& worker) {
-  if (config_.reference_engine) return;
   const std::pair<int, int> key{-worker.gpcs(), worker.index()};
   if (worker.idle()) {
     idle_workers_.insert(key);
@@ -170,12 +164,7 @@ void InferenceServer::SyncIdle(const PartitionWorker& worker) {
 
 void InferenceServer::PushWithSeq(SimTime time, std::uint64_t seq,
                                   EventType type, std::uint32_t payload) {
-  if (config_.reference_engine) {
-    events_.push_back(Event{time, seq, payload, type});
-    std::push_heap(events_.begin(), events_.end(), std::greater<Event>{});
-  } else {
-    calendar_.Push(Event{time, seq, payload, type});
-  }
+  calendar_.Push(Event{time, seq, payload, type});
 }
 
 void InferenceServer::Push(SimTime time, EventType type,
@@ -184,13 +173,9 @@ void InferenceServer::Push(SimTime time, EventType type,
 }
 
 bool InferenceServer::PopNextEvent(SimTime bound, bool bounded, Event& ev) {
-  // Both paths expose their pending minimum the same way: a pointer that
-  // is null when the structure is empty.  The calendar's Peek caches the
-  // located minimum, so the Pop below re-scans nothing.
-  const bool reference = config_.reference_engine;
-  const Event* head = reference
-                          ? (events_.empty() ? nullptr : &events_.front())
-                          : calendar_.Peek();
+  // Peek is null when the calendar is empty and caches the located
+  // minimum, so the Pop below re-scans nothing.
+  const Event* head = calendar_.Peek();
   const bool have_arrival = arrival_cursor_ < arrivals_.size();
   if (head == nullptr && !have_arrival) return false;
   bool take_arrival = have_arrival;
@@ -206,21 +191,13 @@ bool InferenceServer::PopNextEvent(SimTime bound, bool bounded, Event& ev) {
     ++arrival_cursor_;
   } else {
     if (bounded && head->time >= bound) return false;
-    if (reference) {
-      ev = *head;
-      std::pop_heap(events_.begin(), events_.end(), std::greater<Event>{});
-      events_.pop_back();
-    } else {
-      ev = calendar_.Pop();
-    }
+    ev = calendar_.Pop();
   }
   return true;
 }
 
 SimTime InferenceServer::ActualTicks(int model_id, int gpcs, int batch) {
-  double sec = config_.reference_engine
-                   ? repertoire_->ActualSec(model_id, gpcs, batch)
-                   : compiled_.ActualSec(model_id, gpcs, batch);
+  double sec = compiled_.ActualSec(model_id, gpcs, batch);
   // Degraded-replica multiplier (fault injection); exactly 1.0 -- the
   // clean-run value -- takes no branch into the multiply.
   if (slowdown_ != 1.0) sec *= slowdown_;
@@ -234,10 +211,6 @@ SimTime InferenceServer::ActualTicks(int model_id, int gpcs, int batch) {
 
 SimTime InferenceServer::EstimateTicks(int model_id, int gpcs,
                                        int batch) const {
-  if (config_.reference_engine) {
-    return std::max<SimTime>(
-        1, SecToTicks(repertoire_->EstimateSec(model_id, gpcs, batch)));
-  }
   return compiled_.EstimateTicks(model_id, gpcs, batch);
 }
 
@@ -249,12 +222,7 @@ const std::vector<sched::WorkerState>& InferenceServer::Snapshots(
 }
 
 int InferenceServer::ConsultScheduler(const workload::Query& query,
-                                      SimTime now, bool orphan) {
-  if (config_.reference_engine) {
-    return orphan ? scheduler_.RequeueOrphan(query, Snapshots(now))
-                  : scheduler_.OnQueryArrival(query, Snapshots(now));
-  }
-  assert(now == now_);  // the live view reads wait times at now_
+                                      bool orphan) {
   return orphan ? scheduler_.RequeueOrphan(query, view_)
                 : scheduler_.OnQueryArrival(query, view_);
 }
@@ -304,7 +272,7 @@ void InferenceServer::Dispatch(const workload::Query& query, SimTime now) {
     central_queue_.push_back(query);
     return;
   }
-  const int idx = ConsultScheduler(query, now, /*orphan=*/false);
+  const int idx = ConsultScheduler(query, /*orphan=*/false);
   if (idx == sched::kNoAssignment) {
     if (!scheduler_.UsesCentralQueue()) {
       if (num_failed_ > 0) {
@@ -340,7 +308,7 @@ void InferenceServer::ReofferCentralQueue(SimTime now) {
     // tracks the enqueues this loop itself causes, so draining a queue of
     // Q entries costs O(Q), not O(Q*W).
     const workload::Query head = central_queue_.front();
-    const int idx = ConsultScheduler(head, now, /*orphan=*/false);
+    const int idx = ConsultScheduler(head, /*orphan=*/false);
     if (idx == sched::kNoAssignment) break;
     if (idx < 0 || idx >= static_cast<int>(workers_.size())) {
       throw std::out_of_range("scheduler returned invalid worker index");
@@ -382,15 +350,14 @@ void InferenceServer::InjectQuery(const workload::Query& query) {
   rec.arrival = query.arrival;
   records_.push_back(rec);
   const std::uint64_t seq = next_seq_++;
-  if (!config_.reference_engine &&
-      (arrivals_.empty() || query.arrival >= arrivals_.back().time)) {
+  if (arrivals_.empty() || query.arrival >= arrivals_.back().time) {
     // The common case: arrivals keep the trace's time order, so the flat
-    // cursor replaces a heap push (and, for a whole trace, a heap that
-    // would hold every arrival at once).
+    // cursor replaces a calendar push (and, for a whole trace, a calendar
+    // that would hold every arrival at once).
     arrivals_.push_back(PendingArrival{query.arrival, seq, index});
   } else {
-    // Out-of-order (or reference-engine) arrival: the heap restores the
-    // global (time, seq) order.
+    // Out-of-order arrival: the calendar restores the global (time, seq)
+    // order.
     PushWithSeq(query.arrival, seq, EventType::kArrival, index);
   }
 }
@@ -403,11 +370,7 @@ void InferenceServer::InjectSpan(std::span<const workload::Query> queries) {
   const std::size_t n = queries.size();
   queries_.reserve(queries_.size() + n);
   records_.reserve(records_.size() + n);
-  if (config_.reference_engine) {
-    events_.reserve(events_.size() + n);
-  } else {
-    arrivals_.reserve(arrivals_.size() + n);
-  }
+  arrivals_.reserve(arrivals_.size() + n);
   for (const workload::Query& q : queries) InjectQuery(q);
 }
 
@@ -474,12 +437,12 @@ void InferenceServer::CompleteReconfigure(SimTime now) {
 
   // Orphans are re-placed first (they were dispatched before anything the
   // window held), then the held arrivals in their original order.  The
-  // fast path's live view makes this loop O(orphans), not O(orphans * W).
+  // live view makes this loop O(orphans), not O(orphans * W).
   std::deque<workload::Query> held = std::move(central_queue_);
   central_queue_.clear();
   for (const workload::Query& q : orphans) {
     ++records_[q.id].reconfig_stalls;
-    const int idx = ConsultScheduler(q, now, /*orphan=*/true);
+    const int idx = ConsultScheduler(q, /*orphan=*/true);
     if (idx == sched::kNoAssignment) {
       if (!scheduler_.UsesCentralQueue()) {
         throw std::logic_error(
@@ -631,7 +594,7 @@ std::vector<workload::Query> InferenceServer::FailWorker(int index,
         central_queue_.push_back(q);
         continue;
       }
-      const int idx = ConsultScheduler(q, now_, /*orphan=*/true);
+      const int idx = ConsultScheduler(q, /*orphan=*/true);
       if (idx == sched::kNoAssignment) {
         // Central-queue scheduler preference, or a total outage: park
         // until a pull or a recovery.

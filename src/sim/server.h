@@ -40,12 +40,10 @@
 //    live view's time epoch bumped once per distinct instant, so wide
 //    servers refresh busy-worker wait ticks at most once per instant
 //    rather than re-validating per event.
-// ServerConfig::reference_engine re-enables the pre-optimization
-// implementation (every event in one binary heap, per-consultation
-// snapshot vectors, uncompiled profile lookups); both paths produce
-// bit-identical SimResults (the event order is the same total (time, seq)
-// order), asserted record-by-record by the golden determinism suite and
-// measured by bench_engine_throughput.
+// Behaviour is pinned by checked-in record-stream digests
+// (tests/engine_golden_test.cc), and a shadow check re-derives every
+// scheduler consultation from fresh worker snapshots
+// (tests/sched_shadow_view_test.cc).
 //
 // A live reconfiguration models a MIG layout change as a first-class
 // simulation event: in-flight queries drain on the old layout, queued work
@@ -113,12 +111,6 @@ struct ServerConfig {
   // default) disables shedding entirely -- no code path changes, so
   // deadline-free runs are bit-identical to the pre-fault engine.
   SimTime deadline = 0;
-  // true re-enables the pre-optimization engine (uncompiled profile
-  // lookups, per-consultation snapshot vectors, every arrival heaped).
-  // Kept as the golden-determinism baseline and as the denominator of
-  // bench_engine_throughput's speedup; results are bit-identical either
-  // way.
-  bool reference_engine = false;
 };
 
 struct SimResult {
@@ -246,11 +238,11 @@ class InferenceServer {
   // cached per worker and re-materialized only when the worker's version
   // ticked or, for busy workers, when the view's time epoch moved (the
   // in-flight remainder of Twait is the one time-dependent term); Get is
-  // O(1) and the per-consultation O(W) vector rebuild of the reference
-  // path disappears.  The epoch is bumped by the event loop exactly once
-  // per distinct simulated instant (the batched same-timestamp sweep), so
-  // however many events land on one timestamp, each busy worker's wait
-  // ticks refresh at most once for it.  layout_version() is
+  // O(1) and no consultation rebuilds an O(W) snapshot vector.  The
+  // epoch is bumped by the event loop exactly once per distinct
+  // simulated instant (the batched same-timestamp sweep), so however
+  // many events land on one timestamp, each busy worker's wait ticks
+  // refresh at most once for it.  layout_version() is
   // process-unique per BuildWorkers so schedulers can cache per-layout
   // derived state against it.
   class LiveWorkerView final : public sched::WorkerView {
@@ -289,10 +281,9 @@ class InferenceServer {
   void Push(SimTime time, EventType type, std::uint32_t payload);
   void PushWithSeq(SimTime time, std::uint64_t seq, EventType type,
                    std::uint32_t payload);
-  // Pops the earliest pending event (merging the calendar -- or, on the
-  // reference path, the heap -- with the arrival cursor by (time, seq))
-  // into `ev`.  With `bounded`, events at or after `bound` stay pending.
-  // Returns false when nothing qualifies.
+  // Pops the earliest pending event (merging the calendar with the
+  // arrival cursor by (time, seq)) into `ev`.  With `bounded`, events at
+  // or after `bound` stay pending.  Returns false when nothing qualifies.
   bool PopNextEvent(SimTime bound, bool bounded, Event& ev);
   // The shared event loop of AdvanceTo/Finish: pops events in (time, seq)
   // order and drains every event at the same timestamp in one sweep --
@@ -302,26 +293,21 @@ class InferenceServer {
   // Moves the clock, bumping the live view's time epoch on real moves.
   void SetNow(SimTime when);
   void ProcessEvent(const Event& ev);
-  // Scheduler consultation for an arrival or a reconfiguration orphan:
-  // the fast path hands the scheduler the live view; the reference path
-  // materializes a snapshot vector per call, as the pre-optimization
-  // engine did.
-  int ConsultScheduler(const workload::Query& query, SimTime now,
-                       bool orphan);
+  // Scheduler consultation for an arrival or an orphan, through the live
+  // view (which reads wait times at the current time).
+  int ConsultScheduler(const workload::Query& query, bool orphan);
   void Dispatch(const workload::Query& query, SimTime now);
   void CompleteReconfigure(SimTime now);
   // Re-offers central-queue heads to the scheduler (central-queue
   // schedulers only), stopping at the first it declines; used after a
   // reconfiguration brings the new (all-idle) workers up.
   void ReofferCentralQueue(SimTime now);
-  // Refills and returns the member scratch vector (reference engine path
-  // and the OnReconfigure lifecycle hook).  The reference is invalidated
-  // by the next call.
+  // Refills and returns the member scratch vector (the OnReconfigure
+  // lifecycle hook).  The reference is invalidated by the next call.
   const std::vector<sched::WorkerState>& Snapshots(SimTime now) const;
   void BuildWorkers(const std::vector<int>& partition_gpcs);
   // Re-files `worker` in idle_workers_ after a mutation that may have
-  // changed its idleness (Enqueue or Finish).  No-op on the reference
-  // engine path, which keeps no idle index.
+  // changed its idleness (Enqueue or Finish).
   void SyncIdle(const PartitionWorker& worker);
   // Starts the worker's head query if the worker is free, recording start
   // metadata (including any model-swap charge) and scheduling the
@@ -340,15 +326,11 @@ class InferenceServer {
   // Dense lookup surface compiled from `repertoire_` once per server.
   profile::CompiledProfile compiled_;
 
-  // Fast path: worker/frontend/reconfig events plus out-of-order arrival
-  // injections, in the two-level bucketed calendar (O(1) amortized).
+  // Worker/frontend/reconfig events plus out-of-order arrival injections,
+  // in the two-level bucketed calendar (O(1) amortized).
   EventCalendar calendar_;
-  // Reference path: the same event population in a binary min-heap over
-  // (time, seq), kept in a plain vector so Reset() retains its capacity
-  // across incarnations.  Unused on the fast path.
-  std::vector<Event> events_;
   // In-order arrivals: a flat cursor over the (already time-sorted)
-  // injected trace, merged with the heap at pop time.
+  // injected trace, merged with the calendar at pop time.
   std::vector<PendingArrival> arrivals_;
   std::size_t arrival_cursor_ = 0;
   std::uint64_t next_seq_ = 0;
@@ -356,12 +338,10 @@ class InferenceServer {
 
   std::vector<PartitionWorker> workers_;
   LiveWorkerView view_{*this};
-  // Fast-path idle index backing LiveWorkerView::MaxGpcsIdleWorker():
-  // {-gpcs, index} per idle worker, so begin() is the largest partition
-  // with the lowest index -- exactly FIFS's scan winner.  Maintained by
-  // SyncIdle at every Enqueue/Finish site and rebuilt by BuildWorkers;
-  // empty on the reference engine path (its ad-hoc views report
-  // kIdleScanUnsupported, forcing the original O(W) scan).
+  // Idle index backing LiveWorkerView::MaxGpcsIdleWorker(): {-gpcs,
+  // index} per idle worker, so begin() is the largest partition with the
+  // lowest index -- exactly FIFS's scan winner.  Maintained by SyncIdle at
+  // every Enqueue/Finish site and rebuilt by BuildWorkers.
   std::set<std::pair<int, int>> idle_workers_;
   // Unassigned queries.  For central-queue schedulers this is the ordinary
   // central FIFO; during a reconfiguration window it additionally holds

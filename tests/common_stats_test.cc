@@ -2,64 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace pe {
 namespace {
-
-TEST(StreamingStats, EmptyIsZero) {
-  StreamingStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(StreamingStats, SingleValue) {
-  StreamingStats s;
-  s.Add(3.5);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.5);
-  EXPECT_DOUBLE_EQ(s.min(), 3.5);
-  EXPECT_DOUBLE_EQ(s.max(), 3.5);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(StreamingStats, KnownMoments) {
-  StreamingStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 4.0);  // classic population-variance example
-  EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(StreamingStats, MergeEqualsSequential) {
-  StreamingStats a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = std::sin(i) * 10.0;
-    (i % 2 ? a : b).Add(x);
-    all.Add(x);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-12);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(StreamingStats, MergeWithEmpty) {
-  StreamingStats a, empty;
-  a.Add(1.0);
-  a.Add(2.0);
-  const double mean = a.mean();
-  a.Merge(empty);
-  EXPECT_DOUBLE_EQ(a.mean(), mean);
-  empty.Merge(a);
-  EXPECT_DOUBLE_EQ(empty.mean(), mean);
-}
 
 TEST(Percentile, EmptyReturnsZero) {
   Percentile p;
@@ -111,35 +55,6 @@ TEST(Percentile, ClearResets) {
   p.Clear();
   EXPECT_EQ(p.count(), 0u);
   EXPECT_EQ(p.P95(), 0.0);
-}
-
-TEST(Histogram, BinsCountCorrectly) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(0.5);
-  h.Add(1.5);
-  h.Add(1.7);
-  h.Add(9.9);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(1), 2u);
-  EXPECT_EQ(h.bin_count(9), 1u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, OutOfRangeClampsToEdges) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(-5.0);
-  h.Add(100.0);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(9), 1u);
-  EXPECT_EQ(h.total(), 2u);
-}
-
-TEST(Histogram, BinBoundaries) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 8.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(4), 10.0);
 }
 
 }  // namespace

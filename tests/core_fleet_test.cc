@@ -102,24 +102,5 @@ TEST(FleetTestbed, RejectsDegenerateConfigs) {
   EXPECT_THROW(FleetTestbed{bad}, std::invalid_argument);
 }
 
-TEST(FleetTestbed, ReferenceEngineMatchesFastEngine) {
-  // The fleet inherits the single-server golden rule: the pre-optimization
-  // reference engine and the fast engine produce identical records for
-  // the same fleet run.
-  FleetTestbedConfig fast_cfg = SmallFleet(3, fleet::RouterPolicy::kHash);
-  FleetTestbedConfig ref_cfg = fast_cfg;
-  ref_cfg.reference_engine = true;
-  const FleetTestbed fast_tb(fast_cfg);
-  const FleetTestbed ref_tb(ref_cfg);
-  const auto trace = fast_tb.GenerateFleetTrace(450.0, 2000, /*seed=*/5);
-  const auto fast_run = fast_tb.Run(trace, 2);
-  const auto ref_run = ref_tb.Run(trace, 2);
-  ASSERT_EQ(fast_run.per_server.size(), ref_run.per_server.size());
-  for (std::size_t s = 0; s < fast_run.per_server.size(); ++s) {
-    EXPECT_TRUE(SameRecords(fast_run.per_server[s], ref_run.per_server[s]))
-        << "engines diverged on server " << s;
-  }
-}
-
 }  // namespace
 }  // namespace pe::core

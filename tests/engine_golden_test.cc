@@ -1,325 +1,67 @@
-// Golden determinism suite for the event-engine fast path: the optimized
-// engine (compiled profile lookups, incremental scheduler view, sorted
-// arrival cursor) must produce QueryRecord streams bit-identical to the
-// reference (pre-optimization) engine for every covered scenario -- FIFS
-// and ELSA, single-model and mixed traffic, static runs and live
-// reconfigurations, across several seeds.
+// Golden digests for the event engine: every scenario of the shared grid
+// (FIFS/ELSA x 1/3 models x static/reconfigure x 3 seeds), the four
+// event-ordering scenarios, and the elastic driver must reproduce the
+// record-stream digests checked in below.  A mismatch prints the actual
+// digest; re-record only for a deliberate, justified behaviour change.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
+#include "engine_scenarios.h"
+#include "golden_digest.h"
 #include "online/elastic_server.h"
 #include "online/repartition_controller.h"
-#include "sched/elsa.h"
-#include "sched/fifs.h"
-#include "sim/server.h"
-#include "workload/arrival.h"
-#include "workload/batch_dist.h"
-#include "workload/scenario.h"
-#include "workload/trace.h"
 
-namespace pe::sim {
+namespace pe::testing {
 namespace {
 
-// Distinct per-model cost surfaces; the actual latency deliberately
-// diverges from the profile so estimate/actual paths stay distinguishable.
-profile::ProfileTable MakeTable(const std::string& name, double scale) {
-  profile::ProfileTable t(name, {1, 2, 3, 7}, {1, 2, 4, 8, 16, 32});
-  for (int g : t.partition_sizes()) {
-    for (int b : t.batch_sizes()) {
-      profile::ProfileEntry e;
-      e.latency_sec = scale * 1e-3 * (0.5 + 0.4 * b) / static_cast<double>(g);
-      e.utilization = std::min(1.0, 0.08 * b);
-      t.Set(g, b, e);
-    }
-  }
-  return t;
-}
-
-profile::ModelRepertoire MakeRepertoire(int num_models) {
-  profile::ModelRepertoire rep;
-  for (int m = 0; m < num_models; ++m) {
-    const double scale = 1.0 + 0.6 * m;
-    // Built via += (not `"m" + std::to_string(...)`): GCC-12's -Wrestrict
-    // false-positives on operator+(const char*, string&&) in Release.
-    std::string name = "m";
-    name += std::to_string(m);
-    rep.Register(std::move(name), MakeTable("m", scale),
-                 [scale](int gpcs, int batch) {
-                   return scale * 1.07e-3 * (0.5 + 0.4 * batch) /
-                          static_cast<double>(gpcs);
-                 });
-  }
-  return rep;
-}
-
-workload::QueryTrace MakeTraceFor(const profile::ModelRepertoire& rep,
-                                  std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  workload::PoissonArrivals arrivals(/*rate_qps=*/900.0);
-  workload::LogNormalBatchDist d0(6.0, 0.9, 32);
-  workload::LogNormalBatchDist d1(4.0, 0.7, 32);
-  workload::LogNormalBatchDist d2(9.0, 0.8, 32);
-  if (rep.size() == 1) {
-    workload::ArrivalTraceSource source(arrivals, d0);
-    return workload::Take(source, n, rng);
-  }
-  workload::MixSpec mix;
-  mix.components.push_back({0, 0.5, &d0});
-  mix.components.push_back({1, 0.3, &d1});
-  mix.components.push_back({2, 0.2, &d2});
-  workload::MixTraceSource source(arrivals, mix);
-  return workload::Take(source, n, rng);
-}
-
-enum class Sched { kFifs, kElsa };
-
-struct Scenario {
-  Sched sched = Sched::kFifs;
-  int models = 1;
-  bool reconfigure = false;
-  std::uint64_t seed = 1;
-};
-
-std::unique_ptr<sched::Scheduler> MakeSched(
-    const Scenario& s, const profile::ModelRepertoire& rep, SimTime sla,
-    bool reference) {
-  if (s.sched == Sched::kFifs) {
-    return std::make_unique<sched::FifsScheduler>();
-  }
-  sched::ElsaParams params;
-  params.locality_tie_sec = s.models > 1 ? 0.002 : 0.0;
-  // The reference leg also takes the uncompiled estimate path, so the
-  // comparison covers both the engine and the scheduler lookups.
-  params.compiled_lookups = !reference;
-  return std::make_unique<sched::ElsaScheduler>(rep, sla, params);
-}
-
-SimResult RunScenario(const Scenario& s, bool reference) {
-  const auto rep = MakeRepertoire(s.models);
-  const SimTime sla = MsToTicks(40.0);
-  ServerConfig config;
-  config.partition_gpcs = {1, 1, 2, 3, 7, 7};
-  config.sla_target = sla;
-  config.latency_noise_sigma = 0.25;  // exercise the RNG stream
-  config.seed = s.seed ^ 0xBEEF;
-  config.model_swap_cost = UsToTicks(250.0);
-  config.reference_engine = reference;
-  auto scheduler = MakeSched(s, rep, sla, reference);
-  InferenceServer server(config, rep, *scheduler);
-  const auto trace = MakeTraceFor(rep, 600, s.seed);
-  if (!s.reconfigure) return server.Run(trace);
-  // Live-reconfiguration driving: chunked advances around two layout
-  // swaps (the second supersedes nothing; both complete).
-  server.InjectTrace(trace);
-  server.AdvanceTo(MsToTicks(120.0));
-  server.BeginReconfigure({2, 2, 3, 7}, MsToTicks(15.0));
-  server.AdvanceTo(MsToTicks(300.0));
-  server.BeginReconfigure({1, 2, 3, 3, 7, 7}, MsToTicks(10.0));
-  return server.Finish();
-}
-
-void ExpectIdenticalRecords(const std::vector<QueryRecord>& fast,
-                            const std::vector<QueryRecord>& ref,
-                            const std::string& label) {
-  ASSERT_EQ(fast.size(), ref.size()) << label;
-  for (std::size_t i = 0; i < fast.size(); ++i) {
-    const QueryRecord& a = fast[i];
-    const QueryRecord& b = ref[i];
-    EXPECT_EQ(a.id, b.id) << label << " record " << i;
-    EXPECT_EQ(a.batch, b.batch) << label << " record " << i;
-    EXPECT_EQ(a.model, b.model) << label << " record " << i;
-    EXPECT_EQ(a.arrival, b.arrival) << label << " record " << i;
-    EXPECT_EQ(a.dispatched, b.dispatched) << label << " record " << i;
-    EXPECT_EQ(a.started, b.started) << label << " record " << i;
-    EXPECT_EQ(a.finished, b.finished) << label << " record " << i;
-    EXPECT_EQ(a.worker, b.worker) << label << " record " << i;
-    EXPECT_EQ(a.worker_gpcs, b.worker_gpcs) << label << " record " << i;
-    EXPECT_EQ(a.model_swap, b.model_swap) << label << " record " << i;
-    EXPECT_EQ(a.reconfig_stalls, b.reconfig_stalls)
-        << label << " record " << i;
-    // One diverging record is enough detail.
-    if (::testing::Test::HasFailure()) return;
+TEST(EngineGolden, ScenarioGridMatchesCheckedInDigests) {
+  // One digest per cell, in ScenarioGrid() order.
+  const std::uint64_t kDigests[] = {
+      // FIFS, 1 model: static seeds 1/7/42, then reconfigure.
+      0xc1b04809c8b52932, 0xdced1fbfb1efafca, 0x8dcef076f671577d,
+      0x5187876b539ac046, 0x834ef35aa0d71b41, 0xd14c628ce037477d,
+      // FIFS, 3 models.
+      0x7593c5b58454a42c, 0xf434d9279066cd82, 0xd1008cb131aa3c78,
+      0x47a572cddb551bc8, 0x8302a1633ec5c199, 0xbaf2da39c0f93c7f,
+      // ELSA, 1 model.
+      0x8619c82f9f374185, 0x9d54bbf3118bb419, 0xf788579d2028cda4,
+      0xad843ea3da559e66, 0xf26e4ed38d53802d, 0x1295b377527bd661,
+      // ELSA, 3 models.
+      0x0a5e119d4d6faca8, 0xf94f3d1a150db112, 0x67a46ba223adfbf3,
+      0x56c20e47f6e2b387, 0x7a2a90976ed7ecc8, 0x905926d5d18107c5,
+  };
+  const auto grid = ScenarioGrid();
+  ASSERT_EQ(grid.size(), std::size(kDigests));
+  SchedulerSource plain;
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    ExpectDigest(DigestRecords(RunGridCell(grid[i], plain)), kDigests[i],
+                 grid[i].Label());
   }
 }
 
-TEST(EngineGolden, FastPathMatchesReferenceEverywhere) {
-  for (const Sched sched : {Sched::kFifs, Sched::kElsa}) {
-    for (const int models : {1, 3}) {
-      for (const bool reconfigure : {false, true}) {
-        for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
-          const Scenario s{sched, models, reconfigure, seed};
-          std::string label = sched == Sched::kFifs ? "FIFS" : "ELSA";
-          label += "/m";
-          label += std::to_string(models);
-          label += reconfigure ? "/reconfig" : "/static";
-          label += "/seed";
-          label += std::to_string(seed);
-          const auto fast = RunScenario(s, /*reference=*/false);
-          const auto ref = RunScenario(s, /*reference=*/true);
-          ExpectIdenticalRecords(fast.records, ref.records, label);
-          if (::testing::Test::HasFailure()) return;
-        }
-      }
-    }
+TEST(EngineGolden, OrderingScenariosMatchCheckedInDigests) {
+  const std::uint64_t kDigests[] = {
+      0xe04bfa5adce33964,  // out-of-order injection
+      0x4fcab59e74023fa1,  // same-instant bursts
+      0xf7e941f6baef042b,  // far-future spill
+      0xe29e262eb1ede7b3,  // incremental waves
+  };
+  const auto& scenarios = OrderingScenarios();
+  ASSERT_EQ(scenarios.size(), std::size(kDigests));
+  SchedulerSource plain;
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    ExpectDigest(DigestRecords(scenarios[i].run(plain)), kDigests[i],
+                 scenarios[i].name);
   }
-}
-
-// Out-of-order injection falls off the sorted cursor onto the heap; the
-// merged order must still equal the reference engine's single-queue order.
-TEST(EngineGolden, OutOfOrderInjectionMatchesReference) {
-  const auto rep = MakeRepertoire(1);
-  ServerConfig config;
-  config.partition_gpcs = {1, 7};
-  config.sla_target = MsToTicks(30.0);
-  config.seed = 5;
-  std::vector<workload::Query> qs;
-  const SimTime arrivals[] = {MsToTicks(0.0), MsToTicks(9.0), MsToTicks(3.0),
-                              MsToTicks(3.0), MsToTicks(12.0), MsToTicks(1.0)};
-  for (std::size_t i = 0; i < 6; ++i) {
-    workload::Query q;
-    q.id = i;
-    q.arrival = arrivals[i];
-    q.batch = 8;
-    qs.push_back(q);
-  }
-  std::vector<std::vector<QueryRecord>> results;
-  for (const bool reference : {false, true}) {
-    auto c = config;
-    c.reference_engine = reference;
-    sched::FifsScheduler fifs;
-    InferenceServer server(c, rep, fifs);
-    for (const auto& q : qs) server.InjectQuery(q);
-    results.push_back(server.Finish().records);
-  }
-  ExpectIdenticalRecords(results[0], results[1], "out-of-order");
-}
-
-// Calendar-ordering scenarios: each stresses one structural mechanism of
-// the bucketed event calendar (sim/event_calendar.h) and pins the result
-// record-by-record against the reference engine's single binary heap.
-
-// Same-timestamp bursts: many arrivals share one instant, so their
-// frontend/worker completion events collide on single timestamps too; the
-// (time, seq) tie-break must order them across calendar buckets exactly
-// as the heap does, and the batched same-instant sweep must not perturb
-// scheduler decisions made mid-burst.
-TEST(EngineGolden, SameInstantBurstTieBreakMatchesReference) {
-  const auto rep = MakeRepertoire(1);
-  ServerConfig config;
-  config.partition_gpcs = {1, 1, 2, 7};
-  config.sla_target = MsToTicks(30.0);
-  config.seed = 17;
-  config.frontend.enabled = true;  // same-instant frontend-done trains
-  config.frontend.lanes = 3;
-  std::vector<workload::Query> qs;
-  for (std::size_t burst = 0; burst < 50; ++burst) {
-    const SimTime at = MsToTicks(5.0 * static_cast<double>(burst));
-    for (int k = 0; k < 8; ++k) {
-      workload::Query q;
-      q.id = qs.size();
-      q.arrival = at;  // every query of the burst lands on one tick
-      q.batch = 1 + (k % 4) * 8;
-      qs.push_back(q);
-    }
-  }
-  const workload::QueryTrace trace(std::move(qs));
-  std::vector<std::vector<QueryRecord>> results;
-  for (const bool reference : {false, true}) {
-    auto c = config;
-    c.reference_engine = reference;
-    sched::FifsScheduler fifs;
-    InferenceServer server(c, rep, fifs);
-    results.push_back(server.Run(trace).records);
-  }
-  ExpectIdenticalRecords(results[0], results[1], "same-instant bursts");
-}
-
-// Overflow-spill promotion: out-of-order injections spanning several
-// seconds land far beyond the calendar's initial ~67 ms wheel horizon, so
-// they wait in the spill and are promoted across multiple re-anchors;
-// the pop order must still be the exact global (time, seq) order.
-TEST(EngineGolden, FarFutureSpillPromotionMatchesReference) {
-  const auto rep = MakeRepertoire(1);
-  ServerConfig config;
-  config.partition_gpcs = {1, 7};
-  config.sla_target = MsToTicks(30.0);
-  config.seed = 23;
-  // Alternating near/far arrivals in injection order: every second query
-  // breaks the sorted-cursor invariant and falls into the calendar, with
-  // times spread over ~8 s (hundreds of wheel horizons apart).
-  std::vector<workload::Query> qs;
-  for (std::size_t i = 0; i < 40; ++i) {
-    workload::Query q;
-    q.id = i;
-    q.arrival = (i % 2 == 0)
-                    ? MsToTicks(1.0 * static_cast<double>(i))
-                    : MsToTicks(8000.0 - 150.0 * static_cast<double>(i));
-    q.batch = 4;
-    qs.push_back(q);
-  }
-  std::vector<std::vector<QueryRecord>> results;
-  for (const bool reference : {false, true}) {
-    auto c = config;
-    c.reference_engine = reference;
-    sched::FifsScheduler fifs;
-    InferenceServer server(c, rep, fifs);
-    for (const auto& q : qs) server.InjectQuery(q);
-    results.push_back(server.Finish().records);
-  }
-  ExpectIdenticalRecords(results[0], results[1], "far-future spill");
-}
-
-// Out-of-order fallback under incremental driving: chunked AdvanceTo
-// between injection waves, so calendar pops interleave with clock moves
-// and a partially drained wheel keeps receiving behind-the-cursor pushes.
-TEST(EngineGolden, IncrementalOutOfOrderWavesMatchReference) {
-  const auto rep = MakeRepertoire(1);
-  ServerConfig config;
-  config.partition_gpcs = {1, 2, 7};
-  config.sla_target = MsToTicks(30.0);
-  config.seed = 31;
-  std::vector<std::vector<QueryRecord>> results;
-  for (const bool reference : {false, true}) {
-    auto c = config;
-    c.reference_engine = reference;
-    sched::FifsScheduler fifs;
-    InferenceServer server(c, rep, fifs);
-    std::uint64_t id = 0;
-    for (int wave = 0; wave < 4; ++wave) {
-      const SimTime base = MsToTicks(25.0 * static_cast<double>(wave));
-      // Each wave injects: ahead-of-now in-order arrivals, then a burst
-      // that jumps backwards relative to the previous push (calendar
-      // fallback), all at or after the current clock.
-      for (int k = 0; k < 6; ++k) {
-        workload::Query q;
-        q.id = id++;
-        q.arrival = base + MsToTicks(20.0 + static_cast<double>(k));
-        q.batch = 8;
-        server.InjectQuery(q);
-      }
-      for (int k = 0; k < 6; ++k) {
-        workload::Query q;
-        q.id = id++;
-        q.arrival = base + MsToTicks(5.0 + 2.0 * static_cast<double>(k));
-        q.batch = 2;
-        server.InjectQuery(q);
-      }
-      server.AdvanceTo(base + MsToTicks(25.0));
-    }
-    results.push_back(server.Finish().records);
-  }
-  ExpectIdenticalRecords(results[0], results[1], "incremental waves");
 }
 
 // The elastic driver (epoch advances + controller-ordered live
-// reconfigurations) over both engines: per-epoch and total stats match
-// exactly.
+// reconfigurations) under a policy that switches layouts exactly once.
 class ForcedSwitchPolicy final : public online::RepartitionPolicy {
  public:
   ForcedSwitchPolicy(std::vector<int> initial, std::vector<int> next,
@@ -353,49 +95,49 @@ class ForcedSwitchPolicy final : public online::RepartitionPolicy {
   int calls_ = 0;
 };
 
-TEST(EngineGolden, ElasticDriverMatchesReference) {
-  const auto rep = MakeRepertoire(3);
+// Every order-statistic, count and layout field of an elastic result (its
+// means are rounding-sensitive summaries of the same records and are left
+// out of the digest).
+std::uint64_t DigestElastic(const online::ElasticResult& r) {
+  Fnv1a h;
+  h.AddSigned(r.reconfigurations);
+  for (const online::EpochStats& e : r.epochs) {
+    h.Add(e.queries);
+    h.AddDouble(e.p95_ms);
+    h.AddDouble(e.violation_rate);
+    h.Add(e.stalled);
+    h.Add(e.reconfigured ? 1 : 0);
+    for (const int g : e.layout) h.AddSigned(g);
+  }
+  h.Add(r.total.completed);
+  h.AddDouble(r.total.p50_latency_ms);
+  h.AddDouble(r.total.p95_latency_ms);
+  h.AddDouble(r.total.p99_latency_ms);
+  h.AddDouble(r.total.max_latency_ms);
+  h.AddDouble(r.total.sla_violation_rate);
+  h.Add(r.total.reconfig_stalled);
+  h.Add(r.total.model_swaps);
+  return h.value();
+}
+
+TEST(EngineGolden, ElasticDriverMatchesCheckedInDigest) {
+  const auto rep = MakeScenarioRepertoire(3);
   const SimTime sla = MsToTicks(40.0);
-  const auto trace = MakeTraceFor(rep, 900, /*seed=*/11);
-  std::vector<online::ElasticResult> results;
-  for (const bool reference : {false, true}) {
-    ForcedSwitchPolicy policy({1, 2, 7}, {2, 3, 3, 7}, /*switch_at_call=*/2);
-    sched::ElsaParams params;
-    params.locality_tie_sec = 0.002;
-    params.compiled_lookups = !reference;
-    online::ElasticServerSim elastic(
-        policy, rep,
-        [&rep, sla, params] {
-          return std::make_unique<sched::ElsaScheduler>(rep, sla, params);
-        },
-        sla, /*queries_per_epoch=*/250, /*seed=*/77,
-        /*model_swap_cost=*/UsToTicks(250.0));
-    elastic.set_reference_engine(reference);
-    results.push_back(elastic.Run(trace));
-  }
-  const auto& fast = results[0];
-  const auto& ref = results[1];
-  EXPECT_EQ(fast.reconfigurations, 1);
-  ASSERT_EQ(fast.reconfigurations, ref.reconfigurations);
-  ASSERT_EQ(fast.epochs.size(), ref.epochs.size());
-  for (std::size_t e = 0; e < fast.epochs.size(); ++e) {
-    EXPECT_EQ(fast.epochs[e].queries, ref.epochs[e].queries) << "epoch " << e;
-    EXPECT_EQ(fast.epochs[e].p95_ms, ref.epochs[e].p95_ms) << "epoch " << e;
-    EXPECT_EQ(fast.epochs[e].violation_rate, ref.epochs[e].violation_rate)
-        << "epoch " << e;
-    EXPECT_EQ(fast.epochs[e].stalled, ref.epochs[e].stalled) << "epoch " << e;
-    EXPECT_EQ(fast.epochs[e].reconfigured, ref.epochs[e].reconfigured)
-        << "epoch " << e;
-    EXPECT_EQ(fast.epochs[e].layout, ref.epochs[e].layout) << "epoch " << e;
-  }
-  EXPECT_EQ(fast.total.completed, ref.total.completed);
-  EXPECT_EQ(fast.total.p95_latency_ms, ref.total.p95_latency_ms);
-  EXPECT_EQ(fast.total.p99_latency_ms, ref.total.p99_latency_ms);
-  EXPECT_EQ(fast.total.mean_latency_ms, ref.total.mean_latency_ms);
-  EXPECT_EQ(fast.total.sla_violation_rate, ref.total.sla_violation_rate);
-  EXPECT_EQ(fast.total.reconfig_stalled, ref.total.reconfig_stalled);
-  EXPECT_EQ(fast.total.model_swaps, ref.total.model_swaps);
+  const auto trace = MakeScenarioTrace(rep, 900, /*seed=*/11);
+  ForcedSwitchPolicy policy({1, 2, 7}, {2, 3, 3, 7}, /*switch_at_call=*/2);
+  sched::ElsaParams params;
+  params.locality_tie_sec = 0.002;
+  online::ElasticServerSim elastic(
+      policy, rep,
+      [&rep, sla, params] {
+        return std::make_unique<sched::ElsaScheduler>(rep, sla, params);
+      },
+      sla, /*queries_per_epoch=*/250, /*seed=*/77,
+      /*model_swap_cost=*/UsToTicks(250.0));
+  const auto result = elastic.Run(trace);
+  EXPECT_EQ(result.reconfigurations, 1);
+  ExpectDigest(DigestElastic(result), 0x54d93ee8b1f0de0d, "elastic driver");
 }
 
 }  // namespace
-}  // namespace pe::sim
+}  // namespace pe::testing

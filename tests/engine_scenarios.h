@@ -1,0 +1,306 @@
+// The engine scenario grid shared by the golden-digest suite and the
+// shadow-view check: FIFS and ELSA, one and three models, static runs and
+// live reconfigurations, three seeds -- plus four event-ordering
+// scenarios (out-of-order injection, same-instant bursts, far-future
+// spill, incremental waves).  Each scenario builds its scheduler through a
+// SchedulerSource, so a test can decorate the scheduler and attach the
+// decorator to the server once it exists.
+#pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "profile/model_repertoire.h"
+#include "sched/elsa.h"
+#include "sched/fifs.h"
+#include "sim/server.h"
+#include "workload/arrival.h"
+#include "workload/batch_dist.h"
+#include "workload/scenario.h"
+#include "workload/trace.h"
+
+namespace pe::testing {
+
+using SchedulerFactory = std::function<std::unique_ptr<sched::Scheduler>()>;
+
+// Supplies the scheduler a scenario's server runs with.  The default hands
+// back make() unchanged; decorating sources override both hooks.
+class SchedulerSource {
+ public:
+  virtual ~SchedulerSource() = default;
+  virtual std::unique_ptr<sched::Scheduler> Make(const SchedulerFactory& make) {
+    return make();
+  }
+  // Called once the server that runs Make()'s scheduler is constructed.
+  virtual void Attach(sim::InferenceServer& server) { (void)server; }
+};
+
+// Distinct per-model cost surfaces; the actual latency deliberately
+// diverges from the profile so estimate/actual paths stay distinguishable.
+inline profile::ProfileTable MakeScenarioTable(const std::string& name,
+                                               double scale) {
+  profile::ProfileTable t(name, {1, 2, 3, 7}, {1, 2, 4, 8, 16, 32});
+  for (int g : t.partition_sizes()) {
+    for (int b : t.batch_sizes()) {
+      profile::ProfileEntry e;
+      e.latency_sec = scale * 1e-3 * (0.5 + 0.4 * b) / static_cast<double>(g);
+      e.utilization = std::min(1.0, 0.08 * b);
+      t.Set(g, b, e);
+    }
+  }
+  return t;
+}
+
+inline profile::ModelRepertoire MakeScenarioRepertoire(int num_models) {
+  profile::ModelRepertoire rep;
+  for (int m = 0; m < num_models; ++m) {
+    const double scale = 1.0 + 0.6 * m;
+    // Built via += (not `"m" + std::to_string(...)`): GCC-12's -Wrestrict
+    // false-positives on operator+(const char*, string&&) in Release.
+    std::string name = "m";
+    name += std::to_string(m);
+    rep.Register(std::move(name), MakeScenarioTable("m", scale),
+                 [scale](int gpcs, int batch) {
+                   return scale * 1.07e-3 * (0.5 + 0.4 * batch) /
+                          static_cast<double>(gpcs);
+                 });
+  }
+  return rep;
+}
+
+inline workload::QueryTrace MakeScenarioTrace(
+    const profile::ModelRepertoire& rep, std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  workload::PoissonArrivals arrivals(/*rate_qps=*/900.0);
+  workload::LogNormalBatchDist d0(6.0, 0.9, 32);
+  workload::LogNormalBatchDist d1(4.0, 0.7, 32);
+  workload::LogNormalBatchDist d2(9.0, 0.8, 32);
+  if (rep.size() == 1) {
+    workload::ArrivalTraceSource source(arrivals, d0);
+    return workload::Take(source, n, rng);
+  }
+  workload::MixSpec mix;
+  mix.components.push_back({0, 0.5, &d0});
+  mix.components.push_back({1, 0.3, &d1});
+  mix.components.push_back({2, 0.2, &d2});
+  workload::MixTraceSource source(arrivals, mix);
+  return workload::Take(source, n, rng);
+}
+
+enum class Sched { kFifs, kElsa };
+
+struct GridCell {
+  Sched sched = Sched::kFifs;
+  int models = 1;
+  bool reconfigure = false;
+  std::uint64_t seed = 1;
+  double sla_ms = 40.0;
+
+  std::string Label() const {
+    std::string label = sched == Sched::kFifs ? "FIFS" : "ELSA";
+    label += "/m";
+    label += std::to_string(models);
+    label += reconfigure ? "/reconfig" : "/static";
+    label += "/seed";
+    label += std::to_string(seed);
+    return label;
+  }
+};
+
+// The 24 cells, in a fixed order.
+inline std::vector<GridCell> ScenarioGrid() {
+  std::vector<GridCell> grid;
+  for (const Sched sched : {Sched::kFifs, Sched::kElsa}) {
+    for (const int models : {1, 3}) {
+      for (const bool reconfigure : {false, true}) {
+        for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
+          grid.push_back({sched, models, reconfigure, seed});
+        }
+      }
+    }
+  }
+  return grid;
+}
+
+inline SchedulerFactory GridSchedulerFactory(
+    const GridCell& cell, const profile::ModelRepertoire& rep, SimTime sla) {
+  if (cell.sched == Sched::kFifs) {
+    return [] { return std::make_unique<sched::FifsScheduler>(); };
+  }
+  sched::ElsaParams params;
+  params.locality_tie_sec = cell.models > 1 ? 0.002 : 0.0;
+  return [&rep, sla, params] {
+    return std::make_unique<sched::ElsaScheduler>(rep, sla, params);
+  };
+}
+
+inline std::vector<sim::QueryRecord> RunGridCell(const GridCell& cell,
+                                                 SchedulerSource& source) {
+  const auto rep = MakeScenarioRepertoire(cell.models);
+  const SimTime sla = MsToTicks(cell.sla_ms);
+  sim::ServerConfig config;
+  config.partition_gpcs = {1, 1, 2, 3, 7, 7};
+  config.sla_target = sla;
+  config.latency_noise_sigma = 0.25;  // exercise the RNG stream
+  config.seed = cell.seed ^ 0xBEEF;
+  config.model_swap_cost = UsToTicks(250.0);
+  auto scheduler = source.Make(GridSchedulerFactory(cell, rep, sla));
+  sim::InferenceServer server(config, rep, *scheduler);
+  source.Attach(server);
+  const auto trace = MakeScenarioTrace(rep, 600, cell.seed);
+  if (!cell.reconfigure) return server.Run(trace).records;
+  // Live-reconfiguration driving: chunked advances around two layout
+  // swaps (the second supersedes nothing; both complete).
+  server.InjectTrace(trace);
+  server.AdvanceTo(MsToTicks(120.0));
+  server.BeginReconfigure({2, 2, 3, 7}, MsToTicks(15.0));
+  server.AdvanceTo(MsToTicks(300.0));
+  server.BeginReconfigure({1, 2, 3, 3, 7, 7}, MsToTicks(10.0));
+  return server.Finish().records;
+}
+
+// ---- Event-ordering scenarios (FIFS, one model) ------------------------
+
+// Runs `drive` on a FIFS server over `config` and returns its records.
+inline std::vector<sim::QueryRecord> RunFifs(
+    const sim::ServerConfig& config, SchedulerSource& source,
+    const std::function<sim::SimResult(sim::InferenceServer&)>& drive) {
+  static const auto rep = MakeScenarioRepertoire(1);
+  auto scheduler = source.Make(
+      [] { return std::make_unique<sched::FifsScheduler>(); });
+  sim::InferenceServer server(config, rep, *scheduler);
+  source.Attach(server);
+  return drive(server).records;
+}
+
+// Out-of-order injection falls off the sorted arrival cursor into the
+// event calendar.
+inline std::vector<sim::QueryRecord> RunOutOfOrderInjection(
+    SchedulerSource& source) {
+  sim::ServerConfig config;
+  config.partition_gpcs = {1, 7};
+  config.sla_target = MsToTicks(30.0);
+  config.seed = 5;
+  const SimTime arrivals[] = {MsToTicks(0.0), MsToTicks(9.0), MsToTicks(3.0),
+                              MsToTicks(3.0), MsToTicks(12.0), MsToTicks(1.0)};
+  return RunFifs(config, source, [&](sim::InferenceServer& server) {
+    for (std::size_t i = 0; i < 6; ++i) {
+      workload::Query q;
+      q.id = i;
+      q.arrival = arrivals[i];
+      q.batch = 8;
+      server.InjectQuery(q);
+    }
+    return server.Finish();
+  });
+}
+
+// Same-timestamp bursts: many arrivals share one instant, so frontend and
+// worker completions collide on single timestamps too; the (time, seq)
+// tie-break and the batched same-instant sweep are both on the line.
+inline std::vector<sim::QueryRecord> RunSameInstantBursts(
+    SchedulerSource& source) {
+  sim::ServerConfig config;
+  config.partition_gpcs = {1, 1, 2, 7};
+  config.sla_target = MsToTicks(30.0);
+  config.seed = 17;
+  config.frontend.enabled = true;  // same-instant frontend-done trains
+  config.frontend.lanes = 3;
+  std::vector<workload::Query> qs;
+  for (std::size_t burst = 0; burst < 50; ++burst) {
+    const SimTime at = MsToTicks(5.0 * static_cast<double>(burst));
+    for (int k = 0; k < 8; ++k) {
+      workload::Query q;
+      q.id = qs.size();
+      q.arrival = at;  // every query of the burst lands on one tick
+      q.batch = 1 + (k % 4) * 8;
+      qs.push_back(q);
+    }
+  }
+  const workload::QueryTrace trace(std::move(qs));
+  return RunFifs(config, source, [&](sim::InferenceServer& server) {
+    return server.Run(trace);
+  });
+}
+
+// Overflow-spill promotion: out-of-order injections spread over ~8 s land
+// far beyond the calendar's initial wheel horizon and are promoted across
+// several re-anchors.
+inline std::vector<sim::QueryRecord> RunFarFutureSpill(
+    SchedulerSource& source) {
+  sim::ServerConfig config;
+  config.partition_gpcs = {1, 7};
+  config.sla_target = MsToTicks(30.0);
+  config.seed = 23;
+  return RunFifs(config, source, [](sim::InferenceServer& server) {
+    // Alternating near/far arrivals in injection order: every second query
+    // breaks the sorted-cursor invariant and falls into the calendar.
+    for (std::size_t i = 0; i < 40; ++i) {
+      workload::Query q;
+      q.id = i;
+      q.arrival = (i % 2 == 0)
+                      ? MsToTicks(1.0 * static_cast<double>(i))
+                      : MsToTicks(8000.0 - 150.0 * static_cast<double>(i));
+      q.batch = 4;
+      server.InjectQuery(q);
+    }
+    return server.Finish();
+  });
+}
+
+// Out-of-order injection under incremental driving: chunked AdvanceTo
+// between injection waves, so calendar pops interleave with clock moves
+// and a partially drained wheel keeps receiving behind-the-cursor pushes.
+inline std::vector<sim::QueryRecord> RunIncrementalWaves(
+    SchedulerSource& source) {
+  sim::ServerConfig config;
+  config.partition_gpcs = {1, 2, 7};
+  config.sla_target = MsToTicks(30.0);
+  config.seed = 31;
+  return RunFifs(config, source, [](sim::InferenceServer& server) {
+    std::uint64_t id = 0;
+    for (int wave = 0; wave < 4; ++wave) {
+      const SimTime base = MsToTicks(25.0 * static_cast<double>(wave));
+      // In-order arrivals ahead of now, then a burst that jumps backwards
+      // relative to the previous push, all at or after the current clock.
+      for (int k = 0; k < 6; ++k) {
+        workload::Query q;
+        q.id = id++;
+        q.arrival = base + MsToTicks(20.0 + static_cast<double>(k));
+        q.batch = 8;
+        server.InjectQuery(q);
+      }
+      for (int k = 0; k < 6; ++k) {
+        workload::Query q;
+        q.id = id++;
+        q.arrival = base + MsToTicks(5.0 + 2.0 * static_cast<double>(k));
+        q.batch = 2;
+        server.InjectQuery(q);
+      }
+      server.AdvanceTo(base + MsToTicks(25.0));
+    }
+    return server.Finish();
+  });
+}
+
+struct NamedScenario {
+  const char* name;
+  std::vector<sim::QueryRecord> (*run)(SchedulerSource&);
+};
+
+inline const std::vector<NamedScenario>& OrderingScenarios() {
+  static const std::vector<NamedScenario> kScenarios = {
+      {"out-of-order injection", &RunOutOfOrderInjection},
+      {"same-instant bursts", &RunSameInstantBursts},
+      {"far-future spill", &RunFarFutureSpill},
+      {"incremental waves", &RunIncrementalWaves},
+  };
+  return kScenarios;
+}
+
+}  // namespace pe::testing

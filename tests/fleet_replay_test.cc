@@ -1,8 +1,8 @@
 // Replay fidelity for versioned trace capture (satellite of the scenario
 // API): a trace captured from a fleet run and round-tripped through the
-// paris-elsa-trace-v1 format must drive both the fast and the reference
-// engines to record-by-record identical results, and a per-server
-// sub-trace captured with symbolic model names must replay standalone.
+// paris-elsa-trace-v1 format must drive the engine to record-by-record
+// identical results at any jobs count, and a per-server sub-trace
+// captured with symbolic model names must replay standalone.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -10,20 +10,20 @@
 #include <vector>
 
 #include "core/fleet_runner.h"
+#include "stats_oracle.h"
 #include "workload/scenario.h"
 #include "workload/trace_io.h"
 
 namespace pe::core {
 namespace {
 
-FleetTestbedConfig TestFleet(int servers, bool reference) {
+FleetTestbedConfig TestFleet(int servers) {
   FleetTestbedConfig fc;
   fc.mix.models.push_back({"resnet", 0.6, 6.0, 0.9});
   fc.mix.models.push_back({"mobilenet", 0.4, 4.0, 0.8});
   fc.mix.swap_cost_us = 200.0;
   fc.mix.latency_noise_sigma = 0.2;  // exercise the engines' RNG streams
   fc.num_servers = servers;
-  fc.reference_engine = reference;
   return fc;
 }
 
@@ -58,22 +58,8 @@ void ExpectIdenticalRecords(const std::vector<sim::QueryRecord>& a,
   }
 }
 
-void ExpectIdenticalStats(const sim::ServerStats& a, const sim::ServerStats& b,
-                          const std::string& label) {
-  EXPECT_EQ(a.completed, b.completed) << label;
-  EXPECT_EQ(a.mean_latency_ms, b.mean_latency_ms) << label;
-  EXPECT_EQ(a.p50_latency_ms, b.p50_latency_ms) << label;
-  EXPECT_EQ(a.p95_latency_ms, b.p95_latency_ms) << label;
-  EXPECT_EQ(a.p99_latency_ms, b.p99_latency_ms) << label;
-  EXPECT_EQ(a.max_latency_ms, b.max_latency_ms) << label;
-  EXPECT_EQ(a.sla_violation_rate, b.sla_violation_rate) << label;
-  EXPECT_EQ(a.achieved_qps, b.achieved_qps) << label;
-  EXPECT_EQ(a.reconfig_stalled, b.reconfig_stalled) << label;
-  EXPECT_EQ(a.model_swaps, b.model_swaps) << label;
-}
-
 TEST(FleetReplay, CapturedTraceRoundTripsBitFaithfully) {
-  const FleetTestbed tb(TestFleet(4, /*reference=*/false));
+  const FleetTestbed tb(TestFleet(4));
   const auto doc = CaptureFleetTrace(tb, 3000, /*seed=*/7);
 
   std::stringstream ss;
@@ -93,55 +79,42 @@ TEST(FleetReplay, CapturedTraceRoundTripsBitFaithfully) {
 }
 
 // The headline fidelity contract: capture from a 4-server fleet run,
-// replay the loaded trace through the fast AND the reference engines, and
-// the replay is indistinguishable from the original run -- record by
-// record, server by server, at any jobs count.
-TEST(FleetReplay, ReplayDrivesBothEnginesToIdenticalResults) {
-  const FleetTestbed fast_tb(TestFleet(4, /*reference=*/false));
-  const FleetTestbed ref_tb(TestFleet(4, /*reference=*/true));
-  const auto doc = CaptureFleetTrace(fast_tb, 3000, /*seed=*/11);
+// replay the loaded trace, and the replay is indistinguishable from the
+// original run -- record by record, server by server, at any jobs count.
+TEST(FleetReplay, ReplayReproducesTheOriginalRun) {
+  const FleetTestbed tb(TestFleet(4));
+  const auto doc = CaptureFleetTrace(tb, 3000, /*seed=*/11);
 
   // Original run on the generated trace.
-  const auto original = fast_tb.Run(doc.trace, /*jobs=*/1);
+  const auto original = tb.Run(doc.trace, /*jobs=*/1);
 
-  // Round-trip the capture, then replay on both engines.
+  // Round-trip the capture, then replay it at two jobs counts.
   std::stringstream ss;
   workload::SaveTrace(ss, doc);
   const auto loaded = workload::LoadTrace(ss);
-  const auto fast_replay = fast_tb.Run(loaded.trace, /*jobs=*/4);
-  const auto ref_replay = ref_tb.Run(loaded.trace, /*jobs=*/2);
+  for (const int jobs : {2, 4}) {
+    const auto replay = tb.Run(loaded.trace, jobs);
+    const std::string run = "jobs " + std::to_string(jobs);
+    ASSERT_EQ(replay.per_server.size(), original.per_server.size());
+    for (std::size_t s = 0; s < original.per_server.size(); ++s) {
+      ExpectIdenticalRecords(original.per_server[s].records,
+                             replay.per_server[s].records,
+                             run + " server " + std::to_string(s));
+      if (::testing::Test::HasFailure()) return;
+    }
 
-  ASSERT_EQ(fast_replay.per_server.size(), original.per_server.size());
-  ASSERT_EQ(ref_replay.per_server.size(), original.per_server.size());
-  for (std::size_t s = 0; s < original.per_server.size(); ++s) {
-    const std::string label = "server " + std::to_string(s);
-    ExpectIdenticalRecords(original.per_server[s].records,
-                           fast_replay.per_server[s].records,
-                           label + " (fast replay)");
-    ExpectIdenticalRecords(original.per_server[s].records,
-                           ref_replay.per_server[s].records,
-                           label + " (reference replay)");
-    if (::testing::Test::HasFailure()) return;
-  }
-
-  // And the merged fleet statistics agree exactly.
-  const auto sla = fast_tb.sla_target();
-  const auto original_stats = original.Stats(sla);
-  const auto fast_stats = fast_replay.Stats(sla);
-  const auto ref_stats = ref_replay.Stats(sla);
-  EXPECT_EQ(fast_stats.routed_queries, original_stats.routed_queries);
-  EXPECT_EQ(ref_stats.routed_queries, original_stats.routed_queries);
-  ExpectIdenticalStats(original_stats.aggregate, fast_stats.aggregate,
-                       "aggregate (fast)");
-  ExpectIdenticalStats(original_stats.aggregate, ref_stats.aggregate,
-                       "aggregate (reference)");
-  for (std::size_t s = 0; s < original_stats.per_server.size(); ++s) {
-    ExpectIdenticalStats(original_stats.per_server[s],
-                         fast_stats.per_server[s],
-                         "server " + std::to_string(s) + " stats (fast)");
-    ExpectIdenticalStats(
-        original_stats.per_server[s], ref_stats.per_server[s],
-        "server " + std::to_string(s) + " stats (reference)");
+    // And the merged fleet statistics agree exactly.
+    const auto sla = tb.sla_target();
+    const auto original_stats = original.Stats(sla);
+    const auto replay_stats = replay.Stats(sla, 0.1, jobs);
+    EXPECT_EQ(replay_stats.routed_queries, original_stats.routed_queries);
+    testing::ExpectIdenticalServerStats(
+        original_stats.aggregate, replay_stats.aggregate, run + " aggregate");
+    for (std::size_t s = 0; s < original_stats.per_server.size(); ++s) {
+      testing::ExpectIdenticalServerStats(
+          original_stats.per_server[s], replay_stats.per_server[s],
+          run + " server " + std::to_string(s) + " stats");
+    }
   }
 }
 
@@ -150,7 +123,7 @@ TEST(FleetReplay, ReplayDrivesBothEnginesToIdenticalResults) {
 // models[] is the complete repertoire the replay needs, independent of the
 // fleet-global numbering.
 TEST(FleetReplay, ServerSubTraceReplaysStandalone) {
-  FleetTestbedConfig fc = TestFleet(4, /*reference=*/false);
+  FleetTestbedConfig fc = TestFleet(4);
   fc.placement = fleet::PlacementKind::kSharded;
   fc.replicas = 2;
   const FleetTestbed tb(fc);

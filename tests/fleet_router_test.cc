@@ -1,7 +1,8 @@
 // Router-tier unit tests: every policy must route a trace
 // deterministically, respect the placement's replica sets, and reproduce
 // its decision sequence after Reset() -- the properties the fleet driver's
-// bit-identity claim rests on.
+// bit-identity claim rests on.  Assignment and split digests pin each
+// policy's decisions to checked-in values.
 #include "fleet/router.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,8 @@
 
 #include "common/rng.h"
 #include "fleet/placement.h"
+#include "golden_digest.h"
+#include "profile/model_repertoire.h"
 #include "workload/arrival.h"
 #include "workload/batch_dist.h"
 #include "workload/scenario.h"
@@ -35,15 +38,28 @@ workload::QueryTrace MakeTrace(std::size_t n, int num_models,
   return workload::Take(source, n, rng);
 }
 
-// The per-query reference loop (what Router::RouteAll's base
-// implementation does); the batch overrides must match it exactly.
 std::vector<int> RouteSerially(Router& router,
                                const workload::QueryTrace& trace) {
-  std::vector<int> out;
-  out.reserve(trace.size());
-  for (const auto& q : trace.queries()) out.push_back(router.Route(q));
-  return out;
+  return router.RouteAll(trace, /*jobs=*/1);
 }
+
+// A sharded placement with filled, heterogeneous layouts (three cost
+// classes) and the zoo's profiles behind the backlog model.
+struct DigestFleet {
+  PlacementMap placement = ShardedPlacement(7, 4, 3);
+  profile::ModelRepertoire zoo = profile::BuildZooRepertoire(
+      {"resnet", "mobilenet", "bert", "shufflenet"});
+  workload::QueryTrace trace = MakeTrace(140'000, 4, /*seed=*/23);
+
+  DigestFleet() {
+    const std::vector<std::vector<int>> layouts = {
+        {1, 2, 4}, {7}, {1, 1, 2, 3}};
+    for (int s = 0; s < placement.num_servers(); ++s) {
+      placement.mutable_server(s).partition_gpcs =
+          layouts[static_cast<std::size_t>(s) % layouts.size()];
+    }
+  }
+};
 
 TEST(RouterPolicy, ParseAndToStringRoundTrip) {
   for (const auto policy : {RouterPolicy::kHash, RouterPolicy::kLeastLoaded,
@@ -64,8 +80,10 @@ TEST(Router, EveryPolicyRespectsReplicaSets) {
   for (const auto policy : {RouterPolicy::kHash, RouterPolicy::kLeastLoaded,
                             RouterPolicy::kPowerOfTwo}) {
     auto router = MakeRouter(policy, placement, nullptr, /*seed=*/99);
-    for (const auto& q : trace.queries()) {
-      const int server = router->Route(q);
+    const auto assignment = RouteSerially(*router, trace);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      const auto& q = trace.queries()[i];
+      const int server = assignment[i];
       const auto& reps = placement.Replicas(q.model_id);
       EXPECT_NE(std::find(reps.begin(), reps.end(), server), reps.end())
           << ToString(policy) << " routed model " << q.model_id
@@ -86,24 +104,28 @@ TEST(Router, DeterministicAcrossFreshInstances) {
   }
 }
 
-TEST(Router, RouteAllMatchesPerQueryRoute) {
-  // The devirtualized batch loops must reproduce the per-query reference
-  // decision sequence exactly -- same replica picks, same backlog
-  // arithmetic, same RNG stream consumption -- with and without a
-  // repertoire-backed backlog model (the memoized-cost path).
-  const auto placement = ShardedPlacement(7, 4, 3);
-  const auto trace = MakeTrace(4000, 4, /*seed=*/23);
-  for (const auto policy : {RouterPolicy::kHash, RouterPolicy::kLeastLoaded,
-                            RouterPolicy::kPowerOfTwo}) {
-    auto batch = MakeRouter(policy, placement, nullptr, /*seed=*/31);
-    auto serial = MakeRouter(policy, placement, nullptr, /*seed=*/31);
-    EXPECT_EQ(batch->RouteAll(trace), RouteSerially(*serial, trace))
-        << ToString(policy);
-    // After Reset() the batch path replays the same sequence.
-    batch->Reset();
-    serial->Reset();
-    EXPECT_EQ(batch->RouteAll(trace), RouteSerially(*serial, trace))
-        << ToString(policy) << " after Reset";
+TEST(Router, AssignmentsMatchCheckedInDigests) {
+  // Repertoire-backed backlog charges (the memoized cost tables), a trace
+  // long enough for hash routing to split into parallel chunks; every
+  // policy must give the same assignment at jobs 1 and 3 and after Reset.
+  const DigestFleet fleet;
+  const struct {
+    RouterPolicy policy;
+    std::uint64_t digest;
+  } kCases[] = {
+      {RouterPolicy::kHash, 0x27cc0342a12def66},
+      {RouterPolicy::kLeastLoaded, 0x1142359311411e15},
+      {RouterPolicy::kPowerOfTwo, 0xa57fa26d203349d9},
+  };
+  for (const auto& c : kCases) {
+    auto router = MakeRouter(c.policy, fleet.placement, &fleet.zoo,
+                             /*seed=*/31);
+    const auto serial = router->RouteAll(fleet.trace, /*jobs=*/1);
+    testing::ExpectDigest(testing::DigestAssignment(serial), c.digest,
+                          ToString(c.policy));
+    router->Reset();
+    EXPECT_EQ(router->RouteAll(fleet.trace, /*jobs=*/3), serial)
+        << ToString(c.policy) << " jobs 3 after Reset";
   }
 }
 
@@ -178,36 +200,22 @@ TEST(SplitTrace, DenseLocalIdsAndModelRemap) {
   EXPECT_EQ(total, trace.size());
 }
 
-TEST(SplitTrace, FastSplitMatchesReferenceRecordForRecord) {
-  // The two-pass arena split and the retained per-query reference path
-  // must agree on every byte of every sub-trace, for every policy.
-  const auto placement = ShardedPlacement(6, 4, 2);
-  const auto trace = MakeTrace(3000, 4, /*seed=*/29);
-  for (const auto policy : {RouterPolicy::kHash, RouterPolicy::kLeastLoaded,
-                            RouterPolicy::kPowerOfTwo}) {
-    auto fast_router = MakeRouter(policy, placement, nullptr, /*seed=*/71);
-    auto ref_router = MakeRouter(policy, placement, nullptr, /*seed=*/71);
-    const auto fast = SplitTrace(trace, *fast_router, placement);
-    const auto ref = SplitTraceReference(trace, *ref_router, placement);
-    ASSERT_EQ(fast.offsets, ref.offsets) << ToString(policy);
-    ASSERT_EQ(fast.global_ids, ref.global_ids) << ToString(policy);
-    ASSERT_EQ(fast.arena.size(), ref.arena.size()) << ToString(policy);
-    for (std::size_t i = 0; i < fast.arena.size(); ++i) {
-      EXPECT_EQ(fast.arena[i].id, ref.arena[i].id) << ToString(policy);
-      EXPECT_EQ(fast.arena[i].arrival, ref.arena[i].arrival)
-          << ToString(policy);
-      EXPECT_EQ(fast.arena[i].batch, ref.arena[i].batch) << ToString(policy);
-      EXPECT_EQ(fast.arena[i].model_id, ref.arena[i].model_id)
-          << ToString(policy);
-    }
+TEST(SplitTrace, SplitMatchesCheckedInDigest) {
+  const DigestFleet fleet;
+  for (const int jobs : {1, 3}) {
+    auto router = MakeRouter(RouterPolicy::kPowerOfTwo, fleet.placement,
+                             &fleet.zoo, /*seed=*/71);
+    const auto split = SplitTrace(fleet.trace, *router, fleet.placement, jobs);
+    testing::ExpectDigest(testing::DigestSplit(split), 0x9df1d048a24099ef,
+                          "po2c split, jobs " + std::to_string(jobs));
   }
 }
 
 TEST(Router, UnplacedModelThrowsLogicErrorNamingTheModel) {
   // Regression: routing a model no server hosts used to be UB (indexing
   // an out-of-range / empty replica set); every policy must now throw a
-  // logic_error that names the offending model, on both the per-query
-  // and the batch path.
+  // logic_error that names the offending model, whether routed alone or
+  // through the split.
   const auto placement = ShardedPlacement(3, 2, 2);
   workload::Query stray;
   stray.id = 0;
@@ -217,15 +225,12 @@ TEST(Router, UnplacedModelThrowsLogicErrorNamingTheModel) {
                             RouterPolicy::kPowerOfTwo}) {
     auto router = MakeRouter(policy, placement, nullptr, /*seed=*/5);
     try {
-      router->Route(stray);
-      FAIL() << ToString(policy) << ": Route accepted an unplaced model";
+      router->RouteAll(stray_trace, /*jobs=*/1);
+      FAIL() << ToString(policy) << ": RouteAll accepted an unplaced model";
     } catch (const std::logic_error& e) {
       EXPECT_NE(std::string(e.what()).find("model 9"), std::string::npos)
           << ToString(policy) << " message: " << e.what();
     }
-    router->Reset();
-    EXPECT_THROW(router->RouteAll(stray_trace), std::logic_error)
-        << ToString(policy);
     router->Reset();
     EXPECT_THROW(SplitTrace(stray_trace, *router, placement),
                  std::logic_error)
@@ -268,7 +273,7 @@ TEST(SplitByAssignment, DropsPreShedQueriesAndKeepsDenseIds) {
   const auto placement = UniformPlacement(3, 2);
   const auto trace = MakeTrace(900, 2, /*seed=*/53);
   auto router = MakeRouter(RouterPolicy::kHash, placement, nullptr, 1);
-  auto assignment = router->RouteAll(trace);
+  auto assignment = router->RouteAll(trace, /*jobs=*/1);
   std::size_t dropped = 0;
   for (std::size_t i = 0; i < assignment.size(); i += 7) {
     assignment[i] = -1;

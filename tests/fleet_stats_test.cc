@@ -1,20 +1,24 @@
-// Fleet aggregation fidelity: the zero-copy parallel FleetResult::Stats
-// must equal the retained merged-vector reference (StatsReference) field
-// for field -- exact percentiles from the k-way latency merge, per-model
-// slices, worker utilizations, and every order-sensitive mean -- across
-// router policies, seeds, and jobs counts.  Plus the unplaced-model
-// routing-error regression at the fleet level.
+// Fleet aggregation: FleetResult::Stats -- per-server partials merged
+// into the aggregate under one fleet-wide warmup cut -- must equal the
+// tests-only stats oracle field for field, and be identical at any jobs
+// count, across router policies, seeds, a faulted run, warmup 0 and an
+// empty result.  Plus the rebaseline bounds against values recorded
+// before the reduction became order-free, fleet-trace id validation, and
+// the unplaced-model routing-error regression.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/fleet_runner.h"
 #include "fleet/cluster.h"
 #include "fleet/router.h"
 #include "sim/metrics.h"
+#include "stats_oracle.h"
 #include "workload/trace.h"
 
 namespace pe::core {
@@ -36,73 +40,25 @@ FleetTestbedConfig MixedFleet(int servers, fleet::RouterPolicy policy,
   return fc;
 }
 
-void ExpectIdenticalServerStats(const sim::ServerStats& fast,
-                                const sim::ServerStats& ref,
-                                const std::string& label) {
-  EXPECT_EQ(fast.completed, ref.completed) << label;
-  // EXPECT_EQ on doubles is bit-exact equality -- the fast path must
-  // reproduce the reference arithmetic, not approximate it.
-  EXPECT_EQ(fast.mean_latency_ms, ref.mean_latency_ms) << label;
-  EXPECT_EQ(fast.p50_latency_ms, ref.p50_latency_ms) << label;
-  EXPECT_EQ(fast.p95_latency_ms, ref.p95_latency_ms) << label;
-  EXPECT_EQ(fast.p99_latency_ms, ref.p99_latency_ms) << label;
-  EXPECT_EQ(fast.max_latency_ms, ref.max_latency_ms) << label;
-  EXPECT_EQ(fast.mean_queue_delay_ms, ref.mean_queue_delay_ms) << label;
-  EXPECT_EQ(fast.sla_violation_rate, ref.sla_violation_rate) << label;
-  EXPECT_EQ(fast.achieved_qps, ref.achieved_qps) << label;
-  EXPECT_EQ(fast.mean_worker_utilization, ref.mean_worker_utilization)
-      << label;
-  EXPECT_EQ(fast.reconfig_stalled, ref.reconfig_stalled) << label;
-  EXPECT_EQ(fast.model_swaps, ref.model_swaps) << label;
-  EXPECT_EQ(fast.failed, ref.failed) << label;
-  EXPECT_EQ(fast.shed, ref.shed) << label;
-
-  ASSERT_EQ(fast.workers.size(), ref.workers.size()) << label;
-  for (std::size_t w = 0; w < ref.workers.size(); ++w) {
-    const std::string wl = label + " worker " + std::to_string(w);
-    EXPECT_EQ(fast.workers[w].index, ref.workers[w].index) << wl;
-    EXPECT_EQ(fast.workers[w].gpcs, ref.workers[w].gpcs) << wl;
-    EXPECT_EQ(fast.workers[w].busy_ticks, ref.workers[w].busy_ticks) << wl;
-    EXPECT_EQ(fast.workers[w].queries, ref.workers[w].queries) << wl;
-    EXPECT_EQ(fast.workers[w].utilization, ref.workers[w].utilization) << wl;
-  }
-
-  ASSERT_EQ(fast.models.size(), ref.models.size()) << label;
-  for (std::size_t m = 0; m < ref.models.size(); ++m) {
-    const std::string ml = label + " model slice " + std::to_string(m);
-    EXPECT_EQ(fast.models[m].model, ref.models[m].model) << ml;
-    EXPECT_EQ(fast.models[m].completed, ref.models[m].completed) << ml;
-    EXPECT_EQ(fast.models[m].mean_latency_ms, ref.models[m].mean_latency_ms)
-        << ml;
-    EXPECT_EQ(fast.models[m].p95_latency_ms, ref.models[m].p95_latency_ms)
-        << ml;
-    EXPECT_EQ(fast.models[m].p99_latency_ms, ref.models[m].p99_latency_ms)
-        << ml;
-    EXPECT_EQ(fast.models[m].sla_violation_rate,
-              ref.models[m].sla_violation_rate)
-        << ml;
-    EXPECT_EQ(fast.models[m].swaps, ref.models[m].swaps) << ml;
-  }
-}
-
 void ExpectIdenticalFleetStats(const fleet::FleetStats& fast,
                                const fleet::FleetStats& ref,
                                const std::string& label) {
   EXPECT_EQ(fast.num_servers, ref.num_servers) << label;
   EXPECT_EQ(fast.routed_queries, ref.routed_queries) << label;
   EXPECT_EQ(fast.routed_per_server, ref.routed_per_server) << label;
-  ExpectIdenticalServerStats(fast.aggregate, ref.aggregate,
-                             label + " aggregate");
+  testing::ExpectIdenticalServerStats(fast.aggregate, ref.aggregate,
+                                      label + " aggregate");
   ASSERT_EQ(fast.per_server.size(), ref.per_server.size()) << label;
   for (std::size_t s = 0; s < ref.per_server.size(); ++s) {
-    ExpectIdenticalServerStats(fast.per_server[s], ref.per_server[s],
-                               label + " server " + std::to_string(s));
+    testing::ExpectIdenticalServerStats(
+        fast.per_server[s], ref.per_server[s],
+        label + " server " + std::to_string(s));
   }
 }
 
-TEST(FleetStats, ZeroCopyAggregateMatchesReferenceEverywhere) {
+TEST(FleetStats, MatchesTheOracleAtEveryJobsCount) {
   // Multi-server, mixed-model traffic: every policy x seed x jobs cell
-  // must agree with the merged-vector reference on every field.
+  // must agree with the oracle on every field.
   for (const auto policy :
        {fleet::RouterPolicy::kHash, fleet::RouterPolicy::kLeastLoaded,
         fleet::RouterPolicy::kPowerOfTwo}) {
@@ -111,12 +67,13 @@ TEST(FleetStats, ZeroCopyAggregateMatchesReferenceEverywhere) {
       const auto trace = tb.GenerateFleetTrace(/*rate_qps=*/2500.0,
                                                /*num_queries=*/4000, seed);
       const auto result = tb.Run(trace, /*jobs=*/2);
-      const auto ref = result.StatsReference(tb.sla_target());
+      const auto oracle =
+          testing::OracleFleetStats(result, tb.sla_target(), 0.1);
       for (const int jobs : {1, 3}) {
-        const auto fast =
+        const auto stats =
             result.Stats(tb.sla_target(), /*warmup_fraction=*/0.1, jobs);
         ExpectIdenticalFleetStats(
-            fast, ref,
+            stats, oracle,
             std::string(ToString(policy)) + " seed " + std::to_string(seed) +
                 " jobs " + std::to_string(jobs));
       }
@@ -124,45 +81,116 @@ TEST(FleetStats, ZeroCopyAggregateMatchesReferenceEverywhere) {
   }
 }
 
-TEST(FleetStats, AgreesAtZeroWarmupAndOnEmptyResults) {
-  // warmup 0 exercises the no-skip merge walk; an empty FleetResult must
-  // come back zeroed from both paths instead of dividing by the span.
+TEST(FleetStats, MatchesTheOracleAtZeroWarmupAndOnEmptyResults) {
+  // warmup 0 keeps every record; an empty FleetResult must come back
+  // zeroed instead of dividing by the span.
   const FleetTestbed tb(MixedFleet(3, fleet::RouterPolicy::kHash, 3));
   const auto trace = tb.GenerateFleetTrace(1500.0, 2000, /*seed=*/3);
   const auto result = tb.Run(trace, /*jobs=*/2);
-  ExpectIdenticalFleetStats(
-      result.Stats(tb.sla_target(), /*warmup_fraction=*/0.0, 2),
-      result.StatsReference(tb.sla_target(), /*warmup_fraction=*/0.0),
-      "warmup 0");
+  for (const int jobs : {1, 3}) {
+    ExpectIdenticalFleetStats(
+        result.Stats(tb.sla_target(), /*warmup_fraction=*/0.0, jobs),
+        testing::OracleFleetStats(result, tb.sla_target(), 0.0),
+        "warmup 0 jobs " + std::to_string(jobs));
+  }
 
   fleet::FleetResult empty;
-  const auto fast = empty.Stats(tb.sla_target(), 0.1, 2);
-  const auto ref = empty.StatsReference(tb.sla_target(), 0.1);
-  EXPECT_EQ(fast.routed_queries, 0u);
-  ExpectIdenticalFleetStats(fast, ref, "empty result");
+  for (const int jobs : {1, 3}) {
+    const auto stats = empty.Stats(tb.sla_target(), 0.1, jobs);
+    EXPECT_EQ(stats.routed_queries, 0u);
+    EXPECT_EQ(stats.aggregate.completed, 0u);
+    ExpectIdenticalFleetStats(
+        stats, testing::OracleFleetStats(empty, tb.sla_target(), 0.1),
+        "empty result jobs " + std::to_string(jobs));
+  }
 }
 
-TEST(FleetStats, FallbackOrderOnUnsortedTraceAndForeignIds) {
-  // The fast aggregate's scatter walk assumes the source trace arrives
-  // sorted and its ids are the trace positions; an arrival inversion or
-  // out-of-range ids must route through the pairwise-merge fallback and
-  // still match the reference bit for bit.
+TEST(FleetStats, RebaselineStaysWithinBounds) {
+  // Values recorded from the order-dependent double-sum reduction this
+  // one replaced, on a fixed fault-free fleet: every percentile, count,
+  // rate and utilization is bit-identical; means moved only by rounding.
+  const FleetTestbed tb(MixedFleet(5, fleet::RouterPolicy::kPowerOfTwo, 7));
+  const auto trace = tb.GenerateFleetTrace(2500.0, 4000, /*seed=*/7);
+  const auto result = tb.Run(trace, /*jobs=*/2);
+  for (const int jobs : {1, 3}) {
+    const auto a = result.Stats(tb.sla_target(), 0.1, jobs).aggregate;
+    const std::string label = "jobs " + std::to_string(jobs);
+    EXPECT_EQ(a.completed, 3600u) << label;
+    EXPECT_EQ(a.failed + a.shed + a.reconfig_stalled, 0u) << label;
+    EXPECT_EQ(a.model_swaps, 493u) << label;
+    EXPECT_EQ(a.workers.size(), 70u) << label;
+    EXPECT_EQ(a.p50_latency_ms, 0x1.f433e0370cdc8p+5) << label;
+    EXPECT_EQ(a.p95_latency_ms, 0x1.35eac79db8e31p+6) << label;
+    EXPECT_EQ(a.p99_latency_ms, 0x1.54838c89e69e3p+6) << label;
+    EXPECT_EQ(a.max_latency_ms, 0x1.954214f0520d1p+6) << label;
+    EXPECT_EQ(a.sla_violation_rate, 0x1.cb17e4b17e4b1p-3) << label;
+    EXPECT_EQ(a.achieved_qps, 0x1.212fb131ebab6p+11) << label;
+    EXPECT_EQ(a.mean_worker_utilization, 0x1.1ed9195671deep-1) << label;
+    const auto near = [](double x, double recorded) {
+      return std::abs(x - recorded) <= 1e-12 * std::abs(recorded);
+    };
+    EXPECT_TRUE(near(a.mean_latency_ms, 0x1.dc31161cb9d28p+5)) << label;
+    EXPECT_TRUE(near(a.mean_queue_delay_ms, 0x1.42d4ba15b6374p+5)) << label;
+    const struct {
+      std::size_t completed, swaps;
+      double p95, p99, violations, mean;
+    } kModels[] = {
+        {1483, 142, 0x1.35e52d44dca8ep+6, 0x1.540da0686acd9p+6,
+         0x1.d6ea6c0fe19e5p-3, 0x1.e1f1065d4b1a2p+5},
+        {1039, 246, 0x1.30b6013d16e1bp+6, 0x1.412a97a0c608ap+6,
+         0x1.dd0333fd0b167p-3, 0x1.d693fdf01f8bap+5},
+        {1078, 105, 0x1.3a010e779207dp+6, 0x1.5dedbc13c1fecp+6,
+         0x1.a98ef606a63bep-3, 0x1.d9b13ffd2367cp+5},
+    };
+    ASSERT_EQ(a.models.size(), std::size(kModels)) << label;
+    for (std::size_t m = 0; m < a.models.size(); ++m) {
+      const auto& got = a.models[m];
+      const std::string ml = label + " model " + std::to_string(m);
+      EXPECT_EQ(got.model, static_cast<int>(m)) << ml;
+      EXPECT_EQ(got.completed, kModels[m].completed) << ml;
+      EXPECT_EQ(got.swaps, kModels[m].swaps) << ml;
+      EXPECT_EQ(got.p95_latency_ms, kModels[m].p95) << ml;
+      EXPECT_EQ(got.p99_latency_ms, kModels[m].p99) << ml;
+      EXPECT_EQ(got.sla_violation_rate, kModels[m].violations) << ml;
+      EXPECT_TRUE(near(got.mean_latency_ms, kModels[m].mean)) << ml;
+    }
+  }
+}
+
+TEST(FleetStats, TracesWhoseIdsAreNotPositionsAreRejected) {
+  // Fleet drivers index per-query state by Query::id, so a trace whose
+  // ids are sparse or permuted must fail loudly, naming the first bad
+  // row, on the batch and the fault-injection path alike.
   const FleetTestbed tb(MixedFleet(4, fleet::RouterPolicy::kLeastLoaded, 11));
   const auto sorted = tb.GenerateFleetTrace(/*rate_qps=*/2000.0,
                                             /*num_queries=*/3000, /*seed=*/11);
-
+  // Reversed ids over unchanged rows (QueryTrace keeps rows in arrival
+  // order, so reordering the rows themselves would undo the permutation).
   auto reversed = sorted.queries();
-  std::reverse(reversed.begin(), reversed.end());
-  const auto r1 = tb.Run(workload::QueryTrace(std::move(reversed)), /*jobs=*/2);
-  ExpectIdenticalFleetStats(r1.Stats(tb.sla_target(), 0.1, 3),
-                            r1.StatsReference(tb.sla_target()),
-                            "reversed trace");
-
+  for (auto& q : reversed) q.id = reversed.size() - 1 - q.id;
   auto sparse = sorted.queries();
   for (auto& q : sparse) q.id = q.id * 2 + 1;  // ids outside the positions
-  const auto r2 = tb.Run(workload::QueryTrace(std::move(sparse)), /*jobs=*/2);
-  ExpectIdenticalFleetStats(r2.Stats(tb.sla_target(), 0.1, 3),
-                            r2.StatsReference(tb.sla_target()), "sparse ids");
+  fleet::FaultPlan plan;
+  plan.name = "manual-crash";
+  plan.events.push_back({sorted.queries().back().arrival / 3,
+                         fleet::FaultKind::kServerCrash, /*server=*/1});
+  for (const auto& input :
+       {std::pair{"reversed", reversed}, std::pair{"sparse", sparse}}) {
+    const char* name = input.first;
+    const workload::QueryTrace trace(input.second);
+    const auto expect_row_zero = [&](const auto& run, const char* driver) {
+      try {
+        run();
+        ADD_FAILURE() << name << " trace accepted by " << driver;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("row 0 "), std::string::npos)
+            << name << " via " << driver << ": " << e.what();
+      }
+    };
+    expect_row_zero([&] { tb.Run(trace, /*jobs=*/2); }, "Cluster::Simulate");
+    expect_row_zero([&] { tb.RunWithFaults(trace, plan, /*jobs=*/2); },
+                    "SimulateWithFaults");
+  }
 }
 
 TEST(FleetStats, CasualtiesAreCountedButExcludedFromThePercentilePool) {
@@ -212,7 +240,7 @@ TEST(FleetStats, CasualtiesAreCountedButExcludedFromThePercentilePool) {
     EXPECT_LE(agg.p99_latency_ms, 6.0);
     EXPECT_EQ(agg.sla_violation_rate, 0.0);
     ExpectIdenticalFleetStats(
-        stats, result.StatsReference(20 * ms, /*warmup_fraction=*/0.0),
+        stats, testing::OracleFleetStats(result, 20 * ms, 0.0),
         "hand-built casualties jobs " + std::to_string(jobs));
     ASSERT_EQ(stats.per_server.size(), 1u);
     EXPECT_EQ(stats.per_server[0].failed, 1u);
@@ -220,10 +248,11 @@ TEST(FleetStats, CasualtiesAreCountedButExcludedFromThePercentilePool) {
   }
 }
 
-TEST(FleetStats, FaultedRunsAgreeWithTheReferenceEverywhere) {
+TEST(FleetStats, FaultedRunsMatchTheOracle) {
   // End-to-end: a sole-replica crash produces real failed/shed records
-  // spread across servers; the zero-copy aggregate must still match the
-  // merged-vector reference field for field at every jobs count.
+  // spread across servers, and retries add attempts under the same global
+  // id; the cut is over the injected trace, and every field must still
+  // match the oracle at every jobs count.
   FleetTestbedConfig fc = MixedFleet(3, fleet::RouterPolicy::kHash, 5);
   fc.replicas = 1;
   const FleetTestbed tb(fc);
@@ -234,7 +263,7 @@ TEST(FleetStats, FaultedRunsAgreeWithTheReferenceEverywhere) {
                          fleet::FaultKind::kServerCrash, /*server=*/1});
   const auto result = tb.RunWithFaults(trace, plan, /*jobs=*/2);
   ASSERT_GT(result.fault.failed + result.fault.shed, 0u);
-  const auto ref = result.StatsReference(tb.sla_target());
+  const auto ref = testing::OracleFleetStats(result, tb.sla_target(), 0.1);
   EXPECT_GT(ref.aggregate.failed + ref.aggregate.shed, 0u);
   for (const int jobs : {1, 3}) {
     ExpectIdenticalFleetStats(result.Stats(tb.sla_target(), 0.1, jobs), ref,

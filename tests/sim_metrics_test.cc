@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "stats_oracle.h"
+
 namespace pe::sim {
 namespace {
 
@@ -41,7 +43,8 @@ TEST(ComputeStats, ZeroLengthSpanYieldsZeroedRates) {
   // instead of dividing by the zero-length span.  Possible in a short
   // reconfig-heavy epoch slice.
   QueryRecord r = Rec(0, MsToTicks(5), MsToTicks(5), MsToTicks(5));
-  const auto s = ComputeStats({r}, MsToTicks(10), 0.0);
+  const std::vector<QueryRecord> recs = {r};
+  const auto s = ComputeStats(recs, MsToTicks(10), 0.0);
   EXPECT_EQ(s.completed, 1u);
   EXPECT_DOUBLE_EQ(s.mean_latency_ms, 0.0);
   EXPECT_EQ(s.achieved_qps, 0.0);
@@ -139,8 +142,9 @@ TEST(ComputeStats, AchievedQpsOverWindow) {
   EXPECT_NEAR(s.achieved_qps, 11.0 / 1.001, 0.1);
 }
 
-TEST(ComputeStats, SortsRecordsByArrival) {
-  // Records supplied out of arrival order; warmup must cut by arrival time.
+TEST(ComputeStats, WarmupCutsByQueryIdNotPosition) {
+  // Records supplied out of id order; the warmup cut is keyed by query id
+  // (ids below floor(0.5 * 2) = 1 are left out), wherever they sit.
   std::vector<QueryRecord> recs = {
       Rec(1, MsToTicks(100), MsToTicks(100), MsToTicks(101)),
       Rec(0, 0, 0, MsToTicks(1000)),  // earliest arrival, huge latency
@@ -148,6 +152,67 @@ TEST(ComputeStats, SortsRecordsByArrival) {
   const auto s = ComputeStats(recs, MsToTicks(10), 0.5);
   EXPECT_EQ(s.completed, 1u);
   EXPECT_DOUBLE_EQ(s.max_latency_ms, 1.0);
+  EXPECT_EQ(WarmupCut(0.1, 25), 2u);
+  EXPECT_EQ(WarmupCut(0.0, 25), 0u);
+}
+
+std::vector<QueryRecord> MixedRecords() {
+  std::vector<QueryRecord> recs;
+  for (int i = 0; i < 40; ++i) {
+    const SimTime arrival = MsToTicks(0.37 * i);
+    QueryRecord r = Rec(static_cast<std::uint64_t>(i), arrival,
+                        arrival + UsToTicks(13.0 * (i % 7)),
+                        arrival + UsToTicks(900.0 + 71.0 * ((i * 11) % 17)),
+                        /*worker=*/i % 3, /*gpcs=*/1 + i % 3);
+    r.model = i % 2;
+    r.model_swap = i % 5 == 0;
+    r.failed = i == 17;
+    recs.push_back(r);
+  }
+  return recs;
+}
+
+TEST(StatsAccumulator, AnyOrderAnySplitGivesTheSameStats) {
+  // Integer tick sums and order statistics: shuffling the records, or
+  // splitting them over partials merged back, changes no field.
+  const auto recs = MixedRecords();
+  StatsAccumulator whole(MsToTicks(1.5));
+  for (const auto& r : recs) whole.Add(r);
+  const ServerStats want = whole.Finish();
+  ASSERT_EQ(want.models.size(), 2u);
+  EXPECT_EQ(want.failed, 1u);
+
+  StatsAccumulator reversed(MsToTicks(1.5));
+  for (auto it = recs.rbegin(); it != recs.rend(); ++it) reversed.Add(*it);
+  testing::ExpectIdenticalServerStats(reversed.Finish(), want, "reversed");
+
+  StatsAccumulator merged(MsToTicks(1.5));
+  for (int part = 0; part < 3; ++part) {
+    StatsAccumulator partial(MsToTicks(1.5));
+    for (std::size_t i = static_cast<std::size_t>(part); i < recs.size();
+         i += 3) {
+      partial.Add(recs[i]);
+    }
+    (void)partial.Finish();  // finishing a partial first changes nothing
+    merged.Merge(std::move(partial));
+  }
+  testing::ExpectIdenticalServerStats(merged.Finish(), want, "merged");
+}
+
+TEST(StatsAccumulator, MergeShiftsWorkerIndices) {
+  StatsAccumulator a(MsToTicks(10));
+  a.Add(Rec(0, 0, 0, MsToTicks(2), /*worker=*/0, /*gpcs=*/7));
+  StatsAccumulator b(MsToTicks(10));
+  b.Add(Rec(1, 0, 0, MsToTicks(4), /*worker=*/0, /*gpcs=*/3));
+  StatsAccumulator fleet(MsToTicks(10));
+  fleet.Merge(std::move(a), /*worker_base=*/0);
+  fleet.Merge(std::move(b), /*worker_base=*/5);
+  const auto s = fleet.Finish();
+  ASSERT_EQ(s.workers.size(), 2u);
+  EXPECT_EQ(s.workers[0].index, 0);
+  EXPECT_EQ(s.workers[1].index, 5);
+  EXPECT_EQ(s.workers[1].gpcs, 3);
+  EXPECT_DOUBLE_EQ(s.achieved_qps, 2.0 / 0.004);
 }
 
 }  // namespace
