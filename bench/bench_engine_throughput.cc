@@ -1,6 +1,8 @@
 // Engine-throughput trajectory bench: simulated queries per wall-clock
-// second the discrete-event engine sustains, at W in {8, 64, 256}
-// partitions x {single-model, 4-model mix} x {FIFS, ELSA}.
+// second the discrete-event engine sustains, at W in {8, 64, 256, 1024}
+// partitions x {single-model, 4-model mix} x {FIFS, ELSA}.  The W = 1024
+// cells record how per-arrival cost scales with the partition count; they
+// are reported, not gated.
 //
 // Self-contained timing (std::chrono, no google-benchmark dependency).
 // Every number is absolute: `engine_qps` is the engine's
@@ -171,7 +173,7 @@ int main() {
   core::Json configs = core::Json::Array();
   double headline_qps = 0.0;
 
-  for (const int workers : {8, 64, 256}) {
+  for (const int workers : {8, 64, 256, 1024}) {
     const auto layout = MakeLayout(workers);
     const double rate = RateFor(repertoire, layout);
     for (const bool mixed : {false, true}) {

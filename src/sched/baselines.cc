@@ -10,17 +10,12 @@ int JsqScheduler::OnQueryArrival(const workload::Query& query,
   (void)query;
   const std::size_t n = workers.size();
   assert(n > 0);
-  SimTime best_wait = std::numeric_limits<SimTime>::max();
-  int best = kNoAssignment;
-  for (std::size_t i = 0; i < n; ++i) {
-    const WorkerState& w = workers.Get(i);
-    if (w.failed) continue;
-    if (best == kNoAssignment || w.wait_ticks < best_wait) {
-      best_wait = w.wait_ticks;
-      best = w.index;
-    }
-  }
-  return best;
+  const SimTime shortest = workers.MinWait(0, n);
+  if (shortest == WorkerView::kNoWait) return kNoAssignment;
+  // The first worker at the shortest wait: the winner of the strict `<`
+  // scan in position order.
+  const int pos = workers.FirstWaitAtMost(0, n, shortest);
+  return workers.Get(static_cast<std::size_t>(pos)).index;
 }
 
 GreedyFastestScheduler::GreedyFastestScheduler(

@@ -2,25 +2,114 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace pe::sched {
+
+namespace {
+
+constexpr SimTime kMaxWait = std::numeric_limits<SimTime>::max();
+
+// The largest wait in [0, kMaxWait] at which `holds` is true, or -1 if it
+// is false at 0.  `holds` must be true up to some wait and false after
+// it.  Gallops outward from `guess` to bracket that boundary, then
+// bisects, so a guess that is off by a tick costs a few evaluations.
+template <typename Holds>
+SimTime LastWaitWhere(double guess, Holds holds) {
+  SimTime start = 0;
+  if (guess >= 0x1p63) {
+    start = kMaxWait;
+  } else if (guess > 0.0) {
+    start = static_cast<SimTime>(guess);
+  }
+  SimTime lo = 0;  // holds(lo)
+  SimTime hi = 0;  // !holds(hi)
+  SimTime step = 1;
+  if (holds(start)) {
+    lo = start;
+    for (;; step *= 2) {
+      if (kMaxWait - lo <= step) {
+        if (holds(kMaxWait)) return kMaxWait;
+        hi = kMaxWait;
+        break;
+      }
+      hi = lo + step;
+      if (!holds(hi)) break;
+      lo = hi;
+    }
+  } else {
+    hi = start;
+    for (;; step *= 2) {
+      if (hi <= step) {
+        if (!holds(0)) return -1;
+        lo = 0;
+        break;
+      }
+      lo = hi - step;
+      if (holds(lo)) break;
+      hi = lo;
+    }
+  }
+  while (hi - lo > 1) {
+    const SimTime mid = lo + (hi - lo) / 2;
+    (holds(mid) ? lo : hi) = mid;
+  }
+  return lo;
+}
+
+// Its resident model already matches `model_id`, or it has never loaded
+// one (-1): starting the query there displaces nothing.
+bool SwapFree(const WorkerState& w, int model_id) {
+  return w.resident_model == model_id || w.resident_model == -1;
+}
+
+}  // namespace
 
 ElsaScheduler::ElsaScheduler(const profile::ProfileTable& profile,
                              SimTime sla_target, ElsaParams params)
     : compiled_(profile),
       sla_target_(sla_target),
+      sla_sec_(TicksToSec(sla_target)),
       params_(params) {
-  assert(sla_target_ > 0);
+  Validate();
 }
 
 ElsaScheduler::ElsaScheduler(const profile::ModelRepertoire& repertoire,
                              SimTime sla_target, ElsaParams params)
-    : compiled_(repertoire),
-      sla_target_(sla_target),
+    : sla_target_(sla_target),
+      sla_sec_(TicksToSec(sla_target)),
       params_(params) {
-  assert(sla_target_ > 0);
-  assert(!repertoire.empty());
+  if (repertoire.empty()) {
+    throw std::invalid_argument("ElsaScheduler: empty model repertoire");
+  }
+  compiled_ = profile::CompiledProfile(repertoire);
+  Validate();
+}
+
+void ElsaScheduler::Validate() const {
+  if (sla_target_ <= 0) {
+    throw std::invalid_argument("ElsaScheduler: sla_target must be > 0");
+  }
+  // The threshold derivation needs slack to be non-increasing in Twait,
+  // i.e. alpha >= 0; the other knobs are durations or a weight.
+  const std::pair<const char*, double> fields[] = {
+      {"alpha", params_.alpha},
+      {"beta", params_.beta},
+      {"swap_cost_sec", params_.swap_cost_sec},
+      {"locality_tie_sec", params_.locality_tie_sec},
+  };
+  for (const auto& [name, value] : fields) {
+    if (!std::isfinite(value) || value < 0.0) {
+      std::string message = "ElsaScheduler: ";
+      message += name;
+      message += " must be finite and >= 0";
+      throw std::invalid_argument(message);
+    }
+  }
 }
 
 double ElsaScheduler::SlackSec(const WorkerState& worker, int batch) const {
@@ -29,209 +118,191 @@ double ElsaScheduler::SlackSec(const WorkerState& worker, int batch) const {
 
 double ElsaScheduler::SlackSec(const WorkerState& worker, int model_id,
                                int batch) const {
-  const double t_wait = TicksToSec(worker.wait_ticks);
-  const double t_new = compiled_.EstimateSec(model_id, worker.gpcs, batch);
   // Pending-swap charge: 0.0 when disabled or swap-free, so the legacy
   // predictor is reproduced exactly (x + 0.0 == x).
   const double t_swap =
-      (params_.swap_cost_sec > 0.0 && worker.resident_model != model_id &&
-       worker.resident_model != -1)
-          ? params_.swap_cost_sec
-          : 0.0;
-  return TicksToSec(sla_target_) -
-         params_.alpha * (t_wait + t_swap + params_.beta * t_new);
+      SwapFree(worker, model_id) ? 0.0 : params_.swap_cost_sec;
+  const double t_new = compiled_.EstimateSec(model_id, worker.gpcs, batch);
+  return Slack(worker.wait_ticks, t_swap, t_new);
 }
 
-void ElsaScheduler::RefreshCandidates(const WorkerView& workers) {
-  const std::size_t n = workers.size();
-  const bool cacheable = workers.stable();
-  if (cacheable && order_cached_ && order_.size() == n &&
-      order_version_ == workers.layout_version()) {
-    return;
-  }
-  // Workers are visited in ascending (gpcs, index) order regardless of
-  // their position order in the view.  The server's live view keeps its
-  // positions fixed within one layout, so the sort runs once per layout
-  // there; ad-hoc vector views re-sort per call as before.
-  order_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    order_[i] = static_cast<std::uint32_t>(i);
-  }
-  std::sort(order_.begin(), order_.end(),
-            [&workers](std::uint32_t a, std::uint32_t b) {
-              const WorkerState& wa = workers.Get(a);
-              const WorkerState& wb = workers.Get(b);
-              if (wa.gpcs != wb.gpcs) return wa.gpcs < wb.gpcs;
-              return wa.index < wb.index;
-            });
-  // Contiguous equal-gpcs runs of the sorted order, for the size-class
-  // skips below.
+double ElsaScheduler::Slack(SimTime wait, double swap, double tnew) const {
+  const double t_wait = TicksToSec(wait);
+  return sla_sec_ - params_.alpha * (t_wait + swap + params_.beta * tnew);
+}
+
+double ElsaScheduler::Completion(SimTime wait, double swap, double tnew) {
+  return TicksToSec(wait) + swap + tnew;
+}
+
+SimTime ElsaScheduler::SlackThreshold(double tnew, double swap) const {
+  // slack > 0  <=>  wait < (SLA / alpha - Tswap - beta * Tnew) seconds,
+  // up to rounding, which the exact evaluations settle.  alpha == 0 makes
+  // the guess +inf: every wait has slack SLA > 0.
+  const double guess =
+      (sla_sec_ / params_.alpha - swap - params_.beta * tnew) * 1e9;
+  return LastWaitWhere(
+      guess, [&](SimTime wait) { return Slack(wait, swap, tnew) > 0.0; });
+}
+
+SimTime ElsaScheduler::CompletionThreshold(double tnew, double bound) {
+  return LastWaitWhere((bound - tnew) * 1e9, [&](SimTime wait) {
+    return Completion(wait, 0.0, tnew) <= bound;
+  });
+}
+
+void ElsaScheduler::BuildRuns(const WorkerView& view) {
   runs_.clear();
+  const std::size_t n = view.size();
   for (std::size_t k = 0; k < n;) {
-    const int gpcs = workers.Get(order_[k]).gpcs;
+    const int gpcs = view.Get(k).gpcs;
     std::size_t e = k + 1;
-    while (e < n && workers.Get(order_[e]).gpcs == gpcs) ++e;
+    while (e < n && view.Get(e).gpcs == gpcs) ++e;
     runs_.push_back(SizeRun{gpcs, static_cast<std::uint32_t>(k),
                             static_cast<std::uint32_t>(e)});
     k = e;
-  }
-  order_cached_ = cacheable;
-  order_version_ = workers.layout_version();
-  if (slack_memo_.size() != n) {
-    slack_memo_.assign(n, 0.0);
-    completion_memo_.assign(n, 0.0);
-    twait_memo_.assign(n, 0.0);
-    slack_stamp_.assign(n, 0);
-    completion_stamp_.assign(n, 0);
-    twait_stamp_.assign(n, 0);
   }
 }
 
 int ElsaScheduler::OnQueryArrival(const workload::Query& query,
                                   const WorkerView& workers) {
   assert(workers.size() > 0);
-  RefreshCandidates(workers);
-  ++arrival_stamp_;
-
-  const double sla_sec = TicksToSec(sla_target_);
-
-  // Testimated,new depends only on (model, batch, gpcs); model and batch
-  // are fixed within one arrival, so one lookup per distinct partition
-  // size covers every candidate.
-  const auto tnew_sec = [&](int gpcs) {
-    const auto estimate = [&] {
-      return compiled_.EstimateSec(query.model_id, gpcs, query.batch);
-    };
-    if (gpcs < 0) return estimate();
-    const auto g = static_cast<std::size_t>(gpcs);
-    if (g >= tnew_memo_.size()) {
-      tnew_memo_.resize(g + 1, 0.0);
-      tnew_stamp_.resize(g + 1, 0);
-    }
-    if (tnew_stamp_[g] != arrival_stamp_) {
-      tnew_memo_[g] = estimate();
-      tnew_stamp_[g] = arrival_stamp_;
-    }
-    return tnew_memo_[g];
-  };
-  // Step A, the locality tie-break, and Step B consult the same predictor
-  // terms; each is computed at most once per arrival (keyed by view
-  // position via the arrival stamp).  The expressions are exactly
-  // SlackSec / Twait + Testimated,new, so memoized values are the same
-  // doubles the unmemoized path produces.  The scans read the wait
-  // through WaitTicks(i) (== Get(i).wait_ticks) so a live view skips
-  // whole-snapshot maintenance; gpcs comes from the candidate's size run.
-  const auto twait_sec = [&](std::uint32_t i) {
-    if (twait_stamp_[i] != arrival_stamp_) {
-      twait_memo_[i] = TicksToSec(workers.WaitTicks(i));
-      twait_stamp_[i] = arrival_stamp_;
-    }
-    return twait_memo_[i];
-  };
-  // A swap-free partition: its resident model already matches the query,
-  // or it has never loaded a model (-1).
-  const auto swap_free = [&](const WorkerState& w) {
-    return w.resident_model == query.model_id || w.resident_model == -1;
-  };
-  // Pending-swap charge of candidate i (Tswap): the configured cost when
-  // starting this query there would displace a different resident model,
-  // else exactly 0.0 -- which makes the disabled-knob predictor the same
-  // doubles as the legacy swap-oblivious one (x + 0.0 == x).
-  const auto swap_sec = [&](std::uint32_t i) {
-    return (params_.swap_cost_sec > 0.0 && !swap_free(workers.Get(i)))
-               ? params_.swap_cost_sec
-               : 0.0;
-  };
-  const auto slack_sec = [&](std::uint32_t i, int gpcs) {
-    if (slack_stamp_[i] != arrival_stamp_) {
-      slack_memo_[i] =
-          sla_sec - params_.alpha * (twait_sec(i) + swap_sec(i) +
-                                     params_.beta * tnew_sec(gpcs));
-      slack_stamp_[i] = arrival_stamp_;
-    }
-    return slack_memo_[i];
-  };
-  const auto completion_sec = [&](std::uint32_t i, int gpcs) {
-    if (completion_stamp_[i] != arrival_stamp_) {
-      completion_memo_[i] = twait_sec(i) + swap_sec(i) + tnew_sec(gpcs);
-      completion_stamp_[i] = arrival_stamp_;
-    }
-    return completion_memo_[i];
-  };
-
-  // Size-class skips, valid only when every wait is known non-negative
-  // (the server's live view guarantees it; ad-hoc vector views scan in
-  // full).  Slack is monotone non-increasing in Twait + Tswap under IEEE
-  // rounding when alpha >= 0 (Tswap >= 0 by construction), so a class
-  // whose *zero-wait, swap-free* slack is already non-positive cannot
-  // contain a Step A (or locality) candidate; and completion >=
-  // Testimated,new, so a class whose floor cannot beat the running Step B
-  // minimum cannot improve it.  Skipping therefore changes no comparison
-  // outcome -- decisions are bit-identical to the full scan.
-  const bool skip_a = workers.stable() && params_.alpha >= 0.0;
-  const bool skip_b = workers.stable();
-  const auto zero_wait_slack = [&](int gpcs) {
-    // SlackSec with Twait = 0 (0.0 + x == x exactly, so this is the same
-    // double the per-candidate expression yields at zero wait).
-    return sla_sec - params_.alpha * (params_.beta * tnew_sec(gpcs));
-  };
-
-  // Step A: smallest partition whose predicted slack is positive.
-  for (const SizeRun& run : runs_) {
-    if (skip_a && zero_wait_slack(run.gpcs) <= 0.0) continue;
-    for (std::uint32_t k = run.begin; k < run.end; ++k) {
-      const std::uint32_t i = order_[k];
-      if (slack_sec(i, run.gpcs) <= 0.0) continue;
-      const WorkerState& w = workers.Get(i);
-      if (w.failed) continue;
-      // Among positive-slack candidates, a swap-free partition wins over
-      // the default choice when its predicted completion ties within the
-      // locality window: the query avoids a model-swap penalty at no
-      // predicted SLA cost.
-      if (params_.locality_tie_sec > 0.0 && !swap_free(w)) {
-        const double bound =
-            completion_sec(i, run.gpcs) + params_.locality_tie_sec;
-        for (const SizeRun& local : runs_) {
-          if (skip_a && zero_wait_slack(local.gpcs) <= 0.0) continue;
-          for (std::uint32_t k2 = local.begin; k2 < local.end; ++k2) {
-            const std::uint32_t j = order_[k2];
-            // Pure predicates conjoined, so evaluation order is free;
-            // the memoized slack goes first to keep Get off the miss
-            // path.
-            if (slack_sec(j, local.gpcs) <= 0.0) continue;
-            const WorkerState& c = workers.Get(j);
-            if (c.failed) continue;
-            if (!swap_free(c)) continue;
-            if (completion_sec(j, local.gpcs) <= bound) return c.index;
-          }
+  if (workers.stable()) {
+    if (!runs_cached_ || runs_version_ != workers.layout_version()) {
+      // The ordering promise of a stable view, checked once per layout.
+      for (std::size_t i = 0; i < workers.size(); ++i) {
+        const WorkerState& w = workers.Get(i);
+        if (w.index != static_cast<int>(i) ||
+            (i > 0 && w.gpcs < workers.Get(i - 1).gpcs)) {
+          throw std::logic_error(
+              "ElsaScheduler: stable view is not in (gpcs, index) order");
         }
       }
-      return w.index;
+      BuildRuns(workers);
+      runs_cached_ = true;
+      runs_version_ = workers.layout_version();
+    }
+    const int pos = Decide(query, workers);
+    return pos < 0 ? kNoAssignment : pos;
+  }
+  // An ad-hoc view: decide over a (gpcs, index)-sorted copy.
+  sorted_.clear();
+  for (std::size_t i = 0; i < workers.size(); ++i) {
+    sorted_.push_back(workers.Get(i));
+  }
+  std::sort(sorted_.begin(), sorted_.end(),
+            [](const WorkerState& a, const WorkerState& b) {
+              return a.gpcs != b.gpcs ? a.gpcs < b.gpcs : a.index < b.index;
+            });
+  const VectorWorkerView view(sorted_);
+  BuildRuns(view);
+  runs_cached_ = false;
+  const int pos = Decide(query, view);
+  if (pos < 0) return kNoAssignment;
+  return sorted_[static_cast<std::size_t>(pos)].index;
+}
+
+int ElsaScheduler::Decide(const workload::Query& query,
+                          const WorkerView& view) const {
+  const double swap_charge = params_.swap_cost_sec;
+  const bool charge_swaps = swap_charge > 0.0;
+  const bool locality = params_.locality_tie_sec > 0.0;
+
+  // Step A: the smallest partition with positive slack.  A swap-free
+  // worker qualifies at wait <= T(0); one whose resident model would be
+  // displaced pays Tswap inside Twait and qualifies at wait <= T(Tswap).
+  for (const SizeRun& run : runs_) {
+    const double tnew =
+        compiled_.EstimateSec(query.model_id, run.gpcs, query.batch);
+    const SimTime free_limit = SlackThreshold(tnew, 0.0);
+    if (free_limit < 0) continue;
+    const SimTime swap_limit =
+        charge_swaps ? SlackThreshold(tnew, swap_charge) : free_limit;
+    for (std::size_t from = run.begin; from < run.end;) {
+      const int p = view.FirstWaitAtMost(from, run.end, free_limit);
+      if (p < 0) break;
+      from = static_cast<std::size_t>(p) + 1;
+      if (!charge_swaps && !locality) return p;
+      const WorkerState& w = view.Get(static_cast<std::size_t>(p));
+      if (SwapFree(w, query.model_id)) return p;
+      if (w.wait_ticks > swap_limit) continue;
+      // Among positive-slack candidates, a swap-free partition wins over
+      // this one when its predicted completion ties within the locality
+      // window: the query avoids a model-swap penalty at no predicted SLA
+      // cost.
+      if (locality) {
+        const double completion = Completion(w.wait_ticks, swap_charge, tnew);
+        const int local = FirstLocalWorker(
+            query, view, completion + params_.locality_tie_sec);
+        if (local >= 0) return local;
+      }
+      return p;
     }
   }
 
-  // Step B: no partition satisfies the SLA; pick minimum completion time.
-  // Failed partitions are excluded here too; if every partition is failed
-  // the arrival is declined (kNoAssignment) and the server parks it until
-  // recovery.
-  double t_min = std::numeric_limits<double>::infinity();
-  int best = kNoAssignment;
+  // Step B: no partition satisfies the SLA; pick the minimum completion
+  // time, the first such worker on ties.  Within a run Tnew is fixed, so
+  // no worker completes sooner than the least-loaded one would swap-free
+  // (`floor`), and the run's minimum is at most that worker's own
+  // completion, swap included (`ceiling`): every worker that can attain
+  // it has a swap-free completion within `ceiling`.  Failed partitions
+  // are excluded; if every partition is failed the arrival is declined
+  // and the server parks it until recovery.
+  int best = -1;
+  double t_min = 0.0;
   for (const SizeRun& run : runs_) {
-    if (skip_b && best != kNoAssignment && !(tnew_sec(run.gpcs) < t_min)) {
-      continue;
-    }
-    for (std::uint32_t k = run.begin; k < run.end; ++k) {
-      const std::uint32_t i = order_[k];
-      const WorkerState& w = workers.Get(i);
-      if (w.failed) continue;
-      const double t = completion_sec(i, run.gpcs);
-      if (best == kNoAssignment || t < t_min) {
-        t_min = t;
-        best = w.index;
+    const SimTime min_wait = view.MinWait(run.begin, run.end);
+    if (min_wait == WorkerView::kNoWait) continue;
+    const double tnew =
+        compiled_.EstimateSec(query.model_id, run.gpcs, query.batch);
+    const double floor = Completion(min_wait, 0.0, tnew);
+    if (best >= 0 && !(floor < t_min)) continue;
+    const double ceiling = Completion(min_wait, swap_charge, tnew);
+    const SimTime limit = CompletionThreshold(tnew, ceiling);
+    int run_best = -1;
+    double run_min = 0.0;
+    for (std::size_t from = run.begin; from < run.end;) {
+      const int p = view.FirstWaitAtMost(from, run.end, limit);
+      if (p < 0) break;
+      from = static_cast<std::size_t>(p) + 1;
+      double t = floor;  // without swap charges every candidate ties it
+      if (charge_swaps) {
+        const WorkerState& w = view.Get(static_cast<std::size_t>(p));
+        const double swap = SwapFree(w, query.model_id) ? 0.0 : swap_charge;
+        t = Completion(w.wait_ticks, swap, tnew);
       }
+      if (run_best < 0 || t < run_min) {
+        run_best = p;
+        run_min = t;
+      }
+      if (run_min == floor) break;
+    }
+    assert(run_best >= 0);  // the least-loaded worker is always a candidate
+    if (best < 0 || run_min < t_min) {
+      best = run_best;
+      t_min = run_min;
     }
   }
   return best;
+}
+
+int ElsaScheduler::FirstLocalWorker(const workload::Query& query,
+                                    const WorkerView& view,
+                                    double bound) const {
+  for (const SizeRun& run : runs_) {
+    const double tnew =
+        compiled_.EstimateSec(query.model_id, run.gpcs, query.batch);
+    const SimTime limit = std::min(SlackThreshold(tnew, 0.0),
+                                   CompletionThreshold(tnew, bound));
+    for (std::size_t from = run.begin; from < run.end;) {
+      const int p = view.FirstWaitAtMost(from, run.end, limit);
+      if (p < 0) break;
+      from = static_cast<std::size_t>(p) + 1;
+      const WorkerState& w = view.Get(static_cast<std::size_t>(p));
+      if (SwapFree(w, query.model_id)) return p;
+    }
+  }
+  return -1;
 }
 
 }  // namespace pe::sched

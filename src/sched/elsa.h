@@ -17,21 +17,21 @@
 // precomputed through WorkerState (the server derives it from each queued
 // query's own model profile plus the in-flight query's elapsed timestamp).
 //
-// Hot-path mechanics: Testimated lookups go through a CompiledProfile
-// (dense arrays instead of map + lower_bound), the size-ascending
-// candidate order is computed once per layout and cached against a stable
-// WorkerView's layout_version() instead of re-sorting every arrival,
-// Testimated,new is computed once per distinct partition size per arrival
-// (it depends only on (model, batch, gpcs)), and each candidate's
-// slack/completion prediction is computed at most once per arrival (Step
-// A, the locality tie-break, and Step B share the memo).  The cached
-// order groups workers into contiguous equal-size runs; when even a
-// zero-wait worker of a size class has non-positive slack, the whole
-// class is skipped -- valid because slack is monotone non-increasing in
-// Twait under IEEE rounding (for alpha >= 0), so every member would have
-// failed the same test.  None of this changes any decision: compiled
-// values are bit-identical by construction, and the shadow-view test
-// compares every decision with a full, uncached scan.
+// Decision by wait threshold: within one equal-size run of partitions,
+// Testimated,new is the same for every candidate, and slack only falls as
+// Twait grows (alpha >= 0), so "positive slack" is exactly "Twait <= T"
+// for one integer threshold T per run.  ELSA derives T from an algebraic
+// guess corrected by evaluating the Eq. 2 expression itself, then asks the
+// WorkerView for the leftmost worker at or under it (FirstWaitAtMost);
+// Step B takes each run's minimum wait (MinWait) and finds the leftmost
+// worker whose completion ties it the same way.  Every comparison is the
+// double the per-candidate expression would produce, so decisions are
+// those of the literal scan -- which tests/elsa_oracle.h implements and
+// the shadow-view test compares against decision by decision.  A stable()
+// view is already in (gpcs, index) order, so its equal-size runs are
+// computed once per layout; an ad-hoc view is copied and sorted per call.
+// Testimated lookups go through a CompiledProfile (dense arrays instead of
+// map + lower_bound).
 //
 // Multi-model extension: constructed from a ModelRepertoire, ELSA routes
 // every Testimated,new lookup through the *arriving query's* model profile,
@@ -52,6 +52,8 @@
 
 namespace pe::sched {
 
+// Every field must be finite and non-negative; the constructors throw
+// std::invalid_argument naming the first field that is not.
 struct ElsaParams {
   // Tuning knobs of Eq. 2 ("configurable parameters we employ to tune the
   // SLA slack predictor"); 1.0/1.0 makes the predictor exact under
@@ -82,12 +84,13 @@ class ElsaScheduler final : public Scheduler {
  public:
   // Single-model form: `profile` must outlive the scheduler.  `sla_target`
   // is the model's SLA target (Section V: N x the max-batch latency on
-  // GPU(7)).
+  // GPU(7)) and must be positive.
   ElsaScheduler(const profile::ProfileTable& profile, SimTime sla_target,
                 ElsaParams params = ElsaParams{});
 
   // Multi-model form: Testimated lookups route through the arriving
-  // query's model profile.  `repertoire` must outlive the scheduler.
+  // query's model profile.  `repertoire` must be non-empty and outlive
+  // the scheduler.
   ElsaScheduler(const profile::ModelRepertoire& repertoire,
                 SimTime sla_target, ElsaParams params = ElsaParams{});
 
@@ -98,10 +101,11 @@ class ElsaScheduler final : public Scheduler {
                      const WorkerView& workers) override;
   bool UsesCentralQueue() const override { return false; }
   // Reconfiguration hooks: ELSA's only cross-call state is the per-layout
-  // candidate order, which is keyed on the stable view's layout_version()
-  // and self-invalidates when the server swaps layouts, and the default
-  // RequeueOrphan (re-run Step A/B against the new layout) is exactly the
-  // right policy for orphans -- so the base-class defaults apply.
+  // list of equal-size runs, which is keyed on the stable view's
+  // layout_version() and self-invalidates when the server swaps layouts,
+  // and the default RequeueOrphan (re-run Step A/B against the new
+  // layout) is exactly the right policy for orphans -- so the base-class
+  // defaults apply.
   std::string name() const override { return "ELSA"; }
 
   SimTime sla_target() const { return sla_target_; }
@@ -115,40 +119,45 @@ class ElsaScheduler final : public Scheduler {
   double SlackSec(const WorkerState& worker, int model_id, int batch) const;
 
  private:
-  // Rebuilds the (gpcs, index)-ascending candidate order unless it is
-  // already cached for this view's layout; also sizes the per-arrival
-  // memo arrays.
-  void RefreshCandidates(const WorkerView& workers);
+  // One equal-size run of view positions, [begin, end).
+  struct SizeRun {
+    int gpcs = 0;
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+  };
+
+  void Validate() const;
+  // Eq. 2 and the completion time at one wait, in SlackSec's operand
+  // order: every decision compares these exact doubles.
+  double Slack(SimTime wait, double swap, double tnew) const;
+  static double Completion(SimTime wait, double swap, double tnew);
+  // T(swap): the largest wait with positive slack, -1 if none.
+  SimTime SlackThreshold(double tnew, double swap) const;
+  // The largest wait whose swap-free completion is at most `bound`, -1 if
+  // none.
+  static SimTime CompletionThreshold(double tnew, double bound);
+
+  // Splits a (gpcs, index)-ordered view into runs_.
+  void BuildRuns(const WorkerView& view);
+  // Algorithm 2 over a (gpcs, index)-ordered view whose runs_ are built;
+  // returns a view position, or -1 when every worker is failed.
+  int Decide(const workload::Query& query, const WorkerView& view) const;
+  // The locality tie-break: the first swap-free worker with positive
+  // slack whose completion is at most `bound`, or -1.
+  int FirstLocalWorker(const workload::Query& query, const WorkerView& view,
+                       double bound) const;
 
   profile::CompiledProfile compiled_;
   SimTime sla_target_;
+  double sla_sec_;
   ElsaParams params_;
 
-  // Candidate order (view positions, ascending by (gpcs, index)), cached
-  // across arrivals while the stable view's layout_version() holds,
-  // grouped into contiguous equal-gpcs runs for the size-class skip.
-  struct SizeRun {
-    int gpcs = 0;
-    std::uint32_t begin = 0;  // [begin, end) into order_
-    std::uint32_t end = 0;
-  };
-  std::vector<std::uint32_t> order_;
+  // Cached across arrivals while a stable view's layout_version() holds.
   std::vector<SizeRun> runs_;
-  std::uint64_t order_version_ = 0;
-  bool order_cached_ = false;
-
-  // Per-arrival memo of the predictor terms, stamped by arrival so the
-  // arrays never need clearing.  tnew is keyed by gpcs (the only variable
-  // of Testimated,new within one arrival); slack/completion by candidate.
-  std::uint64_t arrival_stamp_ = 0;
-  std::vector<double> tnew_memo_;
-  std::vector<std::uint64_t> tnew_stamp_;
-  std::vector<double> twait_memo_;
-  std::vector<std::uint64_t> twait_stamp_;
-  std::vector<double> slack_memo_;
-  std::vector<double> completion_memo_;
-  std::vector<std::uint64_t> slack_stamp_;
-  std::vector<std::uint64_t> completion_stamp_;
+  std::uint64_t runs_version_ = 0;
+  bool runs_cached_ = false;
+  // An ad-hoc view's snapshots, sorted by (gpcs, index).
+  std::vector<WorkerState> sorted_;
 };
 
 }  // namespace pe::sched

@@ -18,15 +18,18 @@
 // from the profiled lookup table.
 //
 // Snapshots are delivered through a WorkerView -- an indexed, read-only
-// window onto the worker set.  The server's live view materializes a
-// worker's state lazily and only when it actually changed, so consulting
-// the scheduler no longer copies (or re-sorts) all W workers per arrival;
-// VectorWorkerView wraps a plain snapshot vector for tests and ad-hoc
-// callers.
+// window onto the worker set that also answers two wait queries over a
+// position range (FirstWaitAtMost, MinWait).  The server's live view
+// answers those from a flat wait index it keeps exact at every worker
+// mutation, so a scheduler that decides by wait thresholds never
+// materializes a snapshot per candidate; VectorWorkerView wraps a plain
+// snapshot vector for tests and ad-hoc callers.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -39,7 +42,7 @@ struct WorkerState {
   int index = 0;
   int gpcs = 0;
   bool idle = true;             // not executing and local queue empty
-  SimTime wait_ticks = 0;       // Twait per Eq. 1
+  SimTime wait_ticks = 0;       // Twait per Eq. 1; never negative
   std::size_t queue_length = 0;
   // Model most recently started on this partition (the one its weights
   // are loaded for); -1 until the first query starts.  Model-locality-
@@ -59,13 +62,14 @@ inline constexpr int kNoAssignment = -1;
 
 // Read-only, indexed access to the current worker set.  Get(i) returns the
 // state of the worker at position i, current as of the consultation; the
-// reference stays valid until the next simulation event mutates that
-// worker.
+// reference stays valid until the next Get(i) or simulation event.
 class WorkerView {
  public:
   // Sentinel for MaxGpcsIdleWorker(): this view keeps no incremental idle
   // index; the caller must scan the workers itself.
   static constexpr int kIdleScanUnsupported = -2;
+  // MinWait() of a range that holds no non-failed worker.
+  static constexpr SimTime kNoWait = std::numeric_limits<SimTime>::max();
 
   virtual ~WorkerView() = default;
 
@@ -81,21 +85,40 @@ class WorkerView {
   // set in O(log W).
   virtual int MaxGpcsIdleWorker() const { return kIdleScanUnsupported; }
 
-  // Twait of worker i alone (== Get(i).wait_ticks).  The one
-  // time-dependent field; a live view can answer it without
-  // re-materializing the whole snapshot, which is what ELSA's inner scan
-  // is bound by at large W.  Time dependence is tracked by a view-global
-  // epoch the engine advances once per distinct simulated instant, so a
-  // burst of same-timestamp consultations shares one refresh per worker.
-  virtual SimTime WaitTicks(std::size_t i) const { return Get(i).wait_ticks; }
+  // The leftmost non-failed position in [begin, end) whose Twait is at
+  // most `max_wait`, or -1.  Any `max_wait` is valid: a failed worker
+  // never matches, not even at std::numeric_limits<SimTime>::max().
+  virtual int FirstWaitAtMost(std::size_t begin, std::size_t end,
+                              SimTime max_wait) const {
+    assert(end <= size());
+    for (std::size_t i = begin; i < end; ++i) {
+      const WorkerState& w = Get(i);
+      if (!w.failed && w.wait_ticks <= max_wait) return static_cast<int>(i);
+    }
+    return -1;
+  }
 
-  // True for a long-lived, server-owned view whose Get() positions are
-  // stable within one layout and whose layout_version() uniquely
-  // identifies the worker set process-wide.  Schedulers may then cache
-  // layout-derived state (e.g. ELSA's size-ascending candidate order)
-  // keyed on the version.  Ad-hoc wrappers (VectorWorkerView) return
-  // false: their contents can differ call to call, so nothing about them
-  // may be cached.
+  // The minimum Twait over the non-failed positions in [begin, end), or
+  // kNoWait when there are none.
+  virtual SimTime MinWait(std::size_t begin, std::size_t end) const {
+    assert(end <= size());
+    SimTime shortest = kNoWait;
+    for (std::size_t i = begin; i < end; ++i) {
+      const WorkerState& w = Get(i);
+      if (!w.failed) shortest = std::min(shortest, w.wait_ticks);
+    }
+    return shortest;
+  }
+
+  // True for a long-lived, server-owned view that promises two things:
+  //  * its positions are in ascending (gpcs, index) order with
+  //    Get(i).index == i, fixed within one layout;
+  //  * layout_version() identifies the worker set process-wide.
+  // Schedulers may then treat positions as worker indices and cache
+  // layout-derived state (e.g. ELSA's equal-size runs) keyed on the
+  // version.  Ad-hoc wrappers (VectorWorkerView) return false: their
+  // contents and order can differ call to call, so nothing about them may
+  // be cached.
   virtual bool stable() const { return false; }
   virtual std::uint64_t layout_version() const { return 0; }
 };

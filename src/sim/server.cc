@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace pe::sim {
 
@@ -36,31 +37,8 @@ std::size_t InferenceServer::LiveWorkerView::size() const {
 const sched::WorkerState& InferenceServer::LiveWorkerView::Get(
     std::size_t i) const {
   assert(i < server_.workers_.size());
-  const PartitionWorker& w = server_.workers_[i];
-  Slot& slot = slots_[i];
-  // Idle-or-queued-only workers have a time-independent snapshot, so the
-  // version check alone suffices; a busy worker's Twait remainder shrinks
-  // as time advances, hence the extra time-epoch check (the event loop
-  // bumps the epoch once per distinct instant).
-  if (slot.seen_version != w.version()) {
-    slot.state = w.Snapshot(server_.now_);
-    slot.seen_version = w.version();
-    slot.seen_epoch = time_epoch_;
-  } else if (w.busy() && slot.seen_epoch != time_epoch_) {
-    // Same worker state, later instant: only Twait's in-flight remainder
-    // moved; everything else in the snapshot is version-covered.
-    slot.state.wait_ticks = w.EstimatedWait(server_.now_);
-    slot.seen_epoch = time_epoch_;
-  }
-  return slot.state;
-}
-
-SimTime InferenceServer::LiveWorkerView::WaitTicks(std::size_t i) const {
-  assert(i < server_.workers_.size());
-  // Uncached on purpose: schedulers consult each worker's wait at most
-  // once per arrival (ELSA memoizes on its side), and the direct
-  // computation is cheaper than snapshot-cache maintenance.
-  return server_.workers_[i].EstimatedWait(server_.now_);
+  slots_[i] = server_.workers_[i].Snapshot(server_.now_);
+  return slots_[i];
 }
 
 int InferenceServer::LiveWorkerView::MaxGpcsIdleWorker() const {
@@ -71,9 +49,61 @@ int InferenceServer::LiveWorkerView::MaxGpcsIdleWorker() const {
   return idle.begin()->second;
 }
 
+int InferenceServer::LiveWorkerView::FirstWaitAtMost(std::size_t begin,
+                                                     std::size_t end,
+                                                     SimTime max_wait) const {
+  assert(end <= keys_.size());
+  // Capped below the failed sentinel, so failed workers never match; the
+  // backlog bound saturates instead of overflowing.
+  constexpr SimTime kMax = std::numeric_limits<SimTime>::max();
+  const SimTime queued_max = std::min(max_wait, kFailedQueued - 1);
+  const SimTime now = server_.now_;
+  const SimTime end_max = queued_max > kMax - now ? kMax : queued_max + now;
+  // Non-short-circuit tests, four keys per branch: the scan usually
+  // passes over dozens of loaded workers before the first match.
+  const auto match = [&](std::size_t i) -> int {
+    return (keys_[i].queued <= queued_max) & (keys_[i].backlog_end <= end_max);
+  };
+  std::size_t i = begin;
+  for (; i + 4 <= end; i += 4) {
+    if (match(i) | match(i + 1) | match(i + 2) | match(i + 3)) break;
+  }
+  for (; i < end; ++i) {
+    if (match(i)) return static_cast<int>(i);
+  }
+  return -1;
+}
+
+SimTime InferenceServer::LiveWorkerView::MinWait(std::size_t begin,
+                                                 std::size_t end) const {
+  assert(end <= keys_.size());
+  const SimTime now = server_.now_;
+  SimTime shortest = kNoWait;
+  for (std::size_t i = begin; i < end; ++i) {
+    const WaitKey& key = keys_[i];
+    // max(queued, backlog_end - now), with the difference formed only
+    // when it is positive (kNotBusy would overflow it).
+    SimTime wait = key.queued;
+    if (key.backlog_end > now) wait = std::max(wait, key.backlog_end - now);
+    shortest = std::min(shortest, wait);
+  }
+  return shortest;
+}
+
 void InferenceServer::LiveWorkerView::OnLayoutChange(std::size_t num_workers) {
-  slots_.assign(num_workers, Slot{});  // keeps capacity across layouts
+  // assign/resize keep capacity across layouts.
+  keys_.assign(num_workers, WaitKey{});
+  slots_.resize(num_workers);
   version_ = NextLayoutVersion();
+}
+
+void InferenceServer::LiveWorkerView::Sync(const PartitionWorker& worker) {
+  WaitKey& key = keys_[static_cast<std::size_t>(worker.index())];
+  key.queued = worker.failed() ? kFailedQueued : worker.queued_estimate();
+  key.backlog_end = kNotBusy;
+  if (worker.busy()) {
+    key.backlog_end = worker.estimated_end() + worker.queued_estimate();
+  }
 }
 
 InferenceServer::InferenceServer(ServerConfig config,
@@ -153,13 +183,14 @@ void InferenceServer::BuildWorkers(const std::vector<int>& partition_gpcs) {
   view_.OnLayoutChange(workers_.size());
 }
 
-void InferenceServer::SyncIdle(const PartitionWorker& worker) {
+void InferenceServer::SyncWorker(const PartitionWorker& worker) {
   const std::pair<int, int> key{-worker.gpcs(), worker.index()};
   if (worker.idle()) {
     idle_workers_.insert(key);
   } else {
     idle_workers_.erase(key);
   }
+  view_.Sync(worker);
 }
 
 void InferenceServer::PushWithSeq(SimTime time, std::uint64_t seq,
@@ -239,7 +270,7 @@ void InferenceServer::StartHead(PartitionWorker& worker, SimTime now) {
       QueryRecord& rec = records_[dropped.id];
       rec.shed = true;
       rec.finished = now;
-      SyncIdle(worker);
+      SyncWorker(worker);
     }
   }
   if (!worker.CanStart()) return;
@@ -251,6 +282,7 @@ void InferenceServer::StartHead(PartitionWorker& worker, SimTime now) {
                     worker.resident_model() != head.model_id;
   if (swap) actual += config_.model_swap_cost;
   const workload::Query q = worker.Start(now, actual);
+  view_.Sync(worker);  // a start never changes idleness
   QueryRecord& rec = records_[q.id];
   rec.started = now;
   rec.worker = worker.index();
@@ -287,15 +319,24 @@ void InferenceServer::Dispatch(const workload::Query& query, SimTime now) {
     central_queue_.push_back(query);
     return;
   }
-  if (idx < 0 || idx >= static_cast<int>(workers_.size())) {
+  Bind(query, idx, now);
+}
+
+void InferenceServer::Bind(const workload::Query& query, int index,
+                           SimTime now) {
+  if (index < 0 || index >= static_cast<int>(workers_.size())) {
     throw std::out_of_range("scheduler returned invalid worker index");
   }
-  PartitionWorker& worker = workers_[static_cast<std::size_t>(idx)];
-  assert(!worker.failed());
+  PartitionWorker& worker = workers_[static_cast<std::size_t>(index)];
+  if (worker.failed()) {
+    std::string message = "scheduler bound a query to failed worker ";
+    message += std::to_string(index);
+    throw std::logic_error(message);
+  }
   records_[query.id].dispatched = now;
   worker.Enqueue(query,
                  EstimateTicks(query.model_id, worker.gpcs(), query.batch));
-  SyncIdle(worker);
+  SyncWorker(worker);
   StartHead(worker, now);
 }
 
@@ -310,16 +351,8 @@ void InferenceServer::ReofferCentralQueue(SimTime now) {
     const workload::Query head = central_queue_.front();
     const int idx = ConsultScheduler(head, /*orphan=*/false);
     if (idx == sched::kNoAssignment) break;
-    if (idx < 0 || idx >= static_cast<int>(workers_.size())) {
-      throw std::out_of_range("scheduler returned invalid worker index");
-    }
     central_queue_.pop_front();
-    PartitionWorker& worker = workers_[static_cast<std::size_t>(idx)];
-    records_[head.id].dispatched = now;
-    worker.Enqueue(head,
-                   EstimateTicks(head.model_id, worker.gpcs(), head.batch));
-    SyncIdle(worker);
-    StartHead(worker, now);
+    Bind(head, idx, now);
   }
 }
 
@@ -451,14 +484,7 @@ void InferenceServer::CompleteReconfigure(SimTime now) {
       central_queue_.push_back(q);
       continue;
     }
-    if (idx < 0 || idx >= static_cast<int>(workers_.size())) {
-      throw std::out_of_range("scheduler returned invalid worker index");
-    }
-    PartitionWorker& worker = workers_[static_cast<std::size_t>(idx)];
-    records_[q.id].dispatched = now;
-    worker.Enqueue(q, EstimateTicks(q.model_id, worker.gpcs(), q.batch));
-    SyncIdle(worker);
-    StartHead(worker, now);
+    Bind(q, idx, now);
   }
   ReofferCentralQueue(now);
   for (const workload::Query& q : held) Dispatch(q, now);
@@ -494,7 +520,7 @@ void InferenceServer::ProcessEvent(const Event& ev) {
       PartitionWorker& worker = workers_[ev.payload];
       const workload::Query done = worker.Finish();
       records_[done.id].finished = now;
-      SyncIdle(worker);  // may have gone idle (empty local queue)
+      SyncWorker(worker);  // may have gone idle (empty local queue)
       if (reconfiguring_) break;  // draining: nothing new starts
       // Start next local query, then pull from the central queue for as
       // long as the worker stays unoccupied -- deadline sheds can burn
@@ -505,11 +531,7 @@ void InferenceServer::ProcessEvent(const Event& ev) {
              !central_queue_.empty()) {
         const workload::Query next = central_queue_.front();
         central_queue_.pop_front();
-        records_[next.id].dispatched = now;
-        worker.Enqueue(next,
-                       EstimateTicks(next.model_id, worker.gpcs(), next.batch));
-        SyncIdle(worker);
-        StartHead(worker, now);
+        Bind(next, worker.index(), now);
       }
       break;
     }
@@ -523,29 +545,17 @@ void InferenceServer::ProcessEvent(const Event& ev) {
   }
 }
 
-void InferenceServer::SetNow(SimTime when) {
-  if (when == now_) return;
-  now_ = when;
-  view_.BeginInstant();
-}
-
 void InferenceServer::DrainEvents(SimTime bound, bool bounded) {
-  // The batched same-instant sweep: SetNow moves the clock (and the live
-  // view's time epoch) only when the popped event's timestamp differs from
-  // the current one, so a burst of events at one instant -- simultaneous
-  // completions, a same-tick arrival train -- shares a single epoch and
-  // each busy worker's wait ticks refresh at most once for the whole
-  // burst.
   Event ev;
   while (PopNextEvent(bound, bounded, ev)) {
-    SetNow(ev.time);
+    now_ = ev.time;
     ProcessEvent(ev);
   }
 }
 
 void InferenceServer::AdvanceTo(SimTime when) {
   DrainEvents(when, /*bounded=*/true);
-  if (when > now_) SetNow(when);
+  if (when > now_) now_ = when;
 }
 
 SimResult InferenceServer::Finish() {
@@ -584,7 +594,7 @@ std::vector<workload::Query> InferenceServer::FailWorker(int index,
   std::vector<workload::Query> orphans = worker.TakeQueue();
   worker.SetFailed(true);
   ++num_failed_;
-  SyncIdle(worker);
+  SyncWorker(worker);
   if (requeue_orphans) {
     for (const workload::Query& q : orphans) {
       QueryRecord& rec = records_[q.id];
@@ -601,15 +611,7 @@ std::vector<workload::Query> InferenceServer::FailWorker(int index,
         central_queue_.push_back(q);
         continue;
       }
-      if (idx < 0 || idx >= static_cast<int>(workers_.size())) {
-        throw std::out_of_range("scheduler returned invalid worker index");
-      }
-      PartitionWorker& target = workers_[static_cast<std::size_t>(idx)];
-      assert(!target.failed());
-      records_[q.id].dispatched = now_;
-      target.Enqueue(q, EstimateTicks(q.model_id, target.gpcs(), q.batch));
-      SyncIdle(target);
-      StartHead(target, now_);
+      Bind(q, idx, now_);
     }
   } else {
     for (const workload::Query& q : orphans) {
@@ -630,7 +632,7 @@ void InferenceServer::RecoverWorker(int index) {
   if (!worker.failed()) return;
   worker.SetFailed(false);
   --num_failed_;
-  SyncIdle(worker);
+  SyncWorker(worker);
   if (reconfiguring_) return;  // held work re-dispatches at window close
   if (scheduler_.UsesCentralQueue()) {
     ReofferCentralQueue(now_);

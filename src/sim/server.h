@@ -21,11 +21,13 @@
 //  * profile lookups go through a CompiledProfile -- EstimateTicks /
 //    ActualTicks are two array indexes instead of a map find +
 //    lower_bound + std::function call;
-//  * the scheduler consults a server-owned live WorkerView whose per-
-//    worker snapshots refresh only when the worker mutated (or, while
-//    busy, when time moved), instead of an O(W) snapshot-vector rebuild
-//    per consultation -- draining a long central queue after a
-//    reconfiguration is no longer O(Q*W);
+//  * the scheduler consults a server-owned live WorkerView instead of an
+//    O(W) snapshot-vector rebuild per consultation -- draining a long
+//    central queue after a reconfiguration is no longer O(Q*W).  The view
+//    keeps a flat wait index, two integers per worker rewritten at every
+//    worker mutation, from which "Twait <= X" and the minimum Twait of a
+//    position range are exact at any instant, with no refresh as time
+//    moves;
 //  * injected arrivals are (typically) already time-sorted, so they live
 //    in a flat cursor merged on the fly with the pending-event calendar;
 //    a million-query trace never sits in the priority structure at all;
@@ -35,11 +37,9 @@
 //    overflow spill -- so the dominant completion -> dispatch ->
 //    completion cycle is O(1) amortized instead of the binary heap's
 //    O(log E) (see sim/event_calendar.h);
-//  * the event loop drains every event at the same timestamp in one
-//    sweep: the current time is written, the bound re-checked, and the
-//    live view's time epoch bumped once per distinct instant, so wide
-//    servers refresh busy-worker wait ticks at most once per instant
-//    rather than re-validating per event.
+//  * nothing the scheduler reads needs refreshing when time moves (the
+//    wait index is exact at any instant), so a burst of events at one
+//    timestamp costs each consultation the same as an isolated one.
 // Behaviour is pinned by checked-in record-stream digests
 // (tests/engine_golden_test.cc), and a shadow check re-derives every
 // scheduler consultation from fresh worker snapshots
@@ -234,17 +234,20 @@ class InferenceServer {
     std::uint32_t query = 0;
   };
 
-  // Server-owned incremental scheduler view.  WorkerState snapshots are
-  // cached per worker and re-materialized only when the worker's version
-  // ticked or, for busy workers, when the view's time epoch moved (the
-  // in-flight remainder of Twait is the one time-dependent term); Get is
-  // O(1) and no consultation rebuilds an O(W) snapshot vector.  The
-  // epoch is bumped by the event loop exactly once per distinct
-  // simulated instant (the batched same-timestamp sweep), so however
-  // many events land on one timestamp, each busy worker's wait ticks
-  // refresh at most once for it.  layout_version() is
-  // process-unique per BuildWorkers so schedulers can cache per-layout
-  // derived state against it.
+  // Server-owned scheduler view.  Positions are worker indices, in the
+  // ascending (gpcs, index) order BuildWorkers lays out, and
+  // layout_version() is process-unique per BuildWorkers, so the view is
+  // stable() and schedulers can cache per-layout derived state against
+  // it.  Get(i) materializes worker i's snapshot on each call; the wait
+  // queries read a flat index instead.  For each worker it keeps
+  //   queued      = the queued estimate, kFailedQueued when failed;
+  //   backlog_end = estimated_end() + queued while busy, kNotBusy
+  //                 otherwise,
+  // rewritten by Sync at every worker mutation.  Twait is
+  // queued + max(0, estimated_end() - now) == max(queued, backlog_end -
+  // now), so Twait <= X  <=>  queued <= X && backlog_end <= X + now holds
+  // exactly at every instant -- estimate overruns included -- with no
+  // per-instant refresh.
   class LiveWorkerView final : public sched::WorkerView {
    public:
     explicit LiveWorkerView(const InferenceServer& server)
@@ -252,29 +255,34 @@ class InferenceServer {
 
     std::size_t size() const override;
     const sched::WorkerState& Get(std::size_t i) const override;
-    SimTime WaitTicks(std::size_t i) const override;
     // Answered from the server's incrementally maintained idle set
     // (O(log W) per worker mutation, O(1) here); see idle_workers_.
     int MaxGpcsIdleWorker() const override;
+    int FirstWaitAtMost(std::size_t begin, std::size_t end,
+                        SimTime max_wait) const override;
+    SimTime MinWait(std::size_t begin, std::size_t end) const override;
     bool stable() const override { return true; }
     std::uint64_t layout_version() const override { return version_; }
 
+    // A fresh layout of `num_workers` idle workers.
     void OnLayoutChange(std::size_t num_workers);
-    // One call per distinct simulated instant: invalidates every busy
-    // worker's cached wait ticks in O(1) by moving the shared epoch.
-    void BeginInstant() { ++time_epoch_; }
+    // Re-keys `worker` after a mutation.
+    void Sync(const PartitionWorker& worker);
 
    private:
-    struct Slot {
-      sched::WorkerState state;
-      std::uint64_t seen_version = std::numeric_limits<std::uint64_t>::max();
-      std::uint64_t seen_epoch = std::numeric_limits<std::uint64_t>::max();
+    // Reads as kNoWait in MinWait, so a failed worker never lowers it.
+    static constexpr SimTime kFailedQueued = kNoWait;
+    static constexpr SimTime kNotBusy = std::numeric_limits<SimTime>::min();
+
+    struct WaitKey {
+      SimTime queued = 0;
+      SimTime backlog_end = kNotBusy;
     };
 
     const InferenceServer& server_;
     std::uint64_t version_ = 0;
-    std::uint64_t time_epoch_ = 0;
-    mutable std::vector<Slot> slots_;
+    std::vector<WaitKey> keys_;
+    mutable std::vector<sched::WorkerState> slots_;
   };
 
   void Reset();
@@ -287,16 +295,19 @@ class InferenceServer {
   bool PopNextEvent(SimTime bound, bool bounded, Event& ev);
   // The shared event loop of AdvanceTo/Finish: pops events in (time, seq)
   // order and drains every event at the same timestamp in one sweep --
-  // the current time is written and the view's time epoch bumped once per
-  // distinct instant.
+  // the current time is written once per distinct instant.
   void DrainEvents(SimTime bound, bool bounded);
-  // Moves the clock, bumping the live view's time epoch on real moves.
-  void SetNow(SimTime when);
   void ProcessEvent(const Event& ev);
   // Scheduler consultation for an arrival or an orphan, through the live
   // view (which reads wait times at the current time).
   int ConsultScheduler(const workload::Query& query, bool orphan);
   void Dispatch(const workload::Query& query, SimTime now);
+  // Binds `query` to worker `index` -- a scheduler's answer, or the
+  // worker pulling the central queue's head: stamps it dispatched,
+  // enqueues it with its estimate and starts the worker if it is free.
+  // Throws std::out_of_range for a bad index and std::logic_error for a
+  // failed worker, in every build.  The one place a query is enqueued.
+  void Bind(const workload::Query& query, int index, SimTime now);
   void CompleteReconfigure(SimTime now);
   // Re-offers central-queue heads to the scheduler (central-queue
   // schedulers only), stopping at the first it declines; used after a
@@ -306,9 +317,9 @@ class InferenceServer {
   // lifecycle hook).  The reference is invalidated by the next call.
   const std::vector<sched::WorkerState>& Snapshots(SimTime now) const;
   void BuildWorkers(const std::vector<int>& partition_gpcs);
-  // Re-files `worker` in idle_workers_ after a mutation that may have
-  // changed its idleness (Enqueue or Finish).
-  void SyncIdle(const PartitionWorker& worker);
+  // Re-files `worker` in idle_workers_ and the live view's wait index
+  // after a mutation.
+  void SyncWorker(const PartitionWorker& worker);
   // Starts the worker's head query if the worker is free, recording start
   // metadata (including any model-swap charge) and scheduling the
   // completion event.
@@ -340,8 +351,8 @@ class InferenceServer {
   LiveWorkerView view_{*this};
   // Idle index backing LiveWorkerView::MaxGpcsIdleWorker(): {-gpcs,
   // index} per idle worker, so begin() is the largest partition with the
-  // lowest index -- exactly FIFS's scan winner.  Maintained by SyncIdle at
-  // every Enqueue/Finish site and rebuilt by BuildWorkers.
+  // lowest index -- exactly FIFS's scan winner.  Maintained by SyncWorker
+  // and rebuilt by BuildWorkers.
   std::set<std::pair<int, int>> idle_workers_;
   // Unassigned queries.  For central-queue schedulers this is the ordinary
   // central FIFO; during a reconfiguration window it additionally holds

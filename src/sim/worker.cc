@@ -16,7 +16,6 @@ void PartitionWorker::Enqueue(const workload::Query& query,
   assert(estimated >= 0);
   queue_.push_back(Pending{query, estimated});
   queued_estimated_ += estimated;
-  ++version_;
 }
 
 const workload::Query& PartitionWorker::Head() const {
@@ -35,7 +34,6 @@ workload::Query PartitionWorker::Start(SimTime now, SimTime actual) {
   current_started_ = now;
   busy_until_ = now + actual;
   resident_model_ = head.query.model_id;
-  ++version_;
   return head.query;
 }
 
@@ -44,7 +42,6 @@ workload::Query PartitionWorker::Finish() {
   workload::Query done = *current_;
   current_.reset();
   current_estimated_ = 0;
-  ++version_;
   return done;
 }
 
@@ -54,7 +51,6 @@ workload::Query PartitionWorker::Abort() {
   current_.reset();
   current_estimated_ = 0;
   busy_until_ = 0;
-  ++version_;
   return victim;
 }
 
@@ -63,14 +59,7 @@ workload::Query PartitionWorker::PopHead() {
   Pending head = queue_.front();
   queue_.pop_front();
   queued_estimated_ -= head.estimated;
-  ++version_;
   return head.query;
-}
-
-void PartitionWorker::SetFailed(bool failed) {
-  if (failed_ == failed) return;
-  failed_ = failed;
-  ++version_;
 }
 
 std::vector<workload::Query> PartitionWorker::TakeQueue() {
@@ -79,16 +68,12 @@ std::vector<workload::Query> PartitionWorker::TakeQueue() {
   for (const Pending& p : queue_) orphans.push_back(p.query);
   queue_.clear();
   queued_estimated_ = 0;
-  ++version_;
   return orphans;
 }
 
 SimTime PartitionWorker::EstimatedWait(SimTime now) const {
   SimTime wait = queued_estimated_;
-  if (busy()) {
-    const SimTime elapsed = now - current_started_;
-    wait += std::max<SimTime>(0, current_estimated_ - elapsed);
-  }
+  if (busy()) wait += std::max<SimTime>(0, estimated_end() - now);
   return wait;
 }
 

@@ -11,7 +11,6 @@
 //    start timestamp, exactly as the paper implements it.
 #pragma once
 
-#include <cstdint>
 #include <deque>
 #include <optional>
 #include <vector>
@@ -34,17 +33,6 @@ class PartitionWorker {
   // across idle periods (the model stays resident until displaced).
   int resident_model() const { return resident_model_; }
 
-  // Mutation counter: ticks on every state change that can alter a
-  // Snapshot (enqueue/start/finish/queue takeover).  The server's live
-  // scheduler view re-materializes a worker's WorkerState only when this
-  // moved -- or, for a busy worker, when the view's time epoch moved,
-  // since the in-flight remainder of Twait is the one time-dependent
-  // term.  The event loop bumps that epoch once per distinct simulated
-  // instant, so however many same-timestamp events a batched sweep
-  // processes, a busy worker's wait ticks refresh at most once per
-  // instant.
-  std::uint64_t version() const { return version_; }
-
   bool busy() const { return current_.has_value(); }
   bool idle() const { return !failed_ && !busy() && queue_.empty(); }
   std::size_t queue_length() const { return queue_.size(); }
@@ -52,7 +40,7 @@ class PartitionWorker {
   // Fault state: a failed partition (lost MIG slice) executes nothing and
   // never reports idle; the scheduler skips it until recovery.
   bool failed() const { return failed_; }
-  void SetFailed(bool failed);
+  void SetFailed(bool failed) { failed_ = failed; }
 
   // Appends a query to the local queue with its estimated execution time.
   void Enqueue(const workload::Query& query, SimTime estimated);
@@ -89,8 +77,17 @@ class PartitionWorker {
   SimTime current_started() const { return current_started_; }
   SimTime busy_until() const { return busy_until_; }
 
+  // Estimated time of all queued queries.
+  SimTime queued_estimate() const { return queued_estimated_; }
+  // When the in-flight query's estimated time runs out (start + its
+  // estimate); meaningful while busy().  Actual execution may run past it.
+  SimTime estimated_end() const {
+    return current_started_ + current_estimated_;
+  }
+
   // Twait per Eq. 1 at time `now`: estimated time of all queued queries
-  // plus the estimated remainder of the in-flight one.
+  // plus the estimated remainder of the in-flight one,
+  // queued_estimate() + max(0, estimated_end() - now) while busy.
   SimTime EstimatedWait(SimTime now) const;
 
   // Snapshot for the scheduler.
@@ -106,7 +103,6 @@ class PartitionWorker {
   int gpcs_;
   int resident_model_ = -1;
   bool failed_ = false;
-  std::uint64_t version_ = 0;
   std::deque<Pending> queue_;
   SimTime queued_estimated_ = 0;  // running sum over queue_
 

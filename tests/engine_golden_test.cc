@@ -1,7 +1,7 @@
 // Golden digests for the event engine: every scenario of the shared grid
-// (FIFS/ELSA x 1/3 models x static/reconfigure x 3 seeds), the four
-// event-ordering scenarios, and the elastic driver must reproduce the
-// record-stream digests checked in below.  A mismatch prints the actual
+// (FIFS/ELSA x 1/3 models x static/reconfigure x 3 seeds), the wide cells,
+// the four event-ordering scenarios, and the elastic driver must reproduce
+// the record-stream digests checked in below.  A mismatch prints the actual
 // digest; re-record only for a deliberate, justified behaviour change.
 #include <gtest/gtest.h>
 
@@ -41,6 +41,27 @@ TEST(EngineGolden, ScenarioGridMatchesCheckedInDigests) {
   for (std::size_t i = 0; i < grid.size(); ++i) {
     ExpectDigest(DigestRecords(RunGridCell(grid[i], plain)), kDigests[i],
                  grid[i].Label());
+  }
+}
+
+TEST(EngineGolden, WideCellsMatchCheckedInDigests) {
+  // One digest per cell, in WideGrid() order.
+  const std::uint64_t kDigests[] = {
+      // ELSA, default parameters: SLA 40 ms, 2 ms.
+      0x5cde8eb8e70c1d21, 0xe224b9c992d150b8,
+      // ELSA, swap charge + locality tie-break: SLA 40, 8, 2 ms, then the
+      // fail / recover / reconfigure drive at 8 ms.
+      0x38ecdc16050c3109, 0xcd7f8796d4982eeb, 0x699161a54ba4db04,
+      0xab3617beae95f2c9,
+      // JSQ.
+      0x822010c1b50f1f58,
+  };
+  const auto cells = WideGrid();
+  ASSERT_EQ(cells.size(), std::size(kDigests));
+  SchedulerSource plain;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    ExpectDigest(DigestRecords(RunWideCell(cells[i], plain)), kDigests[i],
+                 cells[i].Label());
   }
 }
 

@@ -1,10 +1,13 @@
 // The engine scenario grid shared by the golden-digest suite and the
 // shadow-view check: FIFS and ELSA, one and three models, static runs and
-// live reconfigurations, three seeds -- plus four event-ordering
-// scenarios (out-of-order injection, same-instant bursts, far-future
-// spill, incremental waves).  Each scenario builds its scheduler through a
-// SchedulerSource, so a test can decorate the scheduler and attach the
-// decorator to the server once it exists.
+// live reconfigurations, three seeds -- plus the wide cells (ELSA and JSQ
+// on a 132-partition, four-size layout, with ELSA's swap charge and
+// locality tie-break, SLAs from 40 ms down to 2 ms, and a fail / recover /
+// reconfigure drive) and four event-ordering scenarios (out-of-order
+// injection, same-instant bursts, far-future spill, incremental waves).
+// Each scenario builds its scheduler through a SchedulerSource, so a test
+// can decorate the scheduler and attach the decorator to the server once
+// it exists.
 #pragma once
 
 #include <algorithm>
@@ -16,6 +19,7 @@
 
 #include "common/rng.h"
 #include "profile/model_repertoire.h"
+#include "sched/baselines.h"
 #include "sched/elsa.h"
 #include "sched/fifs.h"
 #include "sim/server.h"
@@ -74,9 +78,10 @@ inline profile::ModelRepertoire MakeScenarioRepertoire(int num_models) {
 }
 
 inline workload::QueryTrace MakeScenarioTrace(
-    const profile::ModelRepertoire& rep, std::size_t n, std::uint64_t seed) {
+    const profile::ModelRepertoire& rep, std::size_t n, std::uint64_t seed,
+    double rate_qps = 900.0) {
   Rng rng(seed);
-  workload::PoissonArrivals arrivals(/*rate_qps=*/900.0);
+  workload::PoissonArrivals arrivals(rate_qps);
   workload::LogNormalBatchDist d0(6.0, 0.9, 32);
   workload::LogNormalBatchDist d1(4.0, 0.7, 32);
   workload::LogNormalBatchDist d2(9.0, 0.8, 32);
@@ -92,7 +97,7 @@ inline workload::QueryTrace MakeScenarioTrace(
   return workload::Take(source, n, rng);
 }
 
-enum class Sched { kFifs, kElsa };
+enum class Sched { kFifs, kElsa, kJsq };
 
 struct GridCell {
   Sched sched = Sched::kFifs;
@@ -127,13 +132,18 @@ inline std::vector<GridCell> ScenarioGrid() {
   return grid;
 }
 
+inline sched::ElsaParams GridElsaParams(const GridCell& cell) {
+  sched::ElsaParams params;
+  params.locality_tie_sec = cell.models > 1 ? 0.002 : 0.0;
+  return params;
+}
+
 inline SchedulerFactory GridSchedulerFactory(
     const GridCell& cell, const profile::ModelRepertoire& rep, SimTime sla) {
   if (cell.sched == Sched::kFifs) {
     return [] { return std::make_unique<sched::FifsScheduler>(); };
   }
-  sched::ElsaParams params;
-  params.locality_tie_sec = cell.models > 1 ? 0.002 : 0.0;
+  const sched::ElsaParams params = GridElsaParams(cell);
   return [&rep, sla, params] {
     return std::make_unique<sched::ElsaScheduler>(rep, sla, params);
   };
@@ -161,6 +171,108 @@ inline std::vector<sim::QueryRecord> RunGridCell(const GridCell& cell,
   server.BeginReconfigure({2, 2, 3, 7}, MsToTicks(15.0));
   server.AdvanceTo(MsToTicks(300.0));
   server.BeginReconfigure({1, 2, 3, 3, 7, 7}, MsToTicks(10.0));
+  return server.Finish().records;
+}
+
+// ---- Wide cells (three models, 132 partitions) --------------------------
+
+struct WideCell {
+  Sched sched = Sched::kElsa;
+  double sla_ms = 40.0;
+  // ELSA's predictor charges the simulator's swap cost and the locality
+  // tie-break is on; off runs ELSA with its default parameters.
+  bool swap_aware = true;
+  // Fails and recovers workers around a live reconfiguration.
+  bool faults = false;
+
+  std::string Label() const {
+    std::string label = sched == Sched::kJsq ? "JSQ" : "ELSA";
+    label += "/wide/sla";
+    label += std::to_string(static_cast<int>(sla_ms));
+    if (sched == Sched::kElsa) label += swap_aware ? "/swap+local" : "/default";
+    if (faults) label += "/faults";
+    return label;
+  }
+};
+
+// 40 x 1 + 40 x 2 + 32 x 3 + 20 x 7 GPCs.  Listed largest-first so the
+// server's size-ascending worker order differs from the configured one.
+inline std::vector<int> WideLayout() {
+  std::vector<int> layout;
+  layout.insert(layout.end(), 20, 7);
+  layout.insert(layout.end(), 32, 3);
+  layout.insert(layout.end(), 40, 2);
+  layout.insert(layout.end(), 40, 1);
+  return layout;
+}
+
+// Offered load of the wide cells' trace.
+inline constexpr double kWideRateQps = 60000.0;
+
+// In a fixed order: ELSA with its default parameters (Step A at 40 ms,
+// mostly Step B at 2 ms), ELSA with the swap charge and locality
+// tie-break, the fail / recover / reconfigure drive, then JSQ.
+inline std::vector<WideCell> WideGrid() {
+  std::vector<WideCell> cells;
+  for (const double sla_ms : {40.0, 2.0}) {
+    cells.push_back({Sched::kElsa, sla_ms, /*swap_aware=*/false});
+  }
+  for (const double sla_ms : {40.0, 8.0, 2.0}) {
+    cells.push_back({Sched::kElsa, sla_ms, /*swap_aware=*/true});
+  }
+  cells.push_back({Sched::kElsa, 8.0, /*swap_aware=*/true, /*faults=*/true});
+  cells.push_back({Sched::kJsq, 8.0, /*swap_aware=*/false});
+  return cells;
+}
+
+inline sched::ElsaParams WideElsaParams(const WideCell& cell) {
+  sched::ElsaParams params;
+  if (cell.swap_aware) {
+    params.swap_cost_sec = 250e-6;  // == the server's model_swap_cost
+    params.locality_tie_sec = 0.002;
+  }
+  return params;
+}
+
+inline std::vector<sim::QueryRecord> RunWideCell(const WideCell& cell,
+                                                 SchedulerSource& source) {
+  const auto rep = MakeScenarioRepertoire(3);
+  const SimTime sla = MsToTicks(cell.sla_ms);
+  sim::ServerConfig config;
+  config.partition_gpcs = WideLayout();
+  config.sla_target = sla;
+  config.latency_noise_sigma = 0.25;  // actual runs past the estimate
+  config.seed = 0x51DE;
+  config.model_swap_cost = UsToTicks(250.0);
+  const sched::ElsaParams params = WideElsaParams(cell);
+  auto scheduler = source.Make([&]() -> std::unique_ptr<sched::Scheduler> {
+    if (cell.sched == Sched::kJsq) {
+      return std::make_unique<sched::JsqScheduler>();
+    }
+    return std::make_unique<sched::ElsaScheduler>(rep, sla, params);
+  });
+  sim::InferenceServer server(config, rep, *scheduler);
+  source.Attach(server);
+  const auto trace = MakeScenarioTrace(rep, 6000, /*seed=*/13, kWideRateQps);
+  if (!cell.faults) return server.Run(trace).records;
+  // Failures of every size around a live reconfiguration to a narrower
+  // layout, then failures on the new layout.
+  server.InjectTrace(trace);
+  server.AdvanceTo(MsToTicks(15.0));
+  for (const int index : {3, 45, 90, 131}) (void)server.FailWorker(index);
+  server.AdvanceTo(MsToTicks(30.0));
+  server.RecoverWorker(45);
+  server.RecoverWorker(131);
+  std::vector<int> narrow(3, 1);
+  narrow.insert(narrow.end(), 3, 2);
+  narrow.insert(narrow.end(), 12, 3);
+  narrow.insert(narrow.end(), 24, 7);
+  server.BeginReconfigure(std::move(narrow), MsToTicks(2.0));
+  server.AdvanceTo(MsToTicks(60.0));
+  for (const int index : {0, 20, 41}) (void)server.FailWorker(index);
+  server.AdvanceTo(MsToTicks(75.0));
+  server.RecoverWorker(0);
+  server.RecoverWorker(41);
   return server.Finish().records;
 }
 

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "sched/baselines.h"
 
 namespace pe::sched {
@@ -179,6 +186,141 @@ TEST(Elsa, SwapCostRedirectsStepA) {
   EXPECT_EQ(s.OnQueryArrival(q, workers), 1);
 }
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+// Constructs ELSA with `params` and returns the std::invalid_argument
+// message, or "" when construction succeeds.
+std::string Rejection(const ElsaParams& params, SimTime sla = MsToTicks(15.0)) {
+  const auto profile = MakeProfile();
+  try {
+    ElsaScheduler s(profile, sla, params);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Elsa, RejectsNonPositiveSla) {
+  EXPECT_NE(Rejection(ElsaParams{}, 0).find("sla_target"), std::string::npos);
+  EXPECT_NE(Rejection(ElsaParams{}, -1).find("sla_target"), std::string::npos);
+}
+
+TEST(Elsa, RejectsNegativeOrNonFiniteAlpha) {
+  for (const double bad : {-0.5, kInf, kNaN}) {
+    ElsaParams params;
+    params.alpha = bad;
+    EXPECT_NE(Rejection(params).find("alpha"), std::string::npos) << bad;
+  }
+}
+
+TEST(Elsa, RejectsNegativeOrNonFiniteBeta) {
+  for (const double bad : {-1.0, kInf, kNaN}) {
+    ElsaParams params;
+    params.beta = bad;
+    EXPECT_NE(Rejection(params).find("beta"), std::string::npos) << bad;
+  }
+}
+
+TEST(Elsa, RejectsNegativeOrNonFiniteSwapCost) {
+  for (const double bad : {-1e-3, kInf, kNaN}) {
+    ElsaParams params;
+    params.swap_cost_sec = bad;
+    EXPECT_NE(Rejection(params).find("swap_cost"), std::string::npos) << bad;
+  }
+}
+
+TEST(Elsa, RejectsNegativeOrNonFiniteLocalityTie) {
+  for (const double bad : {-1e-3, kInf, kNaN}) {
+    ElsaParams params;
+    params.locality_tie_sec = bad;
+    EXPECT_NE(Rejection(params).find("locality_tie"), std::string::npos) << bad;
+  }
+}
+
+TEST(Elsa, RejectsEmptyRepertoire) {
+  const profile::ModelRepertoire empty;
+  EXPECT_THROW(ElsaScheduler(empty, MsToTicks(15.0)), std::invalid_argument);
+}
+
+TEST(Elsa, AcceptsTheBoundaryValues) {
+  ElsaParams params;
+  params.alpha = 0.0;
+  params.beta = 0.0;
+  params.swap_cost_sec = 0.0;
+  params.locality_tie_sec = 0.0;
+  EXPECT_EQ(Rejection(params, 1), "");
+}
+
+TEST(Elsa, StepAAgreesWithSlackSecAroundTheThreshold) {
+  // SLA 15 ms, GPU(1) estimate 10 ms: the small partition has positive
+  // slack up to a wait of about 5 ms.  Around that boundary, tick by tick,
+  // ELSA binds to it exactly when SlackSec says its slack is positive.
+  const auto profile = MakeProfile();
+  for (const double alpha : {1.0, 0.7, 1.3}) {
+    ElsaParams params;
+    params.alpha = alpha;
+    ElsaScheduler s(profile, MsToTicks(15.0), params);
+    const SimTime edge = SecToTicks(15e-3 / alpha - 10e-3);
+    for (SimTime wait = edge - 4; wait <= edge + 4; ++wait) {
+      const std::vector<WorkerState> workers = {W(0, 1, wait), W(1, 7, 0)};
+      const int want = s.SlackSec(workers[0], 8) > 0.0 ? 0 : 1;
+      EXPECT_EQ(s.OnQueryArrival(Q(8), workers), want)
+          << "alpha " << alpha << " wait " << wait;
+    }
+  }
+}
+
+TEST(Elsa, StepBBreaksCompletionTiesTowardTheFirstWorker) {
+  // Waits past 2^53 ns differ by less than one ulp of their completion
+  // in seconds: both partitions complete at the same double, and the
+  // first in (gpcs, index) order wins although it waits one tick longer.
+  const auto profile = MakeProfile();
+  ElsaScheduler s(profile, MsToTicks(1.0));
+  const SimTime base = SimTime{1} << 60;
+  const std::vector<WorkerState> workers = {W(0, 1, base + 1), W(1, 1, base)};
+  EXPECT_EQ(s.OnQueryArrival(Q(8), workers), 0);
+}
+
+TEST(Elsa, SkipsFailedWorkersEvenWithUnboundedSlack) {
+  const auto profile = MakeProfile();
+  ElsaParams params;
+  params.alpha = 0.0;  // every wait has slack: the threshold is unbounded
+  ElsaScheduler s(profile, MsToTicks(15.0), params);
+  WorkerState dead = W(0, 1, 0);
+  dead.failed = true;
+  dead.idle = false;
+  const SimTime huge = std::numeric_limits<SimTime>::max() / 2;
+  const std::vector<WorkerState> workers = {dead, W(1, 1, huge), W(2, 7, 0)};
+  EXPECT_EQ(s.OnQueryArrival(Q(8), workers), 1);
+  dead.index = 1;
+  const std::vector<WorkerState> small_dead = {W(0, 7, 0), dead};
+  EXPECT_EQ(s.OnQueryArrival(Q(8), small_dead), 0);
+}
+
+// Claims stable() -- positions in (gpcs, index) order -- but is not.
+class MisorderedStableView final : public WorkerView {
+ public:
+  explicit MisorderedStableView(std::vector<WorkerState> states)
+      : states_(std::move(states)) {}
+  std::size_t size() const override { return states_.size(); }
+  const WorkerState& Get(std::size_t i) const override { return states_[i]; }
+  bool stable() const override { return true; }
+  std::uint64_t layout_version() const override { return 1; }
+
+ private:
+  std::vector<WorkerState> states_;
+};
+
+TEST(Elsa, RejectsAStableViewOutOfOrder) {
+  const auto profile = MakeProfile();
+  ElsaScheduler s(profile, MsToTicks(15.0));
+  const MisorderedStableView larger_first({W(0, 7, 0), W(1, 1, 0)});
+  EXPECT_THROW(s.OnQueryArrival(Q(8), larger_first), std::logic_error);
+  const MisorderedStableView renumbered({W(1, 1, 0), W(0, 7, 0)});
+  EXPECT_THROW(s.OnQueryArrival(Q(8), renumbered), std::logic_error);
+}
+
 TEST(GreedyFastest, IsElsaStepBOnly) {
   const auto profile = MakeProfile();
   GreedyFastestScheduler s(profile);
@@ -194,6 +336,18 @@ TEST(Jsq, PicksShortestQueue) {
                                             W(1, 7, MsToTicks(9.0))};
   EXPECT_EQ(s.OnQueryArrival(Q(8), workers), 0);
   EXPECT_FALSE(s.UsesCentralQueue());
+}
+
+TEST(Jsq, TakesTheFirstShortestAndSkipsFailedWorkers) {
+  JsqScheduler s;
+  WorkerState dead = W(0, 1, 0);
+  dead.failed = true;
+  const std::vector<WorkerState> workers = {
+      dead, W(1, 7, MsToTicks(3.0)), W(2, 1, MsToTicks(2.0)),
+      W(3, 2, MsToTicks(2.0))};
+  EXPECT_EQ(s.OnQueryArrival(Q(8), workers), 2);
+  const std::vector<WorkerState> all_dead = {dead};
+  EXPECT_EQ(s.OnQueryArrival(Q(8), all_dead), kNoAssignment);
 }
 
 }  // namespace

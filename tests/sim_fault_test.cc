@@ -2,15 +2,17 @@
 // attempt and re-places (or returns) queued work, RecoverWorker replays
 // parked queries, FailCentralQueue empties the server for the
 // whole-server-crash path, SetSlowdownFactor stretches actual execution
-// without touching estimates, and Finish leaves no record un-terminal
-// even under a total outage.
+// without touching estimates, Finish leaves no record un-terminal even
+// under a total outage, and no query is ever bound to a failed worker.
 #include "sim/server.h"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "sched/elsa.h"
 #include "sched/fifs.h"
 
 namespace pe::sim {
@@ -177,6 +179,48 @@ TEST(FaultInjection, SlowdownStretchesActualExecutionOnly) {
 
   EXPECT_THROW(server.SetSlowdownFactor(0.0), std::invalid_argument);
   EXPECT_THROW(server.SetSlowdownFactor(-1.0), std::invalid_argument);
+}
+
+// Binds every arrival to worker 0, failed or not.
+class PinnedScheduler final : public sched::Scheduler {
+ public:
+  using Scheduler::OnQueryArrival;
+  int OnQueryArrival(const workload::Query& query,
+                     const sched::WorkerView& workers) override {
+    (void)query;
+    (void)workers;
+    return 0;
+  }
+  bool UsesCentralQueue() const override { return false; }
+  std::string name() const override { return "pinned"; }
+};
+
+TEST(FaultInjection, BindingAFailedWorkerThrows) {
+  const auto profile = MakeProfile();
+  PinnedScheduler pinned;
+  InferenceServer server(Config({1, 7}), profile, pinned, FixedLatency());
+  server.FailWorker(0);
+  server.InjectTrace(MakeTrace(1, 0));
+  EXPECT_THROW(server.Finish(), std::logic_error);
+}
+
+TEST(FaultInjection, UnboundedSlackNeverReachesAFailedWorker) {
+  // alpha = 0 gives every wait positive slack: ELSA's Step A threshold is
+  // the largest SimTime, at which the live view must still skip failed
+  // workers.
+  const auto profile = MakeProfile();
+  sched::ElsaParams params;
+  params.alpha = 0.0;
+  sched::ElsaScheduler elsa(profile, MsToTicks(15.0), params);
+  InferenceServer server(Config({1, 1, 7}), profile, elsa, FixedLatency());
+  server.FailWorker(0);
+  server.InjectTrace(MakeTrace(4, MsToTicks(1.0)));
+  const auto result = server.Finish();
+  for (const auto& r : result.records) {
+    EXPECT_FALSE(r.failed) << "query " << r.id;
+    // The smallest surviving partition, however long its queue.
+    EXPECT_EQ(r.worker, 1) << "query " << r.id;
+  }
 }
 
 }  // namespace
