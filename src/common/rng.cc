@@ -47,17 +47,22 @@ double Rng::Uniform(double lo, double hi) {
   return lo + (hi - lo) * NextDouble();
 }
 
-std::int64_t Rng::UniformInt(std::int64_t lo, std::int64_t hi) {
+UniformIntRange::UniformIntRange(std::int64_t lo, std::int64_t hi) {
   assert(lo <= hi);
-  const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-  if (span == 0) return static_cast<std::int64_t>(NextU64());  // full range
+  lo_ = lo;
+  // Unsigned, so the full 64-bit range wraps to 0 instead of overflowing.
+  span_ = static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
   // Rejection sampling to avoid modulo bias.
-  const std::uint64_t limit = UINT64_MAX - UINT64_MAX % span;
+  limit_ = span_ == 0 ? 0 : UINT64_MAX - UINT64_MAX % span_;
+}
+
+std::int64_t Rng::UniformInt(const UniformIntRange& range) {
+  if (range.span_ == 0) return static_cast<std::int64_t>(NextU64());
   std::uint64_t draw;
   do {
     draw = NextU64();
-  } while (draw >= limit);
-  return lo + static_cast<std::int64_t>(draw % span);
+  } while (draw >= range.limit_);
+  return range.lo_ + static_cast<std::int64_t>(draw % range.span_);
 }
 
 double Rng::Exponential(double rate) {

@@ -26,6 +26,21 @@ constexpr std::uint64_t Mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+// An inclusive integer range [lo, hi] for Rng::UniformInt, with the
+// rejection limit of its unbiased draw precomputed: loops drawing from one
+// range many times build it once instead of recomputing the limit (a
+// 64-bit modulo) on every draw.  Requires lo <= hi.
+class UniformIntRange {
+ public:
+  UniformIntRange(std::int64_t lo, std::int64_t hi);
+
+ private:
+  friend class Rng;
+  std::int64_t lo_ = 0;
+  std::uint64_t span_ = 0;   // hi - lo + 1; 0 encodes the full 64-bit range
+  std::uint64_t limit_ = 0;  // draws at or above this are rejected
+};
+
 // xoshiro256** 1.0 by Blackman & Vigna (public domain reference
 // implementation), seeded via SplitMix64 so that any 64-bit seed --
 // including zero -- yields a well-mixed state.
@@ -43,7 +58,13 @@ class Rng {
   double Uniform(double lo, double hi);
 
   // Uniform integer in [lo, hi] (inclusive).  Requires lo <= hi.
-  std::int64_t UniformInt(std::int64_t lo, std::int64_t hi);
+  std::int64_t UniformInt(std::int64_t lo, std::int64_t hi) {
+    return UniformInt(UniformIntRange(lo, hi));
+  }
+
+  // The same draw over a precomputed range: identical values and stream
+  // consumption to UniformInt(lo, hi).
+  std::int64_t UniformInt(const UniformIntRange& range);
 
   // Exponentially distributed draw with the given rate parameter
   // (mean = 1/rate).  Requires rate > 0.

@@ -1,6 +1,9 @@
 #include "core/fleet_runner.h"
 
 #include <algorithm>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -127,13 +130,21 @@ fleet::ReplanFn FleetTestbed::MakeReplanFn() const {
   // every RunWithFaults call.
   online::FailoverRepartitionController controller(mix_.cluster(),
                                                    config_.mix.paris);
-  return [this, controller](int server,
-                            const std::vector<int>& down) -> std::vector<int> {
+  // A degraded layout depends only on the server's hosted models, the
+  // surviving replica count of each, and its GPC budget, and a run asks
+  // for the same few of those after every crash and recovery: each is
+  // planned once.  Copies of the hook share the memo, so it is locked.
+  struct Memo {
+    std::mutex mu;
+    // {gpc_budget, model, surviving, model, surviving, ...} -> layout
+    std::map<std::vector<int>, std::vector<int>> layouts;
+  };
+  auto memo = std::make_shared<Memo>();
+  return [this, controller, memo](int server, const std::vector<int>& down) {
     const fleet::ServerPlacement& sp = placement().server(server);
-    std::vector<partition::MixModelInput> inputs =
-        mix_.PlannerInputs(sp.model_ids);
     std::vector<int> full(sp.model_ids.size(), 0);
     std::vector<int> surviving(sp.model_ids.size(), 0);
+    std::vector<int> key = {sp.gpc_budget};
     for (std::size_t i = 0; i < sp.model_ids.size(); ++i) {
       const std::vector<int>& reps = placement().Replicas(sp.model_ids[i]);
       full[i] = static_cast<int>(reps.size());
@@ -142,10 +153,21 @@ fleet::ReplanFn FleetTestbed::MakeReplanFn() const {
           ++surviving[i];
         }
       }
+      key.push_back(sp.model_ids[i]);
+      key.push_back(surviving[i]);
     }
-    inputs = online::FailoverRepartitionController::ScaleForOutage(
-        std::move(inputs), full, surviving);
-    return controller.PlanDegraded(inputs, sp.gpc_budget);
+    {
+      const std::lock_guard<std::mutex> lock(memo->mu);
+      const auto hit = memo->layouts.find(key);
+      if (hit != memo->layouts.end()) return hit->second;
+    }
+    const std::vector<partition::MixModelInput> inputs =
+        online::FailoverRepartitionController::ScaleForOutage(
+            mix_.PlannerInputs(sp.model_ids), full, surviving);
+    std::vector<int> layout = controller.PlanDegraded(inputs, sp.gpc_budget);
+    const std::lock_guard<std::mutex> lock(memo->mu);
+    memo->layouts.emplace(std::move(key), layout);
+    return layout;
   };
 }
 

@@ -95,7 +95,12 @@ class FleetTestbed {
   // The degraded-capacity repartition hook RunWithFaults wires in:
   // survivor layouts re-planned with each impacted model's share scaled
   // by full/surviving replica counts (online::FailoverRepartition-
-  // Controller over this testbed's planner inputs).
+  // Controller over this testbed's planner inputs).  The hook memoizes
+  // its plans by (hosted models, surviving replicas of each, GPC budget),
+  // the only inputs a plan depends on, so each distinct degraded layout
+  // is planned once per hook; copies share the memo under a mutex and
+  // may be called from several threads.  Each call returns a fresh hook
+  // with an empty memo.
   fleet::ReplanFn MakeReplanFn() const;
 
  private:

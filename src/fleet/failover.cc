@@ -6,12 +6,13 @@
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/rng.h"
-#include "common/stats.h"
 #include "common/thread_pool.h"
 #include "sched/scheduler.h"
+#include "sim/metrics.h"
 #include "sim/server.h"
 
 namespace pe::fleet {
@@ -45,27 +46,55 @@ std::vector<std::pair<SimTime, SimTime>> MergeWindows(
 
 }  // namespace
 
-HealthView::HealthView(const FaultPlan& plan, int num_servers) {
-  down_.resize(static_cast<std::size_t>(num_servers));
+HealthView::HealthView(const FaultPlan& plan, const PlacementMap& placement)
+    : num_servers_(static_cast<std::size_t>(placement.num_servers())),
+      num_models_(static_cast<std::size_t>(placement.num_models())) {
   std::vector<std::pair<SimTime, SimTime>> incident_windows;
   // Open crash windows per server, open worker windows per (server,
   // worker), open slowdown windows per server -- closed by the matching
   // recover/end event, or at +inf (never healed).
-  std::vector<SimTime> open_crash(static_cast<std::size_t>(num_servers), -1);
+  std::vector<SimTime> open_crash(num_servers_, -1);
   std::map<std::pair<int, int>, SimTime> open_worker;
-  std::vector<SimTime> open_slow(static_cast<std::size_t>(num_servers), -1);
+  std::vector<SimTime> open_slow(num_servers_, -1);
+  // Epoch 0: everyone up.  An instant with crash or recover events opens
+  // a new epoch once all of its events are applied.
+  up_.assign(num_servers_, 1);
+  const auto open_epoch = [&](SimTime instant) {
+    instants_.push_back(instant);
+    for (std::size_t s = 0; s < num_servers_; ++s) {
+      up_.push_back(open_crash[s] < 0 ? 1 : 0);
+    }
+  };
+  bool instant_open = false;  // crash/recover events at `instant` so far
+  SimTime instant = 0;
+  SimTime last = std::numeric_limits<SimTime>::min();
   for (const FaultEvent& ev : plan.events) {
+    if (ev.time < last) {
+      throw std::invalid_argument("HealthView: fault events not sorted");
+    }
+    last = ev.time;
+    if (ev.server < 0 || static_cast<std::size_t>(ev.server) >= num_servers_) {
+      throw std::invalid_argument("HealthView: server " +
+                                  std::to_string(ev.server) + " out of range");
+    }
+    if (instant_open && ev.time != instant) {
+      open_epoch(instant);
+      instant_open = false;
+    }
     const auto s = static_cast<std::size_t>(ev.server);
     switch (ev.kind) {
       case FaultKind::kServerCrash:
         if (open_crash[s] < 0) open_crash[s] = ev.time;
+        instant_open = true;
+        instant = ev.time;
         break;
       case FaultKind::kServerRecover:
         if (open_crash[s] >= 0) {
-          down_[s].push_back({open_crash[s], ev.time});
           incident_windows.push_back({open_crash[s], ev.time});
           open_crash[s] = -1;
         }
+        instant_open = true;
+        instant = ev.time;
         break;
       case FaultKind::kWorkerFail: {
         const auto key = std::make_pair(ev.server, ev.worker);
@@ -93,9 +122,9 @@ HealthView::HealthView(const FaultPlan& plan, int num_servers) {
         break;
     }
   }
-  for (std::size_t s = 0; s < down_.size(); ++s) {
+  if (instant_open) open_epoch(instant);
+  for (std::size_t s = 0; s < num_servers_; ++s) {
     if (open_crash[s] >= 0) {
-      down_[s].push_back({open_crash[s], kForever});
       incident_windows.push_back({open_crash[s], kForever});
     }
     if (open_slow[s] >= 0) {
@@ -105,29 +134,37 @@ HealthView::HealthView(const FaultPlan& plan, int num_servers) {
   for (const auto& [key, begin] : open_worker) {
     incident_windows.push_back({begin, kForever});
   }
-  for (auto& windows : down_) windows = MergeWindows(std::move(windows));
   incidents_ = MergeWindows(std::move(incident_windows));
+
+  // Per epoch and model, the up replicas in Replicas() order.
+  const std::size_t epochs = instants_.size() + 1;
+  healthy_offsets_.reserve(epochs * num_models_ + 1);
+  healthy_offsets_.push_back(0);
+  for (std::size_t e = 0; e < epochs; ++e) {
+    const std::uint8_t* up = up_.data() + e * num_servers_;
+    for (std::size_t m = 0; m < num_models_; ++m) {
+      for (const int r : placement.Replicas(static_cast<int>(m))) {
+        if (up[static_cast<std::size_t>(r)] != 0) healthy_.push_back(r);
+      }
+      healthy_offsets_.push_back(healthy_.size());
+    }
+  }
 }
 
-bool HealthView::IsUp(int server, SimTime t) const {
-  const auto& windows = down_[static_cast<std::size_t>(server)];
-  // First window with begin > t; the previous one is the only candidate.
-  auto it = std::upper_bound(
-      windows.begin(), windows.end(), t,
-      [](SimTime v, const std::pair<SimTime, SimTime>& w) {
-        return v < w.first;
-      });
-  if (it == windows.begin()) return true;
-  --it;
-  return t >= it->second;
+std::size_t HealthView::Epoch(SimTime t) const {
+  return static_cast<std::size_t>(
+      std::upper_bound(instants_.begin(), instants_.end(), t) -
+      instants_.begin());
 }
 
 SimTime HealthView::DownTicks(int server, SimTime horizon) const {
+  const auto s = static_cast<std::size_t>(server);
   SimTime ticks = 0;
-  for (const auto& w : down_[static_cast<std::size_t>(server)]) {
-    const SimTime begin = std::min(w.first, horizon);
-    const SimTime end = std::min(w.second, horizon);
-    ticks += end - begin;
+  // Epoch 0 is all-up; epoch k >= 1 spans [instants_[k-1], instants_[k]).
+  for (std::size_t k = 1; k <= instants_.size(); ++k) {
+    if (up_[k * num_servers_ + s] != 0) continue;
+    const SimTime end = k < instants_.size() ? instants_[k] : kForever;
+    ticks += std::min(end, horizon) - std::min(instants_[k - 1], horizon);
   }
   return ticks;
 }
@@ -156,7 +193,7 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
   const int n = placement.num_servers();
   const auto nn = static_cast<std::size_t>(n);
   const std::size_t total = trace.size();
-  HealthView health(plan, n);
+  const HealthView health(plan, placement);
 
   FaultSummary fault;
   fault.faulted = true;
@@ -168,15 +205,10 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
   std::vector<bool> driver_shed(total, false);
   std::vector<bool> driver_failed(total, false);
   const std::vector<workload::Query>& queries = trace.queries();
-  std::vector<int> healthy;
   for (std::size_t i = 0; i < total; ++i) {
     const workload::Query& q = queries[i];
-    const int s = assignment[i];
-    if (health.IsUp(s, q.arrival)) continue;
-    healthy.clear();
-    for (const int r : placement.Replicas(q.model_id)) {
-      if (health.IsUp(r, q.arrival)) healthy.push_back(r);
-    }
+    if (health.IsUp(assignment[i], q.arrival)) continue;
+    const std::span<const int> healthy = health.Healthy(q.model_id, q.arrival);
     if (healthy.empty()) {
       assignment[i] = -1;  // pre-shed: nobody can take it
       driver_shed[i] = true;
@@ -186,45 +218,43 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
     assignment[i] = healthy[static_cast<std::size_t>(h % healthy.size())];
     ++fault.rerouted;
   }
-  const TraceSplit split = SplitByAssignment(trace, assignment, placement);
 
-  // ---- Stage 2: build the engines (incremental mode). ------------------
-  std::vector<std::unique_ptr<sched::Scheduler>> schedulers(nn);
-  std::vector<std::unique_ptr<sim::InferenceServer>> engines(nn);
-  for (int s = 0; s < n; ++s) {
-    sim::ServerConfig sc = cluster.MakeServerConfig(s);
-    sc.deadline = plan.deadline;  // per-attempt queue-staleness shed
-    const auto i = static_cast<std::size_t>(s);
-    schedulers[i] = cluster.MakeScheduler(s);
-    engines[i] = std::make_unique<sim::InferenceServer>(
-        sc, cluster.server_repertoire(s), *schedulers[i]);
-  }
-  ParallelMap(nn, jobs, [&](std::size_t s) {
-    engines[s]->InjectSpan(split.Server(static_cast<int>(s)));
-    return 0;
-  });
-
-  // Per-server global-id maps, growing as retries inject new local ids.
-  std::vector<std::vector<std::uint64_t>> gids(nn);
-  for (int s = 0; s < n; ++s) {
-    const auto span = split.GlobalIds(s);
-    gids[static_cast<std::size_t>(s)].assign(span.begin(), span.end());
+  // ---- Stage 2: build the engines (incremental mode), one task each. ---
+  struct Server {
+    std::unique_ptr<sched::Scheduler> scheduler;
+    std::unique_ptr<sim::InferenceServer> engine;
+    // Local query id -> global id, growing as retries inject new ids.
+    std::vector<std::uint64_t> gids;
+  };
+  std::vector<Server> servers;
+  {
+    const TraceSplit split =
+        SplitByAssignment(trace, assignment, placement, jobs);
+    servers = ParallelMap(nn, jobs, [&](std::size_t i) {
+      const int s = static_cast<int>(i);
+      sim::ServerConfig sc = cluster.MakeServerConfig(s);
+      sc.deadline = plan.deadline;  // per-attempt queue-staleness shed
+      Server server;
+      server.scheduler = cluster.MakeScheduler(s);
+      server.engine = std::make_unique<sim::InferenceServer>(
+          sc, cluster.server_repertoire(s), *server.scheduler);
+      server.engine->InjectSpan(split.Server(s));
+      const auto gids = split.GlobalIds(s);
+      server.gids.assign(gids.begin(), gids.end());
+      return server;
+    });
   }
 
   // ---- Stage 3: the epoch loop. ----------------------------------------
   // Advance every engine (parallel, one task per engine -- disjoint
   // state, so --jobs cannot change anything) to the next fault or retry
-  // instant, then apply that instant's faults and injections serially in
-  // schedule order.
+  // instant, apply that instant's faults serially in schedule order, then
+  // inject its retries, one task per target server.
   std::vector<int> retries_done(total, 0);
   std::vector<bool> crashed(nn, false);
   std::vector<std::vector<int>> layouts(nn);
-  std::vector<std::vector<int>> original_layouts(nn);
   for (int s = 0; s < n; ++s) {
-    layouts[static_cast<std::size_t>(s)] =
-        placement.server(s).partition_gpcs;
-    original_layouts[static_cast<std::size_t>(s)] =
-        layouts[static_cast<std::size_t>(s)];
+    layouts[static_cast<std::size_t>(s)] = placement.server(s).partition_gpcs;
   }
 
   struct Retry {
@@ -238,7 +268,7 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
                         const std::vector<workload::Query>& removed) {
     for (const workload::Query& q : removed) {
       const std::uint64_t gid =
-          gids[static_cast<std::size_t>(from_server)][q.id];
+          servers[static_cast<std::size_t>(from_server)].gids[q.id];
       if (retries_done[gid] >= plan.max_retries) {
         driver_failed[gid] = true;
         continue;
@@ -251,10 +281,8 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
         driver_shed[gid] = true;  // cannot finish in time; drop, don't churn
         continue;
       }
-      healthy.clear();
-      for (const int r : placement.Replicas(orig.model_id)) {
-        if (health.IsUp(r, retry_time)) healthy.push_back(r);
-      }
+      const std::span<const int> healthy =
+          health.Healthy(orig.model_id, retry_time);
       if (healthy.empty()) {
         driver_shed[gid] = true;
         continue;
@@ -269,7 +297,7 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
   };
 
   const auto crash_server = [&](int s, SimTime t) {
-    auto& engine = *engines[static_cast<std::size_t>(s)];
+    auto& engine = *servers[static_cast<std::size_t>(s)].engine;
     std::vector<workload::Query> removed;
     for (int w = 0; w < engine.num_workers(); ++w) {
       auto r = engine.FailWorker(w, /*requeue_orphans=*/false);
@@ -280,37 +308,33 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
     lose(s, t, removed);
   };
 
-  const auto do_repartition = [&](SimTime t) {
+  const auto do_repartition = [&] {
     if (!plan.repartition || !replan) return;
     std::vector<int> down;
-    std::vector<bool> impacted_model;
+    std::vector<bool> impacted_model(
+        static_cast<std::size_t>(placement.num_models()), false);
     for (int s = 0; s < n; ++s) {
       if (!crashed[static_cast<std::size_t>(s)]) continue;
       down.push_back(s);
       for (const int m : placement.server(s).model_ids) {
-        if (static_cast<std::size_t>(m) >= impacted_model.size()) {
-          impacted_model.resize(static_cast<std::size_t>(m) + 1, false);
-        }
         impacted_model[static_cast<std::size_t>(m)] = true;
       }
     }
     for (int v = 0; v < n; ++v) {
       const auto vi = static_cast<std::size_t>(v);
       if (crashed[vi]) continue;
-      bool shares = false;
-      for (const int m : placement.server(v).model_ids) {
-        if (static_cast<std::size_t>(m) < impacted_model.size() &&
-            impacted_model[static_cast<std::size_t>(m)]) {
-          shares = true;
-          break;
-        }
-      }
+      const ServerPlacement& sp = placement.server(v);
+      const auto impacted = [&](int m) {
+        return impacted_model[static_cast<std::size_t>(m)];
+      };
+      const bool shares =
+          std::any_of(sp.model_ids.begin(), sp.model_ids.end(), impacted);
       // Re-plan when the server absorbs a dead peer's traffic, or when a
       // recovery lets a previously-degraded layout relax back.
-      if (!shares && layouts[vi] == original_layouts[vi]) continue;
+      if (!shares && layouts[vi] == sp.partition_gpcs) continue;
       std::vector<int> layout = replan(v, down);
       if (layout.empty() || layout == layouts[vi]) continue;
-      engines[vi]->BeginReconfigure(layout, plan.reconfig_downtime);
+      servers[vi].engine->BeginReconfigure(layout, plan.reconfig_downtime);
       layouts[vi] = std::move(layout);
       ++fault.repartitions;
     }
@@ -319,7 +343,6 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
     // the layout edits -- the hook is the documented contract for any
     // placement mutation.
     router->OnPlacementChange();
-    (void)t;
   };
 
   // A live reconfiguration rebuilds the worker set and wipes failure
@@ -330,11 +353,43 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
     for (int s = 0; s < n; ++s) {
       const auto si = static_cast<std::size_t>(s);
       if (!crashed[si]) continue;
-      auto& engine = *engines[si];
+      const auto& engine = *servers[si].engine;
       if (engine.num_failed_workers() < engine.num_workers()) {
         crash_server(s, t);
       }
     }
+  };
+
+  // Injects the retries due at `t`: grouped by target server in schedule
+  // order, each server's group on its own task.
+  const auto inject_retries = [&](SimTime t, std::vector<Retry>& due) {
+    std::stable_sort(due.begin(), due.end(),
+                     [](const Retry& a, const Retry& b) {
+                       return a.server < b.server;
+                     });
+    std::vector<std::size_t> group_begin;
+    for (std::size_t k = 0; k < due.size(); ++k) {
+      if (k == 0 || due[k].server != due[k - 1].server) {
+        group_begin.push_back(k);
+      }
+    }
+    group_begin.push_back(due.size());
+    ParallelMap(group_begin.size() - 1, jobs, [&](std::size_t g) {
+      const int s = due[group_begin[g]].server;
+      Server& server = servers[static_cast<std::size_t>(s)];
+      for (std::size_t k = group_begin[g]; k < group_begin[g + 1]; ++k) {
+        const workload::Query& orig = queries[due[k].gid];
+        workload::Query q;
+        q.id = server.gids.size();
+        q.arrival = t;
+        q.batch = orig.batch;
+        q.model_id = placement.LocalModel(s, orig.model_id);
+        assert(q.model_id >= 0);
+        server.engine->InjectQuery(q);
+        server.gids.push_back(due[k].gid);
+      }
+      return 0;
+    });
   };
 
   std::size_t fe = 0;
@@ -344,21 +399,21 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
     if (fe < plan.events.size()) t = plan.events[fe].time;
     if (!pending.empty()) t = std::min(t, pending.begin()->first);
     ParallelMap(nn, jobs, [&](std::size_t s) {
-      engines[s]->AdvanceTo(t);
+      servers[s].engine->AdvanceTo(t);
       return 0;
     });
     enforce_crashes(t);
     while (fe < plan.events.size() && plan.events[fe].time == t) {
       const FaultEvent& ev = plan.events[fe++];
       const auto si = static_cast<std::size_t>(ev.server);
-      auto& engine = *engines[si];
+      auto& engine = *servers[si].engine;
       ++fault.incidents;
       switch (ev.kind) {
         case FaultKind::kServerCrash:
           if (crashed[si]) break;
           crashed[si] = true;
           crash_server(ev.server, t);
-          do_repartition(t);
+          do_repartition();
           break;
         case FaultKind::kServerRecover:
           if (!crashed[si]) break;
@@ -366,7 +421,7 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
           for (int w = 0; w < engine.num_workers(); ++w) {
             engine.RecoverWorker(w);
           }
-          do_repartition(t);
+          do_repartition();
           break;
         case FaultKind::kWorkerFail: {
           if (crashed[si]) break;  // the crash already owns every worker
@@ -390,18 +445,7 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
     }
     const auto due = pending.find(t);
     if (due != pending.end()) {
-      for (const Retry& r : due->second) {
-        const auto si = static_cast<std::size_t>(r.server);
-        const workload::Query& orig = queries[r.gid];
-        workload::Query q;
-        q.id = gids[si].size();
-        q.arrival = t;
-        q.batch = orig.batch;
-        q.model_id = placement.LocalModel(r.server, orig.model_id);
-        assert(q.model_id >= 0);
-        engines[si]->InjectQuery(q);
-        gids[si].push_back(r.gid);
-      }
+      inject_retries(t, due->second);
       pending.erase(due);
     }
     last_applied = t;
@@ -409,19 +453,19 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
 
   // ---- Stage 4: drain and assemble. ------------------------------------
   auto results = ParallelMap(nn, jobs, [&](std::size_t s) {
-    return engines[s]->Finish();
+    return servers[s].engine->Finish();
   });
 
   FleetResult result;
   result.per_server = std::move(results);
   result.id_offsets.assign(nn + 1, 0);
   for (std::size_t s = 0; s < nn; ++s) {
-    result.id_offsets[s + 1] = result.id_offsets[s] + gids[s].size();
+    result.id_offsets[s + 1] = result.id_offsets[s] + servers[s].gids.size();
   }
   result.global_ids.reserve(result.id_offsets.back());
-  for (std::size_t s = 0; s < nn; ++s) {
-    result.global_ids.insert(result.global_ids.end(), gids[s].begin(),
-                             gids[s].end());
+  for (const Server& server : servers) {
+    result.global_ids.insert(result.global_ids.end(), server.gids.begin(),
+                             server.gids.end());
   }
   cluster.FillGlobalTables(result);
 
@@ -430,16 +474,15 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
   std::vector<bool> any_failed(total, false);
   std::vector<bool> any_shed(total, false);
   SimTime makespan = last_applied == kForever ? 0 : last_applied;
-  Percentile incident_latency;
+  std::vector<SimTime> incident_latency;
   for (std::size_t s = 0; s < nn; ++s) {
     for (const sim::QueryRecord& r : result.per_server[s].records) {
-      const std::uint64_t gid = gids[s][r.id];
+      const std::uint64_t gid = servers[s].gids[r.id];
       makespan = std::max(makespan, r.finished);
       if (!r.failed && !r.shed) {
         any_completed[gid] = true;
         if (health.InIncident(r.finished)) {
-          incident_latency.Add(TicksToMs(r.Latency()));
-          ++fault.incident_completions;
+          incident_latency.push_back(r.Latency());
         }
       } else if (r.failed) {
         any_failed[gid] = true;
@@ -448,6 +491,8 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
       }
     }
   }
+  // Every query lands in exactly one class; a query with no record that
+  // the driver never shed was lost, which is a driver bug.
   for (std::size_t gid = 0; gid < total; ++gid) {
     if (any_completed[gid]) {
       ++fault.completed;
@@ -459,13 +504,11 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
       // No retry path saw it (e.g. parked work that died at Finish).
       ++fault.failed;
     } else {
-      // Unreachable by construction -- every gid either produced records
-      // or was pre-shed -- but classify conservatively rather than lose
-      // the conservation invariant.
-      ++fault.shed;
+      throw std::logic_error("SimulateWithFaults: query " +
+                             std::to_string(gid) +
+                             " was lost: no record, never shed");
     }
   }
-  assert(fault.completed + fault.failed + fault.shed == fault.injected);
   fault.makespan = makespan;
   fault.availability.reserve(nn);
   for (int s = 0; s < n; ++s) {
@@ -478,8 +521,9 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
       fault.availability.push_back(1.0);
     }
   }
+  fault.incident_completions = incident_latency.size();
   if (fault.incident_completions > 0) {
-    fault.p99_incident_ms = incident_latency.P99();
+    fault.p99_incident_ms = sim::TickPercentileMs(incident_latency, 99.0);
   }
   result.fault = fault;
   return result;

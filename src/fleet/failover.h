@@ -25,17 +25,24 @@
 //     online tier's mixed-PARIS planner by core::FleetTestbed -- via
 //     BeginReconfigure, absorbing the shifted traffic.
 //
-// Determinism: routing, the patch pass, fault application, and retry
-// injection are all serial and seeded; the only parallel work is
-// advancing disjoint engines between fault instants (one task per
-// engine).  The result is bit-identical at any --jobs count and across
-// repeated runs with the same (trace, plan, seed).  An EMPTY plan
-// delegates to Cluster::Simulate verbatim -- record-by-record
-// bit-identical to the fault-free driver (pinned by fleet_failover_test).
+// Determinism and threading: the fault schedule is applied serially and
+// in schedule order on the calling thread, and so are routing, the
+// health patch, the replan hook, and stage-5 classification.  Per-server
+// work runs on up to `jobs` threads, one task per server (or per 64k-row
+// chunk for the split): building each engine and injecting its sub-trace,
+// advancing every engine to the next fault or retry instant, injecting
+// the retries due at an instant (grouped by target server, in the order
+// they were scheduled), and draining.  Each task is a pure function of
+// its index over disjoint state, so the result is bit-identical at any
+// --jobs count and across repeated runs with the same (trace, plan,
+// seed).  An EMPTY plan delegates to Cluster::Simulate verbatim --
+// record-by-record bit-identical to the fault-free driver (pinned by
+// fleet_failover_test).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -50,22 +57,44 @@ namespace pe::fleet {
 // currently-down server set (ascending ids; empty after full recovery),
 // returns the MIG layout the server should reconfigure to -- or an empty
 // vector for "keep the current layout".  Must be deterministic.  The
-// fleet module cannot depend on the online planner (layering), so
+// driver calls it serially, from the calling thread, once per survivor
+// that shares a model with a down server (or still runs a degraded
+// layout) after every crash and recovery, so a hook may memoize by its
+// inputs: core::FleetTestbed's plans each distinct degraded layout once.
+// The fleet module cannot depend on the online planner (layering), so
 // core::FleetTestbed injects it from above.
 using ReplanFn =
     std::function<std::vector<int>(int server, const std::vector<int>& down)>;
 
-// The fault schedule, digested for O(log) time queries: per-server crash
-// windows (crash -> matching recover, open-ended when permanent) and the
-// merged union of every incident window (crashes, worker outages,
-// slowdowns) for the p99-during-incident metric.
+// The fault schedule, digested for time queries.  Servers change up/down
+// state only at crash and recover instants, so those instants cut time
+// into epochs, and each epoch stores its up set and, per model, the
+// healthy replicas in PlacementMap::Replicas order: a health question is
+// a binary search over the instants plus a table read.  A server is down
+// over [crash, matching recover), open-ended when never recovered; a
+// crash of a down server and a recover of an up one change nothing.
+// Worker failures and slowdowns leave the server up but, like crashes,
+// open incident windows, merged into one union for the
+// p99-during-incident metric.
 class HealthView {
  public:
-  HealthView(const FaultPlan& plan, int num_servers);
+  // `plan` must be sorted by time (FaultPlan::Validate checks it) and
+  // name servers of `placement`; throws std::invalid_argument otherwise.
+  HealthView(const FaultPlan& plan, const PlacementMap& placement);
 
-  // False iff `t` falls inside one of `server`'s crash windows
-  // [crash, recover).  Worker failures and slowdowns leave the server up.
-  bool IsUp(int server, SimTime t) const;
+  // False iff `server` is inside a crash window at `t`.
+  bool IsUp(int server, SimTime t) const {
+    const auto s = static_cast<std::size_t>(server);
+    return up_[Epoch(t) * num_servers_ + s] != 0;
+  }
+
+  // The replicas of `model` up at `t`, in Replicas(model) order.
+  std::span<const int> Healthy(int model, SimTime t) const {
+    const auto m = static_cast<std::size_t>(model);
+    const std::size_t k = Epoch(t) * num_models_ + m;
+    return {healthy_.data() + healthy_offsets_[k],
+            healthy_offsets_[k + 1] - healthy_offsets_[k]};
+  }
 
   // Total crashed ticks of `server` clipped to [0, horizon).
   SimTime DownTicks(int server, SimTime horizon) const;
@@ -78,8 +107,18 @@ class HealthView {
   }
 
  private:
-  // Per server, disjoint ascending [begin, end) crash windows.
-  std::vector<std::vector<std::pair<SimTime, SimTime>>> down_;
+  // Epoch 0 runs until instants_[0]; epoch k >= 1 starts at
+  // instants_[k - 1] and holds the state after that instant's events.
+  std::size_t Epoch(SimTime t) const;
+
+  std::size_t num_servers_ = 0;
+  std::size_t num_models_ = 0;
+  std::vector<SimTime> instants_;
+  // Per epoch: 1 per up server, and each model's healthy replicas as
+  // spans of healthy_ bounded by healthy_offsets_.
+  std::vector<std::uint8_t> up_;
+  std::vector<int> healthy_;
+  std::vector<std::size_t> healthy_offsets_;
   // Merged union over every fault kind, ascending and disjoint.
   std::vector<std::pair<SimTime, SimTime>> incidents_;
 };
@@ -90,7 +129,8 @@ class HealthView {
 // excludes casualties from every latency figure and reports them through
 // the failed/shed counters.  Throws what Cluster::Simulate throws, plus
 // std::invalid_argument on a plan that does not validate against the
-// cluster's placement.
+// cluster's placement, and std::logic_error naming the query if one ends
+// with no record without having been shed (a lost query).
 FleetResult SimulateWithFaults(const Cluster& cluster,
                                const workload::QueryTrace& trace,
                                const FaultPlan& plan, int jobs,

@@ -1,6 +1,9 @@
 #include "fleet/fault.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -14,6 +17,8 @@ namespace {
 // through ServerSeed, the router through RouterSeed; this one is ours).
 constexpr std::uint64_t kFaultStreamSalt = 0xFA17ULL;
 
+// One override value: a finite number >= 0 (`nan`, `inf` and negatives
+// are rejected, naming the key).
 double ParseNumber(const std::string& key, const std::string& val) {
   std::size_t pos = 0;
   double parsed = 0.0;
@@ -26,49 +31,78 @@ double ParseNumber(const std::string& key, const std::string& val) {
     throw std::invalid_argument("faults: bad value for '" + key + "': '" +
                                 val + "'");
   }
+  if (!std::isfinite(parsed) || parsed < 0.0) {
+    throw std::invalid_argument("faults: '" + key +
+                                "' must be a finite number >= 0, got '" + val +
+                                "'");
+  }
   return parsed;
 }
 
-// Override bundle shared by every preset; negative sentinel = "not set"
-// so presets can distinguish an explicit 0 (e.g. down-ms=0 => permanent)
-// from an untouched default.
+// `count` and `retries`: truncated to an int, which they must fit.
+int ParseInt(const std::string& key, const std::string& val) {
+  const double v = ParseNumber(key, val);
+  if (v >= static_cast<double>(std::numeric_limits<int>::max()) + 1.0) {
+    throw std::invalid_argument("faults: '" + key + "' does not fit an int: '" +
+                                val + "'");
+  }
+  return static_cast<int>(v);
+}
+
+// The `-ms` keys: a duration whose tick count must fit SimTime.
+SimTime ParseMs(const std::string& key, const std::string& val) {
+  const double ms = ParseNumber(key, val);
+  // 2^63 ns, the first tick count SimTime cannot hold.
+  constexpr double kTickLimit = 9223372036854775808.0;
+  if (ms * static_cast<double>(kNsPerMs) + 0.5 >= kTickLimit) {
+    throw std::invalid_argument("faults: '" + key +
+                                "' overflows the tick clock: '" + val + "'");
+  }
+  return MsToTicks(ms);
+}
+
+// The overrides shared by every preset; unset keys keep each preset's
+// default (an explicit 0 is a value: down-ms=0 means permanent).
 struct Overrides {
-  double count = -1.0;
-  double at_ms = -1.0;
-  double down_ms = -1.0;
-  double factor = -1.0;
-  double stagger_ms = -1.0;
-  double retries = -1.0;
-  double backoff_ms = -1.0;
-  double deadline_ms = -1.0;
-  double repartition = -1.0;
-  double downtime_ms = -1.0;
+  std::optional<int> count;
+  std::optional<SimTime> at;
+  std::optional<SimTime> down;
+  std::optional<double> factor;
+  std::optional<SimTime> stagger;
+  std::optional<int> retries;
+  std::optional<SimTime> backoff;
+  std::optional<SimTime> deadline;
+  std::optional<bool> repartition;
+  std::optional<SimTime> downtime;
 };
 
 Overrides CollectOverrides(const FaultOptions& opts) {
   Overrides o;
   for (const auto& [key, val] : opts.overrides) {
-    const double v = ParseNumber(key, val);
     if (key == "count") {
-      o.count = v;
+      o.count = ParseInt(key, val);
     } else if (key == "at-ms") {
-      o.at_ms = v;
+      o.at = ParseMs(key, val);
     } else if (key == "down-ms") {
-      o.down_ms = v;
+      o.down = ParseMs(key, val);
     } else if (key == "factor") {
-      o.factor = v;
+      o.factor = ParseNumber(key, val);
+      if (!(*o.factor > 0.0)) {
+        throw std::invalid_argument("faults: 'factor' must be > 0, got '" +
+                                    val + "'");
+      }
     } else if (key == "stagger-ms") {
-      o.stagger_ms = v;
+      o.stagger = ParseMs(key, val);
     } else if (key == "retries") {
-      o.retries = v;
+      o.retries = ParseInt(key, val);
     } else if (key == "backoff-ms") {
-      o.backoff_ms = v;
+      o.backoff = ParseMs(key, val);
     } else if (key == "deadline-ms") {
-      o.deadline_ms = v;
+      o.deadline = ParseMs(key, val);
     } else if (key == "repartition") {
-      o.repartition = v;
+      o.repartition = ParseNumber(key, val) != 0.0;
     } else if (key == "downtime-ms") {
-      o.downtime_ms = v;
+      o.downtime = ParseMs(key, val);
     } else {
       throw std::invalid_argument("faults: unknown key '" + key + "'");
     }
@@ -76,10 +110,12 @@ Overrides CollectOverrides(const FaultOptions& opts) {
   return o;
 }
 
-int ClampCount(double requested, int fallback, int limit) {
-  int n = requested >= 0.0 ? static_cast<int>(requested) : fallback;
-  if (n < 0) n = 0;
-  return std::min(n, limit);
+// `at + delay` for a preset's event times; throws instead of overflowing.
+SimTime Later(SimTime at, SimTime delay) {
+  if (delay > std::numeric_limits<SimTime>::max() - at) {
+    throw std::invalid_argument("faults: event time overflows the tick clock");
+  }
+  return at + delay;
 }
 
 // `count` distinct server ids, ascending, drawn without replacement.
@@ -196,11 +232,11 @@ FaultPlan ResolveFaultPlan(const FaultOptions& opts,
 
   FaultPlan plan;
   plan.name = opts.name;
-  if (o.retries >= 0.0) plan.max_retries = static_cast<int>(o.retries);
-  if (o.backoff_ms >= 0.0) plan.retry_backoff = MsToTicks(o.backoff_ms);
-  if (o.deadline_ms >= 0.0) plan.deadline = MsToTicks(o.deadline_ms);
-  if (o.repartition >= 0.0) plan.repartition = o.repartition != 0.0;
-  if (o.downtime_ms >= 0.0) plan.reconfig_downtime = MsToTicks(o.downtime_ms);
+  plan.max_retries = o.retries.value_or(plan.max_retries);
+  plan.retry_backoff = o.backoff.value_or(plan.retry_backoff);
+  plan.deadline = o.deadline.value_or(plan.deadline);
+  plan.repartition = o.repartition.value_or(plan.repartition);
+  plan.reconfig_downtime = o.downtime.value_or(plan.reconfig_downtime);
 
   if (opts.name == "none") {
     if (!opts.overrides.empty()) {
@@ -214,23 +250,20 @@ FaultPlan ResolveFaultPlan(const FaultOptions& opts,
   const double span_d = static_cast<double>(span);
 
   if (opts.name == "serverloss") {
-    const int count = ClampCount(o.count, 1, num_servers);
-    const SimTime at = o.at_ms >= 0.0
-                           ? MsToTicks(o.at_ms)
-                           : static_cast<SimTime>(0.25 * span_d);
-    const SimTime down = o.down_ms >= 0.0 ? MsToTicks(o.down_ms) : 0;
+    const int count = std::min(o.count.value_or(1), num_servers);
+    const SimTime at = o.at.value_or(static_cast<SimTime>(0.25 * span_d));
+    const SimTime down = o.down.value_or(0);
     for (const int s : DrawServers(count, num_servers, rng)) {
       plan.events.push_back({at, FaultKind::kServerCrash, s, -1, 1.0});
       if (down > 0) {
-        plan.events.push_back({at + down, FaultKind::kServerRecover, s, -1,
-                               1.0});
+        plan.events.push_back({Later(at, down), FaultKind::kServerRecover, s,
+                               -1, 1.0});
       }
     }
   } else if (opts.name == "flaky") {
-    const int count = ClampCount(o.count, 4, 64 * std::max(1, num_servers));
-    const SimTime down = o.down_ms >= 0.0
-                             ? MsToTicks(o.down_ms)
-                             : static_cast<SimTime>(0.05 * span_d);
+    const int count =
+        std::min(o.count.value_or(4), 64 * std::max(1, num_servers));
+    const SimTime down = o.down.value_or(static_cast<SimTime>(0.05 * span_d));
     for (int k = 0; k < count; ++k) {
       const int s = static_cast<int>(rng.UniformInt(0, num_servers - 1));
       const auto lanes = std::max<int>(
@@ -240,49 +273,35 @@ FaultPlan ResolveFaultPlan(const FaultOptions& opts,
           static_cast<SimTime>(rng.Uniform(0.1 * span_d, 0.9 * span_d));
       plan.events.push_back({at, FaultKind::kWorkerFail, s, w, 1.0});
       if (down > 0) {
-        plan.events.push_back({at + down, FaultKind::kWorkerRecover, s, w,
-                               1.0});
+        plan.events.push_back({Later(at, down), FaultKind::kWorkerRecover, s,
+                               w, 1.0});
       }
     }
   } else if (opts.name == "brownout") {
-    const int count = ClampCount(o.count, 2, num_servers);
-    const double factor = o.factor >= 0.0 ? o.factor : 2.0;
-    if (!(factor > 0.0)) {
-      throw std::invalid_argument("faults: brownout factor must be > 0");
-    }
-    const SimTime at = o.at_ms >= 0.0
-                           ? MsToTicks(o.at_ms)
-                           : static_cast<SimTime>(0.3 * span_d);
-    const SimTime down = o.down_ms >= 0.0
-                             ? MsToTicks(o.down_ms)
-                             : static_cast<SimTime>(0.4 * span_d);
+    const int count = std::min(o.count.value_or(2), num_servers);
+    const double factor = o.factor.value_or(2.0);
+    const SimTime at = o.at.value_or(static_cast<SimTime>(0.3 * span_d));
+    const SimTime down = o.down.value_or(static_cast<SimTime>(0.4 * span_d));
     for (const int s : DrawServers(count, num_servers, rng)) {
       plan.events.push_back({at, FaultKind::kSlowdownBegin, s, -1, factor});
       if (down > 0) {
-        plan.events.push_back({at + down, FaultKind::kSlowdownEnd, s, -1,
-                               1.0});
+        plan.events.push_back({Later(at, down), FaultKind::kSlowdownEnd, s,
+                               -1, 1.0});
       }
     }
   } else if (opts.name == "cascade") {
-    const int count = ClampCount(o.count, 3, num_servers);
-    const SimTime at0 = o.at_ms >= 0.0
-                            ? MsToTicks(o.at_ms)
-                            : static_cast<SimTime>(0.25 * span_d);
-    const SimTime stagger = o.stagger_ms >= 0.0
-                                ? MsToTicks(o.stagger_ms)
-                                : static_cast<SimTime>(0.1 * span_d);
-    const SimTime down = o.down_ms >= 0.0
-                             ? MsToTicks(o.down_ms)
-                             : static_cast<SimTime>(0.25 * span_d);
+    const int count = std::min(o.count.value_or(3), num_servers);
+    const SimTime stagger =
+        o.stagger.value_or(static_cast<SimTime>(0.1 * span_d));
+    const SimTime down = o.down.value_or(static_cast<SimTime>(0.25 * span_d));
+    SimTime at = o.at.value_or(static_cast<SimTime>(0.25 * span_d));
     const std::vector<int> victims = DrawServers(count, num_servers, rng);
-    for (int k = 0; k < static_cast<int>(victims.size()); ++k) {
-      const SimTime at = at0 + static_cast<SimTime>(k) * stagger;
-      plan.events.push_back(
-          {at, FaultKind::kServerCrash, victims[static_cast<std::size_t>(k)],
-           -1, 1.0});
+    for (std::size_t k = 0; k < victims.size(); ++k) {
+      if (k > 0) at = Later(at, stagger);
+      plan.events.push_back({at, FaultKind::kServerCrash, victims[k], -1, 1.0});
       if (down > 0) {
-        plan.events.push_back({at + down, FaultKind::kServerRecover,
-                               victims[static_cast<std::size_t>(k)], -1, 1.0});
+        plan.events.push_back({Later(at, down), FaultKind::kServerRecover,
+                               victims[k], -1, 1.0});
       }
     }
   } else {

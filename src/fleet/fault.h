@@ -113,7 +113,10 @@ const std::vector<std::string>& FaultPresetNames();
 //
 // Shared override keys: count, at-ms, down-ms, factor, stagger-ms,
 // retries, backoff-ms, deadline-ms, repartition (0/1), downtime-ms.
-// Unknown keys and unknown preset names throw std::invalid_argument.
+// Throws std::invalid_argument on an unknown key or preset name, and,
+// naming the key, on a value that is not a finite number >= 0, a count
+// or retries that does not fit an int, an -ms duration or event time
+// whose tick count overflows SimTime, or a factor that is not above 0.
 //
 // Deterministic: randomized draws come from Rng(Mix64(seed ^
 // Mix64(0xFA17))), disjoint from every server and router stream.

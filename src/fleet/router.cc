@@ -12,6 +12,12 @@ namespace pe::fleet {
 
 namespace {
 
+// Rows per parallel chunk, for hash routing and the split: coarse enough
+// that pool overhead is noise against the ~ns-per-row kernels, fine
+// enough to spread a million-query trace over every core.  Chunk bounds
+// depend only on the row count, never on `jobs`.
+constexpr std::size_t kParallelGrain = 65536;
+
 // Replica lookup shared by every policy: all three previously indexed
 // reps[...] without checking, which is UB when a trace carries a model id
 // no server hosts.  One guard, one message, named model.
@@ -202,11 +208,6 @@ class HashRouter final : public Router {
   std::string name() const override { return "hash"; }
 
  private:
-  // Queries per parallel chunk: coarse enough that pool overhead is noise
-  // against the ~ns-per-query hash kernel, fine enough to spread a
-  // million-query trace over every core.
-  static constexpr std::size_t kParallelGrain = 65536;
-
   // The per-model salt Mix64(model_id) is query-independent; hoist it.
   static std::vector<std::uint64_t> HoistSalts(std::size_t num_models) {
     std::vector<std::uint64_t> salt(num_models);
@@ -304,6 +305,17 @@ class PowerOfTwoRouter final : public Router {
                             int /*jobs*/) override {
     const std::vector<workload::Query>& queries = trace.queries();
     const std::vector<ReplicaRef> reps = CacheReplicas(placement_);
+    // Per model, the ranges of the two candidate draws: [0, n-1] for the
+    // first, [0, n-2] for the second (shifted past the first).
+    std::vector<UniformIntRange> first;
+    std::vector<UniformIntRange> second;
+    first.reserve(reps.size());
+    second.reserve(reps.size());
+    for (const ReplicaRef& r : reps) {
+      const auto n = static_cast<std::int64_t>(r.size);
+      first.emplace_back(0, n - 1);
+      second.emplace_back(0, std::max<std::int64_t>(n - 2, 0));
+    }
     std::vector<int> out(queries.size());
     for (std::size_t i = 0; i < queries.size(); ++i) {
       const workload::Query& q = queries[i];
@@ -311,16 +323,16 @@ class PowerOfTwoRouter final : public Router {
           static_cast<std::uint32_t>(reps.size())) {
         ThrowUnroutable(q.model_id);
       }
-      const ReplicaRef& r = reps[static_cast<std::size_t>(q.model_id)];
+      const auto m = static_cast<std::size_t>(q.model_id);
+      const ReplicaRef& r = reps[m];
       const double now = TicksToSec(q.arrival);
       int choice;
       if (r.size == 1) {
         choice = r.data[0];
       } else {
-        const auto n = static_cast<std::int64_t>(r.size);
         // Two distinct candidates from the router's own stream.
-        const auto a = static_cast<std::size_t>(rng_.UniformInt(0, n - 1));
-        auto b = static_cast<std::size_t>(rng_.UniformInt(0, n - 2));
+        const auto a = static_cast<std::size_t>(rng_.UniformInt(first[m]));
+        auto b = static_cast<std::size_t>(rng_.UniformInt(second[m]));
         if (b >= a) ++b;
         const double backlog_a = backlog_.BacklogSec(r.data[a], now);
         const double backlog_b = backlog_.BacklogSec(r.data[b], now);
@@ -392,68 +404,117 @@ std::unique_ptr<Router> MakeRouter(RouterPolicy policy,
 
 TraceSplit SplitTrace(const workload::QueryTrace& trace, Router& router,
                       const PlacementMap& placement, int jobs) {
-  return SplitByAssignment(trace, router.RouteAll(trace, jobs), placement);
+  return SplitByAssignment(trace, router.RouteAll(trace, jobs), placement,
+                           jobs);
 }
 
 TraceSplit SplitByAssignment(const workload::QueryTrace& trace,
                              std::span<const int> assignment,
-                             const PlacementMap& placement) {
+                             const PlacementMap& placement, int jobs) {
   const std::vector<workload::Query>& queries = trace.queries();
-  const int n = placement.num_servers();
-  if (assignment.size() != queries.size()) {
+  const std::size_t rows = queries.size();
+  const auto n = static_cast<std::size_t>(placement.num_servers());
+  if (assignment.size() != rows) {
     throw std::logic_error("SplitByAssignment: assignment size mismatch");
   }
-  // Fleet drivers index per-query state by Query::id (global ids, retry
-  // bookkeeping), so a fleet trace's ids must be its row positions.
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (queries[i].id != i) {
-      throw std::invalid_argument(
-          "SplitByAssignment: trace row " + std::to_string(i) +
-          " has query id " + std::to_string(queries[i].id) +
-          "; fleet trace ids must equal their row positions");
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  const std::size_t chunks = (rows + kParallelGrain - 1) / kParallelGrain;
+  const auto chunk_end = [&](std::size_t c) {
+    return std::min(rows, (c + 1) * kParallelGrain);
+  };
+
+  // Step 1: per chunk, rows per destination server (-1 = dropped), plus
+  // the chunk's first row with a bad query id and first with a bad server.
+  struct ChunkCount {
+    std::vector<std::size_t> rows;  // per server; step 2 makes these cursors
+    std::size_t bad_id = kNone;
+    std::size_t bad_server = kNone;
+  };
+  auto counts = ParallelMap(chunks, jobs, [&](std::size_t c) {
+    ChunkCount out;
+    out.rows.assign(n, 0);
+    for (std::size_t i = c * kParallelGrain; i < chunk_end(c); ++i) {
+      // Fleet drivers index per-query state by Query::id (global ids,
+      // retry bookkeeping), so a fleet trace's ids must be its rows.
+      if (queries[i].id != i) {
+        out.bad_id = i;
+        break;
+      }
+      const int server = assignment[i];
+      if (server == -1) continue;
+      if (server < 0 || static_cast<std::size_t>(server) >= n) {
+        if (out.bad_server == kNone) out.bad_server = i;
+        continue;
+      }
+      ++out.rows[static_cast<std::size_t>(server)];
     }
+    return out;
+  });
+  // The serial loop's precedence: a bad query id anywhere first, then a
+  // bad server id, each at its first row.
+  for (const ChunkCount& chunk : counts) {
+    if (chunk.bad_id == kNone) continue;
+    const std::size_t i = chunk.bad_id;
+    throw std::invalid_argument(
+        "SplitByAssignment: trace row " + std::to_string(i) +
+        " has query id " + std::to_string(queries[i].id) +
+        "; fleet trace ids must equal their row positions");
+  }
+  for (const ChunkCount& chunk : counts) {
+    if (chunk.bad_server == kNone) continue;
+    const std::size_t i = chunk.bad_server;
+    throw std::logic_error("SplitByAssignment: trace row " +
+                           std::to_string(i) + " has bad server id " +
+                           std::to_string(assignment[i]));
   }
 
+  // Step 2: span boundaries per server, then each chunk's starting cursor
+  // per server -- the rows earlier chunks send there come first.
   TraceSplit split;
-  split.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
-  // Pass 1: exact per-server counts (offsets[s+1] accumulates server s,
-  // turned into span boundaries by the prefix sum).  -1 = dropped.
-  std::size_t assigned = 0;
-  for (const int server : assignment) {
-    if (server == -1) continue;
-    if (static_cast<std::uint32_t>(server) >=
-        static_cast<std::uint32_t>(n)) {
-      throw std::logic_error("SplitByAssignment: bad server id");
+  split.offsets.assign(n + 1, 0);
+  for (std::size_t s = 0; s < n; ++s) {
+    std::size_t at = split.offsets[s];
+    for (ChunkCount& chunk : counts) {
+      const std::size_t here = chunk.rows[s];
+      chunk.rows[s] = at;
+      at += here;
     }
-    ++split.offsets[static_cast<std::size_t>(server) + 1];
-    ++assigned;
+    split.offsets[s + 1] = at;
   }
-  for (std::size_t s = 1; s < split.offsets.size(); ++s) {
-    split.offsets[s] += split.offsets[s - 1];
-  }
-  // Pass 2: single fill into the flat arenas; cursor[s] walks server s's
-  // span, and the dense local id is the distance from the span start.
-  split.arena.resize(assigned);
-  split.global_ids.resize(assigned);
-  std::vector<std::size_t> cursor(split.offsets.begin(),
-                                  split.offsets.end() - 1);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const int server = assignment[i];
-    if (server == -1) continue;
-    const workload::Query& q = queries[i];
-    const int local_model = placement.LocalModel(server, q.model_id);
-    if (local_model < 0) {
-      throw std::logic_error(
-          "SplitByAssignment: query routed to a server not hosting its "
-          "model");
+
+  // Step 3: each chunk fills its rows into the flat arenas from its
+  // cursors; chunks write disjoint slots, and the dense local id is the
+  // distance from the server's span start.
+  split.arena.resize(split.offsets.back());
+  split.global_ids.resize(split.offsets.back());
+  const auto unhosted = ParallelMap(chunks, jobs, [&](std::size_t c) {
+    std::vector<std::size_t>& cursor = counts[c].rows;
+    for (std::size_t i = c * kParallelGrain; i < chunk_end(c); ++i) {
+      const int server = assignment[i];
+      if (server == -1) continue;
+      const workload::Query& q = queries[i];
+      const bool placed =
+          q.model_id >= 0 && q.model_id < placement.num_models();
+      const int local_model =
+          placed ? placement.LocalModel(server, q.model_id) : -1;
+      if (local_model < 0) return i;
+      const auto s = static_cast<std::size_t>(server);
+      const std::size_t at = cursor[s]++;
+      workload::Query& local = split.arena[at];
+      local = q;
+      local.id = at - split.offsets[s];
+      local.model_id = local_model;
+      split.global_ids[at] = q.id;
     }
-    std::size_t& at = cursor[static_cast<std::size_t>(server)];
-    workload::Query& local = split.arena[at];
-    local = q;
-    local.id = at - split.offsets[static_cast<std::size_t>(server)];
-    local.model_id = local_model;
-    split.global_ids[at] = q.id;
-    ++at;
+    return kNone;
+  });
+  for (const std::size_t i : unhosted) {
+    if (i == kNone) continue;
+    throw std::logic_error(
+        "SplitByAssignment: trace row " + std::to_string(i) +
+        " routed to server " + std::to_string(assignment[i]) +
+        ", which does not host model " +
+        std::to_string(queries[i].model_id));
   }
   return split;
 }

@@ -128,32 +128,37 @@ struct TraceSplit {
   }
 };
 
-// Routes every query of `trace` through `router` and builds the
-// per-server sub-traces with a two-pass count-then-fill over one flat
-// arena: RouteAll() yields the assignment vector, a counting pass sizes
-// every span exactly, and the fill pass writes each query once -- no
-// per-server vector growth, no lower_bound remap per query (the
-// placement's precomputed LocalModel tables serve the remap).  `jobs`
-// feeds the router's parallel batch path (stateless policies only; see
-// Router::RouteAll).  Throws std::logic_error if a query references a
-// model no server hosts, or if the router returns a server id out of
-// range / not hosting the model, and std::invalid_argument if a query's id
-// is not its row position in `trace`.
+// Routes every query of `trace` through `router` and splits the
+// resulting assignment with SplitByAssignment.  `jobs` feeds both the
+// router's parallel batch path (stateless policies only; see
+// Router::RouteAll) and the split.  Throws what RouteAll and
+// SplitByAssignment throw.
 TraceSplit SplitTrace(const workload::QueryTrace& trace, Router& router,
                       const PlacementMap& placement, int jobs = 1);
 
-// The count-then-fill core of SplitTrace over an explicit assignment
-// vector (assignment[i] = destination server of trace query i).  An
-// assignment of -1 drops the query from every sub-trace -- the failover
-// driver pre-sheds queries whose model has no healthy replica at
-// arrival and routes the rest around the outage, then splits here.
-// Throws std::logic_error on a server id other than -1 outside
-// [0, num_servers) or a destination not hosting the query's model.  Every
-// fleet driver splits through here, and each indexes per-query state by
-// Query::id, so it also throws std::invalid_argument, naming the first bad
-// row, unless every query's id equals its row position.
+// Builds the per-server sub-traces from an explicit assignment vector
+// (assignment[i] = destination server of trace query i).  An assignment
+// of -1 drops the query from every sub-trace -- the failover driver
+// pre-sheds queries whose model has no healthy replica at arrival and
+// routes the rest around the outage, then splits here.
+//
+// The rows are cut into 64k-row chunks (bounds depend only on the row
+// count) spread over up to `jobs` threads, in three steps: count each
+// chunk's rows per server, prefix-sum the counts into a starting cursor
+// per (chunk, server), then fill each chunk's rows from its cursors into
+// one flat arena -- no per-server vector growth, and the placement's
+// precomputed LocalModel tables serve the model remap.  The result is
+// identical at any `jobs`.
+//
+// Every fleet driver indexes per-query state by Query::id, so it throws
+// std::invalid_argument unless every query's id equals its row position;
+// otherwise std::logic_error on a server id other than -1 outside
+// [0, num_servers), and then on a destination not hosting the query's
+// model.  That precedence holds across chunks -- a bad query id anywhere
+// beats a bad server id -- and each error names the first bad row, as a
+// serial loop would.
 TraceSplit SplitByAssignment(const workload::QueryTrace& trace,
                              std::span<const int> assignment,
-                             const PlacementMap& placement);
+                             const PlacementMap& placement, int jobs = 1);
 
 }  // namespace pe::fleet

@@ -16,6 +16,7 @@ int ModelRepertoire::Register(std::string name, ProfileTable profile,
   if (IdOf(name) != -1) {
     throw std::invalid_argument("ModelRepertoire: duplicate model " + name);
   }
+  max_batch_ = std::max(max_batch_, profile.max_batch());
   entries_.push_back(
       Entry{std::move(name), std::move(profile), std::move(actual)});
   return static_cast<int>(entries_.size()) - 1;
@@ -54,12 +55,6 @@ double ModelRepertoire::EstimateSec(int model_id, int gpcs, int batch) const {
 
 double ModelRepertoire::ActualSec(int model_id, int gpcs, int batch) const {
   return At(model_id).actual(gpcs, batch);
-}
-
-int ModelRepertoire::max_batch() const {
-  int max = 0;
-  for (const auto& e : entries_) max = std::max(max, e.profile.max_batch());
-  return max;
 }
 
 ModelRepertoire BuildZooRepertoire(

@@ -60,8 +60,9 @@ class ModelRepertoire {
   // Ground-truth latency for the simulator's execution clock.
   double ActualSec(int model_id, int gpcs, int batch) const;
 
-  // Largest profiled batch across all registered models.
-  int max_batch() const;
+  // Largest profiled batch across all registered models (0 when empty);
+  // maintained by Register, so the lookup is constant-time.
+  int max_batch() const { return max_batch_; }
 
  private:
   struct Entry {
@@ -73,6 +74,7 @@ class ModelRepertoire {
   const Entry& At(int model_id) const;
 
   std::vector<Entry> entries_;
+  int max_batch_ = 0;
 };
 
 // Builds a repertoire from paper model-zoo names ("resnet", "mobilenet",

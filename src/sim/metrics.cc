@@ -55,6 +55,10 @@ double MeanMs(Sum ticks, std::size_t n) {
 
 }  // namespace
 
+double TickPercentileMs(std::vector<SimTime>& ticks, double p) {
+  return TickRanks(ticks).Ms(p);
+}
+
 std::uint64_t WarmupCut(double warmup_fraction, std::size_t n) {
   assert(warmup_fraction >= 0.0 && warmup_fraction < 1.0);
   return static_cast<std::uint64_t>(warmup_fraction * static_cast<double>(n));

@@ -109,6 +109,12 @@ struct ServerStats {
 // `warmup_fraction` must lie in [0, 1).
 std::uint64_t WarmupCut(double warmup_fraction, std::size_t n);
 
+// The p-th percentile (p in [0, 100]) of a pool of latency ticks, in
+// milliseconds: bit-identical to Percentile::Value over the same
+// latencies in milliseconds, found by selection instead of a sort.
+// Reorders `ticks`; 0 for an empty pool.
+double TickPercentileMs(std::vector<SimTime>& ticks, double p);
+
 // Order-free reduction of query records into ServerStats.  Sums are exact
 // integer nanosecond ticks and percentiles are order statistics, so the
 // result depends only on the multiset of records added -- not on their

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <utility>
 #include <vector>
 
 namespace pe {
@@ -62,6 +65,31 @@ TEST(Rng, UniformIntCoversFullRangeInclusive) {
 TEST(Rng, UniformIntDegenerateRange) {
   Rng r(3);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(r.UniformInt(5, 5), 5);
+}
+
+TEST(Rng, PrecomputedRangeDrawsTheSameStream) {
+  // A precomputed range is the same draw rule: same values, same stream
+  // consumption, including the degenerate and the full 64-bit range.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::pair<std::int64_t, std::int64_t> ranges[] = {
+      {0, 0}, {5, 5}, {0, 1}, {0, 98}, {-7, 13}, {0, kMax}, {kMin, kMax}};
+  for (const auto& [lo, hi] : ranges) {
+    Rng a(19);
+    Rng b(19);
+    const UniformIntRange range(lo, hi);
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_EQ(a.UniformInt(lo, hi), b.UniformInt(range)) << lo << ".." << hi;
+    }
+    EXPECT_EQ(a.NextU64(), b.NextU64()) << lo << ".." << hi;
+  }
+  // The full range takes raw draws, without overflowing hi - lo.
+  Rng full(23);
+  Rng raw(23);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(full.UniformInt(kMin, kMax),
+              static_cast<std::int64_t>(raw.NextU64()));
+  }
 }
 
 TEST(Rng, ExponentialMeanMatchesRate) {

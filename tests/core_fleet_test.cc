@@ -9,6 +9,8 @@
 #include <thread>
 #include <vector>
 
+#include "online/failover_controller.h"
+
 namespace pe::core {
 namespace {
 
@@ -95,6 +97,47 @@ TEST(FleetTestbed, ShardedPlacementPartitionsPerShard) {
   std::uint64_t routed = 0;
   for (const auto n : stats.routed_per_server) routed += n;
   EXPECT_EQ(routed, trace.size());
+}
+
+TEST(FleetTestbed, MemoizedReplanHookMatchesADirectPlan) {
+  // 8 servers, 2 models, 4 replicas: servers 1-3 host the same pair, so
+  // the memo is hit inside one down set as well as across repeats.
+  FleetTestbedConfig fc = SmallFleet(8, fleet::RouterPolicy::kHash);
+  fc.placement = fleet::PlacementKind::kSharded;
+  fc.replicas = 4;
+  const FleetTestbed tb(fc);
+  const fleet::PlacementMap& placement = tb.placement();
+  const online::FailoverRepartitionController controller(tb.mix().cluster(),
+                                                         fc.mix.paris);
+  const auto direct = [&](int server, const std::vector<int>& down) {
+    const fleet::ServerPlacement& sp = placement.server(server);
+    std::vector<int> full;
+    std::vector<int> surviving;
+    for (const int m : sp.model_ids) {
+      const std::vector<int>& reps = placement.Replicas(m);
+      full.push_back(static_cast<int>(reps.size()));
+      surviving.push_back(static_cast<int>(
+          std::count_if(reps.begin(), reps.end(), [&](int r) {
+            return std::find(down.begin(), down.end(), r) == down.end();
+          })));
+    }
+    return controller.PlanDegraded(
+        online::FailoverRepartitionController::ScaleForOutage(
+            tb.mix().PlannerInputs(sp.model_ids), full, surviving),
+        sp.gpc_budget);
+  };
+  // Copies of the hook share one memo; alternate between two of them.
+  const fleet::ReplanFn hook = tb.MakeReplanFn();
+  const fleet::ReplanFn copy = hook;
+  const std::vector<std::vector<int>> sweep = {
+      {0}, {0, 4}, {0}, {1, 2, 3}, {}, {0, 4}, {5, 6}, {}, {1, 2, 3}};
+  for (std::size_t k = 0; k < sweep.size(); ++k) {
+    for (int s = 0; s < placement.num_servers(); ++s) {
+      const fleet::ReplanFn& call = (s + k) % 2 == 0 ? hook : copy;
+      EXPECT_EQ(call(s, sweep[k]), direct(s, sweep[k]))
+          << "down set " << k << ", server " << s;
+    }
+  }
 }
 
 TEST(FleetTestbed, RejectsDegenerateConfigs) {

@@ -7,15 +7,19 @@
 //  * fault runs are bit-identical at --jobs 1, 2 and hardware
 //    concurrency, and across repeated runs with the same seed;
 //  * the `--faults` grammar (ParseFaultRef / ResolveFaultPlan) resolves
-//    deterministically and rejects unknown presets and keys.
+//    deterministically and rejects unknown presets and keys;
+//  * the HealthView's epoch tables answer exactly what the per-server
+//    crash windows did.
 #include "fleet/failover.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/fleet_runner.h"
@@ -128,6 +132,51 @@ TEST(FaultPlanResolve, PresetsAreDeterministicAndValidated) {
   EXPECT_EQ(tuned.events.size(), 6u);  // one crash per server, clamped
 }
 
+TEST(FaultPlanResolve, RejectsNonFiniteNegativeAndOverflowingValues) {
+  const auto placement = ShardedPlacement(6, 2, 3);
+  const SimTime span = MsToTicks(10'000.0);
+  using Overrides = std::vector<std::pair<std::string, std::string>>;
+  const auto error = [&](Overrides overrides) {
+    try {
+      ResolveFaultPlan({"serverloss", std::move(overrides)}, placement, span,
+                       1);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  const auto names_key = [&](const std::string& key, const std::string& val) {
+    const std::string message = error({{key, val}});
+    EXPECT_NE(message.find("'" + key + "'"), std::string::npos)
+        << key << "=" << val << ": " << message;
+  };
+  std::vector<std::string> ms_keys;
+  for (const char* d : {"at", "down", "stagger", "backoff", "deadline"}) {
+    ms_keys.push_back(std::string(d) + "-ms");
+  }
+  ms_keys.push_back("downtime-ms");
+  std::vector<std::string> keys = {"count", "factor", "retries", "repartition"};
+  keys.insert(keys.end(), ms_keys.begin(), ms_keys.end());
+  for (const std::string& key : keys) {
+    for (const char* val : {"nan", "inf", "-1"}) names_key(key, val);
+  }
+  // 1e30 overflows an int or the tick clock wherever a key holds one.
+  for (const std::string& key : ms_keys) names_key(key, "1e30");
+  names_key("count", "1e30");
+  names_key("retries", "1e30");
+  names_key("count", "2147483648");
+  EXPECT_EQ(error({{"count", "2147483647"}}), "accepted");
+  EXPECT_EQ(error({{"retries", "2147483647"}}), "accepted");
+  // A factor must be above 0; any finite factor or switch value above it
+  // is fine.
+  names_key("factor", "0");
+  EXPECT_EQ(error({{"factor", "1e30"}}), "accepted");
+  EXPECT_EQ(error({{"repartition", "1e30"}}), "accepted");
+  // Durations that each fit, but whose event time does not.
+  EXPECT_NE(error({{"at-ms", "9e12"}, {"down-ms", "9e12"}}).find("overflows"),
+            std::string::npos);
+}
+
 TEST(FleetFailover, EmptyPlanIsBitIdenticalToTheBatchPath) {
   const core::FleetTestbed tb(ShardedFleet(4, 2));
   const auto trace = tb.GenerateFleetTrace(600.0, 4000, /*seed=*/7);
@@ -230,7 +279,7 @@ TEST(FleetFailover, HealthViewWindowsMatchTheSchedule) {
   plan.events.push_back({200, FaultKind::kServerRecover, 0});
   plan.events.push_back({400, FaultKind::kSlowdownBegin, 1, -1, 2.0});
   plan.events.push_back({500, FaultKind::kSlowdownEnd, 1});
-  const HealthView hv(plan, /*num_servers=*/2);
+  const HealthView hv(plan, UniformPlacement(/*num_servers=*/2, 1));
   EXPECT_TRUE(hv.IsUp(0, 99));
   EXPECT_FALSE(hv.IsUp(0, 100));   // down window is [crash, recover)
   EXPECT_FALSE(hv.IsUp(0, 199));
@@ -242,6 +291,92 @@ TEST(FleetFailover, HealthViewWindowsMatchTheSchedule) {
   EXPECT_TRUE(hv.InIncident(450));
   EXPECT_FALSE(hv.InIncident(300));
   EXPECT_FALSE(hv.InIncident(990));
+}
+
+TEST(FleetFailover, HealthViewEpochsMatchTheWindowRule) {
+  // The view's epoch tables against the rule they replaced: a server is
+  // down inside the [crash, matching recover) windows of its schedule,
+  // where a crash of a down server and a recover of an up one are
+  // ignored.  The schedule mixes overlapping and repeated crashes, a
+  // recover of an up server, crash and recover at one instant in both
+  // orders, a permanent crash, and worker and slowdown events.
+  const PlacementMap placement = ShardedPlacement(6, 3, 3);
+  FaultPlan plan;
+  plan.events = {
+      {100, FaultKind::kServerCrash, 0},
+      {100, FaultKind::kWorkerFail, 1, 0},
+      {150, FaultKind::kServerCrash, 0},
+      {150, FaultKind::kServerCrash, 2},
+      {200, FaultKind::kServerRecover, 0},
+      {200, FaultKind::kServerRecover, 3},
+      {250, FaultKind::kServerCrash, 4},
+      {250, FaultKind::kServerRecover, 4},
+      {300, FaultKind::kServerRecover, 2},
+      {300, FaultKind::kServerCrash, 2},
+      {400, FaultKind::kSlowdownBegin, 5, -1, 2.0},
+      {450, FaultKind::kServerCrash, 5},
+      {450, FaultKind::kServerCrash, 3},
+      {500, FaultKind::kServerCrash, 1},
+      {600, FaultKind::kServerRecover, 2},
+      {650, FaultKind::kWorkerRecover, 1, 0},
+      {700, FaultKind::kSlowdownEnd, 5},
+      {800, FaultKind::kServerRecover, 5},
+      {800, FaultKind::kServerRecover, 3},
+  };
+  constexpr SimTime kForever = std::numeric_limits<SimTime>::max();
+  std::vector<std::vector<std::pair<SimTime, SimTime>>> windows(6);
+  std::vector<SimTime> open(6, -1);
+  for (const FaultEvent& ev : plan.events) {
+    const auto s = static_cast<std::size_t>(ev.server);
+    if (ev.kind == FaultKind::kServerCrash && open[s] < 0) {
+      open[s] = ev.time;
+    } else if (ev.kind == FaultKind::kServerRecover && open[s] >= 0) {
+      windows[s].push_back({open[s], ev.time});
+      open[s] = -1;
+    }
+  }
+  for (std::size_t s = 0; s < 6; ++s) {
+    if (open[s] >= 0) windows[s].push_back({open[s], kForever});
+  }
+  const auto down = [&](int s, SimTime t) {
+    for (const auto& [begin, end] : windows[static_cast<std::size_t>(s)]) {
+      if (begin <= t && t < end) return true;
+    }
+    return false;
+  };
+
+  const HealthView hv(plan, placement);
+  std::vector<SimTime> probes = {0, 10'000};
+  for (const FaultEvent& ev : plan.events) {
+    for (const SimTime d : {-1, 0, 1}) probes.push_back(ev.time + d);
+  }
+  for (const SimTime t : probes) {
+    for (int s = 0; s < placement.num_servers(); ++s) {
+      EXPECT_EQ(hv.IsUp(s, t), !down(s, t)) << "server " << s << " t " << t;
+    }
+    for (int m = 0; m < placement.num_models(); ++m) {
+      std::vector<int> want;
+      for (const int r : placement.Replicas(m)) {
+        if (!down(r, t)) want.push_back(r);
+      }
+      const auto got = hv.Healthy(m, t);
+      EXPECT_EQ(std::vector<int>(got.begin(), got.end()), want)
+          << "model " << m << " t " << t;
+    }
+  }
+  // Down ticks: the measure of each server's windows clipped to the
+  // horizon (the windows of one server never overlap).
+  const SimTime horizons[] = {0, 120, 475, 1000};
+  for (const SimTime horizon : horizons) {
+    for (int s = 0; s < placement.num_servers(); ++s) {
+      SimTime want = 0;
+      for (const auto& [begin, end] : windows[static_cast<std::size_t>(s)]) {
+        want += std::min(end, horizon) - std::min(begin, horizon);
+      }
+      EXPECT_EQ(hv.DownTicks(s, horizon), want)
+          << "server " << s << " horizon " << horizon;
+    }
+  }
 }
 
 }  // namespace

@@ -299,6 +299,46 @@ TEST(SplitByAssignment, DropsPreShedQueriesAndKeepsDenseIds) {
                std::logic_error);
 }
 
+TEST(SplitByAssignment, ErrorsNameTheSameRowAtAnyJobs) {
+  // Two 64k-row chunks, a bad server id in chunk 0 and a bad query id in
+  // chunk 1: the serial precedence holds across chunks (a bad query id
+  // anywhere wins), and every jobs count names the same first bad row.
+  const auto placement = UniformPlacement(3, 2);
+  const auto trace = MakeTrace(70'000, 2, /*seed=*/61);
+  auto router = MakeRouter(RouterPolicy::kHash, placement, nullptr, 1);
+  std::vector<int> assignment = router->RouteAll(trace, /*jobs=*/1);
+  assignment[100] = 3;
+  assignment[68'000] = -2;
+  std::vector<workload::Query> rows = trace.queries();
+  rows[69'990].id = 5;
+  rows[69'995].id = 6;
+  const workload::QueryTrace bad_ids(rows);
+
+  const auto error = [&](const workload::QueryTrace& t, int jobs) {
+    try {
+      SplitByAssignment(t, assignment, placement, jobs);
+    } catch (const std::invalid_argument& e) {
+      return "invalid_argument: " + std::string(e.what());
+    } catch (const std::logic_error& e) {
+      return "logic_error: " + std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::string id_error = error(bad_ids, 1);
+  EXPECT_EQ(id_error.rfind("invalid_argument: ", 0), 0u) << id_error;
+  EXPECT_NE(id_error.find("trace row 69990 has query id 5"), std::string::npos)
+      << id_error;
+  EXPECT_EQ(error(bad_ids, 3), id_error);
+
+  // With valid ids, the first bad server id is the error.
+  const std::string server_error = error(trace, 1);
+  EXPECT_EQ(server_error.rfind("logic_error: ", 0), 0u) << server_error;
+  EXPECT_NE(server_error.find("trace row 100 has bad server id 3"),
+            std::string::npos)
+      << server_error;
+  EXPECT_EQ(error(trace, 3), server_error);
+}
+
 TEST(Placement, ValidatesAndShards) {
   EXPECT_THROW(UniformPlacement(0, 2), std::invalid_argument);
   EXPECT_THROW(UniformPlacement(2, 0), std::invalid_argument);
