@@ -42,13 +42,10 @@ Cluster::Cluster(FleetConfig config, PlacementMap placement,
           "Cluster: server " + std::to_string(sp.server_id) +
           " has no partition layout (run a planner pass first)");
     }
-    // Hosted subset of the zoo, re-registered densely: local id k is the
-    // k-th (ascending) hosted global id, matching SplitTrace's re-mapping.
-    profile::ModelRepertoire local;
-    for (int m : sp.model_ids) {
-      local.Register(zoo.name(m), zoo.profile(m), zoo.actual(m));
-    }
-    repertoires_.push_back(std::move(local));
+    // Hosted subset of the zoo: local id k is the k-th (ascending) hosted
+    // global id, matching SplitTrace's re-mapping.  The subset shares the
+    // zoo's ground-truth memo, so each cell is evaluated once fleet-wide.
+    repertoires_.push_back(zoo.Subset(sp.model_ids));
   }
 }
 

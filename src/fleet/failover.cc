@@ -46,6 +46,21 @@ std::vector<std::pair<SimTime, SimTime>> MergeWindows(
 
 }  // namespace
 
+std::optional<SimTime> RetryInstant(SimTime t, SimTime backoff, int attempt) {
+  if (t < 0 || backoff < 0 || attempt < 1) {
+    throw std::invalid_argument(
+        "RetryInstant: negative time or backoff, or attempt below 1");
+  }
+  if (backoff == 0) return t;
+  // backoff >= 1 here, so 2^63 and beyond never fit.
+  if (attempt - 1 >= 63) return std::nullopt;
+  const SimTime factor = SimTime{1} << (attempt - 1);
+  if (backoff > (std::numeric_limits<SimTime>::max() - t) / factor) {
+    return std::nullopt;
+  }
+  return t + backoff * factor;
+}
+
 HealthView::HealthView(const FaultPlan& plan, const PlacementMap& placement)
     : num_servers_(static_cast<std::size_t>(placement.num_servers())),
       num_models_(static_cast<std::size_t>(placement.num_models())) {
@@ -269,13 +284,18 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
     for (const workload::Query& q : removed) {
       const std::uint64_t gid =
           servers[static_cast<std::size_t>(from_server)].gids[q.id];
-      if (retries_done[gid] >= plan.max_retries) {
+      const int attempt = retries_done[gid] + 1;
+      const std::optional<SimTime> instant =
+          attempt > plan.max_retries
+              ? std::nullopt
+              : RetryInstant(t, plan.retry_backoff, attempt);
+      if (!instant) {
+        // An exhausted budget, or a backoff past the end of time.
         driver_failed[gid] = true;
         continue;
       }
-      const int attempt = ++retries_done[gid];
-      const SimTime retry_time =
-          t + plan.retry_backoff * (SimTime{1} << (attempt - 1));
+      retries_done[gid] = attempt;
+      const SimTime retry_time = *instant;
       const workload::Query& orig = queries[gid];
       if (plan.deadline > 0 && retry_time - orig.arrival > plan.deadline) {
         driver_shed[gid] = true;  // cannot finish in time; drop, don't churn

@@ -17,7 +17,8 @@
 //     t + backoff * 2^(attempt-1), up to max_retries attempts beyond the
 //     first.  A retry that would land past the end-to-end deadline (vs
 //     the ORIGINAL arrival) or finds no healthy replica is shed; an
-//     exhausted budget marks the query failed.  Per-attempt engine
+//     exhausted budget, or a retry instant past the end of SimTime,
+//     marks the query failed.  Per-attempt engine
 //     deadlines (ServerConfig::deadline) shed queue-stuck work locally.
 //  3. Degraded-capacity repartition.  On a crash (and again on
 //     recovery), surviving replicas of the impacted models re-plan their
@@ -42,6 +43,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -65,6 +67,12 @@ namespace pe::fleet {
 // core::FleetTestbed injects it from above.
 using ReplanFn =
     std::function<std::vector<int>(int server, const std::vector<int>& down)>;
+
+// The instant of retry `attempt` (1-based) of a query lost at `t`:
+// t + backoff * 2^(attempt - 1), computed without overflow, or nullopt
+// when it does not fit SimTime.  Throws std::invalid_argument for a
+// negative `t` or `backoff`, or an `attempt` below 1.
+std::optional<SimTime> RetryInstant(SimTime t, SimTime backoff, int attempt);
 
 // The fault schedule, digested for time queries.  Servers change up/down
 // state only at crash and recover instants, so those instants cut time

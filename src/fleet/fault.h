@@ -58,7 +58,8 @@ struct FaultPlan {
 
   // Failover policy.  A lost attempt is retried up to `max_retries`
   // times with exponential backoff (backoff * 2^(attempt-1)) before the
-  // query is shed; `deadline` (0 = off) bounds the *end-to-end* latency
+  // query is marked failed, as it is when a retry instant would overflow
+  // SimTime; `deadline` (0 = off) bounds the *end-to-end* latency
   // against the original arrival -- a retry that cannot finish in time
   // is shed instead of re-injected.
   int max_retries = 2;

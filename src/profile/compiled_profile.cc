@@ -52,13 +52,6 @@ void CompiledProfile::CompileModel(const ProfileTable& table, Model& model) {
           std::max<SimTime>(1, SecToTicks(sec));
     }
   }
-
-  model.actual_max_batch = batches.back();
-  const std::size_t actual_cells =
-      (static_cast<std::size_t>(model.max_gpcs) + 1) *
-      (static_cast<std::size_t>(model.actual_max_batch) + 1);
-  model.actual_sec.assign(actual_cells, 0.0);
-  model.actual_seen.assign(actual_cells, 0);
 }
 
 const CompiledProfile::Model* CompiledProfile::ModelFor(int model_id) const {
@@ -115,25 +108,9 @@ SimTime CompiledProfile::EstimateTicks(int model_id, int gpcs,
       1, SecToTicks(FallbackEstimateSec(model_id, gpcs, batch)));
 }
 
-double CompiledProfile::ActualSec(int model_id, int gpcs, int batch) const {
-  if (repertoire_ == nullptr) {
-    throw std::logic_error(
-        "CompiledProfile: no ground truth in the single-table form");
-  }
-  const Model* m = ModelFor(model_id);
-  if (m == nullptr || m->actual_seen.empty() || gpcs < 0 ||
-      gpcs > m->max_gpcs || batch < 0 || batch > m->actual_max_batch) {
-    return repertoire_->ActualSec(model_id, gpcs, batch);
-  }
-  const std::size_t idx =
-      static_cast<std::size_t>(gpcs) *
-          (static_cast<std::size_t>(m->actual_max_batch) + 1) +
-      static_cast<std::size_t>(batch);
-  if (!m->actual_seen[idx]) {
-    m->actual_sec[idx] = repertoire_->ActualSec(model_id, gpcs, batch);
-    m->actual_seen[idx] = 1;
-  }
-  return m->actual_sec[idx];
+void CompiledProfile::ThrowNoGroundTruth() {
+  throw std::logic_error(
+      "CompiledProfile: no ground truth in the single-table form");
 }
 
 }  // namespace pe::profile

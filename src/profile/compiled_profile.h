@@ -1,8 +1,7 @@
 // CompiledProfile: the profile layer's hot-path compilation.
 //
 // ProfileTable answers every scheduler/simulator lookup through a
-// std::map::find plus a lower_bound batch snap, and ModelRepertoire's
-// ground truth goes through a std::function -- costs paid once per
+// std::map::find plus a lower_bound batch snap -- a cost paid once per
 // latency estimate, i.e. per worker per arrival in ELSA's inner loop.
 // CompiledProfile flattens that surface once, at construction:
 //
@@ -10,24 +9,22 @@
 //    batch >= batch, clamped to the largest), replacing lower_bound;
 //  * a dense (gpcs, snapped-batch-index) -> {latency_sec, latency_ticks}
 //    array per model, replacing the map walk -- EstimateSec/EstimateTicks
-//    become two array indexes;
-//  * a lazily memoized ground-truth grid, so ActualSec calls the
-//    repertoire's LatencyFn at most once per (model, gpcs, batch) and
-//    serves repeats from a flat array.
+//    become two array indexes.
+//
+// Ground truth is not compiled here: ActualSec forwards to the
+// repertoire, whose per-model memo is shared by every engine built over
+// it (see ModelRepertoire).
 //
 // Every value is produced by the exact code path it replaces (the table's
-// LatencySec, the repertoire's ActualSec), so compiled lookups are
-// bit-identical to the uncompiled ones -- asserted by profile_compiled_test
-// and end-to-end by the engine golden determinism suite.  Lookups outside
-// the compiled range (unprofiled partition size, unknown model, sparse
-// table holes) fall back to the uncompiled path, preserving its exact
-// error behavior.
+// LatencySec), so compiled lookups are bit-identical to the uncompiled
+// ones -- asserted by profile_compiled_test and end-to-end by the engine
+// golden determinism suite.  Lookups outside the compiled range
+// (unprofiled partition size, unknown model, sparse table holes) fall back
+// to the uncompiled path, preserving its exact error behavior.
 //
-// The estimate arrays are immutable after construction and safe to share
-// across threads; the ground-truth memo mutates on first use, so a
-// CompiledProfile whose ActualSec is exercised must stay thread-private
-// (each InferenceServer owns its own).  The source table/repertoire is
-// borrowed and must outlive the CompiledProfile.
+// A CompiledProfile never changes after construction, so one may be shared
+// across threads.  The source table/repertoire is borrowed and must
+// outlive the CompiledProfile.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +41,7 @@ class CompiledProfile {
   // Empty; every lookup throws (there is no source to fall back to).
   CompiledProfile() = default;
 
-  // Compiles every model of `repertoire` (estimates and ground truth).
+  // Compiles every model of `repertoire` (estimates; ground truth forwards).
   explicit CompiledProfile(const ModelRepertoire& repertoire);
 
   // Single-table form: estimate lookups answer regardless of model_id
@@ -63,10 +60,13 @@ class CompiledProfile {
   // integral estimate, precomputed per grid point.
   SimTime EstimateTicks(int model_id, int gpcs, int batch) const;
 
-  // Ground-truth latency; identical to ModelRepertoire::ActualSec.
-  // Memoized over the (gpcs <= max profiled size, batch <= max profiled
-  // batch) grid; anything outside calls the LatencyFn directly.
-  double ActualSec(int model_id, int gpcs, int batch) const;
+  // Ground-truth latency: ModelRepertoire::ActualSec of the source
+  // repertoire (memoized there).  Throws std::logic_error in the
+  // single-table form, which has no ground truth.
+  double ActualSec(int model_id, int gpcs, int batch) const {
+    if (repertoire_ == nullptr) ThrowNoGroundTruth();
+    return repertoire_->ActualSec(model_id, gpcs, batch);
+  }
 
  private:
   struct Model {
@@ -82,11 +82,6 @@ class CompiledProfile {
     // kMissing for holes in a sparse table (fallback re-creates the
     // uncompiled error); valid entries are >= 1.
     std::vector<SimTime> est_ticks;
-    // Lazy ground-truth memo over (gpcs 0..max_gpcs) x (batch
-    // 0..actual_max_batch); actual_seen gates validity.
-    int actual_max_batch = 0;
-    mutable std::vector<double> actual_sec;
-    mutable std::vector<std::uint8_t> actual_seen;
   };
 
   static constexpr SimTime kMissing = -1;
@@ -96,6 +91,7 @@ class CompiledProfile {
   std::ptrdiff_t EstimateIndex(const Model& m, int gpcs, int batch) const;
   const Model* ModelFor(int model_id) const;
   double FallbackEstimateSec(int model_id, int gpcs, int batch) const;
+  [[noreturn]] static void ThrowNoGroundTruth();
 
   // Exactly one source is set for a non-empty profile.
   const ModelRepertoire* repertoire_ = nullptr;

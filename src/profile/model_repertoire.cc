@@ -8,26 +8,49 @@
 
 namespace pe::profile {
 
+ModelRepertoire::ActualMemo::ActualMemo(const ProfileTable& profile) {
+  // An empty table leaves the -1 bounds: every lookup calls the LatencyFn.
+  if (profile.partition_sizes().empty() || profile.batch_sizes().empty()) {
+    return;
+  }
+  max_gpcs_ = profile.partition_sizes().back();
+  max_batch_ = profile.batch_sizes().back();
+  const std::size_t cells = (static_cast<std::size_t>(max_gpcs_) + 1) *
+                            (static_cast<std::size_t>(max_batch_) + 1);
+  cells_ = std::make_unique<std::atomic<std::uint64_t>[]>(cells);
+  for (std::size_t i = 0; i < cells; ++i) cells_[i].store(kUnset);
+}
+
 int ModelRepertoire::Register(std::string name, ProfileTable profile,
                               LatencyFn actual) {
   if (!actual) {
     throw std::invalid_argument("ModelRepertoire: null latency function");
   }
-  if (IdOf(name) != -1) {
-    throw std::invalid_argument("ModelRepertoire: duplicate model " + name);
+  auto memo = std::make_shared<ActualMemo>(profile);
+  return Add(Entry{std::move(name), std::move(profile), std::move(actual),
+                   std::move(memo)});
+}
+
+ModelRepertoire ModelRepertoire::Subset(
+    const std::vector<int>& model_ids) const {
+  ModelRepertoire subset;
+  for (const int m : model_ids) subset.Add(At(m));
+  return subset;
+}
+
+int ModelRepertoire::Add(Entry entry) {
+  if (IdOf(entry.name) != -1) {
+    throw std::invalid_argument("ModelRepertoire: duplicate model " +
+                                entry.name);
   }
-  max_batch_ = std::max(max_batch_, profile.max_batch());
-  entries_.push_back(
-      Entry{std::move(name), std::move(profile), std::move(actual)});
+  max_batch_ = std::max(max_batch_, entry.profile.max_batch());
+  entries_.push_back(std::move(entry));
   return static_cast<int>(entries_.size()) - 1;
 }
 
-const ModelRepertoire::Entry& ModelRepertoire::At(int model_id) const {
-  if (!Has(model_id)) {
-    throw std::out_of_range("ModelRepertoire: unknown model id " +
-                            std::to_string(model_id));
-  }
-  return entries_[static_cast<std::size_t>(model_id)];
+void ModelRepertoire::ThrowUnknown(int model_id) {
+  throw std::out_of_range("ModelRepertoire: unknown model id " +
+                          std::to_string(model_id));
 }
 
 const std::string& ModelRepertoire::name(int model_id) const {
@@ -51,10 +74,6 @@ int ModelRepertoire::IdOf(const std::string& name) const {
 
 double ModelRepertoire::EstimateSec(int model_id, int gpcs, int batch) const {
   return At(model_id).profile.LatencySec(gpcs, batch);
-}
-
-double ModelRepertoire::ActualSec(int model_id, int gpcs, int batch) const {
-  return At(model_id).actual(gpcs, batch);
 }
 
 ModelRepertoire BuildZooRepertoire(

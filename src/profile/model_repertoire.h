@@ -10,7 +10,12 @@
 // case and reproduces the original single-table plumbing bit-for-bit.
 #pragma once
 
+#include <atomic>
+#include <bit>
+#include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,12 +28,14 @@ namespace pe::profile {
 // batch).  Lives here (rather than in sim/) so every layer below the
 // simulator can be model-aware without depending on it.
 //
-// Must be a pure function of (gpcs, batch): the simulator's fast path
-// memoizes it per (model, gpcs, batch) through CompiledProfile, so a
-// stateful function (e.g. one drawing its own noise) would have its
-// first sample frozen and replayed.  Execution-time randomness belongs
-// in the simulator (ServerConfig::latency_noise_sigma), which applies
-// mean-one log-normal noise on top of this deterministic ground truth.
+// Must be a pure function of (gpcs, batch), safe to call from several
+// threads at once: each repertoire entry memoizes it per (gpcs, batch) in
+// a grid shared by every copy of the entry (a copied repertoire, or one
+// built by Subset), filled on first use from whichever thread asks.  A
+// stateful function (e.g. one drawing its own noise) would have its first
+// sample frozen and replayed.  Execution-time randomness belongs in the
+// simulator (ServerConfig::latency_noise_sigma), which applies mean-one
+// log-normal noise on top of this deterministic ground truth.
 using LatencyFn = std::function<double(int gpcs, int batch)>;
 
 class ModelRepertoire {
@@ -38,7 +45,15 @@ class ModelRepertoire {
   // Registers a model and returns its dense id (0, 1, 2, ...).  Names must
   // be unique; throws std::invalid_argument on a duplicate or a null
   // `actual`.  `actual` must be deterministic (see LatencyFn above).
+  // Evaluates nothing: the ground-truth memo fills lazily.
   int Register(std::string name, ProfileTable profile, LatencyFn actual);
+
+  // The repertoire of models `model_ids` of this one, in that order (its
+  // id k is model_ids[k]).  Its entries share this repertoire's
+  // ground-truth memo, so every server of a fleet built from one zoo
+  // evaluates each (model, gpcs, batch) cell once between them.  Throws
+  // like Register on a repeated id, std::out_of_range on an unknown one.
+  ModelRepertoire Subset(const std::vector<int>& model_ids) const;
 
   int size() const { return static_cast<int>(entries_.size()); }
   bool empty() const { return entries_.empty(); }
@@ -57,21 +72,67 @@ class ModelRepertoire {
   // lookups, routed through the model's own table.
   double EstimateSec(int model_id, int gpcs, int batch) const;
 
-  // Ground-truth latency for the simulator's execution clock.
-  double ActualSec(int model_id, int gpcs, int batch) const;
+  // Ground-truth latency for the simulator's execution clock: the
+  // model's LatencyFn, memoized over (gpcs <= largest profiled size,
+  // batch <= largest profiled batch); anything outside calls it directly.
+  double ActualSec(int model_id, int gpcs, int batch) const {
+    const Entry& e = At(model_id);
+    return e.memo->Get(e.actual, gpcs, batch);
+  }
 
   // Largest profiled batch across all registered models (0 when empty);
   // maintained by Register, so the lookup is constant-time.
   int max_batch() const { return max_batch_; }
 
  private:
+  // One model's lazily filled ground-truth grid.  Each cell holds the
+  // double's bits, or kUnset until first use; two threads racing on a cell
+  // evaluate the same pure function and store the same bits.
+  class ActualMemo {
+   public:
+    // The grid of `profile`: gpcs up to its largest partition size, batch
+    // up to its largest batch (empty when the table is).
+    explicit ActualMemo(const ProfileTable& profile);
+
+    double Get(const LatencyFn& actual, int gpcs, int batch) {
+      if (gpcs < 0 || gpcs > max_gpcs_ || batch < 0 || batch > max_batch_) {
+        return actual(gpcs, batch);
+      }
+      std::atomic<std::uint64_t>& cell =
+          cells_[static_cast<std::size_t>(gpcs) *
+                     (static_cast<std::size_t>(max_batch_) + 1) +
+                 static_cast<std::size_t>(batch)];
+      const std::uint64_t bits = cell.load();
+      if (bits != kUnset) return std::bit_cast<double>(bits);
+      const double sec = actual(gpcs, batch);
+      cell.store(std::bit_cast<std::uint64_t>(sec));
+      return sec;
+    }
+
+   private:
+    // A NaN payload: a LatencyFn returning exactly these bits is merely
+    // re-evaluated on every call.
+    static constexpr std::uint64_t kUnset = ~std::uint64_t{0};
+
+    int max_gpcs_ = -1;
+    int max_batch_ = -1;
+    std::unique_ptr<std::atomic<std::uint64_t>[]> cells_;
+  };
+
   struct Entry {
     std::string name;
     ProfileTable profile;
     LatencyFn actual;
+    // Shared by every copy of the entry.
+    std::shared_ptr<ActualMemo> memo;
   };
 
-  const Entry& At(int model_id) const;
+  const Entry& At(int model_id) const {
+    if (!Has(model_id)) ThrowUnknown(model_id);
+    return entries_[static_cast<std::size_t>(model_id)];
+  }
+  [[noreturn]] static void ThrowUnknown(int model_id);
+  int Add(Entry entry);
 
   std::vector<Entry> entries_;
   int max_batch_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -42,11 +43,22 @@ const sched::WorkerState& InferenceServer::LiveWorkerView::Get(
 }
 
 int InferenceServer::LiveWorkerView::MaxGpcsIdleWorker() const {
-  const auto& idle = server_.idle_workers_;
-  if (idle.empty()) return sched::kNoAssignment;
-  // Keys are {-gpcs, index}: begin() is the largest idle partition,
+  // Positions ascend by (gpcs, index): the highest idle bit is the largest
+  // idle partition, and the first idle bit of its equal-size run the
   // lowest index among equals -- the FIFS scan winner.
-  return idle.begin()->second;
+  std::size_t word = idle_bits_.size();
+  while (word > 0 && idle_bits_[word - 1] == 0) --word;
+  if (word == 0) return sched::kNoAssignment;
+  const std::size_t top =
+      word * 64 - 1 -
+      static_cast<std::size_t>(std::countl_zero(idle_bits_[word - 1]));
+  const auto start = static_cast<std::size_t>(run_start_[top]);
+  word = start / 64;
+  // Bits below `start` in its word belong to smaller partitions.
+  std::uint64_t bits = idle_bits_[word] & (~std::uint64_t{0} << (start % 64));
+  while (bits == 0) bits = idle_bits_[++word];  // stops at `top` at the latest
+  return static_cast<int>(word * 64 +
+                          static_cast<std::size_t>(std::countr_zero(bits)));
 }
 
 int InferenceServer::LiveWorkerView::FirstWaitAtMost(std::size_t begin,
@@ -90,19 +102,36 @@ SimTime InferenceServer::LiveWorkerView::MinWait(std::size_t begin,
   return shortest;
 }
 
-void InferenceServer::LiveWorkerView::OnLayoutChange(std::size_t num_workers) {
+void InferenceServer::LiveWorkerView::OnLayoutChange(
+    const std::vector<PartitionWorker>& workers) {
+  const std::size_t n = workers.size();
   // assign/resize keep capacity across layouts.
-  keys_.assign(num_workers, WaitKey{});
-  slots_.resize(num_workers);
+  keys_.assign(n, WaitKey{});
+  slots_.resize(n);
+  // Every worker of a fresh layout is idle.
+  idle_bits_.assign((n + 63) / 64, ~std::uint64_t{0});
+  if (n % 64 != 0) idle_bits_.back() = (std::uint64_t{1} << (n % 64)) - 1;
+  run_start_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool same = i > 0 && workers[i].gpcs() == workers[i - 1].gpcs();
+    run_start_[i] = same ? run_start_[i - 1] : static_cast<int>(i);
+  }
   version_ = NextLayoutVersion();
 }
 
 void InferenceServer::LiveWorkerView::Sync(const PartitionWorker& worker) {
-  WaitKey& key = keys_[static_cast<std::size_t>(worker.index())];
+  const auto i = static_cast<std::size_t>(worker.index());
+  WaitKey& key = keys_[i];
   key.queued = worker.failed() ? kFailedQueued : worker.queued_estimate();
   key.backlog_end = kNotBusy;
   if (worker.busy()) {
     key.backlog_end = worker.estimated_end() + worker.queued_estimate();
+  }
+  const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+  if (worker.idle()) {
+    idle_bits_[i / 64] |= bit;
+  } else {
+    idle_bits_[i / 64] &= ~bit;
   }
 }
 
@@ -142,15 +171,14 @@ InferenceServer::InferenceServer(ServerConfig config,
 void InferenceServer::Reset() {
   // clear() everywhere (never a fresh container): a server re-used across
   // incarnations -- Run after Run, or the experiment engine replaying
-  // probes -- keeps its event/arrival/record capacity instead of
+  // probes -- keeps its event and record capacity instead of
   // reallocating it each time.
   calendar_.Clear();
-  arrivals_.clear();
   arrival_cursor_ = 0;
+  cursor_end_ = 0;
   next_seq_ = 0;
   now_ = 0;
   central_queue_.clear();
-  queries_.clear();
   records_.clear();
   frontend_free_at_.assign(
       static_cast<std::size_t>(std::max(1, config_.frontend.lanes)), 0);
@@ -174,23 +202,10 @@ void InferenceServer::BuildWorkers(const std::vector<int>& partition_gpcs) {
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     workers_.emplace_back(static_cast<int>(i), sizes[i]);
   }
-  // A fresh layout starts all-idle.
-  idle_workers_.clear();
-  for (const auto& w : workers_) idle_workers_.emplace(-w.gpcs(), w.index());
   snapshots_.reserve(workers_.size());
   done_seq_.assign(workers_.size(), 0);
   num_failed_ = 0;
-  view_.OnLayoutChange(workers_.size());
-}
-
-void InferenceServer::SyncWorker(const PartitionWorker& worker) {
-  const std::pair<int, int> key{-worker.gpcs(), worker.index()};
-  if (worker.idle()) {
-    idle_workers_.insert(key);
-  } else {
-    idle_workers_.erase(key);
-  }
-  view_.Sync(worker);
+  view_.OnLayoutChange(workers_);
 }
 
 void InferenceServer::PushWithSeq(SimTime time, std::uint64_t seq,
@@ -207,18 +222,17 @@ bool InferenceServer::PopNextEvent(SimTime bound, bool bounded, Event& ev) {
   // Peek is null when the calendar is empty and caches the located
   // minimum, so the Pop below re-scans nothing.
   const Event* head = calendar_.Peek();
-  const bool have_arrival = arrival_cursor_ < arrivals_.size();
+  const bool have_arrival = arrival_cursor_ < cursor_end_;
   if (head == nullptr && !have_arrival) return false;
-  bool take_arrival = have_arrival;
-  if (head != nullptr && have_arrival) {
-    const PendingArrival& a = arrivals_[arrival_cursor_];
-    take_arrival =
-        a.time != head->time ? a.time < head->time : a.seq < head->seq;
-  }
-  if (take_arrival) {
-    const PendingArrival& a = arrivals_[arrival_cursor_];
-    if (bounded && a.time >= bound) return false;
-    ev = Event{a.time, a.seq, a.query, EventType::kArrival};
+  // A cursor arrival's seq is its index, below every calendar seq, so it
+  // wins ties.
+  if (have_arrival &&
+      (head == nullptr || records_[arrival_cursor_].arrival <= head->time)) {
+    const SimTime time = records_[arrival_cursor_].arrival;
+    if (bounded && time >= bound) return false;
+    ev = Event{time, arrival_cursor_,
+               static_cast<std::uint32_t>(arrival_cursor_),
+               EventType::kArrival};
     ++arrival_cursor_;
   } else {
     if (bounded && head->time >= bound) return false;
@@ -270,7 +284,7 @@ void InferenceServer::StartHead(PartitionWorker& worker, SimTime now) {
       QueryRecord& rec = records_[dropped.id];
       rec.shed = true;
       rec.finished = now;
-      SyncWorker(worker);
+      view_.Sync(worker);
     }
   }
   if (!worker.CanStart()) return;
@@ -282,7 +296,7 @@ void InferenceServer::StartHead(PartitionWorker& worker, SimTime now) {
                     worker.resident_model() != head.model_id;
   if (swap) actual += config_.model_swap_cost;
   const workload::Query q = worker.Start(now, actual);
-  view_.Sync(worker);  // a start never changes idleness
+  view_.Sync(worker);
   QueryRecord& rec = records_[q.id];
   rec.started = now;
   rec.worker = worker.index();
@@ -336,7 +350,7 @@ void InferenceServer::Bind(const workload::Query& query, int index,
   records_[query.id].dispatched = now;
   worker.Enqueue(query,
                  EstimateTicks(query.model_id, worker.gpcs(), query.batch));
-  SyncWorker(worker);
+  view_.Sync(worker);
   StartHead(worker, now);
 }
 
@@ -357,7 +371,7 @@ void InferenceServer::ReofferCentralQueue(SimTime now) {
 }
 
 void InferenceServer::InjectQuery(const workload::Query& query) {
-  if (query.id != queries_.size()) {
+  if (query.id != records_.size()) {
     throw std::invalid_argument("trace query ids must be dense 0..n-1");
   }
   if (query.arrival < now_) {
@@ -369,13 +383,12 @@ void InferenceServer::InjectQuery(const workload::Query& query) {
         "InferenceServer: query model_id " + std::to_string(query.model_id) +
         " is not in the repertoire");
   }
-  if (queries_.size() >
+  if (records_.size() >
       static_cast<std::size_t>(std::numeric_limits<std::uint32_t>::max())) {
     throw std::invalid_argument(
         "InferenceServer: too many queries for one run");
   }
-  const auto index = static_cast<std::uint32_t>(queries_.size());
-  queries_.push_back(query);
+  const auto index = static_cast<std::uint32_t>(records_.size());
   QueryRecord rec;
   rec.id = query.id;
   rec.batch = query.batch;
@@ -383,14 +396,15 @@ void InferenceServer::InjectQuery(const workload::Query& query) {
   rec.arrival = query.arrival;
   records_.push_back(rec);
   const std::uint64_t seq = next_seq_++;
-  if (arrivals_.empty() || query.arrival >= arrivals_.back().time) {
-    // The common case: arrivals keep the trace's time order, so the flat
-    // cursor replaces a calendar push (and, for a whole trace, a calendar
-    // that would hold every arrival at once).
-    arrivals_.push_back(PendingArrival{query.arrival, seq, index});
+  if (seq == cursor_end_ &&
+      (cursor_end_ == 0 || query.arrival >= records_[cursor_end_ - 1].arrival)) {
+    // The common case, a whole trace injected up front in time order: the
+    // record itself is the pending arrival (and no calendar ever holds
+    // every arrival at once).
+    ++cursor_end_;
   } else {
-    // Out-of-order arrival: the calendar restores the global (time, seq)
-    // order.
+    // Out of time order, or a seq has gone to an event: the calendar
+    // keeps the global (time, seq) order, and the cursor stays frozen.
     PushWithSeq(query.arrival, seq, EventType::kArrival, index);
   }
 }
@@ -400,10 +414,7 @@ void InferenceServer::InjectTrace(const workload::QueryTrace& trace) {
 }
 
 void InferenceServer::InjectSpan(std::span<const workload::Query> queries) {
-  const std::size_t n = queries.size();
-  queries_.reserve(queries_.size() + n);
-  records_.reserve(records_.size() + n);
-  arrivals_.reserve(arrivals_.size() + n);
+  records_.reserve(records_.size() + queries.size());
   for (const workload::Query& q : queries) InjectQuery(q);
 }
 
@@ -505,12 +516,12 @@ void InferenceServer::ProcessEvent(const Event& ev) {
         *lane = done;
         Push(done, EventType::kFrontendDone, ev.payload);
       } else {
-        Dispatch(queries_[ev.payload], now);
+        Dispatch(QueryOf(ev.payload), now);
       }
       break;
     }
     case EventType::kFrontendDone: {
-      Dispatch(queries_[ev.payload], now);
+      Dispatch(QueryOf(ev.payload), now);
       break;
     }
     case EventType::kWorkerDone: {
@@ -520,7 +531,7 @@ void InferenceServer::ProcessEvent(const Event& ev) {
       PartitionWorker& worker = workers_[ev.payload];
       const workload::Query done = worker.Finish();
       records_[done.id].finished = now;
-      SyncWorker(worker);  // may have gone idle (empty local queue)
+      view_.Sync(worker);  // may have gone idle (empty local queue)
       if (reconfiguring_) break;  // draining: nothing new starts
       // Start next local query, then pull from the central queue for as
       // long as the worker stays unoccupied -- deadline sheds can burn
@@ -543,6 +554,16 @@ void InferenceServer::ProcessEvent(const Event& ev) {
       break;
     }
   }
+}
+
+workload::Query InferenceServer::QueryOf(std::uint32_t index) const {
+  const QueryRecord& rec = records_[index];
+  workload::Query q;
+  q.id = rec.id;
+  q.arrival = rec.arrival;
+  q.batch = rec.batch;
+  q.model_id = rec.model;
+  return q;
 }
 
 void InferenceServer::DrainEvents(SimTime bound, bool bounded) {
@@ -594,7 +615,7 @@ std::vector<workload::Query> InferenceServer::FailWorker(int index,
   std::vector<workload::Query> orphans = worker.TakeQueue();
   worker.SetFailed(true);
   ++num_failed_;
-  SyncWorker(worker);
+  view_.Sync(worker);
   if (requeue_orphans) {
     for (const workload::Query& q : orphans) {
       QueryRecord& rec = records_[q.id];
@@ -632,7 +653,7 @@ void InferenceServer::RecoverWorker(int index) {
   if (!worker.failed()) return;
   worker.SetFailed(false);
   --num_failed_;
-  SyncWorker(worker);
+  view_.Sync(worker);
   if (reconfiguring_) return;  // held work re-dispatches at window close
   if (scheduler_.UsesCentralQueue()) {
     ReofferCentralQueue(now_);

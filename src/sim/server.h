@@ -18,9 +18,14 @@
 //    the partition layout live, and Finish() drains everything left.
 //
 // Hot-path design (the fast engine, on by default):
-//  * profile lookups go through a CompiledProfile -- EstimateTicks /
-//    ActualTicks are two array indexes instead of a map find +
-//    lower_bound + std::function call;
+//  * profile lookups go through a CompiledProfile -- EstimateTicks is two
+//    array indexes instead of a map find + lower_bound -- and ActualTicks
+//    reads the repertoire's ground-truth memo, which every engine over
+//    the same repertoire (or a Subset of it) shares, so a cell's
+//    LatencyFn runs once per zoo rather than once per engine;
+//  * per query, the engine keeps its QueryRecord and nothing else: an
+//    arrival or frontend-done event carries the record's index, and
+//    dispatch rebuilds the Query from the record;
 //  * the scheduler consults a server-owned live WorkerView instead of an
 //    O(W) snapshot-vector rebuild per consultation -- draining a long
 //    central queue after a reconfiguration is no longer O(Q*W).  The view
@@ -28,18 +33,28 @@
 //    worker mutation, from which "Twait <= X" and the minimum Twait of a
 //    position range are exact at any instant, with no refresh as time
 //    moves;
-//  * injected arrivals are (typically) already time-sorted, so they live
-//    in a flat cursor merged on the fly with the pending-event calendar;
-//    a million-query trace never sits in the priority structure at all;
-//  * worker/frontend/reconfiguration events (and out-of-order arrival
-//    injections, which fall off the sorted cursor) live in a two-level
+//  * injected arrivals are (typically) already time-sorted, so they stay
+//    in the record array, read by a cursor merged on the fly with the
+//    pending-event calendar; a million-query trace never sits in the
+//    priority structure at all.  Records [0, k) are the cursor while
+//    every seq drawn so far went to one of them, so record i has seq i,
+//    below every calendar entry's: a cursor arrival wins every tie, which
+//    is the (time, seq) order.  The first injection that would break this
+//    -- an arrival out of time order, or any injection once an event has
+//    been pushed -- freezes the cursor, and it and every later injection
+//    ride the calendar;
+//  * worker/frontend/reconfiguration events (and the arrival injections
+//    the cursor does not take) live in a two-level
 //    bucketed EventCalendar -- a near-future bucket wheel plus a sorted
 //    overflow spill -- so the dominant completion -> dispatch ->
 //    completion cycle is O(1) amortized instead of the binary heap's
 //    O(log E) (see sim/event_calendar.h);
 //  * nothing the scheduler reads needs refreshing when time moves (the
 //    wait index is exact at any instant), so a burst of events at one
-//    timestamp costs each consultation the same as an isolated one.
+//    timestamp costs each consultation the same as an isolated one;
+//  * FIFS's largest-idle-partition query reads an idle bitmap, one bit
+//    per worker position, sized by BuildWorkers and never allocating
+//    after it.
 // Behaviour is pinned by checked-in record-stream digests
 // (tests/engine_golden_test.cc), and a shadow check re-derives every
 // scheduler consultation from fresh worker snapshots
@@ -149,10 +164,13 @@ class InferenceServer {
   // --- Incremental driving API ---------------------------------------
   // Feeds one arrival.  Ids must stay dense (query.id == number of queries
   // injected so far) and arrivals must not predate the current time.
+  // Until the engine schedules its first event, injections that keep time
+  // order cost one QueryRecord each; any other (out of time order, or
+  // later -- a fault driver's retries) also costs one calendar event.
   void InjectQuery(const workload::Query& query);
 
   // Feeds every query of `trace` (ids continuing the dense sequence),
-  // reserving arrival/record capacity for the whole trace up front.
+  // reserving record capacity for the whole trace up front.
   void InjectTrace(const workload::QueryTrace& trace);
 
   // Span form of InjectTrace (same dense-id and ordering requirements).
@@ -187,9 +205,10 @@ class InferenceServer {
   // scheduler's orphan hook onto surviving workers (parked centrally when
   // every worker is down); without it they are marked failed and returned
   // too (the whole-server-crash path, where the caller re-routes them
-  // across the fleet).  A failed worker reports failed in its WorkerState,
-  // never reports idle, and receives no work until RecoverWorker.  Note: a
-  // live reconfiguration replaces the worker set, so failure marks do not
+  // across the fleet, re-injecting each as a new query).  A failed worker
+  // reports failed in its WorkerState, never reports idle (its idle bit
+  // stays clear), and receives no work until RecoverWorker.  Note: a live
+  // reconfiguration replaces the worker set, so failure marks do not
   // survive BeginReconfigure.  No-op (empty return) if already failed.
   std::vector<workload::Query> FailWorker(int index,
                                           bool requeue_orphans = true);
@@ -225,21 +244,12 @@ class InferenceServer {
   // The Event record and EventType live in sim/event_calendar.h beside
   // the structure that orders them.
 
-  // An injected arrival on the sorted cursor; `seq` is drawn from the
-  // same counter as heap events so the merged pop order reproduces the
-  // single-queue order exactly.
-  struct PendingArrival {
-    SimTime time = 0;
-    std::uint64_t seq = 0;
-    std::uint32_t query = 0;
-  };
-
   // Server-owned scheduler view.  Positions are worker indices, in the
   // ascending (gpcs, index) order BuildWorkers lays out, and
   // layout_version() is process-unique per BuildWorkers, so the view is
   // stable() and schedulers can cache per-layout derived state against
   // it.  Get(i) materializes worker i's snapshot on each call; the wait
-  // queries read a flat index instead.  For each worker it keeps
+  // and idle queries read flat indexes instead.  For each worker it keeps
   //   queued      = the queued estimate, kFailedQueued when failed;
   //   backlog_end = estimated_end() + queued while busy, kNotBusy
   //                 otherwise,
@@ -247,7 +257,10 @@ class InferenceServer {
   // queued + max(0, estimated_end() - now) == max(queued, backlog_end -
   // now), so Twait <= X  <=>  queued <= X && backlog_end <= X + now holds
   // exactly at every instant -- estimate overruns included -- with no
-  // per-instant refresh.
+  // per-instant refresh.  The idle index is one bit per position, set
+  // while the worker is idle, plus the first position of each position's
+  // equal-size run: the highest set bit is the largest idle partition,
+  // and the first set bit of its run the lowest index among equals.
   class LiveWorkerView final : public sched::WorkerView {
    public:
     explicit LiveWorkerView(const InferenceServer& server)
@@ -255,8 +268,7 @@ class InferenceServer {
 
     std::size_t size() const override;
     const sched::WorkerState& Get(std::size_t i) const override;
-    // Answered from the server's incrementally maintained idle set
-    // (O(log W) per worker mutation, O(1) here); see idle_workers_.
+    // Answered from the idle bitmap in O(W/64).
     int MaxGpcsIdleWorker() const override;
     int FirstWaitAtMost(std::size_t begin, std::size_t end,
                         SimTime max_wait) const override;
@@ -264,9 +276,9 @@ class InferenceServer {
     bool stable() const override { return true; }
     std::uint64_t layout_version() const override { return version_; }
 
-    // A fresh layout of `num_workers` idle workers.
-    void OnLayoutChange(std::size_t num_workers);
-    // Re-keys `worker` after a mutation.
+    // A fresh layout of idle `workers` (in position order).
+    void OnLayoutChange(const std::vector<PartitionWorker>& workers);
+    // Re-keys `worker` and its idle bit after a mutation.
     void Sync(const PartitionWorker& worker);
 
    private:
@@ -282,6 +294,8 @@ class InferenceServer {
     const InferenceServer& server_;
     std::uint64_t version_ = 0;
     std::vector<WaitKey> keys_;
+    std::vector<std::uint64_t> idle_bits_;
+    std::vector<int> run_start_;
     mutable std::vector<sched::WorkerState> slots_;
   };
 
@@ -292,12 +306,15 @@ class InferenceServer {
   // Pops the earliest pending event (merging the calendar with the
   // arrival cursor by (time, seq)) into `ev`.  With `bounded`, events at
   // or after `bound` stay pending.  Returns false when nothing qualifies.
+  // A cursor arrival's payload is its record index and its seq.
   bool PopNextEvent(SimTime bound, bool bounded, Event& ev);
   // The shared event loop of AdvanceTo/Finish: pops events in (time, seq)
   // order and drains every event at the same timestamp in one sweep --
   // the current time is written once per distinct instant.
   void DrainEvents(SimTime bound, bool bounded);
   void ProcessEvent(const Event& ev);
+  // The query record `index` was injected as.
+  workload::Query QueryOf(std::uint32_t index) const;
   // Scheduler consultation for an arrival or an orphan, through the live
   // view (which reads wait times at the current time).
   int ConsultScheduler(const workload::Query& query, bool orphan);
@@ -317,9 +334,6 @@ class InferenceServer {
   // lifecycle hook).  The reference is invalidated by the next call.
   const std::vector<sched::WorkerState>& Snapshots(SimTime now) const;
   void BuildWorkers(const std::vector<int>& partition_gpcs);
-  // Re-files `worker` in idle_workers_ and the live view's wait index
-  // after a mutation.
-  void SyncWorker(const PartitionWorker& worker);
   // Starts the worker's head query if the worker is free, recording start
   // metadata (including any model-swap charge) and scheduling the
   // completion event.
@@ -337,29 +351,27 @@ class InferenceServer {
   // Dense lookup surface compiled from `repertoire_` once per server.
   profile::CompiledProfile compiled_;
 
-  // Worker/frontend/reconfig events plus out-of-order arrival injections,
-  // in the two-level bucketed calendar (O(1) amortized).
+  // Worker/frontend/reconfig events plus the arrival injections the
+  // cursor does not take, in the two-level bucketed calendar (O(1)
+  // amortized).
   EventCalendar calendar_;
-  // In-order arrivals: a flat cursor over the (already time-sorted)
-  // injected trace, merged with the calendar at pop time.
-  std::vector<PendingArrival> arrivals_;
+  // The arrival cursor: records [arrival_cursor_, cursor_end_) are
+  // pending cursor arrivals, record i with seq i.  While next_seq_ ==
+  // cursor_end_, every seq drawn so far went to the cursor and it takes
+  // the next in-order injection; otherwise it is frozen.
   std::size_t arrival_cursor_ = 0;
+  std::size_t cursor_end_ = 0;
   std::uint64_t next_seq_ = 0;
   SimTime now_ = 0;
 
   std::vector<PartitionWorker> workers_;
   LiveWorkerView view_{*this};
-  // Idle index backing LiveWorkerView::MaxGpcsIdleWorker(): {-gpcs,
-  // index} per idle worker, so begin() is the largest partition with the
-  // lowest index -- exactly FIFS's scan winner.  Maintained by SyncWorker
-  // and rebuilt by BuildWorkers.
-  std::set<std::pair<int, int>> idle_workers_;
   // Unassigned queries.  For central-queue schedulers this is the ordinary
   // central FIFO; during a reconfiguration window it additionally holds
   // every arrival (any scheduler) until the new layout is up.
   std::deque<workload::Query> central_queue_;
   std::vector<SimTime> frontend_free_at_;  // per lane
-  std::vector<workload::Query> queries_;   // injected arrivals, by id
+  // One per injected query, by id: the engine's only per-query state.
   std::vector<QueryRecord> records_;
   // Scratch for Snapshots(): reserved once per layout, reused per event.
   mutable std::vector<sched::WorkerState> snapshots_;

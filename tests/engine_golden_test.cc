@@ -1,6 +1,6 @@
 // Golden digests for the event engine: every scenario of the shared grid
 // (FIFS/ELSA x 1/3 models x static/reconfigure x 3 seeds), the wide cells,
-// the four event-ordering scenarios, and the elastic driver must reproduce
+// the six event-ordering scenarios, and the elastic driver must reproduce
 // the record-stream digests checked in below.  A mismatch prints the actual
 // digest; re-record only for a deliberate, justified behaviour change.
 #include <gtest/gtest.h>
@@ -55,6 +55,8 @@ TEST(EngineGolden, WideCellsMatchCheckedInDigests) {
       0xab3617beae95f2c9,
       // JSQ.
       0x822010c1b50f1f58,
+      // FIFS, without and with the fail / recover / reconfigure drive.
+      0x7b8809dd776d5781, 0x4f480198ab463bad,
   };
   const auto cells = WideGrid();
   ASSERT_EQ(cells.size(), std::size(kDigests));
@@ -71,6 +73,8 @@ TEST(EngineGolden, OrderingScenariosMatchCheckedInDigests) {
       0x4fcab59e74023fa1,  // same-instant bursts
       0xf7e941f6baef042b,  // far-future spill
       0xe29e262eb1ede7b3,  // incremental waves
+      0x1baafd2ca9e443b5,  // mid-run injection ties
+      0xa3867521e3f14909,  // in-order after out-of-order
   };
   const auto& scenarios = OrderingScenarios();
   ASSERT_EQ(scenarios.size(), std::size(kDigests));

@@ -1,10 +1,12 @@
 // The engine scenario grid shared by the golden-digest suite and the
 // shadow-view check: FIFS and ELSA, one and three models, static runs and
-// live reconfigurations, three seeds -- plus the wide cells (ELSA and JSQ
-// on a 132-partition, four-size layout, with ELSA's swap charge and
+// live reconfigurations, three seeds -- plus the wide cells (ELSA, JSQ and
+// FIFS on a 132-partition, four-size layout, with ELSA's swap charge and
 // locality tie-break, SLAs from 40 ms down to 2 ms, and a fail / recover /
-// reconfigure drive) and four event-ordering scenarios (out-of-order
-// injection, same-instant bursts, far-future spill, incremental waves).
+// reconfigure drive) and six event-ordering scenarios (out-of-order
+// injection, same-instant bursts, far-future spill, incremental waves,
+// mid-run injection on pending ticks, in-order injection behind an
+// out-of-order one).
 // Each scenario builds its scheduler through a SchedulerSource, so a test
 // can decorate the scheduler and attach the decorator to the server once
 // it exists.
@@ -13,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -186,7 +189,9 @@ struct WideCell {
   bool faults = false;
 
   std::string Label() const {
-    std::string label = sched == Sched::kJsq ? "JSQ" : "ELSA";
+    std::string label = sched == Sched::kJsq    ? "JSQ"
+                        : sched == Sched::kFifs ? "FIFS"
+                                                : "ELSA";
     label += "/wide/sla";
     label += std::to_string(static_cast<int>(sla_ms));
     if (sched == Sched::kElsa) label += swap_aware ? "/swap+local" : "/default";
@@ -211,7 +216,10 @@ inline constexpr double kWideRateQps = 60000.0;
 
 // In a fixed order: ELSA with its default parameters (Step A at 40 ms,
 // mostly Step B at 2 ms), ELSA with the swap charge and locality
-// tie-break, the fail / recover / reconfigure drive, then JSQ.
+// tie-break, the fail / recover / reconfigure drive, JSQ, then FIFS
+// without and with the drive.  FIFS is the one reader of the server's
+// idle index, and the layout's 2- and 7-GPC runs straddle positions 64
+// and 128.
 inline std::vector<WideCell> WideGrid() {
   std::vector<WideCell> cells;
   for (const double sla_ms : {40.0, 2.0}) {
@@ -222,6 +230,9 @@ inline std::vector<WideCell> WideGrid() {
   }
   cells.push_back({Sched::kElsa, 8.0, /*swap_aware=*/true, /*faults=*/true});
   cells.push_back({Sched::kJsq, 8.0, /*swap_aware=*/false});
+  for (const bool faults : {false, true}) {
+    cells.push_back({Sched::kFifs, 8.0, /*swap_aware=*/false, faults});
+  }
   return cells;
 }
 
@@ -248,6 +259,9 @@ inline std::vector<sim::QueryRecord> RunWideCell(const WideCell& cell,
   auto scheduler = source.Make([&]() -> std::unique_ptr<sched::Scheduler> {
     if (cell.sched == Sched::kJsq) {
       return std::make_unique<sched::JsqScheduler>();
+    }
+    if (cell.sched == Sched::kFifs) {
+      return std::make_unique<sched::FifsScheduler>();
     }
     return std::make_unique<sched::ElsaScheduler>(rep, sla, params);
   });
@@ -400,6 +414,106 @@ inline std::vector<sim::QueryRecord> RunIncrementalWaves(
   });
 }
 
+// Mid-run, in-order injections that land on the exact tick of a pending
+// worker completion or frontend-done, so an arrival injected after
+// events are pending ties with them.  Each wave injects a few arrivals,
+// advances past them, then injects one query on every pending tick that
+// falls before the next wave (so every injection keeps time order).  Two
+// servers, records concatenated:
+//  * frontend off, {1, 2, 7}: whether the completion pops before the
+//    arrival on its tick decides which partition FIFS picks;
+//  * frontend on, one lane whose cost equals a batch-8 query's run time
+//    on the 7-GPC partition (every query is batch 8): each wave also
+//    injects on the latest pending frontend-done tick, and the frontend
+//    and the 7-GPC partition keep finishing on the same ticks.
+inline std::vector<sim::QueryRecord> RunMidRunInjectionTies(
+    SchedulerSource& source) {
+  const SimTime cost =
+      SecToTicks(MakeScenarioRepertoire(1).ActualSec(0, 7, 8));
+  const auto drive = [cost](bool frontend) {
+    return [cost, frontend](sim::InferenceServer& server) {
+      // The one frontend lane serves arrivals FIFO, so its done ticks are
+      // a running max over the injected arrivals.
+      SimTime frontend_done = 0;
+      std::uint64_t id = 0;
+      const auto inject = [&](SimTime at, int batch) {
+        workload::Query q;
+        q.id = id++;
+        q.arrival = at;
+        q.batch = frontend ? 8 : batch;
+        server.InjectQuery(q);
+        frontend_done = std::max(at, frontend_done) + cost;
+      };
+      const SimTime period = MsToTicks(3.0);
+      for (int wave = 0; wave < 12; ++wave) {
+        const SimTime base = period * wave;
+        for (int k = 0; k < (frontend ? 2 : 4); ++k) {
+          inject(base + UsToTicks(300.0 * k), 1 + 7 * ((wave + k) % 4));
+        }
+        server.AdvanceTo(base + MsToTicks(1.0));
+        std::vector<SimTime> ticks;
+        for (const sim::PartitionWorker& w : server.workers()) {
+          if (w.busy()) ticks.push_back(w.busy_until());
+        }
+        if (frontend && frontend_done >= server.now()) {
+          ticks.push_back(frontend_done);
+        }
+        std::sort(ticks.begin(), ticks.end());
+        for (std::size_t k = 0; k < ticks.size(); ++k) {
+          if (ticks[k] >= base + period) break;
+          inject(ticks[k], 4 + 4 * static_cast<int>(k % 3));
+        }
+        server.AdvanceTo(base + MsToTicks(1.6));
+      }
+      return server.Finish();
+    };
+  };
+  sim::ServerConfig plain;
+  plain.partition_gpcs = {1, 2, 7};
+  plain.sla_target = MsToTicks(30.0);
+  plain.seed = 37;
+  std::vector<sim::QueryRecord> records = RunFifs(plain, source, drive(false));
+  sim::ServerConfig fronted = plain;
+  fronted.partition_gpcs = {1, 7};
+  fronted.frontend.enabled = true;
+  fronted.frontend.lanes = 1;
+  fronted.frontend.cost_per_query = cost;
+  const auto more = RunFifs(fronted, source, drive(true));
+  records.insert(records.end(), more.begin(), more.end());
+  return records;
+}
+
+// Up-front injections, all before the first advance: an in-order prefix,
+// then an arrival that goes back in time onto an instant the prefix
+// occupies, then more arrivals in order with the prefix -- several on
+// instants earlier arrivals occupy.  The (time, seq) order puts the
+// arrival injected earlier first on every shared instant.
+inline std::vector<sim::QueryRecord> RunInOrderAfterOutOfOrder(
+    SchedulerSource& source) {
+  sim::ServerConfig config;
+  config.partition_gpcs = {1, 2, 7};
+  config.sla_target = MsToTicks(30.0);
+  config.seed = 41;
+  return RunFifs(config, source, [](sim::InferenceServer& server) {
+    // Milliseconds into each block, in injection order; the fifth and the
+    // ninth go back in time.
+    const double offsets[] = {0.0, 0.4, 0.4, 1.0, 0.4, 1.0, 1.0,
+                              1.2, 0.4, 1.2, 1.5, 1.5};
+    std::uint64_t id = 0;
+    for (int block = 0; block < 6; ++block) {
+      const double base = 2.0 * static_cast<double>(block);
+      for (std::size_t k = 0; k < std::size(offsets); ++k) {
+        workload::Query q;
+        q.id = id++;
+        q.arrival = MsToTicks(base + offsets[k]);
+        q.batch = 1 + static_cast<int>((k * 5 + block) % 16);
+        server.InjectQuery(q);
+      }
+    }
+    return server.Finish();
+  });
+}
+
 struct NamedScenario {
   const char* name;
   std::vector<sim::QueryRecord> (*run)(SchedulerSource&);
@@ -411,6 +525,8 @@ inline const std::vector<NamedScenario>& OrderingScenarios() {
       {"same-instant bursts", &RunSameInstantBursts},
       {"far-future spill", &RunFarFutureSpill},
       {"incremental waves", &RunIncrementalWaves},
+      {"mid-run injection ties", &RunMidRunInjectionTies},
+      {"in-order after out-of-order", &RunInOrderAfterOutOfOrder},
   };
   return kScenarios;
 }

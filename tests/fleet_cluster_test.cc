@@ -1,13 +1,19 @@
 // fleet::Cluster tests: per-server RNG stream independence (pure seed
-// derivation, no cross-server reuse, invariance under simulation order)
-// and the parallel fleet driver's bit-identity across jobs counts.
+// derivation, no cross-server reuse, invariance under simulation order),
+// the parallel fleet driver's bit-identity across jobs counts, and one
+// ground-truth evaluation per cell fleet-wide.
 #include "fleet/cluster.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -167,6 +173,119 @@ TEST(Cluster, StatsMergeCoversEveryServer) {
   for (const auto& sr : result.per_server) raw_records += sr.records.size();
   EXPECT_GT(stats.aggregate.completed, 0u);
   EXPECT_LE(stats.aggregate.completed, raw_records);
+}
+
+// Ground truth of model m: a pure function, distinct per model.
+double Truth(int model, int gpcs, int batch) {
+  return (1.0 + 0.5 * model) * 1e-3 * (0.5 + 0.4 * batch) /
+         static_cast<double>(gpcs);
+}
+
+// Calls per (model, gpcs, batch) cell, from any thread.
+struct CellCounts {
+  std::mutex mu;
+  std::map<std::tuple<int, int, int>, int> calls;
+};
+
+// A three-model zoo whose LatencyFns compute Truth and count their calls.
+profile::ModelRepertoire CountingZoo(std::shared_ptr<CellCounts> counts) {
+  profile::ModelRepertoire zoo;
+  for (int m = 0; m < 3; ++m) {
+    profile::ProfileTable table("m", {1, 2, 3, 7}, {1, 2, 4, 8, 16, 32});
+    for (const int g : table.partition_sizes()) {
+      for (const int b : table.batch_sizes()) {
+        table.Set(g, b, {Truth(m, g, b), 0.5});
+      }
+    }
+    std::string name = "m";
+    name += std::to_string(m);
+    zoo.Register(std::move(name), std::move(table),
+                 [m, counts](int gpcs, int batch) {
+                   const std::lock_guard<std::mutex> lock(counts->mu);
+                   ++counts->calls[{m, gpcs, batch}];
+                   return Truth(m, gpcs, batch);
+                 });
+  }
+  return zoo;
+}
+
+std::unique_ptr<Cluster> MakeShardedCluster(
+    const profile::ModelRepertoire& zoo) {
+  // Six servers, four replicas of each of the three models: every model
+  // runs on several servers, under different local ids.
+  auto placement = ShardedPlacement(6, zoo.size(), /*replicas=*/4);
+  for (int s = 0; s < placement.num_servers(); ++s) {
+    placement.mutable_server(s).partition_gpcs = {7, 3, 2, 1};
+  }
+  FleetConfig config;
+  config.policy = RouterPolicy::kHash;
+  config.sla_target = MsToTicks(50.0);
+  config.latency_noise_sigma = 0.03;
+  config.seed = 3;
+  return std::make_unique<Cluster>(
+      std::move(config), std::move(placement), zoo,
+      [](int, const profile::ModelRepertoire&) {
+        return std::make_unique<sched::FifsScheduler>();
+      });
+}
+
+TEST(Cluster, GroundTruthEvaluatedOncePerCellAcrossServers) {
+  const auto counts = std::make_shared<CellCounts>();
+  const auto zoo = CountingZoo(counts);
+  const auto cluster = MakeShardedCluster(zoo);
+  const auto trace = MakeTrace(3000, zoo.size(), /*seed=*/17);
+  const auto jobs1 = cluster->Simulate(trace, 1);
+
+  // The cells the engines charged, per server and fleet-wide.
+  std::set<std::tuple<int, int, int, int>> per_server;
+  std::set<std::tuple<int, int, int>> cells;
+  for (std::size_t s = 0; s < jobs1.per_server.size(); ++s) {
+    const auto& hosted = cluster->placement().server(static_cast<int>(s));
+    for (const sim::QueryRecord& r : jobs1.per_server[s].records) {
+      const int m = hosted.model_ids[static_cast<std::size_t>(r.model)];
+      per_server.insert({static_cast<int>(s), m, r.worker_gpcs, r.batch});
+      cells.insert({m, r.worker_gpcs, r.batch});
+    }
+  }
+  // Servers shared cells, and each cell was evaluated exactly once.
+  EXPECT_GT(per_server.size(), cells.size());
+  ASSERT_EQ(counts->calls.size(), cells.size());
+  for (const auto& [cell, calls] : counts->calls) {
+    EXPECT_TRUE(cells.count(cell)) << "evaluated a cell no query ran on";
+    EXPECT_EQ(calls, 1);
+  }
+
+  // A second simulation is served entirely from the memo.
+  const auto before = counts->calls;
+  (void)cluster->Simulate(trace, 1);
+  EXPECT_EQ(counts->calls, before);
+
+  // Every memoized value is the LatencyFn's, bit for bit, through the zoo
+  // and through each server's local repertoire.
+  for (const auto& [cell, calls] : before) {
+    const auto [m, g, b] = cell;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(zoo.ActualSec(m, g, b)),
+              std::bit_cast<std::uint64_t>(Truth(m, g, b)));
+    for (int s = 0; s < cluster->num_servers(); ++s) {
+      const int local = cluster->placement().LocalModel(s, m);
+      if (local < 0) continue;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                    cluster->server_repertoire(s).ActualSec(local, g, b)),
+                std::bit_cast<std::uint64_t>(Truth(m, g, b)));
+    }
+  }
+  EXPECT_EQ(counts->calls, before);
+
+  // A fresh zoo filled from three threads at once gives the same records.
+  const auto fresh_counts = std::make_shared<CellCounts>();
+  const auto fresh_zoo = CountingZoo(fresh_counts);
+  const auto jobs3 = MakeShardedCluster(fresh_zoo)->Simulate(trace, 3);
+  ASSERT_EQ(jobs3.per_server.size(), jobs1.per_server.size());
+  for (std::size_t s = 0; s < jobs1.per_server.size(); ++s) {
+    EXPECT_TRUE(SameRecords(jobs1.per_server[s], jobs3.per_server[s]))
+        << "server " << s << " diverged at jobs=3";
+  }
+  EXPECT_EQ(fresh_counts->calls.size(), cells.size());
 }
 
 TEST(Cluster, RejectsUnplannedLayouts) {

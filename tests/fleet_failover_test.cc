@@ -6,6 +6,8 @@
 //    completes everything;
 //  * fault runs are bit-identical at --jobs 1, 2 and hardware
 //    concurrency, and across repeated runs with the same seed;
+//  * retry instants are computed without overflow, and a retry that
+//    would land past the end of SimTime fails like an exhausted budget;
 //  * the `--faults` grammar (ParseFaultRef / ResolveFaultPlan) resolves
 //    deterministically and rejects unknown presets and keys;
 //  * the HealthView's epoch tables answer exactly what the per-server
@@ -16,6 +18,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -271,6 +274,51 @@ TEST(FleetFailover, BitIdenticalAcrossJobsAndRepeatedRuns) {
                                        trace);
   ExpectSameResult(base, tb.RunWithFaults(trace, replan, /*jobs=*/2),
                    "re-resolved plan");
+}
+
+TEST(FleetFailover, RetryInstantIsCheckedAgainstOverflow) {
+  constexpr SimTime kMax = std::numeric_limits<SimTime>::max();
+  const SimTime t = MsToTicks(1000.0);
+  const SimTime backoff = MsToTicks(50.0);
+  EXPECT_EQ(RetryInstant(t, backoff, 1), t + backoff);
+  // 50 ms * 2^37 is about 6.9e18 ns and still fits; twice that does not,
+  // and from attempt 64 on 2^(attempt - 1) itself leaves int64.
+  EXPECT_EQ(RetryInstant(t, backoff, 38), t + backoff * (SimTime{1} << 37));
+  for (const int attempt : {39, 63, 64, 100}) {
+    EXPECT_EQ(RetryInstant(t, backoff, attempt), std::nullopt) << attempt;
+  }
+  // Without a backoff every attempt retries at once.
+  for (const int attempt : {1, 38, 39, 63, 64, 100}) {
+    EXPECT_EQ(RetryInstant(t, 0, attempt), t) << attempt;
+  }
+  // The edges of the representable range.
+  EXPECT_EQ(RetryInstant(kMax - 1, 1, 1), kMax);
+  EXPECT_EQ(RetryInstant(kMax, 1, 1), std::nullopt);
+  EXPECT_EQ(RetryInstant(0, 1, 63), SimTime{1} << 62);
+  EXPECT_EQ(RetryInstant(0, 1, 64), std::nullopt);
+  EXPECT_THROW((void)RetryInstant(-1, backoff, 1), std::invalid_argument);
+  EXPECT_THROW((void)RetryInstant(t, -1, 1), std::invalid_argument);
+  EXPECT_THROW((void)RetryInstant(t, backoff, 0), std::invalid_argument);
+}
+
+TEST(FleetFailover, OverflowingRetryFailsLikeAnExhaustedBudget) {
+  const core::FleetTestbed tb(ShardedFleet(6, 3));
+  const auto trace = tb.GenerateFleetTrace(900.0, 4000, /*seed=*/23);
+  FaultPlan plan;
+  plan.name = "manual-crash";
+  plan.repartition = false;
+  plan.events.push_back({trace.queries().back().arrival / 4,
+                         FaultKind::kServerCrash, /*server=*/0});
+  plan.max_retries = 0;
+  const auto exhausted = tb.RunWithFaults(trace, plan, /*jobs=*/2);
+  EXPECT_GT(exhausted.fault.failed, 0u);
+  EXPECT_EQ(exhausted.fault.retried, 0u);
+  // A budget of a thousand retries whose first backoff already runs past
+  // the end of SimTime: every casualty fails, as with no budget at all.
+  plan.max_retries = 1000;
+  plan.retry_backoff = std::numeric_limits<SimTime>::max();
+  ExpectSameResult(exhausted, tb.RunWithFaults(trace, plan, /*jobs=*/2),
+                   "overflowing backoff");
 }
 
 TEST(FleetFailover, HealthViewWindowsMatchTheSchedule) {

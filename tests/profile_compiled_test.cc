@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -63,20 +64,40 @@ TEST(CompiledProfile, EstimatesMatchRepertoireBitForBit) {
   }
 }
 
-TEST(CompiledProfile, ActualMatchesAndMemoizes) {
-  const auto rep = MakeRepertoire();
+TEST(CompiledProfile, ActualForwardsToTheRepertoireMemo) {
+  // Ground truth is memoized in the repertoire, not here: a compiled
+  // profile, its repertoire, and a copy of that repertoire all read one
+  // memo, so each cell's LatencyFn runs once between them.
+  const auto truth = [](int gpcs, int batch) {
+    return 1.1e-3 * (1.0 + batch) / static_cast<double>(gpcs);
+  };
+  const auto calls = std::make_shared<int>(0);
+  ModelRepertoire rep;
+  rep.Register("m0", MakeTable("m0", 1.0), [truth, calls](int g, int b) {
+    ++*calls;
+    return truth(g, b);
+  });
   const CompiledProfile compiled(rep);
-  for (int m = 0; m < rep.size(); ++m) {
-    for (int g = 1; g <= 7; ++g) {
-      for (int b : {1, 3, 8, 32}) {
-        // Twice: the first call fills the memo, the second serves from it.
-        EXPECT_EQ(compiled.ActualSec(m, g, b), rep.ActualSec(m, g, b));
-        EXPECT_EQ(compiled.ActualSec(m, g, b), rep.ActualSec(m, g, b));
-      }
+  int cells = 0;
+  for (int g = 1; g <= 7; ++g) {
+    for (int b : {1, 3, 8, 32}) {
+      // Twice: the first call fills the memo, the second serves from it.
+      EXPECT_EQ(compiled.ActualSec(0, g, b), truth(g, b));
+      EXPECT_EQ(compiled.ActualSec(0, g, b), truth(g, b));
+      EXPECT_EQ(*calls, ++cells) << "g=" << g << " b=" << b;
     }
   }
-  // Outside the memo grid the LatencyFn is called directly.
-  EXPECT_EQ(compiled.ActualSec(0, 1, 1000), rep.ActualSec(0, 1, 1000));
+  const ModelRepertoire copy = rep;
+  const CompiledProfile from_copy(copy);
+  EXPECT_EQ(rep.ActualSec(0, 7, 8), truth(7, 8));
+  EXPECT_EQ(copy.ActualSec(0, 3, 32), truth(3, 32));
+  EXPECT_EQ(from_copy.ActualSec(0, 2, 1), truth(2, 1));
+  EXPECT_EQ(*calls, cells);
+  // Outside the memo grid (batch past the largest profiled one) the
+  // LatencyFn is called directly, every time.
+  EXPECT_EQ(compiled.ActualSec(0, 1, 1000), truth(1, 1000));
+  EXPECT_EQ(compiled.ActualSec(0, 1, 1000), truth(1, 1000));
+  EXPECT_EQ(*calls, cells + 2);
 }
 
 TEST(CompiledProfile, FallbackPreservesErrorBehavior) {

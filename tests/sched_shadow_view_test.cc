@@ -279,8 +279,9 @@ TEST(ShadowView, WideCellsAgreeDecisionByDecision) {
         << cell.Label() << ", first: " << source.tally.first_mismatch;
     EXPECT_GE(source.tally.arrivals, static_cast<int>(records.size()))
         << cell.Label();
-    // Failed workers' queues are re-placed as orphans.
-    if (cell.faults) {
+    // Failed workers' queues are re-placed as orphans.  FIFS binds only
+    // to idle workers, so its local queues are empty when one fails.
+    if (cell.faults && cell.sched != Sched::kFifs) {
       EXPECT_GT(source.tally.orphans, 0) << cell.Label();
     }
     if (cell.sched == Sched::kElsa) {
