@@ -20,8 +20,7 @@
 #include "bench/bench_util.h"
 
 #include "online/elastic_server.h"
-#include "perf/model_zoo.h"
-#include "profile/profiler.h"
+#include "profile/model_repertoire.h"
 #include "sched/elsa.h"
 #include "workload/scenario.h"
 
@@ -31,15 +30,9 @@ int main() {
                      "ResNet, drifting log-normal workload; ELSA scheduling "
                      "throughout; reconfigurations simulated live");
 
-  profile::Profiler profiler;
-  const auto model = perf::BuildResNet50();
-  const auto profile =
-      profiler.Profile(model, profile::ProfilerConfig::Default(64));
-  perf::RooflineEngine engine;
+  const auto repertoire = profile::BuildZooRepertoire({"resnet"});
+  const auto& profile = repertoire.profile(0);
   const SimTime sla = SecToTicks(1.5 * profile.LatencySec(7, 32));
-  sim::LatencyFn actual = [engine, model](int g, int b) {
-    return engine.LatencySec(model, g, b);
-  };
 
   // Day cycle: small -> large -> small, 6000 queries per phase at 350 qps.
   const std::uint64_t trace_seed = 11;
@@ -69,9 +62,11 @@ int main() {
     online::RepartitionController controller(profile, hw::Cluster(8), 48,
                                              plan_dist, {}, config);
     online::ElasticServerSim sim(
-        controller, profile,
-        [&] { return std::make_unique<sched::ElsaScheduler>(profile, sla); },
-        actual, sla, queries_per_epoch, server_seed);
+        controller, repertoire,
+        [&] {
+          return std::make_unique<sched::ElsaScheduler>(repertoire, sla);
+        },
+        sla, queries_per_epoch, server_seed);
     return std::pair<std::string, online::ElasticResult>(label,
                                                          sim.Run(trace));
   };

@@ -41,7 +41,11 @@ void BM_ElsaDecision(benchmark::State& state) {
   profile::ProfileTable table("toy", {1, 7}, {32});
   table.Set(1, 32, {10e-3, 0.9});
   table.Set(7, 32, {2e-3, 0.5});
-  sched::ElsaScheduler elsa(table, MsToTicks(15.0));
+  profile::ModelRepertoire repertoire;
+  repertoire.Register("toy", table, [table](int gpcs, int batch) {
+    return table.LatencySec(gpcs, batch);
+  });
+  sched::ElsaScheduler elsa(repertoire, MsToTicks(15.0));
   std::vector<sched::WorkerState> workers(n_workers);
   for (std::size_t i = 0; i < n_workers; ++i) {
     workers[i].index = static_cast<int>(i);

@@ -28,6 +28,17 @@ bool IsOptionToken(const std::string& token) {
   return token == "--" || IsLongOption(token) || IsShortFlag(token);
 }
 
+[[noreturn]] void ThrowBadRef(const std::string& what, const char* problem,
+                              const std::string& token) {
+  std::string message = what;
+  message += ": ";
+  message += problem;
+  message += " '";
+  message += token;
+  message += "'";
+  throw std::invalid_argument(message);
+}
+
 }  // namespace
 
 ArgParser::ArgParser(int argc, const char* const* argv,
@@ -145,6 +156,28 @@ std::vector<std::string> ArgParser::UnknownKeys(
     }
   }
   return unknown;
+}
+
+NamedRef ParseNamedRef(const std::string& ref, const std::string& what) {
+  NamedRef parsed;
+  const auto colon = ref.find(':');
+  parsed.name = ref.substr(0, colon);
+  if (parsed.name.empty()) ThrowBadRef(what, "empty name in", ref);
+  if (colon == std::string::npos) return parsed;
+  const std::string rest = ref.substr(colon + 1);
+  std::string::size_type begin = 0;
+  for (;;) {
+    const auto comma = rest.find(',', begin);
+    const std::string pair = rest.substr(begin, comma - begin);
+    const auto eq = pair.find('=');
+    if (eq == std::string::npos || eq == 0 || eq + 1 == pair.size()) {
+      ThrowBadRef(what, "expected key=val, got", pair);
+    }
+    parsed.overrides.emplace_back(pair.substr(0, eq), pair.substr(eq + 1));
+    if (comma == std::string::npos) break;
+    begin = comma + 1;
+  }
+  return parsed;
 }
 
 }  // namespace pe

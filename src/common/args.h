@@ -27,6 +27,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace pe {
@@ -72,5 +73,17 @@ class ArgParser {
   std::map<std::string, std::string> options_;  // key -> value ("" for flag)
   std::map<std::string, std::string> spelling_;  // key -> original token
 };
+
+// A parsed `NAME[:key=val,...]` option value (the --scenario and --faults
+// grammar): the name plus its raw key/value overrides, in order.
+struct NamedRef {
+  std::string name;
+  std::vector<std::pair<std::string, std::string>> overrides;
+};
+
+// Splits "flashcrowd:rate=500,mult=10" into name + key/value overrides.
+// Throws std::invalid_argument, its message prefixed "<what>: ", on an
+// empty name or a malformed pair.
+NamedRef ParseNamedRef(const std::string& ref, const std::string& what);
 
 }  // namespace pe

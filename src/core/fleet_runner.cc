@@ -10,8 +10,6 @@
 
 #include "online/failover_controller.h"
 #include "partition/mix.h"
-#include "sched/baselines.h"
-#include "sched/fifs.h"
 
 namespace pe::core {
 
@@ -65,30 +63,14 @@ FleetTestbed::FleetTestbed(FleetTestbedConfig config)
   // threads during Simulate); the per-server repertoire argument is owned
   // by the cluster and outlives the scheduler.
   const SchedulerKind kind = config_.scheduler;
-  sched::ElsaParams elsa = config_.elsa;
-  if (elsa.swap_cost_sec == 0.0) {
-    // Keep the slack predictor honest by default: fold the simulator's
-    // swap penalty into ELSA's Twait unless the caller tuned it already.
-    elsa.swap_cost_sec = config_.mix.swap_cost_us * 1e-6;
-  }
+  const sched::ElsaParams elsa = config_.elsa;
+  const double swap_cost_sec = config_.mix.swap_cost_us * 1e-6;
   const SimTime sla = mix_.sla_target();
   fleet::SchedulerFactory factory =
-      [kind, elsa, sla](int /*server_id*/,
-                        const profile::ModelRepertoire& repertoire)
-      -> std::unique_ptr<sched::Scheduler> {
-    switch (kind) {
-      case SchedulerKind::kFifs:
-        return std::make_unique<sched::FifsScheduler>();
-      case SchedulerKind::kElsa:
-        return std::make_unique<sched::ElsaScheduler>(repertoire, sla, elsa);
-      case SchedulerKind::kJsq:
-        return std::make_unique<sched::JsqScheduler>();
-      case SchedulerKind::kGreedyFastest:
-        return std::make_unique<sched::GreedyFastestScheduler>(
-            repertoire.profile(0));
-    }
-    throw std::invalid_argument("FleetTestbed: unknown scheduler kind");
-  };
+      [kind, elsa, swap_cost_sec, sla](
+          int /*server_id*/, const profile::ModelRepertoire& repertoire) {
+        return MakeScheduler(kind, repertoire, sla, elsa, swap_cost_sec);
+      };
 
   cluster_ = std::make_unique<fleet::Cluster>(fc, std::move(placement),
                                               mix_.repertoire(),

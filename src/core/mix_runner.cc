@@ -4,9 +4,6 @@
 #include <stdexcept>
 
 #include "core/paper_config.h"
-#include "sched/baselines.h"
-#include "sched/elsa.h"
-#include "sched/fifs.h"
 #include "workload/arrival.h"
 
 namespace pe::core {
@@ -107,25 +104,8 @@ workload::QueryTrace MixTestbed::GenerateMix(double rate_qps,
 
 std::unique_ptr<sched::Scheduler> MixTestbed::MakeScheduler(
     SchedulerKind kind, sched::ElsaParams elsa) const {
-  // Keep ELSA's slack predictor honest about this testbed's swap penalty
-  // unless the caller tuned the knob explicitly; a swap-free mix
-  // (swap_cost_us == 0) leaves the predictor untouched either way.
-  if (elsa.swap_cost_sec == 0.0) {
-    elsa.swap_cost_sec = config_.swap_cost_us * 1e-6;
-  }
-  switch (kind) {
-    case SchedulerKind::kFifs:
-      return std::make_unique<sched::FifsScheduler>();
-    case SchedulerKind::kElsa:
-      return std::make_unique<sched::ElsaScheduler>(repertoire_, sla_target_,
-                                                    elsa);
-    case SchedulerKind::kJsq:
-      return std::make_unique<sched::JsqScheduler>();
-    case SchedulerKind::kGreedyFastest:
-      return std::make_unique<sched::GreedyFastestScheduler>(
-          repertoire_.profile(0));
-  }
-  throw std::invalid_argument("MixTestbed::MakeScheduler: unknown kind");
+  return core::MakeScheduler(kind, repertoire_, sla_target_, elsa,
+                             config_.swap_cost_us * 1e-6);
 }
 
 sim::SimResult MixTestbed::Run(const std::vector<int>& partition_gpcs,

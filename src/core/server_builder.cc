@@ -1,12 +1,10 @@
 #include "core/server_builder.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "partition/homogeneous.h"
 #include "partition/random_partition.h"
 #include "perf/model_zoo.h"
-#include "profile/profiler.h"
 #include "sched/baselines.h"
 #include "sched/fifs.h"
 #include "workload/arrival.h"
@@ -23,39 +21,30 @@ const char* ToString(SchedulerKind kind) {
   return "?";
 }
 
-namespace {
-
-profile::ProfileTable BuildProfile(const perf::DnnModel& model,
-                                   const perf::RooflineEngine& engine,
-                                   int max_batch) {
-  profile::Profiler profiler(engine);
-  // Profile at least up to batch 64 so knee detection sees the plateau even
-  // when the serving distribution is capped lower.
-  const auto config = profile::ProfilerConfig::Default(std::max(64, max_batch));
-  return profiler.Profile(model, config);
+std::unique_ptr<sched::Scheduler> MakeScheduler(
+    SchedulerKind kind, const profile::ModelRepertoire& repertoire,
+    SimTime sla_target, sched::ElsaParams elsa, double swap_cost_sec) {
+  switch (kind) {
+    case SchedulerKind::kFifs:
+      return std::make_unique<sched::FifsScheduler>();
+    case SchedulerKind::kElsa:
+      if (elsa.swap_cost_sec == 0.0) elsa.swap_cost_sec = swap_cost_sec;
+      return std::make_unique<sched::ElsaScheduler>(repertoire, sla_target,
+                                                    elsa);
+    case SchedulerKind::kJsq:
+      return std::make_unique<sched::JsqScheduler>();
+    case SchedulerKind::kGreedyFastest:
+      return std::make_unique<sched::GreedyFastestScheduler>(repertoire);
+  }
+  throw std::invalid_argument("MakeScheduler: unknown kind");
 }
-
-profile::ModelRepertoire SingleModelRepertoire(
-    const std::string& name, const perf::DnnModel& model,
-    const perf::RooflineEngine& engine, int max_batch) {
-  profile::ModelRepertoire repertoire;
-  // Bind copies so the ground-truth function stays valid independently of
-  // the testbed.
-  repertoire.Register(name, BuildProfile(model, engine, max_batch),
-                      [engine, model](int gpcs, int batch) {
-                        return engine.LatencySec(model, gpcs, batch);
-                      });
-  return repertoire;
-}
-
-}  // namespace
 
 Testbed::Testbed(TestbedConfig config)
     : config_(std::move(config)),
       model_(perf::BuildModelByName(config_.model_name)),
       engine_(config_.gpu, config_.roofline),
-      repertoire_(SingleModelRepertoire(config_.model_name, model_, engine_,
-                                        config_.max_batch)),
+      repertoire_(profile::BuildZooRepertoire({config_.model_name}, engine_,
+                                              config_.max_batch)),
       dist_(std::make_unique<workload::LogNormalBatchDist>(
           config_.dist_median, config_.dist_sigma, config_.max_batch)),
       table1_(Table1For(config_.model_name)),
@@ -83,26 +72,7 @@ partition::PartitionPlan Testbed::PlanParis() const {
 
 std::unique_ptr<sched::Scheduler> Testbed::MakeScheduler(
     SchedulerKind kind, sched::ElsaParams elsa) const {
-  switch (kind) {
-    case SchedulerKind::kFifs:
-      return std::make_unique<sched::FifsScheduler>();
-    case SchedulerKind::kElsa:
-      // The repertoire form: Testimated routes through the arriving
-      // query's model profile (one entry here, the degenerate case).
-      return std::make_unique<sched::ElsaScheduler>(repertoire_, sla_target_,
-                                                    elsa);
-    case SchedulerKind::kJsq:
-      return std::make_unique<sched::JsqScheduler>();
-    case SchedulerKind::kGreedyFastest:
-      return std::make_unique<sched::GreedyFastestScheduler>(profile());
-  }
-  throw std::invalid_argument("MakeScheduler: unknown kind");
-}
-
-sim::LatencyFn Testbed::ActualLatency() const {
-  // The repertoire's function already binds copies of the engine and
-  // model, so the returned copy stays valid independently of this Testbed.
-  return repertoire_.actual(0);
+  return core::MakeScheduler(kind, repertoire_, sla_target_, elsa);
 }
 
 workload::ScenarioSpec Testbed::ScenarioFor(double rate_qps) const {

@@ -42,6 +42,16 @@ enum class SchedulerKind { kFifs, kElsa, kJsq, kGreedyFastest };
 
 const char* ToString(SchedulerKind kind);
 
+// The one scheduler factory: a `kind` scheduler over `repertoire` (ELSA
+// and GreedyFastest read each query's own model profile from it, and
+// borrow it, so it must outlive the scheduler).  `sla_target` is ELSA's
+// SLA.  Unless the caller tuned `elsa.swap_cost_sec`, ELSA's slack
+// predictor charges `swap_cost_sec` -- the simulator's model-swap
+// penalty -- so it stays honest about swaps; 0 leaves it swap-oblivious.
+std::unique_ptr<sched::Scheduler> MakeScheduler(
+    SchedulerKind kind, const profile::ModelRepertoire& repertoire,
+    SimTime sla_target, sched::ElsaParams elsa, double swap_cost_sec = 0.0);
+
 struct TestbedConfig {
   std::string model_name = "resnet";
   // Batch-size distribution (paper defaults: log-normal, sigma 0.9, max 32).
@@ -93,6 +103,7 @@ class Testbed {
   partition::PartitionPlan PlanParis() const;
 
   // --- Schedulers ----------------------------------------------------
+  // core::MakeScheduler over this testbed's repertoire and SLA.
   std::unique_ptr<sched::Scheduler> MakeScheduler(
       SchedulerKind kind, sched::ElsaParams elsa = sched::ElsaParams{}) const;
 
@@ -122,9 +133,6 @@ class Testbed {
   sim::ServerStats RunStats(const partition::PartitionPlan& plan,
                             SchedulerKind kind,
                             const RunOptions& options) const;
-
-  // Ground-truth latency function bound to this model.
-  sim::LatencyFn ActualLatency() const;
 
  private:
   TestbedConfig config_;

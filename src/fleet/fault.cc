@@ -191,31 +191,6 @@ void FaultPlan::Validate(const PlacementMap& placement) const {
   }
 }
 
-FaultOptions ParseFaultRef(const std::string& ref) {
-  FaultOptions opts;
-  const auto colon = ref.find(':');
-  opts.name = ref.substr(0, colon);
-  if (opts.name.empty()) {
-    throw std::invalid_argument("faults: empty name in '" + ref + "'");
-  }
-  if (colon == std::string::npos) return opts;
-  std::string rest = ref.substr(colon + 1);
-  std::string::size_type begin = 0;
-  for (;;) {
-    const auto comma = rest.find(',', begin);
-    const std::string pair = rest.substr(begin, comma - begin);
-    const auto eq = pair.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 == pair.size()) {
-      throw std::invalid_argument("faults: expected key=val, got '" + pair +
-                                  "'");
-    }
-    opts.overrides.emplace_back(pair.substr(0, eq), pair.substr(eq + 1));
-    if (comma == std::string::npos) break;
-    begin = comma + 1;
-  }
-  return opts;
-}
-
 const std::vector<std::string>& FaultPresetNames() {
   static const std::vector<std::string> names = {"serverloss", "flaky",
                                                  "brownout", "cascade"};

@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/args.h"
 #include "common/sim_time.h"
 #include "fleet/placement.h"
 
@@ -83,15 +84,14 @@ struct FaultPlan {
 
 // A parsed `--faults` reference: preset name + raw key=val overrides
 // (same grammar as workload::ParseScenarioRef).
-struct FaultOptions {
-  std::string name;
-  std::vector<std::pair<std::string, std::string>> overrides;
-};
+using FaultOptions = NamedRef;
 
 // Parses "NAME" or "NAME:key=val,key=val,...".  Throws
 // std::invalid_argument on an empty name or a malformed pair.  Preset
 // validity is checked later, by ResolveFaultPlan.
-FaultOptions ParseFaultRef(const std::string& ref);
+inline FaultOptions ParseFaultRef(const std::string& ref) {
+  return ParseNamedRef(ref, "faults");
+}
 
 // Preset names accepted by ResolveFaultPlan ("none" is also accepted
 // and resolves to the empty plan).

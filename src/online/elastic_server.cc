@@ -2,30 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <optional>
 #include <span>
 
 #include "online/traffic_estimator.h"
 #include "sim/metrics.h"
 
 namespace pe::online {
-
-ElasticServerSim::ElasticServerSim(RepartitionPolicy& controller,
-                                   const profile::ProfileTable& profile,
-                                   SchedulerFactory scheduler_factory,
-                                   sim::LatencyFn actual_latency,
-                                   SimTime sla_target,
-                                   std::size_t queries_per_epoch,
-                                   std::uint64_t seed)
-    : controller_(controller),
-      profile_(&profile),
-      scheduler_factory_(std::move(scheduler_factory)),
-      actual_latency_(std::move(actual_latency)),
-      sla_target_(sla_target),
-      queries_per_epoch_(queries_per_epoch),
-      seed_(seed) {
-  assert(queries_per_epoch_ > 0);
-}
 
 ElasticServerSim::ElasticServerSim(RepartitionPolicy& controller,
                                    const profile::ModelRepertoire& repertoire,
@@ -35,7 +17,7 @@ ElasticServerSim::ElasticServerSim(RepartitionPolicy& controller,
                                    std::uint64_t seed,
                                    SimTime model_swap_cost)
     : controller_(controller),
-      repertoire_(&repertoire),
+      repertoire_(repertoire),
       scheduler_factory_(std::move(scheduler_factory)),
       sla_target_(sla_target),
       queries_per_epoch_(queries_per_epoch),
@@ -58,13 +40,8 @@ ElasticResult ElasticServerSim::Run(const workload::QueryTrace& trace) {
   sc.seed = seed_;
   sc.model_swap_cost = model_swap_cost_;
   auto scheduler = scheduler_factory_();
-  std::optional<sim::InferenceServer> server;
-  if (repertoire_ != nullptr) {
-    server.emplace(sc, *repertoire_, *scheduler);
-  } else {
-    server.emplace(sc, *profile_, *scheduler, actual_latency_);
-  }
-  server->InjectTrace(trace);
+  sim::InferenceServer server(sc, repertoire_, *scheduler);
+  server.InjectTrace(trace);
 
   const auto& queries = trace.queries();
   const std::size_t num_epochs =
@@ -73,26 +50,25 @@ ElasticResult ElasticServerSim::Run(const workload::QueryTrace& trace) {
   std::vector<std::vector<int>> layouts(num_epochs);
   layouts[0] = controller_.current_plan().instance_gpcs;
 
-  TrafficEstimator estimator(repertoire_ != nullptr ? repertoire_->max_batch()
-                                                    : profile_->max_batch());
+  TrafficEstimator estimator(repertoire_.max_batch());
   for (std::size_t epoch = 1; epoch < num_epochs; ++epoch) {
     const std::size_t begin = epoch * queries_per_epoch_;
     // Simulate up to the instant the new epoch's first query arrives; the
     // controller decides before that query is dispatched.
-    server->AdvanceTo(queries[begin].arrival);
+    server.AdvanceTo(queries[begin].arrival);
     for (std::size_t i = begin - queries_per_epoch_; i < begin; ++i) {
       estimator.Observe(queries[i].model_id, queries[i].batch);
     }
     if (const auto plan = controller_.MaybeRepartition(estimator)) {
-      server->BeginReconfigure(plan->instance_gpcs,
-                               controller_.config().reconfig_downtime);
+      server.BeginReconfigure(plan->instance_gpcs,
+                              controller_.config().reconfig_downtime);
       reconfigured[epoch] = true;
       ++result.reconfigurations;
     }
     layouts[epoch] = controller_.current_plan().instance_gpcs;
   }
 
-  const auto sim_result = server->Finish();
+  const auto sim_result = server.Finish();
 
   // Per-epoch stats sliced out of the continuous record stream by query
   // id (ids are dense and epoch membership is an id range).

@@ -54,23 +54,17 @@ inline constexpr std::uint64_t kDefaultElasticSeed = 0xE1A5;
 
 class ElasticServerSim {
  public:
+  // The continuous server serves `repertoire` (a single-model server
+  // serves a one-entry repertoire) and the trace may interleave its
+  // models: per-model estimates and ground truth come from the
+  // repertoire, and the estimator tracks the live mix.
   // `queries_per_epoch` defines the epoch boundary in query count (an
   // arrival-rate-independent proxy for the paper's "given period of
   // time").  `seed` seeds the single run's RNG stream (latency noise).
   // `controller` is any RepartitionPolicy (single-model PMF drift or the
-  // mixed per-model-share controller).
-  ElasticServerSim(RepartitionPolicy& controller,
-                   const profile::ProfileTable& profile,
-                   SchedulerFactory scheduler_factory,
-                   sim::LatencyFn actual_latency, SimTime sla_target,
-                   std::size_t queries_per_epoch = 2000,
-                   std::uint64_t seed = kDefaultElasticSeed);
-
-  // Multi-model form: the continuous server serves `repertoire` and the
-  // trace may interleave models (per-model estimates and ground truth come
-  // from the repertoire; the estimator tracks the live mix).
-  // `model_swap_cost` is charged whenever a partition starts a query of a
-  // non-resident model, matching the mix CLI/bench semantics.
+  // mixed per-model-share controller).  `model_swap_cost` is charged
+  // whenever a partition starts a query of a non-resident model, matching
+  // the mix CLI/bench semantics.  `repertoire` must outlive the simulator.
   ElasticServerSim(RepartitionPolicy& controller,
                    const profile::ModelRepertoire& repertoire,
                    SchedulerFactory scheduler_factory, SimTime sla_target,
@@ -82,15 +76,12 @@ class ElasticServerSim {
 
  private:
   RepartitionPolicy& controller_;
-  // Exactly one of the two serving sources is set.
-  const profile::ProfileTable* profile_ = nullptr;
-  const profile::ModelRepertoire* repertoire_ = nullptr;
+  const profile::ModelRepertoire& repertoire_;
   SchedulerFactory scheduler_factory_;
-  sim::LatencyFn actual_latency_;  // single-model form only
   SimTime sla_target_;
   std::size_t queries_per_epoch_;
   std::uint64_t seed_;
-  SimTime model_swap_cost_ = 0;  // repertoire form only
+  SimTime model_swap_cost_;
 };
 
 }  // namespace pe::online

@@ -19,8 +19,6 @@ TrafficEstimator::TrafficEstimator(int max_batch, std::size_t window)
   }
 }
 
-void TrafficEstimator::Observe(int batch) { Observe(/*model_id=*/0, batch); }
-
 void TrafficEstimator::Observe(int model_id, int batch) {
   if (model_id < 0) {
     throw std::invalid_argument("TrafficEstimator: negative model id");

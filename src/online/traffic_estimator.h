@@ -9,9 +9,9 @@
 // drift metric for deciding when the live distribution has moved far
 // enough from the one the server was partitioned for.
 //
-// Multi-model extension: each observation optionally carries the model
-// identity of the served query, so the estimator also tracks the live
-// *mix* -- per-model rate shares and per-model batch PMFs.  Drift in the
+// Multi-model extension: each observation carries the model identity of
+// the served query, so the estimator also tracks the live *mix* --
+// per-model rate shares and per-model batch PMFs.  Drift in the
 // mix (one model's traffic growing at another's expense) can then trigger
 // a re-partition even when the aggregate batch PMF barely moves.
 #pragma once
@@ -35,12 +35,8 @@ class TrafficEstimator {
   std::size_t count() const { return recent_.size(); }
   bool empty() const { return recent_.empty(); }
 
-  // Records one served query's batch size (model 0, the single-model
-  // degenerate case).
-  void Observe(int batch);
-
-  // Records one served query's (model, batch).  Negative model ids throw
-  // std::invalid_argument.
+  // Records one served query's (model, batch); a single-model server
+  // observes model 0.  Negative model ids throw std::invalid_argument.
   void Observe(int model_id, int batch);
 
   // Empirical PMF over [1, max_batch] across all models; index 0 unused.

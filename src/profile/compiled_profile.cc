@@ -1,22 +1,15 @@
 #include "profile/compiled_profile.h"
 
 #include <algorithm>
-#include <cassert>
-#include <stdexcept>
 
 namespace pe::profile {
 
 CompiledProfile::CompiledProfile(const ModelRepertoire& repertoire)
-    : repertoire_(&repertoire) {
+    : repertoire_(repertoire) {
   models_.resize(static_cast<std::size_t>(repertoire.size()));
   for (int m = 0; m < repertoire.size(); ++m) {
     CompileModel(repertoire.profile(m), models_[static_cast<std::size_t>(m)]);
   }
-}
-
-CompiledProfile::CompiledProfile(const ProfileTable& table) : table_(&table) {
-  models_.resize(1);
-  CompileModel(table, models_[0]);
 }
 
 void CompiledProfile::CompileModel(const ProfileTable& table, Model& model) {
@@ -55,7 +48,6 @@ void CompiledProfile::CompileModel(const ProfileTable& table, Model& model) {
 }
 
 const CompiledProfile::Model* CompiledProfile::ModelFor(int model_id) const {
-  if (table_ != nullptr) return &models_[0];  // legacy: model-oblivious
   if (model_id < 0 || model_id >= static_cast<int>(models_.size())) {
     return nullptr;
   }
@@ -76,15 +68,6 @@ std::ptrdiff_t CompiledProfile::EstimateIndex(const Model& m, int gpcs,
   return static_cast<std::ptrdiff_t>(base) + static_cast<std::ptrdiff_t>(bi);
 }
 
-double CompiledProfile::FallbackEstimateSec(int model_id, int gpcs,
-                                            int batch) const {
-  if (repertoire_ != nullptr) {
-    return repertoire_->EstimateSec(model_id, gpcs, batch);
-  }
-  if (table_ != nullptr) return table_->LatencySec(gpcs, batch);
-  throw std::logic_error("CompiledProfile: empty (no source compiled)");
-}
-
 double CompiledProfile::EstimateSec(int model_id, int gpcs, int batch) const {
   if (const Model* m = ModelFor(model_id)) {
     const std::ptrdiff_t idx = EstimateIndex(*m, gpcs, batch);
@@ -92,7 +75,7 @@ double CompiledProfile::EstimateSec(int model_id, int gpcs, int batch) const {
       return m->est_sec[static_cast<std::size_t>(idx)];
     }
   }
-  return FallbackEstimateSec(model_id, gpcs, batch);
+  return repertoire_.EstimateSec(model_id, gpcs, batch);
 }
 
 SimTime CompiledProfile::EstimateTicks(int model_id, int gpcs,
@@ -105,12 +88,7 @@ SimTime CompiledProfile::EstimateTicks(int model_id, int gpcs,
     }
   }
   return std::max<SimTime>(
-      1, SecToTicks(FallbackEstimateSec(model_id, gpcs, batch)));
-}
-
-void CompiledProfile::ThrowNoGroundTruth() {
-  throw std::logic_error(
-      "CompiledProfile: no ground truth in the single-table form");
+      1, SecToTicks(repertoire_.EstimateSec(model_id, gpcs, batch)));
 }
 
 }  // namespace pe::profile

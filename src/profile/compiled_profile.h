@@ -3,7 +3,8 @@
 // ProfileTable answers every scheduler/simulator lookup through a
 // std::map::find plus a lower_bound batch snap -- a cost paid once per
 // latency estimate, i.e. per worker per arrival in ELSA's inner loop.
-// CompiledProfile flattens that surface once, at construction:
+// CompiledProfile flattens a ModelRepertoire's tables once, at
+// construction:
 //
 //  * a per-model batch-snap table (batch -> index of the smallest profiled
 //    batch >= batch, clamped to the largest), replacing lower_bound;
@@ -16,15 +17,15 @@
 // it (see ModelRepertoire).
 //
 // Every value is produced by the exact code path it replaces (the table's
-// LatencySec), so compiled lookups are bit-identical to the uncompiled
-// ones -- asserted by profile_compiled_test and end-to-end by the engine
+// LatencySec), so compiled lookups are bit-identical to the repertoire's
+// -- asserted by profile_compiled_test and end-to-end by the engine
 // golden determinism suite.  Lookups outside the compiled range
 // (unprofiled partition size, unknown model, sparse table holes) fall back
-// to the uncompiled path, preserving its exact error behavior.
+// to ModelRepertoire::EstimateSec, preserving its exact error behavior.
 //
 // A CompiledProfile never changes after construction, so one may be shared
-// across threads.  The source table/repertoire is borrowed and must
-// outlive the CompiledProfile.
+// across threads.  The repertoire is borrowed and must outlive the
+// CompiledProfile.
 #pragma once
 
 #include <cstdint>
@@ -38,22 +39,10 @@ namespace pe::profile {
 
 class CompiledProfile {
  public:
-  // Empty; every lookup throws (there is no source to fall back to).
-  CompiledProfile() = default;
-
   // Compiles every model of `repertoire` (estimates; ground truth forwards).
   explicit CompiledProfile(const ModelRepertoire& repertoire);
 
-  // Single-table form: estimate lookups answer regardless of model_id
-  // (the legacy single-profile scheduler behavior); there is no ground
-  // truth, so ActualSec throws std::logic_error.
-  explicit CompiledProfile(const ProfileTable& table);
-
-  bool empty() const { return models_.empty(); }
-  int num_models() const { return static_cast<int>(models_.size()); }
-
-  // Profiled (estimated) latency; identical to
-  // ModelRepertoire::EstimateSec / ProfileTable::LatencySec.
+  // Profiled (estimated) latency; identical to ModelRepertoire::EstimateSec.
   double EstimateSec(int model_id, int gpcs, int batch) const;
 
   // max<SimTime>(1, SecToTicks(EstimateSec(...))): the simulator's
@@ -61,11 +50,9 @@ class CompiledProfile {
   SimTime EstimateTicks(int model_id, int gpcs, int batch) const;
 
   // Ground-truth latency: ModelRepertoire::ActualSec of the source
-  // repertoire (memoized there).  Throws std::logic_error in the
-  // single-table form, which has no ground truth.
+  // repertoire (memoized there).
   double ActualSec(int model_id, int gpcs, int batch) const {
-    if (repertoire_ == nullptr) ThrowNoGroundTruth();
-    return repertoire_->ActualSec(model_id, gpcs, batch);
+    return repertoire_.ActualSec(model_id, gpcs, batch);
   }
 
  private:
@@ -90,12 +77,8 @@ class CompiledProfile {
   // Compiled entry index for the lookup, or -1 when it must fall back.
   std::ptrdiff_t EstimateIndex(const Model& m, int gpcs, int batch) const;
   const Model* ModelFor(int model_id) const;
-  double FallbackEstimateSec(int model_id, int gpcs, int batch) const;
-  [[noreturn]] static void ThrowNoGroundTruth();
 
-  // Exactly one source is set for a non-empty profile.
-  const ModelRepertoire* repertoire_ = nullptr;
-  const ProfileTable* table_ = nullptr;
+  const ModelRepertoire& repertoire_;
   std::vector<Model> models_;
 };
 

@@ -6,8 +6,8 @@
 // first-class: per registered model it owns the one-time ProfileTable
 // (what PARIS and ELSA are allowed to see) and the ground-truth latency
 // function (what the simulator charges).  Query::model_id indexes into
-// the repertoire; a single-entry repertoire is the degenerate one-model
-// case and reproduces the original single-table plumbing bit-for-bit.
+// the repertoire, and a single-model server serves a one-entry
+// repertoire: it is the one serving input of every engine and scheduler.
 #pragma once
 
 #include <atomic>

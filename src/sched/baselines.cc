@@ -19,8 +19,8 @@ int JsqScheduler::OnQueryArrival(const workload::Query& query,
 }
 
 GreedyFastestScheduler::GreedyFastestScheduler(
-    const profile::ProfileTable& profile)
-    : profile_(profile) {}
+    const profile::ModelRepertoire& repertoire)
+    : compiled_(repertoire) {}
 
 int GreedyFastestScheduler::OnQueryArrival(const workload::Query& query,
                                            const WorkerView& workers) {
@@ -31,8 +31,9 @@ int GreedyFastestScheduler::OnQueryArrival(const workload::Query& query,
   for (std::size_t i = 0; i < n; ++i) {
     const WorkerState& w = workers.Get(i);
     if (w.failed) continue;
-    const double t = TicksToSec(w.wait_ticks) +
-                     profile_.LatencySec(w.gpcs, query.batch);
+    const double t =
+        TicksToSec(w.wait_ticks) +
+        compiled_.EstimateSec(query.model_id, w.gpcs, query.batch);
     if (best == kNoAssignment || t < t_min) {
       t_min = t;
       best = w.index;

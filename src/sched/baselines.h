@@ -4,6 +4,7 @@
 //  * JsqScheduler     -- join-shortest-queue by estimated wait time;
 //    heterogeneity-aware about load but not about the query's own cost.
 //  * GreedyFastestScheduler -- always minimizes Twait + Testimated,new,
+//    with Testimated,new read from the arriving query's own model profile,
 //    i.e. ELSA with Step A removed.  Isolates the contribution of ELSA's
 //    "prefer the smallest partition with slack" rule (utilization-driven).
 //
@@ -12,7 +13,8 @@
 // requeued like fresh arrivals -- are the correct behavior.
 #pragma once
 
-#include "profile/profile_table.h"
+#include "profile/compiled_profile.h"
+#include "profile/model_repertoire.h"
 #include "sched/scheduler.h"
 
 namespace pe::sched {
@@ -30,7 +32,8 @@ class JsqScheduler final : public Scheduler {
 
 class GreedyFastestScheduler final : public Scheduler {
  public:
-  explicit GreedyFastestScheduler(const profile::ProfileTable& profile);
+  // `repertoire` must outlive the scheduler.
+  explicit GreedyFastestScheduler(const profile::ModelRepertoire& repertoire);
 
   using Scheduler::OnQueryArrival;
   using Scheduler::RequeueOrphan;
@@ -41,7 +44,7 @@ class GreedyFastestScheduler final : public Scheduler {
   std::string name() const override { return "GreedyFastest"; }
 
  private:
-  const profile::ProfileTable& profile_;
+  profile::CompiledProfile compiled_;
 };
 
 }  // namespace pe::sched

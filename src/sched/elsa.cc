@@ -69,24 +69,15 @@ bool SwapFree(const WorkerState& w, int model_id) {
 
 }  // namespace
 
-ElsaScheduler::ElsaScheduler(const profile::ProfileTable& profile,
-                             SimTime sla_target, ElsaParams params)
-    : compiled_(profile),
-      sla_target_(sla_target),
-      sla_sec_(TicksToSec(sla_target)),
-      params_(params) {
-  Validate();
-}
-
 ElsaScheduler::ElsaScheduler(const profile::ModelRepertoire& repertoire,
                              SimTime sla_target, ElsaParams params)
-    : sla_target_(sla_target),
+    : compiled_(repertoire),
+      sla_target_(sla_target),
       sla_sec_(TicksToSec(sla_target)),
       params_(params) {
   if (repertoire.empty()) {
     throw std::invalid_argument("ElsaScheduler: empty model repertoire");
   }
-  compiled_ = profile::CompiledProfile(repertoire);
   Validate();
 }
 
@@ -110,10 +101,6 @@ void ElsaScheduler::Validate() const {
       throw std::invalid_argument(message);
     }
   }
-}
-
-double ElsaScheduler::SlackSec(const WorkerState& worker, int batch) const {
-  return SlackSec(worker, /*model_id=*/0, batch);
 }
 
 double ElsaScheduler::SlackSec(const WorkerState& worker, int model_id,

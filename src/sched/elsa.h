@@ -33,13 +33,13 @@
 // Testimated lookups go through a CompiledProfile (dense arrays instead of
 // map + lower_bound).
 //
-// Multi-model extension: constructed from a ModelRepertoire, ELSA routes
-// every Testimated,new lookup through the *arriving query's* model profile,
-// and -- when `locality_tie_sec` is enabled -- prefers a positive-slack
-// partition whose resident model already matches the query whenever its
-// predicted completion ties the default choice within the threshold,
-// avoiding a model-swap penalty at no predicted SLA cost.  FIFS remains
-// model-oblivious as the baseline.
+// Multi-model serving: ELSA reads every Testimated,new from the *arriving
+// query's* model profile in its ModelRepertoire (a one-entry repertoire is
+// the paper's single-model server), and -- when `locality_tie_sec` is
+// enabled -- prefers a positive-slack partition whose resident model
+// already matches the query whenever its predicted completion ties the
+// default choice within the threshold, avoiding a model-swap penalty at no
+// predicted SLA cost.  FIFS remains model-oblivious as the baseline.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +47,6 @@
 
 #include "profile/compiled_profile.h"
 #include "profile/model_repertoire.h"
-#include "profile/profile_table.h"
 #include "sched/scheduler.h"
 
 namespace pe::sched {
@@ -82,15 +81,10 @@ struct ElsaParams {
 
 class ElsaScheduler final : public Scheduler {
  public:
-  // Single-model form: `profile` must outlive the scheduler.  `sla_target`
-  // is the model's SLA target (Section V: N x the max-batch latency on
-  // GPU(7)) and must be positive.
-  ElsaScheduler(const profile::ProfileTable& profile, SimTime sla_target,
-                ElsaParams params = ElsaParams{});
-
-  // Multi-model form: Testimated lookups route through the arriving
-  // query's model profile.  `repertoire` must be non-empty and outlive
-  // the scheduler.
+  // Testimated lookups route through the arriving query's model profile.
+  // `repertoire` must be non-empty and outlive the scheduler.
+  // `sla_target` is the SLA target (Section V: N x the max-batch latency
+  // on GPU(7)) and must be positive.
   ElsaScheduler(const profile::ModelRepertoire& repertoire,
                 SimTime sla_target, ElsaParams params = ElsaParams{});
 
@@ -111,11 +105,8 @@ class ElsaScheduler final : public Scheduler {
   SimTime sla_target() const { return sla_target_; }
   const ElsaParams& params() const { return params_; }
 
-  // Predicted slack of scheduling `batch` of model 0 on a worker (exposed
-  // for tests and for the slack-visualisation example).
-  double SlackSec(const WorkerState& worker, int batch) const;
-
-  // Model-aware form of the slack predictor.
+  // Predicted slack (Eq. 2) of scheduling `batch` of `model_id` on a
+  // worker (exposed for tests).
   double SlackSec(const WorkerState& worker, int model_id, int batch) const;
 
  private:

@@ -65,9 +65,6 @@ inline constexpr int kNoAssignment = -1;
 // reference stays valid until the next Get(i) or simulation event.
 class WorkerView {
  public:
-  // Sentinel for MaxGpcsIdleWorker(): this view keeps no incremental idle
-  // index; the caller must scan the workers itself.
-  static constexpr int kIdleScanUnsupported = -2;
   // MinWait() of a range that holds no non-failed worker.
   static constexpr SimTime kNoWait = std::numeric_limits<SimTime>::max();
 
@@ -76,14 +73,22 @@ class WorkerView {
   virtual std::size_t size() const = 0;
   virtual const WorkerState& Get(std::size_t i) const = 0;
 
-  // The worker FIFS's arrival rule picks: idle, maximum gpcs, lowest
-  // index among ties -- exactly the winner of the ascending-index strict
-  // `>` scan.  kNoAssignment when no worker is idle; the default
-  // kIdleScanUnsupported means the view maintains no idle index (ad-hoc
-  // wrappers), telling the scheduler to fall back to the O(W) scan.  The
-  // server's live view answers from an incrementally maintained ordered
-  // set in O(log W).
-  virtual int MaxGpcsIdleWorker() const { return kIdleScanUnsupported; }
+  // The worker FIFS's arrival rule picks: idle, maximum gpcs, first
+  // position among ties -- the winner of this strict `>` scan in position
+  // order.  kNoAssignment when no worker is idle.  The server's live view
+  // answers from its idle bitmap in O(W/64).
+  virtual int MaxGpcsIdleWorker() const {
+    int best = kNoAssignment;
+    int best_gpcs = -1;
+    for (std::size_t i = 0; i < size(); ++i) {
+      const WorkerState& w = Get(i);
+      if (w.idle && w.gpcs > best_gpcs) {
+        best = w.index;
+        best_gpcs = w.gpcs;
+      }
+    }
+    return best;
+  }
 
   // The leftmost non-failed position in [begin, end) whose Twait is at
   // most `max_wait`, or -1.  Any `max_wait` is valid: a failed worker

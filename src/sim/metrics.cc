@@ -9,10 +9,10 @@ namespace pe::sim {
 
 namespace {
 
-// Percentile::Value's arithmetic over a pool of latency ticks, by
-// selection instead of a sort: nth_element places the same order
-// statistics a sort would, and TicksToMs is monotone, so every value is
-// bit-identical to a Percentile fed the same latencies in milliseconds.
+// TickPercentileMs's closest-rank interpolation over a pool of latency
+// ticks, by selection instead of a sort: nth_element places the same
+// order statistics a sort would, and TicksToMs is monotone, so every value
+// is bit-identical to interpolating the sorted latencies in milliseconds.
 // Ranks must be queried in non-decreasing order: each lookup partitions
 // the pool at the ranks it touches, and the (lo, lo + 1) pairs it selects
 // are exactly the positions a later, larger rank may re-read.

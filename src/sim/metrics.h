@@ -110,9 +110,11 @@ struct ServerStats {
 std::uint64_t WarmupCut(double warmup_fraction, std::size_t n);
 
 // The p-th percentile (p in [0, 100]) of a pool of latency ticks, in
-// milliseconds: bit-identical to Percentile::Value over the same
-// latencies in milliseconds, found by selection instead of a sort.
-// Reorders `ticks`; 0 for an empty pool.
+// milliseconds, interpolated between closest ranks: with the n latencies
+// in milliseconds sorted as x and k + f = (p / 100) * (n - 1) (integer k,
+// fraction f), it is x[k] * (1 - f) + x[k + 1] * f, or x[n - 1] when
+// k + 1 == n.  Found by selection instead of a sort.  Reorders `ticks`; 0
+// for an empty pool.
 double TickPercentileMs(std::vector<SimTime>& ticks, double p);
 
 // Order-free reduction of query records into ServerStats.  Sums are exact
@@ -125,8 +127,8 @@ double TickPercentileMs(std::vector<SimTime>& ticks, double p);
 // Conventions (the stats oracle in tests/ reproduces them):
 //  * failed and shed records are counted, never sampled;
 //  * means are double(sum of ticks) / kNsPerMs / completed;
-//  * percentiles interpolate between closest ranks exactly as
-//    Percentile::Value does over the latencies in milliseconds;
+//  * percentiles interpolate between closest ranks over the latencies
+//    in milliseconds, by TickPercentileMs's rule;
 //  * workers are keyed by (index, gpcs) -- a live reconfiguration reuses
 //    indices -- and utilization is busy ticks over the span from the
 //    earliest arrival to the latest finish among completions (zero when

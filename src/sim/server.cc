@@ -12,15 +12,6 @@ namespace pe::sim {
 
 namespace {
 
-std::unique_ptr<profile::ModelRepertoire> WrapSingleModel(
-    const profile::ProfileTable& profile, LatencyFn actual_latency) {
-  auto repertoire = std::make_unique<profile::ModelRepertoire>();
-  const std::string name =
-      profile.model_name().empty() ? "model" : profile.model_name();
-  repertoire->Register(name, profile, std::move(actual_latency));
-  return repertoire;
-}
-
 // Process-unique layout stamp: every BuildWorkers gets a fresh value, so a
 // scheduler's per-layout cache can never alias two different worker sets
 // (even across servers sharing one scheduler object).
@@ -136,29 +127,13 @@ void InferenceServer::LiveWorkerView::Sync(const PartitionWorker& worker) {
 }
 
 InferenceServer::InferenceServer(ServerConfig config,
-                                 const profile::ProfileTable& profile,
-                                 sched::Scheduler& scheduler,
-                                 LatencyFn actual_latency)
-    : config_(std::move(config)),
-      owned_repertoire_(WrapSingleModel(profile, std::move(actual_latency))),
-      repertoire_(owned_repertoire_.get()),
-      scheduler_(scheduler),
-      rng_(config_.seed),
-      compiled_(*repertoire_) {
-  if (config_.partition_gpcs.empty()) {
-    throw std::invalid_argument("InferenceServer: no partitions configured");
-  }
-  Reset();
-}
-
-InferenceServer::InferenceServer(ServerConfig config,
                                  const profile::ModelRepertoire& repertoire,
                                  sched::Scheduler& scheduler)
     : config_(std::move(config)),
-      repertoire_(&repertoire),
+      repertoire_(repertoire),
       scheduler_(scheduler),
       rng_(config_.seed),
-      compiled_(*repertoire_) {
+      compiled_(repertoire) {
   if (config_.partition_gpcs.empty()) {
     throw std::invalid_argument("InferenceServer: no partitions configured");
   }
@@ -378,7 +353,7 @@ void InferenceServer::InjectQuery(const workload::Query& query) {
     throw std::invalid_argument(
         "InferenceServer: arrival predates the current simulation time");
   }
-  if (!repertoire_->Has(query.model_id)) {
+  if (!repertoire_.Has(query.model_id)) {
     throw std::invalid_argument(
         "InferenceServer: query model_id " + std::to_string(query.model_id) +
         " is not in the repertoire");

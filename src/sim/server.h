@@ -72,9 +72,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <limits>
-#include <memory>
 #include <set>
 #include <span>
 #include <utility>
@@ -85,7 +83,6 @@
 #include "profile/compiled_profile.h"
 #include "sim/event_calendar.h"
 #include "profile/model_repertoire.h"
-#include "profile/profile_table.h"
 #include "sched/scheduler.h"
 #include "sim/metrics.h"
 #include "sim/worker.h"
@@ -137,16 +134,11 @@ struct SimResult {
 
 class InferenceServer {
  public:
-  // Single-model convenience: wraps `profile` + `actual_latency` into an
-  // owned one-entry repertoire (model id 0).  `profile` is copied, so only
-  // `scheduler` must outlive the server.
-  InferenceServer(ServerConfig config, const profile::ProfileTable& profile,
-                  sched::Scheduler& scheduler, LatencyFn actual_latency);
-
-  // Multi-model serving: every injected query's model_id must be a valid
-  // id of `repertoire`, whose per-model tables provide the scheduler
-  // estimates and whose latency functions provide the ground truth.
-  // `repertoire` and `scheduler` must outlive the server.
+  // Every injected query's model_id must be a valid id of `repertoire`,
+  // whose per-model tables provide the scheduler estimates and whose
+  // latency functions provide the ground truth; a single-model server
+  // serves a one-entry repertoire.  `repertoire` must be non-empty, and it
+  // and `scheduler` must outlive the server.
   InferenceServer(ServerConfig config,
                   const profile::ModelRepertoire& repertoire,
                   sched::Scheduler& scheduler);
@@ -342,10 +334,7 @@ class InferenceServer {
   SimTime EstimateTicks(int model_id, int gpcs, int batch) const;
 
   ServerConfig config_;
-  // `repertoire_` points at either the borrowed multi-model repertoire or
-  // the owned single-model wrapper built by the legacy constructor.
-  std::unique_ptr<profile::ModelRepertoire> owned_repertoire_;
-  const profile::ModelRepertoire* repertoire_;
+  const profile::ModelRepertoire& repertoire_;
   sched::Scheduler& scheduler_;
   Rng rng_;
   // Dense lookup surface compiled from `repertoire_` once per server.

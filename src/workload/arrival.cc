@@ -23,44 +23,4 @@ std::string PoissonArrivals::Describe() const {
   return oss.str();
 }
 
-BurstyArrivals::BurstyArrivals(double base_rate_qps, double burst_rate_qps,
-                               double mean_normal_sec, double mean_burst_sec)
-    : base_rate_(base_rate_qps),
-      burst_rate_(burst_rate_qps),
-      mean_normal_sec_(mean_normal_sec),
-      mean_burst_sec_(mean_burst_sec) {
-  if (base_rate_qps <= 0.0 || burst_rate_qps <= 0.0 ||
-      mean_normal_sec <= 0.0 || mean_burst_sec <= 0.0) {
-    throw std::invalid_argument("BurstyArrivals: all parameters must be > 0");
-  }
-}
-
-SimTime BurstyArrivals::NextGap(Rng& rng) {
-  // Draw a gap at the current state's rate; switch states when the dwell
-  // budget is exhausted.
-  if (state_left_ <= 0) {
-    in_burst_ = !in_burst_;
-    const double dwell_sec =
-        rng.Exponential(1.0 / (in_burst_ ? mean_burst_sec_ : mean_normal_sec_));
-    state_left_ = std::max<SimTime>(1, SecToTicks(dwell_sec));
-  }
-  const double rate = in_burst_ ? burst_rate_ : base_rate_;
-  const SimTime gap = std::max<SimTime>(1, SecToTicks(rng.Exponential(rate)));
-  state_left_ -= gap;
-  return gap;
-}
-
-double BurstyArrivals::MeanRateQps() const {
-  // Time-weighted average of the two states.
-  const double total = mean_normal_sec_ + mean_burst_sec_;
-  return (base_rate_ * mean_normal_sec_ + burst_rate_ * mean_burst_sec_) /
-         total;
-}
-
-std::string BurstyArrivals::Describe() const {
-  std::ostringstream oss;
-  oss << "bursty(base=" << base_rate_ << ", burst=" << burst_rate_ << " qps)";
-  return oss.str();
-}
-
 }  // namespace pe::workload

@@ -1,7 +1,7 @@
 // Query arrival processes.
 //
-// The paper uses MLPerf's recommended Poisson arrival process.  A bursty
-// (Markov-modulated) process is provided as an extension for stress tests.
+// The paper uses MLPerf's recommended Poisson arrival process; bursty and
+// time-varying load comes from the scenario layer (workload/scenario.h).
 #pragma once
 
 #include <memory>
@@ -36,27 +36,6 @@ class PoissonArrivals final : public ArrivalProcess {
 
  private:
   double rate_qps_;
-};
-
-// Two-state Markov-modulated Poisson process: alternates between a normal
-// and a burst state with exponentially distributed dwell times.  Extension
-// beyond the paper for failure-injection style load tests.
-class BurstyArrivals final : public ArrivalProcess {
- public:
-  BurstyArrivals(double base_rate_qps, double burst_rate_qps,
-                 double mean_normal_sec, double mean_burst_sec);
-
-  SimTime NextGap(Rng& rng) override;
-  double MeanRateQps() const override;
-  std::string Describe() const override;
-
- private:
-  double base_rate_;
-  double burst_rate_;
-  double mean_normal_sec_;
-  double mean_burst_sec_;
-  bool in_burst_ = false;
-  SimTime state_left_ = 0;
 };
 
 }  // namespace pe::workload

@@ -378,31 +378,6 @@ QueryTrace GenerateScenarioTrace(const ScenarioSpec& spec,
 
 // ---- Preset registry -----------------------------------------------------------
 
-ScenarioOptions ParseScenarioRef(const std::string& ref) {
-  ScenarioOptions opts;
-  const auto colon = ref.find(':');
-  opts.name = ref.substr(0, colon);
-  if (opts.name.empty()) {
-    throw std::invalid_argument("scenario: empty name in '" + ref + "'");
-  }
-  if (colon == std::string::npos) return opts;
-  std::string rest = ref.substr(colon + 1);
-  std::string::size_type begin = 0;
-  for (;;) {
-    const auto comma = rest.find(',', begin);
-    const std::string pair = rest.substr(begin, comma - begin);
-    const auto eq = pair.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 == pair.size()) {
-      throw std::invalid_argument("scenario: expected key=val, got '" + pair +
-                                  "'");
-    }
-    opts.overrides.emplace_back(pair.substr(0, eq), pair.substr(eq + 1));
-    if (comma == std::string::npos) break;
-    begin = comma + 1;
-  }
-  return opts;
-}
-
 const std::vector<std::string>& ScenarioNames() {
   static const std::vector<std::string> names = {
       "steady", "diurnal", "flashcrowd", "mixdrift", "heavytail"};

@@ -30,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/args.h"
 #include "common/rng.h"
 #include "common/sim_time.h"
 #include "workload/arrival.h"
@@ -244,14 +245,13 @@ QueryTrace GenerateScenarioTrace(const ScenarioSpec& spec,
 // ---- Named preset registry ------------------------------------------------
 
 // A parsed `--scenario NAME[:key=val,...]` reference.
-struct ScenarioOptions {
-  std::string name;
-  std::vector<std::pair<std::string, std::string>> overrides;
-};
+using ScenarioOptions = NamedRef;
 
 // Splits "flashcrowd:rate=500,mult=10" into name + key/value overrides.
 // Throws std::invalid_argument on an empty name or a malformed pair.
-ScenarioOptions ParseScenarioRef(const std::string& ref);
+inline ScenarioOptions ParseScenarioRef(const std::string& ref) {
+  return ParseNamedRef(ref, "scenario");
+}
 
 // The registered preset names: steady, diurnal, flashcrowd, mixdrift,
 // heavytail.

@@ -1,8 +1,9 @@
-#include "common/stats.h"
-
+// The stats oracle's Percentile: exact interpolated percentiles.
 #include <gtest/gtest.h>
 
-namespace pe {
+#include "stats_oracle.h"
+
+namespace pe::testing {
 namespace {
 
 TEST(Percentile, EmptyReturnsZero) {
@@ -58,4 +59,4 @@ TEST(Percentile, ClearResets) {
 }
 
 }  // namespace
-}  // namespace pe
+}  // namespace pe::testing

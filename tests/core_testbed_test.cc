@@ -100,7 +100,7 @@ TEST_F(TestbedFixture, ActualLatencyOutlivesTestbed) {
     TestbedConfig c;
     c.model_name = "mobilenet";
     Testbed local(c);
-    fn = local.ActualLatency();
+    fn = local.repertoire().actual(0);
   }
   EXPECT_GT(fn(7, 8), 0.0);  // must not dangle
 }

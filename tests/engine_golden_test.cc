@@ -1,7 +1,8 @@
 // Golden digests for the event engine: every scenario of the shared grid
 // (FIFS/ELSA x 1/3 models x static/reconfigure x 3 seeds), the wide cells,
-// the six event-ordering scenarios, and the elastic driver must reproduce
-// the record-stream digests checked in below.  A mismatch prints the actual
+// the six event-ordering scenarios, and the elastic driver (forced switch
+// and PARIS-replanning day cycle) must reproduce the digests checked in
+// below.  A mismatch prints the actual
 // digest; re-record only for a deliberate, justified behaviour change.
 #include <gtest/gtest.h>
 
@@ -13,8 +14,10 @@
 
 #include "engine_scenarios.h"
 #include "golden_digest.h"
+#include "hw/cluster.h"
 #include "online/elastic_server.h"
 #include "online/repartition_controller.h"
+#include "profile/model_repertoire.h"
 
 namespace pe::testing {
 namespace {
@@ -162,6 +165,38 @@ TEST(EngineGolden, ElasticDriverMatchesCheckedInDigest) {
   const auto result = elastic.Run(trace);
   EXPECT_EQ(result.reconfigurations, 1);
   ExpectDigest(DigestElastic(result), 0x54d93ee8b1f0de0d, "elastic driver");
+}
+
+// The single-model elastic driver as the CLI and the online ablation run
+// it: the RepartitionController re-plans PARIS from the live batch PMF
+// over a day cycle (small -> large -> small batches) while ELSA schedules.
+TEST(EngineGolden, SingleModelElasticDriverMatchesCheckedInDigest) {
+  const auto rep = profile::BuildZooRepertoire({"resnet"});
+  const profile::ProfileTable& table = rep.profile(0);
+  const SimTime sla = SecToTicks(1.5 * table.LatencySec(7, 32));
+
+  workload::LogNormalBatchDist small(3.0, 0.6, 32);
+  workload::LogNormalBatchDist large(18.0, 0.4, 32);
+  workload::PoissonArrivals arrivals(350.0);
+  workload::PhasedTraceSource day_cycle(
+      arrivals, {{&small, 600}, {&large, 600}, {&small, 600}});
+  Rng rng(11);
+  const auto trace = workload::Take(day_cycle, 1800, rng);
+
+  online::ElasticConfig config;
+  config.drift_threshold = 0.15;
+  config.min_observations = 150;
+  config.reconfig_downtime = MsToTicks(50.0);
+  online::RepartitionController controller(table, hw::Cluster(8), 48, small,
+                                           {}, config);
+  online::ElasticServerSim elastic(
+      controller, rep,
+      [&rep, sla] { return std::make_unique<sched::ElsaScheduler>(rep, sla); },
+      sla, /*queries_per_epoch=*/150, /*seed=*/0xE1A5);
+  const auto result = elastic.Run(trace);
+  EXPECT_EQ(result.reconfigurations, 2);
+  ExpectDigest(DigestElastic(result), 0x28b18672a1436ecd,
+               "single-model elastic driver");
 }
 
 }  // namespace

@@ -5,8 +5,7 @@
 #include "online/elastic_server.h"
 #include "online/repartition_controller.h"
 #include "online/traffic_estimator.h"
-#include "perf/model_zoo.h"
-#include "profile/profiler.h"
+#include "profile/model_repertoire.h"
 #include "sched/elsa.h"
 #include "workload/scenario.h"
 
@@ -24,9 +23,9 @@ TEST(TrafficEstimator, EmptyState) {
 
 TEST(TrafficEstimator, CountsObservations) {
   TrafficEstimator est(8);
-  est.Observe(2);
-  est.Observe(2);
-  est.Observe(4);
+  est.Observe(0, 2);
+  est.Observe(0, 2);
+  est.Observe(0, 4);
   const auto pmf = est.Pmf();
   EXPECT_NEAR(pmf[2], 2.0 / 3.0, 1e-12);
   EXPECT_NEAR(pmf[4], 1.0 / 3.0, 1e-12);
@@ -35,9 +34,9 @@ TEST(TrafficEstimator, CountsObservations) {
 
 TEST(TrafficEstimator, ClampsOutOfRange) {
   TrafficEstimator est(8);
-  est.Observe(100);
-  est.Observe(0);
-  est.Observe(-3);
+  est.Observe(0, 100);
+  est.Observe(0, 0);
+  est.Observe(0, -3);
   const auto pmf = est.Pmf();
   EXPECT_NEAR(pmf[8], 1.0 / 3.0, 1e-12);
   EXPECT_NEAR(pmf[1], 2.0 / 3.0, 1e-12);
@@ -45,8 +44,8 @@ TEST(TrafficEstimator, ClampsOutOfRange) {
 
 TEST(TrafficEstimator, SlidingWindowEvicts) {
   TrafficEstimator est(8, /*window=*/4);
-  for (int i = 0; i < 4; ++i) est.Observe(1);
-  for (int i = 0; i < 4; ++i) est.Observe(8);
+  for (int i = 0; i < 4; ++i) est.Observe(0, 1);
+  for (int i = 0; i < 4; ++i) est.Observe(0, 8);
   EXPECT_EQ(est.count(), 4u);
   const auto pmf = est.Pmf();
   EXPECT_EQ(pmf[1], 0.0);  // fully evicted
@@ -55,8 +54,8 @@ TEST(TrafficEstimator, SlidingWindowEvicts) {
 
 TEST(TrafficEstimator, SnapshotMatchesPmf) {
   TrafficEstimator est(4);
-  for (int i = 0; i < 10; ++i) est.Observe(1);
-  for (int i = 0; i < 30; ++i) est.Observe(3);
+  for (int i = 0; i < 10; ++i) est.Observe(0, 1);
+  for (int i = 0; i < 30; ++i) est.Observe(0, 3);
   const auto dist = est.Snapshot();
   EXPECT_NEAR(dist.Pdf(1), 0.25, 1e-12);
   EXPECT_NEAR(dist.Pdf(3), 0.75, 1e-12);
@@ -65,7 +64,7 @@ TEST(TrafficEstimator, SnapshotMatchesPmf) {
 
 TEST(TrafficEstimator, TotalVariationProperties) {
   TrafficEstimator est(4);
-  est.Observe(1);
+  est.Observe(0, 1);
   // Identical PMFs -> 0; disjoint -> 1.
   EXPECT_NEAR(est.TotalVariation(est.Pmf()), 0.0, 1e-12);
   std::vector<double> disjoint(5, 0.0);
@@ -80,13 +79,14 @@ TEST(TrafficEstimator, InvalidConstruction) {
 
 class ControllerFixture : public ::testing::Test {
  protected:
+  // ResNet-50 as the one model: its profile and its roofline ground truth.
+  static const profile::ModelRepertoire& Repertoire() {
+    static const profile::ModelRepertoire rep =
+        profile::BuildZooRepertoire({"resnet"});
+    return rep;
+  }
   static const profile::ProfileTable& Profile() {
-    static const profile::ProfileTable table = [] {
-      profile::Profiler profiler;
-      return profiler.Profile(perf::BuildResNet50(),
-                              profile::ProfilerConfig::Default(64));
-    }();
-    return table;
+    return Repertoire().profile(0);
   }
 
   static RepartitionController MakeController(ElasticConfig config = {}) {
@@ -108,7 +108,7 @@ TEST_F(ControllerFixture, NoRepartitionBelowMinObservations) {
   config.min_observations = 100;
   auto controller = MakeController(config);
   TrafficEstimator est(32);
-  for (int i = 0; i < 50; ++i) est.Observe(32);  // wildly drifted but few
+  for (int i = 0; i < 50; ++i) est.Observe(0, 32);  // wildly drifted but few
   EXPECT_FALSE(controller.MaybeRepartition(est).has_value());
 }
 
@@ -118,7 +118,7 @@ TEST_F(ControllerFixture, NoRepartitionWithoutDrift) {
   // Feed traffic matching the seed distribution.
   workload::LogNormalBatchDist seed(4.0, 0.6, 32);
   Rng rng(3);
-  for (int i = 0; i < 5000; ++i) est.Observe(seed.Sample(rng));
+  for (int i = 0; i < 5000; ++i) est.Observe(0, seed.Sample(rng));
   EXPECT_LT(controller.DriftOf(est), 0.1);
   EXPECT_FALSE(controller.MaybeRepartition(est).has_value());
   EXPECT_EQ(controller.reconfigurations(), 0);
@@ -131,7 +131,7 @@ TEST_F(ControllerFixture, RepartitionsOnLargeDrift) {
   // Drift to consistently large batches: demands bigger partitions.
   workload::LogNormalBatchDist drifted(24.0, 0.4, 32);
   Rng rng(4);
-  for (int i = 0; i < 5000; ++i) est.Observe(drifted.Sample(rng));
+  for (int i = 0; i < 5000; ++i) est.Observe(0, drifted.Sample(rng));
   EXPECT_GT(controller.DriftOf(est), 0.3);
   const auto new_plan = controller.MaybeRepartition(est);
   ASSERT_TRUE(new_plan.has_value());
@@ -151,7 +151,7 @@ TEST_F(ControllerFixture, DriftResetAfterCommit) {
   TrafficEstimator est(32);
   workload::LogNormalBatchDist drifted(24.0, 0.4, 32);
   Rng rng(5);
-  for (int i = 0; i < 5000; ++i) est.Observe(drifted.Sample(rng));
+  for (int i = 0; i < 5000; ++i) est.Observe(0, drifted.Sample(rng));
   ASSERT_TRUE(controller.MaybeRepartition(est).has_value());
   // Same traffic again: no further drift, no second reconfiguration.
   EXPECT_LT(controller.DriftOf(est), 0.05);
@@ -174,19 +174,14 @@ TEST_F(ControllerFixture, DriftFreeRunMatchesStaticServerBitIdentical) {
   workload::ArrivalTraceSource steady(arrivals, dist);
   const auto trace = workload::Take(steady, 3000, rng);
 
-  const auto& profile = Profile();
-  const SimTime sla = SecToTicks(1.5 * profile.LatencySec(7, 32));
-  const auto model = perf::BuildResNet50();
-  perf::RooflineEngine engine;
-  sim::LatencyFn actual = [engine, model](int g, int b) {
-    return engine.LatencySec(model, g, b);
-  };
+  const auto& rep = Repertoire();
+  const SimTime sla = SecToTicks(1.5 * Profile().LatencySec(7, 32));
   const std::uint64_t seed = 0xABCD;
 
   ElasticServerSim elastic(
-      controller, profile,
-      [&] { return std::make_unique<sched::ElsaScheduler>(profile, sla); },
-      actual, sla, /*queries_per_epoch=*/500, seed);
+      controller, rep,
+      [&] { return std::make_unique<sched::ElsaScheduler>(rep, sla); }, sla,
+      /*queries_per_epoch=*/500, seed);
   const auto elastic_result = elastic.Run(trace);
   EXPECT_EQ(elastic_result.reconfigurations, 0);
   EXPECT_EQ(elastic_result.total.reconfig_stalled, 0u);
@@ -195,8 +190,8 @@ TEST_F(ControllerFixture, DriftFreeRunMatchesStaticServerBitIdentical) {
   sc.partition_gpcs = controller.current_plan().instance_gpcs;
   sc.sla_target = sla;
   sc.seed = seed;
-  sched::ElsaScheduler elsa(profile, sla);
-  sim::InferenceServer server(sc, profile, elsa, actual);
+  sched::ElsaScheduler elsa(rep, sla);
+  sim::InferenceServer server(sc, rep, elsa);
   const auto static_result = server.Run(trace);
 
   // Recompute the elastic totals from the static records: identical
@@ -210,8 +205,8 @@ TEST_F(ControllerFixture, DriftFreeRunMatchesStaticServerBitIdentical) {
   // ElasticResult does not expose records, so replay the elastic sim's
   // exact driving pattern (inject everything, advance in epoch chunks)
   // and compare per-query records against the batch Run.
-  sched::ElsaScheduler elsa2(profile, sla);
-  sim::InferenceServer continuous(sc, profile, elsa2, actual);
+  sched::ElsaScheduler elsa2(rep, sla);
+  sim::InferenceServer continuous(sc, rep, elsa2);
   continuous.InjectTrace(trace);
   for (std::size_t begin = 500; begin < trace.size(); begin += 500) {
     continuous.AdvanceTo(trace.queries()[begin].arrival);
@@ -240,13 +235,8 @@ TEST_F(ControllerFixture, SameSeedSameResult) {
                                        {{&small, 2000}, {&large, 2000}});
   const auto trace = workload::Take(drifting, 4000, rng);
 
-  const auto& profile = Profile();
-  const SimTime sla = SecToTicks(1.5 * profile.LatencySec(7, 32));
-  const auto model = perf::BuildResNet50();
-  perf::RooflineEngine engine;
-  sim::LatencyFn actual = [engine, model](int g, int b) {
-    return engine.LatencySec(model, g, b);
-  };
+  const auto& rep = Repertoire();
+  const SimTime sla = SecToTicks(1.5 * Profile().LatencySec(7, 32));
 
   auto run_once = [&] {
     ElasticConfig config;
@@ -254,9 +244,9 @@ TEST_F(ControllerFixture, SameSeedSameResult) {
     config.drift_threshold = 0.15;
     auto controller = MakeController(config);
     ElasticServerSim sim(
-        controller, profile,
-        [&] { return std::make_unique<sched::ElsaScheduler>(profile, sla); },
-        actual, sla, /*queries_per_epoch=*/1000, /*seed=*/42);
+        controller, rep,
+        [&] { return std::make_unique<sched::ElsaScheduler>(rep, sla); }, sla,
+        /*queries_per_epoch=*/1000, /*seed=*/42);
     return sim.Run(trace);
   };
   const auto a = run_once();
@@ -282,15 +272,12 @@ TEST_F(ControllerFixture, ElasticServerTracksDriftingWorkload) {
                                        {{&small, 4000}, {&large, 4000}});
   const auto trace = workload::Take(drifting, 8000, rng);
 
-  const auto& profile = Profile();
-  const SimTime sla = SecToTicks(1.5 * profile.LatencySec(7, 32));
-  const auto model = perf::BuildResNet50();
-  perf::RooflineEngine engine;
+  const auto& rep = Repertoire();
+  const SimTime sla = SecToTicks(1.5 * Profile().LatencySec(7, 32));
   ElasticServerSim sim(
-      controller, profile,
-      [&] { return std::make_unique<sched::ElsaScheduler>(profile, sla); },
-      [engine, model](int g, int b) { return engine.LatencySec(model, g, b); },
-      sla, /*queries_per_epoch=*/1000);
+      controller, rep,
+      [&] { return std::make_unique<sched::ElsaScheduler>(rep, sla); }, sla,
+      /*queries_per_epoch=*/1000);
   const auto result = sim.Run(trace);
 
   EXPECT_EQ(result.total.completed, trace.size());

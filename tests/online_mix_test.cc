@@ -64,15 +64,6 @@ TEST(TrafficEstimatorMix, EvictionAndShareDrift) {
   EXPECT_DOUBLE_EQ(est.ShareDrift({0.0, 1.0}), 0.5);
 }
 
-TEST(TrafficEstimatorMix, LegacySingleArgObserveIsModelZero) {
-  TrafficEstimator est(8);
-  est.Observe(4);
-  EXPECT_EQ(est.ModelCount(0), 1u);
-  const auto shares = est.ModelShares();
-  ASSERT_EQ(shares.size(), 1u);
-  EXPECT_DOUBLE_EQ(shares[0], 1.0);
-}
-
 class MixedControllerFixture : public ::testing::Test {
  protected:
   static const profile::ModelRepertoire& Repertoire() {

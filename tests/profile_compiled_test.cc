@@ -1,6 +1,6 @@
 // CompiledProfile must be a bit-identical, drop-in compilation of the
-// ProfileTable / ModelRepertoire lookup surface: same doubles, same snap
-// semantics, same error behavior outside the compiled range.
+// ModelRepertoire lookup surface: same doubles, same snap semantics, same
+// error behavior outside the compiled range.
 #include "profile/compiled_profile.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "one_model.h"
 #include "profile/model_repertoire.h"
 #include "profile/profile_table.h"
 
@@ -115,22 +116,14 @@ TEST(CompiledProfile, SparseTableHolesFallBack) {
   t.Set(1, 8, {2e-3, 0.5});
   t.Set(1, 32, {8e-3, 0.9});
   t.Set(7, 32, {1e-3, 0.4});  // (7, 8) is a hole
-  const CompiledProfile compiled(t);
+  const ModelRepertoire rep =
+      testing::OneModel(t, [](int, int) { return 1e-3; });
+  const CompiledProfile compiled(rep);
   EXPECT_EQ(compiled.EstimateSec(0, 1, 5), t.LatencySec(1, 5));
   EXPECT_EQ(compiled.EstimateSec(0, 7, 32), t.LatencySec(7, 32));
   // The hole throws, exactly like ProfileTable::LatencySec.
   EXPECT_THROW(compiled.EstimateSec(0, 7, 4), std::out_of_range);
   EXPECT_THROW(t.LatencySec(7, 4), std::out_of_range);
-}
-
-TEST(CompiledProfile, SingleTableFormIsModelOblivious) {
-  const auto t = MakeTable("solo", 1.0);
-  const CompiledProfile compiled(t);
-  // Any model id answers from the one table (legacy scheduler behavior).
-  EXPECT_EQ(compiled.EstimateSec(0, 2, 8), t.LatencySec(2, 8));
-  EXPECT_EQ(compiled.EstimateSec(42, 2, 8), t.LatencySec(2, 8));
-  // No ground truth in this form.
-  EXPECT_THROW(compiled.ActualSec(0, 2, 8), std::logic_error);
 }
 
 }  // namespace

@@ -9,22 +9,14 @@
 #include <utility>
 #include <vector>
 
+#include "one_model.h"
 #include "sched/baselines.h"
 
 namespace pe::sched {
 namespace {
 
-// Two partition sizes with fixed estimated latencies:
-//   GPU(1): 10 ms per batch-N query (any N; single profiled batch point 32)
-//   GPU(7):  2 ms
-profile::ProfileTable MakeProfile(double small_ms = 10.0,
-                                  double large_ms = 2.0) {
-  profile::ProfileTable t("toy", {1, 7}, {32});
-  t.Set(1, 32, {small_ms * 1e-3, 0.9});
-  t.Set(7, 32, {large_ms * 1e-3, 0.5});
-  return t;
-}
-
+// The ELSA and GreedyFastest cases run on testing::ToyModel(): GPU(1)
+// estimates 10 ms and GPU(7) 2 ms, any batch.
 workload::Query Q(int batch) {
   workload::Query q;
   q.batch = batch;
@@ -41,83 +33,83 @@ WorkerState W(int index, int gpcs, SimTime wait) {
 }
 
 TEST(Elsa, DoesNotUseCentralQueue) {
-  const auto profile = MakeProfile();
-  ElsaScheduler s(profile, MsToTicks(15.0));
+  const auto rep = testing::ToyModel();
+  ElsaScheduler s(rep, MsToTicks(15.0));
   EXPECT_FALSE(s.UsesCentralQueue());
   EXPECT_EQ(s.name(), "ELSA");
 }
 
 TEST(Elsa, StepAPrefersSmallestWithSlack) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   // SLA 15 ms; idle small partition: slack = 15 - 10 > 0 -> pick it even
   // though the large one is also idle and faster.
-  ElsaScheduler s(profile, MsToTicks(15.0));
+  ElsaScheduler s(rep, MsToTicks(15.0));
   const std::vector<WorkerState> workers = {W(0, 1, 0), W(1, 7, 0)};
   EXPECT_EQ(s.OnQueryArrival(Q(8), workers), 0);
 }
 
 TEST(Elsa, SkipsSmallWhenSlackInsufficient) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   // SLA 8 ms: small takes 10 ms -> violates; large takes 2 ms -> fits.
-  ElsaScheduler s(profile, MsToTicks(8.0));
+  ElsaScheduler s(rep, MsToTicks(8.0));
   const std::vector<WorkerState> workers = {W(0, 1, 0), W(1, 7, 0)};
   EXPECT_EQ(s.OnQueryArrival(Q(8), workers), 1);
 }
 
 TEST(Elsa, AccountsForQueueWait) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   // SLA 15 ms.  Small partition has 6 ms of queued work: 6 + 10 > 15 ->
   // overloaded; large partition with 1 ms wait: 1 + 2 < 15 -> chosen.
-  ElsaScheduler s(profile, MsToTicks(15.0));
+  ElsaScheduler s(rep, MsToTicks(15.0));
   const std::vector<WorkerState> workers = {W(0, 1, MsToTicks(6.0)),
                                             W(1, 7, MsToTicks(1.0))};
   EXPECT_EQ(s.OnQueryArrival(Q(8), workers), 1);
 }
 
 TEST(Elsa, StepBMinimizesCompletionWhenNoSlack) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   // SLA 1 ms: nothing fits.  Completion times: small 0+10, large 5+2 ->
   // large wins.
-  ElsaScheduler s(profile, MsToTicks(1.0));
+  ElsaScheduler s(rep, MsToTicks(1.0));
   const std::vector<WorkerState> workers = {W(0, 1, 0),
                                             W(1, 7, MsToTicks(5.0))};
   EXPECT_EQ(s.OnQueryArrival(Q(8), workers), 1);
 }
 
 TEST(Elsa, StepBPicksSmallIfItCompletesSooner) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   // SLA 1 ms; large is backed up by 20 ms: small 10 < large 22.
-  ElsaScheduler s(profile, MsToTicks(1.0));
+  ElsaScheduler s(rep, MsToTicks(1.0));
   const std::vector<WorkerState> workers = {W(0, 1, 0),
                                             W(1, 7, MsToTicks(20.0))};
   EXPECT_EQ(s.OnQueryArrival(Q(8), workers), 0);
 }
 
 TEST(Elsa, VisitsWorkersInSizeOrderNotIndexOrder) {
-  const auto profile = MakeProfile();
-  ElsaScheduler s(profile, MsToTicks(15.0));
+  const auto rep = testing::ToyModel();
+  ElsaScheduler s(rep, MsToTicks(15.0));
   // Large partition listed first; ELSA must still prefer the small one.
   const std::vector<WorkerState> workers = {W(0, 7, 0), W(1, 1, 0)};
   EXPECT_EQ(s.OnQueryArrival(Q(8), workers), 1);
 }
 
 TEST(Elsa, AlphaScalesAggressiveness) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   // With alpha = 2, the small partition's effective cost doubles: 2*10 > 15
   // -> falls through to the large one.
   ElsaParams params;
   params.alpha = 2.0;
-  ElsaScheduler s(profile, MsToTicks(15.0), params);
+  ElsaScheduler s(rep, MsToTicks(15.0), params);
   const std::vector<WorkerState> workers = {W(0, 1, 0), W(1, 7, 0)};
   EXPECT_EQ(s.OnQueryArrival(Q(8), workers), 1);
 }
 
 TEST(Elsa, BetaWeightsNewQueryTerm) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   // beta = 0 ignores the query's own execution time: slack = 15 - wait.
   ElsaParams params;
   params.beta = 0.0;
-  ElsaScheduler s(profile, MsToTicks(15.0), params);
+  ElsaScheduler s(rep, MsToTicks(15.0), params);
   // Small has 14 ms queued: slack = 1 > 0 -> still chosen (beta=0 blind).
   const std::vector<WorkerState> workers = {W(0, 1, MsToTicks(14.0)),
                                             W(1, 7, 0)};
@@ -125,21 +117,21 @@ TEST(Elsa, BetaWeightsNewQueryTerm) {
 }
 
 TEST(Elsa, SlackSecMatchesEquation2) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   ElsaParams params;
   params.alpha = 1.5;
   params.beta = 2.0;
-  ElsaScheduler s(profile, MsToTicks(20.0), params);
+  ElsaScheduler s(rep, MsToTicks(20.0), params);
   const WorkerState w = W(0, 1, MsToTicks(3.0));
   // slack = 20 - 1.5 * (3 + 2 * 10) = 20 - 34.5 = -14.5 ms.
-  EXPECT_NEAR(s.SlackSec(w, 8), -14.5e-3, 1e-9);
+  EXPECT_NEAR(s.SlackSec(w, 0, 8), -14.5e-3, 1e-9);
 }
 
 TEST(Elsa, SwapCostChargesOnlySwapNeedingWorkers) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   ElsaParams params;
   params.swap_cost_sec = 4e-3;  // 4 ms weight re-load
-  ElsaScheduler s(profile, MsToTicks(20.0), params);
+  ElsaScheduler s(rep, MsToTicks(20.0), params);
   // Resident model matches (or was never loaded): no charge.
   WorkerState fresh = W(0, 1, MsToTicks(3.0));
   EXPECT_NEAR(s.SlackSec(fresh, /*model_id=*/0, 8), (20.0 - 13.0) * 1e-3,
@@ -155,11 +147,11 @@ TEST(Elsa, SwapCostChargesOnlySwapNeedingWorkers) {
 }
 
 TEST(Elsa, SwapCostZeroIsBitIdenticalToLegacyPredictor) {
-  const auto profile = MakeProfile();
-  ElsaScheduler legacy(profile, MsToTicks(20.0));
+  const auto rep = testing::ToyModel();
+  ElsaScheduler legacy(rep, MsToTicks(20.0));
   ElsaParams params;
   params.swap_cost_sec = 0.0;
-  ElsaScheduler zero(profile, MsToTicks(20.0), params);
+  ElsaScheduler zero(rep, MsToTicks(20.0), params);
   WorkerState w = W(0, 1, MsToTicks(3.0));
   w.resident_model = 1;
   // Exact equality on purpose: 0 must restore the swap-oblivious
@@ -168,14 +160,14 @@ TEST(Elsa, SwapCostZeroIsBitIdenticalToLegacyPredictor) {
 }
 
 TEST(Elsa, SwapCostRedirectsStepA) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   // SLA 14 ms.  Small idle partition with the query's model resident:
   // slack = 14 - 10 > 0.  Same-size partition holding the other model
   // pays 5 ms swap: slack = 14 - 15 < 0.  With the charge, ELSA must
   // skip the swap-needing worker it would otherwise bind (lower index).
   ElsaParams params;
   params.swap_cost_sec = 5e-3;
-  ElsaScheduler s(profile, MsToTicks(14.0), params);
+  ElsaScheduler s(rep, MsToTicks(14.0), params);
   WorkerState needs_swap = W(0, 1, 0);
   needs_swap.resident_model = 1;
   WorkerState warm = W(1, 1, 0);
@@ -192,9 +184,9 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 // Constructs ELSA with `params` and returns the std::invalid_argument
 // message, or "" when construction succeeds.
 std::string Rejection(const ElsaParams& params, SimTime sla = MsToTicks(15.0)) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   try {
-    ElsaScheduler s(profile, sla, params);
+    ElsaScheduler s(rep, sla, params);
   } catch (const std::invalid_argument& e) {
     return e.what();
   }
@@ -256,15 +248,15 @@ TEST(Elsa, StepAAgreesWithSlackSecAroundTheThreshold) {
   // SLA 15 ms, GPU(1) estimate 10 ms: the small partition has positive
   // slack up to a wait of about 5 ms.  Around that boundary, tick by tick,
   // ELSA binds to it exactly when SlackSec says its slack is positive.
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   for (const double alpha : {1.0, 0.7, 1.3}) {
     ElsaParams params;
     params.alpha = alpha;
-    ElsaScheduler s(profile, MsToTicks(15.0), params);
+    ElsaScheduler s(rep, MsToTicks(15.0), params);
     const SimTime edge = SecToTicks(15e-3 / alpha - 10e-3);
     for (SimTime wait = edge - 4; wait <= edge + 4; ++wait) {
       const std::vector<WorkerState> workers = {W(0, 1, wait), W(1, 7, 0)};
-      const int want = s.SlackSec(workers[0], 8) > 0.0 ? 0 : 1;
+      const int want = s.SlackSec(workers[0], 0, 8) > 0.0 ? 0 : 1;
       EXPECT_EQ(s.OnQueryArrival(Q(8), workers), want)
           << "alpha " << alpha << " wait " << wait;
     }
@@ -275,18 +267,18 @@ TEST(Elsa, StepBBreaksCompletionTiesTowardTheFirstWorker) {
   // Waits past 2^53 ns differ by less than one ulp of their completion
   // in seconds: both partitions complete at the same double, and the
   // first in (gpcs, index) order wins although it waits one tick longer.
-  const auto profile = MakeProfile();
-  ElsaScheduler s(profile, MsToTicks(1.0));
+  const auto rep = testing::ToyModel();
+  ElsaScheduler s(rep, MsToTicks(1.0));
   const SimTime base = SimTime{1} << 60;
   const std::vector<WorkerState> workers = {W(0, 1, base + 1), W(1, 1, base)};
   EXPECT_EQ(s.OnQueryArrival(Q(8), workers), 0);
 }
 
 TEST(Elsa, SkipsFailedWorkersEvenWithUnboundedSlack) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   ElsaParams params;
   params.alpha = 0.0;  // every wait has slack: the threshold is unbounded
-  ElsaScheduler s(profile, MsToTicks(15.0), params);
+  ElsaScheduler s(rep, MsToTicks(15.0), params);
   WorkerState dead = W(0, 1, 0);
   dead.failed = true;
   dead.idle = false;
@@ -313,8 +305,8 @@ class MisorderedStableView final : public WorkerView {
 };
 
 TEST(Elsa, RejectsAStableViewOutOfOrder) {
-  const auto profile = MakeProfile();
-  ElsaScheduler s(profile, MsToTicks(15.0));
+  const auto rep = testing::ToyModel();
+  ElsaScheduler s(rep, MsToTicks(15.0));
   const MisorderedStableView larger_first({W(0, 7, 0), W(1, 1, 0)});
   EXPECT_THROW(s.OnQueryArrival(Q(8), larger_first), std::logic_error);
   const MisorderedStableView renumbered({W(1, 1, 0), W(0, 7, 0)});
@@ -322,12 +314,31 @@ TEST(Elsa, RejectsAStableViewOutOfOrder) {
 }
 
 TEST(GreedyFastest, IsElsaStepBOnly) {
-  const auto profile = MakeProfile();
-  GreedyFastestScheduler s(profile);
+  const auto rep = testing::ToyModel();
+  GreedyFastestScheduler s(rep);
   // Both idle: large (2 ms) beats small (10 ms) -- no utilization
   // preference, unlike ELSA Step A.
   const std::vector<WorkerState> workers = {W(0, 1, 0), W(1, 7, 0)};
   EXPECT_EQ(s.OnQueryArrival(Q(8), workers), 1);
+}
+
+TEST(GreedyFastest, CostsEachQueryWithItsOwnModel) {
+  // Model 0 is the toy (10 / 2 ms); model 1 costs 1 ms on either size.
+  profile::ModelRepertoire rep = testing::ToyModel();
+  profile::ProfileTable flat("flat", {1, 7}, {32});
+  flat.Set(1, 32, {1e-3, 0.9});
+  flat.Set(7, 32, {1e-3, 0.5});
+  rep.Register("flat", flat, [](int, int) { return 1e-3; });
+  GreedyFastestScheduler s(rep);
+  const std::vector<WorkerState> workers = {W(0, 1, 0),
+                                            W(1, 7, MsToTicks(5.0))};
+  workload::Query q = Q(8);
+  // Model 0: 0 + 10 ms on GPU(1) vs 5 + 2 ms on GPU(7).
+  EXPECT_EQ(s.OnQueryArrival(q, workers), 1);
+  // Model 1: 0 + 1 ms vs 5 + 1 ms.  Costed as model 0 it would go to
+  // GPU(7) too.
+  q.model_id = 1;
+  EXPECT_EQ(s.OnQueryArrival(q, workers), 0);
 }
 
 TEST(Jsq, PicksShortestQueue) {

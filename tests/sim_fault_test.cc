@@ -12,27 +12,12 @@
 #include <string>
 #include <vector>
 
+#include "one_model.h"
 #include "sched/elsa.h"
 #include "sched/fifs.h"
 
 namespace pe::sim {
 namespace {
-
-// Fixed-latency world (same toy as sim_server_test): GPU(1) takes 10 ms,
-// GPU(7) takes 2 ms, any batch.
-profile::ProfileTable MakeProfile() {
-  profile::ProfileTable t("toy", {1, 7}, {32});
-  t.Set(1, 32, {10e-3, 0.9});
-  t.Set(7, 32, {2e-3, 0.5});
-  return t;
-}
-
-LatencyFn FixedLatency() {
-  return [](int gpcs, int batch) {
-    (void)batch;
-    return gpcs == 1 ? 10e-3 : 2e-3;
-  };
-}
 
 workload::QueryTrace MakeTrace(std::size_t n, SimTime gap, int batch = 8) {
   std::vector<workload::Query> qs;
@@ -55,9 +40,9 @@ ServerConfig Config(std::vector<int> gpcs) {
 }
 
 TEST(FaultInjection, FailWorkerKillsTheInFlightAttempt) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   sched::FifsScheduler fifs;
-  InferenceServer server(Config({7}), profile, fifs, FixedLatency());
+  InferenceServer server(Config({7}), rep, fifs);
   server.InjectTrace(MakeTrace(1, 0));
   server.AdvanceTo(MsToTicks(1.0));  // mid-flight on the 2 ms worker
   const auto lost = server.FailWorker(0);
@@ -73,9 +58,9 @@ TEST(FaultInjection, FailWorkerKillsTheInFlightAttempt) {
 }
 
 TEST(FaultInjection, FailWorkerIsIdempotentAndRecoverRestoresService) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   sched::FifsScheduler fifs;
-  InferenceServer server(Config({7}), profile, fifs, FixedLatency());
+  InferenceServer server(Config({7}), rep, fifs);
   server.AdvanceTo(MsToTicks(1.0));
   EXPECT_FALSE(server.FailWorker(0).size());  // idle worker: nothing lost
   EXPECT_TRUE(server.FailWorker(0).empty());  // already failed: no-op
@@ -98,10 +83,10 @@ TEST(FaultInjection, FailWorkerIsIdempotentAndRecoverRestoresService) {
 }
 
 TEST(FaultInjection, OrphansRequeueOntoSurvivingWorkers) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   sched::FifsScheduler fifs;
   // Two 2 ms workers, four simultaneous arrivals: two start, two queue.
-  InferenceServer server(Config({7, 7}), profile, fifs, FixedLatency());
+  InferenceServer server(Config({7, 7}), rep, fifs);
   server.InjectTrace(MakeTrace(4, 0));
   server.AdvanceTo(MsToTicks(1.0));
   server.FailWorker(0, /*requeue_orphans=*/true);
@@ -121,9 +106,9 @@ TEST(FaultInjection, OrphansRequeueOntoSurvivingWorkers) {
 }
 
 TEST(FaultInjection, WholeServerCrashReturnsEveryInSystemQuery) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   sched::FifsScheduler fifs;
-  InferenceServer server(Config({7, 7}), profile, fifs, FixedLatency());
+  InferenceServer server(Config({7, 7}), rep, fifs);
   server.InjectTrace(MakeTrace(6, 0));
   server.AdvanceTo(MsToTicks(1.0));
   // The fleet driver's crash sequence: fail every worker without local
@@ -144,9 +129,9 @@ TEST(FaultInjection, WholeServerCrashReturnsEveryInSystemQuery) {
 }
 
 TEST(FaultInjection, TotalOutageParksArrivalsAndFinishFailsThem) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   sched::FifsScheduler fifs;
-  InferenceServer server(Config({7}), profile, fifs, FixedLatency());
+  InferenceServer server(Config({7}), rep, fifs);
   server.FailWorker(0);
   server.InjectTrace(MakeTrace(3, MsToTicks(0.5)));
   // No recovery ever happens: Finish must still terminate every record.
@@ -158,9 +143,9 @@ TEST(FaultInjection, TotalOutageParksArrivalsAndFinishFailsThem) {
 }
 
 TEST(FaultInjection, SlowdownStretchesActualExecutionOnly) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   sched::FifsScheduler fifs;
-  InferenceServer server(Config({7}), profile, fifs, FixedLatency());
+  InferenceServer server(Config({7}), rep, fifs);
   server.SetSlowdownFactor(3.0);
   server.InjectTrace(MakeTrace(1, 0));
   auto result = server.Finish();
@@ -169,7 +154,7 @@ TEST(FaultInjection, SlowdownStretchesActualExecutionOnly) {
             MsToTicks(6.0));
 
   // Back to nominal: 1.0 restores the clean-run service time.
-  InferenceServer healed(Config({7}), profile, fifs, FixedLatency());
+  InferenceServer healed(Config({7}), rep, fifs);
   healed.SetSlowdownFactor(2.0);
   healed.SetSlowdownFactor(1.0);
   healed.InjectTrace(MakeTrace(1, 0));
@@ -196,9 +181,9 @@ class PinnedScheduler final : public sched::Scheduler {
 };
 
 TEST(FaultInjection, BindingAFailedWorkerThrows) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   PinnedScheduler pinned;
-  InferenceServer server(Config({1, 7}), profile, pinned, FixedLatency());
+  InferenceServer server(Config({1, 7}), rep, pinned);
   server.FailWorker(0);
   server.InjectTrace(MakeTrace(1, 0));
   EXPECT_THROW(server.Finish(), std::logic_error);
@@ -208,11 +193,11 @@ TEST(FaultInjection, UnboundedSlackNeverReachesAFailedWorker) {
   // alpha = 0 gives every wait positive slack: ELSA's Step A threshold is
   // the largest SimTime, at which the live view must still skip failed
   // workers.
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   sched::ElsaParams params;
   params.alpha = 0.0;
-  sched::ElsaScheduler elsa(profile, MsToTicks(15.0), params);
-  InferenceServer server(Config({1, 1, 7}), profile, elsa, FixedLatency());
+  sched::ElsaScheduler elsa(rep, MsToTicks(15.0), params);
+  InferenceServer server(Config({1, 1, 7}), rep, elsa);
   server.FailWorker(0);
   server.InjectTrace(MakeTrace(4, MsToTicks(1.0)));
   const auto result = server.Finish();

@@ -11,26 +11,12 @@
 #include <map>
 #include <set>
 
+#include "one_model.h"
 #include "sched/elsa.h"
 #include "sched/fifs.h"
 
 namespace pe::sim {
 namespace {
-
-// Fixed-latency world: GPU(1) takes 10 ms, GPU(7) takes 2 ms, any batch.
-profile::ProfileTable MakeProfile() {
-  profile::ProfileTable t("toy", {1, 7}, {32});
-  t.Set(1, 32, {10e-3, 0.9});
-  t.Set(7, 32, {2e-3, 0.5});
-  return t;
-}
-
-LatencyFn FixedLatency() {
-  return [](int gpcs, int batch) {
-    (void)batch;
-    return gpcs == 1 ? 10e-3 : 2e-3;
-  };
-}
 
 workload::QueryTrace MakeTrace(std::size_t n, SimTime gap, int batch = 8) {
   std::vector<workload::Query> qs;
@@ -94,9 +80,9 @@ void ExpectConservation(const std::vector<QueryRecord>& records,
 }
 
 TEST(Reconfigure, DowntimeChargedToHeldArrival) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   sched::FifsScheduler fifs;
-  InferenceServer server(Config({7}), profile, fifs, FixedLatency());
+  InferenceServer server(Config({7}), rep, fifs);
   // q0 at 0 (runs 0-2 ms), q1 at 1 ms (held by the window).
   server.InjectTrace(MakeTrace(2, MsToTicks(1.0)));
   server.AdvanceTo(MsToTicks(0.5));
@@ -115,10 +101,10 @@ TEST(Reconfigure, DowntimeChargedToHeldArrival) {
 }
 
 TEST(Reconfigure, LocalQueueOrphansCarriedToNewLayout) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   // Loose SLA: ELSA queues everything on the single GPU(7) locally.
-  sched::ElsaScheduler elsa(profile, MsToTicks(50.0));
-  InferenceServer server(Config({7}), profile, elsa, FixedLatency());
+  sched::ElsaScheduler elsa(rep, MsToTicks(50.0));
+  InferenceServer server(Config({7}), rep, elsa);
   server.InjectTrace(MakeTrace(3, 0));
   server.AdvanceTo(MsToTicks(1.0));
   // q0 in flight, q1/q2 queued locally; zero-downtime swap to {7, 7}.
@@ -136,9 +122,9 @@ TEST(Reconfigure, LocalQueueOrphansCarriedToNewLayout) {
 }
 
 TEST(Reconfigure, CentralQueueCarriedInFifoOrder) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   sched::FifsScheduler fifs;
-  InferenceServer server(Config({7}), profile, fifs, FixedLatency());
+  InferenceServer server(Config({7}), rep, fifs);
   // Five simultaneous arrivals: q0 runs 0-2, q1 runs 2-4, q2..q4 central.
   server.InjectTrace(MakeTrace(5, 0));
   server.AdvanceTo(MsToTicks(3.0));
@@ -157,9 +143,9 @@ TEST(Reconfigure, CentralQueueCarriedInFifoOrder) {
 }
 
 TEST(Reconfigure, SupersedingWindowRetargetsAndNeverShortens) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   sched::FifsScheduler fifs;
-  InferenceServer server(Config({7}), profile, fifs, FixedLatency());
+  InferenceServer server(Config({7}), rep, fifs);
   workload::Query late;
   late.id = 0;
   late.arrival = MsToTicks(30.0);
@@ -180,17 +166,17 @@ TEST(Reconfigure, SupersedingWindowRetargetsAndNeverShortens) {
 }
 
 TEST(Reconfigure, NoReconfigureIsBitIdenticalToPlainRun) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   auto config = Config({1, 7, 7});
   config.latency_noise_sigma = 0.2;  // exercise the RNG stream
   const auto trace = MakeTrace(200, MsToTicks(0.7));
 
   sched::FifsScheduler fifs_a;
-  InferenceServer batch_server(config, profile, fifs_a, FixedLatency());
+  InferenceServer batch_server(config, rep, fifs_a);
   const auto batch = batch_server.Run(trace);
 
   sched::FifsScheduler fifs_b;
-  InferenceServer inc_server(config, profile, fifs_b, FixedLatency());
+  InferenceServer inc_server(config, rep, fifs_b);
   inc_server.InjectTrace(trace);
   // Chunked advancing must not perturb event order or the RNG stream.
   for (int ms = 10; ms <= 150; ms += 10) {
@@ -205,9 +191,9 @@ TEST(Reconfigure, NoReconfigureIsBitIdenticalToPlainRun) {
 }
 
 TEST(Reconfigure, StallsSurfaceInComputeStats) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   sched::FifsScheduler fifs;
-  InferenceServer server(Config({7}), profile, fifs, FixedLatency());
+  InferenceServer server(Config({7}), rep, fifs);
   server.InjectTrace(MakeTrace(5, 0));
   server.AdvanceTo(MsToTicks(3.0));
   server.BeginReconfigure({7}, MsToTicks(4.0));
@@ -219,18 +205,18 @@ TEST(Reconfigure, StallsSurfaceInComputeStats) {
 }
 
 TEST(Reconfigure, RejectsInvalidArguments) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   sched::FifsScheduler fifs;
-  InferenceServer server(Config({7}), profile, fifs, FixedLatency());
+  InferenceServer server(Config({7}), rep, fifs);
   EXPECT_THROW(server.BeginReconfigure({}, 0), std::invalid_argument);
   EXPECT_THROW(server.BeginReconfigure({0}, 0), std::invalid_argument);
   EXPECT_THROW(server.BeginReconfigure({7}, -1), std::invalid_argument);
 }
 
 TEST(Reconfigure, RejectsArrivalInThePast) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   sched::FifsScheduler fifs;
-  InferenceServer server(Config({7}), profile, fifs, FixedLatency());
+  InferenceServer server(Config({7}), rep, fifs);
   server.AdvanceTo(MsToTicks(5.0));
   workload::Query q;
   q.id = 0;

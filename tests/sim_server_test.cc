@@ -2,26 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "one_model.h"
 #include "sched/elsa.h"
 #include "sched/fifs.h"
 
 namespace pe::sim {
 namespace {
-
-// Fixed-latency world: GPU(1) takes 10 ms, GPU(7) takes 2 ms, any batch.
-profile::ProfileTable MakeProfile() {
-  profile::ProfileTable t("toy", {1, 7}, {32});
-  t.Set(1, 32, {10e-3, 0.9});
-  t.Set(7, 32, {2e-3, 0.5});
-  return t;
-}
-
-LatencyFn FixedLatency() {
-  return [](int gpcs, int batch) {
-    (void)batch;
-    return gpcs == 1 ? 10e-3 : 2e-3;
-  };
-}
 
 workload::QueryTrace MakeTrace(std::size_t n, SimTime gap, int batch = 8) {
   std::vector<workload::Query> qs;
@@ -44,9 +30,9 @@ ServerConfig Config(std::vector<int> gpcs) {
 }
 
 TEST(InferenceServer, SingleWorkerSequentialExecution) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   sched::FifsScheduler fifs;
-  InferenceServer server(Config({7}), profile, fifs, FixedLatency());
+  InferenceServer server(Config({7}), rep, fifs);
   // Three queries arriving simultaneously on one 2 ms worker.
   const auto result = server.Run(MakeTrace(3, 0));
   ASSERT_EQ(result.records.size(), 3u);
@@ -56,9 +42,9 @@ TEST(InferenceServer, SingleWorkerSequentialExecution) {
 }
 
 TEST(InferenceServer, FifsUsesIdleWorkers) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   sched::FifsScheduler fifs;
-  InferenceServer server(Config({7, 7}), profile, fifs, FixedLatency());
+  InferenceServer server(Config({7, 7}), rep, fifs);
   const auto result = server.Run(MakeTrace(2, 0));
   // Both run in parallel.
   EXPECT_EQ(result.records[0].finished, MsToTicks(2.0));
@@ -67,9 +53,9 @@ TEST(InferenceServer, FifsUsesIdleWorkers) {
 }
 
 TEST(InferenceServer, CentralQueueDrainsInFifoOrder) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   sched::FifsScheduler fifs;
-  InferenceServer server(Config({7}), profile, fifs, FixedLatency());
+  InferenceServer server(Config({7}), rep, fifs);
   const auto result = server.Run(MakeTrace(5, MsToTicks(0.1)));
   for (std::size_t i = 1; i < result.records.size(); ++i) {
     EXPECT_GT(result.records[i].started, result.records[i - 1].started);
@@ -77,12 +63,12 @@ TEST(InferenceServer, CentralQueueDrainsInFifoOrder) {
 }
 
 TEST(InferenceServer, ElsaAvoidsSlowWorkerUnderTightSla) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   // SLA 5 ms: the 10 ms GPU(1) can never satisfy it; every query must go to
   // the GPU(7) even when GPU(1) idles.
-  sched::ElsaScheduler elsa(profile, MsToTicks(5.0));
+  sched::ElsaScheduler elsa(rep, MsToTicks(5.0));
   auto config = Config({1, 7});
-  InferenceServer server(config, profile, elsa, FixedLatency());
+  InferenceServer server(config, rep, elsa);
   const auto result = server.Run(MakeTrace(10, MsToTicks(2.5)));
   for (const auto& r : result.records) {
     EXPECT_EQ(r.worker_gpcs, 7) << "query " << r.id;
@@ -90,19 +76,19 @@ TEST(InferenceServer, ElsaAvoidsSlowWorkerUnderTightSla) {
 }
 
 TEST(InferenceServer, ElsaUsesSmallWorkerWhenSlackAllows) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   // SLA 50 ms: GPU(1)'s 10 ms fits easily -> Step A prefers it.
-  sched::ElsaScheduler elsa(profile, MsToTicks(50.0));
-  InferenceServer server(Config({1, 7}), profile, elsa, FixedLatency());
+  sched::ElsaScheduler elsa(rep, MsToTicks(50.0));
+  InferenceServer server(Config({1, 7}), rep, elsa);
   const auto result = server.Run(MakeTrace(1, 0));
   EXPECT_EQ(result.records[0].worker_gpcs, 1);
 }
 
 TEST(InferenceServer, DeterministicAcrossRuns) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   sched::FifsScheduler fifs;
   auto run = [&] {
-    InferenceServer server(Config({1, 7, 7}), profile, fifs, FixedLatency());
+    InferenceServer server(Config({1, 7, 7}), rep, fifs);
     return server.Run(MakeTrace(100, MsToTicks(0.7)));
   };
   const auto a = run();
@@ -114,12 +100,12 @@ TEST(InferenceServer, DeterministicAcrossRuns) {
 }
 
 TEST(InferenceServer, NoiseChangesLatenciesButStaysDeterministic) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   sched::FifsScheduler fifs;
   auto config = Config({7});
   config.latency_noise_sigma = 0.2;
   auto run = [&] {
-    InferenceServer server(config, profile, fifs, FixedLatency());
+    InferenceServer server(config, rep, fifs);
     return server.Run(MakeTrace(50, MsToTicks(5.0)));
   };
   const auto a = run();
@@ -135,14 +121,14 @@ TEST(InferenceServer, NoiseChangesLatenciesButStaysDeterministic) {
 }
 
 TEST(InferenceServer, FrontendDelaysDispatch) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   sched::FifsScheduler fifs;
   // Three workers so every query binds the moment it clears the frontend.
   auto config = Config({7, 7, 7});
   config.frontend.enabled = true;
   config.frontend.lanes = 1;
   config.frontend.cost_per_query = MsToTicks(1.0);
-  InferenceServer server(config, profile, fifs, FixedLatency());
+  InferenceServer server(config, rep, fifs);
   const auto result = server.Run(MakeTrace(3, 0));
   // Single frontend lane serializes entry: dispatch at 1, 2, 3 ms.
   EXPECT_EQ(result.records[0].dispatched, MsToTicks(1.0));
@@ -151,13 +137,13 @@ TEST(InferenceServer, FrontendDelaysDispatch) {
 }
 
 TEST(InferenceServer, FrontendWithManyLanesIsTransparent) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   sched::FifsScheduler fifs;
   auto config = Config({7});
   config.frontend.enabled = true;
   config.frontend.lanes = 16;
   config.frontend.cost_per_query = MsToTicks(0.5);
-  InferenceServer server(config, profile, fifs, FixedLatency());
+  InferenceServer server(config, rep, fifs);
   const auto result = server.Run(MakeTrace(3, MsToTicks(10.0)));
   for (const auto& r : result.records) {
     EXPECT_EQ(r.dispatched - r.arrival, MsToTicks(0.5));
@@ -165,16 +151,15 @@ TEST(InferenceServer, FrontendWithManyLanesIsTransparent) {
 }
 
 TEST(InferenceServer, RejectsEmptyPartitionList) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   sched::FifsScheduler fifs;
-  EXPECT_THROW(InferenceServer(Config({}), profile, fifs, FixedLatency()),
-               std::invalid_argument);
+  EXPECT_THROW(InferenceServer(Config({}), rep, fifs), std::invalid_argument);
 }
 
 TEST(InferenceServer, RejectsNonDenseQueryIds) {
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   sched::FifsScheduler fifs;
-  InferenceServer server(Config({7}), profile, fifs, FixedLatency());
+  InferenceServer server(Config({7}), rep, fifs);
   std::vector<workload::Query> qs(1);
   qs[0].id = 5;
   workload::QueryTrace trace(std::move(qs));
@@ -182,9 +167,9 @@ TEST(InferenceServer, RejectsNonDenseQueryIds) {
 }
 
 TEST(InferenceServer, AllQueriesComplete) {
-  const auto profile = MakeProfile();
-  sched::ElsaScheduler elsa(profile, MsToTicks(15.0));
-  InferenceServer server(Config({1, 1, 7}), profile, elsa, FixedLatency());
+  const auto rep = testing::ToyModel();
+  sched::ElsaScheduler elsa(rep, MsToTicks(15.0));
+  InferenceServer server(Config({1, 1, 7}), rep, elsa);
   const auto result = server.Run(MakeTrace(500, MsToTicks(1.0)));
   for (const auto& r : result.records) {
     EXPECT_GT(r.finished, 0) << "query " << r.id << " never finished";
@@ -195,9 +180,9 @@ TEST(InferenceServer, AllQueriesComplete) {
 
 TEST(InferenceServer, ConservationNoDuplicateService) {
   // Each worker's service intervals must not overlap.
-  const auto profile = MakeProfile();
+  const auto rep = testing::ToyModel();
   sched::FifsScheduler fifs;
-  InferenceServer server(Config({1, 7}), profile, fifs, FixedLatency());
+  InferenceServer server(Config({1, 7}), rep, fifs);
   const auto result = server.Run(MakeTrace(200, MsToTicks(0.9)));
   std::map<int, std::vector<std::pair<SimTime, SimTime>>> by_worker;
   for (const auto& r : result.records) {

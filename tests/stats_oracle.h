@@ -2,15 +2,17 @@
 // sim::StatsAccumulator's pools, selection and merging.  It keeps every
 // record, re-keys fleet records to global ids, models and workers by
 // copying them into one vector, sorts, and reduces with std::map and
-// Percentile -- so equality with the library's order-free reduction,
-// field by field with ==, checks the merge, the selection and the
-// fleet-wide warmup cut at once.  ExpectIdenticalServerStats is the
+// Percentile (below) -- so equality with the library's order-free
+// reduction, field by field with ==, checks the merge, the selection and
+// the fleet-wide warmup cut at once.  ExpectIdenticalServerStats is the
 // field-for-field comparison the tests share.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -19,11 +21,67 @@
 #include <vector>
 
 #include "common/sim_time.h"
-#include "common/stats.h"
 #include "fleet/cluster.h"
 #include "sim/metrics.h"
 
 namespace pe::testing {
+
+// Exact percentile over retained samples, by linear interpolation between
+// closest ranks: the p-th percentile of n sorted samples x is
+// x[k] * (1 - f) + x[k + 1] * f with k + f = (p / 100) * (n - 1).
+// Value() sorts lazily and returns 0 for an empty set.
+class Percentile {
+ public:
+  void Add(double x) {
+    samples_.push_back(x);
+    sorted_ = false;
+  }
+  std::size_t count() const { return samples_.size(); }
+
+  // p in [0, 100].
+  double Value(double p) const {
+    if (samples_.empty()) return 0.0;
+    EnsureSorted();
+    assert(p >= 0.0 && p <= 100.0);
+    if (samples_.size() == 1) return samples_.front();
+    const double rank = (p / 100.0) * static_cast<double>(samples_.size() - 1);
+    const auto lo = static_cast<std::size_t>(rank);
+    const double frac = rank - static_cast<double>(lo);
+    if (lo + 1 >= samples_.size()) return samples_.back();
+    return samples_[lo] * (1.0 - frac) + samples_[lo + 1] * frac;
+  }
+  double P50() const { return Value(50.0); }
+  double P95() const { return Value(95.0); }
+  double P99() const { return Value(99.0); }
+
+  double Mean() const {
+    if (samples_.empty()) return 0.0;
+    double sum = 0.0;
+    for (const double s : samples_) sum += s;
+    return sum / static_cast<double>(samples_.size());
+  }
+  double Max() const {
+    if (samples_.empty()) return 0.0;
+    EnsureSorted();
+    return samples_.back();
+  }
+
+  void Clear() {
+    samples_.clear();
+    sorted_ = true;
+  }
+
+ private:
+  void EnsureSorted() const {
+    if (!sorted_) {
+      std::sort(samples_.begin(), samples_.end());
+      sorted_ = true;
+    }
+  }
+
+  mutable std::vector<double> samples_;
+  mutable bool sorted_ = true;
+};
 
 // Stats of the records whose id is >= `cut`, by the conventions documented
 // on sim::StatsAccumulator.

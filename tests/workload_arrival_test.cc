@@ -45,36 +45,9 @@ TEST(PoissonArrivals, GapsExponentialCoefficientOfVariation) {
   EXPECT_NEAR(std::sqrt(var) / mean, 1.0, 0.05);
 }
 
-TEST(BurstyArrivals, MeanRateIsTimeWeighted) {
-  BurstyArrivals b(100.0, 500.0, 3.0, 1.0);
-  EXPECT_DOUBLE_EQ(b.MeanRateQps(), (100.0 * 3 + 500.0 * 1) / 4.0);
-}
-
-TEST(BurstyArrivals, ProducesMoreArrivalsThanBaseAlone) {
-  BurstyArrivals bursty(100.0, 1000.0, 1.0, 1.0);
-  PoissonArrivals base(100.0);
-  Rng r1(4), r2(4);
-  SimTime bursty_total = 0, base_total = 0;
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) {
-    bursty_total += bursty.NextGap(r1);
-    base_total += base.NextGap(r2);
-  }
-  EXPECT_LT(bursty_total, base_total);
-}
-
-TEST(BurstyArrivals, RejectsBadParameters) {
-  EXPECT_THROW(BurstyArrivals(0, 1, 1, 1), std::invalid_argument);
-  EXPECT_THROW(BurstyArrivals(1, 0, 1, 1), std::invalid_argument);
-  EXPECT_THROW(BurstyArrivals(1, 1, 0, 1), std::invalid_argument);
-  EXPECT_THROW(BurstyArrivals(1, 1, 1, 0), std::invalid_argument);
-}
-
 TEST(ArrivalProcess, DescribeIsInformative) {
   PoissonArrivals p(42.0);
   EXPECT_NE(p.Describe().find("poisson"), std::string::npos);
-  BurstyArrivals b(1, 2, 3, 4);
-  EXPECT_NE(b.Describe().find("bursty"), std::string::npos);
 }
 
 }  // namespace

@@ -713,8 +713,8 @@ int CmdElastic(const ArgParser& args) {
                                            tb.table1().gpc_budget, tb.dist(),
                                            cfg.paris, econfig);
   online::ElasticServerSim sim(
-      controller, tb.profile(), [&] { return tb.MakeScheduler(kind); },
-      tb.ActualLatency(), tb.sla_target(), queries_per_epoch, seed);
+      controller, tb.repertoire(), [&] { return tb.MakeScheduler(kind); },
+      tb.sla_target(), queries_per_epoch, seed);
   const auto result = sim.Run(trace);
 
   return ReportElastic(args, result, cfg.model_name, kind, rate_qps,
