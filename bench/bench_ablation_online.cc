@@ -59,8 +59,10 @@ int main() {
   auto run_policy = [&](const workload::BatchDistribution& plan_dist,
                         online::ElasticConfig config,
                         const std::string& label) {
-    online::RepartitionController controller(profile, hw::Cluster(8), 48,
-                                             plan_dist, {}, config);
+    workload::MixSpec mix;
+    mix.components.push_back({0, 1.0, &plan_dist});
+    online::RepartitionController controller(repertoire, hw::Cluster(8), 48,
+                                             mix, {}, config);
     online::ElasticServerSim sim(
         controller, repertoire,
         [&] {

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "online/failover_controller.h"
 #include "partition/mix.h"
 
 namespace pe::core {
@@ -107,11 +106,6 @@ fleet::FleetResult FleetTestbed::RunWithFaults(
 }
 
 fleet::ReplanFn FleetTestbed::MakeReplanFn() const {
-  // Value-captured controller; the planner inputs borrow profiles and
-  // batch distributions from mix_, which this testbed owns and outlives
-  // every RunWithFaults call.
-  online::FailoverRepartitionController controller(mix_.cluster(),
-                                                   config_.mix.paris);
   // A degraded layout depends only on the server's hosted models, the
   // surviving replica count of each, and its GPC budget, and a run asks
   // for the same few of those after every crash and recovery: each is
@@ -122,15 +116,14 @@ fleet::ReplanFn FleetTestbed::MakeReplanFn() const {
     std::map<std::vector<int>, std::vector<int>> layouts;
   };
   auto memo = std::make_shared<Memo>();
-  return [this, controller, memo](int server, const std::vector<int>& down) {
+  // The planner inputs borrow profiles and batch distributions from mix_,
+  // which this testbed owns and outlives every RunWithFaults call.
+  return [this, memo](int server, const std::vector<int>& down) {
     const fleet::ServerPlacement& sp = placement().server(server);
-    std::vector<int> full(sp.model_ids.size(), 0);
     std::vector<int> surviving(sp.model_ids.size(), 0);
     std::vector<int> key = {sp.gpc_budget};
     for (std::size_t i = 0; i < sp.model_ids.size(); ++i) {
-      const std::vector<int>& reps = placement().Replicas(sp.model_ids[i]);
-      full[i] = static_cast<int>(reps.size());
-      for (const int r : reps) {
+      for (const int r : placement().Replicas(sp.model_ids[i])) {
         if (!std::binary_search(down.begin(), down.end(), r)) {
           ++surviving[i];
         }
@@ -143,10 +136,21 @@ fleet::ReplanFn FleetTestbed::MakeReplanFn() const {
       const auto hit = memo->layouts.find(key);
       if (hit != memo->layouts.end()) return hit->second;
     }
-    const std::vector<partition::MixModelInput> inputs =
-        online::FailoverRepartitionController::ScaleForOutage(
-            mix_.PlannerInputs(sp.model_ids), full, surviving);
-    std::vector<int> layout = controller.PlanDegraded(inputs, sp.gpc_budget);
+    // Each survivor of a hosted model absorbs full/surviving times its
+    // nominal share.  A model with no survivor keeps its nominal share:
+    // nobody serves it, so it must not warp the survivors' budgets.
+    std::vector<partition::MixModelInput> inputs =
+        mix_.PlannerInputs(sp.model_ids);
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      if (surviving[i] == 0) continue;
+      const std::size_t full = placement().Replicas(sp.model_ids[i]).size();
+      inputs[i].share *=
+          static_cast<double>(full) / static_cast<double>(surviving[i]);
+    }
+    std::vector<int> layout =
+        partition::PlanMixedParis(inputs, mix_.cluster(), sp.gpc_budget,
+                                  config_.mix.paris)
+            .plan.instance_gpcs;
     const std::lock_guard<std::mutex> lock(memo->mu);
     memo->layouts.emplace(std::move(key), layout);
     return layout;

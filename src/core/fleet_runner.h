@@ -86,21 +86,22 @@ class FleetTestbed {
 
   // Runs `trace` under `plan`: health-patched routing, retry/shed
   // failover, and -- when plan.repartition -- degraded-capacity
-  // repartition of survivors through the online mixed-PARIS planner
-  // (MakeReplanFn).  An empty plan is bit-identical to Run().
+  // repartition of survivors through mixed-PARIS (MakeReplanFn).  An
+  // empty plan is bit-identical to Run().
   fleet::FleetResult RunWithFaults(const workload::QueryTrace& trace,
                                    const fleet::FaultPlan& plan,
                                    int jobs) const;
 
-  // The degraded-capacity repartition hook RunWithFaults wires in:
-  // survivor layouts re-planned with each impacted model's share scaled
-  // by full/surviving replica counts (online::FailoverRepartition-
-  // Controller over this testbed's planner inputs).  The hook memoizes
-  // its plans by (hosted models, surviving replicas of each, GPC budget),
-  // the only inputs a plan depends on, so each distinct degraded layout
-  // is planned once per hook; copies share the memo under a mutex and
-  // may be called from several threads.  Each call returns a fresh hook
-  // with an empty memo.
+  // The degraded-capacity repartition hook RunWithFaults wires in: a
+  // survivor's layout is partition::PlanMixedParis over this testbed's
+  // planner inputs for its hosted models, each share scaled by
+  // full/surviving replica counts (a model with no survivor keeps its
+  // nominal share), on the per-server cluster and GPC budget.  The hook
+  // memoizes its plans by (hosted models, surviving replicas of each, GPC
+  // budget), the only inputs a plan depends on, so each distinct degraded
+  // layout is planned once per hook; copies share the memo under a mutex
+  // and may be called from several threads.  Each call returns a fresh
+  // hook with an empty memo.
   fleet::ReplanFn MakeReplanFn() const;
 
  private:

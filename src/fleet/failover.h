@@ -22,8 +22,8 @@
 //     deadlines (ServerConfig::deadline) shed queue-stuck work locally.
 //  3. Degraded-capacity repartition.  On a crash (and again on
 //     recovery), surviving replicas of the impacted models re-plan their
-//     MIG layouts through the `ReplanFn` callback -- wired to the
-//     online tier's mixed-PARIS planner by core::FleetTestbed -- via
+//     MIG layouts through the `ReplanFn` callback -- wired to
+//     mixed-PARIS by core::FleetTestbed::MakeReplanFn -- via
 //     BeginReconfigure, absorbing the shifted traffic.
 //
 // Determinism and threading: the fault schedule is applied serially and
@@ -62,9 +62,10 @@ namespace pe::fleet {
 // driver calls it serially, from the calling thread, once per survivor
 // that shares a model with a down server (or still runs a degraded
 // layout) after every crash and recovery, so a hook may memoize by its
-// inputs: core::FleetTestbed's plans each distinct degraded layout once.
-// The fleet module cannot depend on the online planner (layering), so
-// core::FleetTestbed injects it from above.
+// inputs: core::FleetTestbed::MakeReplanFn re-plans with mixed-PARIS at
+// full/surviving-scaled shares and plans each distinct degraded layout
+// once.  The fleet module cannot depend on the partition planner
+// (layering), so core::FleetTestbed injects it from above.
 using ReplanFn =
     std::function<std::vector<int>(int server, const std::vector<int>& down)>;
 

@@ -69,7 +69,7 @@ struct FaultPlan {
 
   // When true, a server crash triggers a degraded-capacity repartition:
   // surviving replicas of the dead server's models re-plan their MIG
-  // layouts for the shifted traffic (see online::FailoverRepartition).
+  // layouts for the shifted traffic (see fleet::ReplanFn).
   bool repartition = true;
   // Reconfiguration downtime charged per repartition (BeginReconfigure).
   SimTime reconfig_downtime = 0;

@@ -1,8 +1,8 @@
 #include "online/elastic_server.h"
 
 #include <algorithm>
-#include <cassert>
 #include <span>
+#include <stdexcept>
 
 #include "online/traffic_estimator.h"
 #include "sim/metrics.h"
@@ -23,8 +23,12 @@ ElasticServerSim::ElasticServerSim(RepartitionPolicy& controller,
       queries_per_epoch_(queries_per_epoch),
       seed_(seed),
       model_swap_cost_(model_swap_cost) {
-  assert(queries_per_epoch_ > 0);
-  assert(model_swap_cost_ >= 0);
+  if (queries_per_epoch_ < 1) {
+    throw std::invalid_argument("ElasticServerSim: queries_per_epoch < 1");
+  }
+  if (model_swap_cost_ < 0) {
+    throw std::invalid_argument("ElasticServerSim: model_swap_cost < 0");
+  }
 }
 
 ElasticResult ElasticServerSim::Run(const workload::QueryTrace& trace) {

@@ -1,8 +1,9 @@
 // Elastic serving simulation (extension).
 //
 // Replays a (possibly drifting) query trace as ONE continuous
-// InferenceServer run.  At each epoch boundary the RepartitionController
-// inspects the TrafficEstimator and may order a live reconfiguration,
+// InferenceServer run.  At each epoch boundary the RepartitionPolicy (the
+// RepartitionController outside tests) inspects the TrafficEstimator and
+// may order a live reconfiguration,
 // which the simulation core models as a first-class event
 // (InferenceServer::BeginReconfigure): in-flight queries drain on the old
 // layout, queued work is carried over to the new workers, and dispatch is
@@ -58,13 +59,14 @@ class ElasticServerSim {
   // serves a one-entry repertoire) and the trace may interleave its
   // models: per-model estimates and ground truth come from the
   // repertoire, and the estimator tracks the live mix.
-  // `queries_per_epoch` defines the epoch boundary in query count (an
-  // arrival-rate-independent proxy for the paper's "given period of
+  // `queries_per_epoch` (>= 1) defines the epoch boundary in query count
+  // (an arrival-rate-independent proxy for the paper's "given period of
   // time").  `seed` seeds the single run's RNG stream (latency noise).
-  // `controller` is any RepartitionPolicy (single-model PMF drift or the
-  // mixed per-model-share controller).  `model_swap_cost` is charged
-  // whenever a partition starts a query of a non-resident model, matching
-  // the mix CLI/bench semantics.  `repertoire` must outlive the simulator.
+  // `controller` is the RepartitionController (or a scripted
+  // RepartitionPolicy).  `model_swap_cost` (>= 0) is charged whenever a
+  // partition starts a query of a non-resident model, matching the mix
+  // CLI/bench semantics.  Out-of-range values throw
+  // std::invalid_argument.  `repertoire` must outlive the simulator.
   ElasticServerSim(RepartitionPolicy& controller,
                    const profile::ModelRepertoire& repertoire,
                    SchedulerFactory scheduler_factory, SimTime sla_target,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace pe::online {
 namespace {
@@ -24,49 +25,6 @@ std::vector<int> SortedSizes(std::vector<int> v) {
 }  // namespace
 
 RepartitionController::RepartitionController(
-    const profile::ProfileTable& profile, hw::Cluster cluster, int gpc_budget,
-    const workload::BatchDistribution& initial_dist,
-    partition::ParisConfig paris, ElasticConfig config)
-    : profile_(profile),
-      cluster_(std::move(cluster)),
-      gpc_budget_(gpc_budget),
-      paris_config_(paris),
-      config_(config),
-      plan_(PlanFor(initial_dist)),
-      plan_pmf_(initial_dist.PdfVector()) {}
-
-partition::PartitionPlan RepartitionController::PlanFor(
-    const workload::BatchDistribution& dist) {
-  partition::ParisPartitioner paris(profile_, dist, paris_config_);
-  return paris.Plan(cluster_, gpc_budget_);
-}
-
-double RepartitionController::DriftOf(
-    const TrafficEstimator& estimator) const {
-  return estimator.TotalVariation(plan_pmf_);
-}
-
-std::optional<partition::PartitionPlan> RepartitionController::MaybeRepartition(
-    const TrafficEstimator& estimator) {
-  if (estimator.count() < config_.min_observations) return std::nullopt;
-  if (DriftOf(estimator) < config_.drift_threshold) return std::nullopt;
-
-  const auto live = estimator.Snapshot();
-  partition::PartitionPlan candidate = PlanFor(live);
-
-  // Identical layouts need no reconfiguration -- but the committed PMF is
-  // refreshed so drift is measured against what the plan now represents.
-  const bool same_layout = SortedSizes(candidate.instance_gpcs) ==
-                           SortedSizes(plan_.instance_gpcs);
-  plan_pmf_ = estimator.Pmf();
-  if (same_layout) return std::nullopt;
-
-  plan_ = std::move(candidate);
-  ++reconfigurations_;
-  return plan_;
-}
-
-MixedRepartitionController::MixedRepartitionController(
     const profile::ModelRepertoire& repertoire, hw::Cluster cluster,
     int gpc_budget, const workload::MixSpec& initial_mix,
     partition::ParisConfig paris, ElasticConfig config)
@@ -82,7 +40,7 @@ MixedRepartitionController::MixedRepartitionController(
     const auto& c = initial_mix.components[i];
     if (!repertoire_.Has(c.model_id)) {
       throw std::invalid_argument(
-          "MixedRepartitionController: mix references unknown model");
+          "RepartitionController: mix references unknown model");
     }
     const auto m = static_cast<std::size_t>(c.model_id);
     if (!pmfs_[m].empty()) {
@@ -90,7 +48,7 @@ MixedRepartitionController::MixedRepartitionController(
       // blending to form a correct drift baseline; reject rather than
       // silently letting the last component's PMF win.
       throw std::invalid_argument(
-          "MixedRepartitionController: duplicate model in mix");
+          "RepartitionController: duplicate model in mix");
     }
     shares_[m] = norm[i];
     pmfs_[m] = c.dist->PdfVector();
@@ -98,13 +56,13 @@ MixedRepartitionController::MixedRepartitionController(
   for (std::size_t m = 0; m < pmfs_.size(); ++m) {
     if (shares_[m] > 0.0 && pmfs_[m].empty()) {
       throw std::invalid_argument(
-          "MixedRepartitionController: component without distribution");
+          "RepartitionController: component without distribution");
     }
   }
   plan_ = PlanFor(shares_, pmfs_);
 }
 
-partition::MixedPlan MixedRepartitionController::PlanFor(
+partition::MixedPlan RepartitionController::PlanFor(
     const std::vector<double>& shares,
     const std::vector<std::vector<double>>& pmfs) const {
   // Models with no traffic are left out of the union entirely; their ids
@@ -126,7 +84,7 @@ partition::MixedPlan MixedRepartitionController::PlanFor(
   }
   if (inputs.empty()) {
     throw std::invalid_argument(
-        "MixedRepartitionController: no model has traffic");
+        "RepartitionController: no model has traffic");
   }
   partition::MixedPlan packed =
       partition::PlanMixedParis(inputs, cluster_, gpc_budget_, paris_config_);
@@ -143,9 +101,23 @@ partition::MixedPlan MixedRepartitionController::PlanFor(
   return result;
 }
 
-double MixedRepartitionController::DriftOf(
+std::vector<double> RepartitionController::LiveShares(
     const TrafficEstimator& estimator) const {
-  double drift = estimator.ShareDrift(shares_);
+  std::vector<double> live = estimator.ModelShares(shares_.size());
+  for (std::size_t m = shares_.size(); m < live.size(); ++m) {
+    if (live[m] > 0.0) {
+      throw std::invalid_argument("RepartitionController: traffic for model " +
+                                  std::to_string(m) +
+                                  ", which is not in the repertoire");
+    }
+  }
+  live.resize(shares_.size());
+  return live;
+}
+
+double RepartitionController::DriftOf(
+    const TrafficEstimator& estimator) const {
+  double drift = TotalVariation(LiveShares(estimator), shares_);
   for (std::size_t m = 0; m < pmfs_.size(); ++m) {
     if (estimator.ModelCount(static_cast<int>(m)) == 0) continue;
     if (pmfs_[m].empty()) {
@@ -153,29 +125,24 @@ double MixedRepartitionController::DriftOf(
       drift = 1.0;
       continue;
     }
-    const auto live = estimator.ModelPmf(static_cast<int>(m));
-    const std::size_t n = std::max(live.size(), pmfs_[m].size());
-    double tv = 0.0;
-    for (std::size_t b = 1; b < n; ++b) {
-      const double a = b < live.size() ? live[b] : 0.0;
-      const double o = b < pmfs_[m].size() ? pmfs_[m][b] : 0.0;
-      tv += std::abs(a - o);
-    }
-    drift = std::max(drift, 0.5 * tv);
+    drift = std::max(
+        drift,
+        TotalVariation(estimator.ModelPmf(static_cast<int>(m)), pmfs_[m]));
   }
   return drift;
 }
 
 std::optional<partition::PartitionPlan>
-MixedRepartitionController::MaybeRepartition(
-    const TrafficEstimator& estimator) {
-  if (estimator.count() < config_.min_observations) return std::nullopt;
-  if (DriftOf(estimator) < config_.drift_threshold) return std::nullopt;
+RepartitionController::MaybeRepartition(const TrafficEstimator& estimator) {
+  const double drift = DriftOf(estimator);
+  if (estimator.count() < config_.min_observations ||
+      drift < config_.drift_threshold) {
+    return std::nullopt;
+  }
 
   // Live mix: observed shares; observed per-model PMFs where available,
   // the committed PMF otherwise.
-  std::vector<double> shares =
-      estimator.ModelShares(static_cast<std::size_t>(repertoire_.size()));
+  std::vector<double> shares = LiveShares(estimator);
   std::vector<std::vector<double>> pmfs(pmfs_);
   for (std::size_t m = 0; m < shares.size(); ++m) {
     if (estimator.ModelCount(static_cast<int>(m)) > 0) {
@@ -184,6 +151,9 @@ MixedRepartitionController::MaybeRepartition(
   }
   partition::MixedPlan candidate = PlanFor(shares, pmfs);
 
+  // Identical layouts need no reconfiguration -- but the committed state
+  // is refreshed so drift is measured against what the plan now
+  // represents.
   const bool same_layout = SortedSizes(candidate.plan.instance_gpcs) ==
                            SortedSizes(plan_.plan.instance_gpcs);
   shares_ = std::move(shares);

@@ -1,20 +1,21 @@
-// Epoch-based elastic re-partitioning controllers (extension).
+// Epoch-based elastic re-partitioning (extension).
 //
 // The paper derives one PARIS configuration offline.  In production the
-// workload drifts (time of day, service popularity); these controllers
-// close the loop: at every epoch boundary they compare the live traffic
-// from the TrafficEstimator against what the current plan was built for,
-// and if the drift exceeds a threshold they re-run PARIS and -- if the
-// resulting layout actually differs -- order a reconfiguration.  MIG
-// reconfiguration is not free (instances must drain and be re-created),
-// which the elastic simulator charges as downtime.
+// workload drifts (time of day, service popularity); the
+// RepartitionController closes the loop: at every epoch boundary it
+// compares the live traffic from the TrafficEstimator against what the
+// current plan was built for, and if the drift exceeds a threshold it
+// re-plans and -- if the resulting layout actually differs -- orders a
+// reconfiguration.  MIG reconfiguration is not free (instances must drain
+// and be re-created), which the elastic simulator charges as downtime.
 //
-//  * RepartitionController: single-model; drift is the total-variation
-//    distance between the live batch PMF and the committed plan's PMF.
-//  * MixedRepartitionController: multi-model; drift is the larger of the
-//    model-share drift (the *mix* moving) and any model's own batch-PMF
-//    drift, and re-planning re-derives per-model GPC budgets from the live
-//    shares (partition::PlanMixedParis).
+// The controller serves a mix: drift is the larger of the model-share
+// drift (the *mix* moving) and any model's own batch-PMF drift, both as
+// total-variation distances, and re-planning re-derives per-model GPC
+// budgets from the live shares (partition::PlanMixedParis).  A
+// single-model server is the one-component mix: its share never drifts,
+// so the rule reduces to the paper's batch-PMF drift and the plan to
+// PARIS on the full budget.
 #pragma once
 
 #include <optional>
@@ -27,7 +28,6 @@
 #include "partition/paris.h"
 #include "partition/partitioner.h"
 #include "profile/model_repertoire.h"
-#include "profile/profile_table.h"
 #include "workload/trace.h"
 
 namespace pe::online {
@@ -42,7 +42,8 @@ struct ElasticConfig {
   SimTime reconfig_downtime = MsToTicks(2000.0);
 };
 
-// The epoch-boundary decision interface the elastic simulator drives.
+// The epoch-boundary decision interface the elastic simulator drives
+// (implemented by RepartitionController; tests script it directly).
 class RepartitionPolicy {
  public:
   virtual ~RepartitionPolicy() = default;
@@ -56,55 +57,19 @@ class RepartitionPolicy {
       const TrafficEstimator& estimator) = 0;
 };
 
+// Tracks the committed per-model shares and batch PMFs; drift in either
+// re-derives per-model budgets and re-packs the union layout.
 class RepartitionController : public RepartitionPolicy {
  public:
-  // `profile` must outlive the controller.  `initial_dist` seeds the first
-  // plan (e.g. yesterday's traffic or a provisioning guess).
-  RepartitionController(const profile::ProfileTable& profile,
+  // `repertoire` must outlive the controller.  `initial_mix` seeds the
+  // first plan (e.g. yesterday's traffic or a provisioning guess):
+  // component model_ids index the repertoire, shares give the traffic
+  // split; a single-model server passes one component.
+  RepartitionController(const profile::ModelRepertoire& repertoire,
                         hw::Cluster cluster, int gpc_budget,
-                        const workload::BatchDistribution& initial_dist,
+                        const workload::MixSpec& initial_mix,
                         partition::ParisConfig paris = {},
                         ElasticConfig config = {});
-
-  const partition::PartitionPlan& current_plan() const override {
-    return plan_;
-  }
-  const std::vector<double>& current_pmf() const { return plan_pmf_; }
-  int reconfigurations() const { return reconfigurations_; }
-  const ElasticConfig& config() const override { return config_; }
-
-  std::optional<partition::PartitionPlan> MaybeRepartition(
-      const TrafficEstimator& estimator) override;
-
-  // Drift of the live traffic vs the committed plan's PMF.
-  double DriftOf(const TrafficEstimator& estimator) const;
-
- private:
-  const profile::ProfileTable& profile_;
-  hw::Cluster cluster_;
-  int gpc_budget_;
-  partition::ParisConfig paris_config_;
-  ElasticConfig config_;
-  partition::PartitionPlan plan_;
-  std::vector<double> plan_pmf_;
-  int reconfigurations_ = 0;
-
-  partition::PartitionPlan PlanFor(const workload::BatchDistribution& dist);
-};
-
-// Multi-model controller: tracks the committed per-model shares and batch
-// PMFs; drift in either re-derives per-model budgets and re-packs the
-// union layout.
-class MixedRepartitionController : public RepartitionPolicy {
- public:
-  // `repertoire` must outlive the controller.  `initial_mix` seeds the
-  // first plan: component model_ids index the repertoire, shares give the
-  // provisioning guess of the traffic split.
-  MixedRepartitionController(const profile::ModelRepertoire& repertoire,
-                             hw::Cluster cluster, int gpc_budget,
-                             const workload::MixSpec& initial_mix,
-                             partition::ParisConfig paris = {},
-                             ElasticConfig config = {});
 
   const partition::PartitionPlan& current_plan() const override {
     return plan_.plan;
@@ -115,10 +80,13 @@ class MixedRepartitionController : public RepartitionPolicy {
   const std::vector<double>& committed_shares() const { return shares_; }
   int reconfigurations() const { return reconfigurations_; }
 
+  // Throws std::invalid_argument, naming the model, when the window holds
+  // traffic for a model outside the repertoire.
   std::optional<partition::PartitionPlan> MaybeRepartition(
       const TrafficEstimator& estimator) override;
 
-  // max(share drift, max over models of batch-PMF drift).
+  // max(share drift, max over models of batch-PMF drift).  Throws like
+  // MaybeRepartition.
   double DriftOf(const TrafficEstimator& estimator) const;
 
  private:
@@ -132,6 +100,9 @@ class MixedRepartitionController : public RepartitionPolicy {
   std::vector<double> shares_;
   std::vector<std::vector<double>> pmfs_;  // index = batch size, [0] unused
   int reconfigurations_ = 0;
+
+  // The estimator's live shares over the repertoire's model ids.
+  std::vector<double> LiveShares(const TrafficEstimator& estimator) const;
 
   partition::MixedPlan PlanFor(
       const std::vector<double>& shares,

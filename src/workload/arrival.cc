@@ -1,14 +1,17 @@
 #include "workload/arrival.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
 namespace pe::workload {
 
 PoissonArrivals::PoissonArrivals(double rate_qps) : rate_qps_(rate_qps) {
-  if (rate_qps <= 0.0) {
-    throw std::invalid_argument("PoissonArrivals: rate must be positive");
+  if (!std::isfinite(rate_qps) || rate_qps <= 0.0) {
+    throw std::invalid_argument(
+        "PoissonArrivals: rate must be a finite positive number, got " +
+        std::to_string(rate_qps));
   }
 }
 

@@ -1,10 +1,9 @@
-// Query arrival processes.
+// Query arrivals.
 //
 // The paper uses MLPerf's recommended Poisson arrival process; bursty and
 // time-varying load comes from the scenario layer (workload/scenario.h).
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "common/rng.h"
@@ -12,27 +11,16 @@
 
 namespace pe::workload {
 
-class ArrivalProcess {
- public:
-  virtual ~ArrivalProcess() = default;
-
-  // Returns the gap to the next arrival (strictly positive ticks).
-  virtual SimTime NextGap(Rng& rng) = 0;
-
-  // Mean offered load in queries/sec.
-  virtual double MeanRateQps() const = 0;
-
-  virtual std::string Describe() const = 0;
-};
-
 // Poisson arrivals: i.i.d. exponential gaps at `rate_qps`.
-class PoissonArrivals final : public ArrivalProcess {
+class PoissonArrivals {
  public:
+  // Throws std::invalid_argument unless `rate_qps` is a finite positive
+  // number.
   explicit PoissonArrivals(double rate_qps);
 
-  SimTime NextGap(Rng& rng) override;
-  double MeanRateQps() const override { return rate_qps_; }
-  std::string Describe() const override;
+  // Returns the gap to the next arrival (strictly positive ticks).
+  SimTime NextGap(Rng& rng);
+  std::string Describe() const;
 
  private:
   double rate_qps_;

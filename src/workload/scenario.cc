@@ -45,7 +45,7 @@ QueryTrace Take(TraceSource& source, std::size_t max_queries, Rng& rng) {
 
 // ---- Legacy-shape adapters --------------------------------------------------
 
-ArrivalTraceSource::ArrivalTraceSource(ArrivalProcess& arrivals,
+ArrivalTraceSource::ArrivalTraceSource(PoissonArrivals& arrivals,
                                        const BatchDistribution& dist)
     : arrivals_(arrivals), dist_(dist) {}
 
@@ -62,7 +62,7 @@ std::string ArrivalTraceSource::Describe() const {
   return arrivals_.Describe() + " x " + dist_.Describe();
 }
 
-PhasedTraceSource::PhasedTraceSource(ArrivalProcess& arrivals,
+PhasedTraceSource::PhasedTraceSource(PoissonArrivals& arrivals,
                                      std::vector<WorkloadPhase> phases)
     : arrivals_(arrivals), phases_(std::move(phases)) {
   if (phases_.empty()) {
@@ -96,7 +96,7 @@ std::string PhasedTraceSource::Describe() const {
          " phases";
 }
 
-MixTraceSource::MixTraceSource(ArrivalProcess& arrivals, const MixSpec& mix)
+MixTraceSource::MixTraceSource(PoissonArrivals& arrivals, const MixSpec& mix)
     : arrivals_(arrivals), mix_(mix), shares_(mix.NormalizedShares()) {
   for (const auto& c : mix_.components) {
     if (c.dist == nullptr) {
@@ -133,16 +133,6 @@ std::optional<Query> MixTraceSource::Next(Rng& rng) {
 std::string MixTraceSource::Describe() const {
   return arrivals_.Describe() + " x mix(" +
          std::to_string(mix_.components.size()) + " models)";
-}
-
-std::optional<Query> ReplayTraceSource::Next(Rng& rng) {
-  (void)rng;  // replay is RNG-free by design
-  if (next_ >= trace_.size()) return std::nullopt;
-  return trace_.queries()[next_++];
-}
-
-std::string ReplayTraceSource::Describe() const {
-  return "replay(" + std::to_string(trace_.size()) + " queries)";
 }
 
 // ---- Rate curves ------------------------------------------------------------
@@ -399,8 +389,9 @@ void ApplyScenario(ScenarioSpec& spec, const ScenarioOptions& opts) {
     spec.rate.flash_decay_sec = 5.0;
   } else if (opts.name == "mixdrift") {
     // The mix inverts over the drift window: component j drifts to the
-    // start weight of component K-1-j.  The adversarial shape the
-    // MixedRepartitionController exists to chase; a no-op on one model.
+    // start weight of component K-1-j.  The adversarial shape the online
+    // RepartitionController's share drift exists to chase; a no-op on one
+    // model.
     spec.rate.shape = RateShape::kConstant;
     const std::size_t k = spec.components.size();
     for (std::size_t j = 0; j < k; ++j) {

@@ -2,9 +2,10 @@
 //
 // One composable abstraction replaces the parallel Generate*Trace free
 // functions: a workload::TraceSource is a pull-based stream of
-// (time, model, batch) events.  Finite sources (trace replay) signal
-// exhaustion by returning nullopt; generative sources are unbounded and
-// Take() cuts them to length.
+// (time, model, batch) events.  Every source here is generative and
+// unbounded, and Take() cuts it to length; a finite source would signal
+// exhaustion by returning nullopt.  (A captured trace needs no source:
+// callers replay the TraceDocument's QueryTrace directly.)
 //
 // On top of the interface sits the declarative ScenarioSpec: a rate curve
 // (constant / diurnal sinusoid / flash-crowd step+decay), per-model batch
@@ -20,7 +21,8 @@
 // scenario consumes draws in the canonical single-model order (gap, batch),
 // and a static multi-component one in the mixed order (gap, model, batch),
 // matching the adapter sources below bit-for-bit on the same seed
-// (asserted by workload_scenario_test).
+// (asserted by workload_scenario_test, which keeps ArrivalTraceSource and
+// MixTraceSource as the reference for that contract).
 #pragma once
 
 #include <cstdint>
@@ -62,38 +64,38 @@ QueryTrace Take(TraceSource& source, std::size_t max_queries, Rng& rng);
 
 // ---- Adapters over the legacy generator inputs ---------------------------
 
-// The single-model shape: one arrival process, one batch distribution,
-// model id fixed at 0.  Both references are borrowed.  Draw order per
-// query is (gap, batch) -- the canonical order every consumer pins.
+// The single-model shape: Poisson arrivals, one batch distribution, model
+// id fixed at 0.  Both references are borrowed.  Draw order per query is
+// (gap, batch) -- the canonical order every consumer pins.
 class ArrivalTraceSource final : public TraceSource {
  public:
-  ArrivalTraceSource(ArrivalProcess& arrivals, const BatchDistribution& dist);
+  ArrivalTraceSource(PoissonArrivals& arrivals, const BatchDistribution& dist);
 
   std::optional<Query> Next(Rng& rng) override;
   std::string Describe() const override;
 
  private:
-  ArrivalProcess& arrivals_;
+  PoissonArrivals& arrivals_;
   const BatchDistribution& dist_;
   SimTime now_ = 0;
   std::uint64_t id_ = 0;
 };
 
 // The drifting shape: the batch distribution switches across
-// count-bounded phases while the arrival process runs continuously.  Pulls
+// count-bounded phases while the arrivals run continuously.  Pulls
 // past the last phase's budget keep its distribution (the tail of the day
 // looks like its final phase).  Throws std::invalid_argument on an empty
 // phase list or a null phase distribution.
 class PhasedTraceSource final : public TraceSource {
  public:
-  PhasedTraceSource(ArrivalProcess& arrivals,
+  PhasedTraceSource(PoissonArrivals& arrivals,
                     std::vector<WorkloadPhase> phases);
 
   std::optional<Query> Next(Rng& rng) override;
   std::string Describe() const override;
 
  private:
-  ArrivalProcess& arrivals_;
+  PoissonArrivals& arrivals_;
   std::vector<WorkloadPhase> phases_;
   std::size_t phase_ = 0;
   std::size_t in_phase_ = 0;
@@ -106,31 +108,17 @@ class PhasedTraceSource final : public TraceSource {
 // batch).  `mix` is borrowed (components borrow their distributions).
 class MixTraceSource final : public TraceSource {
  public:
-  MixTraceSource(ArrivalProcess& arrivals, const MixSpec& mix);
+  MixTraceSource(PoissonArrivals& arrivals, const MixSpec& mix);
 
   std::optional<Query> Next(Rng& rng) override;
   std::string Describe() const override;
 
  private:
-  ArrivalProcess& arrivals_;
+  PoissonArrivals& arrivals_;
   const MixSpec& mix_;
   std::vector<double> shares_;  // normalized
   SimTime now_ = 0;
   std::uint64_t id_ = 0;
-};
-
-// Replays a captured trace verbatim (consumes no RNG); nullopt at the end.
-// `trace` is borrowed and must outlive the source.
-class ReplayTraceSource final : public TraceSource {
- public:
-  explicit ReplayTraceSource(const QueryTrace& trace) : trace_(trace) {}
-
-  std::optional<Query> Next(Rng& rng) override;
-  std::string Describe() const override;
-
- private:
-  const QueryTrace& trace_;
-  std::size_t next_ = 0;
 };
 
 // ---- Declarative scenarios ------------------------------------------------
@@ -264,8 +252,8 @@ const std::vector<std::string>& ScenarioNames();
 //   diurnal     sinusoidal day curve        [rate, amplitude, period]
 //   flashcrowd  step + exponential decay    [rate, at, mult, decay]
 //   mixdrift    mix weights drift to the reversed vector over the window
-//               (the MixedRepartitionController's chase target)  [rate,
-//               window]
+//               (the online RepartitionController's chase target)
+//               [rate, window]
 //   heavytail   batch sigma forced to 1.8 on every component     [rate,
 //               sigma]
 // Shared override keys valid for every preset: rate, window, sigma,

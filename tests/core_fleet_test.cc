@@ -9,7 +9,7 @@
 #include <thread>
 #include <vector>
 
-#include "online/failover_controller.h"
+#include "partition/mix.h"
 
 namespace pe::core {
 namespace {
@@ -107,24 +107,25 @@ TEST(FleetTestbed, MemoizedReplanHookMatchesADirectPlan) {
   fc.replicas = 4;
   const FleetTestbed tb(fc);
   const fleet::PlacementMap& placement = tb.placement();
-  const online::FailoverRepartitionController controller(tb.mix().cluster(),
-                                                         fc.mix.paris);
+  // Unmemoized: each hosted model's share scaled by full/surviving
+  // replicas (kept nominal with no survivor), then mixed-PARIS.
   const auto direct = [&](int server, const std::vector<int>& down) {
     const fleet::ServerPlacement& sp = placement.server(server);
-    std::vector<int> full;
-    std::vector<int> surviving;
-    for (const int m : sp.model_ids) {
-      const std::vector<int>& reps = placement.Replicas(m);
-      full.push_back(static_cast<int>(reps.size()));
-      surviving.push_back(static_cast<int>(
+    auto inputs = tb.mix().PlannerInputs(sp.model_ids);
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      const std::vector<int>& reps = placement.Replicas(sp.model_ids[i]);
+      const auto surviving =
           std::count_if(reps.begin(), reps.end(), [&](int r) {
             return std::find(down.begin(), down.end(), r) == down.end();
-          })));
+          });
+      if (surviving > 0) {
+        inputs[i].share *= static_cast<double>(reps.size()) /
+                           static_cast<double>(surviving);
+      }
     }
-    return controller.PlanDegraded(
-        online::FailoverRepartitionController::ScaleForOutage(
-            tb.mix().PlannerInputs(sp.model_ids), full, surviving),
-        sp.gpc_budget);
+    return partition::PlanMixedParis(inputs, tb.mix().cluster(),
+                                     sp.gpc_budget, fc.mix.paris)
+        .plan.instance_gpcs;
   };
   // Copies of the hook share one memo; alternate between two of them.
   const fleet::ReplanFn hook = tb.MakeReplanFn();

@@ -168,8 +168,9 @@ TEST(EngineGolden, ElasticDriverMatchesCheckedInDigest) {
 }
 
 // The single-model elastic driver as the CLI and the online ablation run
-// it: the RepartitionController re-plans PARIS from the live batch PMF
-// over a day cycle (small -> large -> small batches) while ELSA schedules.
+// it: the RepartitionController, seeded with a one-component mix,
+// re-plans PARIS from the live batch PMF over a day cycle (small -> large
+// -> small batches) while ELSA schedules.
 TEST(EngineGolden, SingleModelElasticDriverMatchesCheckedInDigest) {
   const auto rep = profile::BuildZooRepertoire({"resnet"});
   const profile::ProfileTable& table = rep.profile(0);
@@ -187,8 +188,10 @@ TEST(EngineGolden, SingleModelElasticDriverMatchesCheckedInDigest) {
   config.drift_threshold = 0.15;
   config.min_observations = 150;
   config.reconfig_downtime = MsToTicks(50.0);
-  online::RepartitionController controller(table, hw::Cluster(8), 48, small,
-                                           {}, config);
+  workload::MixSpec mix;
+  mix.components.push_back({0, 1.0, &small});
+  online::RepartitionController controller(rep, hw::Cluster(8), 48, mix, {},
+                                           config);
   online::ElasticServerSim elastic(
       controller, rep,
       [&rep, sla] { return std::make_unique<sched::ElsaScheduler>(rep, sla); },

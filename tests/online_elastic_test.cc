@@ -2,9 +2,12 @@
 // estimation, drift-triggered repartitioning, and the epoch simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "online/elastic_server.h"
 #include "online/repartition_controller.h"
 #include "online/traffic_estimator.h"
+#include "partition/paris.h"
 #include "profile/model_repertoire.h"
 #include "sched/elsa.h"
 #include "workload/scenario.h"
@@ -16,9 +19,9 @@ TEST(TrafficEstimator, EmptyState) {
   TrafficEstimator est(32);
   EXPECT_TRUE(est.empty());
   EXPECT_EQ(est.count(), 0u);
-  const auto pmf = est.Pmf();
+  const auto pmf = est.ModelPmf(0);
+  EXPECT_EQ(pmf.size(), 33u);
   for (double p : pmf) EXPECT_EQ(p, 0.0);
-  EXPECT_THROW(est.Snapshot(), std::logic_error);
 }
 
 TEST(TrafficEstimator, CountsObservations) {
@@ -26,7 +29,7 @@ TEST(TrafficEstimator, CountsObservations) {
   est.Observe(0, 2);
   est.Observe(0, 2);
   est.Observe(0, 4);
-  const auto pmf = est.Pmf();
+  const auto pmf = est.ModelPmf(0);
   EXPECT_NEAR(pmf[2], 2.0 / 3.0, 1e-12);
   EXPECT_NEAR(pmf[4], 1.0 / 3.0, 1e-12);
   EXPECT_EQ(est.count(), 3u);
@@ -37,7 +40,7 @@ TEST(TrafficEstimator, ClampsOutOfRange) {
   est.Observe(0, 100);
   est.Observe(0, 0);
   est.Observe(0, -3);
-  const auto pmf = est.Pmf();
+  const auto pmf = est.ModelPmf(0);
   EXPECT_NEAR(pmf[8], 1.0 / 3.0, 1e-12);
   EXPECT_NEAR(pmf[1], 2.0 / 3.0, 1e-12);
 }
@@ -47,29 +50,22 @@ TEST(TrafficEstimator, SlidingWindowEvicts) {
   for (int i = 0; i < 4; ++i) est.Observe(0, 1);
   for (int i = 0; i < 4; ++i) est.Observe(0, 8);
   EXPECT_EQ(est.count(), 4u);
-  const auto pmf = est.Pmf();
+  const auto pmf = est.ModelPmf(0);
   EXPECT_EQ(pmf[1], 0.0);  // fully evicted
   EXPECT_DOUBLE_EQ(pmf[8], 1.0);
-}
-
-TEST(TrafficEstimator, SnapshotMatchesPmf) {
-  TrafficEstimator est(4);
-  for (int i = 0; i < 10; ++i) est.Observe(0, 1);
-  for (int i = 0; i < 30; ++i) est.Observe(0, 3);
-  const auto dist = est.Snapshot();
-  EXPECT_NEAR(dist.Pdf(1), 0.25, 1e-12);
-  EXPECT_NEAR(dist.Pdf(3), 0.75, 1e-12);
-  EXPECT_EQ(dist.max_batch(), 4);
 }
 
 TEST(TrafficEstimator, TotalVariationProperties) {
   TrafficEstimator est(4);
   est.Observe(0, 1);
   // Identical PMFs -> 0; disjoint -> 1.
-  EXPECT_NEAR(est.TotalVariation(est.Pmf()), 0.0, 1e-12);
+  EXPECT_NEAR(TotalVariation(est.ModelPmf(0), est.ModelPmf(0)), 0.0, 1e-12);
   std::vector<double> disjoint(5, 0.0);
   disjoint[4] = 1.0;
-  EXPECT_NEAR(est.TotalVariation(disjoint), 1.0, 1e-12);
+  EXPECT_NEAR(TotalVariation(est.ModelPmf(0), disjoint), 1.0, 1e-12);
+  // The shorter vector is zero-padded, in either argument position.
+  EXPECT_DOUBLE_EQ(TotalVariation({0.0, 1.0}, {0.0, 0.5, 0.5}), 0.5);
+  EXPECT_DOUBLE_EQ(TotalVariation({0.0, 0.5, 0.5}, {0.0, 1.0}), 0.5);
 }
 
 TEST(TrafficEstimator, InvalidConstruction) {
@@ -89,12 +85,31 @@ class ControllerFixture : public ::testing::Test {
     return Repertoire().profile(0);
   }
 
+  // The single-model controller: a one-component mix.
   static RepartitionController MakeController(ElasticConfig config = {}) {
     static const workload::LogNormalBatchDist initial(4.0, 0.6, 32);
-    return RepartitionController(Profile(), hw::Cluster(8), 48, initial,
+    workload::MixSpec mix;
+    mix.components.push_back({0, 1.0, &initial});
+    return RepartitionController(Repertoire(), hw::Cluster(8), 48, mix,
                                  partition::ParisConfig{}, config);
   }
 };
+
+// One model on the full budget is exactly PARIS: the one-component mix
+// plans the layout ParisPartitioner derives from the same distribution.
+TEST_F(ControllerFixture, OneModelPlanIsParisOnTheFullBudget) {
+  const auto controller = MakeController();
+  const workload::LogNormalBatchDist initial(4.0, 0.6, 32);
+  auto paris = partition::ParisPartitioner(Profile(), initial)
+                   .Plan(hw::Cluster(8), 48)
+                   .instance_gpcs;
+  auto planned = controller.current_plan().instance_gpcs;
+  std::sort(paris.begin(), paris.end());
+  std::sort(planned.begin(), planned.end());
+  EXPECT_EQ(planned, paris);
+  ASSERT_EQ(controller.current_budgets().size(), 1u);
+  EXPECT_EQ(controller.current_budgets()[0], 48);
+}
 
 TEST_F(ControllerFixture, InitialPlanFromSeedDistribution) {
   auto controller = MakeController();
@@ -298,6 +313,28 @@ TEST_F(ControllerFixture, ElasticServerTracksDriftingWorkload) {
   };
   EXPECT_GT(mean(result.epochs.back().layout),
             mean(result.epochs.front().layout));
+}
+
+// Out-of-range simulator arguments are rejected in every build type: a
+// zero epoch length would divide by zero in Run, and a negative swap cost
+// would shorten service.
+TEST_F(ControllerFixture, ElasticServerRejectsBadArguments) {
+  auto controller = MakeController();
+  const auto& rep = Repertoire();
+  const SimTime sla = SecToTicks(1.5 * Profile().LatencySec(7, 32));
+  const SchedulerFactory elsa = [&] {
+    return std::make_unique<sched::ElsaScheduler>(rep, sla);
+  };
+  EXPECT_THROW(ElasticServerSim(controller, rep, elsa, sla,
+                                /*queries_per_epoch=*/0),
+               std::invalid_argument);
+  EXPECT_THROW(ElasticServerSim(controller, rep, elsa, sla,
+                                /*queries_per_epoch=*/100, /*seed=*/1,
+                                /*model_swap_cost=*/-1),
+               std::invalid_argument);
+  EXPECT_NO_THROW(ElasticServerSim(controller, rep, elsa, sla,
+                                   /*queries_per_epoch=*/1, /*seed=*/1,
+                                   /*model_swap_cost=*/0));
 }
 
 }  // namespace

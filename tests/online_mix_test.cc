@@ -1,7 +1,10 @@
 // Tests for the multi-model online path: per-model traffic estimation and
-// the mixed repartition controller reacting to drift in the *mix*, driven
+// the repartition controller reacting to drift in the *mix*, driven
 // end-to-end through the continuous elastic simulator.
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <string>
 
 #include "online/elastic_server.h"
 #include "online/repartition_controller.h"
@@ -35,33 +38,26 @@ TEST(TrafficEstimatorMix, TracksPerModelSharesAndPmfs) {
   EXPECT_DOUBLE_EQ(pmf0[2], 1.0);
   const auto pmf1 = est.ModelPmf(1);
   EXPECT_DOUBLE_EQ(pmf1[8], 1.0);
-  // The aggregate PMF blends both models.
-  const auto pmf = est.Pmf();
-  EXPECT_DOUBLE_EQ(pmf[2], 0.75);
-  EXPECT_DOUBLE_EQ(pmf[8], 0.25);
-
-  const auto snap1 = est.ModelSnapshot(1);
-  EXPECT_DOUBLE_EQ(snap1.Pdf(8), 1.0);
-  EXPECT_THROW(est.ModelSnapshot(3), std::logic_error);
+  // A model without observations has an all-zero PMF.
+  for (double p : est.ModelPmf(3)) EXPECT_EQ(p, 0.0);
   EXPECT_THROW(est.Observe(-1, 4), std::invalid_argument);
 }
 
 TEST(TrafficEstimatorMix, EvictionAndShareDrift) {
   TrafficEstimator est(8, /*window=*/10);
   for (int i = 0; i < 10; ++i) est.Observe(0, 2);
-  EXPECT_DOUBLE_EQ(est.ShareDrift({1.0, 0.0}), 0.0);
+  EXPECT_DOUBLE_EQ(TotalVariation(est.ModelShares(2), {1.0, 0.0}), 0.0);
   // Model 1 floods the window: shares flip, old observations evict.
   for (int i = 0; i < 10; ++i) est.Observe(1, 4);
   EXPECT_EQ(est.ModelCount(0), 0u);
   EXPECT_EQ(est.ModelCount(1), 10u);
-  EXPECT_DOUBLE_EQ(est.ShareDrift({1.0, 0.0}), 1.0);
-  EXPECT_DOUBLE_EQ(est.ShareDrift({0.0, 1.0}), 0.0);
-  est.Clear();
-  EXPECT_EQ(est.ModelCount(1), 0u);
+  EXPECT_DOUBLE_EQ(TotalVariation(est.ModelShares(2), {1.0, 0.0}), 1.0);
+  EXPECT_DOUBLE_EQ(TotalVariation(est.ModelShares(2), {0.0, 1.0}), 0.0);
   // Empty estimator: shares are all-zero, so drift vs any baseline is
-  // half the baseline's mass (same convention as TotalVariation); the
-  // controllers never consult it below min_observations.
-  EXPECT_DOUBLE_EQ(est.ShareDrift({0.0, 1.0}), 0.5);
+  // half the baseline's mass; the controller never acts on it below
+  // min_observations.
+  const TrafficEstimator empty(8);
+  EXPECT_DOUBLE_EQ(TotalVariation(empty.ModelShares(2), {0.0, 1.0}), 0.5);
 }
 
 class MixedControllerFixture : public ::testing::Test {
@@ -73,14 +69,14 @@ class MixedControllerFixture : public ::testing::Test {
   }
 
   // 50/50 provisioning guess with moderate batch sizes for both models.
-  static MixedRepartitionController MakeController(ElasticConfig config = {}) {
+  static RepartitionController MakeController(ElasticConfig config = {}) {
     static const workload::LogNormalBatchDist heavy(6.0, 0.6, 32);
     static const workload::LogNormalBatchDist light(4.0, 0.6, 32);
     workload::MixSpec mix;
     mix.components.push_back({0, 0.5, &heavy});
     mix.components.push_back({1, 0.5, &light});
-    return MixedRepartitionController(Repertoire(), hw::Cluster(8), 48, mix,
-                                      partition::ParisConfig{}, config);
+    return RepartitionController(Repertoire(), hw::Cluster(8), 48, mix,
+                                 partition::ParisConfig{}, config);
   }
 };
 
@@ -132,6 +128,31 @@ TEST_F(MixedControllerFixture, ShareDriftAloneTriggersRepartition) {
   // Committed state refreshed: same traffic again is drift-free.
   EXPECT_LT(controller.DriftOf(est), 0.05);
   EXPECT_FALSE(controller.MaybeRepartition(est).has_value());
+}
+
+// Traffic for a model the repertoire does not hold is an error naming the
+// model: the controller keeps committed state for repertoire models only.
+TEST_F(MixedControllerFixture, UnknownModelTrafficThrows) {
+  ElasticConfig config;
+  config.min_observations = 50;
+  auto controller = MakeController(config);
+  TrafficEstimator est(32);
+  for (int i = 0; i < 100; ++i) est.Observe(5, 8);
+  const auto expect_names_model_5 = [](const std::function<void()>& call) {
+    try {
+      call();
+      ADD_FAILURE() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("model 5"), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_names_model_5([&] { controller.DriftOf(est); });
+  expect_names_model_5([&] { controller.MaybeRepartition(est); });
+  EXPECT_EQ(controller.reconfigurations(), 0);
+  // Known-model traffic mixed in does not mask the unknown one.
+  for (int i = 0; i < 400; ++i) est.Observe(i % 2, 6);
+  EXPECT_THROW(controller.MaybeRepartition(est), std::invalid_argument);
 }
 
 TEST_F(MixedControllerFixture, BelowMinObservationsNeverTriggers) {

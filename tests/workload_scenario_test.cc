@@ -69,20 +69,6 @@ TEST(TraceSourceAdapters, PhasedSourceKeepsLastPhasePastBudget) {
   }
 }
 
-TEST(TraceSourceAdapters, ReplaySourceIsExactAndFinite) {
-  LogNormalBatchDist dist(6.0, 0.9, 32);
-  Rng gen_rng(5);
-  PoissonArrivals arrivals(100.0);
-  ArrivalTraceSource gen(arrivals, dist);
-  const auto original = Take(gen, 100, gen_rng);
-
-  Rng rng(999);  // replay consumes no draws; the seed must not matter
-  ReplayTraceSource source(original);
-  const auto replayed = Take(source, 1000, rng);
-  ExpectIdenticalTraces(original, replayed);
-  EXPECT_EQ(source.Next(rng), std::nullopt);
-}
-
 // ---- Scenario bit-identity with the raw adapter sources --------------------
 
 TEST(ScenarioTrace, SteadyOneModelMatchesArrivalSourceBitForBit) {

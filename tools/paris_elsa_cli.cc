@@ -47,10 +47,11 @@
 //                       chunks of ceil(queries/N); when N does not divide
 //                       --queries the actual count can be one lower (8)
 //   --drift T           total-variation drift threshold that triggers
-//                       re-partitioning (0.15)
+//                       re-partitioning; finite, >= 0 (0.15)
 //   --drift-median M    log-normal batch median of the drifted middle
 //                       phase of the workload (18)
-//   --downtime-ms D     downtime charged per reconfiguration (2000)
+//   --downtime-ms D     downtime charged per reconfiguration; finite,
+//                       >= 0 (2000)
 // mix options:
 //   --models A,B,...    comma-separated model-zoo names (resnet,mobilenet)
 //   --shares X,Y,...    per-model traffic shares, index-aligned with
@@ -72,6 +73,7 @@
 //                       cascade [:key=val,...] (see docs/FAULTS.md);
 //                       omitted = fault-free batch path
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -109,6 +111,19 @@ std::size_t GetCount(const ArgParser& args, const std::string& key,
                                 std::to_string(v));
   }
   return static_cast<std::size_t>(v);
+}
+
+// Finite non-negative real option: NaN, infinities and negatives are a
+// hard error naming the flag.
+double GetNonNegative(const ArgParser& args, const std::string& key,
+                      double fallback) {
+  const double v = args.GetDouble(key, fallback);
+  if (!std::isfinite(v) || v < 0.0) {
+    throw std::invalid_argument("--" + key +
+                                ": expected a finite number >= 0, got " +
+                                std::to_string(v));
+  }
+  return v;
 }
 
 // Experiment-engine thread count.  Out-of-range values (including 0) are
@@ -271,11 +286,7 @@ core::MixConfig MixConfigFrom(
   mc.sla_n = args.GetDouble("sla-n", 1.5);
   mc.num_gpus = static_cast<int>(GetCount(args, "gpus", 8));
   mc.gpc_budget = static_cast<int>(GetCount(args, "budget", 48));
-  mc.swap_cost_us = args.GetDouble("swap-cost-us", 0.0);
-  if (mc.swap_cost_us < 0.0) {
-    throw std::invalid_argument("--swap-cost-us: expected >= 0, got " +
-                                std::to_string(mc.swap_cost_us));
-  }
+  mc.swap_cost_us = GetNonNegative(args, "swap-cost-us", 0.0);
   return mc;
 }
 
@@ -547,13 +558,9 @@ std::size_t QueriesPerEpoch(const ArgParser& args, std::size_t num_queries) {
 
 online::ElasticConfig ElasticConfigFrom(const ArgParser& args,
                                         std::size_t queries_per_epoch) {
-  const double downtime_ms = args.GetDouble("downtime-ms", 2000.0);
-  if (downtime_ms < 0.0) {
-    throw std::invalid_argument("--downtime-ms: expected >= 0, got " +
-                                std::to_string(downtime_ms));
-  }
+  const double downtime_ms = GetNonNegative(args, "downtime-ms", 2000.0);
   online::ElasticConfig econfig;
-  econfig.drift_threshold = args.GetDouble("drift", 0.15);
+  econfig.drift_threshold = GetNonNegative(args, "drift", 0.15);
   econfig.reconfig_downtime = MsToTicks(downtime_ms);
   // Trust the estimator once it has seen half an epoch (capped at the
   // library default) so short smoke runs can still reconfigure.
@@ -562,11 +569,29 @@ online::ElasticConfig ElasticConfigFrom(const ArgParser& args,
   return econfig;
 }
 
-int ReportElastic(const ArgParser& args, const online::ElasticResult& result,
-                  const std::string& model_label, core::SchedulerKind kind,
-                  double rate_qps, std::size_t queries_per_epoch,
-                  const online::ElasticConfig& econfig, std::uint64_t seed,
-                  const std::string& scenario_label) {
+// The one elastic tail both forms share: a RepartitionController seeded
+// with `mix` (the provisioning guess; one component for a single model)
+// chases the live traffic of `trace` through one continuous
+// ElasticServerSim run on `tb`'s server, and the run is reported.  `Bed`
+// is a core::Testbed (one model) or a core::MixTestbed.
+template <typename Bed>
+int RunElastic(const ArgParser& args, const Bed& tb, int gpc_budget,
+               const workload::MixSpec& mix, SimTime swap_cost,
+               const workload::QueryTrace& trace, core::SchedulerKind kind,
+               std::uint64_t seed, double rate_qps,
+               const std::string& model_label,
+               const std::string& scenario_label) {
+  const std::size_t queries_per_epoch = QueriesPerEpoch(args, trace.size());
+  const online::ElasticConfig econfig =
+      ElasticConfigFrom(args, queries_per_epoch);
+  online::RepartitionController controller(tb.repertoire(), tb.cluster(),
+                                           gpc_budget, mix, tb.config().paris,
+                                           econfig);
+  online::ElasticServerSim sim(
+      controller, tb.repertoire(), [&] { return tb.MakeScheduler(kind); },
+      tb.sla_target(), queries_per_epoch, seed, swap_cost);
+  const auto result = sim.Run(trace);
+
   Table e({"epoch", "layout", "p95 ms", "viol. %", "stalled", "reconfig"});
   for (std::size_t i = 0; i < result.epochs.size(); ++i) {
     const auto& ep = result.epochs[i];
@@ -612,9 +637,9 @@ int ReportElastic(const ArgParser& args, const online::ElasticResult& result,
   return 0;
 }
 
-// Multi-model elastic serving: one continuous run whose mix the
-// MixedRepartitionController chases (re-deriving per-model budgets from
-// the live shares).  The designed demo of the mix-drift machinery:
+// Multi-model elastic serving: the controller chases the live mix,
+// re-deriving per-model budgets from the live shares.  The designed demo
+// of the mix-drift machinery:
 //   paris_elsa_cli elastic --models resnet,mobilenet --scenario mixdrift
 int CmdElasticMix(const ArgParser& args,
                   const std::optional<workload::TraceDocument>& replay) {
@@ -629,33 +654,21 @@ int CmdElasticMix(const ArgParser& args,
   const auto workload =
       ResolveMixWorkload(args, tb, replay, rate_qps, num_queries, seed);
 
-  const std::size_t queries_per_epoch =
-      QueriesPerEpoch(args, workload.trace.size());
-  const online::ElasticConfig econfig =
-      ElasticConfigFrom(args, queries_per_epoch);
-  online::MixedRepartitionController controller(
-      tb.repertoire(), tb.cluster(), mc.gpc_budget, tb.mix(), mc.paris,
-      econfig);
-  online::ElasticServerSim sim(
-      controller, tb.repertoire(), [&] { return tb.MakeScheduler(kind); },
-      tb.sla_target(), queries_per_epoch, seed,
-      UsToTicks(mc.swap_cost_us));
-  const auto result = sim.Run(workload.trace);
-
   std::string model_label;
   for (const auto& name : tb.ModelNames()) {
     if (!model_label.empty()) model_label += "+";
     model_label += name;
   }
-  return ReportElastic(args, result, model_label, kind, rate_qps,
-                       queries_per_epoch, econfig, seed, workload.label);
+  return RunElastic(args, tb, mc.gpc_budget, tb.mix(),
+                    UsToTicks(mc.swap_cost_us), workload.trace, kind, seed,
+                    rate_qps, model_label, workload.label);
 }
 
 int CmdElastic(const ArgParser& args) {
   CheckJsonSink(args);
   const auto replay = LoadReplayDoc(args);
-  // Multi-model runs (an explicit --models list, or a replayed multi-model
-  // capture) go through the mixed controller.
+  // Multi-model runs: an explicit --models list, or a replayed
+  // multi-model capture.
   if (args.GetString("models") || (replay && replay->models.size() > 1)) {
     return CmdElasticMix(args, replay);
   }
@@ -690,7 +703,7 @@ int CmdElastic(const ArgParser& args) {
     scenario_label = ScenarioLabel(args);
   } else {
     // Legacy day-cycle drift: base-median phase, drifted-median phase, and
-    // back (batch-size drift, the single-model controller's target).
+    // back (batch-size drift; a single model's share cannot drift).
     workload::LogNormalBatchDist base(cfg.dist_median, cfg.dist_sigma,
                                       cfg.max_batch);
     workload::LogNormalBatchDist drifted(drift_median, cfg.dist_sigma,
@@ -706,19 +719,12 @@ int CmdElastic(const ArgParser& args) {
   }
   MaybeCaptureTrace(args, trace, {cfg.model_name}, scenario_label);
 
-  const std::size_t queries_per_epoch = QueriesPerEpoch(args, trace.size());
-  const online::ElasticConfig econfig =
-      ElasticConfigFrom(args, queries_per_epoch);
-  online::RepartitionController controller(tb.profile(), tb.cluster(),
-                                           tb.table1().gpc_budget, tb.dist(),
-                                           cfg.paris, econfig);
-  online::ElasticServerSim sim(
-      controller, tb.repertoire(), [&] { return tb.MakeScheduler(kind); },
-      tb.sla_target(), queries_per_epoch, seed);
-  const auto result = sim.Run(trace);
-
-  return ReportElastic(args, result, cfg.model_name, kind, rate_qps,
-                       queries_per_epoch, econfig, seed, scenario_label);
+  // The one model, provisioned for the configured batch distribution.
+  workload::MixSpec mix;
+  mix.components.push_back({0, 1.0, &tb.dist()});
+  return RunElastic(args, tb, tb.table1().gpc_budget, mix, /*swap_cost=*/0,
+                    trace, kind, seed, rate_qps, cfg.model_name,
+                    scenario_label);
 }
 
 int CmdMix(const ArgParser& args) {
