@@ -11,11 +11,9 @@ int main() {
                      "ResNet, PARIS partitioning, fixed offered load = 90% "
                      "of PARIS+ELSA(1,1) capacity");
 
-  core::TestbedConfig config;
-  config.model_name = "resnet";
-  const core::Testbed tb(config);
+  const core::MixTestbed tb(core::Table1Config("resnet"));
   const double sla_ms = TicksToMs(tb.sla_target());
-  const auto plan = tb.PlanParis();
+  const auto plan = tb.PlanMixed().plan;
   auto search = bench::DefaultSearch();
 
   const auto nominal = core::LatencyBoundedThroughput(
@@ -49,7 +47,7 @@ int main() {
       params.beta = beta;
       auto scheduler = tb.MakeScheduler(core::SchedulerKind::kElsa, params);
       const auto stats =
-          tb.Run(plan, *scheduler, opt).Stats(tb.sla_target());
+          tb.Run(plan.instance_gpcs, *scheduler, opt).Stats(tb.sla_target());
       t.AddRow({"ELSA", Table::Num(alpha, 1), Table::Num(beta, 1),
                 Table::Num(stats.p95_latency_ms, 2),
                 Table::Num(100 * stats.sla_violation_rate, 2),
@@ -59,7 +57,9 @@ int main() {
   }
   for (auto kind : {core::SchedulerKind::kGreedyFastest,
                     core::SchedulerKind::kJsq, core::SchedulerKind::kFifs}) {
-    const auto stats = tb.RunStats(plan, kind, opt);
+    auto scheduler = tb.MakeScheduler(kind);
+    const auto stats =
+        tb.Run(plan.instance_gpcs, *scheduler, opt).Stats(tb.sla_target());
     t.AddRow({ToString(kind), "-", "-",
               Table::Num(stats.p95_latency_ms, 2),
               Table::Num(100 * stats.sla_violation_rate, 2),
@@ -72,7 +72,7 @@ int main() {
                "heterogeneity entirely.\n";
 
   core::Json data = core::Json::Object();
-  data.Set("model", config.model_name);
+  data.Set("model", tb.config().models[0].model);
   data.Set("sla_ms", sla_ms);
   data.Set("offered_qps", rate);
   data.Set("points", std::move(points));

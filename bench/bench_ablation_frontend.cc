@@ -21,14 +21,13 @@ int main() {
   for (bool constrained : {false, true}) {
     double qps24 = 0.0;
     for (int gpcs : {24, 48}) {
-      core::TestbedConfig config;
-      config.model_name = "mobilenet";
+      core::MixConfig config = core::Table1Config("mobilenet");
       if (constrained) {
         config.frontend.enabled = true;
         config.frontend.lanes = 1;
         config.frontend.cost_per_query = UsToTicks(400.0);
       }
-      core::Testbed tb(config);
+      const core::MixTestbed tb(config);
       // Override the Table-I budget via a directly planned homogeneous
       // layout on an 8-GPU cluster.
       partition::HomogeneousPartitioner p(1);

@@ -16,10 +16,8 @@ int main() {
   constexpr int kBatch = 8;
   core::Json models = core::Json::Array();
   for (const std::string model : {"mobilenet", "resnet", "bert"}) {
-    core::TestbedConfig config;
-    config.model_name = model;
-    const core::Testbed tb(config);
-    const auto& profile = tb.profile();
+    const core::MixTestbed tb(core::Table1Config(model));
+    const auto& profile = tb.repertoire().profile(0);
 
     Table t({"partition", "utilization %", "latency (norm)", "latency (ms)"});
     core::Json points = core::Json::Array();

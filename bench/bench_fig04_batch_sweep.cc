@@ -12,10 +12,8 @@ int main() {
                      "marked with *");
 
   for (const std::string model : {"mobilenet", "resnet", "bert"}) {
-    core::TestbedConfig config;
-    config.model_name = model;
-    const core::Testbed tb(config);
-    const auto& profile = tb.profile();
+    const core::MixTestbed tb(core::Table1Config(model));
+    const auto& profile = tb.repertoire().profile(0);
     const int knee1 =
         profile.MaxBatchKnee(1, tb.config().paris.knee_threshold,
                              tb.config().paris.knee_mode);

@@ -12,22 +12,21 @@ int main() {
       "default workload: log-normal(median 6, sigma 0.9), max batch 32");
 
   for (const std::string& model : bench::PaperModels()) {
-    core::TestbedConfig config;
-    config.model_name = model;
-    const core::Testbed tb(config);
-    partition::ParisPartitioner paris(tb.profile(), tb.dist(),
-                                      tb.config().paris);
-    const auto d = paris.Derive(tb.table1().gpc_budget);
+    const core::MixTestbed tb(core::Table1Config(model));
+    const auto& profile = tb.repertoire().profile(0);
+    const auto& dist = *tb.mix().components[0].dist;
+    partition::ParisPartitioner paris(profile, dist, tb.config().paris);
+    const auto d = paris.Derive(tb.config().gpc_budget);
 
     Table t({"partition", "MaxBatch_knee", "segment", "PDF mass %",
              "demand R_k"});
     int prev = 0;
-    const int dist_max = tb.dist().max_batch();
+    const int dist_max = dist.max_batch();
     for (std::size_t k = 0; k < d.partition_sizes.size(); ++k) {
       int hi = std::min(d.knees[k], dist_max);
       if (k + 1 == d.partition_sizes.size()) hi = dist_max;
       double mass = 0.0;
-      for (int b = prev + 1; b <= hi; ++b) mass += tb.dist().Pdf(b);
+      for (int b = prev + 1; b <= hi; ++b) mass += dist.Pdf(b);
       // Built with append rather than chained operator+ to dodge the GCC 12
       // -Wrestrict false positive on temporary-string concatenation (PR105329).
       std::string segment = "(empty)";

@@ -15,9 +15,7 @@ int main() {
   core::Json models = core::Json::Array();
 
   for (const std::string& model : bench::PaperModels()) {
-    core::TestbedConfig config;
-    config.model_name = model;
-    const core::Testbed tb(config);
+    const core::MixTestbed tb(core::Table1Config(model));
     const double sla_ms = TicksToMs(tb.sla_target());
 
     const auto gpu_max = core::BestHomogeneous(
@@ -37,10 +35,9 @@ int main() {
                        tb.PlanHomogeneous(gpu_max.partition_gpcs),
                        core::SchedulerKind::kFifs});
     }
-    cases.push_back(
-        {"PARIS+FIFS", tb.PlanParis(), core::SchedulerKind::kFifs});
-    cases.push_back(
-        {"PARIS+ELSA", tb.PlanParis(), core::SchedulerKind::kElsa});
+    const partition::PartitionPlan paris = tb.PlanMixed().plan;
+    cases.push_back({"PARIS+FIFS", paris, core::SchedulerKind::kFifs});
+    cases.push_back({"PARIS+ELSA", paris, core::SchedulerKind::kElsa});
 
     std::cout << "--- " << model << " (SLA " << Table::Num(sla_ms, 1)
               << " ms) ---\n";

@@ -22,9 +22,7 @@ int main() {
 
   bool first_model = true;
   for (const std::string& model : bench::PaperModels()) {
-    core::TestbedConfig config;
-    config.model_name = model;
-    const core::Testbed tb(config);
+    const core::MixTestbed tb(core::Table1Config(model));
     const double sla_ms = TicksToMs(tb.sla_target());
     const auto designs = bench::PaperDesigns(tb);
 

@@ -19,10 +19,9 @@ int main() {
 
   bool first = true;
   for (double sigma : {0.3, 0.9, 1.8}) {
-    core::TestbedConfig config;
-    config.model_name = "resnet";
-    config.dist_sigma = sigma;
-    const core::Testbed tb(config);
+    core::MixConfig config = core::Table1Config("resnet");
+    config.models[0].dist_sigma = sigma;
+    const core::MixTestbed tb(config);
     const double sla_ms = TicksToMs(tb.sla_target());
 
     std::vector<bench::Design> designs;
@@ -31,10 +30,9 @@ int main() {
                          tb.PlanHomogeneous(size),
                          core::SchedulerKind::kFifs});
     }
-    designs.push_back(
-        {"PARIS+FIFS", tb.PlanParis(), core::SchedulerKind::kFifs});
-    designs.push_back(
-        {"PARIS+ELSA", tb.PlanParis(), core::SchedulerKind::kElsa});
+    const partition::PartitionPlan paris = tb.PlanMixed().plan;
+    designs.push_back({"PARIS+FIFS", paris, core::SchedulerKind::kFifs});
+    designs.push_back({"PARIS+ELSA", paris, core::SchedulerKind::kElsa});
 
     double base = 0.0;
     std::size_t row = 0;

@@ -19,16 +19,15 @@ int main() {
            "PARIS+ELSA"});
   for (const std::string& model : bench::PaperModels()) {
     for (int max_batch : {16, 32, 64}) {
-      core::TestbedConfig config;
-      config.model_name = model;
+      core::MixConfig config = core::Table1Config(model);
       config.max_batch = max_batch;
-      const core::Testbed tb(config);
+      const core::MixTestbed tb(config);
       const double sla_ms = TicksToMs(tb.sla_target());
 
       const auto best = core::BestHomogeneous(
           tb, core::SchedulerKind::kFifs, sla_ms, search);
       const double base = best.qps;
-      const auto paris = tb.PlanParis();
+      const auto paris = tb.PlanMixed().plan;
       const auto pf = core::LatencyBoundedThroughput(
           tb, paris, core::SchedulerKind::kFifs, sla_ms, search);
       const auto pe_ = core::LatencyBoundedThroughput(

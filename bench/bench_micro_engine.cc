@@ -3,7 +3,7 @@
 // MIG packing, and end-to-end simulated-query throughput.
 #include <benchmark/benchmark.h>
 
-#include "core/server_builder.h"
+#include "core/mix_runner.h"
 #include "hw/cluster.h"
 #include "partition/paris.h"
 #include "perf/model_zoo.h"
@@ -82,16 +82,14 @@ void BM_ClusterPack(benchmark::State& state) {
 BENCHMARK(BM_ClusterPack);
 
 void BM_EndToEndSimulatedQueries(benchmark::State& state) {
-  core::TestbedConfig config;
-  config.model_name = "resnet";
-  const core::Testbed tb(config);
-  const auto plan = tb.PlanParis();
+  const core::MixTestbed tb(core::Table1Config("resnet"));
+  const auto plan = tb.PlanMixed().plan;
   core::RunOptions opt;
   opt.rate_qps = 500.0;
   opt.num_queries = 2000;
   for (auto _ : state) {
     auto scheduler = tb.MakeScheduler(core::SchedulerKind::kElsa);
-    benchmark::DoNotOptimize(tb.Run(plan, *scheduler, opt));
+    benchmark::DoNotOptimize(tb.Run(plan.instance_gpcs, *scheduler, opt));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(opt.num_queries));

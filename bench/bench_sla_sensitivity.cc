@@ -20,10 +20,9 @@ int main() {
     double log_sum7 = 0.0, log_summax = 0.0;
     int counted = 0;
     for (const std::string& model : bench::PaperModels()) {
-      core::TestbedConfig config;
-      config.model_name = model;
+      core::MixConfig config = core::Table1Config(model);
       config.sla_n = n;
-      const core::Testbed tb(config);
+      const core::MixTestbed tb(config);
       const double sla_ms = TicksToMs(tb.sla_target());
 
       const auto gpu7 = core::LatencyBoundedThroughput(
@@ -32,7 +31,7 @@ int main() {
       const auto best = core::BestHomogeneous(
           tb, core::SchedulerKind::kFifs, sla_ms, search);
       const auto ours = core::LatencyBoundedThroughput(
-          tb, tb.PlanParis(), core::SchedulerKind::kElsa, sla_ms, search);
+          tb, tb.PlanMixed().plan, core::SchedulerKind::kElsa, sla_ms, search);
 
       const double s7 = gpu7.qps > 0 ? ours.qps / gpu7.qps : 0.0;
       const double smax = best.qps > 0 ? ours.qps / best.qps : 0.0;

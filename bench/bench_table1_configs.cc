@@ -22,9 +22,7 @@ int main() {
 
   core::Json models = core::Json::Array();
   for (const std::string& model : bench::PaperModels()) {
-    core::TestbedConfig config;
-    config.model_name = model;
-    const core::Testbed tb(config);
+    const core::MixTestbed tb(core::Table1Config(model));
     core::Json homogeneous = core::Json::Array();
     int r = 0;
     for (int size : {1, 2, 3, 7}) {
@@ -39,17 +37,17 @@ int main() {
       homogeneous.Add(std::move(h));
     }
     const auto random_plan = tb.PlanRandom();
-    const auto paris_plan = tb.PlanParis();
+    const auto paris_plan = tb.PlanMixed().plan;
     rows[4].push_back(random_plan.Summary());
     rows[5].push_back(paris_plan.Summary());
-    rows[6].push_back(std::to_string(tb.table1().num_gpus));
+    rows[6].push_back(std::to_string(tb.config().num_gpus));
 
     core::Json m = core::Json::Object();
     m.Set("model", model);
     m.Set("homogeneous", std::move(homogeneous));
     m.Set("random", random_plan.Summary());
     m.Set("paris", paris_plan.Summary());
-    m.Set("num_gpus", tb.table1().num_gpus);
+    m.Set("num_gpus", tb.config().num_gpus);
     models.Add(std::move(m));
   }
   for (auto& row : rows) t.AddRow(row);

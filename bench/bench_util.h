@@ -12,8 +12,8 @@
 #include "common/table.h"
 #include "common/thread_pool.h"
 #include "core/experiment.h"
+#include "core/mix_runner.h"
 #include "core/result_io.h"
-#include "core/server_builder.h"
 
 namespace pe::bench {
 
@@ -32,7 +32,7 @@ struct Design {
 
 // The paper's six evaluated design families (Section VI) minus GPU(max),
 // which callers derive via core::BestHomogeneous.
-inline std::vector<Design> PaperDesigns(const core::Testbed& tb,
+inline std::vector<Design> PaperDesigns(const core::MixTestbed& tb,
                                         bool include_gpu4 = false) {
   std::vector<Design> designs;
   for (int size : {7, 3, 2, 1}) {
@@ -48,10 +48,9 @@ inline std::vector<Design> PaperDesigns(const core::Testbed& tb,
       {"Random+FIFS", tb.PlanRandom(), core::SchedulerKind::kFifs});
   designs.push_back(
       {"Random+ELSA", tb.PlanRandom(), core::SchedulerKind::kElsa});
-  designs.push_back(
-      {"PARIS+FIFS", tb.PlanParis(), core::SchedulerKind::kFifs});
-  designs.push_back(
-      {"PARIS+ELSA", tb.PlanParis(), core::SchedulerKind::kElsa});
+  const partition::PartitionPlan paris = tb.PlanMixed().plan;
+  designs.push_back({"PARIS+FIFS", paris, core::SchedulerKind::kFifs});
+  designs.push_back({"PARIS+ELSA", paris, core::SchedulerKind::kElsa});
   return designs;
 }
 
@@ -109,9 +108,10 @@ inline core::SearchOptions DefaultSearch() {
 // machine-readable report at <dir>/<bench_name>.json (the directory must
 // exist); tools/run_all_benches.sh aggregates them into bench_results.json.
 // Reports are additive: CI asserts on specific fields (engine_throughput's
-// fleet-scaling section -- per-policy router_qps, split_qps, stats_sec,
-// fleet_qps, and the fast-vs-reference identity flags -- is gated by both
-// bench-smoke and engine-perf), so rename fields only with the workflow.
+// fleet and chaos legs -- per-policy router_qps, split_qps, sim_qps,
+// stats_sec, fleet_qps, fleet_identical_jobs1, and the chaos_* and
+// degraded_shed_* fields -- are gated by both bench-smoke and
+// engine-perf), so rename fields only with the workflow.
 inline std::optional<std::string> JsonOutPath(const std::string& bench_name) {
   const char* dir = std::getenv("PE_BENCH_JSON_DIR");
   if (dir == nullptr || *dir == '\0') return std::nullopt;

@@ -11,7 +11,6 @@
 
 #include "common/table.h"
 #include "core/experiment.h"
-#include "core/server_builder.h"
 #include "partition/paris.h"
 
 int main(int argc, char** argv) {
@@ -19,17 +18,16 @@ int main(int argc, char** argv) {
   const std::string model = argc > 1 ? argv[1] : "bert";
   const double target_qps = argc > 2 ? std::atof(argv[2]) : 400.0;
 
-  core::TestbedConfig config;
-  config.model_name = model;
-  const core::Testbed tb(config);
+  const core::MixTestbed tb(core::Table1Config(model));
   const double sla_ms = TicksToMs(tb.sla_target());
 
   std::cout << "Planning " << model << " capacity for "
             << Table::Num(target_qps, 0) << " qps at SLA "
             << Table::Num(sla_ms, 1) << " ms (p95)\n\n";
 
-  partition::ParisPartitioner paris(tb.profile(), tb.dist(),
-                                    tb.config().paris);
+  const auto& profile = tb.repertoire().profile(0);
+  const auto& dist = *tb.mix().components[0].dist;
+  partition::ParisPartitioner paris(profile, dist, tb.config().paris);
   core::SearchOptions search;
   search.num_queries = 4000;
 

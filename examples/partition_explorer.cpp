@@ -13,23 +13,21 @@
 #include <vector>
 
 #include "common/table.h"
-#include "core/server_builder.h"
+#include "core/mix_runner.h"
 #include "partition/paris.h"
 
 namespace {
 
 void Explore(const std::string& model_name) {
   using pe::Table;
-  pe::core::TestbedConfig config;
-  config.model_name = model_name;
-  pe::core::Testbed tb(config);
+  const pe::core::MixTestbed tb(pe::core::Table1Config(model_name));
 
   std::cout << "==== " << model_name << " ====\n";
-  std::cout << "GPC budget " << tb.table1().gpc_budget << " on "
-            << tb.table1().num_gpus << " GPUs; SLA target "
+  std::cout << "GPC budget " << tb.config().gpc_budget << " on "
+            << tb.config().num_gpus << " GPUs; SLA target "
             << pe::TicksToMs(tb.sla_target()) << " ms\n\n";
 
-  const auto& profile = tb.profile();
+  const auto& profile = tb.repertoire().profile(0);
   Table grid({"batch", "GPU(1) util", "GPU(2) util", "GPU(3) util",
               "GPU(4) util", "GPU(7) util", "GPU(1) ms", "GPU(7) ms"});
   for (int b : {1, 2, 4, 8, 16, 32, 64}) {
@@ -44,9 +42,9 @@ void Explore(const std::string& model_name) {
   }
   grid.Print(std::cout);
 
-  pe::partition::ParisPartitioner paris(profile, tb.dist(),
-                                        tb.config().paris);
-  const auto derivation = paris.Derive(tb.table1().gpc_budget);
+  const auto& dist = *tb.mix().components[0].dist;
+  pe::partition::ParisPartitioner paris(profile, dist, tb.config().paris);
+  const auto derivation = paris.Derive(tb.config().gpc_budget);
   std::cout << "\nPARIS derivation:\n";
   Table d({"GPU size", "MaxBatch_knee", "R_k", "instances"});
   for (std::size_t k = 0; k < derivation.partition_sizes.size(); ++k) {
@@ -57,7 +55,7 @@ void Explore(const std::string& model_name) {
   }
   d.Print(std::cout);
 
-  const auto plan = tb.PlanParis();
+  const auto plan = paris.Plan(tb.cluster(), tb.config().gpc_budget);
   std::cout << "\nPARIS plan: " << plan.Summary() << "\n";
   std::cout << "Placement:  " << plan.layout.ToString() << "\n\n";
 }

@@ -12,23 +12,21 @@
 
 #include "common/table.h"
 #include "core/experiment.h"
-#include "core/server_builder.h"
 
 int main(int argc, char** argv) {
   using namespace pe;
 
-  core::TestbedConfig config;
-  config.model_name = argc > 1 ? argv[1] : "resnet";
-  core::Testbed tb(config);
+  const std::string model = argc > 1 ? argv[1] : "resnet";
+  const core::MixTestbed tb(core::Table1Config(model));
 
   const double rate_qps = argc > 2 ? std::atof(argv[2]) : 0.0;
 
-  std::cout << "Model: " << config.model_name << "  |  SLA target: "
+  std::cout << "Model: " << model << "  |  SLA target: "
             << TicksToMs(tb.sla_target()) << " ms  |  cluster: "
-            << tb.table1().num_gpus << "x A100 ("
-            << tb.table1().gpc_budget << " GPCs for PARIS)\n\n";
+            << tb.config().num_gpus << "x A100 ("
+            << tb.config().gpc_budget << " GPCs for PARIS)\n\n";
 
-  const auto paris = tb.PlanParis();
+  const auto paris = tb.PlanMixed().plan;
   const auto gpu7 = tb.PlanHomogeneous(7);
   std::cout << "PARIS plan:  " << paris.Summary() << "\n";
   std::cout << "Baseline:    " << gpu7.Summary() << "\n\n";
@@ -61,7 +59,9 @@ int main(int argc, char** argv) {
       {"PARIS+ELSA", &paris, core::SchedulerKind::kElsa},
   };
   for (const auto& c : cases) {
-    const auto stats = tb.RunStats(*c.plan, c.kind, run);
+    auto scheduler = tb.MakeScheduler(c.kind);
+    const auto result = tb.Run(c.plan->instance_gpcs, *scheduler, run);
+    const auto stats = result.Stats(tb.sla_target());
     table.AddRow({c.label, Table::Num(stats.p95_latency_ms, 2),
                   Table::Num(stats.mean_latency_ms, 2),
                   Table::Num(100 * stats.sla_violation_rate, 2),

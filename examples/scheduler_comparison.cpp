@@ -12,19 +12,16 @@
 
 #include "common/table.h"
 #include "core/experiment.h"
-#include "core/server_builder.h"
 
 int main(int argc, char** argv) {
   using namespace pe;
-  core::TestbedConfig config;
-  config.model_name = argc > 1 ? argv[1] : "resnet";
-  const core::Testbed tb(config);
-  const auto plan = tb.PlanParis();
+  const std::string model = argc > 1 ? argv[1] : "resnet";
+  const core::MixTestbed tb(core::Table1Config(model));
+  const auto plan = tb.PlanMixed().plan;
   const double sla_ms = TicksToMs(tb.sla_target());
 
-  std::cout << "Model " << config.model_name << ", server "
-            << plan.Summary() << ", SLA " << Table::Num(sla_ms, 1)
-            << " ms\n\n";
+  std::cout << "Model " << model << ", server " << plan.Summary();
+  std::cout << ", SLA " << Table::Num(sla_ms, 1) << " ms\n\n";
 
   // Where do batches land?  Per-scheduler histogram of batch -> partition.
   core::RunOptions opt;
@@ -35,7 +32,7 @@ int main(int argc, char** argv) {
 
   for (auto kind : {core::SchedulerKind::kFifs, core::SchedulerKind::kElsa}) {
     auto scheduler = tb.MakeScheduler(kind);
-    const auto result = tb.Run(plan, *scheduler, opt);
+    const auto result = tb.Run(plan.instance_gpcs, *scheduler, opt);
     // batch bucket -> (gpcs -> count)
     std::map<int, std::map<int, int>> routing;
     for (const auto& r : result.records) {
@@ -72,8 +69,12 @@ int main(int argc, char** argv) {
     core::RunOptions ro;
     ro.rate_qps = f * capacity.qps;
     ro.num_queries = 8000;
-    const auto fifs = tb.RunStats(plan, core::SchedulerKind::kFifs, ro);
-    const auto elsa = tb.RunStats(plan, core::SchedulerKind::kElsa, ro);
+    const auto stats = [&](core::SchedulerKind kind) {
+      auto scheduler = tb.MakeScheduler(kind);
+      return tb.Run(plan.instance_gpcs, *scheduler, ro).Stats(tb.sla_target());
+    };
+    const auto fifs = stats(core::SchedulerKind::kFifs);
+    const auto elsa = stats(core::SchedulerKind::kElsa);
     sweep.AddRow({Table::Num(ro.rate_qps, 0),
                   Table::Num(fifs.p95_latency_ms, 2),
                   Table::Num(elsa.p95_latency_ms, 2),

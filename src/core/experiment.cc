@@ -9,7 +9,7 @@
 namespace pe::core {
 namespace {
 
-double ProbeP95(const Testbed& testbed, const partition::PartitionPlan& plan,
+double ProbeP95(const MixTestbed& testbed, const partition::PartitionPlan& plan,
                 SchedulerKind kind, double rate_qps,
                 const SearchOptions& options, sched::ElsaParams elsa) {
   auto scheduler = testbed.MakeScheduler(kind, elsa);
@@ -17,14 +17,13 @@ double ProbeP95(const Testbed& testbed, const partition::PartitionPlan& plan,
   run.rate_qps = rate_qps;
   run.num_queries = options.num_queries;
   run.seed = options.seed;
-  const auto stats =
-      testbed.Run(plan, *scheduler, run).Stats(testbed.sla_target());
-  return stats.p95_latency_ms;
+  const auto result = testbed.Run(plan.instance_gpcs, *scheduler, run);
+  return result.Stats(testbed.sla_target()).p95_latency_ms;
 }
 
 }  // namespace
 
-ThroughputResult LatencyBoundedThroughput(const Testbed& testbed,
+ThroughputResult LatencyBoundedThroughput(const MixTestbed& testbed,
                                           const partition::PartitionPlan& plan,
                                           SchedulerKind kind,
                                           double tail_bound_ms,
@@ -72,7 +71,7 @@ ThroughputResult LatencyBoundedThroughput(const Testbed& testbed,
 }
 
 std::vector<RatePoint> TailLatencyCurve(
-    const Testbed& testbed, const partition::PartitionPlan& plan,
+    const MixTestbed& testbed, const partition::PartitionPlan& plan,
     SchedulerKind kind, const std::vector<double>& load_fractions,
     double tail_bound_ms, const SearchOptions& options) {
   const ThroughputResult bound =
@@ -87,8 +86,8 @@ std::vector<RatePoint> TailLatencyCurve(
         run.rate_qps = rate;
         run.num_queries = options.num_queries;
         run.seed = options.seed;
-        const auto stats =
-            testbed.Run(plan, *scheduler, run).Stats(testbed.sla_target());
+        const auto result = testbed.Run(plan.instance_gpcs, *scheduler, run);
+        const auto stats = result.Stats(testbed.sla_target());
         RatePoint p;
         p.offered_qps = rate;
         p.achieved_qps = stats.achieved_qps;
@@ -100,7 +99,7 @@ std::vector<RatePoint> TailLatencyCurve(
       });
 }
 
-HomogeneousChoice BestHomogeneous(const Testbed& testbed, SchedulerKind kind,
+HomogeneousChoice BestHomogeneous(const MixTestbed& testbed, SchedulerKind kind,
                                   double tail_bound_ms,
                                   const SearchOptions& options) {
   static constexpr int kSizes[] = {1, 2, 3, 7};
@@ -123,7 +122,7 @@ HomogeneousChoice BestHomogeneous(const Testbed& testbed, SchedulerKind kind,
 }
 
 std::vector<ThroughputResult> LatencyBoundedThroughputBatch(
-    const Testbed& testbed, const std::vector<ProbeSpec>& specs,
+    const MixTestbed& testbed, const std::vector<ProbeSpec>& specs,
     double tail_bound_ms, const SearchOptions& options) {
   return ParallelMap(specs.size(), options.jobs, [&](std::size_t i) {
     return LatencyBoundedThroughput(testbed, specs[i].plan, specs[i].kind,

@@ -8,12 +8,16 @@
 //  * BestHomogeneous: the paper's GPU(max) -- the homogeneous design with
 //    the highest latency-bounded throughput, found by brute force exactly
 //    as the paper describes system architects would have to.
+//
+// Every entry point runs on one core::MixTestbed -- for the paper's
+// figures, a one-model testbed on the model's Table-I server
+// (core::Table1Config) -- with a fresh scheduler per simulation.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "core/server_builder.h"
+#include "core/mix_runner.h"
 
 namespace pe::core {
 
@@ -39,7 +43,7 @@ struct ThroughputResult {
 // Max offered rate whose p95 latency (ms) stays <= `tail_bound_ms`.
 // Uses a fresh scheduler instance per probe run.
 ThroughputResult LatencyBoundedThroughput(
-    const Testbed& testbed, const partition::PartitionPlan& plan,
+    const MixTestbed& testbed, const partition::PartitionPlan& plan,
     SchedulerKind kind, double tail_bound_ms,
     const SearchOptions& options = SearchOptions{},
     sched::ElsaParams elsa = sched::ElsaParams{});
@@ -56,7 +60,7 @@ struct RatePoint {
 // Sweeps offered load over `load_fractions` x the design's latency-bounded
 // throughput and reports one point per load level.
 std::vector<RatePoint> TailLatencyCurve(
-    const Testbed& testbed, const partition::PartitionPlan& plan,
+    const MixTestbed& testbed, const partition::PartitionPlan& plan,
     SchedulerKind kind, const std::vector<double>& load_fractions,
     double tail_bound_ms, const SearchOptions& options = SearchOptions{});
 
@@ -71,7 +75,7 @@ struct HomogeneousChoice {
 // candidate searches are independent and fan out across `options.jobs`
 // threads.
 HomogeneousChoice BestHomogeneous(
-    const Testbed& testbed, SchedulerKind kind, double tail_bound_ms,
+    const MixTestbed& testbed, SchedulerKind kind, double tail_bound_ms,
     const SearchOptions& options = SearchOptions{});
 
 // One named (plan, scheduler) probe for the batch entry point below.
@@ -87,7 +91,7 @@ struct ProbeSpec {
 // `options.jobs` threads; the result vector is index-aligned with `specs`
 // and bit-identical to calling LatencyBoundedThroughput in a serial loop.
 std::vector<ThroughputResult> LatencyBoundedThroughputBatch(
-    const Testbed& testbed, const std::vector<ProbeSpec>& specs,
+    const MixTestbed& testbed, const std::vector<ProbeSpec>& specs,
     double tail_bound_ms, const SearchOptions& options = SearchOptions{});
 
 }  // namespace pe::core

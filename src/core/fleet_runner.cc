@@ -35,6 +35,10 @@ FleetTestbed::FleetTestbed(FleetTestbedConfig config)
   if (config_.num_servers < 1) {
     throw std::invalid_argument("FleetTestbed: num_servers must be >= 1");
   }
+  if (config_.mix.frontend.enabled) {
+    throw std::invalid_argument(
+        "FleetTestbed: fleet servers have no frontend stage");
+  }
 
   fleet::PlacementMap placement =
       BuildPlacement(config_, mix_.num_models());
@@ -155,13 +159,6 @@ fleet::ReplanFn FleetTestbed::MakeReplanFn() const {
     memo->layouts.emplace(std::move(key), layout);
     return layout;
   };
-}
-
-fleet::FleetStats FleetTestbed::RunStats(const workload::QueryTrace& trace,
-                                         int jobs) const {
-  // The stats reduction fans out over the same job budget the simulate
-  // stage used (FleetResult::Stats is jobs-invariant bit-for-bit).
-  return Run(trace, jobs).Stats(sla_target(), /*warmup_fraction=*/0.1, jobs);
 }
 
 }  // namespace pe::core

@@ -2,7 +2,8 @@
 //
 // Owns everything a multi-server serving experiment needs:
 //   * the model zoo, traffic mix, and shared SLA (delegated to an
-//     embedded MixTestbed -- one server's world, reused N times),
+//     embedded MixTestbed -- one server's world, reused N times; fleet
+//     servers have no frontend stage, so an enabled one is rejected),
 //   * the fleet PlacementMap (uniform replication or round-robin
 //     sharding), with every server's MIG layout derived by running
 //     mixed-PARIS over exactly the models that server hosts (a sharded
@@ -10,7 +11,7 @@
 //   * the fleet::Cluster wiring per-server repertoires, RNG streams, and
 //     a scheduler factory for the configured SchedulerKind.
 //
-// Typical use (mirrors Testbed/MixTestbed):
+// Typical use (mirrors MixTestbed):
 //   core::FleetTestbed ft(core::FleetTestbedConfig{...});
 //   auto trace = ft.GenerateFleetTrace(2000.0, 1'000'000, /*seed=*/1);
 //   auto stats = ft.Run(trace, /*jobs=*/8).Stats(ft.sla_target());
@@ -71,11 +72,6 @@ class FleetTestbed {
   // Routes + replays `trace` over up to `jobs` threads; bit-identical
   // per-server records for any jobs >= 1.
   fleet::FleetResult Run(const workload::QueryTrace& trace, int jobs) const;
-
-  // Convenience: Run + Stats at this fleet's SLA target; `jobs` drives
-  // both the simulate fan-out and the parallel stats reduction.
-  fleet::FleetStats RunStats(const workload::QueryTrace& trace,
-                             int jobs) const;
 
   // Resolves a parsed `--faults` reference into a concrete schedule over
   // `trace`'s span (last arrival) against this fleet's placement, seeded

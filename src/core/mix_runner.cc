@@ -1,22 +1,54 @@
 #include "core/mix_runner.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "core/paper_config.h"
-#include "workload/arrival.h"
+#include "partition/homogeneous.h"
+#include "partition/random_partition.h"
 
 namespace pe::core {
 
+namespace {
+
+// Rejects a bad config before anything is built from it, naming the field.
+MixConfig Validated(MixConfig config) {
+  const auto fail = [](const std::string& what) {
+    throw std::invalid_argument("MixTestbed: " + what);
+  };
+  const auto finite_at_least_0 = [](double v) {
+    return std::isfinite(v) && v >= 0.0;
+  };
+  if (config.models.empty()) fail("no models configured");
+  if (!(std::isfinite(config.sla_n) && config.sla_n > 0.0)) {
+    fail("sla_n must be finite and > 0");
+  }
+  if (config.num_gpus < 1) fail("num_gpus must be >= 1");
+  if (config.gpc_budget < 1) fail("gpc_budget must be >= 1");
+  if (!finite_at_least_0(config.swap_cost_us)) {
+    fail("swap_cost_us must be finite and >= 0");
+  }
+  if (!finite_at_least_0(config.latency_noise_sigma)) {
+    fail("latency_noise_sigma must be finite and >= 0");
+  }
+  return config;
+}
+
+}  // namespace
+
+MixConfig Table1Config(const std::string& model) {
+  const ModelServerConfig& row = Table1For(model);
+  MixConfig config;
+  config.models.push_back(MixModelConfig{.model = model});
+  config.num_gpus = row.num_gpus;
+  config.gpc_budget = row.gpc_budget;
+  return config;
+}
+
 MixTestbed::MixTestbed(MixConfig config)
-    : config_(std::move(config)),
-      cluster_(std::max(1, config_.num_gpus), config_.gpu) {
-  if (config_.models.empty()) {
-    throw std::invalid_argument("MixTestbed: no models configured");
-  }
-  if (config_.swap_cost_us < 0.0) {
-    throw std::invalid_argument("MixTestbed: negative swap cost");
-  }
+    : config_(Validated(std::move(config))),
+      cluster_(config_.num_gpus, config_.gpu) {
   const perf::RooflineEngine engine(config_.gpu, config_.roofline);
   std::vector<std::string> names;
   names.reserve(config_.models.size());
@@ -78,6 +110,18 @@ partition::MixedPlan MixTestbed::PlanMixed() const {
                                    config_.gpc_budget, config_.paris);
 }
 
+partition::PartitionPlan MixTestbed::PlanHomogeneous(int partition_gpcs) const {
+  const int budget =
+      partition_gpcs == 7 ? cluster_.total_gpcs() : config_.gpc_budget;
+  partition::HomogeneousPartitioner p(partition_gpcs);
+  return p.Plan(cluster_, budget);
+}
+
+partition::PartitionPlan MixTestbed::PlanRandom(std::uint64_t seed) const {
+  partition::RandomPartitioner p(seed);
+  return p.Plan(cluster_, config_.gpc_budget);
+}
+
 workload::ScenarioSpec MixTestbed::ScenarioFor(double rate_qps) const {
   workload::ScenarioSpec spec;
   spec.rate.base_qps = rate_qps;
@@ -119,10 +163,19 @@ sim::SimResult MixTestbed::Run(const std::vector<int>& partition_gpcs,
   sc.partition_gpcs = partition_gpcs;
   sc.sla_target = sla_target_;
   sc.latency_noise_sigma = config_.latency_noise_sigma;
-  sc.seed = seed ^ 0xA5A5A5A5ULL;  // matches Testbed::Run
+  sc.seed = seed ^ 0xA5A5A5A5ULL;
+  sc.frontend = config_.frontend;
   sc.model_swap_cost = UsToTicks(config_.swap_cost_us);
   sim::InferenceServer server(sc, repertoire_, scheduler);
   return server.Run(trace);
+}
+
+sim::SimResult MixTestbed::Run(const std::vector<int>& partition_gpcs,
+                               sched::Scheduler& scheduler,
+                               const RunOptions& options) const {
+  const workload::QueryTrace trace =
+      GenerateMix(options.rate_qps, options.num_queries, options.seed);
+  return Run(partition_gpcs, scheduler, trace, options.seed);
 }
 
 }  // namespace pe::core

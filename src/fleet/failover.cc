@@ -215,8 +215,8 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
   fault.injected = total;
 
   // ---- Stage 1: route, then patch around planned downtime. -------------
-  const auto router = cluster.MakeFleetRouter();
-  std::vector<int> assignment = router->RouteAll(trace, jobs);
+  std::vector<int> assignment =
+      cluster.MakeFleetRouter()->RouteAll(trace, jobs);
   std::vector<bool> driver_shed(total, false);
   std::vector<bool> driver_failed(total, false);
   const std::vector<workload::Query>& queries = trace.queries();
@@ -358,11 +358,6 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
       layouts[vi] = std::move(layout);
       ++fault.repartitions;
     }
-    // Front-tier notification: routing for this run is already fixed
-    // (health-patched up front), but the router's cost tables must track
-    // the layout edits -- the hook is the documented contract for any
-    // placement mutation.
-    router->OnPlacementChange();
   };
 
   // A live reconfiguration rebuilds the worker set and wipes failure

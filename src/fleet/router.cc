@@ -64,18 +64,6 @@ class BacklogModel {
   BacklogModel(const PlacementMap& placement,
                const profile::ModelRepertoire* repertoire)
       : repertoire_(repertoire) {
-    RefreshTopology(placement);
-    Reset();
-  }
-
-  // (Re)derives every layout-dependent table from the placement's current
-  // state: per-server geometry, the cost classes, and the memo (dropped --
-  // its entries bake in the old gpcs/lanes).  Called at construction and
-  // by Router::OnPlacementChange after a layout edit; the free-at clocks
-  // are preserved across a refresh so the router's load picture survives.
-  void RefreshTopology(const PlacementMap& placement) {
-    gpcs_.clear();
-    lanes_.clear();
     gpcs_.reserve(placement.num_servers());
     lanes_.reserve(placement.num_servers());
     for (const ServerPlacement& sp : placement.servers()) {
@@ -94,8 +82,6 @@ class BacklogModel {
     // Servers sharing a (largest partition, lane count) pair see identical
     // costs for any (model, batch); the memo below caches per such class,
     // not per server, so a 100-server homogeneous fleet shares one table.
-    classes_.clear();
-    class_of_.clear();
     class_of_.reserve(gpcs_.size());
     for (std::size_t s = 0; s < gpcs_.size(); ++s) {
       const std::pair<int, int> key{gpcs_[s], lanes_[s]};
@@ -104,8 +90,7 @@ class BacklogModel {
       if (id == classes_.size()) classes_.push_back(key);
       class_of_.push_back(id);
     }
-    memo_.clear();
-    free_at_.resize(gpcs_.size(), 0.0);
+    Reset();
   }
 
   void Reset() { free_at_.assign(gpcs_.size(), 0.0); }
@@ -282,7 +267,6 @@ class LeastLoadedRouter final : public Router {
   }
 
   void Reset() override { backlog_.Reset(); }
-  void OnPlacementChange() override { backlog_.RefreshTopology(placement_); }
   std::string name() const override { return "least"; }
 
  private:
@@ -354,8 +338,6 @@ class PowerOfTwoRouter final : public Router {
     backlog_.Reset();
     rng_ = Rng(seed_);
   }
-
-  void OnPlacementChange() override { backlog_.RefreshTopology(placement_); }
 
   std::string name() const override { return "po2c"; }
 

@@ -72,27 +72,17 @@ class Router {
   // the same query sequence re-routes identically.
   virtual void Reset() = 0;
 
-  // The borrowed PlacementMap mutated underneath the router (a failover
-  // repartition resized a server's layout, or a health change edited a
-  // replica set).  Replica tables are re-read from the placement on every
-  // RouteAll call, but the load-aware policies also snapshot each
-  // server's *layout geometry* (largest partition, worker-lane count) and
-  // derived cost tables at construction; this hook rebuilds those from
-  // the current placement -- virtual backlog clocks are preserved, so the
-  // router's load picture survives the change.  Stateless policies no-op.
-  // Forgetting to call this after a placement edit serves stale cost
-  // tables (pinned by fleet_router_test's regression case).
-  virtual void OnPlacementChange() {}
-
   virtual std::string name() const = 0;
 };
 
 // Builds a policy instance over `placement` (borrowed; must outlive the
-// router).  `repertoire` (borrowed, may be null) supplies the profiled
-// service estimates for the backlog model; without it the backlog charge
-// falls back to a nominal per-batch-item cost, which preserves determinism
-// but not model-specific weighting.  `seed` feeds po2c's candidate draws;
-// hash and least-loaded are RNG-free.
+// router).  Replica sets are re-read on every RouteAll call; the
+// load-aware policies read each server's layout geometry (largest
+// partition, lane count) once, here.  `repertoire` (borrowed, may be
+// null) supplies the profiled service estimates for the backlog model;
+// without it the backlog charge falls back to a nominal per-batch-item
+// cost, which preserves determinism but not model-specific weighting.
+// `seed` feeds po2c's candidate draws; hash and least-loaded are RNG-free.
 std::unique_ptr<Router> MakeRouter(RouterPolicy policy,
                                    const PlacementMap& placement,
                                    const profile::ModelRepertoire* repertoire,

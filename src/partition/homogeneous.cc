@@ -87,8 +87,4 @@ PartitionPlan HomogeneousPartitioner::Plan(const hw::Cluster& cluster,
   return plan;
 }
 
-std::string HomogeneousPartitioner::name() const {
-  return "GPU(" + std::to_string(partition_gpcs_) + ")";
-}
-
 }  // namespace pe::partition

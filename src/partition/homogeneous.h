@@ -7,12 +7,11 @@
 
 namespace pe::partition {
 
-class HomogeneousPartitioner final : public Partitioner {
+class HomogeneousPartitioner {
  public:
   explicit HomogeneousPartitioner(int partition_gpcs);
 
-  PartitionPlan Plan(const hw::Cluster& cluster, int gpc_budget) override;
-  std::string name() const override;
+  PartitionPlan Plan(const hw::Cluster& cluster, int gpc_budget);
 
   int partition_gpcs() const { return partition_gpcs_; }
 

@@ -46,15 +46,14 @@ struct ParisDerivation {
   double scale_c = 0.0;              // Algorithm 1's C
 };
 
-class ParisPartitioner final : public Partitioner {
+class ParisPartitioner {
  public:
   // `profile` and `dist` must outlive the partitioner.
   ParisPartitioner(const profile::ProfileTable& profile,
                    const workload::BatchDistribution& dist,
                    ParisConfig config = ParisConfig{});
 
-  PartitionPlan Plan(const hw::Cluster& cluster, int gpc_budget) override;
-  std::string name() const override { return "PARIS"; }
+  PartitionPlan Plan(const hw::Cluster& cluster, int gpc_budget);
 
   // Runs Algorithm 1 up to (and including) instance-count rounding for a
   // given budget, without packing.

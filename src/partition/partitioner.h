@@ -1,5 +1,9 @@
-// Partitioner interface: maps a GPC budget to a multiset of GPU partition
-// sizes, realizable on the physical cluster under MIG placement rules.
+// PartitionPlan: what every partitioner returns -- a multiset of GPU
+// partition sizes within a GPC budget, realizable on the physical cluster
+// under MIG placement rules.  ParisPartitioner, HomogeneousPartitioner and
+// RandomPartitioner each produce one from Plan(cluster, gpc_budget), using
+// at most gpc_budget GPCs and throwing std::runtime_error when no feasible
+// plan exists; PlanMixedParis produces one for a model mix.
 #pragma once
 
 #include <string>
@@ -21,17 +25,6 @@ struct PartitionPlan {
   int TotalGpcs() const;
   int NumInstances() const { return static_cast<int>(instance_gpcs.size()); }
   std::string Summary() const;  // e.g. "6xGPU(1) 4xGPU(2) 2xGPU(3) 1xGPU(4)"
-};
-
-class Partitioner {
- public:
-  virtual ~Partitioner() = default;
-
-  // Produces a plan using at most `gpc_budget` GPCs of `cluster`.
-  // Throws std::runtime_error if no feasible plan exists.
-  virtual PartitionPlan Plan(const hw::Cluster& cluster, int gpc_budget) = 0;
-
-  virtual std::string name() const = 0;
 };
 
 }  // namespace pe::partition

@@ -10,12 +10,11 @@
 
 namespace pe::partition {
 
-class RandomPartitioner final : public Partitioner {
+class RandomPartitioner {
  public:
   explicit RandomPartitioner(std::uint64_t seed = 0xBADD5EED);
 
-  PartitionPlan Plan(const hw::Cluster& cluster, int gpc_budget) override;
-  std::string name() const override { return "Random"; }
+  PartitionPlan Plan(const hw::Cluster& cluster, int gpc_budget);
 
  private:
   std::uint64_t seed_;

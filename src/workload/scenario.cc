@@ -181,7 +181,29 @@ void ScenarioSpec::Validate() const {
   const auto fail = [this](const std::string& what) {
     throw std::invalid_argument("ScenarioSpec '" + name + "': " + what);
   };
+  // Every real field must be finite: +inf passes the sign checks below,
+  // and an infinite rate would emit arrivals 1 ns apart.
+  const auto finite = [&fail](double v, const std::string& field) {
+    if (!std::isfinite(v)) fail(field + " must be finite");
+  };
   if (components.empty()) fail("no components");
+  finite(rate.base_qps, "rate");
+  finite(rate.amplitude, "diurnal amplitude");
+  finite(rate.period_sec, "diurnal period");
+  finite(rate.flash_at_sec, "flash time");
+  finite(rate.flash_mult, "flash multiplier");
+  finite(rate.flash_decay_sec, "flash decay");
+  finite(drift_window_sec, "drift window");
+  for (const auto& c : components) {
+    finite(c.weight, "component weight");
+    finite(c.end_weight, "drifted component weight");
+    finite(c.median, "component median");
+    finite(c.sigma, "component sigma");
+    finite(c.end_sigma, "drifted sigma");
+  }
+  finite(burst.rate_per_sec, "burst rate");
+  finite(burst.duration_sec, "burst duration");
+  finite(burst.share, "burst share");
   if (!(rate.base_qps > 0.0)) fail("rate must be positive");
   if (rate.shape == RateShape::kDiurnal) {
     if (rate.amplitude < 0.0 || rate.amplitude >= 1.0) {

@@ -189,7 +189,8 @@ struct ScenarioSpec {
   int sigma_steps = 8;
   int max_batch = 32;
 
-  // Throws std::invalid_argument naming the offending field.
+  // Throws std::invalid_argument naming the offending field; every real
+  // field must be finite.
   void Validate() const;
   std::string Describe() const;
 };

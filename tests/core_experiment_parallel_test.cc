@@ -14,12 +14,8 @@
 namespace pe::core {
 namespace {
 
-const Testbed& MobilenetTb() {
-  static const Testbed tb{[] {
-    TestbedConfig c;
-    c.model_name = "mobilenet";
-    return c;
-  }()};
+const MixTestbed& MobilenetTb() {
+  static const MixTestbed tb{Table1Config("mobilenet")};
   return tb;
 }
 
@@ -82,7 +78,7 @@ TEST(ParallelExperiment, BatchMatchesSerialLatencyBoundedThroughput) {
                      tb.PlanHomogeneous(size), SchedulerKind::kFifs,
                      sched::ElsaParams{}});
   }
-  specs.push_back({"PARIS+ELSA", tb.PlanParis(), SchedulerKind::kElsa,
+  specs.push_back({"PARIS+ELSA", tb.PlanMixed().plan, SchedulerKind::kElsa,
                    sched::ElsaParams{}});
 
   const auto batch = LatencyBoundedThroughputBatch(tb, specs, sla_ms,
@@ -99,7 +95,7 @@ TEST(ParallelExperiment, BatchMatchesSerialLatencyBoundedThroughput) {
 TEST(ParallelExperiment, RepeatedParallelRunsAreIdentical) {
   const auto& tb = MobilenetTb();
   const double sla_ms = TicksToMs(tb.sla_target());
-  const auto plan = tb.PlanParis();
+  const auto plan = tb.PlanMixed().plan;
   const auto a = LatencyBoundedThroughput(tb, plan, SchedulerKind::kElsa,
                                           sla_ms, FastSearch(HardwareJobs()));
   const auto b = LatencyBoundedThroughput(tb, plan, SchedulerKind::kElsa,

@@ -5,12 +5,8 @@
 namespace pe::core {
 namespace {
 
-const Testbed& MobilenetTb() {
-  static const Testbed tb{[] {
-    TestbedConfig c;
-    c.model_name = "mobilenet";
-    return c;
-  }()};
+const MixTestbed& MobilenetTb() {
+  static const MixTestbed tb{Table1Config("mobilenet")};
   return tb;
 }
 
@@ -58,7 +54,7 @@ TEST(LatencyBoundedThroughput, ParisElsaBeatsGpu7Fifs) {
   const auto base = LatencyBoundedThroughput(
       tb, tb.PlanHomogeneous(7), SchedulerKind::kFifs, sla_ms, FastSearch());
   const auto ours = LatencyBoundedThroughput(
-      tb, tb.PlanParis(), SchedulerKind::kElsa, sla_ms, FastSearch());
+      tb, tb.PlanMixed().plan, SchedulerKind::kElsa, sla_ms, FastSearch());
   EXPECT_GT(ours.qps, base.qps);
 }
 

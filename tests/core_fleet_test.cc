@@ -71,7 +71,8 @@ TEST(FleetTestbed, PlansEveryServerAndServesTheWholeTrace) {
     EXPECT_LE(total, sp.gpc_budget);
   }
   const auto trace = tb.GenerateFleetTrace(450.0, 3000, /*seed=*/3);
-  const auto stats = tb.RunStats(trace, 2);
+  const auto stats =
+      tb.Run(trace, 2).Stats(tb.sla_target(), /*warmup_fraction=*/0.1, 2);
   EXPECT_EQ(stats.routed_queries, trace.size());
   EXPECT_GT(stats.aggregate.completed, 0u);
   // Per-server ModelStats carry fleet-global model ids (0..1 here).
@@ -83,6 +84,14 @@ TEST(FleetTestbed, PlansEveryServerAndServesTheWholeTrace) {
   }
 }
 
+TEST(FleetTestbed, RejectsAFrontendStage) {
+  // Fleet servers have no frontend: an enabled one would be silently
+  // ignored, so the constructor refuses it.
+  FleetTestbedConfig fc = SmallFleet(2, fleet::RouterPolicy::kHash);
+  fc.mix.frontend.enabled = true;
+  EXPECT_THROW(FleetTestbed{fc}, std::invalid_argument);
+}
+
 TEST(FleetTestbed, ShardedPlacementPartitionsPerShard) {
   // Under sharding, a server plans a layout for the models it hosts, not
   // the whole zoo -- so a 1-model shard still yields a valid layout and
@@ -92,7 +101,8 @@ TEST(FleetTestbed, ShardedPlacementPartitionsPerShard) {
   fc.replicas = 2;
   const FleetTestbed tb(fc);
   const auto trace = tb.GenerateFleetTrace(500.0, 2500, /*seed=*/9);
-  const auto stats = tb.RunStats(trace, 2);
+  const auto stats =
+      tb.Run(trace, 2).Stats(tb.sla_target(), /*warmup_fraction=*/0.1, 2);
   EXPECT_EQ(stats.routed_queries, trace.size());
   std::uint64_t routed = 0;
   for (const auto n : stats.routed_per_server) routed += n;

@@ -1,17 +1,21 @@
 // Golden digests for the event engine: every scenario of the shared grid
 // (FIFS/ELSA x 1/3 models x static/reconfigure x 3 seeds), the wide cells,
-// the six event-ordering scenarios, and the elastic driver (forced switch
-// and PARIS-replanning day cycle) must reproduce the digests checked in
-// below.  A mismatch prints the actual
-// digest; re-record only for a deliberate, justified behaviour change.
+// the six event-ordering scenarios, the elastic driver (forced switch and
+// PARIS-replanning day cycle), and the paper's Table-I servers driven
+// through core::MixTestbed must reproduce the digests checked in below.  A
+// mismatch prints the actual digest; re-record only for a deliberate,
+// justified behaviour change.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <iterator>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
+#include "core/experiment.h"
 #include "engine_scenarios.h"
 #include "golden_digest.h"
 #include "hw/cluster.h"
@@ -200,6 +204,98 @@ TEST(EngineGolden, SingleModelElasticDriverMatchesCheckedInDigest) {
   EXPECT_EQ(result.reconfigurations, 2);
   ExpectDigest(DigestElastic(result), 0x28b18672a1436ecd,
                "single-model elastic driver");
+}
+
+
+// One Table-I cell: `kind` on `plan`, 3,000 queries at seed 7.
+std::uint64_t Table1CellDigest(const core::MixTestbed& tb,
+                               const partition::PartitionPlan& plan,
+                               core::SchedulerKind kind, double rate_qps) {
+  auto scheduler = tb.MakeScheduler(kind);
+  core::RunOptions run;
+  run.rate_qps = rate_qps;
+  run.num_queries = 3000;
+  run.seed = 7;
+  return DigestRecords(tb.Run(plan.instance_gpcs, *scheduler, run).records);
+}
+
+// Each of three paper models on its Table-I server, as the evaluation
+// runs it: PARIS, Random, GPU(7) and GPU(1) under FIFS and ELSA, then
+// PARIS under JSQ and greedy, at one fixed rate per model.  Plus one
+// frontend-bound mobilenet GPU(1) cell and the bit patterns of one
+// latency-bounded throughput search.  Recorded through the single-model
+// testbed that the one-model MixTestbed replaced.
+TEST(EngineGolden, Table1TestbedMatchesCheckedInDigests) {
+  using core::SchedulerKind;
+  // Per model: {PARIS, Random, GPU(7), GPU(1)} x {FIFS, ELSA}, then
+  // PARIS+JSQ and PARIS+greedy.
+  const std::uint64_t kDigests[] = {
+      // resnet, 500 q/s.
+      0xd4cc3384cbb6121a, 0xbba1c3b3c4d8c475, 0xf094037e5d0ed7ac,
+      0x8c3930e20c852087, 0x7726cec8587c7e03, 0x89c7d851bd9d3bf4,
+      0x466a6828fc3c6ecc, 0xd9424b2bb6570dd0, 0x75fdf03ec9049796,
+      0xe276a934f0e74fad,
+      // mobilenet, 1000 q/s.
+      0xc657875d5fbbf29f, 0x5fad5c7a72de6075, 0x40fbdaf8cacbf60f,
+      0xe180e4ea22827f42, 0xd14ca2f87c541b1b, 0xa2f786b82b14260d,
+      0x0a96402d2e38c1fe, 0xa914f3f2e6d4ce2b, 0xf414319da815f4bc,
+      0xcbb521eba1aeabfb,
+      // bert, 150 q/s.
+      0x32cb26a7320aa067, 0x63d8d78d5cf00902, 0x5bb5c227e09c5321,
+      0x39a29b3671cebfa6, 0x863a7c57db603ed7, 0x01cbf54a66f72aad,
+      0xfd6e28abfe7a2ab7, 0x8f68f26bfcb21129, 0xf0c00f6d02b5be41,
+      0x9d8d62f72e362bc1,
+  };
+  const char* const kModels[] = {"resnet", "mobilenet", "bert"};
+  const double kRates[] = {500.0, 1000.0, 150.0};
+  const char* const kPlanNames[] = {"PARIS", "Random", "GPU(7)", "GPU(1)"};
+  std::size_t cell = 0;
+  for (std::size_t m = 0; m < std::size(kModels); ++m) {
+    const core::MixTestbed tb(core::Table1Config(kModels[m]));
+    const partition::PartitionPlan paris = tb.PlanMixed().plan;
+    const partition::PartitionPlan random = tb.PlanRandom();
+    const partition::PartitionPlan gpu7 = tb.PlanHomogeneous(7);
+    const partition::PartitionPlan gpu1 = tb.PlanHomogeneous(1);
+    const partition::PartitionPlan* plans[] = {&paris, &random, &gpu7, &gpu1};
+    const auto expect = [&](std::size_t p, SchedulerKind kind) {
+      std::string label = kModels[m];
+      label += ' ';
+      label += kPlanNames[p];
+      label += '+';
+      label += core::ToString(kind);
+      ExpectDigest(Table1CellDigest(tb, *plans[p], kind, kRates[m]),
+                   kDigests[cell++], label);
+    };
+    for (std::size_t p = 0; p < std::size(plans); ++p) {
+      expect(p, SchedulerKind::kFifs);
+      expect(p, SchedulerKind::kElsa);
+    }
+    expect(0, SchedulerKind::kJsq);
+    expect(0, SchedulerKind::kGreedyFastest);
+  }
+  ASSERT_EQ(cell, std::size(kDigests));
+
+  core::MixConfig frontend = core::Table1Config("mobilenet");
+  frontend.frontend.enabled = true;
+  frontend.frontend.lanes = 4;
+  frontend.frontend.cost_per_query = MsToTicks(1.0);
+  const core::MixTestbed fe(frontend);
+  const partition::PartitionPlan gpu1 = fe.PlanHomogeneous(1);
+  ExpectDigest(Table1CellDigest(fe, gpu1, SchedulerKind::kFifs, 1000.0),
+               0xe803b7e8e56d1534, "mobilenet GPU(1)+FIFS, frontend on");
+
+  const core::MixTestbed tb(core::Table1Config("resnet"));
+  const partition::PartitionPlan paris = tb.PlanMixed().plan;
+  const double sla_ms = TicksToMs(tb.sla_target());
+  core::SearchOptions search;
+  search.num_queries = 1000;
+  search.iterations = 8;
+  const core::ThroughputResult r = core::LatencyBoundedThroughput(
+      tb, paris, SchedulerKind::kElsa, sla_ms, search);
+  ExpectDigest(std::bit_cast<std::uint64_t>(r.qps), 0x4090200000000000,
+               "resnet PARIS+ELSA latency-bounded qps");
+  ExpectDigest(std::bit_cast<std::uint64_t>(r.p95_at_qps_ms),
+               0x403b3129c41ea862, "resnet PARIS+ELSA p95 at that qps");
 }
 
 }  // namespace

@@ -238,34 +238,6 @@ TEST(Router, UnplacedModelThrowsLogicErrorNamingTheModel) {
   }
 }
 
-TEST(Router, OnPlacementChangeRebuildsTheCostTables) {
-  // The load-aware policies snapshot each server's layout geometry
-  // (largest partition, lane count) and derived cost tables at
-  // construction.  A failover repartition edits the placement underneath
-  // the router; OnPlacementChange must rebuild those tables -- after the
-  // call the router routes exactly like one freshly built over the edited
-  // placement, while a router that skipped the call keeps serving the
-  // stale costs (the regression this test pins).
-  auto placement = UniformPlacement(4, 2);
-  for (int s = 0; s < 4; ++s) {
-    placement.mutable_server(s).partition_gpcs = {7};  // one lane each
-  }
-  const auto trace = MakeTrace(2000, 2, /*seed=*/41);
-
-  auto stale = MakeRouter(RouterPolicy::kLeastLoaded, placement, nullptr, 1);
-  auto refreshed =
-      MakeRouter(RouterPolicy::kLeastLoaded, placement, nullptr, 1);
-  // Repartition server 0 into seven 1-GPC lanes: its backlog charges drop
-  // 7x, so post-edit routing must favor it.
-  placement.mutable_server(0).partition_gpcs = {1, 1, 1, 1, 1, 1, 1};
-  refreshed->OnPlacementChange();
-  auto fresh = MakeRouter(RouterPolicy::kLeastLoaded, placement, nullptr, 1);
-
-  const auto want = RouteSerially(*fresh, trace);
-  EXPECT_EQ(RouteSerially(*refreshed, trace), want);
-  EXPECT_NE(RouteSerially(*stale, trace), want);
-}
-
 TEST(SplitByAssignment, DropsPreShedQueriesAndKeepsDenseIds) {
   // The failover driver routes around planned downtime and marks
   // no-healthy-replica queries with -1; the split must skip exactly those

@@ -12,10 +12,11 @@
 #include <map>
 
 #include "core/fleet_runner.h"
-#include "core/server_builder.h"
+#include "core/mix_runner.h"
 #include "fleet/fault.h"
 #include "hw/mig.h"
 #include "perf/model_zoo.h"
+#include "perf/roofline.h"
 
 namespace pe {
 namespace {
@@ -30,13 +31,16 @@ struct FuzzCase {
 class FuzzInvariantsTest : public ::testing::TestWithParam<FuzzCase> {
  protected:
   // A single shared testbed (profiling is the expensive part).
-  static const core::Testbed& tb() {
-    static const core::Testbed instance{[] {
-      core::TestbedConfig c;
-      c.model_name = "resnet";
-      return c;
-    }()};
+  static const core::MixTestbed& tb() {
+    static const core::MixTestbed instance{core::Table1Config("resnet")};
     return instance;
+  }
+
+  // Ground truth, computed here rather than read from the testbed.
+  static double LatencySec(int gpcs, int batch) {
+    static const perf::RooflineEngine engine{hw::GpuSpec{}, {}};
+    static const perf::DnnModel model = perf::BuildModelByName("resnet");
+    return engine.LatencySec(model, gpcs, batch);
   }
 
   // Random valid heterogeneous plan derived from the fuzz seed.
@@ -56,7 +60,7 @@ TEST_P(FuzzInvariantsTest, StructuralInvariantsHold) {
   opt.rate_qps = rng.Uniform(50.0, 3000.0);
   opt.num_queries = 1500;
   opt.seed = seed ^ 0xF00D;
-  const auto result = tb().Run(plan, *scheduler, opt);
+  const auto result = tb().Run(plan.instance_gpcs, *scheduler, opt);
 
   ASSERT_EQ(result.records.size(), opt.num_queries);
 
@@ -70,9 +74,8 @@ TEST_P(FuzzInvariantsTest, StructuralInvariantsHold) {
     EXPECT_TRUE(hw::GpuSpec::IsValidPartitionSize(r.worker_gpcs));
     // Noise off: service time must match ground truth exactly (to tick
     // rounding).
-    const SimTime expected = std::max<SimTime>(
-        1, SecToTicks(tb().engine().LatencySec(tb().model(), r.worker_gpcs,
-                                               r.batch)));
+    const SimTime expected =
+        std::max<SimTime>(1, SecToTicks(LatencySec(r.worker_gpcs, r.batch)));
     EXPECT_EQ(r.finished - r.started, expected) << "query " << r.id;
     busy[r.worker].emplace_back(r.started, r.finished);
   }
@@ -87,7 +90,7 @@ TEST_P(FuzzInvariantsTest, StructuralInvariantsHold) {
 
   // Bit-identical replay.
   auto scheduler2 = tb().MakeScheduler(kind);
-  const auto replay = tb().Run(plan, *scheduler2, opt);
+  const auto replay = tb().Run(plan.instance_gpcs, *scheduler2, opt);
   for (std::size_t i = 0; i < result.records.size(); ++i) {
     EXPECT_EQ(result.records[i].finished, replay.records[i].finished);
     EXPECT_EQ(result.records[i].worker, replay.records[i].worker);
@@ -202,10 +205,9 @@ TEST(FuzzFaultInvariants, RandomFaultSchedulesConserveEveryQuery) {
 // With noise on, estimates diverge from actuals; invariants must still
 // hold (the scheduler may be wrong, the simulator must not be).
 TEST(FuzzInvariantsNoise, NoiseDoesNotBreakConservation) {
-  core::TestbedConfig c;
-  c.model_name = "mobilenet";
+  core::MixConfig c = core::Table1Config("mobilenet");
   c.latency_noise_sigma = 0.3;
-  const core::Testbed tb(c);
+  const core::MixTestbed tb(c);
   for (std::uint64_t seed : {7ull, 8ull, 9ull}) {
     const auto plan = tb.PlanRandom(seed);
     auto scheduler = tb.MakeScheduler(SchedulerKind::kElsa);
@@ -213,7 +215,7 @@ TEST(FuzzInvariantsNoise, NoiseDoesNotBreakConservation) {
     opt.rate_qps = 800.0;
     opt.num_queries = 2000;
     opt.seed = seed;
-    const auto result = tb.Run(plan, *scheduler, opt);
+    const auto result = tb.Run(plan.instance_gpcs, *scheduler, opt);
     std::map<int, std::vector<std::pair<SimTime, SimTime>>> busy;
     for (const auto& r : result.records) {
       EXPECT_GT(r.finished, r.started);

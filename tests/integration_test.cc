@@ -4,32 +4,34 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
-#include "core/server_builder.h"
 
 namespace pe {
 namespace {
 
+using core::MixConfig;
+using core::MixTestbed;
 using core::RunOptions;
 using core::SchedulerKind;
-using core::Testbed;
-using core::TestbedConfig;
+using core::Table1Config;
 
-Testbed MakeTb(const std::string& model) {
-  TestbedConfig c;
-  c.model_name = model;
-  return Testbed(c);
+// `kind` on `plan`, with a fresh scheduler, reduced at the testbed's SLA.
+sim::ServerStats RunStats(const MixTestbed& tb,
+                          const partition::PartitionPlan& plan,
+                          SchedulerKind kind, const RunOptions& opt) {
+  auto scheduler = tb.MakeScheduler(kind);
+  return tb.Run(plan.instance_gpcs, *scheduler, opt).Stats(tb.sla_target());
 }
 
 // Paper Figure 5 / 10: on a heterogeneous server under tight SLA, ELSA
 // yields fewer SLA violations than FIFS at the same load.
 TEST(Integration, ElsaReducesViolationsOnHeterogeneousServer) {
-  const auto tb = MakeTb("resnet");
-  const auto plan = tb.PlanParis();
+  const MixTestbed tb(Table1Config("resnet"));
+  const auto plan = tb.PlanMixed().plan;
   RunOptions opt;
   opt.num_queries = 6000;
   opt.rate_qps = 500.0;
-  const auto fifs = tb.RunStats(plan, SchedulerKind::kFifs, opt);
-  const auto elsa = tb.RunStats(plan, SchedulerKind::kElsa, opt);
+  const auto fifs = RunStats(tb, plan, SchedulerKind::kFifs, opt);
+  const auto elsa = RunStats(tb, plan, SchedulerKind::kElsa, opt);
   EXPECT_LT(elsa.sla_violation_rate, fifs.sla_violation_rate);
   EXPECT_LT(elsa.p95_latency_ms, fifs.p95_latency_ms);
 }
@@ -37,13 +39,13 @@ TEST(Integration, ElsaReducesViolationsOnHeterogeneousServer) {
 // Paper Section IV-C: ELSA Step A prefers small partitions to keep
 // utilization high; large batches still reach the large partitions.
 TEST(Integration, ElsaRoutesBatchesBySize) {
-  const auto tb = MakeTb("resnet");
-  const auto plan = tb.PlanParis();
+  const MixTestbed tb(Table1Config("resnet"));
+  const auto plan = tb.PlanMixed().plan;
   auto sched = tb.MakeScheduler(SchedulerKind::kElsa);
   RunOptions opt;
   opt.num_queries = 4000;
   opt.rate_qps = 300.0;
-  const auto result = tb.Run(plan, *sched, opt);
+  const auto result = tb.Run(plan.instance_gpcs, *sched, opt);
   double small_batch_sum = 0, small_count = 0;
   double large_batch_sum = 0, large_count = 0;
   for (const auto& r : result.records) {
@@ -65,7 +67,7 @@ TEST(Integration, ElsaRoutesBatchesBySize) {
 class Figure12ShapeTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(Figure12ShapeTest, ParisElsaBeatsGpu7Fifs) {
-  const auto tb = MakeTb(GetParam());
+  const MixTestbed tb(Table1Config(GetParam()));
   core::SearchOptions so;
   so.num_queries = 2000;
   so.iterations = 7;
@@ -73,7 +75,7 @@ TEST_P(Figure12ShapeTest, ParisElsaBeatsGpu7Fifs) {
   const auto base = core::LatencyBoundedThroughput(
       tb, tb.PlanHomogeneous(7), SchedulerKind::kFifs, sla_ms, so);
   const auto ours = core::LatencyBoundedThroughput(
-      tb, tb.PlanParis(), SchedulerKind::kElsa, sla_ms, so);
+      tb, tb.PlanMixed().plan, SchedulerKind::kElsa, sla_ms, so);
   EXPECT_GT(ours.qps, base.qps) << GetParam();
 }
 
@@ -85,7 +87,7 @@ INSTANTIATE_TEST_SUITE_P(AllModels, Figure12ShapeTest,
 // random draw can even win -- but PARIS+ELSA must beat the *average* random
 // layout, which is what "systematic beats blind" means statistically.
 TEST(Integration, ParisElsaBeatsAverageRandomElsa) {
-  const auto tb = MakeTb("mobilenet");
+  const MixTestbed tb(Table1Config("mobilenet"));
   core::SearchOptions so;
   so.num_queries = 2000;
   so.iterations = 7;
@@ -99,7 +101,7 @@ TEST(Integration, ParisElsaBeatsAverageRandomElsa) {
                       .qps;
   }
   const auto paris = core::LatencyBoundedThroughput(
-      tb, tb.PlanParis(), SchedulerKind::kElsa, sla_ms, so);
+      tb, tb.PlanMixed().plan, SchedulerKind::kElsa, sla_ms, so);
   EXPECT_GT(paris.qps, random_sum / std::size(kSeeds));
 }
 
@@ -107,16 +109,15 @@ TEST(Integration, ParisElsaBeatsAverageRandomElsa) {
 // predictions are imperfect but the system still functions and ELSA still
 // beats FIFS.
 TEST(Integration, RobustToLatencyNoise) {
-  TestbedConfig c;
-  c.model_name = "resnet";
+  MixConfig c = Table1Config("resnet");
   c.latency_noise_sigma = 0.1;
-  const Testbed tb(c);
-  const auto plan = tb.PlanParis();
+  const MixTestbed tb(c);
+  const auto plan = tb.PlanMixed().plan;
   RunOptions opt;
   opt.num_queries = 5000;
   opt.rate_qps = 500.0;
-  const auto fifs = tb.RunStats(plan, SchedulerKind::kFifs, opt);
-  const auto elsa = tb.RunStats(plan, SchedulerKind::kElsa, opt);
+  const auto fifs = RunStats(tb, plan, SchedulerKind::kFifs, opt);
+  const auto elsa = RunStats(tb, plan, SchedulerKind::kElsa, opt);
   EXPECT_EQ(elsa.completed + fifs.completed > 0, true);
   EXPECT_LT(elsa.p95_latency_ms, fifs.p95_latency_ms);
 }
@@ -124,13 +125,13 @@ TEST(Integration, RobustToLatencyNoise) {
 // Work conservation under overload: the server still completes every query
 // and per-GPC utilization approaches saturation on the loaded classes.
 TEST(Integration, OverloadStillCompletesAllQueries) {
-  const auto tb = MakeTb("mobilenet");
-  const auto plan = tb.PlanParis();
+  const MixTestbed tb(Table1Config("mobilenet"));
+  const auto plan = tb.PlanMixed().plan;
   auto sched = tb.MakeScheduler(SchedulerKind::kElsa);
   RunOptions opt;
   opt.num_queries = 3000;
   opt.rate_qps = 1e5;  // far beyond capacity
-  const auto result = tb.Run(plan, *sched, opt);
+  const auto result = tb.Run(plan.instance_gpcs, *sched, opt);
   for (const auto& r : result.records) {
     EXPECT_GT(r.finished, 0);
   }
@@ -142,18 +143,17 @@ TEST(Integration, OverloadStillCompletesAllQueries) {
 // (Section V): with a constrained frontend, adding backend GPCs does not
 // increase goodput.
 TEST(Integration, FrontendBottleneckCapsThroughput) {
-  TestbedConfig c;
-  c.model_name = "mobilenet";
+  MixConfig c = Table1Config("mobilenet");
   c.frontend.enabled = true;
   c.frontend.lanes = 4;
   c.frontend.cost_per_query = MsToTicks(1.0);  // cap: 4000 qps across lanes
-  const Testbed tb(c);
+  const MixTestbed tb(c);
   const auto plan = tb.PlanHomogeneous(1);
   auto sched = tb.MakeScheduler(SchedulerKind::kFifs);
   RunOptions opt;
   opt.num_queries = 4000;
   opt.rate_qps = 1e4;  // above the frontend cap
-  const auto result = tb.Run(plan, *sched, opt);
+  const auto result = tb.Run(plan.instance_gpcs, *sched, opt);
   const auto stats = result.Stats(tb.sla_target(), 0.0);
   EXPECT_LE(stats.achieved_qps, 4200.0);
 }
@@ -162,14 +162,12 @@ TEST(Integration, FrontendBottleneckCapsThroughput) {
 // constructed testbeds (determinism is a stated design requirement).
 TEST(Integration, FullPipelineBitReproducible) {
   auto run_once = [] {
-    TestbedConfig c;
-    c.model_name = "bert";
-    const Testbed tb(c);
+    const MixTestbed tb(Table1Config("bert"));
     RunOptions opt;
     opt.num_queries = 1000;
     opt.rate_qps = 100.0;
     opt.seed = 77;
-    return tb.RunStats(tb.PlanParis(), SchedulerKind::kElsa, opt);
+    return RunStats(tb, tb.PlanMixed().plan, SchedulerKind::kElsa, opt);
   };
   const auto a = run_once();
   const auto b = run_once();

@@ -76,10 +76,6 @@ TEST(Homogeneous, BudgetBelowOneInstanceThrows) {
   EXPECT_THROW(p.Plan(cluster, 3), std::runtime_error);
 }
 
-TEST(Homogeneous, NameIncludesSize) {
-  EXPECT_EQ(HomogeneousPartitioner(3).name(), "GPU(3)");
-}
-
 TEST(PartitionPlan, SummaryGroupsBySize) {
   hw::Cluster cluster(2);
   const auto plan = MakePlan(cluster, {7, 3, 3, 1}, "test");

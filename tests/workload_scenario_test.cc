@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -373,6 +375,40 @@ TEST(ScenarioSpec, ValidateRejectsBadFields) {
   bad_burst.burst.rate_per_sec = 1.0;
   bad_burst.burst.share = 1.5;
   EXPECT_THROW(bad_burst.Validate(), std::invalid_argument);
+}
+
+// +inf passes every sign check, so each real field is checked for
+// finiteness on its own -- whatever the rate shape, drift or bursts.
+TEST(ScenarioSpec, ValidateRejectsNonFiniteFields) {
+  ScenarioSpec ok;
+  ok.components.push_back(ComponentSpec{});
+  const std::vector<std::function<void(ScenarioSpec&, double)>> fields = {
+      [](ScenarioSpec& s, double v) { s.rate.base_qps = v; },
+      [](ScenarioSpec& s, double v) { s.rate.amplitude = v; },
+      [](ScenarioSpec& s, double v) { s.rate.period_sec = v; },
+      [](ScenarioSpec& s, double v) { s.rate.flash_at_sec = v; },
+      [](ScenarioSpec& s, double v) { s.rate.flash_mult = v; },
+      [](ScenarioSpec& s, double v) { s.rate.flash_decay_sec = v; },
+      [](ScenarioSpec& s, double v) { s.drift_window_sec = v; },
+      [](ScenarioSpec& s, double v) { s.components[0].weight = v; },
+      [](ScenarioSpec& s, double v) { s.components[0].end_weight = v; },
+      [](ScenarioSpec& s, double v) { s.components[0].median = v; },
+      [](ScenarioSpec& s, double v) { s.components[0].sigma = v; },
+      [](ScenarioSpec& s, double v) { s.components[0].end_sigma = v; },
+      [](ScenarioSpec& s, double v) { s.burst.rate_per_sec = v; },
+      [](ScenarioSpec& s, double v) { s.burst.duration_sec = v; },
+      [](ScenarioSpec& s, double v) { s.burst.share = v; },
+  };
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    for (const double v : {kInf, -kInf, std::nan("")}) {
+      ScenarioSpec bad = ok;
+      fields[i](bad, v);
+      EXPECT_THROW(bad.Validate(), std::invalid_argument) << i << ' ' << v;
+    }
+  }
+  ScenarioSpec spec = ok;
+  EXPECT_THROW(ApplyScenario(spec, "diurnal:rate=inf"), std::invalid_argument);
 }
 
 }  // namespace

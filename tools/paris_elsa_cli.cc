@@ -92,6 +92,7 @@
 #include "fleet/router.h"
 #include "online/elastic_server.h"
 #include "online/repartition_controller.h"
+#include "partition/paris.h"
 #include "workload/scenario.h"
 #include "workload/trace.h"
 #include "workload/trace_io.h"
@@ -162,11 +163,15 @@ void MaybeWriteJson(const ArgParser& args, core::Json report) {
   std::cerr << "json: " << *path << "\n";
 }
 
-core::TestbedConfig ConfigFrom(const ArgParser& args) {
-  core::TestbedConfig config;
-  config.model_name = args.GetString("model", "resnet");
-  config.dist_median = args.GetDouble("median", config.dist_median);
-  config.dist_sigma = args.GetDouble("sigma", config.dist_sigma);
+// The flags every testbed config shares: --median and --sigma (each
+// model's batch distribution), --max-batch and --sla-n.
+void ApplyDistFlags(const ArgParser& args, core::MixConfig& config) {
+  const double median = args.GetDouble("median", 6.0);
+  const double sigma = args.GetDouble("sigma", 0.9);
+  for (auto& m : config.models) {
+    m.dist_median = median;
+    m.dist_sigma = sigma;
+  }
   const long long max_batch = args.GetInt("max-batch", 32);
   if (max_batch < 1 || max_batch > 4096) {
     throw std::invalid_argument(
@@ -175,12 +180,32 @@ core::TestbedConfig ConfigFrom(const ArgParser& args) {
   }
   config.max_batch = static_cast<int>(max_batch);
   config.sla_n = args.GetDouble("sla-n", 1.5);
+}
+
+// A single-model subcommand's testbed: --model, or the one model of a
+// replayed trace (an explicit conflicting --model is an error), on its
+// Table-I server.
+core::MixConfig ConfigFrom(
+    const ArgParser& args,
+    const std::optional<workload::TraceDocument>& replay = std::nullopt) {
+  std::string model = args.GetString("model", "resnet");
+  if (replay) {
+    if (const auto flag = args.GetString("model");
+        flag && *flag != replay->models[0]) {
+      throw std::invalid_argument(
+          "--model conflicts with the replayed trace's model '" +
+          replay->models[0] + "'");
+    }
+    model = replay->models[0];
+  }
+  core::MixConfig config = core::Table1Config(model);
+  ApplyDistFlags(args, config);
   return config;
 }
 
-partition::PartitionPlan PlanFrom(const core::Testbed& tb,
+partition::PartitionPlan PlanFrom(const core::MixTestbed& tb,
                                   const std::string& design) {
-  if (design == "paris") return tb.PlanParis();
+  if (design == "paris") return tb.PlanMixed().plan;
   if (design == "random") return tb.PlanRandom();
   if (design.rfind("gpu", 0) == 0 && design.size() == 4) {
     return tb.PlanHomogeneous(design[3] - '0');
@@ -242,48 +267,37 @@ std::vector<double> GetDoubleList(const ArgParser& args,
   return values;
 }
 
-// Shared by `mix` and `fleet` (per-server world): the model list, shares,
-// distributions, budget, and swap cost.  When a replayed trace supplies
-// `names_override`, its symbolic model names define the model list; an
-// explicit conflicting --models is an error rather than a silent mismatch
-// of model ids.
+// Shared by `mix`, `fleet` (per-server world) and multi-model `elastic`:
+// the model list, shares, distributions, budget, and swap cost.  A
+// replayed trace's symbolic model names define the model list; an explicit
+// conflicting --models is an error rather than a silent mismatch of model
+// ids.
 core::MixConfig MixConfigFrom(
     const ArgParser& args,
-    const std::vector<std::string>* names_override = nullptr) {
+    const std::optional<workload::TraceDocument>& replay = std::nullopt) {
   std::vector<std::string> model_names;
-  if (names_override != nullptr) {
+  if (replay) {
     if (const auto flag = args.GetString("models")) {
-      if (SplitList(*flag) != *names_override) {
+      if (SplitList(*flag) != replay->models) {
         throw std::invalid_argument(
             "--models conflicts with the replayed trace's models[]; drop "
             "the flag or re-capture");
       }
     }
-    model_names = *names_override;
+    model_names = replay->models;
   } else {
     model_names = SplitList(args.GetString("models", "resnet,mobilenet"));
   }
   const auto shares = GetDoubleList(args, "shares", model_names.size());
   const auto medians = GetDoubleList(args, "medians", model_names.size());
-  const double default_median = args.GetDouble("median", 6.0);
 
   core::MixConfig mc;
+  for (const auto& name : model_names) mc.models.push_back({.model = name});
+  ApplyDistFlags(args, mc);
   for (std::size_t i = 0; i < model_names.size(); ++i) {
-    core::MixModelConfig m;
-    m.model = model_names[i];
-    m.share = shares.empty() ? 1.0 : shares[i];
-    m.dist_median = medians.empty() ? default_median : medians[i];
-    m.dist_sigma = args.GetDouble("sigma", m.dist_sigma);
-    mc.models.push_back(std::move(m));
+    if (!shares.empty()) mc.models[i].share = shares[i];
+    if (!medians.empty()) mc.models[i].dist_median = medians[i];
   }
-  const long long max_batch = args.GetInt("max-batch", 32);
-  if (max_batch < 1 || max_batch > 4096) {
-    throw std::invalid_argument(
-        "--max-batch: expected an integer in [1, 4096], got " +
-        std::to_string(max_batch));
-  }
-  mc.max_batch = static_cast<int>(max_batch);
-  mc.sla_n = args.GetDouble("sla-n", 1.5);
   mc.num_gpus = static_cast<int>(GetCount(args, "gpus", 8));
   mc.gpc_budget = static_cast<int>(GetCount(args, "budget", 48));
   mc.swap_cost_us = GetNonNegative(args, "swap-cost-us", 0.0);
@@ -357,10 +371,10 @@ struct ResolvedWorkload {
   std::string label;  // scenario name (or the replayed document's label)
 };
 
-// The one workload resolution `mix` and `fleet` share, so scenario options
-// apply identically to both (and to any standalone replay of a captured
-// fleet sub-trace).
-ResolvedWorkload ResolveMixWorkload(
+// The one workload resolution every testbed-driven subcommand shares, so
+// scenario options apply identically to all of them (and to any
+// standalone replay of a captured fleet sub-trace).
+ResolvedWorkload ResolveWorkload(
     const ArgParser& args, const core::MixTestbed& tb,
     const std::optional<workload::TraceDocument>& replay, double rate_qps,
     std::size_t num_queries, std::uint64_t seed) {
@@ -378,17 +392,23 @@ ResolvedWorkload ResolveMixWorkload(
 }
 
 int CmdProfile(const ArgParser& args) {
-  const core::Testbed tb(ConfigFrom(args));
-  tb.profile().SaveCsv(std::cout);
+  const core::MixTestbed tb(ConfigFrom(args));
+  tb.repertoire().profile(0).SaveCsv(std::cout);
   return 0;
 }
 
 int CmdPlan(const ArgParser& args) {
-  const core::Testbed tb(ConfigFrom(args));
-  const auto plan = tb.PlanParis();
-  std::cout << "model:      " << tb.config().model_name << "\n"
-            << "budget:     " << tb.table1().gpc_budget << " GPCs on "
-            << tb.table1().num_gpus << " GPUs\n"
+  const core::MixTestbed tb(ConfigFrom(args));
+  const core::MixConfig& config = tb.config();
+  const auto& profile = tb.repertoire().profile(0);
+  const auto& dist = *tb.mix().components[0].dist;
+  // PARIS itself rather than PlanMixed: a one-model mixed plan is the same
+  // layout, but only PARIS's own plan explains it with knees and ratios.
+  partition::ParisPartitioner paris(profile, dist, config.paris);
+  const auto plan = paris.Plan(tb.cluster(), config.gpc_budget);
+  std::cout << "model:      " << config.models[0].model << "\n"
+            << "budget:     " << config.gpc_budget << " GPCs on "
+            << config.num_gpus << " GPUs\n"
             << "sla:        " << TicksToMs(tb.sla_target()) << " ms\n"
             << "plan:       " << plan.Summary() << "\n"
             << "placement:  " << plan.layout.ToString() << "\n"
@@ -403,23 +423,12 @@ int CmdSimulate(const ArgParser& args) {
   GetJobs(args);
   CheckJsonSink(args);
   const auto replay = LoadReplayDoc(args);
-  core::TestbedConfig config = ConfigFrom(args);
-  if (replay) {
-    if (replay->models.size() != 1) {
-      throw std::invalid_argument(
-          "simulate replays single-model traces; the document carries " +
-          std::to_string(replay->models.size()) +
-          " models (use mix or fleet)");
-    }
-    if (const auto flag = args.GetString("model");
-        flag && *flag != replay->models[0]) {
-      throw std::invalid_argument(
-          "--model conflicts with the replayed trace's model '" +
-          replay->models[0] + "'");
-    }
-    config.model_name = replay->models[0];
+  if (replay && replay->models.size() != 1) {
+    throw std::invalid_argument(
+        "simulate replays single-model traces; the document carries " +
+        std::to_string(replay->models.size()) + " models (use mix or fleet)");
   }
-  const core::Testbed tb(std::move(config));
+  const core::MixTestbed tb(ConfigFrom(args, replay));
   const auto plan = PlanFrom(tb, args.GetString("design", "paris"));
   const auto kind = SchedulerFrom(args.GetString("scheduler", "elsa"));
 
@@ -433,23 +442,14 @@ int CmdSimulate(const ArgParser& args) {
     run.rate_qps = 0.85 * bound.qps;
     std::cerr << "auto rate: " << run.rate_qps << " qps\n";
   }
-
-  workload::QueryTrace trace;
-  std::string scenario_label;
-  if (replay) {
-    trace = replay->trace;
-    scenario_label = replay->scenario.empty() ? "replay" : replay->scenario;
-    run.rate_qps = trace.OfferedQps();
-  } else {
-    trace = ScenarioTraceFrom(args, tb.ScenarioFor(run.rate_qps),
-                              run.num_queries, run.seed);
-    scenario_label = ScenarioLabel(args);
-  }
-  MaybeCaptureTrace(args, trace, {tb.config().model_name}, scenario_label);
+  const auto workload = ResolveWorkload(args, tb, replay, run.rate_qps,
+                                        run.num_queries, run.seed);
+  if (replay) run.rate_qps = workload.trace.OfferedQps();
 
   auto scheduler = tb.MakeScheduler(kind);
-  const auto stats =
-      tb.RunTrace(plan, *scheduler, trace, run.seed).Stats(tb.sla_target());
+  const auto result =
+      tb.Run(plan.instance_gpcs, *scheduler, workload.trace, run.seed);
+  const auto stats = result.Stats(tb.sla_target());
 
   Table t({"metric", "value"});
   t.AddRow({"design", plan.Summary()});
@@ -470,10 +470,10 @@ int CmdSimulate(const ArgParser& args) {
   }
 
   core::Json data = core::Json::Object();
-  data.Set("model", tb.config().model_name);
+  data.Set("model", tb.config().models[0].model);
   data.Set("design", plan.Summary());
   data.Set("scheduler", core::ToString(kind));
-  data.Set("scenario", scenario_label);
+  data.Set("scenario", workload.label);
   data.Set("offered_qps", run.rate_qps);
   data.Set("achieved_qps", stats.achieved_qps);
   data.Set("mean_ms", stats.mean_latency_ms);
@@ -491,7 +491,7 @@ int CmdSimulate(const ArgParser& args) {
 int CmdSweep(const ArgParser& args) {
   const int jobs = GetJobs(args);
   CheckJsonSink(args);
-  const core::Testbed tb(ConfigFrom(args));
+  const core::MixTestbed tb(ConfigFrom(args));
   const double sla_ms = TicksToMs(tb.sla_target());
   core::SearchOptions search;
   search.num_queries = GetCount(args, "queries", 4000);
@@ -506,9 +506,10 @@ int CmdSweep(const ArgParser& args) {
   }
   specs.push_back({"Random+ELSA", tb.PlanRandom(), core::SchedulerKind::kElsa,
                    sched::ElsaParams{}});
-  specs.push_back({"PARIS+FIFS", tb.PlanParis(), core::SchedulerKind::kFifs,
+  const partition::PartitionPlan paris = tb.PlanMixed().plan;
+  specs.push_back({"PARIS+FIFS", paris, core::SchedulerKind::kFifs,
                    sched::ElsaParams{}});
-  specs.push_back({"PARIS+ELSA", tb.PlanParis(), core::SchedulerKind::kElsa,
+  specs.push_back({"PARIS+ELSA", paris, core::SchedulerKind::kElsa,
                    sched::ElsaParams{}});
 
   // The designs are independent probes; fan out across --jobs threads.
@@ -534,7 +535,7 @@ int CmdSweep(const ArgParser& args) {
   }
 
   core::Json data = core::Json::Object();
-  data.Set("model", tb.config().model_name);
+  data.Set("model", tb.config().models[0].model);
   data.Set("sla_ms", sla_ms);
   data.Set("baseline", specs.front().label);
   data.Set("designs", std::move(design_results));
@@ -569,28 +570,32 @@ online::ElasticConfig ElasticConfigFrom(const ArgParser& args,
   return econfig;
 }
 
-// The one elastic tail both forms share: a RepartitionController seeded
-// with `mix` (the provisioning guess; one component for a single model)
-// chases the live traffic of `trace` through one continuous
-// ElasticServerSim run on `tb`'s server, and the run is reported.  `Bed`
-// is a core::Testbed (one model) or a core::MixTestbed.
-template <typename Bed>
-int RunElastic(const ArgParser& args, const Bed& tb, int gpc_budget,
-               const workload::MixSpec& mix, SimTime swap_cost,
-               const workload::QueryTrace& trace, core::SchedulerKind kind,
-               std::uint64_t seed, double rate_qps,
-               const std::string& model_label,
-               const std::string& scenario_label) {
+// The elastic tail: a RepartitionController seeded with the testbed's
+// mix (the provisioning guess; one component for a single model) chases
+// the live traffic of `workload` through one continuous ElasticServerSim
+// run on `tb`'s server, and the run is reported.
+int RunElastic(const ArgParser& args, const core::MixTestbed& tb,
+               const ResolvedWorkload& workload, core::SchedulerKind kind,
+               std::uint64_t seed, double rate_qps) {
+  const workload::QueryTrace& trace = workload.trace;
   const std::size_t queries_per_epoch = QueriesPerEpoch(args, trace.size());
   const online::ElasticConfig econfig =
       ElasticConfigFrom(args, queries_per_epoch);
+  const core::MixConfig& config = tb.config();
   online::RepartitionController controller(tb.repertoire(), tb.cluster(),
-                                           gpc_budget, mix, tb.config().paris,
-                                           econfig);
+                                           config.gpc_budget, tb.mix(),
+                                           config.paris, econfig);
+  const SimTime swap_cost = UsToTicks(config.swap_cost_us);
   online::ElasticServerSim sim(
       controller, tb.repertoire(), [&] { return tb.MakeScheduler(kind); },
       tb.sla_target(), queries_per_epoch, seed, swap_cost);
   const auto result = sim.Run(trace);
+
+  std::string model_label;
+  for (const auto& name : tb.ModelNames()) {
+    if (!model_label.empty()) model_label += "+";
+    model_label += name;
+  }
 
   Table e({"epoch", "layout", "p95 ms", "viol. %", "stalled", "reconfig"});
   for (std::size_t i = 0; i < result.epochs.size(); ++i) {
@@ -605,7 +610,7 @@ int RunElastic(const ArgParser& args, const Bed& tb, int gpc_budget,
   Table t({"metric", "value"});
   t.AddRow({"model", model_label});
   t.AddRow({"scheduler", ToString(kind)});
-  t.AddRow({"scenario", scenario_label});
+  t.AddRow({"scenario", workload.label});
   t.AddRow({"offered qps", Table::Num(rate_qps, 1)});
   t.AddRow({"reconfigurations", Table::Int(result.reconfigurations)});
   t.AddRow({"stalled queries",
@@ -625,7 +630,7 @@ int RunElastic(const ArgParser& args, const Bed& tb, int gpc_budget,
   core::Json data = core::ToJson(result);
   data.Set("model", model_label);
   data.Set("scheduler", core::ToString(kind));
-  data.Set("scenario", scenario_label);
+  data.Set("scenario", workload.label);
   data.Set("offered_qps", rate_qps);
   data.Set("queries_per_epoch", static_cast<std::uint64_t>(queries_per_epoch));
   data.Set("drift_threshold", econfig.drift_threshold);
@@ -637,101 +642,55 @@ int RunElastic(const ArgParser& args, const Bed& tb, int gpc_budget,
   return 0;
 }
 
-// Multi-model elastic serving: the controller chases the live mix,
-// re-deriving per-model budgets from the live shares.  The designed demo
-// of the mix-drift machinery:
+// Elastic serving under drift.  A single model (--model, on its Table-I
+// server) replays the legacy day cycle unless a scenario or a replay is
+// given; a mix (--models, or a replayed multi-model capture) chases the
+// live shares, re-deriving per-model budgets.  The designed demo of the
+// mix-drift machinery:
 //   paris_elsa_cli elastic --models resnet,mobilenet --scenario mixdrift
-int CmdElasticMix(const ArgParser& args,
-                  const std::optional<workload::TraceDocument>& replay) {
-  const auto kind = SchedulerFrom(args.GetString("scheduler", "elsa"));
-  const auto seed = static_cast<std::uint64_t>(GetCount(args, "seed", 1));
-  const double rate_qps = args.GetDouble("rate", 300.0);
-  const std::size_t num_queries = GetCount(args, "queries", 12000);
-
-  const core::MixConfig mc =
-      MixConfigFrom(args, replay ? &replay->models : nullptr);
-  const core::MixTestbed tb(mc);
-  const auto workload =
-      ResolveMixWorkload(args, tb, replay, rate_qps, num_queries, seed);
-
-  std::string model_label;
-  for (const auto& name : tb.ModelNames()) {
-    if (!model_label.empty()) model_label += "+";
-    model_label += name;
-  }
-  return RunElastic(args, tb, mc.gpc_budget, tb.mix(),
-                    UsToTicks(mc.swap_cost_us), workload.trace, kind, seed,
-                    rate_qps, model_label, workload.label);
-}
-
 int CmdElastic(const ArgParser& args) {
   CheckJsonSink(args);
   const auto replay = LoadReplayDoc(args);
-  // Multi-model runs: an explicit --models list, or a replayed
-  // multi-model capture.
-  if (args.GetString("models") || (replay && replay->models.size() > 1)) {
-    return CmdElasticMix(args, replay);
-  }
-
-  core::TestbedConfig config = ConfigFrom(args);
-  if (replay) {
-    if (const auto flag = args.GetString("model");
-        flag && *flag != replay->models[0]) {
-      throw std::invalid_argument(
-          "--model conflicts with the replayed trace's model '" +
-          replay->models[0] + "'");
-    }
-    config.model_name = replay->models[0];
-  }
-  const core::Testbed tb(std::move(config));
   const auto kind = SchedulerFrom(args.GetString("scheduler", "elsa"));
-
-  const std::size_t num_queries = GetCount(args, "queries", 12000);
-  const double drift_median = args.GetDouble("drift-median", 18.0);
   const auto seed = static_cast<std::uint64_t>(GetCount(args, "seed", 1));
   const double rate_qps = args.GetDouble("rate", 300.0);
-  const auto& cfg = tb.config();
+  const std::size_t num_queries = GetCount(args, "queries", 12000);
 
-  workload::QueryTrace trace;
-  std::string scenario_label;
-  if (replay) {
-    trace = replay->trace;
-    scenario_label = replay->scenario.empty() ? "replay" : replay->scenario;
-  } else if (args.GetString("scenario")) {
-    trace = ScenarioTraceFrom(args, tb.ScenarioFor(rate_qps), num_queries,
-                              seed);
-    scenario_label = ScenarioLabel(args);
-  } else {
-    // Legacy day-cycle drift: base-median phase, drifted-median phase, and
-    // back (batch-size drift; a single model's share cannot drift).
-    workload::LogNormalBatchDist base(cfg.dist_median, cfg.dist_sigma,
-                                      cfg.max_batch);
-    workload::LogNormalBatchDist drifted(drift_median, cfg.dist_sigma,
-                                         cfg.max_batch);
-    workload::PoissonArrivals arrivals(rate_qps);
-    Rng rng(seed);
-    const std::size_t third = num_queries / 3;
-    workload::PhasedTraceSource day_cycle(
-        arrivals,
-        {{&base, third}, {&drifted, third}, {&base, num_queries - 2 * third}});
-    trace = workload::Take(day_cycle, num_queries, rng);
-    scenario_label = "drift-phases";
+  const bool multi_model =
+      args.GetString("models") || (replay && replay->models.size() > 1);
+  const core::MixConfig config =
+      multi_model ? MixConfigFrom(args, replay) : ConfigFrom(args, replay);
+  const core::MixTestbed tb(config);
+  if (multi_model || replay || args.GetString("scenario")) {
+    const auto workload =
+        ResolveWorkload(args, tb, replay, rate_qps, num_queries, seed);
+    return RunElastic(args, tb, workload, kind, seed, rate_qps);
   }
-  MaybeCaptureTrace(args, trace, {cfg.model_name}, scenario_label);
-
-  // The one model, provisioned for the configured batch distribution.
-  workload::MixSpec mix;
-  mix.components.push_back({0, 1.0, &tb.dist()});
-  return RunElastic(args, tb, tb.table1().gpc_budget, mix, /*swap_cost=*/0,
-                    trace, kind, seed, rate_qps, cfg.model_name,
-                    scenario_label);
+  // Legacy day-cycle drift: base-median phase, drifted-median phase, and
+  // back (batch-size drift; a single model's share cannot drift).
+  const core::MixModelConfig& m = config.models[0];
+  const int max_batch = config.max_batch;
+  const double drift_median = args.GetDouble("drift-median", 18.0);
+  workload::LogNormalBatchDist base(m.dist_median, m.dist_sigma, max_batch);
+  workload::LogNormalBatchDist drifted(drift_median, m.dist_sigma, max_batch);
+  workload::PoissonArrivals arrivals(rate_qps);
+  Rng rng(seed);
+  const std::size_t third = num_queries / 3;
+  workload::PhasedTraceSource day_cycle(
+      arrivals,
+      {{&base, third}, {&drifted, third}, {&base, num_queries - 2 * third}});
+  ResolvedWorkload workload;
+  workload.trace = workload::Take(day_cycle, num_queries, rng);
+  workload.label = "drift-phases";
+  MaybeCaptureTrace(args, workload.trace, tb.ModelNames(), workload.label);
+  return RunElastic(args, tb, workload, kind, seed, rate_qps);
 }
 
 int CmdMix(const ArgParser& args) {
   CheckJsonSink(args);
   const auto replay = LoadReplayDoc(args);
   const core::MixConfig mc =
-      MixConfigFrom(args, replay ? &replay->models : nullptr);
+      MixConfigFrom(args, replay);
   const core::MixTestbed tb(mc);
   const auto kind = SchedulerFrom(args.GetString("scheduler", "elsa"));
   const double rate_qps = args.GetDouble("rate", 300.0);
@@ -740,7 +699,7 @@ int CmdMix(const ArgParser& args) {
 
   const auto mixed = tb.PlanMixed();
   const auto workload =
-      ResolveMixWorkload(args, tb, replay, rate_qps, num_queries, seed);
+      ResolveWorkload(args, tb, replay, rate_qps, num_queries, seed);
   const auto& trace = workload.trace;
   auto scheduler = tb.MakeScheduler(kind);
   const auto result =
@@ -811,7 +770,7 @@ int CmdFleet(const ArgParser& args) {
   const auto replay = LoadReplayDoc(args);
 
   core::FleetTestbedConfig fc;
-  fc.mix = MixConfigFrom(args, replay ? &replay->models : nullptr);
+  fc.mix = MixConfigFrom(args, replay);
   fc.num_servers = static_cast<int>(GetCount(args, "servers", 4));
   if (fc.num_servers < 1) {
     throw std::invalid_argument("--servers: expected >= 1");
@@ -840,7 +799,7 @@ int CmdFleet(const ArgParser& args) {
       args.GetDouble("rate", 300.0 * static_cast<double>(fc.num_servers));
   const std::size_t num_queries = GetCount(args, "queries", 100000);
   const auto workload =
-      ResolveMixWorkload(args, tb.mix(), replay, rate_qps, num_queries, seed);
+      ResolveWorkload(args, tb.mix(), replay, rate_qps, num_queries, seed);
   const auto& trace = workload.trace;
   if (replay) rate_qps = trace.OfferedQps();
   // --faults NAME[:k=v,...] runs the fault-tolerant driver; "none" (or no
@@ -925,7 +884,11 @@ int CmdFleet(const ArgParser& args) {
 
 int CmdTrace(const ArgParser& args) {
   const auto replay = LoadReplayDoc(args);
-  const auto config = ConfigFrom(args);
+  // No testbed: any zoo model traces, whether Table I lists it or not.
+  core::MixConfig config;
+  config.models.push_back({.model = args.GetString("model", "resnet")});
+  ApplyDistFlags(args, config);
+  const core::MixModelConfig& m = config.models[0];
   const auto seed = static_cast<std::uint64_t>(GetCount(args, "seed", 1));
 
   workload::QueryTrace trace;
@@ -941,13 +904,13 @@ int CmdTrace(const ArgParser& args) {
     spec.rate.base_qps = args.GetDouble("rate", 100.0);
     spec.max_batch = config.max_batch;
     workload::ComponentSpec c;
-    c.model_name = config.model_name;
-    c.median = config.dist_median;
-    c.sigma = config.dist_sigma;
+    c.model_name = m.model;
+    c.median = m.dist_median;
+    c.sigma = m.dist_sigma;
     spec.components.push_back(std::move(c));
     trace = ScenarioTraceFrom(args, std::move(spec),
                               GetCount(args, "queries", 10000), seed);
-    models = {config.model_name};
+    models = {m.model};
     scenario_label = ScenarioLabel(args);
   }
   MaybeCaptureTrace(args, trace, std::move(models), scenario_label);
