@@ -16,31 +16,11 @@ std::uint64_t SplitMix64(std::uint64_t& x) {
   return z;
 }
 
-std::uint64_t Rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t s = seed;
   for (auto& w : state_) w = SplitMix64(s);
-}
-
-std::uint64_t Rng::NextU64() {
-  const std::uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::Uniform(double lo, double hi) {
@@ -54,21 +34,9 @@ UniformIntRange::UniformIntRange(std::int64_t lo, std::int64_t hi) {
   span_ = static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
   // Rejection sampling to avoid modulo bias.
   limit_ = span_ == 0 ? 0 : UINT64_MAX - UINT64_MAX % span_;
-}
-
-std::int64_t Rng::UniformInt(const UniformIntRange& range) {
-  if (range.span_ == 0) return static_cast<std::int64_t>(NextU64());
-  std::uint64_t draw;
-  do {
-    draw = NextU64();
-  } while (draw >= range.limit_);
-  return range.lo_ + static_cast<std::int64_t>(draw % range.span_);
-}
-
-double Rng::Exponential(double rate) {
-  assert(rate > 0.0);
-  // 1 - u is in (0, 1], so the log is finite.
-  return -std::log(1.0 - NextDouble()) / rate;
+  // ~0 / span + 1 is ceil(2^128 / span), wrapping to 0 for span 1 (whose
+  // remainder is 0 anyway).
+  if (span_ != 0 && span_ >> 32 == 0) mod_mul_ = ~U128{0} / span_ + 1;
 }
 
 double Rng::Normal() {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 namespace pe {
 
@@ -35,6 +36,31 @@ constexpr SimTime UsToTicks(double us) {
 constexpr SimTime SecToTicks(double sec) {
   return static_cast<SimTime>(sec * static_cast<double>(kNsPerSec) +
                               (sec >= 0 ? 0.5 : -0.5));
+}
+
+// Checked tick arithmetic, for durations and instants that come from user
+// input or from a random draw: a double-to-int64 cast at or past 2^63 and
+// a signed overflow are both undefined behaviour, so these report "does
+// not fit" instead.
+
+// 2^63 ns, the first tick count SimTime cannot hold.
+inline constexpr double kTickLimit = 9223372036854775808.0;
+
+// `amount` units of `unit_ticks` ns each, rounded to the nearest tick as
+// MsToTicks/UsToTicks/SecToTicks round, or nullopt when `amount` is
+// negative, NaN, or too large for SimTime.
+constexpr std::optional<SimTime> CheckedTicks(double amount,
+                                              SimTime unit_ticks) {
+  const double ticks = amount * static_cast<double>(unit_ticks) + 0.5;
+  if (!(amount >= 0.0) || !(ticks < kTickLimit)) return std::nullopt;
+  return static_cast<SimTime>(ticks);
+}
+
+// `at + delay`, or nullopt when the sum overflows SimTime.
+constexpr std::optional<SimTime> CheckedAdd(SimTime at, SimTime delay) {
+  SimTime sum = 0;
+  if (__builtin_add_overflow(at, delay, &sum)) return std::nullopt;
+  return sum;
 }
 
 // Converts SimTime ticks to milliseconds.

@@ -51,14 +51,13 @@ int ParseInt(const std::string& key, const std::string& val) {
 
 // The `-ms` keys: a duration whose tick count must fit SimTime.
 SimTime ParseMs(const std::string& key, const std::string& val) {
-  const double ms = ParseNumber(key, val);
-  // 2^63 ns, the first tick count SimTime cannot hold.
-  constexpr double kTickLimit = 9223372036854775808.0;
-  if (ms * static_cast<double>(kNsPerMs) + 0.5 >= kTickLimit) {
+  const std::optional<SimTime> ticks =
+      CheckedTicks(ParseNumber(key, val), kNsPerMs);
+  if (!ticks) {
     throw std::invalid_argument("faults: '" + key +
                                 "' overflows the tick clock: '" + val + "'");
   }
-  return MsToTicks(ms);
+  return *ticks;
 }
 
 // The overrides shared by every preset; unset keys keep each preset's
@@ -112,10 +111,11 @@ Overrides CollectOverrides(const FaultOptions& opts) {
 
 // `at + delay` for a preset's event times; throws instead of overflowing.
 SimTime Later(SimTime at, SimTime delay) {
-  if (delay > std::numeric_limits<SimTime>::max() - at) {
+  const std::optional<SimTime> t = CheckedAdd(at, delay);
+  if (!t) {
     throw std::invalid_argument("faults: event time overflows the tick clock");
   }
-  return at + delay;
+  return *t;
 }
 
 // `count` distinct server ids, ascending, drawn without replacement.

@@ -1,6 +1,7 @@
 #include "fleet/router.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <string>
 
@@ -62,10 +63,11 @@ std::vector<ReplicaRef> CacheReplicas(const PlacementMap& placement) {
 class BacklogModel {
  public:
   BacklogModel(const PlacementMap& placement,
-               const profile::ModelRepertoire* repertoire)
-      : repertoire_(repertoire) {
-    gpcs_.reserve(placement.num_servers());
+               const profile::ModelRepertoire* repertoire) {
+    std::vector<int> class_gpcs;
+    std::vector<int> class_lanes;
     lanes_.reserve(placement.num_servers());
+    class_of_.reserve(placement.num_servers());
     for (const ServerPlacement& sp : placement.servers()) {
       // Layout may be unfilled when the router runs standalone (tests);
       // treat the whole budget as one lane then.
@@ -76,43 +78,75 @@ class BacklogModel {
                                      sp.partition_gpcs.end());
         lanes = static_cast<int>(sp.partition_gpcs.size());
       }
-      gpcs_.push_back(max_gpcs);
-      lanes_.push_back(lanes);
-    }
-    // Servers sharing a (largest partition, lane count) pair see identical
-    // costs for any (model, batch); the memo below caches per such class,
-    // not per server, so a 100-server homogeneous fleet shares one table.
-    class_of_.reserve(gpcs_.size());
-    for (std::size_t s = 0; s < gpcs_.size(); ++s) {
-      const std::pair<int, int> key{gpcs_[s], lanes_[s]};
+      // Servers sharing a (largest partition, lane count) pair see
+      // identical costs for any (model, batch), so the cost table below
+      // is per such class, not per server: a 100-server homogeneous fleet
+      // shares one.
       std::size_t id = 0;
-      while (id < classes_.size() && classes_[id] != key) ++id;
-      if (id == classes_.size()) classes_.push_back(key);
+      while (id < class_gpcs.size() &&
+             (class_gpcs[id] != max_gpcs || class_lanes[id] != lanes)) {
+        ++id;
+      }
+      if (id == class_gpcs.size()) {
+        class_gpcs.push_back(max_gpcs);
+        class_lanes.push_back(lanes);
+      }
+      lanes_.push_back(lanes);
       class_of_.push_back(id);
+    }
+    // The profiled service estimate over the lanes, for every (class,
+    // repertoire model, batch in [0, the repertoire's largest]).  A batch
+    // above the largest is charged as the largest, and a negative one as
+    // 0: the profile snaps 0 and every negative batch to its smallest.
+    if (repertoire != nullptr) {
+      models_ = static_cast<std::size_t>(repertoire->size());
+      max_batch_ = repertoire->max_batch();
+    }
+    const auto stride = static_cast<std::size_t>(max_batch_) + 1;
+    cost_.resize(class_gpcs.size() * models_ * stride);
+    for (std::size_t c = 0; c < class_gpcs.size(); ++c) {
+      for (std::size_t m = 0; m < models_; ++m) {
+        double* row = &cost_[(c * models_ + m) * stride];
+        for (int b = 0; b <= max_batch_; ++b) {
+          row[b] = repertoire->EstimateSec(static_cast<int>(m),
+                                           class_gpcs[c], b) /
+                   static_cast<double>(class_lanes[c]);
+        }
+      }
     }
     Reset();
   }
 
-  void Reset() { free_at_.assign(gpcs_.size(), 0.0); }
+  void Reset() { free_at_.assign(lanes_.size(), 0.0); }
 
-  double BacklogSec(int server, double now_sec) const {
-    return std::max(0.0, free_at_[static_cast<size_t>(server)] - now_sec);
+  // The backlog max(0, free_at - now) in seconds, as the bits of the
+  // double.  The clocks and `now_sec` are finite, so the difference is
+  // never NaN and a negative one (or -0) maps to +0: the bits of a
+  // non-negative double order like its value, and the policies compare
+  // backlogs as integers, which compiles to flag and mask arithmetic
+  // rather than branches on the data.
+  std::uint64_t Backlog(int server, double now_sec) const {
+    const auto diff = std::bit_cast<std::uint64_t>(
+        free_at_[static_cast<size_t>(server)] - now_sec);
+    return diff & ((diff >> 63) - 1);  // sign bit set -> +0
   }
 
   // Advances `server`'s free-at clock past `now_sec` by the query's cost.
   void Charge(int server, const workload::Query& query, double now_sec) {
     double& free_at = free_at_[static_cast<size_t>(server)];
-    free_at = std::max(free_at, now_sec) + MemoCostSec(server, query);
+    free_at = std::max(free_at, now_sec) + CostSec(server, query);
   }
 
  private:
-  // Profiled service estimate over the server's lanes.
   double CostSec(int server, const workload::Query& query) const {
     const auto s = static_cast<size_t>(server);
-    if (repertoire_ != nullptr && repertoire_->Has(query.model_id)) {
-      const int batch = std::min(query.batch, repertoire_->max_batch());
-      return repertoire_->EstimateSec(query.model_id, gpcs_[s], batch) /
-             static_cast<double>(lanes_[s]);
+    const auto m = static_cast<std::size_t>(
+        static_cast<std::uint32_t>(query.model_id));
+    if (m < models_) {
+      const auto stride = static_cast<std::size_t>(max_batch_) + 1;
+      const auto b =
+          static_cast<std::size_t>(std::clamp(query.batch, 0, max_batch_));
+      return cost_[(class_of_[s] * models_ + m) * stride + b];
     }
     // No profile surface: a nominal 1 ms per batch item keeps the policy
     // deterministic and batch-aware, just not model-weighted.
@@ -120,42 +154,13 @@ class BacklogModel {
            static_cast<double>(lanes_[s]);
   }
 
-  // CostSec memoized per (server class, model, clamped batch): the table
-  // stores the already-divided CostSec value, so the std::map profile
-  // lookup happens once per distinct key.
-  double MemoCostSec(int server, const workload::Query& query) {
-    if (repertoire_ == nullptr || !repertoire_->Has(query.model_id) ||
-        query.batch < 0) {
-      return CostSec(server, query);
-    }
-    const int batch = std::min(query.batch, repertoire_->max_batch());
-    const auto s = static_cast<size_t>(server);
-    const std::size_t cls = class_of_[s];
-    if (memo_.empty()) {
-      memo_.assign(classes_.size(), {});
-    }
-    std::vector<double>& table = memo_[cls];
-    const auto stride = static_cast<std::size_t>(repertoire_->max_batch()) + 1;
-    if (table.empty()) {
-      table.assign(static_cast<std::size_t>(repertoire_->size()) * stride,
-                   -1.0);
-    }
-    double& slot = table[static_cast<std::size_t>(query.model_id) * stride +
-                         static_cast<std::size_t>(batch)];
-    if (slot < 0.0) {
-      slot = repertoire_->EstimateSec(query.model_id, gpcs_[s], batch) /
-             static_cast<double>(lanes_[s]);
-    }
-    return slot;
-  }
-
-  const profile::ModelRepertoire* repertoire_;
-  std::vector<int> gpcs_;   // largest partition per server
-  std::vector<int> lanes_;  // worker count per server
+  std::vector<int> lanes_;             // worker count per server
+  std::vector<std::size_t> class_of_;  // server -> cost class
+  std::size_t models_ = 0;             // profiled models (0: no repertoire)
+  int max_batch_ = 0;                  // largest tabled batch
+  // [class][model][batch] -> seconds of backlog one query adds.
+  std::vector<double> cost_;
   std::vector<double> free_at_;
-  std::vector<std::pair<int, int>> classes_;  // distinct (gpcs, lanes)
-  std::vector<std::size_t> class_of_;         // server -> class index
-  std::vector<std::vector<double>> memo_;     // class -> cost table
 };
 
 class HashRouter final : public Router {
@@ -251,9 +256,9 @@ class LeastLoadedRouter final : public Router {
       const ReplicaRef& r = reps[static_cast<std::size_t>(q.model_id)];
       const double now = TicksToSec(q.arrival);
       int best = r.data[0];
-      double best_backlog = backlog_.BacklogSec(best, now);
+      std::uint64_t best_backlog = backlog_.Backlog(best, now);
       for (std::uint32_t k = 1; k < r.size; ++k) {
-        const double b = backlog_.BacklogSec(r.data[k], now);
+        const std::uint64_t b = backlog_.Backlog(r.data[k], now);
         // Strict < : ties break toward the lowest server id (reps ascend).
         if (b < best_backlog) {
           best = r.data[k];
@@ -310,23 +315,21 @@ class PowerOfTwoRouter final : public Router {
       const auto m = static_cast<std::size_t>(q.model_id);
       const ReplicaRef& r = reps[m];
       const double now = TicksToSec(q.arrival);
-      int choice;
-      if (r.size == 1) {
-        choice = r.data[0];
-      } else {
+      int choice = r.data[0];
+      if (r.size > 1) {
         // Two distinct candidates from the router's own stream.
         const auto a = static_cast<std::size_t>(rng_.UniformInt(first[m]));
         auto b = static_cast<std::size_t>(rng_.UniformInt(second[m]));
-        if (b >= a) ++b;
-        const double backlog_a = backlog_.BacklogSec(r.data[a], now);
-        const double backlog_b = backlog_.BacklogSec(r.data[b], now);
-        if (backlog_a < backlog_b) {
-          choice = r.data[a];
-        } else if (backlog_b < backlog_a) {
-          choice = r.data[b];
-        } else {
-          choice = std::min(r.data[a], r.data[b]);  // tie: lowest id
-        }
+        b += b >= a ? 1 : 0;
+        const int server_a = r.data[a];
+        const int server_b = r.data[b];
+        // The smaller backlog wins and a tie goes to the lower id, as one
+        // masked select with no branch on the data.
+        const std::uint64_t backlog_a = backlog_.Backlog(server_a, now);
+        const std::uint64_t backlog_b = backlog_.Backlog(server_b, now);
+        const int take_a = (backlog_a < backlog_b) |
+                           ((backlog_a == backlog_b) & (server_a < server_b));
+        choice = server_b ^ ((server_a ^ server_b) & -take_a);
       }
       backlog_.Charge(choice, q, now);
       out[i] = choice;

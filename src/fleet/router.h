@@ -29,9 +29,18 @@
 //
 // Each policy has exactly one routing loop, behind RouteAll(): a whole
 // trace per call (no virtual dispatch per query, replica sets resolved
-// once per model, profiled backlog charges memoized per (model,
-// server-class, batch)).  Checked-in assignment digests pin every
-// policy's decisions (tests/fleet_router_test.cc).
+// once per model, profiled backlog charges read from a dense (server
+// class, model, batch) table filled at construction).  The loops are
+// exact restatements of the plain rules:
+//  * a backlog max(0, free_at - now) is never NaN or -0, so comparing
+//    the bits of the doubles as integers orders them like the values;
+//  * po2c keeps the smaller backlog and, on a tie, the lower server id,
+//    computed as one masked select instead of branches;
+//  * po2c's candidate draws are Rng::UniformInt over precomputed ranges,
+//    whose remainder is computed by multiplication (common/rng.h) and
+//    equals draw % span.
+// Checked-in assignment digests pin every policy's decisions, including
+// replica sets of 10 and 50 servers (tests/fleet_router_test.cc).
 #pragma once
 
 #include <cstdint>
@@ -79,10 +88,13 @@ class Router {
 // router).  Replica sets are re-read on every RouteAll call; the
 // load-aware policies read each server's layout geometry (largest
 // partition, lane count) once, here.  `repertoire` (borrowed, may be
-// null) supplies the profiled service estimates for the backlog model;
-// without it the backlog charge falls back to a nominal per-batch-item
-// cost, which preserves determinism but not model-specific weighting.
-// `seed` feeds po2c's candidate draws; hash and least-loaded are RNG-free.
+// null) supplies the profiled service estimates for the backlog model,
+// which the load-aware policies table here for every server class,
+// repertoire model and batch (a profile with no entry for a class's
+// largest partition throws std::out_of_range here); without it the
+// backlog charge falls back to a nominal per-batch-item cost, which
+// preserves determinism but not model-specific weighting.  `seed` feeds
+// po2c's candidate draws; hash and least-loaded are RNG-free.
 std::unique_ptr<Router> MakeRouter(RouterPolicy policy,
                                    const PlacementMap& placement,
                                    const profile::ModelRepertoire* repertoire,

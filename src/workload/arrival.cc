@@ -1,6 +1,5 @@
 #include "workload/arrival.h"
 
-#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -15,9 +14,11 @@ PoissonArrivals::PoissonArrivals(double rate_qps) : rate_qps_(rate_qps) {
   }
 }
 
-SimTime PoissonArrivals::NextGap(Rng& rng) {
-  const double gap_sec = rng.Exponential(rate_qps_);
-  return std::max<SimTime>(1, SecToTicks(gap_sec));
+void ThrowClockOverflow(const char* what, const char* quantity, double rate) {
+  std::ostringstream oss;
+  oss << what << ": " << quantity
+      << " overflows the tick clock (2^63 ns) at rate " << rate << "/s";
+  throw std::overflow_error(oss.str());
 }
 
 std::string PoissonArrivals::Describe() const {

@@ -1,7 +1,6 @@
 #include "workload/batch_dist.h"
 
-#include <algorithm>
-#include <cassert>
+#include <bit>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -24,14 +23,25 @@ std::vector<double> BuildCdf(const std::vector<double>& pmf) {
   return cdf;
 }
 
-int SampleFromCdf(const std::vector<double>& cdf, Rng& rng) {
-  const double u = rng.NextDouble();
-  // First index with cdf >= u; index 0 is unused (cdf[0] == 0).
-  const auto it = std::lower_bound(cdf.begin() + 1, cdf.end(), u);
-  return static_cast<int>(it - cdf.begin());
-}
-
 }  // namespace
+
+GuideTableSampler::GuideTableSampler(const std::vector<double>& pmf)
+    : cdf_(BuildCdf(pmf)) {
+  if (cdf_.size() < 2) {
+    throw std::invalid_argument("GuideTableSampler: no batch sizes");
+  }
+  // About two cells per batch size keeps the expected walk under one
+  // step (Chen & Asau); the table stays a few hundred bytes.
+  const std::size_t cells = std::bit_ceil(2 * (cdf_.size() - 1));
+  guide_scale_ = static_cast<double>(cells);
+  guide_.resize(cells);
+  std::size_t b = 1;
+  for (std::size_t g = 0; g < cells; ++g) {
+    const double edge = static_cast<double>(g) / guide_scale_;
+    while (cdf_[b] < edge) ++b;
+    guide_[g] = static_cast<std::uint32_t>(b);
+  }
+}
 
 std::vector<double> BatchDistribution::PdfVector() const {
   std::vector<double> v(static_cast<std::size_t>(max_batch()) + 1, 0.0);
@@ -51,35 +61,35 @@ LogNormalBatchDist::LogNormalBatchDist(double median, double sigma,
                                        int max_batch)
     : median_(median),
       sigma_(sigma),
-      mu_(std::log(median)),
-      max_batch_(max_batch) {
+      max_batch_(max_batch),
+      pmf_(BuildPmf(median, sigma, max_batch)),
+      sampler_(pmf_) {}
+
+std::vector<double> LogNormalBatchDist::BuildPmf(double median, double sigma,
+                                                 int max_batch) {
   if (median <= 0.0 || sigma <= 0.0 || max_batch < 1) {
     throw std::invalid_argument("LogNormalBatchDist: invalid parameters");
   }
+  const double mu = std::log(median);
   // Exact mass of the rounded-and-clamped continuous distribution:
   //   P(b) = Phi((ln(b+0.5)-mu)/sigma) - Phi((ln(b-0.5)-mu)/sigma)
   // with the lower tail folded into b=1 and the upper tail into max_batch.
-  pmf_.assign(static_cast<std::size_t>(max_batch_) + 1, 0.0);
+  std::vector<double> pmf(static_cast<std::size_t>(max_batch) + 1, 0.0);
   double total = 0.0;
-  for (int b = 1; b <= max_batch_; ++b) {
-    const double hi = (b == max_batch_)
-                          ? 1.0
-                          : Phi((std::log(b + 0.5) - mu_) / sigma_);
-    const double lo = (b == 1) ? 0.0 : Phi((std::log(b - 0.5) - mu_) / sigma_);
-    pmf_[static_cast<std::size_t>(b)] = hi - lo;
+  for (int b = 1; b <= max_batch; ++b) {
+    const double hi =
+        (b == max_batch) ? 1.0 : Phi((std::log(b + 0.5) - mu) / sigma);
+    const double lo = (b == 1) ? 0.0 : Phi((std::log(b - 0.5) - mu) / sigma);
+    pmf[static_cast<std::size_t>(b)] = hi - lo;
     total += hi - lo;
   }
-  for (auto& p : pmf_) p /= total;
-  cdf_ = BuildCdf(pmf_);
+  for (auto& p : pmf) p /= total;
+  return pmf;
 }
 
 double LogNormalBatchDist::Pdf(int b) const {
   if (b < 1 || b > max_batch_) return 0.0;
   return pmf_[static_cast<std::size_t>(b)];
-}
-
-int LogNormalBatchDist::Sample(Rng& rng) const {
-  return SampleFromCdf(cdf_, rng);
 }
 
 std::string LogNormalBatchDist::Describe() const {
@@ -102,7 +112,11 @@ std::string FixedBatchDist::Describe() const {
   return "fixed(batch=" + std::to_string(batch_) + ")";
 }
 
-EmpiricalBatchDist::EmpiricalBatchDist(std::vector<double> weights) {
+EmpiricalBatchDist::EmpiricalBatchDist(std::vector<double> weights)
+    : pmf_(BuildPmf(weights)), sampler_(pmf_) {}
+
+std::vector<double> EmpiricalBatchDist::BuildPmf(
+    const std::vector<double>& weights) {
   if (weights.empty()) {
     throw std::invalid_argument("EmpiricalBatchDist: empty weights");
   }
@@ -116,11 +130,11 @@ EmpiricalBatchDist::EmpiricalBatchDist(std::vector<double> weights) {
   if (total <= 0.0) {
     throw std::invalid_argument("EmpiricalBatchDist: zero total weight");
   }
-  pmf_.assign(weights.size() + 1, 0.0);
+  std::vector<double> pmf(weights.size() + 1, 0.0);
   for (std::size_t i = 0; i < weights.size(); ++i) {
-    pmf_[i + 1] = weights[i] / total;
+    pmf[i + 1] = weights[i] / total;
   }
-  cdf_ = BuildCdf(pmf_);
+  return pmf;
 }
 
 int EmpiricalBatchDist::max_batch() const {
@@ -130,10 +144,6 @@ int EmpiricalBatchDist::max_batch() const {
 double EmpiricalBatchDist::Pdf(int b) const {
   if (b < 1 || b >= static_cast<int>(pmf_.size())) return 0.0;
   return pmf_[static_cast<std::size_t>(b)];
-}
-
-int EmpiricalBatchDist::Sample(Rng& rng) const {
-  return SampleFromCdf(cdf_, rng);
 }
 
 std::string EmpiricalBatchDist::Describe() const {

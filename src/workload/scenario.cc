@@ -50,7 +50,7 @@ ArrivalTraceSource::ArrivalTraceSource(PoissonArrivals& arrivals,
     : arrivals_(arrivals), dist_(dist) {}
 
 std::optional<Query> ArrivalTraceSource::Next(Rng& rng) {
-  now_ += arrivals_.NextGap(rng);
+  now_ = arrivals_.Advance(now_, rng);
   Query q;
   q.id = id_++;
   q.arrival = now_;
@@ -83,7 +83,7 @@ std::optional<Query> PhasedTraceSource::Next(Rng& rng) {
     in_phase_ = 0;
   }
   ++in_phase_;
-  now_ += arrivals_.NextGap(rng);
+  now_ = arrivals_.Advance(now_, rng);
   Query q;
   q.id = id_++;
   q.arrival = now_;
@@ -106,7 +106,7 @@ MixTraceSource::MixTraceSource(PoissonArrivals& arrivals, const MixSpec& mix)
 }
 
 std::optional<Query> MixTraceSource::Next(Rng& rng) {
-  now_ += arrivals_.NextGap(rng);
+  now_ = arrivals_.Advance(now_, rng);
   // Single-component mixes skip the model-selection draw so the degenerate
   // one-model case stays bit-identical to the ArrivalTraceSource stream.
   std::size_t k = 0;
@@ -236,6 +236,9 @@ void ScenarioSpec::Validate() const {
   if (burst.rate_per_sec < 0.0) fail("burst rate must be >= 0");
   if (burst.rate_per_sec > 0.0) {
     if (!(burst.duration_sec > 0.0)) fail("burst duration must be positive");
+    if (!CheckedTicks(burst.duration_sec, kNsPerSec)) {
+      fail("burst duration overflows the tick clock");
+    }
     if (!(burst.share > 0.0 && burst.share <= 1.0)) {
       fail("burst share must be in (0, 1]");
     }
@@ -265,30 +268,31 @@ ScenarioTraceSource::ScenarioTraceSource(ScenarioSpec spec)
   spec_.Validate();
   dists_.reserve(spec_.components.size());
   for (const auto& c : spec_.components) {
-    std::vector<std::unique_ptr<BatchDistribution>> steps;
+    std::vector<LogNormalBatchDist> steps;
     if (c.end_sigma < 0.0) {
-      steps.push_back(std::make_unique<LogNormalBatchDist>(c.median, c.sigma,
-                                                           spec_.max_batch));
+      steps.emplace_back(c.median, c.sigma, spec_.max_batch);
     } else {
       // Discretized sigma drift: step s covers frac in [s/N, (s+1)/N).
+      clock_sec_ = true;
       for (int s = 0; s < spec_.sigma_steps; ++s) {
         const double frac =
             static_cast<double>(s) / static_cast<double>(spec_.sigma_steps - 1);
         const double sigma = c.sigma + frac * (c.end_sigma - c.sigma);
-        steps.push_back(std::make_unique<LogNormalBatchDist>(c.median, sigma,
-                                                             spec_.max_batch));
+        steps.emplace_back(c.median, sigma, spec_.max_batch);
       }
     }
     dists_.push_back(std::move(steps));
     if (c.end_weight >= 0.0 && c.end_weight != c.weight) static_mix_ = false;
   }
-  if (spec_.burst.rate_per_sec > 0.0 && spec_.components.size() > 1) {
-    static_mix_ = false;
-  }
+  constant_rate_ = spec_.rate.shape == RateShape::kConstant;
+  bursts_ = spec_.burst.rate_per_sec > 0.0 && spec_.components.size() > 1;
+  if (bursts_) static_mix_ = false;
+  if (!static_mix_) clock_sec_ = true;
   // Static mixes pay the normalization once, in exactly the
   // MixSpec::NormalizedShares arithmetic (bit-identity with the legacy
   // generator depends on it).
   weights_.resize(spec_.components.size(), 0.0);
+  thresholds_.resize(spec_.components.size(), 0.0);
   if (static_mix_) EffectiveWeights(0.0, /*in_burst=*/false, 0);
 }
 
@@ -316,58 +320,74 @@ void ScenarioTraceSource::EffectiveWeights(double t_sec, bool in_burst,
       if (static_cast<int>(j) == burst_model) weights_[j] += spec_.burst.share;
     }
   }
+  double acc = 0.0;
+  for (std::size_t j = 0; j < weights_.size(); ++j) {
+    acc += weights_[j];
+    thresholds_[j] = acc;
+  }
 }
 
-std::optional<Query> ScenarioTraceSource::Next(Rng& rng) {
+std::size_t ScenarioTraceSource::PickModel(double u) const {
+  // The first component whose running weight exceeds u, else the last.
+  // The running sums of non-negative weights never decrease, so that is
+  // the number of thresholds at or below u (the last one not counted).
+  std::size_t k = 0;
+  for (std::size_t j = 0; j + 1 < thresholds_.size(); ++j) {
+    k += thresholds_[j] <= u ? 1 : 0;
+  }
+  return k;
+}
+
+void ScenarioTraceSource::AdvanceBursts(Rng& rng) {
+  const double rate = spec_.burst.rate_per_sec;
+  if (!burst_clock_started_) {
+    burst_clock_started_ = true;
+    next_burst_at_ = ExponentialGap(rng, rate, "burst clock");
+  }
+  while (now_ >= next_burst_at_) {
+    burst_model_ = static_cast<int>(rng.UniformInt(
+        0, static_cast<std::int64_t>(spec_.components.size()) - 1));
+    // Validate() checked that the duration converts.
+    burst_until_ = AdvanceClock(next_burst_at_,
+                                SecToTicks(spec_.burst.duration_sec), rate,
+                                "burst clock");
+    next_burst_at_ = AdvanceClock(
+        burst_until_, ExponentialGap(rng, rate, "burst clock"), rate,
+        "burst clock");
+  }
+}
+
+Query ScenarioTraceSource::Pull(Rng& rng) {
   // Gap at the rate in effect at the previous arrival; a constant curve
   // reduces to PoissonArrivals::NextGap draw for draw.
-  const double qps = spec_.rate.QpsAt(TicksToSec(now_));
-  now_ += std::max<SimTime>(1, SecToTicks(rng.Exponential(qps)));
-  const double t_sec = TicksToSec(now_);
+  const double qps = constant_rate_ ? spec_.rate.base_qps
+                                    : spec_.rate.QpsAt(TicksToSec(now_));
+  now_ = AdvanceClock(now_, ExponentialGap(rng, qps, "scenario"), qps,
+                      "scenario");
+  const double t_sec = clock_sec_ ? TicksToSec(now_) : 0.0;
 
   // Burst state machine (only consulted when bursts can matter).
   bool in_burst = false;
-  if (spec_.burst.rate_per_sec > 0.0 && spec_.components.size() > 1) {
-    if (!burst_clock_started_) {
-      burst_clock_started_ = true;
-      next_burst_at_ = std::max<SimTime>(
-          1, SecToTicks(rng.Exponential(spec_.burst.rate_per_sec)));
-    }
-    while (now_ >= next_burst_at_) {
-      burst_model_ = static_cast<int>(rng.UniformInt(
-          0, static_cast<std::int64_t>(spec_.components.size()) - 1));
-      burst_until_ = next_burst_at_ + SecToTicks(spec_.burst.duration_sec);
-      next_burst_at_ =
-          burst_until_ +
-          std::max<SimTime>(
-              1, SecToTicks(rng.Exponential(spec_.burst.rate_per_sec)));
-    }
+  if (bursts_) {
+    AdvanceBursts(rng);
     in_burst = now_ < burst_until_;
   }
 
-  // Model pick: one uniform draw walked over the effective weights, in
-  // the canonical mixed order (gap, model, batch); single-component
-  // scenarios skip the draw entirely.
+  // Model pick: one uniform draw against the running weights, in the
+  // canonical mixed order (gap, model, batch); single-component scenarios
+  // skip the draw entirely.
   std::size_t k = 0;
   if (spec_.components.size() > 1) {
     if (!static_mix_) EffectiveWeights(t_sec, in_burst, burst_model_);
-    const double u = rng.NextDouble();
-    double acc = 0.0;
-    for (std::size_t j = 0; j < weights_.size(); ++j) {
-      acc += weights_[j];
-      if (u < acc || j + 1 == weights_.size()) {
-        k = j;
-        break;
-      }
-    }
+    k = PickModel(rng.NextDouble());
   }
 
-  const auto& steps = dists_[k];
-  const BatchDistribution* dist = steps.front().get();
+  const std::vector<LogNormalBatchDist>& steps = dists_[k];
+  const LogNormalBatchDist* dist = &steps.front();
   if (steps.size() > 1) {
     const double frac =
         std::min(1.0, std::max(0.0, t_sec / spec_.drift_window_sec));
-    dist = steps[static_cast<std::size_t>(SigmaStep(frac))].get();
+    dist = &steps[static_cast<std::size_t>(SigmaStep(frac))];
   }
 
   Query q;
@@ -385,7 +405,12 @@ QueryTrace GenerateScenarioTrace(const ScenarioSpec& spec,
                                  std::uint64_t seed) {
   Rng rng(seed);
   ScenarioTraceSource source(spec);
-  return Take(source, num_queries, rng);
+  std::vector<Query> queries;
+  queries.reserve(num_queries);
+  for (std::size_t i = 0; i < num_queries; ++i) {
+    queries.push_back(source.Pull(rng));
+  }
+  return QueryTrace(std::move(queries));
 }
 
 // ---- Preset registry -----------------------------------------------------------

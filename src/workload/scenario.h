@@ -22,11 +22,15 @@
 // and a static multi-component one in the mixed order (gap, model, batch),
 // matching the adapter sources below bit-for-bit on the same seed
 // (asserted by workload_scenario_test, which keeps ArrivalTraceSource and
-// MixTraceSource as the reference for that contract).
+// MixTraceSource as the reference for the draw order; both sources share
+// the batch sampler, which the test checks against std::lower_bound).
+//
+// Arrival clocks are checked: a gap or an instant past 2^63 - 1 ns (a
+// rate so low that the trace outlives the tick clock) throws
+// std::overflow_error naming the rate instead of wrapping.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -198,12 +202,24 @@ struct ScenarioSpec {
 // The composable generator behind every scenario.  Owns its batch
 // distributions (built from the spec), so it has no borrowed-lifetime
 // hazards; copy the spec in and pull.
+//
+// The per-query path does only what the spec needs: a constant rate skips
+// the rate curve and the clock's seconds conversion, a static mix picks
+// its model by counting precomputed cumulative thresholds at or below the
+// uniform draw (the first threshold above it, as a walk over the weights
+// finds), and batches come from the concrete LogNormalBatchDist's guide
+// table without a virtual call.
 class ScenarioTraceSource final : public TraceSource {
  public:
   // Validates the spec (throws std::invalid_argument on a bad one).
   explicit ScenarioTraceSource(ScenarioSpec spec);
 
-  std::optional<Query> Next(Rng& rng) override;
+  // The next event: a generative source never ends, so Pull needs no
+  // optional and no virtual call.  Throws std::overflow_error when the
+  // arrival clock would pass 2^63 - 1 ns.
+  Query Pull(Rng& rng);
+
+  std::optional<Query> Next(Rng& rng) override { return Pull(rng); }
   std::string Describe() const override;
 
   const ScenarioSpec& spec() const { return spec_; }
@@ -211,13 +227,21 @@ class ScenarioTraceSource final : public TraceSource {
  private:
   int SigmaStep(double frac) const;
   void EffectiveWeights(double t_sec, bool in_burst, int burst_model);
+  std::size_t PickModel(double u) const;
+  void AdvanceBursts(Rng& rng);
 
   ScenarioSpec spec_;
   // Per component: one distribution when sigma is static, `sigma_steps`
   // interpolated ones when it drifts.
-  std::vector<std::vector<std::unique_ptr<BatchDistribution>>> dists_;
-  std::vector<double> weights_;  // normalized scratch, rebuilt per pull
-  bool static_mix_ = true;       // no weight drift and no bursts
+  std::vector<std::vector<LogNormalBatchDist>> dists_;
+  bool constant_rate_ = true;  // the rate curve is flat
+  bool static_mix_ = true;     // no weight drift and no bursts
+  bool bursts_ = false;        // bursts enabled over several components
+  bool clock_sec_ = false;     // a weight or sigma reads the clock
+  // Normalized weights and their running sums; fixed for a static mix,
+  // rebuilt per pull otherwise.
+  std::vector<double> weights_;
+  std::vector<double> thresholds_;
   // Burst state machine (lazily seeded on the first pull).
   bool burst_clock_started_ = false;
   SimTime next_burst_at_ = 0;
@@ -227,7 +251,8 @@ class ScenarioTraceSource final : public TraceSource {
   std::uint64_t id_ = 0;
 };
 
-// Convenience: seed an Rng, build the source, and drain `num_queries`.
+// Convenience: seed an Rng, build the source, and drain `num_queries`
+// through Pull.
 QueryTrace GenerateScenarioTrace(const ScenarioSpec& spec,
                                  std::size_t num_queries, std::uint64_t seed);
 

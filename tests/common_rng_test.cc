@@ -90,6 +90,32 @@ TEST(Rng, PrecomputedRangeDrawsTheSameStream) {
     EXPECT_EQ(full.UniformInt(kMin, kMax),
               static_cast<std::int64_t>(raw.NextU64()));
   }
+  // The oracle: lo + NextU64() % span after rejecting draws at or above
+  // UINT64_MAX - UINT64_MAX % span, on both sides of the 2^32 boundary
+  // below which the remainder is computed by multiplication.
+  const std::uint64_t spans[] = {
+      1, 2, 3, 7, 8, 49, 50, (1ull << 31) - 1, (1ull << 32) - 1, 1ull << 32,
+      (1ull << 32) + 1, 1ull << 63};
+  for (const std::uint64_t span : spans) {
+    for (const std::int64_t lo : {std::int64_t{0}, std::int64_t{-17}}) {
+      const auto hi = static_cast<std::int64_t>(
+          static_cast<std::uint64_t>(lo) + (span - 1));
+      const std::uint64_t limit = UINT64_MAX - UINT64_MAX % span;
+      Rng oracle(29);
+      Rng drawn(29);
+      const UniformIntRange range(lo, hi);
+      for (int i = 0; i < 20'000; ++i) {
+        std::uint64_t draw;
+        do {
+          draw = oracle.NextU64();
+        } while (draw >= limit);
+        const auto expected = static_cast<std::int64_t>(
+            static_cast<std::uint64_t>(lo) + draw % span);
+        ASSERT_EQ(drawn.UniformInt(range), expected) << "span " << span;
+      }
+      EXPECT_EQ(oracle.NextU64(), drawn.NextU64()) << "span " << span;
+    }
+  }
 }
 
 TEST(Rng, ExponentialMeanMatchesRate) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/mix_runner.h"
+#include "golden_digest.h"
 
 namespace pe::core {
 namespace {
@@ -47,6 +48,23 @@ TEST(MixTestbed, TwoModelMixServesBothWithinPlan) {
             stats.completed);
   // Interleaved traffic on shared partitions must have displaced models.
   EXPECT_GT(stats.model_swaps, 0u);
+}
+
+TEST(MixTestbed, GenerateMixMatchesCheckedInDigest) {
+  // The benchmark's four-model mix (equal shares, the paper's log-normal
+  // batch defaults) at its fleet rate: the traffic every fleet pass
+  // generates, pinned by a digest of 100,000 queries.
+  MixConfig mc;
+  for (const char* name : {"resnet", "mobilenet", "bert", "shufflenet"}) {
+    MixModelConfig m;
+    m.model = name;
+    m.share = 0.25;
+    mc.models.push_back(m);
+  }
+  const MixTestbed tb(mc);
+  testing::ExpectDigest(
+      testing::DigestTrace(tb.GenerateMix(30'000.0, 100'000, /*seed=*/1)),
+      0xc1cb4f69f07585aa, "four-model GenerateMix");
 }
 
 }  // namespace

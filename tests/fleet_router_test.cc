@@ -129,6 +129,47 @@ TEST(Router, AssignmentsMatchCheckedInDigests) {
   }
 }
 
+TEST(Router, WideReplicaSetsMatchCheckedInDigests) {
+  // po2c draws its candidates over [0, n-1] and [0, n-2]; replica counts
+  // of 10 and 50 give spans (10, 9, 50, 49) that are not powers of two,
+  // so any change to the draw's remainder or rejection moves the digest.
+  // least-loaded scans the whole set.  Sharding with one server fewer
+  // than models + replicas gives every model exactly `replicas` servers;
+  // layouts cycle through five cost classes.
+  const profile::ModelRepertoire zoo = profile::BuildZooRepertoire(
+      {"resnet", "mobilenet", "bert", "shufflenet"});
+  const workload::QueryTrace trace = MakeTrace(60'000, 4, /*seed=*/29);
+  const std::vector<std::vector<int>> layouts = {
+      {1, 2, 4}, {7}, {1, 1, 2, 3}, {3, 4}, {2, 2, 3}};
+  const struct {
+    int servers;
+    int replicas;
+    RouterPolicy policy;
+    std::uint64_t digest;
+  } kCases[] = {
+      {13, 10, RouterPolicy::kPowerOfTwo, 0x70de3c7a241b9a69},
+      {13, 10, RouterPolicy::kLeastLoaded, 0x06721f35c7543cf6},
+      {53, 50, RouterPolicy::kPowerOfTwo, 0xa3e0464a337dfb5b},
+      {53, 50, RouterPolicy::kLeastLoaded, 0xe9931044d017232c},
+  };
+  for (const auto& c : kCases) {
+    PlacementMap placement = ShardedPlacement(c.servers, 4, c.replicas);
+    for (int s = 0; s < placement.num_servers(); ++s) {
+      placement.mutable_server(s).partition_gpcs =
+          layouts[static_cast<std::size_t>(s) % layouts.size()];
+    }
+    for (int m = 0; m < 4; ++m) {
+      ASSERT_EQ(placement.Replicas(m).size(),
+                static_cast<std::size_t>(c.replicas));
+    }
+    auto router = MakeRouter(c.policy, placement, &zoo, /*seed=*/37);
+    testing::ExpectDigest(
+        testing::DigestAssignment(router->RouteAll(trace, /*jobs=*/1)),
+        c.digest,
+        std::string(ToString(c.policy)) + " x" + std::to_string(c.replicas));
+  }
+}
+
 TEST(Router, ResetReproducesTheDecisionSequence) {
   // po2c is the only stateful-RNG policy; least-loaded carries a virtual
   // backlog clock.  Both must replay identically after Reset().

@@ -1,8 +1,8 @@
-// FNV-1a digests for golden tests: a record stream, a routing assignment,
-// or a trace split folds into one 64-bit value that a test compares to a
-// checked-in constant.  Every field that defines the stream takes part, so
-// any behaviour change -- a different worker, a tick later, one more
-// retry -- moves the digest.
+// FNV-1a digests for golden tests: a record stream, a generated trace, a
+// routing assignment, or a trace split folds into one 64-bit value that a
+// test compares to a checked-in constant.  Every field that defines the
+// stream takes part, so any behaviour change -- a different worker, a tick
+// later, one more retry -- moves the digest.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 
 #include "fleet/router.h"
 #include "sim/metrics.h"
+#include "workload/trace.h"
 
 namespace pe::testing {
 
@@ -54,6 +55,17 @@ inline void AddRecord(Fnv1a& h, const sim::QueryRecord& r) {
 inline std::uint64_t DigestRecords(std::span<const sim::QueryRecord> records) {
   Fnv1a h;
   for (const sim::QueryRecord& r : records) AddRecord(h, r);
+  return h.value();
+}
+
+inline std::uint64_t DigestTrace(const workload::QueryTrace& trace) {
+  Fnv1a h;
+  for (const workload::Query& q : trace.queries()) {
+    h.Add(q.id);
+    h.AddSigned(q.arrival);
+    h.AddSigned(q.batch);
+    h.AddSigned(q.model_id);
+  }
   return h.value();
 }
 

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace pe::workload {
 namespace {
@@ -35,6 +37,35 @@ TEST(PoissonArrivals, RejectsNonFiniteRate) {
                std::invalid_argument);
   EXPECT_THROW(PoissonArrivals(-std::numeric_limits<double>::infinity()),
                std::invalid_argument);
+}
+
+TEST(PoissonArrivals, TinyRatesThrowNamingTheRateInsteadOfWrapping) {
+  // 1e-12 q/s: a typical gap is ~1e21 ns, past 2^63.  The conversion used
+  // to be undefined and clamped to a 1 ns gap.
+  PoissonArrivals tiny(1e-12);
+  Rng rng(4);
+  try {
+    tiny.NextGap(rng);
+    FAIL() << "a 1e-12 q/s gap fit the tick clock";
+  } catch (const std::overflow_error& e) {
+    EXPECT_NE(std::string(e.what()).find("rate 1e-12"), std::string::npos)
+        << e.what();
+  }
+  // 1e-6 q/s: each gap fits, but 20,000 of them sum past 2^63 ns; the
+  // clock used to wrap negative.
+  PoissonArrivals slow(1e-6);
+  SimTime now = 0;
+  try {
+    for (int i = 0; i < 20'000; ++i) {
+      const SimTime next = slow.Advance(now, rng);
+      ASSERT_GT(next, now);
+      now = next;
+    }
+    FAIL() << "20,000 arrivals at 1e-6 q/s fit the tick clock";
+  } catch (const std::overflow_error& e) {
+    EXPECT_NE(std::string(e.what()).find("rate 1e-06"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(PoissonArrivals, GapsExponentialCoefficientOfVariation) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -127,6 +130,96 @@ TEST(EmpiricalBatchDist, RejectsBadWeights) {
   EXPECT_THROW(EmpiricalBatchDist({}), std::invalid_argument);
   EXPECT_THROW(EmpiricalBatchDist({0.0, 0.0}), std::invalid_argument);
   EXPECT_THROW(EmpiricalBatchDist({1.0, -1.0}), std::invalid_argument);
+}
+
+// ---- Guide-table sampler vs the binary search -------------------------------
+
+// The CDF the binary search walked: running sums of the PMF (index 0
+// unused), the last entry pinned to 1.
+std::vector<double> RunningCdf(const std::vector<double>& pmf) {
+  std::vector<double> cdf(pmf.size(), 0.0);
+  double acc = 0.0;
+  for (std::size_t b = 1; b < pmf.size(); ++b) {
+    acc += pmf[b];
+    cdf[b] = acc;
+  }
+  cdf.back() = 1.0;
+  return cdf;
+}
+
+// The oracle: the first batch b >= 1 with cdf[b] >= u, by std::lower_bound.
+int LowerBoundBatch(const std::vector<double>& cdf, double u) {
+  return static_cast<int>(
+      std::lower_bound(cdf.begin() + 1, cdf.end(), u) - cdf.begin());
+}
+
+// The u values checked: a dense power-of-two grid (every guide cell edge),
+// an irregular grid that lands inside cells, each CDF value and guide edge
+// with its two neighbouring doubles, 0, and the largest double below 1
+// (the largest Rng::NextDouble draw).
+std::vector<double> ProbePoints(const std::vector<double>& cdf,
+                                std::size_t guide_size) {
+  constexpr double kBelowOne = 1.0 - 0x1.0p-53;
+  std::vector<double> us;
+  for (int i = 0; i < (1 << 16); ++i) us.push_back(i * 0x1.0p-16);
+  for (int i = 0; i < 100'000; ++i) us.push_back((i + 0.37) / 100'000.0);
+  std::vector<double> anchors = cdf;
+  for (std::size_t g = 0; g < guide_size; ++g) {
+    anchors.push_back(static_cast<double>(g) /
+                      static_cast<double>(guide_size));
+  }
+  for (const double a : anchors) {
+    for (const double u : {a, std::nextafter(a, 0.0), std::nextafter(a, 1.0)}) {
+      if (u >= 0.0 && u < 1.0) us.push_back(u);
+    }
+  }
+  us.push_back(0.0);
+  us.push_back(kBelowOne);
+  EXPECT_EQ(kBelowOne, std::nextafter(1.0, 0.0));
+  return us;
+}
+
+// Checks the sampler built from `dist`'s PMF -- the one `dist` samples
+// with -- against the binary search at every probe point.
+void ExpectSamplerMatchesLowerBound(const BatchDistribution& dist) {
+  const std::vector<double> pmf = dist.PdfVector();
+  const GuideTableSampler sampler(pmf);
+  const std::vector<double> cdf = RunningCdf(pmf);
+  // G a power of two: u * G and g / G are exact.
+  EXPECT_TRUE(std::has_single_bit(sampler.guide_size())) << dist.Describe();
+  EXPECT_GE(sampler.guide_size(), pmf.size() - 1) << dist.Describe();
+  for (const double u : ProbePoints(cdf, sampler.guide_size())) {
+    ASSERT_EQ(sampler.At(u), LowerBoundBatch(cdf, u))
+        << dist.Describe() << " u=" << std::hexfloat << u;
+  }
+  // The distribution's own draw is that sampler at the next uniform.
+  Rng draws(77);
+  Rng samples(77);
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(dist.Sample(samples), sampler.At(draws.NextDouble()))
+        << dist.Describe();
+  }
+}
+
+TEST(GuideTableSampler, MatchesLowerBoundOnLogNormals) {
+  ExpectSamplerMatchesLowerBound(LogNormalBatchDist(6.0, 0.9, 32));
+  ExpectSamplerMatchesLowerBound(LogNormalBatchDist(4.0, 1.8, 64));
+  ExpectSamplerMatchesLowerBound(LogNormalBatchDist(6.0, 0.9, 1));
+}
+
+TEST(GuideTableSampler, MatchesLowerBoundWithZeroWeights) {
+  // Zero mass at the front, in the middle and at the back: flat CDF runs
+  // that the guide cells and the forward walk must step over exactly as
+  // the binary search does.
+  const std::vector<std::vector<double>> weights = {
+      {0, 0, 3, 1, 2},
+      {2, 0, 0, 0, 1, 0, 4},
+      {1, 3, 2, 0, 0},
+      {0, 5, 0, 0, 0, 0, 0, 0, 0},
+  };
+  for (const std::vector<double>& w : weights) {
+    ExpectSamplerMatchesLowerBound(EmpiricalBatchDist(w));
+  }
 }
 
 // Property sweep over (sigma, max_batch): the PMF always sums to 1 and the

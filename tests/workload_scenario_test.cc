@@ -1,6 +1,7 @@
 // The scenario-first workload API: adapter bit-identity with the retired
-// Generate* draw order, rate-curve shapes, mix drift, bursts, the preset
-// registry, and spec validation.
+// Generate* draw order, checked-in digests of generated traces, rate-curve
+// shapes, mix drift, bursts, arrival clocks that refuse to overflow, the
+// preset registry, and spec validation.
 #include "workload/scenario.h"
 
 #include <gtest/gtest.h>
@@ -9,8 +10,11 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "golden_digest.h"
 #include "workload/trace.h"
 
 namespace pe::workload {
@@ -117,6 +121,124 @@ TEST(ScenarioTrace, SteadyStaticMixMatchesMixSourceBitForBit) {
   MixTraceSource source(arrivals, mix);
   const auto direct = Take(source, 5000, rng);
   ExpectIdenticalTraces(direct, scenario);
+}
+
+// An unequal four-model mix: distinct weights, medians and sigmas, so a
+// model pick or a batch draw off by one boundary moves the digest.
+ScenarioSpec UnequalFourModelSpec() {
+  ScenarioSpec spec;
+  spec.rate.base_qps = 2000.0;
+  spec.max_batch = 32;
+  const double weights[] = {0.4, 0.3, 0.2, 0.1};
+  const double medians[] = {4.0, 6.0, 9.0, 14.0};
+  const double sigmas[] = {0.7, 0.9, 1.2, 1.5};
+  for (int m = 0; m < 4; ++m) {
+    ComponentSpec c;
+    c.model_id = m;
+    c.weight = weights[m];
+    c.median = medians[m];
+    c.sigma = sigmas[m];
+    spec.components.push_back(c);
+  }
+  return spec;
+}
+
+TEST(ScenarioTrace, GeneratedTracesMatchCheckedInDigests) {
+  // Every generator path -- constant and shaped rate curves, weight
+  // drift, sigma drift, bursts, and the one-model draw order -- pinned by
+  // a digest of 20,000 generated queries.
+  struct Case {
+    const char* label;
+    const char* preset;
+    std::uint64_t digest;
+  };
+  const Case kPresets[] = {
+      {"steady", "steady", 0x8fddd0d77a478962},
+      {"diurnal", "diurnal:period=4", 0x42a7d001abf13650},
+      {"flashcrowd", "flashcrowd:at=3,decay=2", 0x86058094f227425d},
+      {"mixdrift", "mixdrift:window=6", 0x9ce4093a317dfaa6},
+      {"heavytail", "heavytail", 0x1e007126726dc9dc},
+      {"bursts", "steady:burst-rate=1.5,burst-dur=0.8,burst-share=0.85",
+       0x656fdc5e1af01a2a},
+  };
+  for (const Case& c : kPresets) {
+    ScenarioSpec spec = UnequalFourModelSpec();
+    ApplyScenario(spec, c.preset);
+    testing::ExpectDigest(
+        testing::DigestTrace(GenerateScenarioTrace(spec, 20'000, 19)),
+        c.digest, c.label);
+  }
+
+  ScenarioSpec sigma_drift = UnequalFourModelSpec();
+  sigma_drift.drift_window_sec = 6.0;
+  sigma_drift.components[1].end_sigma = 1.7;
+  sigma_drift.components[3].end_sigma = 0.4;
+  testing::ExpectDigest(
+      testing::DigestTrace(GenerateScenarioTrace(sigma_drift, 20'000, 19)),
+      0xa08104eec837b0d7, "sigma drift");
+
+  ScenarioSpec one_model;
+  one_model.rate.base_qps = 700.0;
+  one_model.max_batch = 64;
+  ComponentSpec c;
+  c.median = 5.0;
+  c.sigma = 1.1;
+  one_model.components.push_back(c);
+  testing::ExpectDigest(
+      testing::DigestTrace(GenerateScenarioTrace(one_model, 20'000, 19)),
+      0xebf6b9e059067ba0, "one model");
+}
+
+TEST(ScenarioTrace, TinyRatesThrowNamingTheRateInsteadOfWrapping) {
+  const auto one_model = [](double rate) {
+    ScenarioSpec spec;
+    spec.rate.base_qps = rate;
+    spec.components.push_back(ComponentSpec{});
+    return spec;
+  };
+  const auto message = [](const ScenarioSpec& spec, std::size_t n) {
+    try {
+      GenerateScenarioTrace(spec, n, 1);
+    } catch (const std::overflow_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  // The gap conversion: 1e-12 q/s used to emit arrivals 1, 2, 3, ... ns.
+  EXPECT_NE(message(one_model(1e-12), 5).find("gap overflows"),
+            std::string::npos);
+  EXPECT_NE(message(one_model(1e-12), 5).find("rate 1e-12"),
+            std::string::npos);
+  // The accumulation: 1e-6 q/s used to wrap 9,311 of 20,000 arrivals
+  // negative.
+  EXPECT_NE(message(one_model(1e-6), 20'000).find("arrival time overflows"),
+            std::string::npos);
+  // Short traces at the same rates that do fit are unaffected.
+  const QueryTrace fits = GenerateScenarioTrace(one_model(1e-6), 100, 1);
+  for (std::size_t i = 1; i < fits.size(); ++i) {
+    EXPECT_GT(fits.queries()[i].arrival, fits.queries()[i - 1].arrival);
+  }
+
+  // The burst clock: a 1e-12/s burst rate cannot place its first burst.
+  ScenarioSpec bursty = UnequalFourModelSpec();
+  bursty.burst.rate_per_sec = 1e-12;
+  EXPECT_NE(message(bursty, 10).find("burst clock: gap overflows"),
+            std::string::npos);
+  // A burst longer than the tick clock is rejected up front.
+  bursty.burst.rate_per_sec = 1.0;
+  bursty.burst.duration_sec = 1e12;
+  EXPECT_THROW(bursty.Validate(), std::invalid_argument);
+
+  // The reference sources check their clocks the same way.
+  LogNormalBatchDist dist(6.0, 0.9, 32);
+  PoissonArrivals arrivals(1e-6);
+  ArrivalTraceSource single(arrivals, dist);
+  Rng rng(1);
+  EXPECT_THROW(Take(single, 20'000, rng), std::overflow_error);
+  MixSpec mix;
+  mix.components = {{0, 0.5, &dist}, {1, 0.5, &dist}};
+  MixTraceSource mixed(arrivals, mix);
+  EXPECT_THROW(Take(mixed, 20'000, rng), std::overflow_error);
 }
 
 TEST(ScenarioTrace, DeterministicForSameSeed) {
