@@ -37,16 +37,14 @@ int main() {
   // Day cycle: small -> large -> small, 6000 queries per phase at 350 qps.
   const std::uint64_t trace_seed = 11;
   const std::uint64_t server_seed = online::kDefaultElasticSeed;
-  workload::LogNormalBatchDist small(3.0, 0.6, 32);
-  workload::LogNormalBatchDist large(18.0, 0.4, 32);
-  workload::PoissonArrivals arrivals(350.0);
-  Rng rng(trace_seed);
+  const workload::LogNormalBatchDist small(3.0, 0.6, 32);
+  const workload::LogNormalBatchDist large(18.0, 0.4, 32);
   const std::size_t phase = bench::SmokeMode() ? 1500 : 6000;
   const std::size_t queries_per_epoch = phase / 4;
-  // Phased source: the batch distribution drifts across the day cycle.
-  workload::PhasedTraceSource day_cycle(
-      arrivals, {{&small, phase}, {&large, phase}, {&small, phase}});
-  const auto trace = workload::Take(day_cycle, 3 * phase, rng);
+  // The batch distribution drifts across the day cycle.
+  const auto trace = workload::GeneratePhasedTrace(
+      350.0, {{&small, phase}, {&large, phase}, {&small, phase}}, 3 * phase,
+      trace_seed);
 
   // Mixture PDF for the oracle.
   std::vector<double> mixture(32, 0.0);
@@ -59,10 +57,11 @@ int main() {
   auto run_policy = [&](const workload::BatchDistribution& plan_dist,
                         online::ElasticConfig config,
                         const std::string& label) {
-    workload::MixSpec mix;
-    mix.components.push_back({0, 1.0, &plan_dist});
-    online::RepartitionController controller(repertoire, hw::Cluster(8), 48,
-                                             mix, {}, config);
+    online::RepartitionController controller(
+        repertoire, hw::Cluster(8), 48,
+        {{.model_id = 0, .share = 1.0, .profile = &profile,
+          .dist = &plan_dist}},
+        {}, config);
     online::ElasticServerSim sim(
         controller, repertoire,
         [&] {

@@ -83,9 +83,9 @@ double RateFor(const profile::ModelRepertoire& rep,
   return 0.75 * capacity;
 }
 
-// Constant-rate scenario specs drain bit-identically to the adapter
-// sources (ArrivalTraceSource / MixTraceSource) on the same seed, so the
-// trajectory numbers stay comparable across bench revisions.
+// Constant-rate scenario specs draw in the canonical single-model and
+// mixed orders (workload/scenario.h), so the trajectory numbers stay
+// comparable across bench revisions.
 workload::QueryTrace MakeTrace(bool mixed, double rate_qps, std::size_t n,
                                std::uint64_t seed) {
   workload::ScenarioSpec spec;

@@ -14,7 +14,7 @@ int main() {
   for (const std::string& model : bench::PaperModels()) {
     const core::MixTestbed tb(core::Table1Config(model));
     const auto& profile = tb.repertoire().profile(0);
-    const auto& dist = *tb.mix().components[0].dist;
+    const auto& dist = tb.batch_dist(0);
     partition::ParisPartitioner paris(profile, dist, tb.config().paris);
     const auto d = paris.Derive(tb.config().gpc_budget);
 

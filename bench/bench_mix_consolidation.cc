@@ -56,13 +56,18 @@ int main() {
     std::string layout;
     for (int m = 0; m < tb.num_models(); ++m) {
       const auto& sizes = mixed.per_model_sizes[static_cast<std::size_t>(m)];
-      auto scheduler = tb.MakeScheduler(core::SchedulerKind::kElsa);
-      const auto result =
-          tb.Run(sizes, *scheduler, trace.FilterModel(m), seed + m);
-      std::vector<std::uint64_t> trace_ids;  // FilterModel's id -> trace id
-      for (const auto& q : trace.queries()) {
-        if (q.model_id == m) trace_ids.push_back(q.id);
+      // Model m's queries, ids dense from 0; trace_ids maps them back.
+      std::vector<workload::Query> own;
+      std::vector<std::uint64_t> trace_ids;
+      for (workload::Query q : trace.queries()) {
+        if (q.model_id != m) continue;
+        trace_ids.push_back(q.id);
+        q.id = own.size();
+        own.push_back(q);
       }
+      auto scheduler = tb.MakeScheduler(core::SchedulerKind::kElsa);
+      const auto result = tb.Run(sizes, *scheduler,
+                                 workload::QueryTrace(std::move(own)), seed + m);
       for (sim::QueryRecord r : result.records) {
         r.id = trace_ids[r.id];
         merged.push_back(r);

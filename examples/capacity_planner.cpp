@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
             << Table::Num(sla_ms, 1) << " ms (p95)\n\n";
 
   const auto& profile = tb.repertoire().profile(0);
-  const auto& dist = *tb.mix().components[0].dist;
+  const auto& dist = tb.batch_dist(0);
   partition::ParisPartitioner paris(profile, dist, tb.config().paris);
   core::SearchOptions search;
   search.num_queries = 4000;

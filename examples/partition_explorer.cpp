@@ -42,7 +42,7 @@ void Explore(const std::string& model_name) {
   }
   grid.Print(std::cout);
 
-  const auto& dist = *tb.mix().components[0].dist;
+  const auto& dist = tb.batch_dist(0);
   pe::partition::ParisPartitioner paris(profile, dist, tb.config().paris);
   const auto derivation = paris.Derive(tb.config().gpc_budget);
   std::cout << "\nPARIS derivation:\n";

@@ -59,7 +59,7 @@ FleetTestbed::FleetTestbed(FleetTestbedConfig config)
   fc.policy = config_.policy;
   fc.sla_target = mix_.sla_target();
   fc.latency_noise_sigma = config_.mix.latency_noise_sigma;
-  fc.model_swap_cost = UsToTicks(config_.mix.swap_cost_us);
+  fc.model_swap_cost = mix_.swap_cost();
   fc.seed = config_.seed;
 
   // Value-captured so the factory is self-contained (it runs on pool

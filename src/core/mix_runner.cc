@@ -29,9 +29,18 @@ MixConfig Validated(MixConfig config) {
   if (!finite_at_least_0(config.swap_cost_us)) {
     fail("swap_cost_us must be finite and >= 0");
   }
+  if (!CheckedTicks(config.swap_cost_us, kNsPerUs)) {
+    fail("swap_cost_us overflows the tick clock (2^63 ns)");
+  }
   if (!finite_at_least_0(config.latency_noise_sigma)) {
     fail("latency_noise_sigma must be finite and >= 0");
   }
+  double total_share = 0.0;
+  for (const auto& m : config.models) {
+    if (m.share < 0.0) fail("negative share for " + m.model);
+    total_share += m.share;
+  }
+  if (total_share <= 0.0) fail("shares sum to zero");
   return config;
 }
 
@@ -48,7 +57,8 @@ MixConfig Table1Config(const std::string& model) {
 
 MixTestbed::MixTestbed(MixConfig config)
     : config_(Validated(std::move(config))),
-      cluster_(config_.num_gpus, config_.gpu) {
+      cluster_(config_.num_gpus, config_.gpu),
+      swap_cost_(UsToTicks(config_.swap_cost_us)) {
   const perf::RooflineEngine engine(config_.gpu, config_.roofline);
   std::vector<std::string> names;
   names.reserve(config_.models.size());
@@ -66,18 +76,12 @@ MixTestbed::MixTestbed(MixConfig config)
     const auto& m = config_.models[i];
     dists_.push_back(std::make_unique<workload::LogNormalBatchDist>(
         m.dist_median, m.dist_sigma, config_.max_batch));
-    workload::MixComponent component;
-    component.model_id = static_cast<int>(i);
-    component.share = m.share;
-    component.dist = dists_.back().get();
-    mix_.components.push_back(component);
     // The shared SLA is the strictest rule that covers every model: the
     // max of the per-model Section V targets.
     sla_target_ = std::max(
         sla_target_, SlaTarget(repertoire_.profile(static_cast<int>(i)),
                                config_.max_batch, config_.sla_n));
   }
-  mix_.NormalizedShares();  // validates the share vector
 }
 
 std::vector<std::string> MixTestbed::ModelNames() const {
@@ -92,21 +96,25 @@ std::vector<partition::MixModelInput> MixTestbed::PlannerInputs(
   std::vector<partition::MixModelInput> inputs;
   inputs.reserve(model_ids.size());
   for (int m : model_ids) {
-    const auto& c = mix_.components.at(static_cast<std::size_t>(m));
+    const auto i = static_cast<std::size_t>(m);
     partition::MixModelInput in;
-    in.model_id = c.model_id;
-    in.share = c.share;
-    in.profile = &repertoire_.profile(c.model_id);
-    in.dist = c.dist;
+    in.model_id = m;
+    in.share = config_.models.at(i).share;
+    in.profile = &repertoire_.profile(m);
+    in.dist = dists_[i].get();
     inputs.push_back(in);
   }
   return inputs;
 }
 
-partition::MixedPlan MixTestbed::PlanMixed() const {
+std::vector<partition::MixModelInput> MixTestbed::PlannerInputs() const {
   std::vector<int> all(config_.models.size());
   for (std::size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
-  return partition::PlanMixedParis(PlannerInputs(all), cluster_,
+  return PlannerInputs(all);
+}
+
+partition::MixedPlan MixTestbed::PlanMixed() const {
+  return partition::PlanMixedParis(PlannerInputs(), cluster_,
                                    config_.gpc_budget, config_.paris);
 }
 
@@ -165,7 +173,7 @@ sim::SimResult MixTestbed::Run(const std::vector<int>& partition_gpcs,
   sc.latency_noise_sigma = config_.latency_noise_sigma;
   sc.seed = seed ^ 0xA5A5A5A5ULL;
   sc.frontend = config_.frontend;
-  sc.model_swap_cost = UsToTicks(config_.swap_cost_us);
+  sc.model_swap_cost = swap_cost_;
   sim::InferenceServer server(sc, repertoire_, scheduler);
   return server.Run(trace);
 }

@@ -2,7 +2,7 @@
 //
 // Owns, for a mix of DNN models sharing one MIG server:
 //   * a ModelRepertoire (per-model profile table + ground-truth latency),
-//   * per-model batch-size distributions and traffic shares (MixSpec),
+//   * per-model batch-size distributions and traffic shares,
 //   * the physical cluster and the GPC budget,
 //   * one SLA target (the strictest rule across the mix: the max of the
 //     per-model Section V targets -- per-model SLA scheduling is a
@@ -61,7 +61,7 @@ struct MixConfig {
   int num_gpus = 8;
   int gpc_budget = 48;
   // Model-swap penalty charged when a partition starts a query of a model
-  // other than its resident one; finite and >= 0.
+  // other than its resident one; finite, >= 0 and below 2^63 ns.
   double swap_cost_us = 0.0;
   // Execution-time noise (log-space sigma); finite and >= 0.
   double latency_noise_sigma = 0.0;
@@ -88,8 +88,9 @@ struct RunOptions {
 class MixTestbed {
  public:
   // Throws std::invalid_argument naming the offending field of a bad
-  // config (see MixConfig), an empty or duplicated model list, or bad
-  // shares.
+  // config (see MixConfig), an empty or duplicated model list, a negative
+  // share or shares summing to zero, or an SLA target past the tick
+  // clock.
   explicit MixTestbed(MixConfig config);
 
   const MixConfig& config() const { return config_; }
@@ -97,9 +98,13 @@ class MixTestbed {
   const hw::Cluster& cluster() const { return cluster_; }
   SimTime sla_target() const { return sla_target_; }
   int num_models() const { return repertoire_.size(); }
-
-  // The traffic mix (components borrow this testbed's distributions).
-  const workload::MixSpec& mix() const { return mix_; }
+  // The model-swap penalty (config swap_cost_us) in ticks.
+  SimTime swap_cost() const { return swap_cost_; }
+  // Model `model_id`'s batch-size distribution (its configured median and
+  // sigma over [1, max_batch]).
+  const workload::LogNormalBatchDist& batch_dist(int model_id) const {
+    return *dists_.at(static_cast<std::size_t>(model_id));
+  }
 
   // Symbolic model names indexed by model id (the models[] vector of a
   // captured paris-elsa-trace-v1 document).
@@ -108,9 +113,13 @@ class MixTestbed {
   // Mixed-PARIS planner inputs for a subset of this testbed's models, with
   // their *global* traffic shares (PlanMixedParis renormalizes within the
   // subset).  The one builder behind PlanMixed and the fleet's per-server
-  // planner pass, so both always agree on shares and distributions.
+  // planner pass, so both always agree on shares and distributions.  The
+  // inputs borrow this testbed's profiles and distributions.
   std::vector<partition::MixModelInput> PlannerInputs(
       const std::vector<int>& model_ids) const;
+  // Every model's planner inputs, in model-id order: what PlanMixed plans
+  // and what the online RepartitionController is seeded with.
+  std::vector<partition::MixModelInput> PlannerInputs() const;
 
   // --- Partition plans -----------------------------------------------
   // Consolidated layout: per-model PARIS within share-derived budgets,
@@ -125,8 +134,8 @@ class MixTestbed {
   // The declarative scenario equivalent of this testbed's mix at
   // `rate_qps` total offered load: constant rate, static weights, this
   // config's batch distributions.  Presets and key=val overrides
-  // (workload::ApplyScenario) reshape it; drained unmodified it is
-  // bit-identical to MixTraceSource on the same spec and seed.
+  // (workload::ApplyScenario) reshape it; drained unmodified it draws in
+  // the canonical mixed order (workload/scenario.h).
   workload::ScenarioSpec ScenarioFor(double rate_qps) const;
 
   // Interleaved multi-model trace at `rate_qps` total offered load
@@ -153,10 +162,13 @@ class MixTestbed {
  private:
   MixConfig config_;
   profile::ModelRepertoire repertoire_;
-  std::vector<std::unique_ptr<workload::BatchDistribution>> dists_;
-  workload::MixSpec mix_;
+  // Indexed by model id, one heap object each: a contiguous vector of them
+  // measured 2 MB (2.8%) more peak RSS on perfbench's fleet-steady, from
+  // where malloc places the arenas' later blocks.
+  std::vector<std::unique_ptr<workload::LogNormalBatchDist>> dists_;
   hw::Cluster cluster_;
   SimTime sla_target_;
+  SimTime swap_cost_;
 };
 
 }  // namespace pe::core

@@ -1,5 +1,7 @@
 #include "core/paper_config.h"
 
+#include <optional>
+#include <sstream>
 #include <stdexcept>
 
 namespace pe::core {
@@ -25,7 +27,14 @@ const ModelServerConfig& Table1For(const std::string& model) {
 SimTime SlaTarget(const profile::ProfileTable& profile, int max_batch,
                   double sla_n) {
   const double base = profile.LatencySec(7, max_batch);
-  return SecToTicks(sla_n * base);
+  const std::optional<SimTime> target = CheckedTicks(sla_n * base, kNsPerSec);
+  if (!target) {
+    std::ostringstream oss;
+    oss << "SlaTarget: sla_n " << sla_n
+        << " gives a target outside [0, 2^63) ns";
+    throw std::invalid_argument(oss.str());
+  }
+  return *target;
 }
 
 }  // namespace pe::core

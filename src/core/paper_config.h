@@ -29,6 +29,8 @@ const std::vector<ModelServerConfig>& PaperTable1();
 const ModelServerConfig& Table1For(const std::string& model);
 
 // SLA target (Section V): sla_n x latency(GPU(7), max profiled batch).
+// Throws std::invalid_argument, naming sla_n, when the target is negative,
+// NaN or past 2^63 ns.
 SimTime SlaTarget(const profile::ProfileTable& profile, int max_batch,
                   double sla_n = 1.5);
 

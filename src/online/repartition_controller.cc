@@ -26,38 +26,37 @@ std::vector<int> SortedSizes(std::vector<int> v) {
 
 RepartitionController::RepartitionController(
     const profile::ModelRepertoire& repertoire, hw::Cluster cluster,
-    int gpc_budget, const workload::MixSpec& initial_mix,
+    int gpc_budget, const std::vector<partition::MixModelInput>& initial_mix,
     partition::ParisConfig paris, ElasticConfig config)
     : repertoire_(repertoire),
       cluster_(std::move(cluster)),
       gpc_budget_(gpc_budget),
       paris_config_(paris),
       config_(config) {
-  const auto norm = initial_mix.NormalizedShares();
+  const auto fail = [](const std::string& what) {
+    throw std::invalid_argument("RepartitionController: " + what);
+  };
+  if (initial_mix.empty()) fail("empty mix");
+  double total = 0.0;
+  for (const auto& in : initial_mix) {
+    if (!repertoire_.Has(in.model_id)) fail("mix references unknown model");
+    if (in.dist == nullptr) fail("component without distribution");
+    if (in.share < 0.0) fail("negative share");
+    total += in.share;
+  }
+  if (total <= 0.0) fail("shares sum to zero");
   shares_.assign(static_cast<std::size_t>(repertoire_.size()), 0.0);
   pmfs_.assign(shares_.size(), {});
-  for (std::size_t i = 0; i < initial_mix.components.size(); ++i) {
-    const auto& c = initial_mix.components[i];
-    if (!repertoire_.Has(c.model_id)) {
-      throw std::invalid_argument(
-          "RepartitionController: mix references unknown model");
-    }
-    const auto m = static_cast<std::size_t>(c.model_id);
+  for (const auto& in : initial_mix) {
+    const auto m = static_cast<std::size_t>(in.model_id);
     if (!pmfs_[m].empty()) {
       // Two components for one model would need share-weighted PMF
       // blending to form a correct drift baseline; reject rather than
       // silently letting the last component's PMF win.
-      throw std::invalid_argument(
-          "RepartitionController: duplicate model in mix");
+      fail("duplicate model in mix");
     }
-    shares_[m] = norm[i];
-    pmfs_[m] = c.dist->PdfVector();
-  }
-  for (std::size_t m = 0; m < pmfs_.size(); ++m) {
-    if (shares_[m] > 0.0 && pmfs_[m].empty()) {
-      throw std::invalid_argument(
-          "RepartitionController: component without distribution");
-    }
+    shares_[m] = in.share / total;
+    pmfs_[m] = in.dist->PdfVector();
   }
   plan_ = PlanFor(shares_, pmfs_);
 }

@@ -28,7 +28,6 @@
 #include "partition/paris.h"
 #include "partition/partitioner.h"
 #include "profile/model_repertoire.h"
-#include "workload/trace.h"
 
 namespace pe::online {
 
@@ -62,14 +61,18 @@ class RepartitionPolicy {
 class RepartitionController : public RepartitionPolicy {
  public:
   // `repertoire` must outlive the controller.  `initial_mix` seeds the
-  // first plan (e.g. yesterday's traffic or a provisioning guess):
-  // component model_ids index the repertoire, shares give the traffic
-  // split; a single-model server passes one component.
-  RepartitionController(const profile::ModelRepertoire& repertoire,
-                        hw::Cluster cluster, int gpc_budget,
-                        const workload::MixSpec& initial_mix,
-                        partition::ParisConfig paris = {},
-                        ElasticConfig config = {});
+  // first plan (e.g. yesterday's traffic or a provisioning guess, as
+  // core::MixTestbed::PlannerInputs builds it): each input's model_id
+  // indexes the repertoire, its share gives the traffic split and its
+  // dist the batch PMF; plans always read the repertoire's profiles, so
+  // an input's `profile` is not consulted.  A single-model server passes
+  // one input.  Throws std::invalid_argument on an empty mix, an unknown
+  // or duplicated model, a null distribution, a negative share, or shares
+  // summing to zero.
+  RepartitionController(
+      const profile::ModelRepertoire& repertoire, hw::Cluster cluster,
+      int gpc_budget, const std::vector<partition::MixModelInput>& initial_mix,
+      partition::ParisConfig paris = {}, ElasticConfig config = {});
 
   const partition::PartitionPlan& current_plan() const override {
     return plan_.plan;

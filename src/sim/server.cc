@@ -5,6 +5,8 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -18,6 +20,17 @@ namespace {
 std::uint64_t NextLayoutVersion() {
   static std::atomic<std::uint64_t> counter{0};
   return ++counter;
+}
+
+// Throws std::overflow_error: an execution time of `sec` seconds does not
+// fit the tick clock.
+[[noreturn]] void ThrowExecutionOverflow(double sec, double slowdown,
+                                         double noise_sigma) {
+  std::ostringstream oss;
+  oss << "InferenceServer: an execution time of " << sec
+      << " s overflows the tick clock (2^63 ns) at slowdown factor "
+      << slowdown << " and noise sigma " << noise_sigma;
+  throw std::overflow_error(oss.str());
 }
 
 }  // namespace
@@ -226,7 +239,12 @@ SimTime InferenceServer::ActualTicks(int model_id, int gpcs, int batch) {
     // Mean-one log-normal multiplier so noise does not shift mean latency.
     sec *= std::exp(rng_.Normal(0.0, sigma) - 0.5 * sigma * sigma);
   }
-  return std::max<SimTime>(1, SecToTicks(sec));
+  // Rounds as SecToTicks does; a product past 2^63 ns has no tick value.
+  const std::optional<SimTime> ticks = CheckedTicks(sec, kNsPerSec);
+  if (!ticks) {
+    ThrowExecutionOverflow(sec, slowdown_, config_.latency_noise_sigma);
+  }
+  return std::max<SimTime>(1, *ticks);
 }
 
 SimTime InferenceServer::EstimateTicks(int model_id, int gpcs,

@@ -330,6 +330,9 @@ class InferenceServer {
   // metadata (including any model-swap charge) and scheduling the
   // completion event.
   void StartHead(PartitionWorker& worker, SimTime now);
+  // Ground truth x slowdown x noise, at least one tick.  Throws
+  // std::overflow_error, naming the slowdown factor and the noise sigma,
+  // when the product passes 2^63 ns.
   SimTime ActualTicks(int model_id, int gpcs, int batch);
   SimTime EstimateTicks(int model_id, int gpcs, int batch) const;
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace pe::workload {
 
@@ -19,12 +20,6 @@ void ThrowClockOverflow(const char* what, const char* quantity, double rate) {
   oss << what << ": " << quantity
       << " overflows the tick clock (2^63 ns) at rate " << rate << "/s";
   throw std::overflow_error(oss.str());
-}
-
-std::string PoissonArrivals::Describe() const {
-  std::ostringstream oss;
-  oss << "poisson(rate=" << rate_qps_ << " qps)";
-  return oss.str();
 }
 
 }  // namespace pe::workload

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <string>
 
 #include "common/rng.h"
 #include "common/sim_time.h"
@@ -55,7 +54,6 @@ class PoissonArrivals {
   SimTime Advance(SimTime now, Rng& rng) {
     return AdvanceClock(now, NextGap(rng), rate_qps_, "PoissonArrivals");
   }
-  std::string Describe() const;
 
  private:
   double rate_qps_;

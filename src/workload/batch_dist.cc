@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace pe::workload {
@@ -51,12 +50,6 @@ std::vector<double> BatchDistribution::PdfVector() const {
   return v;
 }
 
-double BatchDistribution::MeanBatch() const {
-  double mean = 0.0;
-  for (int b = 1; b <= max_batch(); ++b) mean += b * Pdf(b);
-  return mean;
-}
-
 LogNormalBatchDist::LogNormalBatchDist(double median, double sigma,
                                        int max_batch)
     : median_(median),
@@ -92,26 +85,6 @@ double LogNormalBatchDist::Pdf(int b) const {
   return pmf_[static_cast<std::size_t>(b)];
 }
 
-std::string LogNormalBatchDist::Describe() const {
-  std::ostringstream oss;
-  oss << "lognormal(median=" << median_ << ", sigma=" << sigma_
-      << ", max=" << max_batch_ << ")";
-  return oss.str();
-}
-
-FixedBatchDist::FixedBatchDist(int batch) : batch_(batch) {
-  if (batch < 1) throw std::invalid_argument("FixedBatchDist: batch < 1");
-}
-
-int FixedBatchDist::Sample(Rng& rng) const {
-  (void)rng;
-  return batch_;
-}
-
-std::string FixedBatchDist::Describe() const {
-  return "fixed(batch=" + std::to_string(batch_) + ")";
-}
-
 EmpiricalBatchDist::EmpiricalBatchDist(std::vector<double> weights)
     : pmf_(BuildPmf(weights)), sampler_(pmf_) {}
 
@@ -144,10 +117,6 @@ int EmpiricalBatchDist::max_batch() const {
 double EmpiricalBatchDist::Pdf(int b) const {
   if (b < 1 || b >= static_cast<int>(pmf_.size())) return 0.0;
   return pmf_[static_cast<std::size_t>(b)];
-}
-
-std::string EmpiricalBatchDist::Describe() const {
-  return "empirical(max=" + std::to_string(max_batch()) + ")";
 }
 
 }  // namespace pe::workload

@@ -15,8 +15,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -79,13 +77,8 @@ class BatchDistribution {
   // Draws one batch size.
   virtual int Sample(Rng& rng) const = 0;
 
-  virtual std::string Describe() const = 0;
-
   // Full PMF as a vector indexed by batch size (index 0 unused).
   std::vector<double> PdfVector() const;
-
-  // Mean batch size under the PMF.
-  double MeanBatch() const;
 };
 
 // Discretized log-normal: a continuous LogNormal(mu, sigma) draw is rounded
@@ -104,7 +97,6 @@ class LogNormalBatchDist final : public BatchDistribution {
   // Inline, so a caller holding the concrete type samples without a
   // virtual call.
   int Sample(Rng& rng) const override { return sampler_.Sample(rng); }
-  std::string Describe() const override;
 
   double sigma() const { return sigma_; }
   double median() const { return median_; }
@@ -120,21 +112,6 @@ class LogNormalBatchDist final : public BatchDistribution {
   GuideTableSampler sampler_;
 };
 
-// Fixed batch size (used by the characterization experiments, e.g. Figure 3
-// runs everything at batch 8).
-class FixedBatchDist final : public BatchDistribution {
- public:
-  explicit FixedBatchDist(int batch);
-
-  int max_batch() const override { return batch_; }
-  double Pdf(int b) const override { return b == batch_ ? 1.0 : 0.0; }
-  int Sample(Rng& rng) const override;
-  std::string Describe() const override;
-
- private:
-  int batch_;
-};
-
 // Arbitrary empirical PMF (e.g. the hand-constructed PDF of the paper's
 // Figure 8 example, or a PDF estimated from served traffic).
 class EmpiricalBatchDist final : public BatchDistribution {
@@ -146,7 +123,6 @@ class EmpiricalBatchDist final : public BatchDistribution {
   int max_batch() const override;
   double Pdf(int b) const override;
   int Sample(Rng& rng) const override { return sampler_.Sample(rng); }
-  std::string Describe() const override;
 
  private:
   static std::vector<double> BuildPmf(const std::vector<double>& weights);

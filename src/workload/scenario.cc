@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace pe::workload {
@@ -30,121 +29,7 @@ double ParseValue(const std::string& key, const std::string& value) {
 
 }  // namespace
 
-// ---- Take -----------------------------------------------------------------
-
-QueryTrace Take(TraceSource& source, std::size_t max_queries, Rng& rng) {
-  std::vector<Query> queries;
-  queries.reserve(max_queries);
-  for (std::size_t i = 0; i < max_queries; ++i) {
-    auto q = source.Next(rng);
-    if (!q) break;
-    queries.push_back(*q);
-  }
-  return QueryTrace(std::move(queries));
-}
-
-// ---- Legacy-shape adapters --------------------------------------------------
-
-ArrivalTraceSource::ArrivalTraceSource(PoissonArrivals& arrivals,
-                                       const BatchDistribution& dist)
-    : arrivals_(arrivals), dist_(dist) {}
-
-std::optional<Query> ArrivalTraceSource::Next(Rng& rng) {
-  now_ = arrivals_.Advance(now_, rng);
-  Query q;
-  q.id = id_++;
-  q.arrival = now_;
-  q.batch = dist_.Sample(rng);
-  return q;
-}
-
-std::string ArrivalTraceSource::Describe() const {
-  return arrivals_.Describe() + " x " + dist_.Describe();
-}
-
-PhasedTraceSource::PhasedTraceSource(PoissonArrivals& arrivals,
-                                     std::vector<WorkloadPhase> phases)
-    : arrivals_(arrivals), phases_(std::move(phases)) {
-  if (phases_.empty()) {
-    throw std::invalid_argument("PhasedTraceSource: no phases");
-  }
-  for (const auto& phase : phases_) {
-    if (phase.dist == nullptr) {
-      throw std::invalid_argument(
-          "PhasedTraceSource: null phase distribution");
-    }
-  }
-}
-
-std::optional<Query> PhasedTraceSource::Next(Rng& rng) {
-  while (phase_ + 1 < phases_.size() &&
-         in_phase_ >= phases_[phase_].num_queries) {
-    ++phase_;
-    in_phase_ = 0;
-  }
-  ++in_phase_;
-  now_ = arrivals_.Advance(now_, rng);
-  Query q;
-  q.id = id_++;
-  q.arrival = now_;
-  q.batch = phases_[phase_].dist->Sample(rng);
-  return q;
-}
-
-std::string PhasedTraceSource::Describe() const {
-  return arrivals_.Describe() + " x " + std::to_string(phases_.size()) +
-         " phases";
-}
-
-MixTraceSource::MixTraceSource(PoissonArrivals& arrivals, const MixSpec& mix)
-    : arrivals_(arrivals), mix_(mix), shares_(mix.NormalizedShares()) {
-  for (const auto& c : mix_.components) {
-    if (c.dist == nullptr) {
-      throw std::invalid_argument("MixTraceSource: null distribution");
-    }
-  }
-}
-
-std::optional<Query> MixTraceSource::Next(Rng& rng) {
-  now_ = arrivals_.Advance(now_, rng);
-  // Single-component mixes skip the model-selection draw so the degenerate
-  // one-model case stays bit-identical to the ArrivalTraceSource stream.
-  std::size_t k = 0;
-  if (mix_.components.size() > 1) {
-    const double u = rng.NextDouble();
-    double acc = 0.0;
-    for (std::size_t j = 0; j < shares_.size(); ++j) {
-      acc += shares_[j];
-      if (u < acc || j + 1 == shares_.size()) {
-        k = j;
-        break;
-      }
-    }
-  }
-  const MixComponent& c = mix_.components[k];
-  Query q;
-  q.id = id_++;
-  q.arrival = now_;
-  q.batch = c.dist->Sample(rng);
-  q.model_id = c.model_id;
-  return q;
-}
-
-std::string MixTraceSource::Describe() const {
-  return arrivals_.Describe() + " x mix(" +
-         std::to_string(mix_.components.size()) + " models)";
-}
-
 // ---- Rate curves ------------------------------------------------------------
-
-const char* ToString(RateShape shape) {
-  switch (shape) {
-    case RateShape::kConstant: return "constant";
-    case RateShape::kDiurnal: return "diurnal";
-    case RateShape::kFlash: return "flash";
-  }
-  return "?";
-}
 
 double RateCurve::QpsAt(double t_sec) const {
   switch (shape) {
@@ -160,19 +45,6 @@ double RateCurve::QpsAt(double t_sec) const {
     }
   }
   return base_qps;
-}
-
-std::string RateCurve::Describe() const {
-  std::ostringstream oss;
-  oss << ToString(shape) << "(base=" << base_qps;
-  if (shape == RateShape::kDiurnal) {
-    oss << ", amp=" << amplitude << ", period=" << period_sec << "s";
-  } else if (shape == RateShape::kFlash) {
-    oss << ", x" << flash_mult << "@" << flash_at_sec
-        << "s, decay=" << flash_decay_sec << "s";
-  }
-  oss << ")";
-  return oss.str();
 }
 
 // ---- ScenarioSpec ------------------------------------------------------------
@@ -245,22 +117,6 @@ void ScenarioSpec::Validate() const {
   }
 }
 
-std::string ScenarioSpec::Describe() const {
-  std::ostringstream oss;
-  oss << name << "{" << rate.Describe() << ", models="
-      << components.size();
-  bool drifting = false;
-  for (const auto& c : components) {
-    if (c.end_weight >= 0.0 || c.end_sigma >= 0.0) drifting = true;
-  }
-  if (drifting) oss << ", drift=" << drift_window_sec << "s";
-  if (burst.rate_per_sec > 0.0 && components.size() > 1) {
-    oss << ", bursts=" << burst.rate_per_sec << "/s";
-  }
-  oss << "}";
-  return oss.str();
-}
-
 // ---- ScenarioTraceSource -------------------------------------------------------
 
 ScenarioTraceSource::ScenarioTraceSource(ScenarioSpec spec)
@@ -288,9 +144,9 @@ ScenarioTraceSource::ScenarioTraceSource(ScenarioSpec spec)
   bursts_ = spec_.burst.rate_per_sec > 0.0 && spec_.components.size() > 1;
   if (bursts_) static_mix_ = false;
   if (!static_mix_) clock_sec_ = true;
-  // Static mixes pay the normalization once, in exactly the
-  // MixSpec::NormalizedShares arithmetic (bit-identity with the legacy
-  // generator depends on it).
+  // Static mixes pay the normalization once: each weight over the in-order
+  // sum, the reference draw order's arithmetic (the model pick, and so
+  // every seeded trace, depends on it bit for bit).
   weights_.resize(spec_.components.size(), 0.0);
   thresholds_.resize(spec_.components.size(), 0.0);
   if (static_mix_) EffectiveWeights(0.0, /*in_burst=*/false, 0);
@@ -398,8 +254,6 @@ Query ScenarioTraceSource::Pull(Rng& rng) {
   return q;
 }
 
-std::string ScenarioTraceSource::Describe() const { return spec_.Describe(); }
-
 QueryTrace GenerateScenarioTrace(const ScenarioSpec& spec,
                                  std::size_t num_queries,
                                  std::uint64_t seed) {
@@ -409,6 +263,42 @@ QueryTrace GenerateScenarioTrace(const ScenarioSpec& spec,
   queries.reserve(num_queries);
   for (std::size_t i = 0; i < num_queries; ++i) {
     queries.push_back(source.Pull(rng));
+  }
+  return QueryTrace(std::move(queries));
+}
+
+QueryTrace GeneratePhasedTrace(double rate_qps,
+                               const std::vector<WorkloadPhase>& phases,
+                               std::size_t num_queries, std::uint64_t seed) {
+  PoissonArrivals arrivals(rate_qps);
+  if (phases.empty()) {
+    throw std::invalid_argument("GeneratePhasedTrace: no phases");
+  }
+  for (const auto& phase : phases) {
+    if (phase.dist == nullptr) {
+      throw std::invalid_argument(
+          "GeneratePhasedTrace: null phase distribution");
+    }
+  }
+  Rng rng(seed);
+  std::vector<Query> queries;
+  queries.reserve(num_queries);
+  std::size_t phase = 0;
+  std::size_t in_phase = 0;
+  SimTime now = 0;
+  for (std::size_t i = 0; i < num_queries; ++i) {
+    while (phase + 1 < phases.size() &&
+           in_phase >= phases[phase].num_queries) {
+      ++phase;
+      in_phase = 0;
+    }
+    ++in_phase;
+    now = arrivals.Advance(now, rng);
+    Query q;
+    q.id = i;
+    q.arrival = now;
+    q.batch = phases[phase].dist->Sample(rng);
+    queries.push_back(q);
   }
   return QueryTrace(std::move(queries));
 }

@@ -1,37 +1,36 @@
 // Scenario-first workload API.
 //
-// One composable abstraction replaces the parallel Generate*Trace free
-// functions: a workload::TraceSource is a pull-based stream of
-// (time, model, batch) events.  Every source here is generative and
-// unbounded, and Take() cuts it to length; a finite source would signal
-// exhaustion by returning nullopt.  (A captured trace needs no source:
-// callers replay the TraceDocument's QueryTrace directly.)
-//
-// On top of the interface sits the declarative ScenarioSpec: a rate curve
+// A declarative ScenarioSpec describes the traffic: a rate curve
 // (constant / diurnal sinusoid / flash-crowd step+decay), per-model batch
 // distributions (optionally drifting sigma), and a model-mix schedule
-// (static weights, linear drift, correlated bursts).  A named preset
-// registry (`steady`, `diurnal`, `flashcrowd`, `mixdrift`, `heavytail`)
-// applies adversarial shapes to any spec, so every CLI subcommand and
-// bench exercises new policies against the same suite
-// (`--scenario NAME[:key=val,...]`).
+// (static weights, linear drift, correlated bursts).  ScenarioTraceSource
+// is the one generator behind every spec: a pull-based, unbounded stream
+// of (time, model, batch) events, cut to length by GenerateScenarioTrace.
+// A named preset registry (`steady`, `diurnal`, `flashcrowd`, `mixdrift`,
+// `heavytail`) applies adversarial shapes to any spec, so every CLI
+// subcommand and bench exercises new policies against the same suite
+// (`--scenario NAME[:key=val,...]`).  A captured trace needs no
+// generator: callers replay the TraceDocument's QueryTrace directly.
+// GeneratePhasedTrace covers the one shape a spec does not: the elastic
+// day cycle, whose batch distribution switches after fixed query counts.
 //
-// Determinism contract: a source's output is a pure function of its spec
-// and the Rng stream it is pulled with.  A single-component constant-rate
-// scenario consumes draws in the canonical single-model order (gap, batch),
-// and a static multi-component one in the mixed order (gap, model, batch),
-// matching the adapter sources below bit-for-bit on the same seed
-// (asserted by workload_scenario_test, which keeps ArrivalTraceSource and
-// MixTraceSource as the reference for the draw order; both sources share
-// the batch sampler, which the test checks against std::lower_bound).
+// Determinism contract: a generated trace is a pure function of its spec
+// and the Rng stream it is pulled with.  Each query draws its gap, then
+// its model (only when the scenario has several components), then its
+// batch, so a single-component constant-rate scenario consumes draws in
+// the canonical single-model order (gap, batch) and a static
+// multi-component one in the mixed order (gap, model, batch).  That order
+// is what every seeded result depends on; tests/trace_oracle.h keeps an
+// independent loop in it, and the scenario tests compare against it draw
+// for draw.
 //
 // Arrival clocks are checked: a gap or an instant past 2^63 - 1 ns (a
 // rate so low that the trace outlives the tick clock) throws
 // std::overflow_error naming the rate instead of wrapping.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,91 +44,9 @@
 
 namespace pe::workload {
 
-// ---- The abstraction ----------------------------------------------------
-
-// A pull-based stream of query events.  Stateful: each Next() advances the
-// source's internal clock and id counter.  Implementations must be a pure
-// function of (construction arguments, pulls, rng draws) -- no hidden
-// global state -- so any drained prefix reproduces bit-identically.
-class TraceSource {
- public:
-  virtual ~TraceSource() = default;
-
-  // The next event, or nullopt when a finite source is exhausted.
-  // Generative sources never return nullopt.
-  virtual std::optional<Query> Next(Rng& rng) = 0;
-
-  virtual std::string Describe() const = 0;
-};
-
-// Drains up to `max_queries` events into a trace (stops early only when
-// the source is exhausted).
-QueryTrace Take(TraceSource& source, std::size_t max_queries, Rng& rng);
-
-// ---- Adapters over the legacy generator inputs ---------------------------
-
-// The single-model shape: Poisson arrivals, one batch distribution, model
-// id fixed at 0.  Both references are borrowed.  Draw order per query is
-// (gap, batch) -- the canonical order every consumer pins.
-class ArrivalTraceSource final : public TraceSource {
- public:
-  ArrivalTraceSource(PoissonArrivals& arrivals, const BatchDistribution& dist);
-
-  std::optional<Query> Next(Rng& rng) override;
-  std::string Describe() const override;
-
- private:
-  PoissonArrivals& arrivals_;
-  const BatchDistribution& dist_;
-  SimTime now_ = 0;
-  std::uint64_t id_ = 0;
-};
-
-// The drifting shape: the batch distribution switches across
-// count-bounded phases while the arrivals run continuously.  Pulls
-// past the last phase's budget keep its distribution (the tail of the day
-// looks like its final phase).  Throws std::invalid_argument on an empty
-// phase list or a null phase distribution.
-class PhasedTraceSource final : public TraceSource {
- public:
-  PhasedTraceSource(PoissonArrivals& arrivals,
-                    std::vector<WorkloadPhase> phases);
-
-  std::optional<Query> Next(Rng& rng) override;
-  std::string Describe() const override;
-
- private:
-  PoissonArrivals& arrivals_;
-  std::vector<WorkloadPhase> phases_;
-  std::size_t phase_ = 0;
-  std::size_t in_phase_ = 0;
-  SimTime now_ = 0;
-  std::uint64_t id_ = 0;
-};
-
-// The mixed shape: model identity drawn from a MixSpec's shares, batch
-// from the chosen component's distribution, draw order (gap, model,
-// batch).  `mix` is borrowed (components borrow their distributions).
-class MixTraceSource final : public TraceSource {
- public:
-  MixTraceSource(PoissonArrivals& arrivals, const MixSpec& mix);
-
-  std::optional<Query> Next(Rng& rng) override;
-  std::string Describe() const override;
-
- private:
-  PoissonArrivals& arrivals_;
-  const MixSpec& mix_;
-  std::vector<double> shares_;  // normalized
-  SimTime now_ = 0;
-  std::uint64_t id_ = 0;
-};
-
 // ---- Declarative scenarios ------------------------------------------------
 
 enum class RateShape { kConstant, kDiurnal, kFlash };
-
-const char* ToString(RateShape shape);
 
 // Offered-load curve lambda(t).  The generator samples each inter-arrival
 // gap at the rate in effect at the previous arrival (piecewise-constant
@@ -153,7 +70,6 @@ struct RateCurve {
   double flash_decay_sec = 5.0;
 
   double QpsAt(double t_sec) const;
-  std::string Describe() const;
 };
 
 // One model's slice of a scenario: its mix weight and batch distribution
@@ -196,7 +112,6 @@ struct ScenarioSpec {
   // Throws std::invalid_argument naming the offending field; every real
   // field must be finite.
   void Validate() const;
-  std::string Describe() const;
 };
 
 // The composable generator behind every scenario.  Owns its batch
@@ -209,20 +124,14 @@ struct ScenarioSpec {
 // uniform draw (the first threshold above it, as a walk over the weights
 // finds), and batches come from the concrete LogNormalBatchDist's guide
 // table without a virtual call.
-class ScenarioTraceSource final : public TraceSource {
+class ScenarioTraceSource {
  public:
   // Validates the spec (throws std::invalid_argument on a bad one).
   explicit ScenarioTraceSource(ScenarioSpec spec);
 
-  // The next event: a generative source never ends, so Pull needs no
-  // optional and no virtual call.  Throws std::overflow_error when the
-  // arrival clock would pass 2^63 - 1 ns.
+  // The next event; the stream never ends.  Throws std::overflow_error
+  // when the arrival clock would pass 2^63 - 1 ns.
   Query Pull(Rng& rng);
-
-  std::optional<Query> Next(Rng& rng) override { return Pull(rng); }
-  std::string Describe() const override;
-
-  const ScenarioSpec& spec() const { return spec_; }
 
  private:
   int SigmaStep(double frac) const;
@@ -255,6 +164,24 @@ class ScenarioTraceSource final : public TraceSource {
 // through Pull.
 QueryTrace GenerateScenarioTrace(const ScenarioSpec& spec,
                                  std::size_t num_queries, std::uint64_t seed);
+
+// One phase of a drifting workload: `num_queries` drawn from `dist`
+// (borrowed for the GeneratePhasedTrace call).
+struct WorkloadPhase {
+  const BatchDistribution* dist = nullptr;
+  std::size_t num_queries = 0;
+};
+
+// The drifting single-model shape: Poisson arrivals at `rate_qps` on a
+// fresh Rng(seed), each query drawing its gap and then its batch from the
+// current phase's distribution.  A phase ends once it has served its
+// `num_queries`; queries past the last phase's budget keep its
+// distribution.  Throws std::invalid_argument on a rate PoissonArrivals
+// rejects, an empty phase list or a null phase distribution, and
+// std::overflow_error when the arrival clock would pass 2^63 - 1 ns.
+QueryTrace GeneratePhasedTrace(double rate_qps,
+                               const std::vector<WorkloadPhase>& phases,
+                               std::size_t num_queries, std::uint64_t seed);
 
 // ---- Named preset registry ------------------------------------------------
 

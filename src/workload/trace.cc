@@ -1,12 +1,8 @@
 #include "workload/trace.h"
 
 #include <algorithm>
-#include <cstdint>
-#include <istream>
-#include <limits>
 #include <ostream>
-#include <sstream>
-#include <stdexcept>
+#include <utility>
 
 namespace pe::workload {
 
@@ -33,30 +29,6 @@ double QueryTrace::OfferedQps() const {
   return static_cast<double>(queries_.size() - 1) / TicksToSec(span);
 }
 
-double QueryTrace::MeanBatch() const {
-  if (queries_.empty()) return 0.0;
-  double sum = 0.0;
-  for (const auto& q : queries_) sum += q.batch;
-  return sum / static_cast<double>(queries_.size());
-}
-
-int QueryTrace::NumModels() const {
-  int max_id = 0;
-  for (const auto& q : queries_) max_id = std::max(max_id, q.model_id);
-  return max_id + 1;
-}
-
-QueryTrace QueryTrace::FilterModel(int model_id) const {
-  std::vector<Query> filtered;
-  for (const auto& q : queries_) {
-    if (q.model_id != model_id) continue;
-    Query copy = q;
-    copy.id = filtered.size();
-    filtered.push_back(copy);
-  }
-  return QueryTrace(std::move(filtered));
-}
-
 void QueryTrace::SaveCsv(std::ostream& os) const {
   const bool multi =
       std::any_of(queries_.begin(), queries_.end(),
@@ -67,124 +39,6 @@ void QueryTrace::SaveCsv(std::ostream& os) const {
     if (multi) os << ',' << q.model_id;
     os << '\n';
   }
-}
-
-namespace {
-
-[[noreturn]] void CsvFail(int line_no, const std::string& what) {
-  throw std::runtime_error("QueryTrace::LoadCsv: line " +
-                           std::to_string(line_no) + ": " + what);
-}
-
-// Parses one strictly numeric CSV field: the whole field must be digits
-// (with an optional leading '-'), so "12x" or an empty field fails loudly
-// instead of silently truncating like std::stoll would.
-std::int64_t CsvInt(const std::string& field, int line_no,
-                    const char* column) {
-  if (field.empty()) {
-    CsvFail(line_no, std::string("empty ") + column + " field");
-  }
-  std::size_t i = field[0] == '-' ? 1 : 0;
-  if (i == field.size()) {
-    CsvFail(line_no, std::string("bad ") + column + " value '" + field + "'");
-  }
-  std::int64_t value = 0;
-  for (; i < field.size(); ++i) {
-    const char c = field[i];
-    if (c < '0' || c > '9') {
-      CsvFail(line_no,
-              std::string("bad ") + column + " value '" + field + "'");
-    }
-    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
-    const int d = c - '0';
-    if (value > (kMax - d) / 10) {
-      CsvFail(line_no, std::string(column) + " value out of range");
-    }
-    value = value * 10 + d;
-  }
-  return field[0] == '-' ? -value : value;
-}
-
-std::vector<std::string> CsvFields(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string::size_type begin = 0;
-  for (;;) {
-    const auto comma = line.find(',', begin);
-    fields.push_back(line.substr(begin, comma - begin));
-    if (comma == std::string::npos) return fields;
-    begin = comma + 1;
-  }
-}
-
-}  // namespace
-
-QueryTrace QueryTrace::LoadCsv(std::istream& is) {
-  std::string line;
-  int line_no = 1;
-  if (!std::getline(is, line)) {
-    throw std::runtime_error("QueryTrace::LoadCsv: empty input");
-  }
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  bool multi = false;
-  if (line == "id,arrival_ns,batch,model") {
-    multi = true;
-  } else if (line != "id,arrival_ns,batch") {
-    CsvFail(line_no, "bad header '" + line +
-                         "' (expected id,arrival_ns,batch[,model])");
-  }
-  const std::size_t expected_fields = multi ? 4 : 3;
-  std::vector<Query> queries;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    const std::vector<std::string> fields = CsvFields(line);
-    if (fields.size() != expected_fields) {
-      CsvFail(line_no, "expected " + std::to_string(expected_fields) +
-                           " fields, got " + std::to_string(fields.size()));
-    }
-    Query q;
-    const std::int64_t id = CsvInt(fields[0], line_no, "id");
-    if (id < 0) CsvFail(line_no, "negative id");
-    q.id = static_cast<std::uint64_t>(id);
-    q.arrival = CsvInt(fields[1], line_no, "arrival_ns");
-    if (q.arrival < 0) CsvFail(line_no, "negative arrival_ns");
-    const std::int64_t batch = CsvInt(fields[2], line_no, "batch");
-    if (batch < 1 || batch > std::numeric_limits<int>::max()) {
-      CsvFail(line_no, "batch must be >= 1");
-    }
-    q.batch = static_cast<int>(batch);
-    if (multi) {
-      const std::int64_t model = CsvInt(fields[3], line_no, "model");
-      if (model < 0 || model > std::numeric_limits<int>::max()) {
-        CsvFail(line_no, "bad model id");
-      }
-      q.model_id = static_cast<int>(model);
-    }
-    queries.push_back(q);
-  }
-  return QueryTrace(std::move(queries));
-}
-
-std::vector<double> MixSpec::NormalizedShares() const {
-  if (components.empty()) {
-    throw std::invalid_argument("MixSpec: no components");
-  }
-  std::vector<double> shares;
-  shares.reserve(components.size());
-  double total = 0.0;
-  for (const auto& c : components) {
-    if (c.share < 0.0) {
-      throw std::invalid_argument("MixSpec: negative share");
-    }
-    shares.push_back(c.share);
-    total += c.share;
-  }
-  if (total <= 0.0) {
-    throw std::invalid_argument("MixSpec: shares sum to zero");
-  }
-  for (double& s : shares) s /= total;
-  return shares;
 }
 
 }  // namespace pe::workload

@@ -1,16 +1,14 @@
-// Query traces: the concrete (arrival time, batch size) sequence the
-// simulated inference server replays.  Generated from an arrival process +
-// batch distribution, or loaded from CSV for externally supplied traces.
+// Query traces: the concrete (arrival time, batch size, model) sequence
+// the simulated inference server replays.  Generated by the scenario layer
+// (workload/scenario.h), or read back from a captured paris-elsa-trace-v1
+// document (workload/trace_io.h).
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/sim_time.h"
-#include "workload/arrival.h"
-#include "workload/batch_dist.h"
 
 namespace pe::workload {
 
@@ -39,59 +37,14 @@ class QueryTrace {
   // Offered load over the trace span, queries/sec.
   double OfferedQps() const;
 
-  // Mean batch size over the trace.
-  double MeanBatch() const;
-
-  // Number of distinct model ids referenced (max model_id + 1); 1 for an
-  // empty or single-model trace.
-  int NumModels() const;
-
-  // Queries of one model, keeping arrival times but re-numbering ids
-  // densely from 0 (the form a dedicated per-model server replays).
-  QueryTrace FilterModel(int model_id) const;
-
-  // CSV round trip: columns id,arrival_ns,batch[,model].  The model column
-  // is written only when some query has model_id != 0, so single-model
-  // traces keep the legacy byte-identical format; LoadCsv accepts both.
-  // LoadCsv is strict: a bad header, wrong field count, or non-numeric
-  // field fails with a std::runtime_error naming the input line instead of
-  // silently misparsing.  (For the versioned JSON capture format with
-  // symbolic model names, see workload/trace_io.h.)
+  // CSV export: columns id,arrival_ns,batch[,model].  The model column is
+  // written only when some query has model_id != 0, so single-model
+  // traces keep the three-column format.  Nothing reads it back; a trace
+  // meant for replay is captured as JSON (workload/trace_io.h).
   void SaveCsv(std::ostream& os) const;
-  static QueryTrace LoadCsv(std::istream& is);
 
  private:
   std::vector<Query> queries_;  // sorted by arrival time
-};
-
-// One phase of a drifting workload: `num_queries` drawn from `dist`.
-// `dist` is borrowed and must outlive the consuming PhasedTraceSource
-// (workload/scenario.h).
-struct WorkloadPhase {
-  const BatchDistribution* dist = nullptr;
-  std::size_t num_queries = 0;
-};
-
-// ---- Mixed-model workloads ---------------------------------------------
-
-// One model's slice of a mixed workload: its share of the query stream and
-// its own batch-size distribution.  `dist` is borrowed and must outlive the
-// MixSpec's use.
-struct MixComponent {
-  int model_id = 0;
-  double share = 1.0;  // relative weight; normalized across the spec
-  const BatchDistribution* dist = nullptr;
-};
-
-// A multi-model traffic mix: per-model rate shares + batch distributions.
-// Consumed by MixTraceSource (workload/scenario.h).
-struct MixSpec {
-  std::vector<MixComponent> components;
-
-  // Shares normalized to sum 1, indexed like `components`.  Throws
-  // std::invalid_argument on an empty spec, a negative share, or an
-  // all-zero total.
-  std::vector<double> NormalizedShares() const;
 };
 
 }  // namespace pe::workload

@@ -3,6 +3,9 @@
 // golden digests.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/mix_runner.h"
 #include "golden_digest.h"
 
@@ -21,6 +24,49 @@ TEST(MixTestbed, RejectsDegenerateConfigs) {
   EXPECT_THROW(MixTestbed{negative}, std::invalid_argument);
 }
 
+// The error a config is rejected with, or "" when it is accepted.
+std::string RejectionOf(const MixConfig& config) {
+  try {
+    MixTestbed tb(config);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(MixTestbed, RejectsBadSharesAndDurationsNamingTheField) {
+  MixConfig base;
+  base.models.push_back({"resnet", 0.5, 6.0, 0.9});
+  base.models.push_back({"mobilenet", 0.5, 4.0, 0.9});
+
+  MixConfig negative_share = base;
+  negative_share.models[1].share = -0.5;
+  EXPECT_NE(RejectionOf(negative_share).find("negative share for mobilenet"),
+            std::string::npos);
+  MixConfig zero_shares = base;
+  zero_shares.models[0].share = 0.0;
+  zero_shares.models[1].share = 0.0;
+  EXPECT_NE(RejectionOf(zero_shares).find("shares sum to zero"),
+            std::string::npos);
+
+  // Finite values past 2^63 ns used to wrap: a 1e300 us swap charge went
+  // negative and shortened service, and a 1e300 x SLA became a negative
+  // target that every query violated.
+  MixConfig huge_swap = base;
+  huge_swap.swap_cost_us = 1e300;
+  EXPECT_NE(RejectionOf(huge_swap).find("swap_cost_us overflows"),
+            std::string::npos);
+  MixConfig huge_sla = base;
+  huge_sla.sla_n = 1e300;
+  EXPECT_NE(RejectionOf(huge_sla).find("sla_n 1e+300"), std::string::npos);
+
+  // The largest swap charge that fits is accepted, in ticks.
+  MixConfig big_swap = base;
+  big_swap.swap_cost_us = 9.2e15;
+  EXPECT_EQ(RejectionOf(big_swap), "");
+  EXPECT_EQ(MixTestbed(big_swap).swap_cost(), UsToTicks(9.2e15));
+}
+
 TEST(MixTestbed, TwoModelMixServesBothWithinPlan) {
   MixConfig mc;
   mc.models.push_back({"resnet", 0.6, 6.0, 0.9});
@@ -34,7 +80,9 @@ TEST(MixTestbed, TwoModelMixServesBothWithinPlan) {
   EXPECT_LE(mixed.plan.TotalGpcs(), mc.gpc_budget);
 
   const auto trace = tb.GenerateMix(250.0, 2000, /*seed=*/3);
-  EXPECT_EQ(trace.NumModels(), 2);
+  for (const auto& q : trace.queries()) {
+    ASSERT_TRUE(q.model_id == 0 || q.model_id == 1) << q.model_id;
+  }
   auto scheduler = tb.MakeScheduler(SchedulerKind::kElsa);
   const auto result =
       tb.Run(mixed.plan.instance_gpcs, *scheduler, trace, /*seed=*/3);

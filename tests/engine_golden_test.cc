@@ -180,22 +180,19 @@ TEST(EngineGolden, SingleModelElasticDriverMatchesCheckedInDigest) {
   const profile::ProfileTable& table = rep.profile(0);
   const SimTime sla = SecToTicks(1.5 * table.LatencySec(7, 32));
 
-  workload::LogNormalBatchDist small(3.0, 0.6, 32);
-  workload::LogNormalBatchDist large(18.0, 0.4, 32);
-  workload::PoissonArrivals arrivals(350.0);
-  workload::PhasedTraceSource day_cycle(
-      arrivals, {{&small, 600}, {&large, 600}, {&small, 600}});
-  Rng rng(11);
-  const auto trace = workload::Take(day_cycle, 1800, rng);
+  const workload::LogNormalBatchDist small(3.0, 0.6, 32);
+  const workload::LogNormalBatchDist large(18.0, 0.4, 32);
+  const auto trace = workload::GeneratePhasedTrace(
+      350.0, {{&small, 600}, {&large, 600}, {&small, 600}}, 1800, 11);
 
   online::ElasticConfig config;
   config.drift_threshold = 0.15;
   config.min_observations = 150;
   config.reconfig_downtime = MsToTicks(50.0);
-  workload::MixSpec mix;
-  mix.components.push_back({0, 1.0, &small});
-  online::RepartitionController controller(rep, hw::Cluster(8), 48, mix, {},
-                                           config);
+  online::RepartitionController controller(
+      rep, hw::Cluster(8), 48,
+      {{.model_id = 0, .share = 1.0, .profile = &table, .dist = &small}}, {},
+      config);
   online::ElasticServerSim elastic(
       controller, rep,
       [&rep, sla] { return std::make_unique<sched::ElsaScheduler>(rep, sla); },

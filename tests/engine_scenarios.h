@@ -26,8 +26,6 @@
 #include "sched/elsa.h"
 #include "sched/fifs.h"
 #include "sim/server.h"
-#include "workload/arrival.h"
-#include "workload/batch_dist.h"
 #include "workload/scenario.h"
 #include "workload/trace.h"
 
@@ -83,21 +81,20 @@ inline profile::ModelRepertoire MakeScenarioRepertoire(int num_models) {
 inline workload::QueryTrace MakeScenarioTrace(
     const profile::ModelRepertoire& rep, std::size_t n, std::uint64_t seed,
     double rate_qps = 900.0) {
-  Rng rng(seed);
-  workload::PoissonArrivals arrivals(rate_qps);
-  workload::LogNormalBatchDist d0(6.0, 0.9, 32);
-  workload::LogNormalBatchDist d1(4.0, 0.7, 32);
-  workload::LogNormalBatchDist d2(9.0, 0.8, 32);
-  if (rep.size() == 1) {
-    workload::ArrivalTraceSource source(arrivals, d0);
-    return workload::Take(source, n, rng);
+  const double weights[] = {0.5, 0.3, 0.2};
+  const double medians[] = {6.0, 4.0, 9.0};
+  const double sigmas[] = {0.9, 0.7, 0.8};
+  workload::ScenarioSpec spec;
+  spec.rate.base_qps = rate_qps;
+  for (int m = 0; m < (rep.size() == 1 ? 1 : 3); ++m) {
+    workload::ComponentSpec c;
+    c.model_id = m;
+    c.weight = weights[m];
+    c.median = medians[m];
+    c.sigma = sigmas[m];
+    spec.components.push_back(c);
   }
-  workload::MixSpec mix;
-  mix.components.push_back({0, 0.5, &d0});
-  mix.components.push_back({1, 0.3, &d1});
-  mix.components.push_back({2, 0.2, &d2});
-  workload::MixTraceSource source(arrivals, mix);
-  return workload::Take(source, n, rng);
+  return workload::GenerateScenarioTrace(spec, n, seed);
 }
 
 enum class Sched { kFifs, kElsa, kJsq };

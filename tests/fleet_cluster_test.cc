@@ -22,8 +22,6 @@
 #include "fleet/router.h"
 #include "profile/model_repertoire.h"
 #include "sched/fifs.h"
-#include "workload/arrival.h"
-#include "workload/batch_dist.h"
 #include "workload/scenario.h"
 #include "workload/trace.h"
 
@@ -60,15 +58,15 @@ TEST(ClusterSeeds, PureFunctionOfInputs) {
 
 workload::QueryTrace MakeTrace(std::size_t n, int num_models,
                                std::uint64_t seed) {
-  Rng rng(seed);
-  workload::PoissonArrivals arrivals(400.0);
-  workload::LogNormalBatchDist dist(6.0, 0.9, 32);
-  workload::MixSpec mix;
+  workload::ScenarioSpec spec;
+  spec.rate.base_qps = 400.0;
   for (int m = 0; m < num_models; ++m) {
-    mix.components.push_back({m, 1.0 / num_models, &dist});
+    workload::ComponentSpec c;
+    c.model_id = m;
+    c.weight = 1.0 / num_models;
+    spec.components.push_back(c);
   }
-  workload::MixTraceSource source(arrivals, mix);
-  return workload::Take(source, n, rng);
+  return workload::GenerateScenarioTrace(spec, n, seed);
 }
 
 std::unique_ptr<Cluster> MakeCluster(const profile::ModelRepertoire& zoo,

@@ -88,10 +88,11 @@ class ControllerFixture : public ::testing::Test {
   // The single-model controller: a one-component mix.
   static RepartitionController MakeController(ElasticConfig config = {}) {
     static const workload::LogNormalBatchDist initial(4.0, 0.6, 32);
-    workload::MixSpec mix;
-    mix.components.push_back({0, 1.0, &initial});
-    return RepartitionController(Repertoire(), hw::Cluster(8), 48, mix,
-                                 partition::ParisConfig{}, config);
+    return RepartitionController(
+        Repertoire(), hw::Cluster(8), 48,
+        {{.model_id = 0, .share = 1.0, .profile = &Profile(),
+          .dist = &initial}},
+        partition::ParisConfig{}, config);
   }
 };
 
@@ -183,11 +184,12 @@ TEST_F(ControllerFixture, DriftFreeRunMatchesStaticServerBitIdentical) {
   config.drift_threshold = 2.0;  // unreachable: never repartitions
   auto controller = MakeController(config);
 
-  workload::LogNormalBatchDist dist(4.0, 0.6, 32);
-  workload::PoissonArrivals arrivals(250.0);
-  Rng rng(9);
-  workload::ArrivalTraceSource steady(arrivals, dist);
-  const auto trace = workload::Take(steady, 3000, rng);
+  workload::ScenarioSpec steady;
+  steady.rate.base_qps = 250.0;
+  steady.components.resize(1);
+  steady.components[0].median = 4.0;
+  steady.components[0].sigma = 0.6;
+  const auto trace = workload::GenerateScenarioTrace(steady, 3000, 9);
 
   const auto& rep = Repertoire();
   const SimTime sla = SecToTicks(1.5 * Profile().LatencySec(7, 32));
@@ -242,13 +244,10 @@ TEST_F(ControllerFixture, DriftFreeRunMatchesStaticServerBitIdentical) {
 // Same trace, same seed: elastic runs are reproducible end-to-end now
 // that the seed is plumbed through instead of hard-coded.
 TEST_F(ControllerFixture, SameSeedSameResult) {
-  workload::LogNormalBatchDist small(3.0, 0.5, 32);
-  workload::LogNormalBatchDist large(20.0, 0.4, 32);
-  workload::PoissonArrivals arrivals(300.0);
-  Rng rng(6);
-  workload::PhasedTraceSource drifting(arrivals,
-                                       {{&small, 2000}, {&large, 2000}});
-  const auto trace = workload::Take(drifting, 4000, rng);
+  const workload::LogNormalBatchDist small(3.0, 0.5, 32);
+  const workload::LogNormalBatchDist large(20.0, 0.4, 32);
+  const auto trace = workload::GeneratePhasedTrace(
+      300.0, {{&small, 2000}, {&large, 2000}}, 4000, 6);
 
   const auto& rep = Repertoire();
   const SimTime sla = SecToTicks(1.5 * Profile().LatencySec(7, 32));
@@ -279,13 +278,10 @@ TEST_F(ControllerFixture, ElasticServerTracksDriftingWorkload) {
   auto controller = MakeController(config);
 
   // Build a drifting trace: small-batch phase then large-batch phase.
-  workload::LogNormalBatchDist small(3.0, 0.5, 32);
-  workload::LogNormalBatchDist large(20.0, 0.4, 32);
-  workload::PoissonArrivals arrivals(300.0);
-  Rng rng(6);
-  workload::PhasedTraceSource drifting(arrivals,
-                                       {{&small, 4000}, {&large, 4000}});
-  const auto trace = workload::Take(drifting, 8000, rng);
+  const workload::LogNormalBatchDist small(3.0, 0.5, 32);
+  const workload::LogNormalBatchDist large(20.0, 0.4, 32);
+  const auto trace = workload::GeneratePhasedTrace(
+      300.0, {{&small, 4000}, {&large, 4000}}, 8000, 6);
 
   const auto& rep = Repertoire();
   const SimTime sla = SecToTicks(1.5 * Profile().LatencySec(7, 32));

@@ -5,13 +5,13 @@
 
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "online/elastic_server.h"
 #include "online/repartition_controller.h"
 #include "online/traffic_estimator.h"
 #include "profile/model_repertoire.h"
 #include "sched/elsa.h"
-#include "workload/arrival.h"
 #include "workload/batch_dist.h"
 #include "workload/scenario.h"
 
@@ -72,13 +72,33 @@ class MixedControllerFixture : public ::testing::Test {
   static RepartitionController MakeController(ElasticConfig config = {}) {
     static const workload::LogNormalBatchDist heavy(6.0, 0.6, 32);
     static const workload::LogNormalBatchDist light(4.0, 0.6, 32);
-    workload::MixSpec mix;
-    mix.components.push_back({0, 0.5, &heavy});
-    mix.components.push_back({1, 0.5, &light});
-    return RepartitionController(Repertoire(), hw::Cluster(8), 48, mix,
-                                 partition::ParisConfig{}, config);
+    return RepartitionController(
+        Repertoire(), hw::Cluster(8), 48,
+        {{.model_id = 0, .share = 0.5, .dist = &heavy},
+         {.model_id = 1, .share = 0.5, .dist = &light}},
+        partition::ParisConfig{}, config);
   }
 };
+
+TEST_F(MixedControllerFixture, RejectsDegenerateMixes) {
+  static const workload::LogNormalBatchDist dist(4.0, 0.6, 32);
+  const auto make = [](const std::vector<partition::MixModelInput>& mix) {
+    return RepartitionController(Repertoire(), hw::Cluster(8), 48, mix);
+  };
+  EXPECT_THROW(make({}), std::invalid_argument);
+  EXPECT_THROW(make({{.model_id = 0, .share = 1.0}}), std::invalid_argument);
+  EXPECT_THROW(make({{.model_id = 2, .share = 1.0, .dist = &dist}}),
+               std::invalid_argument);
+  EXPECT_THROW(make({{.model_id = 0, .share = -0.5, .dist = &dist},
+                     {.model_id = 1, .share = 1.5, .dist = &dist}}),
+               std::invalid_argument);
+  EXPECT_THROW(make({{.model_id = 0, .share = 0.0, .dist = &dist},
+                     {.model_id = 1, .share = 0.0, .dist = &dist}}),
+               std::invalid_argument);
+  EXPECT_THROW(make({{.model_id = 0, .share = 0.5, .dist = &dist},
+                     {.model_id = 0, .share = 0.5, .dist = &dist}}),
+               std::invalid_argument);
+}
 
 TEST_F(MixedControllerFixture, InitialPlanSplitsBudgetByShares) {
   auto controller = MakeController();
@@ -169,27 +189,30 @@ TEST_F(MixedControllerFixture, BelowMinObservationsNeverTriggers) {
 // layout must shift toward the newly dominant model.
 TEST_F(MixedControllerFixture, MixDriftDrivesLiveReconfiguration) {
   const auto& rep = Repertoire();
-  workload::LogNormalBatchDist heavy(6.0, 0.6, 32);
-  workload::LogNormalBatchDist light(4.0, 0.6, 32);
 
-  // Phase 1: 50/50; phase 2: 90/10 toward the heavy model.
-  workload::MixSpec balanced;
-  balanced.components.push_back({0, 0.5, &heavy});
-  balanced.components.push_back({1, 0.5, &light});
-  workload::MixSpec skewed;
-  skewed.components.push_back({0, 0.9, &heavy});
-  skewed.components.push_back({1, 0.1, &light});
-
-  workload::PoissonArrivals arrivals(300.0);
+  // Phase 1: 50/50; phase 2: 90/10 toward the heavy model (median 6 vs
+  // 4).  Both phases pull from one Rng, the second continuing the first.
+  const auto phase = [](double heavy, double light) {
+    workload::ScenarioSpec spec;
+    spec.rate.base_qps = 300.0;
+    spec.components.resize(2);
+    spec.components[0].weight = heavy;
+    spec.components[0].median = 6.0;
+    spec.components[1].model_id = 1;
+    spec.components[1].weight = light;
+    spec.components[1].median = 4.0;
+    for (auto& c : spec.components) c.sigma = 0.6;
+    return workload::ScenarioTraceSource(std::move(spec));
+  };
   Rng rng(6);
-  workload::MixTraceSource balanced_source(arrivals, balanced);
-  const auto phase1 = workload::Take(balanced_source, 3000, rng);
-  workload::MixTraceSource skewed_source(arrivals, skewed);
-  const auto phase2 = workload::Take(skewed_source, 3000, rng);
-  std::vector<workload::Query> all = phase1.queries();
-  const SimTime offset = phase1.Span();
-  for (workload::Query q : phase2.queries()) {
-    q.id += phase1.size();
+  std::vector<workload::Query> all;
+  workload::ScenarioTraceSource balanced = phase(0.5, 0.5);
+  for (int i = 0; i < 3000; ++i) all.push_back(balanced.Pull(rng));
+  const SimTime offset = all.back().arrival;
+  workload::ScenarioTraceSource skewed = phase(0.9, 0.1);
+  for (int i = 0; i < 3000; ++i) {
+    workload::Query q = skewed.Pull(rng);
+    q.id += 3000;
     q.arrival += offset;
     all.push_back(q);
   }

@@ -166,6 +166,46 @@ TEST(FaultInjection, SlowdownStretchesActualExecutionOnly) {
   EXPECT_THROW(server.SetSlowdownFactor(-1.0), std::invalid_argument);
 }
 
+// An execution time past 2^63 ns used to wrap negative and clamp to one
+// tick, so a 1e300x brownout served every query in 1 ns.  It throws,
+// naming the slowdown factor and the noise sigma; a large factor that
+// still fits rounds as SecToTicks does.
+TEST(FaultInjection, SlowdownPastTheTickClockThrows) {
+  const auto rep = testing::ToyModel();
+  sched::FifsScheduler fifs;
+  ServerConfig noisy = Config({7});
+  noisy.latency_noise_sigma = 0.25;
+  for (const ServerConfig& config : {Config({7}), noisy}) {
+    InferenceServer server(config, rep, fifs);
+    server.SetSlowdownFactor(1e300);
+    server.InjectTrace(MakeTrace(1, 0));
+    try {
+      server.Finish();
+      ADD_FAILURE() << "a 1e300x slowdown ran";
+    } catch (const std::overflow_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("overflows the tick clock"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("slowdown factor 1e+300"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("noise sigma " +
+                          std::string(config.latency_noise_sigma > 0.0
+                                          ? "0.25"
+                                          : "0")),
+                std::string::npos)
+          << what;
+    }
+  }
+
+  InferenceServer slow(Config({7}), rep, fifs);
+  slow.SetSlowdownFactor(4e9);
+  slow.InjectTrace(MakeTrace(1, 0));
+  const auto result = slow.Finish();
+  // 2 ms x 4e9 = 8e6 s, below 2^63 ns (about 9.2e9 s).
+  EXPECT_EQ(result.records[0].finished - result.records[0].started,
+            SecToTicks(2e-3 * 4e9));
+}
+
 // Binds every arrival to worker 0, failed or not.
 class PinnedScheduler final : public sched::Scheduler {
  public:

@@ -84,10 +84,5 @@ TEST(PoissonArrivals, GapsExponentialCoefficientOfVariation) {
   EXPECT_NEAR(std::sqrt(var) / mean, 1.0, 0.05);
 }
 
-TEST(PoissonArrivals, DescribeIsInformative) {
-  PoissonArrivals p(42.0);
-  EXPECT_NE(p.Describe().find("poisson"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace pe::workload

@@ -7,10 +7,18 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 namespace pe::workload {
 namespace {
+
+// Mean batch size under `d`'s PMF.
+double PmfMean(const BatchDistribution& d) {
+  double mean = 0.0;
+  for (int b = 1; b <= d.max_batch(); ++b) mean += b * d.Pdf(b);
+  return mean;
+}
 
 TEST(LogNormalBatchDist, PmfSumsToOne) {
   LogNormalBatchDist d(6.0, 0.9, 32);
@@ -65,13 +73,13 @@ TEST(LogNormalBatchDist, SamplesMatchPmf) {
   }
 }
 
-TEST(LogNormalBatchDist, MeanBatchMatchesSampling) {
+TEST(LogNormalBatchDist, PmfMeanMatchesSampling) {
   LogNormalBatchDist d(6.0, 0.9, 32);
   Rng rng(5);
   double sum = 0.0;
   const int n = 100000;
   for (int i = 0; i < n; ++i) sum += d.Sample(rng);
-  EXPECT_NEAR(sum / n, d.MeanBatch(), 0.1);
+  EXPECT_NEAR(sum / n, PmfMean(d), 0.1);
 }
 
 TEST(LogNormalBatchDist, PdfVectorMatchesPdf) {
@@ -88,26 +96,6 @@ TEST(LogNormalBatchDist, InvalidParamsThrow) {
   EXPECT_THROW(LogNormalBatchDist(0.0, 0.9, 32), std::invalid_argument);
   EXPECT_THROW(LogNormalBatchDist(4.0, 0.0, 32), std::invalid_argument);
   EXPECT_THROW(LogNormalBatchDist(4.0, 0.9, 0), std::invalid_argument);
-}
-
-TEST(LogNormalBatchDist, DescribeMentionsParameters) {
-  LogNormalBatchDist d(6.0, 0.9, 32);
-  const auto s = d.Describe();
-  EXPECT_NE(s.find("lognormal"), std::string::npos);
-  EXPECT_NE(s.find("0.9"), std::string::npos);
-}
-
-TEST(FixedBatchDist, AlwaysSamplesFixedValue) {
-  FixedBatchDist d(8);
-  Rng rng(1);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(d.Sample(rng), 8);
-  EXPECT_EQ(d.Pdf(8), 1.0);
-  EXPECT_EQ(d.Pdf(7), 0.0);
-  EXPECT_EQ(d.max_batch(), 8);
-}
-
-TEST(FixedBatchDist, RejectsNonPositive) {
-  EXPECT_THROW(FixedBatchDist(0), std::invalid_argument);
 }
 
 TEST(EmpiricalBatchDist, NormalizesWeights) {
@@ -180,31 +168,35 @@ std::vector<double> ProbePoints(const std::vector<double>& cdf,
 }
 
 // Checks the sampler built from `dist`'s PMF -- the one `dist` samples
-// with -- against the binary search at every probe point.
-void ExpectSamplerMatchesLowerBound(const BatchDistribution& dist) {
+// with -- against the binary search at every probe point; `label` names
+// the distribution in failure messages.
+void ExpectSamplerMatchesLowerBound(const BatchDistribution& dist,
+                                    const std::string& label) {
   const std::vector<double> pmf = dist.PdfVector();
   const GuideTableSampler sampler(pmf);
   const std::vector<double> cdf = RunningCdf(pmf);
   // G a power of two: u * G and g / G are exact.
-  EXPECT_TRUE(std::has_single_bit(sampler.guide_size())) << dist.Describe();
-  EXPECT_GE(sampler.guide_size(), pmf.size() - 1) << dist.Describe();
+  EXPECT_TRUE(std::has_single_bit(sampler.guide_size())) << label;
+  EXPECT_GE(sampler.guide_size(), pmf.size() - 1) << label;
   for (const double u : ProbePoints(cdf, sampler.guide_size())) {
     ASSERT_EQ(sampler.At(u), LowerBoundBatch(cdf, u))
-        << dist.Describe() << " u=" << std::hexfloat << u;
+        << label << " u=" << std::hexfloat << u;
   }
   // The distribution's own draw is that sampler at the next uniform.
   Rng draws(77);
   Rng samples(77);
   for (int i = 0; i < 1000; ++i) {
-    ASSERT_EQ(dist.Sample(samples), sampler.At(draws.NextDouble()))
-        << dist.Describe();
+    ASSERT_EQ(dist.Sample(samples), sampler.At(draws.NextDouble())) << label;
   }
 }
 
 TEST(GuideTableSampler, MatchesLowerBoundOnLogNormals) {
-  ExpectSamplerMatchesLowerBound(LogNormalBatchDist(6.0, 0.9, 32));
-  ExpectSamplerMatchesLowerBound(LogNormalBatchDist(4.0, 1.8, 64));
-  ExpectSamplerMatchesLowerBound(LogNormalBatchDist(6.0, 0.9, 1));
+  ExpectSamplerMatchesLowerBound(LogNormalBatchDist(6.0, 0.9, 32),
+                                 "lognormal(6, 0.9, 32)");
+  ExpectSamplerMatchesLowerBound(LogNormalBatchDist(4.0, 1.8, 64),
+                                 "lognormal(4, 1.8, 64)");
+  ExpectSamplerMatchesLowerBound(LogNormalBatchDist(6.0, 0.9, 1),
+                                 "lognormal(6, 0.9, 1)");
 }
 
 TEST(GuideTableSampler, MatchesLowerBoundWithZeroWeights) {
@@ -217,8 +209,9 @@ TEST(GuideTableSampler, MatchesLowerBoundWithZeroWeights) {
       {1, 3, 2, 0, 0},
       {0, 5, 0, 0, 0, 0, 0, 0, 0},
   };
-  for (const std::vector<double>& w : weights) {
-    ExpectSamplerMatchesLowerBound(EmpiricalBatchDist(w));
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    ExpectSamplerMatchesLowerBound(EmpiricalBatchDist(weights[i]),
+                                   "weights #" + std::to_string(i));
   }
 }
 
@@ -240,7 +233,7 @@ TEST_P(LogNormalSweepTest, PmfNormalizedAndSamplable) {
   const int n = 20000;
   for (int i = 0; i < n; ++i) mean += d.Sample(rng);
   mean /= n;
-  EXPECT_NEAR(mean, d.MeanBatch(), 0.25);
+  EXPECT_NEAR(mean, PmfMean(d), 0.25);
 }
 
 INSTANTIATE_TEST_SUITE_P(

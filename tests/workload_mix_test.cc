@@ -1,83 +1,30 @@
-// Tests for mixed-model workload generation: MixSpec share handling, the
-// one-component bit-identity of MixTraceSource with ArrivalTraceSource,
-// model-tagged CSV round trips, and the per-model trace split used by
-// dedicated layouts.
+// Tests for mixed-model workload generation: a static scenario mix keeps
+// its shares and dense ids, and the CSV export carries the model column
+// only when the trace has more than one model.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "workload/arrival.h"
-#include "workload/batch_dist.h"
 #include "workload/scenario.h"
 #include "workload/trace.h"
 
 namespace pe::workload {
 namespace {
 
-TEST(MixSpec, NormalizesShares) {
-  LogNormalBatchDist dist(4.0, 0.6, 16);
-  MixSpec mix;
-  mix.components.push_back({0, 3.0, &dist});
-  mix.components.push_back({1, 1.0, &dist});
-  const auto shares = mix.NormalizedShares();
-  ASSERT_EQ(shares.size(), 2u);
-  EXPECT_DOUBLE_EQ(shares[0], 0.75);
-  EXPECT_DOUBLE_EQ(shares[1], 0.25);
-}
-
-TEST(MixSpec, RejectsDegenerateShares) {
-  LogNormalBatchDist dist(4.0, 0.6, 16);
-  EXPECT_THROW(MixSpec{}.NormalizedShares(), std::invalid_argument);
-  MixSpec negative;
-  negative.components.push_back({0, -0.5, &dist});
-  EXPECT_THROW(negative.NormalizedShares(), std::invalid_argument);
-  MixSpec zero;
-  zero.components.push_back({0, 0.0, &dist});
-  zero.components.push_back({1, 0.0, &dist});
-  EXPECT_THROW(zero.NormalizedShares(), std::invalid_argument);
-}
-
-// The degenerate one-model mix must consume the same Rng draws as the
-// single-model source: bit-identical queries, model_id 0 throughout.
-TEST(MixTraceSource, SingleComponentBitIdenticalToArrivalSource) {
-  LogNormalBatchDist dist(6.0, 0.9, 32);
-
-  Rng rng_plain(41);
-  PoissonArrivals arrivals_plain(250.0);
-  ArrivalTraceSource plain_source(arrivals_plain, dist);
-  const auto plain = Take(plain_source, 2000, rng_plain);
-
-  Rng rng_mix(41);
-  PoissonArrivals arrivals_mix(250.0);
-  MixSpec mix;
-  mix.components.push_back({0, 1.0, &dist});
-  MixTraceSource mix_source(arrivals_mix, mix);
-  const auto mixed = Take(mix_source, 2000, rng_mix);
-
-  ASSERT_EQ(mixed.size(), plain.size());
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    const Query& a = plain.queries()[i];
-    const Query& b = mixed.queries()[i];
-    EXPECT_EQ(a.id, b.id);
-    EXPECT_EQ(a.arrival, b.arrival);
-    EXPECT_EQ(a.batch, b.batch);
-    EXPECT_EQ(b.model_id, 0);
-  }
-}
-
-TEST(MixTraceSource, SharesRespectedAndIdsDense) {
-  LogNormalBatchDist small(3.0, 0.5, 16);
-  LogNormalBatchDist large(12.0, 0.5, 16);
-  MixSpec mix;
-  mix.components.push_back({0, 0.7, &small});
-  mix.components.push_back({1, 0.3, &large});
-  Rng rng(5);
-  PoissonArrivals arrivals(500.0);
-  MixTraceSource source(arrivals, mix);
-  const auto trace = Take(source, 6000, rng);
+TEST(ScenarioMix, SharesRespectedAndIdsDense) {
+  ScenarioSpec spec;
+  spec.rate.base_qps = 500.0;
+  spec.max_batch = 16;
+  spec.components.resize(2);
+  spec.components[0].weight = 0.7;
+  spec.components[0].median = 3.0;
+  spec.components[1].model_id = 1;
+  spec.components[1].weight = 0.3;
+  spec.components[1].median = 12.0;
+  for (auto& c : spec.components) c.sigma = 0.5;
+  const auto trace = GenerateScenarioTrace(spec, 6000, 5);
 
   ASSERT_EQ(trace.size(), 6000u);
-  EXPECT_EQ(trace.NumModels(), 2);
   std::size_t model1 = 0;
   SimTime prev = -1;
   for (std::size_t i = 0; i < trace.size(); ++i) {
@@ -93,36 +40,7 @@ TEST(MixTraceSource, SharesRespectedAndIdsDense) {
   EXPECT_NEAR(share1, 0.3, 0.03);
 }
 
-TEST(MixTraceSource, RejectsNullDistribution) {
-  MixSpec mix;
-  mix.components.push_back({0, 1.0, nullptr});
-  PoissonArrivals arrivals(100.0);
-  EXPECT_THROW(MixTraceSource(arrivals, mix), std::invalid_argument);
-}
-
-TEST(QueryTrace, FilterModelRenumbersDensely) {
-  std::vector<Query> queries;
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    Query q;
-    q.id = i;
-    q.arrival = static_cast<SimTime>(100 * (i + 1));
-    q.batch = static_cast<int>(i % 4) + 1;
-    q.model_id = static_cast<int>(i % 2);
-    queries.push_back(q);
-  }
-  const QueryTrace trace(std::move(queries));
-  const auto odd = trace.FilterModel(1);
-  ASSERT_EQ(odd.size(), 5u);
-  for (std::size_t i = 0; i < odd.size(); ++i) {
-    EXPECT_EQ(odd.queries()[i].id, i);
-    EXPECT_EQ(odd.queries()[i].model_id, 1);
-    // Original arrival instants survive the split.
-    EXPECT_EQ(odd.queries()[i].arrival,
-              static_cast<SimTime>(100 * (2 * i + 2)));
-  }
-}
-
-TEST(QueryTrace, CsvRoundTripsModelColumn) {
+TEST(QueryTrace, CsvWritesModelColumn) {
   std::vector<Query> queries;
   for (std::uint64_t i = 0; i < 6; ++i) {
     Query q;
@@ -135,16 +53,13 @@ TEST(QueryTrace, CsvRoundTripsModelColumn) {
   const QueryTrace trace(std::move(queries));
   std::stringstream ss;
   trace.SaveCsv(ss);
-  EXPECT_NE(ss.str().find("id,arrival_ns,batch,model"), std::string::npos);
-  const auto loaded = QueryTrace::LoadCsv(ss);
-  ASSERT_EQ(loaded.size(), trace.size());
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    EXPECT_EQ(loaded.queries()[i].model_id, trace.queries()[i].model_id);
-  }
+  EXPECT_EQ(ss.str(),
+            "id,arrival_ns,batch,model\n"
+            "0,10,2,0\n1,20,2,1\n2,30,2,2\n3,40,2,0\n4,50,2,1\n5,60,2,2\n");
 }
 
-// Single-model traces must keep the legacy 3-column format byte-for-byte.
-TEST(QueryTrace, CsvStaysLegacyForSingleModel) {
+// Single-model traces keep the three-column format byte-for-byte.
+TEST(QueryTrace, CsvStaysThreeColumnsForSingleModel) {
   std::vector<Query> queries;
   Query q;
   q.id = 0;
@@ -155,9 +70,6 @@ TEST(QueryTrace, CsvStaysLegacyForSingleModel) {
   std::stringstream ss;
   trace.SaveCsv(ss);
   EXPECT_EQ(ss.str(), "id,arrival_ns,batch\n0,42,3\n");
-  const auto loaded = QueryTrace::LoadCsv(ss);
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_EQ(loaded.queries()[0].model_id, 0);
 }
 
 }  // namespace

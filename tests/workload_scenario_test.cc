@@ -1,7 +1,7 @@
-// The scenario-first workload API: adapter bit-identity with the retired
-// Generate* draw order, checked-in digests of generated traces, rate-curve
-// shapes, mix drift, bursts, arrival clocks that refuse to overflow, the
-// preset registry, and spec validation.
+// The scenario-first workload API: draw-for-draw parity with the
+// reference order in trace_oracle.h, checked-in digests of generated
+// traces, rate-curve shapes, mix drift, bursts, arrival clocks that refuse
+// to overflow, the preset registry, and spec validation.
 #include "workload/scenario.h"
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "golden_digest.h"
+#include "trace_oracle.h"
 #include "workload/trace.h"
 
 namespace pe::workload {
@@ -32,52 +33,12 @@ void ExpectIdenticalTraces(const QueryTrace& a, const QueryTrace& b) {
   }
 }
 
-// ---- Adapter bit-identity -------------------------------------------------
+// ---- Scenario parity with the reference draw order -------------------------
 
-// The one retained adapter-parity assertion, now that the Generate*Trace
-// free functions are gone: ArrivalTraceSource must consume draws in
-// exactly the retired GenerateTrace order -- one gap draw then one batch
-// draw per query, arrivals cumulative from time zero, ids dense.  The
-// inline loop below IS that contract; every historical trace (and every
-// seed-pinned result derived from one) depends on it staying fixed.
-TEST(TraceSourceAdapters, ArrivalSourceMatchesLegacyDrawOrderBitForBit) {
-  LogNormalBatchDist dist(6.0, 0.9, 32);
-  Rng legacy_rng(42);
-  PoissonArrivals legacy_arrivals(250.0);
-  std::vector<Query> legacy_queries;
-  SimTime now = 0;
-  for (std::size_t i = 0; i < 5000; ++i) {
-    now += legacy_arrivals.NextGap(legacy_rng);
-    Query q;
-    q.id = i;
-    q.arrival = now;
-    q.batch = dist.Sample(legacy_rng);
-    legacy_queries.push_back(q);
-  }
-  const QueryTrace legacy(std::move(legacy_queries));
-
-  Rng rng(42);
-  PoissonArrivals arrivals(250.0);
-  ArrivalTraceSource source(arrivals, dist);
-  const auto streamed = Take(source, 5000, rng);
-  ExpectIdenticalTraces(legacy, streamed);
-}
-
-TEST(TraceSourceAdapters, PhasedSourceKeepsLastPhasePastBudget) {
-  FixedBatchDist a(1), b(8);
-  Rng rng(3);
-  PoissonArrivals arrivals(100.0);
-  PhasedTraceSource source(arrivals, {{&a, 5}, {&b, 5}});
-  const auto trace = Take(source, 20, rng);
-  ASSERT_EQ(trace.size(), 20u);
-  for (std::size_t i = 10; i < 20; ++i) {
-    EXPECT_EQ(trace.queries()[i].batch, 8);
-  }
-}
-
-// ---- Scenario bit-identity with the raw adapter sources --------------------
-
-TEST(ScenarioTrace, SteadyOneModelMatchesArrivalSourceBitForBit) {
+// Every seeded trace (and every result derived from one) depends on the
+// canonical draw order: one gap draw then one batch draw per query for a
+// single model, arrivals cumulative from time zero, ids dense.
+TEST(ScenarioTrace, SteadyOneModelMatchesOracleDrawForDraw) {
   ScenarioSpec spec;
   spec.rate.base_qps = 300.0;
   spec.max_batch = 32;
@@ -87,15 +48,13 @@ TEST(ScenarioTrace, SteadyOneModelMatchesArrivalSourceBitForBit) {
   spec.components.push_back(c);
   const auto scenario = GenerateScenarioTrace(spec, 5000, 42);
 
-  Rng rng(42);
-  PoissonArrivals arrivals(300.0);
   LogNormalBatchDist dist(6.0, 0.9, 32);
-  ArrivalTraceSource source(arrivals, dist);
-  const auto direct = Take(source, 5000, rng);
-  ExpectIdenticalTraces(direct, scenario);
+  const auto oracle = testing::OracleTrace(300.0, {{0, 1.0, &dist}}, 5000, 42);
+  ExpectIdenticalTraces(oracle, scenario);
 }
 
-TEST(ScenarioTrace, SteadyStaticMixMatchesMixSourceBitForBit) {
+// The mixed order: gap, then the model pick, then the batch.
+TEST(ScenarioTrace, SteadyStaticMixMatchesOracleDrawForDraw) {
   ScenarioSpec spec;
   spec.rate.base_qps = 500.0;
   spec.max_batch = 32;
@@ -114,13 +73,31 @@ TEST(ScenarioTrace, SteadyStaticMixMatchesMixSourceBitForBit) {
 
   LogNormalBatchDist d0(4.0, 0.8, 32);
   LogNormalBatchDist d1(12.0, 1.1, 32);
-  MixSpec mix;
-  mix.components = {{0, 0.7, &d0}, {1, 0.3, &d1}};
-  Rng rng(77);
-  PoissonArrivals arrivals(500.0);
-  MixTraceSource source(arrivals, mix);
-  const auto direct = Take(source, 5000, rng);
-  ExpectIdenticalTraces(direct, scenario);
+  const auto oracle = testing::OracleTrace(
+      500.0, {{0, 0.7, &d0}, {1, 0.3, &d1}}, 5000, 77);
+  ExpectIdenticalTraces(oracle, scenario);
+}
+
+// A one-phase day cycle is the one-model draw order too.
+TEST(PhasedTrace, OnePhaseMatchesOracleDrawForDraw) {
+  LogNormalBatchDist dist(5.0, 1.1, 64);
+  ExpectIdenticalTraces(
+      testing::OracleTrace(700.0, {{0, 1.0, &dist}}, 5000, 13),
+      GeneratePhasedTrace(700.0, {{&dist, 5000}}, 5000, 13));
+}
+
+TEST(PhasedTrace, KeepsLastPhasePastBudget) {
+  const EmpiricalBatchDist always1({1.0});
+  const EmpiricalBatchDist always8({0, 0, 0, 0, 0, 0, 0, 1.0});
+  const auto trace =
+      GeneratePhasedTrace(100.0, {{&always1, 5}, {&always8, 5}}, 20, 3);
+  ASSERT_EQ(trace.size(), 20u);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(trace.queries()[i].batch, 1);
+  }
+  for (std::size_t i = 5; i < 20; ++i) {
+    EXPECT_EQ(trace.queries()[i].batch, 8);
+  }
 }
 
 // An unequal four-model mix: distinct weights, medians and sigmas, so a
@@ -229,16 +206,10 @@ TEST(ScenarioTrace, TinyRatesThrowNamingTheRateInsteadOfWrapping) {
   bursty.burst.duration_sec = 1e12;
   EXPECT_THROW(bursty.Validate(), std::invalid_argument);
 
-  // The reference sources check their clocks the same way.
+  // The phased generator checks its clock the same way.
   LogNormalBatchDist dist(6.0, 0.9, 32);
-  PoissonArrivals arrivals(1e-6);
-  ArrivalTraceSource single(arrivals, dist);
-  Rng rng(1);
-  EXPECT_THROW(Take(single, 20'000, rng), std::overflow_error);
-  MixSpec mix;
-  mix.components = {{0, 0.5, &dist}, {1, 0.5, &dist}};
-  MixTraceSource mixed(arrivals, mix);
-  EXPECT_THROW(Take(mixed, 20'000, rng), std::overflow_error);
+  EXPECT_THROW(GeneratePhasedTrace(1e-6, {{&dist, 10}}, 20'000, 1),
+               std::overflow_error);
 }
 
 TEST(ScenarioTrace, DeterministicForSameSeed) {

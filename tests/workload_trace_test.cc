@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
+#include <string>
 
+#include "golden_digest.h"
 #include "workload/scenario.h"
 
 namespace pe::workload {
@@ -11,11 +14,10 @@ namespace {
 
 QueryTrace MakeTrace(std::size_t n, double rate = 100.0,
                      std::uint64_t seed = 1) {
-  Rng rng(seed);
-  PoissonArrivals arrivals(rate);
-  LogNormalBatchDist dist(6.0, 0.9, 32);
-  ArrivalTraceSource source(arrivals, dist);
-  return Take(source, n, rng);
+  ScenarioSpec spec;
+  spec.rate.base_qps = rate;
+  spec.components.push_back(ComponentSpec{});
+  return GenerateScenarioTrace(spec, n, seed);
 }
 
 TEST(QueryTrace, GeneratesRequestedCount) {
@@ -41,11 +43,13 @@ TEST(QueryTrace, OfferedQpsNearConfiguredRate) {
 
 TEST(QueryTrace, BatchesWithinDistributionRange) {
   const auto trace = MakeTrace(2000);
+  double sum = 0.0;
   for (const auto& q : trace.queries()) {
     EXPECT_GE(q.batch, 1);
     EXPECT_LE(q.batch, 32);
+    sum += q.batch;
   }
-  EXPECT_GT(trace.MeanBatch(), 1.0);
+  EXPECT_GT(sum / static_cast<double>(trace.size()), 1.0);
 }
 
 TEST(QueryTrace, DeterministicForSameSeed) {
@@ -67,88 +71,30 @@ TEST(QueryTrace, DifferentSeedsDiffer) {
   EXPECT_TRUE(any_diff);
 }
 
-TEST(QueryTrace, CsvRoundTrip) {
+// The CSV export: a header, then one id,arrival_ns,batch row per query
+// in arrival order.
+TEST(QueryTrace, CsvWritesHeaderAndOneRowPerQuery) {
   const auto trace = MakeTrace(50);
   std::stringstream ss;
   trace.SaveCsv(ss);
-  const auto loaded = QueryTrace::LoadCsv(ss);
-  ASSERT_EQ(loaded.size(), trace.size());
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    EXPECT_EQ(loaded.queries()[i].id, trace.queries()[i].id);
-    EXPECT_EQ(loaded.queries()[i].arrival, trace.queries()[i].arrival);
-    EXPECT_EQ(loaded.queries()[i].batch, trace.queries()[i].batch);
+  std::string line;
+  ASSERT_TRUE(std::getline(ss, line));
+  EXPECT_EQ(line, "id,arrival_ns,batch");
+  for (const Query& q : trace.queries()) {
+    ASSERT_TRUE(std::getline(ss, line));
+    EXPECT_EQ(line, std::to_string(q.id) + "," + std::to_string(q.arrival) +
+                        "," + std::to_string(q.batch));
   }
+  EXPECT_FALSE(std::getline(ss, line));
 }
 
-TEST(QueryTrace, LoadCsvRejectsEmpty) {
-  std::stringstream ss;
-  EXPECT_THROW(QueryTrace::LoadCsv(ss), std::runtime_error);
-}
-
-TEST(QueryTrace, CsvRoundTripMultiModel) {
+TEST(QueryTrace, CsvWritesModelColumnForMultiModelTraces) {
   std::vector<Query> qs = {{0, 100, 2, 1}, {1, 200, 4, 0}, {2, 300, 8, 2}};
   const QueryTrace trace(std::move(qs));
   std::stringstream ss;
   trace.SaveCsv(ss);
-  const auto loaded = QueryTrace::LoadCsv(ss);
-  ASSERT_EQ(loaded.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(loaded.queries()[i].model_id, trace.queries()[i].model_id);
-  }
-}
-
-// Malformed input must fail with the offending line named, not silently
-// misparse the way the old std::stoi-based loader did.
-std::string LoadCsvError(const std::string& text) {
-  std::stringstream ss(text);
-  try {
-    QueryTrace::LoadCsv(ss);
-  } catch (const std::runtime_error& e) {
-    return e.what();
-  }
-  return "";
-}
-
-TEST(QueryTrace, LoadCsvRejectsBadHeader) {
-  const auto what = LoadCsvError("id,arrival,batch\n0,100,2\n");
-  EXPECT_NE(what.find("line 1"), std::string::npos) << what;
-  EXPECT_NE(what.find("header"), std::string::npos) << what;
-}
-
-TEST(QueryTrace, LoadCsvRejectsNonNumericFieldWithLineNumber) {
-  const auto what =
-      LoadCsvError("id,arrival_ns,batch\n0,100,2\n1,2x0,4\n");
-  EXPECT_NE(what.find("line 3"), std::string::npos) << what;
-  EXPECT_NE(what.find("arrival_ns"), std::string::npos) << what;
-}
-
-TEST(QueryTrace, LoadCsvRejectsMissingFieldWithLineNumber) {
-  const auto what = LoadCsvError("id,arrival_ns,batch\n0,100\n");
-  EXPECT_NE(what.find("line 2"), std::string::npos) << what;
-  EXPECT_NE(what.find("expected 3 fields"), std::string::npos) << what;
-}
-
-TEST(QueryTrace, LoadCsvRejectsExtraFieldWhenSingleModelHeader) {
-  const auto what = LoadCsvError("id,arrival_ns,batch\n0,100,2,1\n");
-  EXPECT_NE(what.find("line 2"), std::string::npos) << what;
-}
-
-TEST(QueryTrace, LoadCsvRejectsNonPositiveBatch) {
-  const auto what = LoadCsvError("id,arrival_ns,batch\n0,100,0\n");
-  EXPECT_NE(what.find("line 2"), std::string::npos) << what;
-  EXPECT_NE(what.find("batch"), std::string::npos) << what;
-}
-
-TEST(QueryTrace, LoadCsvRejectsEmptyFieldInsteadOfMisparsing) {
-  const auto what = LoadCsvError("id,arrival_ns,batch\n0,,2\n");
-  EXPECT_NE(what.find("line 2"), std::string::npos) << what;
-}
-
-TEST(QueryTrace, LoadCsvAcceptsCrlfAndBlankLines) {
-  std::stringstream ss("id,arrival_ns,batch\r\n0,100,2\r\n\r\n1,200,4\r\n");
-  const auto loaded = QueryTrace::LoadCsv(ss);
-  ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(loaded.queries()[1].arrival, 200);
+  EXPECT_EQ(ss.str(),
+            "id,arrival_ns,batch,model\n0,100,2,1\n1,200,4,0\n2,300,8,2\n");
 }
 
 TEST(QueryTrace, ConstructorSortsUnorderedQueries) {
@@ -159,12 +105,10 @@ TEST(QueryTrace, ConstructorSortsUnorderedQueries) {
 }
 
 TEST(DriftingTrace, PhasesChangeBatchStatistics) {
-  Rng rng(8);
-  PoissonArrivals arrivals(200.0);
   LogNormalBatchDist small(2.0, 0.4, 32);
   LogNormalBatchDist large(20.0, 0.4, 32);
-  PhasedTraceSource source(arrivals, {{&small, 2000}, {&large, 2000}});
-  const auto trace = Take(source, 4000, rng);
+  const auto trace =
+      GeneratePhasedTrace(200.0, {{&small, 2000}, {&large, 2000}}, 4000, 8);
   ASSERT_EQ(trace.size(), 4000u);
   double first = 0.0, second = 0.0;
   for (std::size_t i = 0; i < 2000; ++i) first += trace.queries()[i].batch;
@@ -176,28 +120,63 @@ TEST(DriftingTrace, PhasesChangeBatchStatistics) {
 }
 
 TEST(DriftingTrace, ArrivalsContinuousAcrossPhases) {
-  Rng rng(9);
-  PoissonArrivals arrivals(100.0);
-  FixedBatchDist a(1), b(8);
-  PhasedTraceSource source(arrivals, {{&a, 100}, {&b, 100}});
-  const auto trace = Take(source, 200, rng);
+  const EmpiricalBatchDist a({1.0});
+  const EmpiricalBatchDist b({0, 0, 0, 0, 0, 0, 0, 1.0});
+  const auto trace = GeneratePhasedTrace(100.0, {{&a, 100}, {&b, 100}}, 200, 9);
   for (std::size_t i = 1; i < trace.size(); ++i) {
     EXPECT_GT(trace.queries()[i].arrival, trace.queries()[i - 1].arrival);
     EXPECT_EQ(trace.queries()[i].id, i);
   }
 }
 
-TEST(DriftingTrace, NullDistributionRejected) {
-  PoissonArrivals arrivals(100.0);
-  EXPECT_THROW(PhasedTraceSource(arrivals, {{nullptr, 10}}),
+TEST(DriftingTrace, BadPhasesAndRatesRejected) {
+  const EmpiricalBatchDist a({1.0});
+  EXPECT_THROW(GeneratePhasedTrace(100.0, {{nullptr, 10}}, 10, 1),
                std::invalid_argument);
+  EXPECT_THROW(GeneratePhasedTrace(100.0, {}, 10, 1), std::invalid_argument);
+  // The rate check keeps PoissonArrivals' message (the CLI's elastic day
+  // cycle reports it).
+  try {
+    GeneratePhasedTrace(std::nan(""), {{&a, 10}}, 10, 1);
+    ADD_FAILURE() << "a NaN rate was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "PoissonArrivals: rate must be a finite positive number"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// Pinned through the phased source this generator replaced: the CLI's
+// default elastic day cycle (resnet's Table-I defaults, median 6 -> 18 ->
+// 6 at 300 q/s, 12,000 queries, seed 1), and the small -> large -> small
+// cycle of the single-model elastic golden test (600 queries per phase)
+// and of bench_ablation_online's smoke run (1,500 per phase), 350 q/s at
+// seed 11.
+TEST(PhasedTrace, MatchesCheckedInDigests) {
+  const LogNormalBatchDist base(6.0, 0.9, 32);
+  const LogNormalBatchDist drifted(18.0, 0.9, 32);
+  testing::ExpectDigest(
+      testing::DigestTrace(GeneratePhasedTrace(
+          300.0, {{&base, 4000}, {&drifted, 4000}, {&base, 4000}}, 12'000,
+          1)),
+      0x16863a4270e391b0, "CLI day cycle");
+
+  const LogNormalBatchDist small(3.0, 0.6, 32);
+  const LogNormalBatchDist large(18.0, 0.4, 32);
+  const auto cycle = [&](std::size_t phase) {
+    return testing::DigestTrace(GeneratePhasedTrace(
+        350.0, {{&small, phase}, {&large, phase}, {&small, phase}}, 3 * phase,
+        11));
+  };
+  testing::ExpectDigest(cycle(600), 0x2b185bd2f34bd6a1, "elastic golden");
+  testing::ExpectDigest(cycle(1500), 0xc33303e7d45bffd6, "ablation smoke");
 }
 
 TEST(QueryTrace, EmptyTraceProperties) {
   QueryTrace trace;
   EXPECT_EQ(trace.Span(), 0);
   EXPECT_EQ(trace.OfferedQps(), 0.0);
-  EXPECT_EQ(trace.MeanBatch(), 0.0);
 }
 
 }  // namespace

@@ -77,6 +77,8 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -309,8 +311,8 @@ core::MixConfig MixConfigFrom(
 // Every trace-driven subcommand resolves its workload the same way:
 //   --replay-trace PATH   -> the captured document verbatim, or else
 //   --scenario REF        -> the testbed's spec reshaped by the preset, or
-//   (neither)             -> the testbed's spec unmodified (steady), which
-//                            is bit-identical to the legacy generators.
+//   (neither)             -> the testbed's spec unmodified (steady), the
+//                            constant-rate stream every seeded result uses.
 // --capture-trace PATH then saves whatever was run.
 
 // The scenario reference driving this run, for report labels.
@@ -400,11 +402,10 @@ int CmdProfile(const ArgParser& args) {
 int CmdPlan(const ArgParser& args) {
   const core::MixTestbed tb(ConfigFrom(args));
   const core::MixConfig& config = tb.config();
-  const auto& profile = tb.repertoire().profile(0);
-  const auto& dist = *tb.mix().components[0].dist;
   // PARIS itself rather than PlanMixed: a one-model mixed plan is the same
   // layout, but only PARIS's own plan explains it with knees and ratios.
-  partition::ParisPartitioner paris(profile, dist, config.paris);
+  partition::ParisPartitioner paris(tb.repertoire().profile(0),
+                                    tb.batch_dist(0), config.paris);
   const auto plan = paris.Plan(tb.cluster(), config.gpc_budget);
   std::cout << "model:      " << config.models[0].model << "\n"
             << "budget:     " << config.gpc_budget << " GPCs on "
@@ -560,9 +561,16 @@ std::size_t QueriesPerEpoch(const ArgParser& args, std::size_t num_queries) {
 online::ElasticConfig ElasticConfigFrom(const ArgParser& args,
                                         std::size_t queries_per_epoch) {
   const double downtime_ms = GetNonNegative(args, "downtime-ms", 2000.0);
+  const std::optional<SimTime> downtime = CheckedTicks(downtime_ms, kNsPerMs);
+  if (!downtime) {
+    std::ostringstream oss;
+    oss << "--downtime-ms: " << downtime_ms
+        << " ms overflows the tick clock (2^63 ns)";
+    throw std::invalid_argument(oss.str());
+  }
   online::ElasticConfig econfig;
   econfig.drift_threshold = GetNonNegative(args, "drift", 0.15);
-  econfig.reconfig_downtime = MsToTicks(downtime_ms);
+  econfig.reconfig_downtime = *downtime;
   // Trust the estimator once it has seen half an epoch (capped at the
   // library default) so short smoke runs can still reconfigure.
   econfig.min_observations =
@@ -582,13 +590,12 @@ int RunElastic(const ArgParser& args, const core::MixTestbed& tb,
   const online::ElasticConfig econfig =
       ElasticConfigFrom(args, queries_per_epoch);
   const core::MixConfig& config = tb.config();
-  online::RepartitionController controller(tb.repertoire(), tb.cluster(),
-                                           config.gpc_budget, tb.mix(),
-                                           config.paris, econfig);
-  const SimTime swap_cost = UsToTicks(config.swap_cost_us);
+  online::RepartitionController controller(
+      tb.repertoire(), tb.cluster(), config.gpc_budget, tb.PlannerInputs(),
+      config.paris, econfig);
   online::ElasticServerSim sim(
       controller, tb.repertoire(), [&] { return tb.MakeScheduler(kind); },
-      tb.sla_target(), queries_per_epoch, seed, swap_cost);
+      tb.sla_target(), queries_per_epoch, seed, tb.swap_cost());
   const auto result = sim.Run(trace);
 
   std::string model_label;
@@ -671,16 +678,16 @@ int CmdElastic(const ArgParser& args) {
   const core::MixModelConfig& m = config.models[0];
   const int max_batch = config.max_batch;
   const double drift_median = args.GetDouble("drift-median", 18.0);
-  workload::LogNormalBatchDist base(m.dist_median, m.dist_sigma, max_batch);
-  workload::LogNormalBatchDist drifted(drift_median, m.dist_sigma, max_batch);
-  workload::PoissonArrivals arrivals(rate_qps);
-  Rng rng(seed);
+  const workload::LogNormalBatchDist base(m.dist_median, m.dist_sigma,
+                                          max_batch);
+  const workload::LogNormalBatchDist drifted(drift_median, m.dist_sigma,
+                                             max_batch);
   const std::size_t third = num_queries / 3;
-  workload::PhasedTraceSource day_cycle(
-      arrivals,
-      {{&base, third}, {&drifted, third}, {&base, num_queries - 2 * third}});
   ResolvedWorkload workload;
-  workload.trace = workload::Take(day_cycle, num_queries, rng);
+  workload.trace = workload::GeneratePhasedTrace(
+      rate_qps,
+      {{&base, third}, {&drifted, third}, {&base, num_queries - 2 * third}},
+      num_queries, seed);
   workload.label = "drift-phases";
   MaybeCaptureTrace(args, workload.trace, tb.ModelNames(), workload.label);
   return RunElastic(args, tb, workload, kind, seed, rate_qps);
@@ -719,7 +726,10 @@ int CmdMix(const ArgParser& args) {
 
   // Report the *normalized* traffic split, not the raw weights (which
   // need not sum to 1, e.g. when --shares is omitted).
-  const auto norm_shares = tb.mix().NormalizedShares();
+  double share_total = 0.0;
+  for (const auto& m : mc.models) share_total += m.share;
+  std::vector<double> norm_shares;
+  for (const auto& m : mc.models) norm_shares.push_back(m.share / share_total);
   Table per_model({"model", "share", "budget", "queries", "p95 ms",
                    "viol. %", "swaps"});
   for (const auto& m : stats.models) {
@@ -951,8 +961,9 @@ int main(int argc, char** argv) {
       PrintUsage(std::cout);
       return 0;
     }
-    for (const auto& key : args.UnknownKeys(known)) {
-      std::cerr << "warning: unknown option " << args.Spelling(key) << "\n";
+    if (const auto unknown = args.UnknownKeys(known); !unknown.empty()) {
+      throw std::invalid_argument("unknown option " +
+                                  args.Spelling(unknown.front()));
     }
     if (!sub) {
       PrintUsage(std::cerr);
