@@ -43,7 +43,6 @@ bool IsOptionToken(const std::string& token) {
 
 ArgParser::ArgParser(int argc, const char* const* argv,
                      std::vector<std::string> flags) {
-  program_ = argc > 0 ? argv[0] : "";
   const auto is_declared_flag = [&flags](const std::string& name) {
     return std::find(flags.begin(), flags.end(), name) != flags.end();
   };
@@ -84,11 +83,6 @@ ArgParser::ArgParser(int argc, const char* const* argv,
 std::optional<std::string> ArgParser::Subcommand() const {
   if (positionals_.empty()) return std::nullopt;
   return positionals_.front();
-}
-
-std::vector<std::string> ArgParser::Positionals() const {
-  if (positionals_.size() <= 1) return {};
-  return {positionals_.begin() + 1, positionals_.end()};
 }
 
 bool ArgParser::HasFlag(const std::string& key) const {

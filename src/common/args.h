@@ -39,14 +39,8 @@ class ArgParser {
   ArgParser(int argc, const char* const* argv,
             std::vector<std::string> flags = {});
 
-  // Program name (argv[0]).
-  const std::string& program() const { return program_; }
-
   // First positional token, if any (conventionally the subcommand).
   std::optional<std::string> Subcommand() const;
-
-  // Positional tokens after the subcommand.
-  std::vector<std::string> Positionals() const;
 
   bool HasFlag(const std::string& key) const;
 
@@ -68,7 +62,6 @@ class ArgParser {
   std::string Spelling(const std::string& key) const;
 
  private:
-  std::string program_;
   std::vector<std::string> positionals_;
   std::map<std::string, std::string> options_;  // key -> value ("" for flag)
   std::map<std::string, std::string> spelling_;  // key -> original token

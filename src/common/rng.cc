@@ -60,14 +60,4 @@ double Rng::Normal(double mean, double stddev) {
   return mean + stddev * Normal();
 }
 
-double Rng::LogNormal(double mu, double sigma) {
-  return std::exp(Normal(mu, sigma));
-}
-
-Rng Rng::Fork() {
-  Rng child(0);
-  for (auto& w : child.state_) w = NextU64();
-  return child;
-}
-
 }  // namespace pe

@@ -125,14 +125,6 @@ class Rng {
   // Normal draw with given mean and standard deviation.
   double Normal(double mean, double stddev);
 
-  // Log-normal draw: exp(Normal(mu, sigma)).
-  double LogNormal(double mu, double sigma);
-
-  // Derives an independent child stream; used to give each simulator
-  // component its own stream so that adding draws in one component does not
-  // perturb another.
-  Rng Fork();
-
  private:
   static std::uint64_t Rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

@@ -23,8 +23,6 @@ class Table {
   static std::string Num(double v, int precision = 2);
   static std::string Int(long long v);
 
-  std::size_t rows() const { return rows_.size(); }
-
   // Renders an aligned ASCII table with a header rule.
   void Print(std::ostream& os) const;
 

@@ -39,8 +39,6 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t size() const { return workers_.size(); }
-
   // Enqueues `fn` for execution.  The returned future yields fn's result,
   // or rethrows the exception fn exited with.
   template <typename F>

@@ -54,14 +54,12 @@ class FleetTestbed {
  public:
   explicit FleetTestbed(FleetTestbedConfig config);
 
-  const FleetTestbedConfig& config() const { return config_; }
   const MixTestbed& mix() const { return mix_; }
   const fleet::Cluster& cluster() const { return *cluster_; }
   const fleet::PlacementMap& placement() const {
     return cluster_->placement();
   }
   SimTime sla_target() const { return mix_.sla_target(); }
-  int num_servers() const { return config_.num_servers; }
 
   // Fleet-level interleaved trace at `rate_qps` *total* offered load
   // (the router divides it across servers).

@@ -39,14 +39,6 @@ Json& Json::Add(Json value) {
   return *this;
 }
 
-std::size_t Json::size() const {
-  switch (kind_) {
-    case Kind::kArray: return array_.size();
-    case Kind::kObject: return object_.size();
-    default: return 0;
-  }
-}
-
 std::string Json::Escape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);

@@ -53,17 +53,12 @@ class Json {
   static Json Object();
   static Json Array();
 
-  bool is_object() const { return kind_ == Kind::kObject; }
-  bool is_array() const { return kind_ == Kind::kArray; }
-
   // Object member set (insertion-ordered; setting an existing key
   // overwrites in place).  Dies via assert if this is not an object.
   Json& Set(const std::string& key, Json value);
 
   // Array append.  Dies via assert if this is not an array.
   Json& Add(Json value);
-
-  std::size_t size() const;
 
   // Serializes the tree.  indent > 0 pretty-prints; indent == 0 emits the
   // compact single-line form.

@@ -111,10 +111,6 @@ class HealthView {
   // True iff `t` lies inside the union of all incident windows.
   bool InIncident(SimTime t) const;
 
-  const std::vector<std::pair<SimTime, SimTime>>& incident_windows() const {
-    return incidents_;
-  }
-
  private:
   // Epoch 0 runs until instants_[0]; epoch k >= 1 starts at
   // instants_[k - 1] and holds the state after that instant's events.

@@ -191,12 +191,6 @@ void FaultPlan::Validate(const PlacementMap& placement) const {
   }
 }
 
-const std::vector<std::string>& FaultPresetNames() {
-  static const std::vector<std::string> names = {"serverloss", "flaky",
-                                                 "brownout", "cascade"};
-  return names;
-}
-
 FaultPlan ResolveFaultPlan(const FaultOptions& opts,
                            const PlacementMap& placement, SimTime span,
                            std::uint64_t seed) {

@@ -93,10 +93,6 @@ inline FaultOptions ParseFaultRef(const std::string& ref) {
   return ParseNamedRef(ref, "faults");
 }
 
-// Preset names accepted by ResolveFaultPlan ("none" is also accepted
-// and resolves to the empty plan).
-const std::vector<std::string>& FaultPresetNames();
-
 // Resolves a preset + overrides into a concrete schedule over a trace
 // spanning [0, span) ticks against `placement`'s fleet shape.
 //

@@ -136,16 +136,6 @@ PlacementMap ShardedPlacement(int num_servers, int num_models, int replicas,
   return PlacementMap(std::move(servers));
 }
 
-const char* ToString(PlacementKind kind) {
-  switch (kind) {
-    case PlacementKind::kUniform:
-      return "uniform";
-    case PlacementKind::kSharded:
-      return "sharded";
-  }
-  return "?";
-}
-
 std::optional<PlacementKind> ParsePlacementKind(const std::string& name) {
   if (name == "uniform") return PlacementKind::kUniform;
   if (name == "sharded") return PlacementKind::kSharded;

@@ -93,8 +93,6 @@ PlacementMap ShardedPlacement(int num_servers, int num_models, int replicas,
 // Named builder selection (the CLI's --placement spellings).
 enum class PlacementKind { kUniform, kSharded };
 
-const char* ToString(PlacementKind kind);
-
 // Parses "uniform" / "sharded"; nullopt otherwise.
 std::optional<PlacementKind> ParsePlacementKind(const std::string& name);
 

@@ -17,14 +17,6 @@ std::vector<int> ClusterLayout::AllInstanceSizes() const {
   return all;
 }
 
-int ClusterLayout::TotalUsedGpcs() const {
-  int total = 0;
-  for (const auto& gpu : per_gpu) {
-    total += std::accumulate(gpu.begin(), gpu.end(), 0);
-  }
-  return total;
-}
-
 std::string ClusterLayout::ToString() const {
   std::ostringstream oss;
   for (std::size_t i = 0; i < per_gpu.size(); ++i) {
@@ -93,10 +85,6 @@ std::optional<ClusterLayout> Cluster::Pack(
     std::sort(gpu.begin(), gpu.end(), std::greater<int>());
   }
   return layout;
-}
-
-bool Cluster::CanPack(const std::vector<int>& sizes) const {
-  return Pack(sizes).has_value();
 }
 
 std::optional<ClusterLayout> PackWithRepair(const Cluster& cluster,

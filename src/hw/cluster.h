@@ -24,7 +24,6 @@ struct ClusterLayout {
 
   // All instance sizes across the cluster, descending.
   std::vector<int> AllInstanceSizes() const;
-  int TotalUsedGpcs() const;
   std::string ToString() const;
 };
 
@@ -40,9 +39,6 @@ class Cluster {
   // Returns the concrete layout, or nullopt if infeasible.  Deterministic:
   // first-fit-decreasing with backtracking across GPUs.
   std::optional<ClusterLayout> Pack(const std::vector<int>& sizes) const;
-
-  // True if the multiset fits.
-  bool CanPack(const std::vector<int>& sizes) const;
 
  private:
   int num_gpus_;

@@ -1,10 +1,7 @@
 #include "hw/mig.h"
 
 #include <algorithm>
-#include <cassert>
 #include <functional>
-#include <set>
-#include <sstream>
 
 namespace pe::hw {
 
@@ -46,50 +43,10 @@ std::optional<Placement> MigLayout::TryPlace(int gpcs) {
   for (int slot : LegalStartSlots(gpcs)) {
     if (SlotRangeFree(slot, gpcs)) {
       MarkRange(slot, gpcs, true);
-      Placement p{gpcs, slot};
-      placements_.push_back(p);
-      return p;
+      return Placement{gpcs, slot};
     }
   }
   return std::nullopt;
-}
-
-bool MigLayout::Remove(const Placement& p) {
-  auto it = std::find(placements_.begin(), placements_.end(), p);
-  if (it == placements_.end()) return false;
-  MarkRange(p.start_slot, p.gpcs, false);
-  placements_.erase(it);
-  return true;
-}
-
-int MigLayout::used_gpcs() const {
-  int used = 0;
-  for (const auto& p : placements_) used += p.gpcs;
-  return used;
-}
-
-std::vector<int> MigLayout::InstanceSizes() const {
-  std::vector<int> sizes;
-  sizes.reserve(placements_.size());
-  for (const auto& p : placements_) sizes.push_back(p.gpcs);
-  std::sort(sizes.begin(), sizes.end());
-  return sizes;
-}
-
-std::string MigLayout::ToString() const {
-  std::ostringstream oss;
-  oss << '[';
-  auto sorted = placements_;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Placement& a, const Placement& b) {
-              return a.start_slot < b.start_slot;
-            });
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    if (i > 0) oss << ' ';
-    oss << sorted[i].gpcs << '@' << sorted[i].start_slot;
-  }
-  oss << ']';
-  return oss.str();
 }
 
 bool MigLayout::CanPlaceAll(const std::vector<int>& sizes,
@@ -121,34 +78,6 @@ bool MigLayout::CanPlaceAll(const std::vector<int>& sizes,
     return false;
   };
   return place(0);
-}
-
-std::vector<std::vector<int>> MigLayout::EnumerateFeasibleMultisets(
-    const GpuSpec& spec) {
-  // Enumerate all multisets of valid sizes with total <= spec.gpcs, then
-  // filter by placement feasibility.  Sizes sorted descending for stable
-  // output.
-  std::set<std::vector<int>> result;
-  const auto& sizes = GpuSpec::ValidPartitionSizes();
-  std::vector<int> current;
-  std::function<void(std::size_t, int)> rec = [&](std::size_t idx,
-                                                  int budget) {
-    if (CanPlaceAll(current, spec)) {
-      auto sorted = current;
-      std::sort(sorted.begin(), sorted.end(), std::greater<int>());
-      result.insert(sorted);
-    }
-    if (idx == sizes.size()) return;
-    rec(idx + 1, budget);  // skip this size
-    // Iterate over ascending sizes; take one more of sizes[idx] if it fits.
-    if (sizes[idx] <= budget) {
-      current.push_back(sizes[idx]);
-      rec(idx, budget - sizes[idx]);
-      current.pop_back();
-    }
-  };
-  rec(0, spec.gpcs);
-  return {result.begin(), result.end()};
 }
 
 }  // namespace pe::hw

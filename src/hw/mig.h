@@ -2,8 +2,8 @@
 //
 // A100 exposes seven compute slices (GPCs).  A MIG GPU instance occupies a
 // *contiguous* run of slices and may only start at profile-specific offsets
-// (NVIDIA's "placement" table).  This module validates per-GPU layouts and
-// enumerates the feasible ones; the cluster packer (cluster.h) builds on it.
+// (NVIDIA's "placement" table).  This module validates per-GPU layouts; the
+// cluster packer (cluster.h) builds on it.
 //
 // Placement table modeled (start slots per profile size, A100):
 //   1 GPC : slots {0,1,2,3,4,5,6}
@@ -16,7 +16,6 @@
 #pragma once
 
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "hw/gpu_spec.h"
@@ -27,8 +26,6 @@ namespace pe::hw {
 struct Placement {
   int gpcs = 0;
   int start_slot = 0;
-
-  bool operator==(const Placement&) const = default;
 };
 
 // Returns the legal start slots for a profile of `gpcs` compute slices.
@@ -43,35 +40,13 @@ class MigLayout {
   // slot.  Returns the placement on success, nullopt if it cannot fit.
   std::optional<Placement> TryPlace(int gpcs);
 
-  // Removes a previously placed instance; returns false if not present.
-  bool Remove(const Placement& p);
-
-  const std::vector<Placement>& placements() const { return placements_; }
-
-  // Total compute slices in use / free.
-  int used_gpcs() const;
-  int free_gpcs() const { return spec_.gpcs - used_gpcs(); }
-
-  // Instance sizes, ascending.
-  std::vector<int> InstanceSizes() const;
-
-  // Human-readable form, e.g. "[4@0 3@4]".
-  std::string ToString() const;
-
   // True if the multiset of sizes can be placed on one empty GPU.
   static bool CanPlaceAll(const std::vector<int>& sizes,
                           const GpuSpec& spec = GpuSpec{});
 
-  // Enumerates all distinct feasible size-multisets for one GPU (including
-  // the empty layout), each sorted descending.  Used by the random
-  // partitioner and by tests.
-  static std::vector<std::vector<int>> EnumerateFeasibleMultisets(
-      const GpuSpec& spec = GpuSpec{});
-
  private:
   GpuSpec spec_;
   std::vector<bool> occupied_;  // per compute slice
-  std::vector<Placement> placements_;
 
   bool SlotRangeFree(int start, int len) const;
   void MarkRange(int start, int len, bool value);

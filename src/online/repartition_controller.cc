@@ -160,7 +160,6 @@ RepartitionController::MaybeRepartition(const TrafficEstimator& estimator) {
   if (same_layout) return std::nullopt;
 
   plan_ = std::move(candidate);
-  ++reconfigurations_;
   return plan_.plan;
 }
 

@@ -80,8 +80,6 @@ class RepartitionController : public RepartitionPolicy {
   const ElasticConfig& config() const override { return config_; }
   // Per-model GPC budgets of the committed plan, indexed by model id.
   const std::vector<int>& current_budgets() const { return plan_.budgets; }
-  const std::vector<double>& committed_shares() const { return shares_; }
-  int reconfigurations() const { return reconfigurations_; }
 
   // Throws std::invalid_argument, naming the model, when the window holds
   // traffic for a model outside the repertoire.
@@ -102,7 +100,6 @@ class RepartitionController : public RepartitionPolicy {
   // Committed state, indexed by model id.
   std::vector<double> shares_;
   std::vector<std::vector<double>> pmfs_;  // index = batch size, [0] unused
-  int reconfigurations_ = 0;
 
   // The estimator's live shares over the repertoire's model ids.
   std::vector<double> LiveShares(const TrafficEstimator& estimator) const;

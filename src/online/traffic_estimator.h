@@ -30,10 +30,7 @@ class TrafficEstimator {
   // `window`: number of most recent queries retained.
   explicit TrafficEstimator(int max_batch, std::size_t window = 10000);
 
-  int max_batch() const { return max_batch_; }
-  std::size_t window() const { return window_; }
   std::size_t count() const { return recent_.size(); }
-  bool empty() const { return recent_.empty(); }
 
   // Records one served query's (model, batch).  Negative model ids throw
   // std::invalid_argument.

@@ -13,8 +13,6 @@ class HomogeneousPartitioner {
 
   PartitionPlan Plan(const hw::Cluster& cluster, int gpc_budget);
 
-  int partition_gpcs() const { return partition_gpcs_; }
-
  private:
   int partition_gpcs_;
 };

@@ -31,7 +31,7 @@ namespace pe::partition {
 
 struct ParisConfig {
   // MaxBatch_knee derivation (Algorithm 1 line 8 uses absolute 0.8; see
-  // DESIGN.md for why relative-to-plateau is the default here).
+  // docs/PARIS.md for why relative-to-plateau is the default here).
   double knee_threshold = 0.8;
   profile::KneeMode knee_mode = profile::KneeMode::kRelative;
 };

@@ -1,38 +1,8 @@
 #include "perf/model.h"
 
-#include <cassert>
-
 namespace pe::perf {
 
 DnnModel::DnnModel(std::string name, std::vector<Layer> layers)
     : name_(std::move(name)), layers_(std::move(layers)) {}
-
-void DnnModel::AddLayer(Layer layer) { layers_.push_back(std::move(layer)); }
-
-double DnnModel::TotalFlopsPerSample() const {
-  double total = 0.0;
-  for (const auto& l : layers_) total += l.flops_per_sample;
-  return total;
-}
-
-double DnnModel::TotalWeightBytes() const {
-  double total = 0.0;
-  for (const auto& l : layers_) total += l.weight_bytes;
-  return total;
-}
-
-double DnnModel::TotalIoBytesPerSample() const {
-  double total = 0.0;
-  for (const auto& l : layers_) total += l.io_bytes_per_sample;
-  return total;
-}
-
-double DnnModel::ArithmeticIntensity(int batch) const {
-  assert(batch >= 1);
-  const double b = static_cast<double>(batch);
-  const double flops = TotalFlopsPerSample() * b;
-  const double bytes = TotalWeightBytes() + TotalIoBytesPerSample() * b;
-  return bytes > 0.0 ? flops / bytes : 0.0;
-}
 
 }  // namespace pe::perf

@@ -1,4 +1,4 @@
-// A DNN model: a named sequence of layers plus aggregate statistics.
+// A DNN model: a named sequence of layers.
 #pragma once
 
 #include <string>
@@ -15,18 +15,6 @@ class DnnModel {
 
   const std::string& name() const { return name_; }
   const std::vector<Layer>& layers() const { return layers_; }
-  std::size_t num_layers() const { return layers_.size(); }
-
-  void AddLayer(Layer layer);
-
-  // Total arithmetic work per sample (FLOPs).
-  double TotalFlopsPerSample() const;
-  // Total parameter bytes.
-  double TotalWeightBytes() const;
-  // Total activation traffic per sample (bytes).
-  double TotalIoBytesPerSample() const;
-  // Arithmetic intensity at batch b: flops / dram bytes.
-  double ArithmeticIntensity(int batch) const;
 
  private:
   std::string name_;

@@ -318,94 +318,6 @@ DnnModel BuildConformer(int seq_len) {
   return DnnModel("conformer", std::move(layers));
 }
 
-// ---------------------------------------------------------------------------
-// GPT-2 small (12 layers, hidden 768, 12 heads, FFN 3072) prompt encode.
-// Structurally a pre-norm decoder; per-token cost mirrors BERT-base with a
-// lm-head projection to the 50k vocabulary at the end.
-// ---------------------------------------------------------------------------
-DnnModel BuildGpt2Small(int seq_len) {
-  assert(seq_len > 0);
-  std::vector<Layer> layers;
-  const int hidden = 768;
-  const int heads = 12;
-  const int d_head = hidden / heads;
-  const int ffn = 3072;
-  const int vocab = 50257;
-  const double tok_elems = static_cast<double>(seq_len) * hidden;
-
-  layers.push_back(MemoryOp("embed.wte_wpe", tok_elems * kDtype * 2.0));
-  for (int i = 0; i < 12; ++i) {
-    const std::string p = "decoder" + std::to_string(i);
-    layers.push_back(Normalization(p + ".ln1", tok_elems, 8.0, kDtype));
-    layers.push_back(Linear(p + ".qkv", seq_len, hidden, 3 * hidden, kDtype));
-    // Causal attention: roughly half the score/context work of full
-    // attention; modeled as full-seq attention (upper bound) since the
-    // kernel computes the full matrix and masks.
-    layers.push_back(
-        AttentionScores(p + ".scores", seq_len, d_head, heads, kDtype));
-    layers.push_back(Normalization(
-        p + ".softmax", static_cast<double>(seq_len) * seq_len * heads, 5.0,
-        kDtype));
-    layers.push_back(
-        AttentionContext(p + ".context", seq_len, d_head, heads, kDtype));
-    layers.push_back(Linear(p + ".out", seq_len, hidden, hidden, kDtype));
-    layers.push_back(Elementwise(p + ".residual1", tok_elems, 1.0, kDtype));
-    layers.push_back(Normalization(p + ".ln2", tok_elems, 8.0, kDtype));
-    layers.push_back(Linear(p + ".ffn1", seq_len, hidden, ffn, kDtype));
-    layers.push_back(Elementwise(p + ".gelu",
-                                 static_cast<double>(seq_len) * ffn, 8.0,
-                                 kDtype));
-    layers.push_back(Linear(p + ".ffn2", seq_len, ffn, hidden, kDtype));
-    layers.push_back(Elementwise(p + ".residual2", tok_elems, 1.0, kDtype));
-  }
-  layers.push_back(Normalization("final_ln", tok_elems, 8.0, kDtype));
-  // LM head over the last position only (next-token prediction).
-  layers.push_back(Linear("lm_head", 1, hidden, vocab, kDtype));
-  return DnnModel("gpt2", std::move(layers));
-}
-
-// ---------------------------------------------------------------------------
-// DLRM (RM2-ish scale): 26 sparse embedding lookups of dim 64, bottom MLP
-// 13-512-256-64, pairwise dot interaction, top MLP 512-256-1.
-// ---------------------------------------------------------------------------
-DnnModel BuildDlrm(int num_sparse_features) {
-  assert(num_sparse_features > 0);
-  std::vector<Layer> layers;
-  const int emb_dim = 64;
-  const int dense_in = 13;
-
-  // Embedding gathers: pure memory traffic, one row per sparse feature.
-  layers.push_back(MemoryOp(
-      "sparse.gather",
-      static_cast<double>(num_sparse_features) * emb_dim * kDtype * 2.0));
-
-  layers.push_back(Linear("bot_mlp.fc1", 1, dense_in, 512, kDtype));
-  layers.push_back(Elementwise("bot_mlp.relu1", 512, 1.0, kDtype));
-  layers.push_back(Linear("bot_mlp.fc2", 1, 512, 256, kDtype));
-  layers.push_back(Elementwise("bot_mlp.relu2", 256, 1.0, kDtype));
-  layers.push_back(Linear("bot_mlp.fc3", 1, 256, emb_dim, kDtype));
-
-  // Pairwise dot-product interaction across (sparse + 1) feature vectors.
-  const int features = num_sparse_features + 1;
-  const double pairs = 0.5 * features * (features - 1);
-  Layer interact = Elementwise("interaction", pairs * emb_dim, 2.0, kDtype);
-  layers.push_back(interact);
-
-  const int interact_out = static_cast<int>(pairs) + emb_dim;
-  layers.push_back(Linear("top_mlp.fc1", 1, interact_out, 512, kDtype));
-  layers.push_back(Elementwise("top_mlp.relu1", 512, 1.0, kDtype));
-  layers.push_back(Linear("top_mlp.fc2", 1, 512, 256, kDtype));
-  layers.push_back(Elementwise("top_mlp.relu2", 256, 1.0, kDtype));
-  layers.push_back(Linear("top_mlp.fc3", 1, 256, 1, kDtype));
-  layers.push_back(Elementwise("sigmoid", 1, 4.0, kDtype));
-  return DnnModel("dlrm", std::move(layers));
-}
-
-std::vector<DnnModel> BuildPaperModels() {
-  return {BuildShuffleNetV2(), BuildMobileNetV1(), BuildResNet50(),
-          BuildBertBase(), BuildConformer()};
-}
-
 DnnModel BuildModelByName(const std::string& name) {
   if (name == "shufflenet") return BuildShuffleNetV2();
   if (name == "mobilenet") return BuildMobileNetV1();
@@ -413,17 +325,6 @@ DnnModel BuildModelByName(const std::string& name) {
   if (name == "bert") return BuildBertBase();
   if (name == "conformer") return BuildConformer();
   throw std::invalid_argument("unknown model: " + name);
-}
-
-ComputeIntensity IntensityOf(const std::string& model_name) {
-  if (model_name == "shufflenet" || model_name == "mobilenet") {
-    return ComputeIntensity::kLow;
-  }
-  if (model_name == "resnet" || model_name == "conformer") {
-    return ComputeIntensity::kMedium;
-  }
-  if (model_name == "bert") return ComputeIntensity::kHigh;
-  throw std::invalid_argument("unknown model: " + model_name);
 }
 
 }  // namespace pe::perf

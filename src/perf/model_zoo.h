@@ -12,44 +12,20 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "perf/model.h"
 
 namespace pe::perf {
 
-// Compute-intensity classes the paper assigns to its benchmarks.
-enum class ComputeIntensity { kLow, kMedium, kHigh };
-
+// Each builder's trailing comment gives the paper's compute-intensity class.
 DnnModel BuildShuffleNetV2();           // low intensity
 DnnModel BuildMobileNetV1();            // low intensity
 DnnModel BuildResNet50();               // medium intensity
 DnnModel BuildBertBase(int seq_len = 384);   // high intensity (MLPerf seq len)
 DnnModel BuildConformer(int seq_len = 250);  // medium intensity
 
-// All five paper models, in the paper's order:
-// ShuffleNet, MobileNet, ResNet, BERT, Conformer.
-std::vector<DnnModel> BuildPaperModels();
-
 // Looks a paper model up by name ("shufflenet", "mobilenet", "resnet",
 // "bert", "conformer"); throws std::invalid_argument on unknown names.
 DnnModel BuildModelByName(const std::string& name);
-
-// The paper's stated intensity class for each model.
-ComputeIntensity IntensityOf(const std::string& model_name);
-
-// ---- Extension models (beyond the paper) -------------------------------
-// Demonstrate that the profiling/PARIS/ELSA pipeline generalizes to other
-// serving workloads; not part of the paper's evaluation.
-
-// GPT-2 small decoder (12 layers, hidden 768) encoding a prompt of
-// `seq_len` tokens -- transformer inference with a causal-attention cost
-// profile and a vocabulary-sized LM head.
-DnnModel BuildGpt2Small(int seq_len = 256);
-
-// DLRM-style recommendation model: large embedding gather (memory-only),
-// bottom/top MLPs and pairwise feature interaction.  Extremely low
-// arithmetic intensity -- the opposite end of the spectrum from BERT.
-DnnModel BuildDlrm(int num_sparse_features = 26);
 
 }  // namespace pe::perf

@@ -90,20 +90,4 @@ double RooflineEngine::LatencySec(const DnnModel& model, int gpcs,
   return Time(model, gpcs, batch).latency_sec;
 }
 
-double RooflineEngine::Utilization(const DnnModel& model, int gpcs,
-                                   int batch) const {
-  return Time(model, gpcs, batch).utilization;
-}
-
-std::vector<LayerTiming> RooflineEngine::Breakdown(const DnnModel& model,
-                                                   int gpcs,
-                                                   int batch) const {
-  std::vector<LayerTiming> result;
-  result.reserve(model.num_layers());
-  for (const auto& layer : model.layers()) {
-    result.push_back(TimeLayer(layer, gpcs, batch));
-  }
-  return result;
-}
-
 }  // namespace pe::perf

@@ -82,22 +82,14 @@ class RooflineEngine {
   explicit RooflineEngine(hw::GpuSpec spec = hw::GpuSpec{},
                           RooflineParams params = RooflineParams{});
 
-  const hw::GpuSpec& spec() const { return spec_; }
-  const RooflineParams& params() const { return params_; }
-
   // Times one layer on a partition of `gpcs` compute slices at batch `b`.
   LayerTiming TimeLayer(const Layer& layer, int gpcs, int batch) const;
 
   // Times a whole model; also fills utilization.
   ModelTiming Time(const DnnModel& model, int gpcs, int batch) const;
 
-  // Convenience accessors.
+  // Time(...).latency_sec.
   double LatencySec(const DnnModel& model, int gpcs, int batch) const;
-  double Utilization(const DnnModel& model, int gpcs, int batch) const;
-
-  // Per-layer breakdown (same order as model.layers()).
-  std::vector<LayerTiming> Breakdown(const DnnModel& model, int gpcs,
-                                     int batch) const;
 
  private:
   hw::GpuSpec spec_;

@@ -61,19 +61,11 @@ const ProfileTable& ModelRepertoire::profile(int model_id) const {
   return At(model_id).profile;
 }
 
-const LatencyFn& ModelRepertoire::actual(int model_id) const {
-  return At(model_id).actual;
-}
-
 int ModelRepertoire::IdOf(const std::string& name) const {
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     if (entries_[i].name == name) return static_cast<int>(i);
   }
   return -1;
-}
-
-double ModelRepertoire::EstimateSec(int model_id, int gpcs, int batch) const {
-  return At(model_id).profile.LatencySec(gpcs, batch);
 }
 
 ModelRepertoire BuildZooRepertoire(

@@ -60,7 +60,6 @@ class ModelRepertoire {
 
   const std::string& name(int model_id) const;
   const ProfileTable& profile(int model_id) const;
-  const LatencyFn& actual(int model_id) const;
 
   // Model id for a registered name, or -1 when unknown.
   int IdOf(const std::string& name) const;
@@ -69,8 +68,11 @@ class ModelRepertoire {
   }
 
   // Profiled (estimated) latency for the scheduler's Twait/Testimated
-  // lookups, routed through the model's own table.
-  double EstimateSec(int model_id, int gpcs, int batch) const;
+  // lookups: the model's own table's LatencySec, inline (three array
+  // reads) because every ELSA decision and engine enqueue makes one.
+  double EstimateSec(int model_id, int gpcs, int batch) const {
+    return At(model_id).profile.LatencySec(gpcs, batch);
+  }
 
   // Ground-truth latency for the simulator's execution clock: the
   // model's LatencyFn, memoized over (gpcs <= largest profiled size,

@@ -2,12 +2,26 @@
 
 #include <algorithm>
 #include <cassert>
-#include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 namespace pe::profile {
+
+namespace {
+
+// Throws unless `grid` is strictly ascending and positive.
+void CheckGrid(const std::vector<int>& grid, const char* what) {
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    if (grid[i] <= 0 || (i > 0 && grid[i] <= grid[i - 1])) {
+      std::string message = "ProfileTable: ";
+      message += what;
+      message += " must be positive and strictly ascending";
+      throw std::invalid_argument(message);
+    }
+  }
+}
+
+}  // namespace
 
 ProfileTable::ProfileTable(std::string model_name,
                            std::vector<int> partition_sizes,
@@ -15,54 +29,81 @@ ProfileTable::ProfileTable(std::string model_name,
     : model_name_(std::move(model_name)),
       partition_sizes_(std::move(partition_sizes)),
       batch_sizes_(std::move(batch_sizes)) {
-  assert(std::is_sorted(partition_sizes_.begin(), partition_sizes_.end()));
-  assert(std::is_sorted(batch_sizes_.begin(), batch_sizes_.end()));
+  CheckGrid(partition_sizes_, "partition sizes");
+  CheckGrid(batch_sizes_, "batch sizes");
+  if (partition_sizes_.empty() || batch_sizes_.empty()) return;
+  row_.assign(static_cast<std::size_t>(partition_sizes_.back()) + 1, -1);
+  for (std::size_t r = 0; r < partition_sizes_.size(); ++r) {
+    row_[static_cast<std::size_t>(partition_sizes_[r])] =
+        static_cast<std::ptrdiff_t>(r * batch_sizes_.size());
+  }
+  // snap_[b] is lower_bound(batch_sizes_, b) as a column.
+  snap_.resize(static_cast<std::size_t>(batch_sizes_.back()) + 1);
+  std::uint32_t column = 0;
+  for (std::size_t b = 0; b < snap_.size(); ++b) {
+    while (batch_sizes_[column] < static_cast<int>(b)) ++column;
+    snap_[b] = column;
+  }
+  cells_.resize(partition_sizes_.size() * batch_sizes_.size());
 }
 
 int ProfileTable::max_batch() const {
   return batch_sizes_.empty() ? 0 : batch_sizes_.back();
 }
 
+const ProfileTable::Cell* ProfileTable::Find(int gpcs,
+                                             std::size_t column) const {
+  const std::ptrdiff_t start = RowStart(gpcs);
+  if (start < 0) return nullptr;
+  const Cell& cell = cells_[static_cast<std::size_t>(start) + column];
+  return cell.set ? &cell : nullptr;
+}
+
+void ProfileTable::ThrowMissing(int gpcs, int batch) {
+  throw std::out_of_range("ProfileTable: no entry for gpcs=" +
+                          std::to_string(gpcs) +
+                          " batch=" + std::to_string(batch));
+}
+
 void ProfileTable::Set(int gpcs, int batch, ProfileEntry entry) {
-  entries_[{gpcs, batch}] = entry;
+  // A profiled row implies a non-empty batch grid.
+  const std::ptrdiff_t start = RowStart(gpcs);
+  const std::size_t column = start < 0 ? 0 : SnapColumn(batch);
+  if (start < 0 || batch_sizes_[column] != batch) {
+    std::string message = "ProfileTable: gpcs=";
+    message += std::to_string(gpcs);
+    message += " batch=";
+    message += std::to_string(batch);
+    message += " is off the profiled grid";
+    throw std::out_of_range(message);
+  }
+  Cell& cell = cells_[static_cast<std::size_t>(start) + column];
+  cell.entry = entry;
+  cell.set = true;
 }
 
 bool ProfileTable::Has(int gpcs, int batch) const {
-  return entries_.count({gpcs, batch}) > 0;
+  if (RowStart(gpcs) < 0) return false;
+  const std::size_t column = SnapColumn(batch);
+  return batch_sizes_[column] == batch && Find(gpcs, column) != nullptr;
 }
 
 const ProfileEntry& ProfileTable::At(int gpcs, int batch) const {
-  auto it = entries_.find({gpcs, batch});
-  if (it == entries_.end()) {
-    throw std::out_of_range("ProfileTable: no entry for gpcs=" +
-                            std::to_string(gpcs) +
-                            " batch=" + std::to_string(batch));
-  }
-  return it->second;
+  if (!Has(gpcs, batch)) ThrowMissing(gpcs, batch);
+  return Find(gpcs, SnapColumn(batch))->entry;
 }
 
-namespace {
-
-// Smallest profiled batch >= `batch`, clamped to the largest profiled one.
-int SnapBatch(const std::vector<int>& batches, int batch) {
-  assert(!batches.empty());
-  auto it = std::lower_bound(batches.begin(), batches.end(), batch);
-  if (it == batches.end()) return batches.back();
-  return *it;
-}
-
-}  // namespace
-
-double ProfileTable::LatencySec(int gpcs, int batch) const {
-  return At(gpcs, SnapBatch(batch_sizes_, batch)).latency_sec;
+void ProfileTable::ThrowSnappedMissing(int gpcs, int batch) const {
+  ThrowMissing(gpcs, batch_sizes_.empty() ? batch
+                                          : batch_sizes_[SnapColumn(batch)]);
 }
 
 double ProfileTable::Utilization(int gpcs, int batch) const {
-  return At(gpcs, SnapBatch(batch_sizes_, batch)).utilization;
+  return Snapped(gpcs, batch).utilization;
 }
 
 double ProfileTable::ThroughputQps(int gpcs, int batch) const {
-  return At(gpcs, SnapBatch(batch_sizes_, batch)).throughput_qps();
+  return Snapped(gpcs, batch).throughput_qps();
 }
 
 int ProfileTable::MaxBatchKnee(int gpcs, double threshold, KneeMode mode,
@@ -71,7 +112,7 @@ int ProfileTable::MaxBatchKnee(int gpcs, double threshold, KneeMode mode,
   double target = threshold;
   if (mode == KneeMode::kRelative) {
     const int ref = reference_batch > 0
-                        ? SnapBatch(batch_sizes_, reference_batch)
+                        ? batch_sizes_[SnapColumn(reference_batch)]
                         : batch_sizes_.back();
     target = threshold * At(gpcs, ref).utilization;
   }
@@ -98,51 +139,14 @@ std::vector<int> ProfileTable::AllKnees(double threshold, KneeMode mode,
 
 void ProfileTable::SaveCsv(std::ostream& os) const {
   os << "model,gpcs,batch,latency_sec,utilization\n";
-  for (const auto& [key, entry] : entries_) {
-    os << model_name_ << ',' << key.first << ',' << key.second << ','
-       << entry.latency_sec << ',' << entry.utilization << '\n';
+  for (const int gpcs : partition_sizes_) {
+    for (std::size_t column = 0; column < batch_sizes_.size(); ++column) {
+      const Cell* cell = Find(gpcs, column);
+      if (cell == nullptr) continue;
+      os << model_name_ << ',' << gpcs << ',' << batch_sizes_[column] << ','
+         << cell->entry.latency_sec << ',' << cell->entry.utilization << '\n';
+    }
   }
-}
-
-ProfileTable ProfileTable::LoadCsv(std::istream& is) {
-  std::string line;
-  if (!std::getline(is, line)) {
-    throw std::runtime_error("ProfileTable::LoadCsv: empty input");
-  }
-  std::string model_name;
-  std::map<std::pair<int, int>, ProfileEntry> entries;
-  std::vector<int> gpcs_list;
-  std::vector<int> batch_list;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string field;
-    std::getline(ls, field, ',');
-    model_name = field;
-    std::getline(ls, field, ',');
-    const int gpcs = std::stoi(field);
-    std::getline(ls, field, ',');
-    const int batch = std::stoi(field);
-    ProfileEntry e;
-    std::getline(ls, field, ',');
-    e.latency_sec = std::stod(field);
-    std::getline(ls, field, ',');
-    e.utilization = std::stod(field);
-    entries[{gpcs, batch}] = e;
-    gpcs_list.push_back(gpcs);
-    batch_list.push_back(batch);
-  }
-  auto uniq_sort = [](std::vector<int>& v) {
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
-  };
-  uniq_sort(gpcs_list);
-  uniq_sort(batch_list);
-  ProfileTable table(model_name, gpcs_list, batch_list);
-  for (const auto& [key, entry] : entries) {
-    table.Set(key.first, key.second, entry);
-  }
-  return table;
 }
 
 }  // namespace pe::profile

@@ -5,10 +5,20 @@
 // (T_estimated lookups, Eq. 1-2) consume this table, never the performance
 // model directly -- mirroring the deployment flow on real hardware where the
 // table is measured once (~5 minutes per the paper) and then reused.
+//
+// The table is dense: one flat array of cells, a row per profiled
+// partition size and a column per profiled batch size, with a mark on the
+// cells never Set (a sparse table's holes).  Two index tables, built once
+// by the constructor, replace searching: gpcs -> row, and batch -> the
+// column of the smallest profiled batch >= batch (the snap).  So a
+// scheduler's latency estimate is three array reads, and the engines and
+// ELSA read this table directly.  A table never changes after its last
+// Set, so one may be read from several threads at once.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -26,7 +36,7 @@ struct ProfileEntry {
   }
 };
 
-// MaxBatch_knee derivation mode (see DESIGN.md):
+// MaxBatch_knee derivation mode (see docs/PARIS.md):
 //  * kAbsolute: first batch with util >= threshold (Algorithm 1, line 8).
 //  * kRelative: first batch with util >= threshold * util(max batch); total
 //    even when a partition's plateau sits below the absolute threshold.
@@ -35,6 +45,8 @@ enum class KneeMode { kAbsolute, kRelative };
 class ProfileTable {
  public:
   ProfileTable() = default;
+  // Both grids must be strictly ascending and positive; throws
+  // std::invalid_argument otherwise.  Every cell starts as a hole.
   ProfileTable(std::string model_name, std::vector<int> partition_sizes,
                std::vector<int> batch_sizes);
 
@@ -43,6 +55,8 @@ class ProfileTable {
   const std::vector<int>& batch_sizes() const { return batch_sizes_; }
   int max_batch() const;
 
+  // Fills a grid cell; throws std::out_of_range when (gpcs, batch) is off
+  // the declared grid.
   void Set(int gpcs, int batch, ProfileEntry entry);
   bool Has(int gpcs, int batch) const;
 
@@ -53,8 +67,11 @@ class ProfileTable {
   // Latency with lookup semantics used by the scheduler: exact batch match
   // if profiled, otherwise the nearest profiled batch >= `batch` (a batch
   // between grid points costs as much as the next grid point), clamping to
-  // the largest profiled batch.
-  double LatencySec(int gpcs, int batch) const;
+  // the largest profiled batch.  Inline: it is every scheduler's and
+  // engine's estimate.
+  double LatencySec(int gpcs, int batch) const {
+    return Snapped(gpcs, batch).latency_sec;
+  }
   double Utilization(int gpcs, int batch) const;
   double ThroughputQps(int gpcs, int batch) const;
 
@@ -77,15 +94,55 @@ class ProfileTable {
                             KneeMode mode = KneeMode::kRelative,
                             int reference_batch = 0) const;
 
-  // CSV round trip: columns model,gpcs,batch,latency_sec,utilization.
+  // CSV export, columns model,gpcs,batch,latency_sec,utilization: every
+  // filled cell in (gpcs, batch) order.
   void SaveCsv(std::ostream& os) const;
-  static ProfileTable LoadCsv(std::istream& is);
 
  private:
+  struct Cell {
+    ProfileEntry entry;
+    bool set = false;  // false: a hole
+  };
+
+  // Column of the smallest profiled batch >= `batch`, clamped to the
+  // largest; the batch grid must be non-empty.
+  std::size_t SnapColumn(int batch) const {
+    if (batch < 0) return 0;
+    if (batch >= static_cast<int>(snap_.size())) return batch_sizes_.size() - 1;
+    return snap_[static_cast<std::size_t>(batch)];
+  }
+  // The first cell of `gpcs`'s row, or -1 when it is not a profiled size.
+  std::ptrdiff_t RowStart(int gpcs) const {
+    if (gpcs < 0 || gpcs >= static_cast<int>(row_.size())) return -1;
+    return row_[static_cast<std::size_t>(gpcs)];
+  }
+  // The filled cell at (gpcs, column), or null for an unprofiled size or
+  // a hole.
+  const Cell* Find(int gpcs, std::size_t column) const;
+  // The filled cell at (gpcs, batch snapped to the grid); throws
+  // std::out_of_range, naming the snapped batch, when there is none.
+  const ProfileEntry& Snapped(int gpcs, int batch) const {
+    // A profiled row implies a non-empty batch grid.
+    const std::ptrdiff_t start = RowStart(gpcs);
+    if (start >= 0) {
+      const Cell& cell =
+          cells_[static_cast<std::size_t>(start) + SnapColumn(batch)];
+      if (cell.set) return cell.entry;
+    }
+    ThrowSnappedMissing(gpcs, batch);
+  }
+  [[noreturn]] void ThrowSnappedMissing(int gpcs, int batch) const;
+  [[noreturn]] static void ThrowMissing(int gpcs, int batch);
+
   std::string model_name_;
   std::vector<int> partition_sizes_;  // ascending
   std::vector<int> batch_sizes_;      // ascending
-  std::map<std::pair<int, int>, ProfileEntry> entries_;
+  // gpcs (0..largest size) -> first cell of its row, -1 when unprofiled.
+  std::vector<std::ptrdiff_t> row_;
+  // batch (0..largest batch) -> SnapColumn(batch).
+  std::vector<std::uint32_t> snap_;
+  // partition_sizes_.size() rows x batch_sizes_.size() columns.
+  std::vector<Cell> cells_;
 };
 
 }  // namespace pe::profile

@@ -24,8 +24,6 @@ class Profiler {
  public:
   explicit Profiler(perf::RooflineEngine engine = perf::RooflineEngine{});
 
-  const perf::RooflineEngine& engine() const { return engine_; }
-
   // Profiles the model over the grid.
   ProfileTable Profile(const perf::DnnModel& model,
                        const ProfilerConfig& config =

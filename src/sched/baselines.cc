@@ -20,7 +20,7 @@ int JsqScheduler::OnQueryArrival(const workload::Query& query,
 
 GreedyFastestScheduler::GreedyFastestScheduler(
     const profile::ModelRepertoire& repertoire)
-    : compiled_(repertoire) {}
+    : repertoire_(repertoire) {}
 
 int GreedyFastestScheduler::OnQueryArrival(const workload::Query& query,
                                            const WorkerView& workers) {
@@ -33,7 +33,7 @@ int GreedyFastestScheduler::OnQueryArrival(const workload::Query& query,
     if (w.failed) continue;
     const double t =
         TicksToSec(w.wait_ticks) +
-        compiled_.EstimateSec(query.model_id, w.gpcs, query.batch);
+        repertoire_.EstimateSec(query.model_id, w.gpcs, query.batch);
     if (best == kNoAssignment || t < t_min) {
       t_min = t;
       best = w.index;

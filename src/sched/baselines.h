@@ -13,7 +13,6 @@
 // requeued like fresh arrivals -- are the correct behavior.
 #pragma once
 
-#include "profile/compiled_profile.h"
 #include "profile/model_repertoire.h"
 #include "sched/scheduler.h"
 
@@ -44,7 +43,7 @@ class GreedyFastestScheduler final : public Scheduler {
   std::string name() const override { return "GreedyFastest"; }
 
  private:
-  profile::CompiledProfile compiled_;
+  const profile::ModelRepertoire& repertoire_;
 };
 
 }  // namespace pe::sched

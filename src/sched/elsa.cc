@@ -71,7 +71,7 @@ bool SwapFree(const WorkerState& w, int model_id) {
 
 ElsaScheduler::ElsaScheduler(const profile::ModelRepertoire& repertoire,
                              SimTime sla_target, ElsaParams params)
-    : compiled_(repertoire),
+    : repertoire_(repertoire),
       sla_target_(sla_target),
       sla_sec_(TicksToSec(sla_target)),
       params_(params) {
@@ -109,7 +109,7 @@ double ElsaScheduler::SlackSec(const WorkerState& worker, int model_id,
   // predictor is reproduced exactly (x + 0.0 == x).
   const double t_swap =
       SwapFree(worker, model_id) ? 0.0 : params_.swap_cost_sec;
-  const double t_new = compiled_.EstimateSec(model_id, worker.gpcs, batch);
+  const double t_new = repertoire_.EstimateSec(model_id, worker.gpcs, batch);
   return Slack(worker.wait_ticks, t_swap, t_new);
 }
 
@@ -200,7 +200,7 @@ int ElsaScheduler::Decide(const workload::Query& query,
   // displaced pays Tswap inside Twait and qualifies at wait <= T(Tswap).
   for (const SizeRun& run : runs_) {
     const double tnew =
-        compiled_.EstimateSec(query.model_id, run.gpcs, query.batch);
+        repertoire_.EstimateSec(query.model_id, run.gpcs, query.batch);
     const SimTime free_limit = SlackThreshold(tnew, 0.0);
     if (free_limit < 0) continue;
     const SimTime swap_limit =
@@ -241,7 +241,7 @@ int ElsaScheduler::Decide(const workload::Query& query,
     const SimTime min_wait = view.MinWait(run.begin, run.end);
     if (min_wait == WorkerView::kNoWait) continue;
     const double tnew =
-        compiled_.EstimateSec(query.model_id, run.gpcs, query.batch);
+        repertoire_.EstimateSec(query.model_id, run.gpcs, query.batch);
     const double floor = Completion(min_wait, 0.0, tnew);
     if (best >= 0 && !(floor < t_min)) continue;
     const double ceiling = Completion(min_wait, swap_charge, tnew);
@@ -278,7 +278,7 @@ int ElsaScheduler::FirstLocalWorker(const workload::Query& query,
                                     double bound) const {
   for (const SizeRun& run : runs_) {
     const double tnew =
-        compiled_.EstimateSec(query.model_id, run.gpcs, query.batch);
+        repertoire_.EstimateSec(query.model_id, run.gpcs, query.batch);
     const SimTime limit = std::min(SlackThreshold(tnew, 0.0),
                                    CompletionThreshold(tnew, bound));
     for (std::size_t from = run.begin; from < run.end;) {

@@ -30,8 +30,8 @@
 // the shadow-view test compares against decision by decision.  A stable()
 // view is already in (gpcs, index) order, so its equal-size runs are
 // computed once per layout; an ad-hoc view is copied and sorted per call.
-// Testimated lookups go through a CompiledProfile (dense arrays instead of
-// map + lower_bound).
+// Testimated lookups read the repertoire's dense profile tables
+// (ModelRepertoire::EstimateSec: three array reads, no search).
 //
 // Multi-model serving: ELSA reads every Testimated,new from the *arriving
 // query's* model profile in its ModelRepertoire (a one-entry repertoire is
@@ -45,7 +45,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "profile/compiled_profile.h"
 #include "profile/model_repertoire.h"
 #include "sched/scheduler.h"
 
@@ -102,9 +101,6 @@ class ElsaScheduler final : public Scheduler {
   // defaults apply.
   std::string name() const override { return "ELSA"; }
 
-  SimTime sla_target() const { return sla_target_; }
-  const ElsaParams& params() const { return params_; }
-
   // Predicted slack (Eq. 2) of scheduling `batch` of `model_id` on a
   // worker (exposed for tests).
   double SlackSec(const WorkerState& worker, int model_id, int batch) const;
@@ -138,7 +134,7 @@ class ElsaScheduler final : public Scheduler {
   int FirstLocalWorker(const workload::Query& query, const WorkerView& view,
                        double bound) const;
 
-  profile::CompiledProfile compiled_;
+  const profile::ModelRepertoire& repertoire_;
   SimTime sla_target_;
   double sla_sec_;
   ElsaParams params_;

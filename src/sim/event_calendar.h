@@ -70,9 +70,6 @@ class EventCalendar {
  public:
   EventCalendar();
 
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
-
   // Removes every event but keeps bucket/spill capacity and the adapted
   // geometry: a server re-used across incarnations re-learns nothing.
   // (Geometry carry-over cannot perturb results -- see the determinism
@@ -91,7 +88,7 @@ class EventCalendar {
   // typically follows.
   const Event* Peek();
 
-  // Removes and returns the minimum.  Requires !empty().
+  // Removes and returns the minimum.  Requires a pending event.
   Event Pop();
 
  private:

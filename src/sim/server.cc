@@ -33,6 +33,15 @@ std::uint64_t NextLayoutVersion() {
   throw std::overflow_error(oss.str());
 }
 
+[[noreturn]] void ThrowFinishOverflow(SimTime now, SimTime actual,
+                                      SimTime swap_cost) {
+  std::ostringstream oss;
+  oss << "InferenceServer: a query started at " << now << " ns for "
+      << actual << " ns of execution plus a model_swap_cost of " << swap_cost
+      << " ns finishes past the tick clock (2^63 ns)";
+  throw std::overflow_error(oss.str());
+}
+
 }  // namespace
 
 std::size_t InferenceServer::LiveWorkerView::size() const {
@@ -145,8 +154,7 @@ InferenceServer::InferenceServer(ServerConfig config,
     : config_(std::move(config)),
       repertoire_(repertoire),
       scheduler_(scheduler),
-      rng_(config_.seed),
-      compiled_(repertoire) {
+      rng_(config_.seed) {
   if (config_.partition_gpcs.empty()) {
     throw std::invalid_argument("InferenceServer: no partitions configured");
   }
@@ -230,7 +238,7 @@ bool InferenceServer::PopNextEvent(SimTime bound, bool bounded, Event& ev) {
 }
 
 SimTime InferenceServer::ActualTicks(int model_id, int gpcs, int batch) {
-  double sec = compiled_.ActualSec(model_id, gpcs, batch);
+  double sec = repertoire_.ActualSec(model_id, gpcs, batch);
   // Degraded-replica multiplier (fault injection); exactly 1.0 -- the
   // clean-run value -- takes no branch into the multiply.
   if (slowdown_ != 1.0) sec *= slowdown_;
@@ -249,7 +257,8 @@ SimTime InferenceServer::ActualTicks(int model_id, int gpcs, int batch) {
 
 SimTime InferenceServer::EstimateTicks(int model_id, int gpcs,
                                        int batch) const {
-  return compiled_.EstimateTicks(model_id, gpcs, batch);
+  return std::max<SimTime>(
+      1, SecToTicks(repertoire_.EstimateSec(model_id, gpcs, batch)));
 }
 
 const std::vector<sched::WorkerState>& InferenceServer::Snapshots(
@@ -282,13 +291,19 @@ void InferenceServer::StartHead(PartitionWorker& worker, SimTime now) {
   }
   if (!worker.CanStart()) return;
   const workload::Query& head = worker.Head();
-  SimTime actual = ActualTicks(head.model_id, worker.gpcs(), head.batch);
+  const SimTime actual = ActualTicks(head.model_id, worker.gpcs(), head.batch);
   // Displacing a different resident model re-loads weights; the charge
   // extends this query's occupancy of the partition.
   const bool swap = worker.resident_model() != -1 &&
                     worker.resident_model() != head.model_id;
-  if (swap) actual += config_.model_swap_cost;
-  const workload::Query q = worker.Start(now, actual);
+  // Each charge fits SimTime on its own, but their sum with the start
+  // instant need not.
+  const std::optional<SimTime> occupancy =
+      swap ? CheckedAdd(actual, config_.model_swap_cost) : actual;
+  const std::optional<SimTime> finish =
+      occupancy ? CheckedAdd(now, *occupancy) : std::nullopt;
+  if (!finish) ThrowFinishOverflow(now, actual, config_.model_swap_cost);
+  const workload::Query q = worker.Start(now, *finish);
   view_.Sync(worker);
   QueryRecord& rec = records_[q.id];
   rec.started = now;
@@ -299,7 +314,7 @@ void InferenceServer::StartHead(PartitionWorker& worker, SimTime now) {
   // can cancel it (see FailWorker / stale_done_).
   const std::uint64_t seq = next_seq_++;
   done_seq_[static_cast<std::size_t>(worker.index())] = seq;
-  PushWithSeq(now + actual, seq, EventType::kWorkerDone,
+  PushWithSeq(*finish, seq, EventType::kWorkerDone,
               static_cast<std::uint32_t>(worker.index()));
 }
 

@@ -18,11 +18,11 @@
 //    the partition layout live, and Finish() drains everything left.
 //
 // Hot-path design (the fast engine, on by default):
-//  * profile lookups go through a CompiledProfile -- EstimateTicks is two
-//    array indexes instead of a map find + lower_bound -- and ActualTicks
-//    reads the repertoire's ground-truth memo, which every engine over
-//    the same repertoire (or a Subset of it) shares, so a cell's
-//    LatencyFn runs once per zoo rather than once per engine;
+//  * EstimateTicks reads the model's dense ProfileTable through
+//    ModelRepertoire::EstimateSec (three array reads, no search), and
+//    ActualTicks reads the repertoire's ground-truth memo, which every
+//    engine over the same repertoire (or a Subset of it) shares, so a
+//    cell's LatencyFn runs once per zoo rather than once per engine;
 //  * per query, the engine keeps its QueryRecord and nothing else: an
 //    arrival or frontend-done event carries the record's index, and
 //    dispatch rebuilds the Query from the record;
@@ -80,7 +80,6 @@
 
 #include "common/rng.h"
 #include "common/sim_time.h"
-#include "profile/compiled_profile.h"
 #include "sim/event_calendar.h"
 #include "profile/model_repertoire.h"
 #include "sched/scheduler.h"
@@ -328,7 +327,8 @@ class InferenceServer {
   void BuildWorkers(const std::vector<int>& partition_gpcs);
   // Starts the worker's head query if the worker is free, recording start
   // metadata (including any model-swap charge) and scheduling the
-  // completion event.
+  // completion event.  Throws std::overflow_error, naming the swap cost,
+  // when the finish instant passes 2^63 ns.
   void StartHead(PartitionWorker& worker, SimTime now);
   // Ground truth x slowdown x noise, at least one tick.  Throws
   // std::overflow_error, naming the slowdown factor and the noise sigma,
@@ -340,8 +340,6 @@ class InferenceServer {
   const profile::ModelRepertoire& repertoire_;
   sched::Scheduler& scheduler_;
   Rng rng_;
-  // Dense lookup surface compiled from `repertoire_` once per server.
-  profile::CompiledProfile compiled_;
 
   // Worker/frontend/reconfig events plus the arrival injections the
   // cursor does not take, in the two-level bucketed calendar (O(1)

@@ -23,16 +23,16 @@ const workload::Query& PartitionWorker::Head() const {
   return queue_.front().query;
 }
 
-workload::Query PartitionWorker::Start(SimTime now, SimTime actual) {
+workload::Query PartitionWorker::Start(SimTime now, SimTime finish) {
   assert(CanStart());
-  assert(actual > 0);
+  assert(finish > now);
   Pending head = queue_.front();
   queue_.pop_front();
   queued_estimated_ -= head.estimated;
   current_ = head.query;
   current_estimated_ = head.estimated;
   current_started_ = now;
-  busy_until_ = now + actual;
+  busy_until_ = finish;
   resident_model_ = head.query.model_id;
   return head.query;
 }

@@ -35,7 +35,6 @@ class PartitionWorker {
 
   bool busy() const { return current_.has_value(); }
   bool idle() const { return !failed_ && !busy() && queue_.empty(); }
-  std::size_t queue_length() const { return queue_.size(); }
 
   // Fault state: a failed partition (lost MIG slice) executes nothing and
   // never reports idle; the scheduler skips it until recovery.
@@ -51,9 +50,9 @@ class PartitionWorker {
   // The query at the head of the local queue; requires a non-empty queue.
   const workload::Query& Head() const;
 
-  // Pops the head query and marks the worker busy until now + actual.
-  // Returns the started query.
-  workload::Query Start(SimTime now, SimTime actual);
+  // Pops the head query and marks the worker busy from `now` until
+  // `finish` (> now).  Returns the started query.
+  workload::Query Start(SimTime now, SimTime finish);
 
   // Completes the in-flight query; the worker becomes free.
   workload::Query Finish();
@@ -73,8 +72,6 @@ class PartitionWorker {
   // its queued work must be carried over to the new layout.
   std::vector<workload::Query> TakeQueue();
 
-  const workload::Query& current() const { return *current_; }
-  SimTime current_started() const { return current_started_; }
   SimTime busy_until() const { return busy_until_; }
 
   // Estimated time of all queued queries.

@@ -52,9 +52,7 @@ std::vector<double> BatchDistribution::PdfVector() const {
 
 LogNormalBatchDist::LogNormalBatchDist(double median, double sigma,
                                        int max_batch)
-    : median_(median),
-      sigma_(sigma),
-      max_batch_(max_batch),
+    : max_batch_(max_batch),
       pmf_(BuildPmf(median, sigma, max_batch)),
       sampler_(pmf_) {}
 

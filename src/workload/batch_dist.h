@@ -98,15 +98,10 @@ class LogNormalBatchDist final : public BatchDistribution {
   // virtual call.
   int Sample(Rng& rng) const override { return sampler_.Sample(rng); }
 
-  double sigma() const { return sigma_; }
-  double median() const { return median_; }
-
  private:
   static std::vector<double> BuildPmf(double median, double sigma,
                                       int max_batch);
 
-  double median_;
-  double sigma_;
   int max_batch_;
   std::vector<double> pmf_;  // index = batch size, [0] unused
   GuideTableSampler sampler_;

@@ -57,8 +57,6 @@ class JsonReader {
  public:
   explicit JsonReader(std::istream& is) : is_(is) {}
 
-  int line() const { return line_; }
-
   [[noreturn]] void Fail(const std::string& what) const {
     std::ostringstream os;
     os << "trace_io: line " << line_ << ": " << what;

@@ -147,35 +147,5 @@ TEST(Rng, NormalMomentsMatch) {
   EXPECT_NEAR(var, 9.0, 0.15);
 }
 
-TEST(Rng, LogNormalMedianIsExpMu) {
-  Rng r(23);
-  std::vector<double> xs;
-  const int n = 100001;
-  xs.reserve(n);
-  for (int i = 0; i < n; ++i) xs.push_back(r.LogNormal(std::log(8.0), 0.9));
-  std::nth_element(xs.begin(), xs.begin() + n / 2, xs.end());
-  EXPECT_NEAR(xs[n / 2], 8.0, 0.25);
-}
-
-TEST(Rng, ForkProducesIndependentStream) {
-  Rng parent(99);
-  Rng child = parent.Fork();
-  // The child must differ from a same-state parent continuation.
-  Rng parent_copy(99);
-  (void)parent_copy.Fork();
-  int same = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (child.NextU64() == parent.NextU64()) ++same;
-  }
-  EXPECT_LT(same, 2);
-}
-
-TEST(Rng, ForkIsDeterministic) {
-  Rng a(5), b(5);
-  Rng ca = a.Fork();
-  Rng cb = b.Fork();
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(ca.NextU64(), cb.NextU64());
-}
-
 }  // namespace
 }  // namespace pe

@@ -63,7 +63,7 @@ TEST(FleetTestbed, BitIdenticalAcrossJobsForEveryPolicy) {
 TEST(FleetTestbed, PlansEveryServerAndServesTheWholeTrace) {
   const FleetTestbed tb(SmallFleet(3, fleet::RouterPolicy::kLeastLoaded));
   // Every server got a planner-filled MIG layout within its budget.
-  for (int s = 0; s < tb.num_servers(); ++s) {
+  for (int s = 0; s < tb.placement().num_servers(); ++s) {
     const auto& sp = tb.placement().server(s);
     ASSERT_FALSE(sp.partition_gpcs.empty());
     int total = 0;

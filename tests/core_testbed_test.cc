@@ -129,12 +129,13 @@ TEST_F(Table1TestbedFixture, RunIsDeterministic) {
 }
 
 TEST_F(Table1TestbedFixture, ActualLatencyOutlivesTestbed) {
-  sim::LatencyFn fn;
+  profile::ModelRepertoire repertoire;
   {
     const MixTestbed local(Table1Config("mobilenet"));
-    fn = local.repertoire().actual(0);
+    repertoire = local.repertoire();
   }
-  EXPECT_GT(fn(7, 8), 0.0);  // must not dangle
+  // Its ground-truth function must not dangle.
+  EXPECT_GT(repertoire.ActualSec(0, 7, 8), 0.0);
 }
 
 TEST_F(Table1TestbedFixture, RejectsEmptyPlan) {

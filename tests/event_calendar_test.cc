@@ -29,7 +29,7 @@ void ExpectDrainsSorted(EventCalendar& calendar, std::vector<Event> expected) {
   std::sort(expected.begin(), expected.end(),
             [](const Event& a, const Event& b) { return b > a; });
   for (std::size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_FALSE(calendar.empty()) << "event " << i;
+    ASSERT_NE(calendar.Peek(), nullptr) << "event " << i;
     const Event* head = calendar.Peek();
     ASSERT_NE(head, nullptr);
     EXPECT_EQ(head->time, expected[i].time) << "event " << i;
@@ -39,14 +39,11 @@ void ExpectDrainsSorted(EventCalendar& calendar, std::vector<Event> expected) {
     EXPECT_EQ(popped.seq, expected[i].seq) << "event " << i;
     EXPECT_EQ(popped.payload, expected[i].payload) << "event " << i;
   }
-  EXPECT_TRUE(calendar.empty());
   EXPECT_EQ(calendar.Peek(), nullptr);
 }
 
 TEST(EventCalendar, EmptyBehaviour) {
   EventCalendar calendar;
-  EXPECT_TRUE(calendar.empty());
-  EXPECT_EQ(calendar.size(), 0u);
   EXPECT_EQ(calendar.Peek(), nullptr);
 }
 
@@ -78,7 +75,6 @@ TEST(EventCalendar, FarFutureSpillPromotedInOrder) {
     events.push_back(Ev(SecToTicks(200.0) - MsToTicks(4.0 * i), seq++));
   }
   for (const Event& e : events) calendar.Push(e);
-  EXPECT_EQ(calendar.size(), events.size());
   ExpectDrainsSorted(calendar, events);
 }
 
@@ -95,7 +91,7 @@ TEST(EventCalendar, InterleavedPushPopKeepsGlobalOrder) {
                                rng.UniformInt(1, 2000))),
                      seq++));
   }
-  while (!calendar.empty()) {
+  while (calendar.Peek() != nullptr) {
     const Event e = calendar.Pop();
     EXPECT_GE(e.time, now);
     now = e.time;
@@ -136,9 +132,9 @@ TEST(EventCalendar, ClearResetsForReuseAtTimeZero) {
   for (std::uint64_t seq = 0; seq < 100; ++seq) {
     calendar.Push(Ev(SecToTicks(100.0) + MsToTicks(1.0 * seq), seq));
   }
-  while (!calendar.empty()) calendar.Pop();
+  while (calendar.Peek() != nullptr) calendar.Pop();
   calendar.Clear();
-  EXPECT_TRUE(calendar.empty());
+  EXPECT_EQ(calendar.Peek(), nullptr);
   // Second incarnation restarts at time zero; the carried-over geometry
   // must not strand its events.
   std::vector<Event> events;

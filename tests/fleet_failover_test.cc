@@ -106,7 +106,8 @@ TEST(FaultPlanResolve, PresetsAreDeterministicAndValidated) {
       std::invalid_argument);
 
   // Same (spec, seed) -> same schedule; schedules are sorted by time.
-  for (const auto& name : FaultPresetNames()) {
+  for (const std::string name :
+       {"serverloss", "flaky", "brownout", "cascade"}) {
     const auto a = ResolveFaultPlan({name, {}}, placement, span, 42);
     const auto b = ResolveFaultPlan({name, {}}, placement, span, 42);
     ASSERT_EQ(a.events.size(), b.events.size()) << name;

@@ -131,7 +131,7 @@ TEST(FleetReplay, ServerSubTraceReplaysStandalone) {
   const auto fleet_run = tb.Run(doc.trace, /*jobs=*/2);
 
   const auto fleet_names = tb.mix().ModelNames();
-  for (int s = 0; s < tb.num_servers(); ++s) {
+  for (int s = 0; s < tb.placement().num_servers(); ++s) {
     const auto& result = fleet_run.per_server[s];
     if (result.records.empty()) continue;
 

@@ -3,10 +3,63 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <numeric>
+#include <functional>
+#include <set>
+#include <vector>
 
 namespace pe::hw {
 namespace {
+
+// The placement oracle: every size multiset (sorted descending, the empty
+// one included) that one A100 can hold, found by laying instances out
+// slot by slot straight from NVIDIA's placement table -- independent of
+// LegalStartSlots and of CanPlaceAll's backtracking search.  Instances
+// are laid out in increasing start-slot order, so each layout is visited
+// once.
+std::set<std::vector<int>> PlaceableMultisets() {
+  const std::pair<int, std::vector<int>> kTable[] = {
+      {1, {0, 1, 2, 3, 4, 5, 6}},
+      {2, {0, 2, 4}},
+      {3, {0, 4}},
+      {4, {0}},
+      {7, {0}},
+  };
+  std::set<std::vector<int>> found;
+  std::vector<int> sizes;
+  std::function<void(int, unsigned)> lay = [&](int from, unsigned used) {
+    std::vector<int> sorted = sizes;
+    std::sort(sorted.begin(), sorted.end(), std::greater<int>());
+    found.insert(sorted);
+    for (const auto& [gpcs, slots] : kTable) {
+      for (int slot : slots) {
+        const unsigned span = ((1u << gpcs) - 1u) << slot;
+        if (slot < from || slot + gpcs > 7 || (used & span) != 0) continue;
+        sizes.push_back(gpcs);
+        lay(slot + 1, used | span);
+        sizes.pop_back();
+      }
+    }
+  };
+  lay(0, 0);
+  return found;
+}
+
+// Every multiset of the sizes 1..7 with at most `budget` slices in total,
+// sorted descending.
+std::vector<std::vector<int>> AllMultisets(int budget) {
+  std::vector<std::vector<int>> all;
+  std::vector<int> current;
+  std::function<void(int, int)> grow = [&](int largest, int left) {
+    all.push_back(current);
+    for (int g = std::min(largest, left); g >= 1; --g) {
+      current.push_back(g);
+      grow(g, left - g);
+      current.pop_back();
+    }
+  };
+  grow(7, budget);
+  return all;
+}
 
 TEST(LegalStartSlots, MatchesA100PlacementTable) {
   EXPECT_EQ(LegalStartSlots(1), (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
@@ -23,8 +76,6 @@ TEST(MigLayout, SevenOnesFit) {
     EXPECT_TRUE(layout.TryPlace(1).has_value()) << "instance " << i;
   }
   EXPECT_FALSE(layout.TryPlace(1).has_value());
-  EXPECT_EQ(layout.used_gpcs(), 7);
-  EXPECT_EQ(layout.free_gpcs(), 0);
 }
 
 TEST(MigLayout, FourPlusThreeFits) {
@@ -35,7 +86,9 @@ TEST(MigLayout, FourPlusThreeFits) {
   auto p3 = layout.TryPlace(3);
   ASSERT_TRUE(p3.has_value());
   EXPECT_EQ(p3->start_slot, 4);
-  EXPECT_EQ(layout.used_gpcs(), 7);
+  for (int s : {1, 2, 3, 4, 7}) {
+    EXPECT_FALSE(layout.TryPlace(s).has_value()) << "size " << s;
+  }
 }
 
 TEST(MigLayout, SecondFourRejected) {
@@ -60,17 +113,7 @@ TEST(MigLayout, TwoGpcAlignment) {
   EXPECT_TRUE(layout.TryPlace(2).has_value());
   EXPECT_FALSE(layout.TryPlace(2).has_value());
   EXPECT_TRUE(layout.TryPlace(1).has_value());
-  EXPECT_EQ(layout.used_gpcs(), 7);
-}
-
-TEST(MigLayout, RemoveFreesSlots) {
-  MigLayout layout;
-  auto p = layout.TryPlace(4);
-  ASSERT_TRUE(p.has_value());
-  EXPECT_TRUE(layout.Remove(*p));
-  EXPECT_EQ(layout.used_gpcs(), 0);
-  EXPECT_TRUE(layout.TryPlace(4).has_value());
-  EXPECT_FALSE(layout.Remove(Placement{3, 0}));  // never placed
+  EXPECT_FALSE(layout.TryPlace(1).has_value());
 }
 
 TEST(MigLayout, PaperFigure2Heterogeneous) {
@@ -102,11 +145,11 @@ TEST(MigLayout, InvalidSizeRejected) {
   EXPECT_FALSE(MigLayout::CanPlaceAll({6}));
 }
 
-TEST(MigLayout, EnumerationContainsKnownLayouts) {
-  const auto sets = MigLayout::EnumerateFeasibleMultisets();
+TEST(MigLayout, OracleContainsKnownLayouts) {
+  const auto sets = PlaceableMultisets();
   auto contains = [&](std::vector<int> v) {
     std::sort(v.begin(), v.end(), std::greater<int>());
-    return std::find(sets.begin(), sets.end(), v) != sets.end();
+    return sets.count(v) > 0;
   };
   EXPECT_TRUE(contains({7}));
   EXPECT_TRUE(contains({4, 3}));
@@ -119,18 +162,21 @@ TEST(MigLayout, EnumerationContainsKnownLayouts) {
   EXPECT_FALSE(contains({7, 1}));
 }
 
-TEST(MigLayout, AllEnumeratedSetsArePlaceableAndWithinBudget) {
-  for (const auto& sizes : MigLayout::EnumerateFeasibleMultisets()) {
-    EXPECT_TRUE(MigLayout::CanPlaceAll(sizes));
-    EXPECT_LE(std::accumulate(sizes.begin(), sizes.end(), 0), 7);
+TEST(MigLayout, CanPlaceAllMatchesThePlacementOracle) {
+  // Every multiset of sizes 1..7 up to 9 slices, invalid sizes and
+  // over-full GPUs included.
+  const auto placeable = PlaceableMultisets();
+  for (const auto& sizes : AllMultisets(9)) {
+    EXPECT_EQ(MigLayout::CanPlaceAll(sizes), placeable.count(sizes) > 0)
+        << ::testing::PrintToString(sizes);
   }
 }
 
-TEST(MigLayout, ToStringSortedBySlot) {
+TEST(MigLayout, TryPlaceTakesTheLowestLegalFreeSlot) {
   MigLayout layout;
-  layout.TryPlace(3);
-  layout.TryPlace(2);  // lands at slot 4
-  EXPECT_EQ(layout.ToString(), "[3@0 2@4]");
+  EXPECT_EQ(layout.TryPlace(3)->start_slot, 0);
+  EXPECT_EQ(layout.TryPlace(2)->start_slot, 4);
+  EXPECT_EQ(layout.TryPlace(1)->start_slot, 3);
 }
 
 TEST(MigLayout, GreedyTryPlaceIsNotComplete) {
@@ -143,8 +189,8 @@ TEST(MigLayout, GreedyTryPlaceIsNotComplete) {
   EXPECT_FALSE(layout.TryPlace(2).has_value());
 }
 
-// Property sweep: every enumerated multiset must be re-verified feasible by
-// the backtracking placer, and its total must fit the GPU.
+// Property sweep: every multiset the oracle places must be feasible to the
+// backtracking placer, and so must each of its sub-multisets.
 class MigEnumerationTest
     : public ::testing::TestWithParam<std::vector<int>> {};
 
@@ -162,12 +208,10 @@ TEST_P(MigEnumerationTest, BacktrackingPlacementSucceeds) {
 INSTANTIATE_TEST_SUITE_P(
     AllFeasible, MigEnumerationTest,
     ::testing::ValuesIn([] {
-      auto sets = MigLayout::EnumerateFeasibleMultisets();
+      const auto placeable = PlaceableMultisets();
       // Drop the empty set (nothing to place).
-      sets.erase(std::remove_if(sets.begin(), sets.end(),
-                                [](const auto& v) { return v.empty(); }),
-                 sets.end());
-      return sets;
+      return std::vector<std::vector<int>>(std::next(placeable.begin()),
+                                           placeable.end());
     }()));
 
 }  // namespace

@@ -3,11 +3,28 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "perf/model_zoo.h"
 
 namespace pe::perf {
 namespace {
+
+// The paper's five models, in its order.
+std::vector<DnnModel> PaperModels() {
+  return {BuildShuffleNetV2(), BuildMobileNetV1(), BuildResNet50(),
+          BuildBertBase(), BuildConformer()};
+}
+
+// Per-layer timings, in layer order.
+std::vector<LayerTiming> Breakdown(const RooflineEngine& engine,
+                                   const DnnModel& m, int gpcs, int batch) {
+  std::vector<LayerTiming> timings;
+  for (const auto& layer : m.layers()) {
+    timings.push_back(engine.TimeLayer(layer, gpcs, batch));
+  }
+  return timings;
+}
 
 class RooflineFixture : public ::testing::Test {
  protected:
@@ -26,7 +43,7 @@ TEST_F(RooflineFixture, LatencyPositiveAndFinite) {
 }
 
 TEST_F(RooflineFixture, LatencyMonotoneInBatch) {
-  for (const auto& m : BuildPaperModels()) {
+  for (const auto& m : PaperModels()) {
     for (int g : {1, 3, 7}) {
       double prev = 0.0;
       for (int b = 1; b <= 64; b *= 2) {
@@ -40,7 +57,7 @@ TEST_F(RooflineFixture, LatencyMonotoneInBatch) {
 
 TEST_F(RooflineFixture, LatencyMonotoneInPartitionSize) {
   // Bigger partitions are never slower.
-  for (const auto& m : BuildPaperModels()) {
+  for (const auto& m : PaperModels()) {
     for (int b : {1, 8, 32}) {
       double prev = 1e9;
       for (int g : {1, 2, 3, 4, 7}) {
@@ -53,10 +70,10 @@ TEST_F(RooflineFixture, LatencyMonotoneInPartitionSize) {
 }
 
 TEST_F(RooflineFixture, UtilizationInUnitInterval) {
-  for (const auto& m : BuildPaperModels()) {
+  for (const auto& m : PaperModels()) {
     for (int g : {1, 2, 3, 4, 7}) {
       for (int b : {1, 4, 16, 64}) {
-        const double u = engine_.Utilization(m, g, b);
+        const double u = engine_.Time(m, g, b).utilization;
         EXPECT_GE(u, 0.0) << m.name();
         EXPECT_LE(u, 1.0) << m.name();
       }
@@ -65,9 +82,10 @@ TEST_F(RooflineFixture, UtilizationInUnitInterval) {
 }
 
 TEST_F(RooflineFixture, UtilizationRisesWithBatch) {
-  for (const auto& m : BuildPaperModels()) {
+  for (const auto& m : PaperModels()) {
     for (int g : {1, 7}) {
-      EXPECT_GT(engine_.Utilization(m, g, 64), engine_.Utilization(m, g, 1))
+      EXPECT_GT(engine_.Time(m, g, 64).utilization,
+                engine_.Time(m, g, 1).utilization)
           << m.name() << " gpcs=" << g;
     }
   }
@@ -76,8 +94,9 @@ TEST_F(RooflineFixture, UtilizationRisesWithBatch) {
 TEST_F(RooflineFixture, SmallPartitionsSaturateEarlier) {
   // Paper Figure 4(a): at a small-to-medium batch, GPU(1) utilization
   // exceeds GPU(7) utilization for every model.
-  for (const auto& m : BuildPaperModels()) {
-    EXPECT_GT(engine_.Utilization(m, 1, 8), engine_.Utilization(m, 7, 8))
+  for (const auto& m : PaperModels()) {
+    EXPECT_GT(engine_.Time(m, 1, 8).utilization,
+              engine_.Time(m, 7, 8).utilization)
         << m.name();
   }
 }
@@ -100,16 +119,16 @@ TEST_F(RooflineFixture, BertPunishedMostBySmallPartitions) {
 TEST_F(RooflineFixture, GpuTimeExcludesHostCosts) {
   const auto m = BuildResNet50();
   const auto t = engine_.Time(m, 7, 8);
-  const double host = engine_.params().host_fixed_sec +
-                      8 * engine_.params().host_per_sample_sec;
+  const double host = RooflineParams{}.host_fixed_sec +
+                      8 * RooflineParams{}.host_per_sample_sec;
   EXPECT_NEAR(t.latency_sec, t.gpu_sec + host, 1e-12);
 }
 
 TEST_F(RooflineFixture, BreakdownSumsToGpuTime) {
   const auto m = BuildMobileNetV1();
   const auto t = engine_.Time(m, 3, 4);
-  const auto breakdown = engine_.Breakdown(m, 3, 4);
-  ASSERT_EQ(breakdown.size(), m.num_layers());
+  const auto breakdown = Breakdown(engine_, m, 3, 4);
+  ASSERT_EQ(breakdown.size(), m.layers().size());
   double sum = 0.0;
   for (const auto& lt : breakdown) sum += lt.seconds;
   EXPECT_NEAR(sum, t.gpu_sec, 1e-9);
@@ -117,7 +136,7 @@ TEST_F(RooflineFixture, BreakdownSumsToGpuTime) {
 
 TEST_F(RooflineFixture, DepthwiseLayersAreMemoryBound) {
   const auto m = BuildMobileNetV1();
-  const auto breakdown = engine_.Breakdown(m, 7, 8);
+  const auto breakdown = Breakdown(engine_, m, 7, 8);
   std::size_t i = 0;
   int dw_total = 0, dw_membound = 0;
   for (const auto& l : m.layers()) {
@@ -134,7 +153,7 @@ TEST_F(RooflineFixture, DepthwiseLayersAreMemoryBound) {
 TEST_F(RooflineFixture, KernelOverheadFloorsTinyLayers) {
   Layer tiny = Elementwise("t", 8.0, 1.0, 4.0);
   const auto t = engine_.TimeLayer(tiny, 7, 1);
-  EXPECT_GE(t.seconds, engine_.params().kernel_overhead_sec);
+  EXPECT_GE(t.seconds, RooflineParams{}.kernel_overhead_sec);
 }
 
 TEST_F(RooflineFixture, WaveQuantizationVisibleOnLargePartition) {
@@ -166,7 +185,7 @@ class RooflineGridTest
 
 TEST_P(RooflineGridTest, BatchingNeverHurtsThroughput) {
   const auto [model_idx, gpcs] = GetParam();
-  const auto m = BuildPaperModels()[static_cast<std::size_t>(model_idx)];
+  const auto m = PaperModels()[static_cast<std::size_t>(model_idx)];
   RooflineEngine engine;
   double prev_tput = 0.0;
   for (int b = 1; b <= 64; b *= 2) {

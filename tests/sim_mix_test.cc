@@ -2,6 +2,10 @@
 // resident-model snapshot, per-model stats, and ELSA's locality tie-break.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "profile/model_repertoire.h"
 #include "sched/elsa.h"
 #include "sched/fifs.h"
@@ -36,6 +40,31 @@ workload::Query MakeQuery(std::uint64_t id, SimTime arrival, int model) {
   q.batch = 1;
   q.model_id = model;
   return q;
+}
+
+TEST(ModelSwap, FinishPastTheTickClockThrowsNamingTheSwapCost) {
+  // A swap charge that fits SimTime on its own, started 10 ms in: the
+  // finish instant passes 2^63 ns.  Its occupancy fits in the first case
+  // and overflows too in the second.
+  const auto rep = MakeRepertoire();
+  const SimTime kMax = std::numeric_limits<SimTime>::max();
+  for (const SimTime swap_cost : {kMax - MsToTicks(10.0), kMax}) {
+    ServerConfig sc;
+    sc.partition_gpcs = {1};
+    sc.model_swap_cost = swap_cost;
+    sched::FifsScheduler fifs;
+    InferenceServer server(sc, rep, fifs);
+    server.InjectQuery(MakeQuery(0, 0, 0));
+    server.InjectQuery(MakeQuery(1, 0, 1));  // swaps in at 10 ms
+    try {
+      server.Finish();
+      ADD_FAILURE() << "no overflow at swap cost " << swap_cost;
+    } catch (const std::overflow_error& e) {
+      EXPECT_NE(std::string(e.what()).find("model_swap_cost"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ModelSwap, ChargedOnlyWhenResidentModelChanges) {

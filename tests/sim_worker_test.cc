@@ -26,7 +26,7 @@ TEST(PartitionWorker, EnqueueMakesStartable) {
   w.Enqueue(Q(1), MsToTicks(5.0));
   EXPECT_FALSE(w.idle());
   EXPECT_TRUE(w.CanStart());
-  EXPECT_EQ(w.queue_length(), 1u);
+  EXPECT_EQ(w.Snapshot(0).queue_length, 1u);
   EXPECT_EQ(w.Head().id, 1u);
 }
 
@@ -34,12 +34,14 @@ TEST(PartitionWorker, StartPopsHeadFifo) {
   PartitionWorker w(0, 1);
   w.Enqueue(Q(1), MsToTicks(5.0));
   w.Enqueue(Q(2), MsToTicks(5.0));
-  const auto started = w.Start(100, MsToTicks(6.0));
+  const auto started = w.Start(100, 100 + MsToTicks(6.0));
   EXPECT_EQ(started.id, 1u);
   EXPECT_TRUE(w.busy());
-  EXPECT_EQ(w.queue_length(), 1u);
+  EXPECT_EQ(w.Snapshot(100).queue_length, 1u);
   EXPECT_EQ(w.busy_until(), 100 + MsToTicks(6.0));
-  EXPECT_EQ(w.current_started(), 100);
+  // Started at 100 with a 5 ms estimate: 1 ms later, 4 ms remain ahead
+  // of the queued 5 ms.
+  EXPECT_EQ(w.EstimatedWait(100 + MsToTicks(1.0)), MsToTicks(9.0));
 }
 
 TEST(PartitionWorker, FinishFreesWorker) {
@@ -101,7 +103,7 @@ TEST(PartitionWorker, QueueAccountingAcrossManyQueries) {
   for (int i = 0; i < 100; ++i) w.Enqueue(Q(i), MsToTicks(1.0));
   EXPECT_EQ(w.EstimatedWait(0), MsToTicks(100.0));
   for (int i = 0; i < 100; ++i) {
-    w.Start(now, MsToTicks(1.0));
+    w.Start(now, now + MsToTicks(1.0));
     now += MsToTicks(1.0);
     w.Finish();
   }
