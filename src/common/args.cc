@@ -46,11 +46,20 @@ ArgParser::ArgParser(int argc, const char* const* argv,
   const auto is_declared_flag = [&flags](const std::string& name) {
     return std::find(flags.begin(), flags.end(), name) != flags.end();
   };
+  const auto positional = [this](const std::string& token) {
+    if (subcommand_) {
+      std::string message = "unexpected argument '";
+      message += token;
+      message += "'";
+      throw std::invalid_argument(message);
+    }
+    subcommand_ = token;
+  };
   bool options_done = false;
   for (int i = 1; i < argc; ++i) {
     const std::string token = argv[i];
     if (options_done) {
-      positionals_.push_back(token);
+      positional(token);
     } else if (token == "--") {
       options_done = true;  // conventional end-of-options separator
     } else if (IsLongOption(token)) {
@@ -75,14 +84,9 @@ ArgParser::ArgParser(int argc, const char* const* argv,
       options_[token.substr(1)] = "";  // short flags never take a value
       spelling_[token.substr(1)] = token;
     } else {
-      positionals_.push_back(token);
+      positional(token);
     }
   }
-}
-
-std::optional<std::string> ArgParser::Subcommand() const {
-  if (positionals_.empty()) return std::nullopt;
-  return positionals_.front();
 }
 
 bool ArgParser::HasFlag(const std::string& key) const {

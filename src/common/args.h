@@ -20,8 +20,10 @@
 // Option names must start with a letter: "--5" is a plain value token, so
 // "--rate --5" assigns the literal "--5" and GetDouble reports it instead
 // of silently creating two bare flags.  The first positional token is the
-// subcommand, remaining ones are positional.  No external dependencies;
-// deterministic error messages.
+// subcommand; the constructor throws std::invalid_argument naming any
+// other positional token, so "plan bert" is an error rather than a plan
+// of the default --model.  No external dependencies; deterministic error
+// messages.
 #pragma once
 
 #include <map>
@@ -35,12 +37,13 @@ namespace pe {
 class ArgParser {
  public:
   // `flags` lists option names known to take no value ("csv", "help");
-  // they never consume the following token.
+  // they never consume the following token.  Throws
+  // std::invalid_argument on a second positional token.
   ArgParser(int argc, const char* const* argv,
             std::vector<std::string> flags = {});
 
-  // First positional token, if any (conventionally the subcommand).
-  std::optional<std::string> Subcommand() const;
+  // The positional token, if any (the subcommand).
+  std::optional<std::string> Subcommand() const { return subcommand_; }
 
   bool HasFlag(const std::string& key) const;
 
@@ -62,7 +65,7 @@ class ArgParser {
   std::string Spelling(const std::string& key) const;
 
  private:
-  std::vector<std::string> positionals_;
+  std::optional<std::string> subcommand_;
   std::map<std::string, std::string> options_;  // key -> value ("" for flag)
   std::map<std::string, std::string> spelling_;  // key -> original token
 };

@@ -79,6 +79,15 @@ ElsaScheduler::ElsaScheduler(const profile::ModelRepertoire& repertoire,
     throw std::invalid_argument("ElsaScheduler: empty model repertoire");
   }
   Validate();
+  table_models_ = repertoire.size();
+  for (int m = 0; m < table_models_; ++m) {
+    const std::vector<int>& sizes = repertoire.profile(m).partition_sizes();
+    if (!sizes.empty()) table_gpcs_ = std::max(table_gpcs_, sizes.back() + 1);
+  }
+  table_batches_ = repertoire.max_batch() + 1;
+  table_.resize(static_cast<std::size_t>(table_models_) *
+                static_cast<std::size_t>(table_gpcs_) *
+                static_cast<std::size_t>(table_batches_));
 }
 
 void ElsaScheduler::Validate() const {
@@ -138,6 +147,35 @@ SimTime ElsaScheduler::CompletionThreshold(double tnew, double bound) {
   });
 }
 
+ElsaScheduler::Thresholds ElsaScheduler::Derive(int model_id, int gpcs,
+                                                int batch) const {
+  Thresholds t;
+  t.tnew = repertoire_.EstimateSec(model_id, gpcs, batch);
+  t.free_limit = SlackThreshold(t.tnew, 0.0);
+  t.swap_limit = params_.swap_cost_sec > 0.0
+                     ? SlackThreshold(t.tnew, params_.swap_cost_sec)
+                     : t.free_limit;
+  return t;
+}
+
+ElsaScheduler::Thresholds ElsaScheduler::ThresholdsAt(int model_id, int gpcs,
+                                                      int batch) {
+  if (model_id < 0 || model_id >= table_models_ || gpcs < 0 ||
+      gpcs >= table_gpcs_ || batch < 0 || batch >= table_batches_) {
+    return Derive(model_id, gpcs, batch);
+  }
+  Thresholds& entry =
+      table_[(static_cast<std::size_t>(model_id) *
+                  static_cast<std::size_t>(table_gpcs_) +
+              static_cast<std::size_t>(gpcs)) *
+                 static_cast<std::size_t>(table_batches_) +
+             static_cast<std::size_t>(batch)];
+  if (entry.free_limit == Thresholds::kUnfilled) {
+    entry = Derive(model_id, gpcs, batch);
+  }
+  return entry;
+}
+
 void ElsaScheduler::BuildRuns(const WorkerView& view) {
   runs_.clear();
   const std::size_t n = view.size();
@@ -190,7 +228,7 @@ int ElsaScheduler::OnQueryArrival(const workload::Query& query,
 }
 
 int ElsaScheduler::Decide(const workload::Query& query,
-                          const WorkerView& view) const {
+                          const WorkerView& view) {
   const double swap_charge = params_.swap_cost_sec;
   const bool charge_swaps = swap_charge > 0.0;
   const bool locality = params_.locality_tie_sec > 0.0;
@@ -199,26 +237,24 @@ int ElsaScheduler::Decide(const workload::Query& query,
   // worker qualifies at wait <= T(0); one whose resident model would be
   // displaced pays Tswap inside Twait and qualifies at wait <= T(Tswap).
   for (const SizeRun& run : runs_) {
-    const double tnew =
-        repertoire_.EstimateSec(query.model_id, run.gpcs, query.batch);
-    const SimTime free_limit = SlackThreshold(tnew, 0.0);
-    if (free_limit < 0) continue;
-    const SimTime swap_limit =
-        charge_swaps ? SlackThreshold(tnew, swap_charge) : free_limit;
+    const Thresholds t =
+        ThresholdsAt(query.model_id, run.gpcs, query.batch);
+    if (t.free_limit < 0) continue;
     for (std::size_t from = run.begin; from < run.end;) {
-      const int p = view.FirstWaitAtMost(from, run.end, free_limit);
+      const int p = view.FirstWaitAtMost(from, run.end, t.free_limit);
       if (p < 0) break;
       from = static_cast<std::size_t>(p) + 1;
       if (!charge_swaps && !locality) return p;
       const WorkerState& w = view.Get(static_cast<std::size_t>(p));
       if (SwapFree(w, query.model_id)) return p;
-      if (w.wait_ticks > swap_limit) continue;
+      if (w.wait_ticks > t.swap_limit) continue;
       // Among positive-slack candidates, a swap-free partition wins over
       // this one when its predicted completion ties within the locality
       // window: the query avoids a model-swap penalty at no predicted SLA
       // cost.
       if (locality) {
-        const double completion = Completion(w.wait_ticks, swap_charge, tnew);
+        const double completion =
+            Completion(w.wait_ticks, swap_charge, t.tnew);
         const int local = FirstLocalWorker(
             query, view, completion + params_.locality_tie_sec);
         if (local >= 0) return local;
@@ -241,7 +277,7 @@ int ElsaScheduler::Decide(const workload::Query& query,
     const SimTime min_wait = view.MinWait(run.begin, run.end);
     if (min_wait == WorkerView::kNoWait) continue;
     const double tnew =
-        repertoire_.EstimateSec(query.model_id, run.gpcs, query.batch);
+        ThresholdsAt(query.model_id, run.gpcs, query.batch).tnew;
     const double floor = Completion(min_wait, 0.0, tnew);
     if (best >= 0 && !(floor < t_min)) continue;
     const double ceiling = Completion(min_wait, swap_charge, tnew);
@@ -274,13 +310,12 @@ int ElsaScheduler::Decide(const workload::Query& query,
 }
 
 int ElsaScheduler::FirstLocalWorker(const workload::Query& query,
-                                    const WorkerView& view,
-                                    double bound) const {
+                                    const WorkerView& view, double bound) {
   for (const SizeRun& run : runs_) {
-    const double tnew =
-        repertoire_.EstimateSec(query.model_id, run.gpcs, query.batch);
-    const SimTime limit = std::min(SlackThreshold(tnew, 0.0),
-                                   CompletionThreshold(tnew, bound));
+    const Thresholds t =
+        ThresholdsAt(query.model_id, run.gpcs, query.batch);
+    const SimTime limit =
+        std::min(t.free_limit, CompletionThreshold(t.tnew, bound));
     for (std::size_t from = run.begin; from < run.end;) {
       const int p = view.FirstWaitAtMost(from, run.end, limit);
       if (p < 0) break;

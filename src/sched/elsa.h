@@ -20,18 +20,25 @@
 // Decision by wait threshold: within one equal-size run of partitions,
 // Testimated,new is the same for every candidate, and slack only falls as
 // Twait grows (alpha >= 0), so "positive slack" is exactly "Twait <= T"
-// for one integer threshold T per run.  ELSA derives T from an algebraic
-// guess corrected by evaluating the Eq. 2 expression itself, then asks the
-// WorkerView for the leftmost worker at or under it (FirstWaitAtMost);
-// Step B takes each run's minimum wait (MinWait) and finds the leftmost
-// worker whose completion ties it the same way.  Every comparison is the
-// double the per-candidate expression would produce, so decisions are
-// those of the literal scan -- which tests/elsa_oracle.h implements and
-// the shadow-view test compares against decision by decision.  A stable()
-// view is already in (gpcs, index) order, so its equal-size runs are
-// computed once per layout; an ad-hoc view is copied and sorted per call.
-// Testimated lookups read the repertoire's dense profile tables
-// (ModelRepertoire::EstimateSec: three array reads, no search).
+// for one integer threshold T per run.  T is a pure function of (model,
+// partition size, batch) and of the scheduler's fixed parameters, so ELSA
+// keeps a threshold table: per key, Testimated,new, T(0) and T(swap
+// charge), each derived once -- from an algebraic guess corrected by
+// evaluating the Eq. 2 expression itself -- on the key's first arrival
+// and never invalidated (the repertoire's profiles never change).  A key
+// off the table's grid (a batch past the repertoire's largest, an
+// unprofiled size past the largest profiled one) is derived on every
+// call, exactly as a table fill would be, and so throws what the profile
+// lookup throws.  Step A, the locality tie-break and Step B read the
+// table; each asks the WorkerView for the leftmost worker at or under a
+// threshold (FirstWaitAtMost), and Step B takes each run's minimum wait
+// (MinWait) and finds the leftmost worker whose completion ties it the
+// same way.  Every comparison is the double the per-candidate expression
+// would produce, so decisions are those of the literal scan -- which
+// tests/elsa_oracle.h implements and the shadow-view test compares
+// against decision by decision.  A stable() view is already in (gpcs,
+// index) order, so its equal-size runs are computed once per layout; an
+// ad-hoc view is copied and sorted per call.
 //
 // Multi-model serving: ELSA reads every Testimated,new from the *arriving
 // query's* model profile in its ModelRepertoire (a one-entry repertoire is
@@ -93,12 +100,12 @@ class ElsaScheduler final : public Scheduler {
   int OnQueryArrival(const workload::Query& query,
                      const WorkerView& workers) override;
   bool UsesCentralQueue() const override { return false; }
-  // Reconfiguration hooks: ELSA's only cross-call state is the per-layout
-  // list of equal-size runs, which is keyed on the stable view's
-  // layout_version() and self-invalidates when the server swaps layouts,
-  // and the default RequeueOrphan (re-run Step A/B against the new
-  // layout) is exactly the right policy for orphans -- so the base-class
-  // defaults apply.
+  // Reconfiguration hooks: ELSA's cross-call state is the threshold table,
+  // which depends on no layout, and the per-layout list of equal-size
+  // runs, which is keyed on the stable view's layout_version() and
+  // self-invalidates when the server swaps layouts; the default
+  // RequeueOrphan (re-run Step A/B against the new layout) is exactly the
+  // right policy for orphans -- so the base-class defaults apply.
   std::string name() const override { return "ELSA"; }
 
   // Predicted slack (Eq. 2) of scheduling `batch` of `model_id` on a
@@ -113,6 +120,17 @@ class ElsaScheduler final : public Scheduler {
     std::uint32_t end = 0;
   };
 
+  // One threshold-table entry: Testimated,new of a (model, partition
+  // size, batch) key and its slack thresholds.
+  struct Thresholds {
+    // Marks an entry not yet filled; a threshold is never below -1.
+    static constexpr SimTime kUnfilled = -2;
+
+    double tnew = 0.0;
+    SimTime free_limit = kUnfilled;  // T(0)
+    SimTime swap_limit = kUnfilled;  // T(swap_cost_sec)
+  };
+
   void Validate() const;
   // Eq. 2 and the completion time at one wait, in SlackSec's operand
   // order: every decision compares these exact doubles.
@@ -123,21 +141,33 @@ class ElsaScheduler final : public Scheduler {
   // The largest wait whose swap-free completion is at most `bound`, -1 if
   // none.
   static SimTime CompletionThreshold(double tnew, double bound);
+  // The entry of (model_id, gpcs, batch): derived from the profile here.
+  Thresholds Derive(int model_id, int gpcs, int batch) const;
+  // The table's entry, filled on first use; a key off the table's grid
+  // is derived on every call.
+  Thresholds ThresholdsAt(int model_id, int gpcs, int batch);
 
   // Splits a (gpcs, index)-ordered view into runs_.
   void BuildRuns(const WorkerView& view);
   // Algorithm 2 over a (gpcs, index)-ordered view whose runs_ are built;
   // returns a view position, or -1 when every worker is failed.
-  int Decide(const workload::Query& query, const WorkerView& view) const;
+  int Decide(const workload::Query& query, const WorkerView& view);
   // The locality tie-break: the first swap-free worker with positive
   // slack whose completion is at most `bound`, or -1.
   int FirstLocalWorker(const workload::Query& query, const WorkerView& view,
-                       double bound) const;
+                       double bound);
 
   const profile::ModelRepertoire& repertoire_;
   SimTime sla_target_;
   double sla_sec_;
   ElsaParams params_;
+
+  // The threshold table over models [0, table_models_), partition sizes
+  // [0, table_gpcs_) and batches [0, table_batches_), batch fastest.
+  int table_models_ = 0;
+  int table_gpcs_ = 0;
+  int table_batches_ = 0;
+  std::vector<Thresholds> table_;
 
   // Cached across arrivals while a stable view's layout_version() holds.
   std::vector<SizeRun> runs_;

@@ -1,7 +1,11 @@
 #include "sim/metrics.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstdint>
+#include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -9,43 +13,132 @@ namespace pe::sim {
 
 namespace {
 
-// TickPercentileMs's closest-rank interpolation over a pool of latency
-// ticks, by selection instead of a sort: nth_element places the same
-// order statistics a sort would, and TicksToMs is monotone, so every value
-// is bit-identical to interpolating the sorted latencies in milliseconds.
-// Ranks must be queried in non-decreasing order: each lookup partitions
-// the pool at the ranks it touches, and the (lo, lo + 1) pairs it selects
-// are exactly the positions a later, larger rank may re-read.
-class TickRanks {
- public:
-  explicit TickRanks(std::vector<SimTime>& pool) : v_(pool) {}
+// A selection's histogram has at most 2^kBucketBits buckets.
+constexpr int kBucketBits = 12;
 
-  double Ms(double p) {
-    if (v_.empty()) return 0.0;
-    if (v_.size() == 1) return TicksToMs(v_.front());
-    const double rank = (p / 100.0) * static_cast<double>(v_.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const double frac = rank - static_cast<double>(lo);
-    if (lo + 1 >= v_.size()) return TicksToMs(At(v_.size() - 1));
-    return TicksToMs(At(lo)) * (1.0 - frac) + TicksToMs(At(lo + 1)) * frac;
-  }
-
-  double MaxMs() { return v_.empty() ? 0.0 : TicksToMs(At(v_.size() - 1)); }
-
- private:
-  // k-th smallest; v_[0, done_) holds the done_ smallest ticks.
-  SimTime At(std::size_t k) {
-    if (k >= done_) {
-      std::nth_element(v_.begin() + static_cast<std::ptrdiff_t>(done_),
-                       v_.begin() + static_cast<std::ptrdiff_t>(k), v_.end());
-      done_ = k + 1;
+// TickPercentileMs's closest-rank interpolation at each of `ps`, written
+// to `out`, over the union of `pools`, by bucket selection instead of a
+// sort.  One pass finds the extremes; a second counts the ticks per bucket
+// of a histogram of at most 2^kBucketBits equal power-of-two-wide buckets
+// over [min, max], each tick's offset from min formed in unsigned
+// arithmetic (so any two SimTime values have one); the counts locate the
+// bucket and in-bucket rank of every rank the interpolation reads; a
+// third pass gathers just those buckets' ticks, which are sorted.  So each
+// rank reads the tick a sort would put there, and TicksToMs is monotone:
+// every value is bit-identical to interpolating the sorted latencies in
+// milliseconds.
+void PercentilesMs(std::span<const std::span<const SimTime>> pools,
+                   std::span<const double> ps, std::span<double> out) {
+  assert(ps.size() == out.size());
+  std::size_t n = 0;
+  SimTime lo = std::numeric_limits<SimTime>::max();
+  SimTime hi = std::numeric_limits<SimTime>::min();
+  for (const std::span<const SimTime> pool : pools) {
+    n += pool.size();
+    for (const SimTime t : pool) {
+      lo = std::min(lo, t);
+      hi = std::max(hi, t);
     }
-    return v_[k];
+  }
+  if (n <= 1) {
+    // Empty: 0.  One tick: every percentile is that tick.
+    for (double& v : out) v = n == 0 ? 0.0 : TicksToMs(lo);
+    return;
   }
 
-  std::vector<SimTime>& v_;
-  std::size_t done_ = 0;
-};
+  // The ranks each percentile reads: k and k + 1, or n - 1 alone.
+  struct Rank {
+    std::size_t rank = 0;
+    std::size_t bucket = 0;
+    std::size_t within = 0;  // rank among its bucket's ticks
+    SimTime tick = 0;
+  };
+  std::vector<Rank> ranks;
+  const auto position = [n](double p) {
+    return (p / 100.0) * static_cast<double>(n - 1);
+  };
+  for (const double p : ps) {
+    const auto k = static_cast<std::size_t>(position(p));
+    if (k + 1 >= n) {
+      ranks.push_back({n - 1});
+    } else {
+      ranks.push_back({k});
+      ranks.push_back({k + 1});
+    }
+  }
+  std::sort(ranks.begin(), ranks.end(),
+            [](const Rank& a, const Rank& b) { return a.rank < b.rank; });
+
+  const auto base = static_cast<std::uint64_t>(lo);
+  const std::uint64_t span = static_cast<std::uint64_t>(hi) - base;
+  const int width = std::bit_width(span);
+  const int shift = width > kBucketBits ? width - kBucketBits : 0;
+  const auto bucket_of = [base, shift](SimTime t) {
+    return static_cast<std::size_t>((static_cast<std::uint64_t>(t) - base) >>
+                                    shift);
+  };
+  std::vector<std::size_t> counts(bucket_of(hi) + 1, 0);
+  for (const std::span<const SimTime> pool : pools) {
+    for (const SimTime t : pool) ++counts[bucket_of(t)];
+  }
+
+  // Ranks ascend, so one walk over the buckets places them all.
+  std::size_t bucket = 0;
+  std::size_t below = 0;  // ticks in buckets before `bucket`
+  for (Rank& r : ranks) {
+    while (below + counts[bucket] <= r.rank) below += counts[bucket++];
+    r.bucket = bucket;
+    r.within = r.rank - below;
+  }
+
+  // Gather the wanted buckets' ticks into consecutive slices of `picked`;
+  // `counts` is reused to map a wanted bucket to its slot + 1.
+  std::vector<std::size_t> slot_begin;
+  std::size_t total = 0;
+  std::vector<std::size_t> wanted;
+  for (const Rank& r : ranks) {
+    if (!wanted.empty() && wanted.back() == r.bucket) continue;
+    wanted.push_back(r.bucket);
+    slot_begin.push_back(total);
+    total += counts[r.bucket];
+  }
+  std::fill(counts.begin(), counts.end(), 0);
+  for (std::size_t s = 0; s < wanted.size(); ++s) counts[wanted[s]] = s + 1;
+  std::vector<SimTime> picked(total);
+  std::vector<std::size_t> fill = slot_begin;
+  for (const std::span<const SimTime> pool : pools) {
+    for (const SimTime t : pool) {
+      const std::size_t slot = counts[bucket_of(t)];
+      if (slot != 0) picked[fill[slot - 1]++] = t;
+    }
+  }
+  for (std::size_t s = 0; s < wanted.size(); ++s) {
+    std::sort(picked.begin() + static_cast<std::ptrdiff_t>(slot_begin[s]),
+              picked.begin() + static_cast<std::ptrdiff_t>(fill[s]));
+  }
+  for (Rank& r : ranks) {
+    r.tick = picked[slot_begin[counts[r.bucket] - 1] + r.within];
+  }
+
+  const auto tick_at = [&ranks](std::size_t rank) {
+    return std::lower_bound(ranks.begin(), ranks.end(), rank,
+                            [](const Rank& r, std::size_t k) {
+                              return r.rank < k;
+                            })
+        ->tick;
+  };
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    const double rank = position(ps[i]);
+    const auto k = static_cast<std::size_t>(rank);
+    const double frac = rank - static_cast<double>(k);
+    if (k + 1 >= n) {
+      out[i] = TicksToMs(tick_at(n - 1));
+    } else {
+      out[i] = TicksToMs(tick_at(k)) * (1.0 - frac) +
+               TicksToMs(tick_at(k + 1)) * frac;
+    }
+  }
+}
 
 template <typename Sum>
 double MeanMs(Sum ticks, std::size_t n) {
@@ -55,8 +148,10 @@ double MeanMs(Sum ticks, std::size_t n) {
 
 }  // namespace
 
-double TickPercentileMs(std::vector<SimTime>& ticks, double p) {
-  return TickRanks(ticks).Ms(p);
+double TickPercentileMs(std::span<const SimTime> ticks, double p) {
+  double value = 0.0;
+  PercentilesMs({&ticks, 1}, {&p, 1}, {&value, 1});
+  return value;
 }
 
 std::uint64_t WarmupCut(double warmup_fraction, std::size_t n) {
@@ -148,16 +243,14 @@ ServerStats StatsAccumulator::Finish() {
   stats.shed = shed_;
   std::size_t violations = 0;
   TickSum latency_sum = 0;
-  std::vector<SimTime>* sole_pool = nullptr;
-  int present = 0;
-  for (Model& m : models_) {
+  std::vector<std::span<const SimTime>> pools;
+  for (const Model& m : models_) {
     if (m.completed == 0) continue;
     stats.completed += m.completed;
     stats.model_swaps += m.swaps;
     violations += m.violations;
     latency_sum += m.latency_sum;
-    sole_pool = &m.latency;
-    ++present;
+    pools.emplace_back(m.latency);
   }
   if (stats.completed == 0) return stats;
 
@@ -167,34 +260,33 @@ ServerStats StatsAccumulator::Finish() {
   stats.sla_violation_rate = static_cast<double>(violations) / n;
   stats.reconfig_stalled = reconfig_stalled_;
 
-  // One model: its pool is the aggregate pool.  Several: the aggregate
-  // percentiles select over the union.
-  std::vector<SimTime> merged;
-  if (present > 1) {
-    merged.reserve(stats.completed);
-    for (const Model& m : models_) {
-      merged.insert(merged.end(), m.latency.begin(), m.latency.end());
-    }
-  }
+  // The aggregate selects over every model's pool at once; the maximum is
+  // the 100th percentile.
   {
-    TickRanks ranks(present > 1 ? merged : *sole_pool);
-    stats.p50_latency_ms = ranks.Ms(50.0);
-    stats.p95_latency_ms = ranks.Ms(95.0);
-    stats.p99_latency_ms = ranks.Ms(99.0);
-    stats.max_latency_ms = ranks.MaxMs();
+    const double ps[] = {50.0, 95.0, 99.0, 100.0};
+    double ms[std::size(ps)];
+    PercentilesMs(pools, ps, ms);
+    stats.p50_latency_ms = ms[0];
+    stats.p95_latency_ms = ms[1];
+    stats.p99_latency_ms = ms[2];
+    stats.max_latency_ms = ms[3];
   }
   for (std::size_t id = 0; id < models_.size(); ++id) {
-    Model& m = models_[id];
+    const Model& m = models_[id];
     if (m.completed == 0) continue;
     ModelStats ms;
     ms.model = static_cast<int>(id);
     ms.completed = m.completed;
     ms.mean_latency_ms = MeanMs(m.latency_sum, m.completed);
-    if (present > 1) {
-      TickRanks ranks(m.latency);
-      ms.p95_latency_ms = ranks.Ms(95.0);
-      ms.p99_latency_ms = ranks.Ms(99.0);
+    if (pools.size() > 1) {
+      const double ps[] = {95.0, 99.0};
+      double tail[std::size(ps)];
+      const std::span<const SimTime> pool = m.latency;
+      PercentilesMs({&pool, 1}, ps, tail);
+      ms.p95_latency_ms = tail[0];
+      ms.p99_latency_ms = tail[1];
     } else {
+      // One model: its pool is the aggregate pool.
       ms.p95_latency_ms = stats.p95_latency_ms;
       ms.p99_latency_ms = stats.p99_latency_ms;
     }

@@ -113,9 +113,10 @@ std::uint64_t WarmupCut(double warmup_fraction, std::size_t n);
 // milliseconds, interpolated between closest ranks: with the n latencies
 // in milliseconds sorted as x and k + f = (p / 100) * (n - 1) (integer k,
 // fraction f), it is x[k] * (1 - f) + x[k + 1] * f, or x[n - 1] when
-// k + 1 == n.  Found by selection instead of a sort.  Reorders `ticks`; 0
-// for an empty pool.
-double TickPercentileMs(std::vector<SimTime>& ticks, double p);
+// k + 1 == n.  Picked exactly by bucket selection instead of a sort: a
+// histogram of at most 4,096 buckets over tick - min locates each rank's
+// bucket, and only those buckets are sorted.  0 for an empty pool.
+double TickPercentileMs(std::span<const SimTime> ticks, double p);
 
 // Order-free reduction of query records into ServerStats.  Sums are exact
 // integer nanosecond ticks and percentiles are order statistics, so the
@@ -128,7 +129,9 @@ double TickPercentileMs(std::vector<SimTime>& ticks, double p);
 //  * failed and shed records are counted, never sampled;
 //  * means are double(sum of ticks) / kNsPerMs / completed;
 //  * percentiles interpolate between closest ranks over the latencies
-//    in milliseconds, by TickPercentileMs's rule;
+//    in milliseconds, by TickPercentileMs's rule and its bucket
+//    selection -- the aggregate over every model's pool at once, with no
+//    merged copy;
 //  * workers are keyed by (index, gpcs) -- a live reconfiguration reuses
 //    indices -- and utilization is busy ticks over the span from the
 //    earliest arrival to the latest finish among completions (zero when
@@ -147,8 +150,7 @@ class StatsAccumulator {
   // indices by `worker_base`; `other` is left empty.
   void Merge(StatsAccumulator&& other, int worker_base = 0);
 
-  // Statistics of everything added so far.  Percentile selection reorders
-  // the internal latency pools, which no later Merge or Finish minds.
+  // Statistics of everything added so far.
   ServerStats Finish();
 
  private:

@@ -77,39 +77,41 @@ int InferenceServer::LiveWorkerView::MaxGpcsIdleWorker() const {
 int InferenceServer::LiveWorkerView::FirstWaitAtMost(std::size_t begin,
                                                      std::size_t end,
                                                      SimTime max_wait) const {
-  assert(end <= keys_.size());
-  // Capped below the failed sentinel, so failed workers never match; the
-  // backlog bound saturates instead of overflowing.
+  assert(end <= backlog_end_.size());
+  // Capped below kFailed, so failed workers never match; the backlog
+  // bound saturates instead of overflowing.
   constexpr SimTime kMax = std::numeric_limits<SimTime>::max();
-  const SimTime queued_max = std::min(max_wait, kFailedQueued - 1);
+  const SimTime queued_max = std::min(max_wait, kFailed - 1);
   const SimTime now = server_.now_;
-  const SimTime end_max = queued_max > kMax - now ? kMax : queued_max + now;
-  // Non-short-circuit tests, four keys per branch: the scan usually
-  // passes over dozens of loaded workers before the first match.
-  const auto match = [&](std::size_t i) -> int {
-    return (keys_[i].queued <= queued_max) & (keys_[i].backlog_end <= end_max);
-  };
+  const SimTime end_max = max_wait > kMax - now ? kMax : max_wait + now;
+  const SimTime* ends = backlog_end_.data();
+  const SimTime* queued = queued_.data();
+  const auto hit = [&](std::size_t k) -> bool { return ends[k] <= end_max; };
   std::size_t i = begin;
-  for (; i + 4 <= end; i += 4) {
-    if (match(i) | match(i + 1) | match(i + 2) | match(i + 3)) break;
+  for (;;) {
+    // Non-short-circuit tests, four keys per branch: the scan usually
+    // passes over dozens of loaded workers before the first hit.
+    for (; i + 4 <= end; i += 4) {
+      if (hit(i) | hit(i + 1) | hit(i + 2) | hit(i + 3)) break;
+    }
+    const std::size_t stop = std::min(i + 4, end);
+    for (; i < stop; ++i) {
+      if (hit(i) && queued[i] <= queued_max) return static_cast<int>(i);
+    }
+    if (i == end) return -1;
   }
-  for (; i < end; ++i) {
-    if (match(i)) return static_cast<int>(i);
-  }
-  return -1;
 }
 
 SimTime InferenceServer::LiveWorkerView::MinWait(std::size_t begin,
                                                  std::size_t end) const {
-  assert(end <= keys_.size());
+  assert(end <= backlog_end_.size());
   const SimTime now = server_.now_;
   SimTime shortest = kNoWait;
   for (std::size_t i = begin; i < end; ++i) {
-    const WaitKey& key = keys_[i];
     // max(queued, backlog_end - now), with the difference formed only
     // when it is positive (kNotBusy would overflow it).
-    SimTime wait = key.queued;
-    if (key.backlog_end > now) wait = std::max(wait, key.backlog_end - now);
+    SimTime wait = queued_[i];
+    if (backlog_end_[i] > now) wait = std::max(wait, backlog_end_[i] - now);
     shortest = std::min(shortest, wait);
   }
   return shortest;
@@ -119,7 +121,8 @@ void InferenceServer::LiveWorkerView::OnLayoutChange(
     const std::vector<PartitionWorker>& workers) {
   const std::size_t n = workers.size();
   // assign/resize keep capacity across layouts.
-  keys_.assign(n, WaitKey{});
+  queued_.assign(n, 0);
+  backlog_end_.assign(n, kNotBusy);
   slots_.resize(n);
   // Every worker of a fresh layout is idle.
   idle_bits_.assign((n + 63) / 64, ~std::uint64_t{0});
@@ -134,11 +137,14 @@ void InferenceServer::LiveWorkerView::OnLayoutChange(
 
 void InferenceServer::LiveWorkerView::Sync(const PartitionWorker& worker) {
   const auto i = static_cast<std::size_t>(worker.index());
-  WaitKey& key = keys_[i];
-  key.queued = worker.failed() ? kFailedQueued : worker.queued_estimate();
-  key.backlog_end = kNotBusy;
-  if (worker.busy()) {
-    key.backlog_end = worker.estimated_end() + worker.queued_estimate();
+  if (worker.failed()) {
+    queued_[i] = kFailed;
+    backlog_end_[i] = kFailed;
+  } else {
+    queued_[i] = worker.queued_estimate();
+    backlog_end_[i] =
+        worker.busy() ? worker.estimated_end() + worker.queued_estimate()
+                      : kNotBusy;
   }
   const std::uint64_t bit = std::uint64_t{1} << (i % 64);
   if (worker.idle()) {

@@ -29,10 +29,12 @@
 //  * the scheduler consults a server-owned live WorkerView instead of an
 //    O(W) snapshot-vector rebuild per consultation -- draining a long
 //    central queue after a reconfiguration is no longer O(Q*W).  The view
-//    keeps a flat wait index, two integers per worker rewritten at every
-//    worker mutation, from which "Twait <= X" and the minimum Twait of a
-//    position range are exact at any instant, with no refresh as time
-//    moves;
+//    keeps a flat wait index, two parallel integer arrays rewritten at
+//    every worker mutation, from which "Twait <= X" and the minimum Twait
+//    of a position range are exact at any instant, with no refresh as
+//    time moves; the "Twait <= X" scan reads one key per worker;
+//  * each worker's local queue is a power-of-two ring buffer, so the
+//    steady enqueue/start cycle allocates nothing;
 //  * injected arrivals are (typically) already time-sorted, so they stay
 //    in the record array, read by a cursor merged on the fly with the
 //    pending-event calendar; a million-query trace never sits in the
@@ -240,18 +242,25 @@ class InferenceServer {
   // layout_version() is process-unique per BuildWorkers, so the view is
   // stable() and schedulers can cache per-layout derived state against
   // it.  Get(i) materializes worker i's snapshot on each call; the wait
-  // and idle queries read flat indexes instead.  For each worker it keeps
-  //   queued      = the queued estimate, kFailedQueued when failed;
+  // and idle queries read flat indexes instead.  The wait index is two
+  // parallel arrays, by position,
+  //   queued      = the queued estimate;
   //   backlog_end = estimated_end() + queued while busy, kNotBusy
-  //                 otherwise,
-  // rewritten by Sync at every worker mutation.  Twait is
-  // queued + max(0, estimated_end() - now) == max(queued, backlog_end -
-  // now), so Twait <= X  <=>  queued <= X && backlog_end <= X + now holds
-  // exactly at every instant -- estimate overruns included -- with no
-  // per-instant refresh.  The idle index is one bit per position, set
-  // while the worker is idle, plus the first position of each position's
-  // equal-size run: the highest set bit is the largest idle partition,
-  // and the first set bit of its run the lowest index among equals.
+  //                 otherwise;
+  // both kFailed for a failed worker, rewritten by Sync at every worker
+  // mutation.  Twait is queued + max(0, estimated_end() - now) ==
+  // max(queued, backlog_end - now), so Twait <= X  <=>  backlog_end <=
+  // X + now && queued <= X holds exactly at every instant, estimate
+  // overruns included, with no per-instant refresh.  FirstWaitAtMost
+  // scans backlog_end alone and tests queued only on a hit: a busy
+  // worker whose estimate has not run out has queued <= backlog_end -
+  // now, so a hit fails its queued test only after an overrun, for a
+  // worker that holds a queue while not busy, or for a failed worker
+  // under a saturated bound -- and the scan moves on past it.  The idle
+  // index is one bit per position, set while the worker is idle, plus
+  // the first position of each position's equal-size run: the highest
+  // set bit is the largest idle partition, and the first set bit of its
+  // run the lowest index among equals.
   class LiveWorkerView final : public sched::WorkerView {
    public:
     explicit LiveWorkerView(const InferenceServer& server)
@@ -273,18 +282,15 @@ class InferenceServer {
     void Sync(const PartitionWorker& worker);
 
    private:
-    // Reads as kNoWait in MinWait, so a failed worker never lowers it.
-    static constexpr SimTime kFailedQueued = kNoWait;
+    // Both keys of a failed worker: its queued key reads as kNoWait in
+    // MinWait, so it never lowers it, and fails every queued test.
+    static constexpr SimTime kFailed = kNoWait;
     static constexpr SimTime kNotBusy = std::numeric_limits<SimTime>::min();
-
-    struct WaitKey {
-      SimTime queued = 0;
-      SimTime backlog_end = kNotBusy;
-    };
 
     const InferenceServer& server_;
     std::uint64_t version_ = 0;
-    std::vector<WaitKey> keys_;
+    std::vector<SimTime> queued_;
+    std::vector<SimTime> backlog_end_;
     std::vector<std::uint64_t> idle_bits_;
     std::vector<int> run_start_;
     mutable std::vector<sched::WorkerState> slots_;

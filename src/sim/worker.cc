@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace pe::sim {
 
@@ -14,21 +15,38 @@ PartitionWorker::PartitionWorker(int index, int gpcs)
 void PartitionWorker::Enqueue(const workload::Query& query,
                               SimTime estimated) {
   assert(estimated >= 0);
-  queue_.push_back(Pending{query, estimated});
+  if (size_ == ring_.size()) {
+    // Full: double, unwrapping the queue to the front of the new ring.
+    std::vector<Pending> grown(std::max<std::size_t>(8, 2 * ring_.size()));
+    for (std::size_t k = 0; k < size_; ++k) {
+      grown[k] = ring_[(head_ + k) & (ring_.size() - 1)];
+    }
+    ring_ = std::move(grown);
+    head_ = 0;
+  }
+  ring_[(head_ + size_) & (ring_.size() - 1)] = Pending{query, estimated};
+  ++size_;
   queued_estimated_ += estimated;
 }
 
 const workload::Query& PartitionWorker::Head() const {
-  assert(!queue_.empty());
-  return queue_.front().query;
+  assert(size_ != 0);
+  return ring_[head_].query;
+}
+
+PartitionWorker::Pending PartitionWorker::PopFront() {
+  assert(size_ != 0);
+  const Pending head = ring_[head_];
+  head_ = (head_ + 1) & (ring_.size() - 1);
+  --size_;
+  queued_estimated_ -= head.estimated;
+  return head;
 }
 
 workload::Query PartitionWorker::Start(SimTime now, SimTime finish) {
   assert(CanStart());
   assert(finish > now);
-  Pending head = queue_.front();
-  queue_.pop_front();
-  queued_estimated_ -= head.estimated;
+  const Pending head = PopFront();
   current_ = head.query;
   current_estimated_ = head.estimated;
   current_started_ = now;
@@ -54,20 +72,12 @@ workload::Query PartitionWorker::Abort() {
   return victim;
 }
 
-workload::Query PartitionWorker::PopHead() {
-  assert(!queue_.empty());
-  Pending head = queue_.front();
-  queue_.pop_front();
-  queued_estimated_ -= head.estimated;
-  return head.query;
-}
+workload::Query PartitionWorker::PopHead() { return PopFront().query; }
 
 std::vector<workload::Query> PartitionWorker::TakeQueue() {
   std::vector<workload::Query> orphans;
-  orphans.reserve(queue_.size());
-  for (const Pending& p : queue_) orphans.push_back(p.query);
-  queue_.clear();
-  queued_estimated_ = 0;
+  orphans.reserve(size_);
+  while (size_ != 0) orphans.push_back(PopFront().query);
   return orphans;
 }
 
@@ -83,7 +93,7 @@ sched::WorkerState PartitionWorker::Snapshot(SimTime now) const {
   s.gpcs = gpcs_;
   s.idle = idle();
   s.wait_ticks = EstimatedWait(now);
-  s.queue_length = queue_.size();
+  s.queue_length = size_;
   s.resident_model = resident_model_;
   s.failed = failed_;
   return s;

@@ -9,9 +9,13 @@
 //    to expose Twait (Eq. 1) to the scheduler -- including
 //    Tremaining,current = Testimated,current - Telapsed,current via the
 //    start timestamp, exactly as the paper implements it.
+//
+// The local queue is a power-of-two ring buffer that doubles when full and
+// never shrinks, so a worker's steady enqueue/start cycle allocates
+// nothing (a std::deque allocates and frees a block every dozen queries).
 #pragma once
 
-#include <deque>
+#include <cstddef>
 #include <optional>
 #include <vector>
 
@@ -34,7 +38,7 @@ class PartitionWorker {
   int resident_model() const { return resident_model_; }
 
   bool busy() const { return current_.has_value(); }
-  bool idle() const { return !failed_ && !busy() && queue_.empty(); }
+  bool idle() const { return !failed_ && !busy() && size_ == 0; }
 
   // Fault state: a failed partition (lost MIG slice) executes nothing and
   // never reports idle; the scheduler skips it until recovery.
@@ -45,7 +49,7 @@ class PartitionWorker {
   void Enqueue(const workload::Query& query, SimTime estimated);
 
   // True if a query is ready to start (worker not busy, queue non-empty).
-  bool CanStart() const { return !busy() && !queue_.empty(); }
+  bool CanStart() const { return !busy() && size_ != 0; }
 
   // The query at the head of the local queue; requires a non-empty queue.
   const workload::Query& Head() const;
@@ -96,12 +100,19 @@ class PartitionWorker {
     SimTime estimated;
   };
 
+  // Removes and returns the head entry; requires a non-empty queue.
+  Pending PopFront();
+
   int index_;
   int gpcs_;
   int resident_model_ = -1;
   bool failed_ = false;
-  std::deque<Pending> queue_;
-  SimTime queued_estimated_ = 0;  // running sum over queue_
+  // The local queue: size_ entries from ring_[head_] on, wrapping; the
+  // capacity is zero or a power of two.
+  std::vector<Pending> ring_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+  SimTime queued_estimated_ = 0;  // running sum over the queue
 
   std::optional<workload::Query> current_;
   SimTime current_estimated_ = 0;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
 
 namespace pe {
 namespace {
@@ -13,9 +14,25 @@ ArgParser Parse(std::vector<const char*> argv) {
 }
 
 TEST(ArgParser, SubcommandIsTheFirstPositional) {
-  const auto args = Parse({"simulate", "extra1", "extra2"});
+  const auto args = Parse({"simulate", "--rate", "5"});
   ASSERT_TRUE(args.Subcommand().has_value());
   EXPECT_EQ(*args.Subcommand(), "simulate");
+}
+
+TEST(ArgParser, StrayPositionalIsRejectedByName) {
+  // "plan bert" must not plan the default --model: the stray token is an
+  // error naming it, wherever it appears.
+  try {
+    (void)Parse({"plan", "bert"});
+    ADD_FAILURE() << "a second positional token was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unexpected argument 'bert'");
+  }
+  EXPECT_THROW((void)Parse({"plan", "--model", "bert", "extra"}),
+               std::invalid_argument);
+  EXPECT_THROW((void)Parse({"plan", "--", "bert"}), std::invalid_argument);
+  // A token an option consumes is not positional.
+  EXPECT_EQ(Parse({"plan", "--model", "bert"}).Subcommand(), "plan");
 }
 
 TEST(ArgParser, NoSubcommand) {
@@ -159,11 +176,13 @@ TEST(ArgParser, EmptyEqualsValueRejectedByNumericGetters) {
 }
 
 TEST(ArgParser, DoubleDashEndsOptionParsing) {
-  const auto args = Parse({"--csv", "--", "--not-an-option", "-x"});
+  const auto args = Parse({"--csv", "--", "--not-an-option"});
   EXPECT_TRUE(args.HasFlag("csv"));
   EXPECT_FALSE(args.HasFlag("not-an-option"));
-  EXPECT_FALSE(args.HasFlag("x"));
   EXPECT_EQ(args.Subcommand(), "--not-an-option");
+  const auto short_form = Parse({"--", "-x"});
+  EXPECT_FALSE(short_form.HasFlag("x"));
+  EXPECT_EQ(short_form.Subcommand(), "-x");
 }
 
 TEST(ArgParser, NegativeNumberAsPositional) {

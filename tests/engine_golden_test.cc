@@ -1,15 +1,16 @@
 // Golden digests for the event engine: every scenario of the shared grid
 // (FIFS/ELSA x 1/3 models x static/reconfigure x 3 seeds), the wide cells,
-// the six event-ordering scenarios, the elastic driver (forced switch and
-// PARIS-replanning day cycle), and the paper's Table-I servers driven
-// through core::MixTestbed must reproduce the digests checked in below.  A
-// mismatch prints the actual digest; re-record only for a deliberate,
-// justified behaviour change.
+// the knee cells, the six event-ordering scenarios, the elastic driver
+// (forced switch and PARIS-replanning day cycle), and the paper's Table-I
+// servers driven through core::MixTestbed must reproduce the digests
+// checked in below.  A mismatch prints the actual digest; re-record only
+// for a deliberate, justified behaviour change.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -89,6 +90,30 @@ TEST(EngineGolden, OrderingScenariosMatchCheckedInDigests) {
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     ExpectDigest(DigestRecords(scenarios[i].run(plain)), kDigests[i],
                  scenarios[i].name);
+  }
+}
+
+TEST(EngineGolden, KneeCellsMatchCheckedInDigests) {
+  // One digest per cell, in KneeCells() order.
+  const std::uint64_t kDigests[] = {
+      0x82c0cea0712b3e20,  // plain
+      0x2b06049af787b7de,  // 500 us swap charge + 1 ms locality tie
+      0xb47907e434358af7,  // noise sigma 0.25
+  };
+  const auto cells = KneeCells();
+  ASSERT_EQ(cells.size(), std::size(kDigests));
+  SchedulerSource plain;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const core::MixTestbed tb = KneeTestbed(cells[i]);
+    const std::vector<int> layout = tb.PlanMixed().plan.instance_gpcs;
+    // 220 partitions: 159 x 1, 21 x 2, 6 x 3, 3 x 4 and 31 x 7 GPCs.
+    std::map<int, int> sizes;
+    for (const int gpcs : layout) ++sizes[gpcs];
+    EXPECT_EQ(sizes, (std::map<int, int>{
+                         {1, 159}, {2, 21}, {3, 6}, {4, 3}, {7, 31}}))
+        << cells[i].name;
+    ExpectDigest(DigestRecords(RunKneeCell(cells[i], tb, layout, plain)),
+                 kDigests[i], cells[i].name);
   }
 }
 

@@ -3,7 +3,9 @@
 // live reconfigurations, three seeds -- plus the wide cells (ELSA, JSQ and
 // FIFS on a 132-partition, four-size layout, with ELSA's swap charge and
 // locality tie-break, SLAs from 40 ms down to 2 ms, and a fail / recover /
-// reconfigure drive) and six event-ordering scenarios (out-of-order
+// reconfigure drive), three knee cells (perfbench's server-knee server at
+// 20,000 queries: plain, with a charged swap cost and a locality tie, and
+// with execution noise) and six event-ordering scenarios (out-of-order
 // injection, same-instant bursts, far-future spill, incremental waves,
 // mid-run injection on pending ticks, in-order injection behind an
 // out-of-order one).
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/mix_runner.h"
 #include "profile/model_repertoire.h"
 #include "sched/baselines.h"
 #include "sched/elsa.h"
@@ -285,6 +288,70 @@ inline std::vector<sim::QueryRecord> RunWideCell(const WideCell& cell,
   server.RecoverWorker(0);
   server.RecoverWorker(41);
   return server.Finish().records;
+}
+
+// ---- Knee cells (the benchmark's single server, at test size) ----------
+
+// perfbench's server-knee configuration with 20,000 queries: the
+// four-model 0.25-share mix on 64 GPUs, its 448-GPC mixed-PARIS layout and
+// ELSA at 12,000 q/s, seed 1 -- plain, with a 500 us swap cost charged by
+// ELSA and a 1 ms locality tie, and with 0.25 execution noise (estimate
+// overruns).
+struct KneeCell {
+  const char* name = "";
+  double swap_cost_us = 0.0;
+  double locality_tie_sec = 0.0;
+  double noise_sigma = 0.0;
+};
+
+inline std::vector<KneeCell> KneeCells() {
+  return {{"knee"},
+          {"knee/swap500us+tie1ms", 500.0, 1e-3},
+          {"knee/noise0.25", 0.0, 0.0, 0.25}};
+}
+
+inline core::MixTestbed KneeTestbed(const KneeCell& cell) {
+  core::MixConfig config;
+  for (const char* name : {"resnet", "mobilenet", "bert", "shufflenet"}) {
+    core::MixModelConfig m;
+    m.model = name;
+    m.share = 0.25;
+    config.models.push_back(m);
+  }
+  config.num_gpus = 64;
+  config.gpc_budget = 448;
+  config.swap_cost_us = cell.swap_cost_us;
+  config.latency_noise_sigma = cell.noise_sigma;
+  return core::MixTestbed(config);
+}
+
+// ELSA's parameters as MixTestbed::MakeScheduler completes them.
+inline sched::ElsaParams KneeElsaParams(const KneeCell& cell) {
+  sched::ElsaParams params;
+  params.swap_cost_sec = cell.swap_cost_us * 1e-6;
+  params.locality_tie_sec = cell.locality_tie_sec;
+  return params;
+}
+
+// Replays the cell's trace on `layout` (the testbed's PlanMixed layout)
+// with the server MixTestbed::Run would build.
+inline std::vector<sim::QueryRecord> RunKneeCell(const KneeCell& cell,
+                                                 const core::MixTestbed& tb,
+                                                 const std::vector<int>& layout,
+                                                 SchedulerSource& source) {
+  constexpr std::uint64_t kSeed = 1;
+  sim::ServerConfig config;
+  config.partition_gpcs = layout;
+  config.sla_target = tb.sla_target();
+  config.latency_noise_sigma = cell.noise_sigma;
+  config.seed = kSeed ^ 0xA5A5A5A5ULL;
+  config.model_swap_cost = tb.swap_cost();
+  auto scheduler = source.Make([&] {
+    return tb.MakeScheduler(core::SchedulerKind::kElsa, KneeElsaParams(cell));
+  });
+  sim::InferenceServer server(config, tb.repertoire(), *scheduler);
+  source.Attach(server);
+  return server.Run(tb.GenerateMix(12'000.0, 20'000, kSeed)).records;
 }
 
 // ---- Event-ordering scenarios (FIFS, one model) ------------------------

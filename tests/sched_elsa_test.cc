@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "one_model.h"
+#include "profile/model_repertoire.h"
 #include "sched/baselines.h"
 
 namespace pe::sched {
@@ -259,6 +260,94 @@ TEST(Elsa, StepAAgreesWithSlackSecAroundTheThreshold) {
       const int want = s.SlackSec(workers[0], 0, 8) > 0.0 ? 0 : 1;
       EXPECT_EQ(s.OnQueryArrival(Q(8), workers), want)
           << "alpha " << alpha << " wait " << wait;
+    }
+  }
+}
+
+// The largest wait at which SlackSec gives `w` positive slack for
+// (model_id, batch), or -1 if none: a bisection over SlackSec alone.
+SimTime LastPositiveWait(const ElsaScheduler& s, WorkerState w, int model_id,
+                         int batch) {
+  const auto positive = [&](SimTime wait) {
+    w.wait_ticks = wait;
+    return s.SlackSec(w, model_id, batch) > 0.0;
+  };
+  SimTime lo = 0;
+  SimTime hi = std::numeric_limits<SimTime>::max();
+  if (!positive(lo)) return -1;
+  if (positive(hi)) return hi;
+  while (hi - lo > 1) {
+    const SimTime mid = lo + (hi - lo) / 2;
+    (positive(mid) ? lo : hi) = mid;
+  }
+  return lo;
+}
+
+TEST(Elsa, ThresholdTableFlipsWhereSlackSecDoesForEveryZooKey) {
+  // One scheduler per swap setting, so its threshold table carries every
+  // (model, size, batch) key filled before.  Worker 0 binds exactly while
+  // its wait is at most T -- T(0), or T(swap) when the query would
+  // displace its resident model -- and the swap-free worker 1 takes the
+  // query one tick later; the first arrival at T fills the key and the
+  // rest read it.
+  const auto rep = profile::BuildZooRepertoire(
+      {"shufflenet", "mobilenet", "resnet", "bert", "conformer"});
+  int flips = 0;
+  for (const double swap_sec : {0.0, 2e-3}) {
+    ElsaParams params;
+    params.swap_cost_sec = swap_sec;
+    ElsaScheduler s(rep, MsToTicks(30.0), params);
+    for (int m = 0; m < rep.size(); ++m) {
+      const profile::ProfileTable& table = rep.profile(m);
+      for (const int gpcs : table.partition_sizes()) {
+        for (int batch = 0; batch <= table.max_batch(); ++batch) {
+          WorkerState first = W(0, gpcs, 0);
+          first.resident_model = swap_sec > 0.0 ? m + 1 : m;
+          const SimTime t = LastPositiveWait(s, first, m, batch);
+          if (t < 0 || t == std::numeric_limits<SimTime>::max()) continue;
+          workload::Query q = Q(batch);
+          q.model_id = m;
+          for (int arrival = 0; arrival < 2; ++arrival) {
+            for (const SimTime wait : {t, t + 1}) {
+              first.wait_ticks = wait;
+              first.idle = false;
+              const std::vector<WorkerState> workers = {first, W(1, gpcs, 0)};
+              EXPECT_EQ(s.OnQueryArrival(q, workers), wait == t ? 0 : 1)
+                  << table.model_name() << " gpcs " << gpcs << " batch "
+                  << batch << " swap " << swap_sec << " wait " << wait;
+            }
+          }
+          ++flips;
+        }
+      }
+    }
+  }
+  EXPECT_GT(flips, 1000);
+}
+
+TEST(Elsa, ThresholdTableKeysOffTheGridBehaveAsTheProfileDoes) {
+  // An unprofiled size throws the profile's std::out_of_range, inside the
+  // table's grid (5 GPCs) and past it (9), on every arrival; a batch past
+  // the largest profiled one costs that batch's estimate, as the profile
+  // lookup clamps it.
+  const auto rep = profile::BuildZooRepertoire({"resnet"});
+  ElsaScheduler s(rep, MsToTicks(200.0));
+  for (const int gpcs : {5, 9}) {
+    for (int arrival = 0; arrival < 2; ++arrival) {
+      const std::vector<WorkerState> workers = {W(0, gpcs, 0)};
+      EXPECT_THROW(s.OnQueryArrival(Q(8), workers), std::out_of_range)
+          << "gpcs " << gpcs;
+    }
+  }
+  const int past = rep.max_batch() + 1;
+  const SimTime t = LastPositiveWait(s, W(0, 7, 0), 0, past);
+  ASSERT_GT(t, 0);
+  EXPECT_EQ(t, LastPositiveWait(s, W(0, 7, 0), 0, rep.max_batch()));
+  for (int arrival = 0; arrival < 2; ++arrival) {
+    for (const SimTime wait : {t, t + 1}) {
+      const std::vector<WorkerState> workers = {W(0, 7, wait), W(1, 7, 0)};
+      EXPECT_EQ(s.OnQueryArrival(Q(past), workers), wait == t ? 0 : 1)
+          << "wait " << wait;
     }
   }
 }

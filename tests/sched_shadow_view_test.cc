@@ -7,9 +7,9 @@
 // own decision: a second scheduler instance fed a plain VectorWorkerView
 // (not stable(), so it decides over a sorted copy with the views' default
 // linear wait queries), and -- for ELSA -- the literal Algorithm 2 of
-// elsa_oracle.h.  Over the engine scenario grid and the wide cells this
-// checks the wait index, the idle index and ELSA's thresholds decision by
-// decision.
+// elsa_oracle.h.  Over the engine scenario grid, the wide cells and the
+// knee cells this checks the wait index, the idle index and ELSA's
+// threshold table decision by decision.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -289,6 +289,21 @@ TEST(ShadowView, WideCellsAgreeDecisionByDecision) {
                 source.tally.arrivals + source.tally.orphans)
           << cell.Label();
     }
+  }
+}
+
+TEST(ShadowView, KneeCellsAgreeDecisionByDecision) {
+  for (const KneeCell& cell : KneeCells()) {
+    const core::MixTestbed tb = KneeTestbed(cell);
+    ShadowSource source(
+        ElsaOracle{&tb.repertoire(), tb.sla_target(), KneeElsaParams(cell)});
+    const auto records =
+        RunKneeCell(cell, tb, tb.PlanMixed().plan.instance_gpcs, source);
+    EXPECT_EQ(source.tally.mismatches, 0)
+        << cell.name << ", first: " << source.tally.first_mismatch;
+    EXPECT_EQ(source.tally.arrivals, static_cast<int>(records.size()))
+        << cell.name;
+    EXPECT_EQ(source.tally.oracle_checks, source.tally.arrivals) << cell.name;
   }
 }
 

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "stats_oracle.h"
 
 namespace pe::sim {
@@ -213,6 +221,88 @@ TEST(StatsAccumulator, MergeShiftsWorkerIndices) {
   EXPECT_EQ(s.workers[1].index, 5);
   EXPECT_EQ(s.workers[1].gpcs, 3);
   EXPECT_DOUBLE_EQ(s.achieved_qps, 2.0 / 0.004);
+}
+
+// The percentile pools the bucket selection must get exactly right: empty,
+// one tick, all equal, two values, a span under one bucket per tick, a
+// span near 2^62, the extremes of SimTime, and random pools of 1..5,000
+// ticks.
+std::vector<std::pair<std::string, std::vector<SimTime>>> PercentilePools() {
+  constexpr SimTime kMin = std::numeric_limits<SimTime>::min();
+  constexpr SimTime kMax = std::numeric_limits<SimTime>::max();
+  std::vector<std::pair<std::string, std::vector<SimTime>>> pools = {
+      {"empty", {}},
+      {"one", {MsToTicks(3.0)}},
+      {"all equal", std::vector<SimTime>(999, 12345)},
+      {"two values", {9, 5}},
+      {"extremes", {kMax, 0, kMin, 0, kMax}},
+  };
+  std::mt19937_64 gen(23);
+  std::vector<SimTime> two;
+  for (int i = 0; i < 1001; ++i) two.push_back(gen() % 3 == 0 ? 7 : 4);
+  pools.emplace_back("two values, many", std::move(two));
+  std::vector<SimTime> narrow;
+  for (int i = 0; i < 3000; ++i) {
+    narrow.push_back(1000 + static_cast<SimTime>(gen() % 4095));
+  }
+  pools.emplace_back("span under 4096", std::move(narrow));
+  std::vector<SimTime> wide = {0, SimTime{1} << 62};
+  for (int i = 0; i < 3000; ++i) {
+    wide.push_back(static_cast<SimTime>(gen() >> 2));
+  }
+  pools.emplace_back("span near 2^62", std::move(wide));
+  for (const std::size_t n : {1u, 2u, 3u, 17u, 1000u, 4095u, 4097u, 5000u}) {
+    std::vector<SimTime> pool;
+    // Mostly one latency mode, plus a tail 50x wider.
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t scale = gen() % 20 == 0 ? 500'000'000 : 10'000'000;
+      pool.push_back(static_cast<SimTime>(gen() % scale));
+    }
+    pools.emplace_back("random " + std::to_string(n), std::move(pool));
+  }
+  return pools;
+}
+
+std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(TickPercentileMs, MatchesTheSortingOracleBitForBit) {
+  for (const auto& [label, pool] : PercentilePools()) {
+    testing::Percentile oracle;
+    for (const SimTime t : pool) oracle.Add(TicksToMs(t));
+    for (const double p : {0.0, 1.0, 25.0, 50.0, 90.0, 95.0, 99.0, 99.9,
+                           100.0}) {
+      EXPECT_EQ(Bits(TickPercentileMs(pool, p)), Bits(oracle.Value(p)))
+          << label << " p" << p;
+    }
+  }
+}
+
+TEST(StatsAccumulator, MultiModelPercentilesMatchTheOracleBitForBit) {
+  // Each pool spread over three models (the aggregate selects over the
+  // three pools at once) and in one model: arrival 0, start == finish.
+  const SimTime sla = MsToTicks(5.0);
+  for (const auto& [label, pool] : PercentilePools()) {
+    for (const int models : {1, 3}) {
+      std::vector<QueryRecord> records;
+      for (const SimTime t : pool) {
+        QueryRecord r = Rec(records.size(), 0, t, t);
+        r.model = static_cast<int>(records.size() % models);
+        records.push_back(r);
+      }
+      const ServerStats got = ComputeStats(records, sla, 0.0);
+      const ServerStats want = testing::OracleStats(records, sla, 0);
+      const std::string where = label + ", models " + std::to_string(models);
+      testing::ExpectIdenticalServerStats(got, want, where);
+      EXPECT_EQ(Bits(got.p50_latency_ms), Bits(want.p50_latency_ms)) << where;
+      EXPECT_EQ(Bits(got.max_latency_ms), Bits(want.max_latency_ms)) << where;
+      ASSERT_EQ(got.models.size(), want.models.size()) << where;
+      for (std::size_t m = 0; m < got.models.size(); ++m) {
+        EXPECT_EQ(Bits(got.models[m].p99_latency_ms),
+                  Bits(want.models[m].p99_latency_ms))
+            << where << " model " << m;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "one_model.h"
 #include "sched/elsa.h"
 #include "sched/fifs.h"
@@ -27,6 +33,82 @@ ServerConfig Config(std::vector<int> gpcs) {
   c.sla_target = MsToTicks(15.0);
   c.seed = 1;
   return c;
+}
+
+// Binds query i to worker bind[i]; on query `probe_id`'s arrival it first
+// hands the server's live view to `probe`.
+class ScriptedScheduler final : public sched::Scheduler {
+ public:
+  using Scheduler::OnQueryArrival;
+
+  int OnQueryArrival(const workload::Query& query,
+                     const sched::WorkerView& view) override {
+    if (query.id == probe_id) probe(view);
+    return bind.at(query.id);
+  }
+  bool UsesCentralQueue() const override { return false; }
+  std::string name() const override { return "scripted"; }
+
+  std::vector<int> bind;
+  std::uint64_t probe_id = 0;
+  std::function<void(const sched::WorkerView&)> probe;
+};
+
+TEST(InferenceServer, WaitIndexSkipsOverrunHitsAndFailedWorkers) {
+  // Ten 1-GPC workers (10 ms estimates) at slowdown 3.  Workers 0..5 each
+  // start one query and queue a second at t = 0; at t1 = 10 ms + 1 tick
+  // their estimates have run out while the queries still run, so each has
+  // backlog_end = 20 ms <= X + t1 for X = 10 ms - 1 tick, but a queued
+  // estimate of 10 ms > X: every one is a backlog hit whose queued test
+  // fails.  Worker 6 is idle and worker 9 failed.
+  const auto rep = testing::ToyModel();
+  const SimTime estimate = MsToTicks(10.0);
+  const SimTime t1 = estimate + 1;
+  ScriptedScheduler scheduler;
+  std::vector<workload::Query> qs;
+  for (int k = 0; k < 12; ++k) {
+    workload::Query q;
+    q.id = qs.size();
+    q.batch = 32;
+    qs.push_back(q);
+    scheduler.bind.push_back(k / 2);
+  }
+  workload::Query probe;
+  probe.id = qs.size();
+  probe.arrival = t1;
+  probe.batch = 32;
+  qs.push_back(probe);
+  scheduler.bind.push_back(6);
+  scheduler.probe_id = probe.id;
+  constexpr SimTime kUnbounded = std::numeric_limits<SimTime>::max();
+  bool probed = false;
+  scheduler.probe = [&](const sched::WorkerView& view) {
+    probed = true;
+    for (std::size_t k = 0; k < 6; ++k) {
+      ASSERT_EQ(view.Get(k).wait_ticks, estimate) << "worker " << k;
+    }
+    // Over the four-wide blocks and the tail alike.
+    EXPECT_EQ(view.FirstWaitAtMost(0, 10, estimate - 1), 6);
+    EXPECT_EQ(view.FirstWaitAtMost(0, 6, estimate - 1), -1);
+    EXPECT_EQ(view.FirstWaitAtMost(3, 10, estimate - 1), 6);
+    EXPECT_EQ(view.FirstWaitAtMost(0, 10, estimate), 0);
+    EXPECT_EQ(view.FirstWaitAtMost(5, 10, estimate), 5);
+    EXPECT_EQ(view.MinWait(0, 6), estimate);
+    // The failed worker never matches, not even unbounded.
+    EXPECT_EQ(view.FirstWaitAtMost(9, 10, kUnbounded), -1);
+    EXPECT_EQ(view.FirstWaitAtMost(7, 10, kUnbounded), 7);
+    EXPECT_EQ(view.FirstWaitAtMost(9, 10, 0), -1);
+    EXPECT_EQ(view.MinWait(9, 10), sched::WorkerView::kNoWait);
+  };
+  ServerConfig config = Config(std::vector<int>(10, 1));
+  InferenceServer server(config, rep, scheduler);
+  server.SetSlowdownFactor(3.0);
+  server.InjectTrace(workload::QueryTrace(std::move(qs)));
+  server.AdvanceTo(t1);
+  (void)server.FailWorker(9);
+  const SimResult result = server.Finish();
+  EXPECT_TRUE(probed);
+  EXPECT_EQ(result.records[probe.id].worker, 6);
 }
 
 TEST(InferenceServer, SingleWorkerSequentialExecution) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 namespace pe::sim {
 namespace {
 
@@ -109,6 +112,44 @@ TEST(PartitionWorker, QueueAccountingAcrossManyQueries) {
   }
   EXPECT_TRUE(w.idle());
   EXPECT_EQ(w.EstimatedWait(now), 0);
+}
+
+TEST(PartitionWorker, QueueStaysFifoAcrossRingWrapAndGrowth) {
+  // The head moves off the ring's front, the tail wraps past its end, and
+  // the ring doubles with the queue wrapped, then twice more: every exit
+  // path (Start, PopHead, TakeQueue) still sees arrival order, and the
+  // queued estimate stays the sum of what is queued.
+  PartitionWorker w(0, 1);
+  std::uint64_t next = 0;
+  std::uint64_t expect = 0;
+  SimTime queued = 0;
+  const auto enqueue = [&](int n) {
+    for (int k = 0; k < n; ++k) {
+      const SimTime estimate = static_cast<SimTime>(1 + next % 7);
+      w.Enqueue(Q(next++), estimate);
+      queued += estimate;
+    }
+  };
+  const auto pop = [&](bool start) {
+    const SimTime estimate = static_cast<SimTime>(1 + expect % 7);
+    const workload::Query q = start ? w.Start(0, 1) : w.PopHead();
+    EXPECT_EQ(q.id, expect++);
+    queued -= estimate;
+    if (start) w.Finish();
+  };
+  enqueue(6);
+  for (int k = 0; k < 5; ++k) pop(k % 2 == 0);
+  enqueue(5);  // wraps the 8-entry ring
+  EXPECT_EQ(w.queued_estimate(), queued);
+  enqueue(30);  // 8 -> 16 -> 32 -> 64 entries
+  EXPECT_EQ(w.Snapshot(0).queue_length, 36u);
+  EXPECT_EQ(w.queued_estimate(), queued);
+  for (int k = 0; k < 11; ++k) pop(k % 3 != 0);
+  const std::vector<workload::Query> rest = w.TakeQueue();
+  ASSERT_EQ(rest.size(), 25u);
+  for (const workload::Query& q : rest) EXPECT_EQ(q.id, expect++);
+  EXPECT_EQ(w.queued_estimate(), 0);
+  EXPECT_TRUE(w.idle());
 }
 
 }  // namespace

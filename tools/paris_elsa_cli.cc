@@ -946,7 +946,6 @@ void PrintUsage(std::ostream& os) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ArgParser args(argc, argv, /*flags=*/{"csv", "help", "h"});
   const auto known = std::vector<std::string>{
       "model", "design", "scheduler", "rate", "queries", "median", "sigma",
       "max-batch", "sla-n", "seed", "jobs", "json", "csv", "scenario",
@@ -955,6 +954,8 @@ int main(int argc, char** argv) {
       "gpus", "servers", "policy", "placement", "replicas", "faults", "help",
       "h"};
   try {
+    // A token past the subcommand (`plan bert`) throws here, naming it.
+    const ArgParser args(argc, argv, /*flags=*/{"csv", "help", "h"});
     const auto sub = args.Subcommand();
     if (args.HasFlag("help") || args.HasFlag("h") ||
         (sub && *sub == "help")) {
