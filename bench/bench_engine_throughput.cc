@@ -20,7 +20,7 @@
 // through one MeasureStage helper:
 //   router_qps  RouteAll per policy (hash / least / po2c), thread-chunked
 //               for the stateless hash policy,
-//   split_qps   the two-pass arena SplitTrace (po2c),
+//   split_qps   the two-pass index-only SplitTrace (po2c),
 //   sim_qps     simulating the split at jobs=1,
 //   stats_sec   the FleetResult::Stats merge of per-server partials,
 //   fleet_qps   the end-to-end pipeline (route + split + simulate +
@@ -262,8 +262,8 @@ int main() {
     router_qps.Set(ToString(policy), sec > 0.0 ? fleet_n / sec : 0.0);
   }
 
-  // Stage 2: the two-pass count-then-fill split into the flat arena (po2c,
-  // the planted fleet policy).
+  // Stage 2: the two-pass count-then-fill split into the flat id list
+  // (po2c, the planted fleet policy).
   auto split_router = fleet.cluster().MakeFleetRouter();
   fleet::TraceSplit split;
   const double split_sec =

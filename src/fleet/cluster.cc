@@ -66,7 +66,13 @@ std::unique_ptr<Router> Cluster::MakeFleetRouter() const {
 FleetResult Cluster::Simulate(const workload::QueryTrace& trace,
                               int jobs) const {
   const auto router = MakeFleetRouter();
-  return SimulateSplit(SplitTrace(trace, *router, placement_, jobs), jobs);
+  TraceSplit split = SplitTrace(trace, *router, placement_, jobs);
+  FleetResult result;
+  result.per_server = ReplayServers(split, jobs);
+  result.global_ids = std::move(split.global_ids);
+  result.id_offsets = std::move(split.offsets);
+  FillGlobalTables(result);
+  return result;
 }
 
 sim::ServerConfig Cluster::MakeServerConfig(int server_id) const {
@@ -99,26 +105,33 @@ void Cluster::FillGlobalTables(FleetResult& result) const {
   }
 }
 
-FleetResult Cluster::SimulateSplit(const TraceSplit& split, int jobs) const {
+std::vector<sim::SimResult> Cluster::ReplayServers(const TraceSplit& split,
+                                                   int jobs) const {
   if (split.num_servers() != num_servers()) {
     throw std::invalid_argument(
         "Cluster::SimulateSplit: split has " +
         std::to_string(split.num_servers()) + " servers, cluster has " +
         std::to_string(num_servers()));
   }
-  const auto n = static_cast<std::size_t>(num_servers());
   // Pure function of the server index: config, placement, repertoire, and
   // sub-trace are all read-only, the scheduler is freshly built per task,
-  // and the engine seed comes from the pure ServerSeed derivation.
-  auto sims = ParallelMap(n, jobs, [&](std::size_t s) {
-    const sim::ServerConfig sc = MakeServerConfig(static_cast<int>(s));
-    const auto scheduler = MakeScheduler(static_cast<int>(s));
-    sim::InferenceServer server(sc, repertoires_[s], *scheduler);
-    return server.Run(split.Server(static_cast<int>(s)));
-  });
+  // and the engine seed comes from the pure ServerSeed derivation.  The
+  // engine copies each query into its record, so the rebuilt rows die
+  // before the server simulates.
+  const auto replay = [&](std::size_t s) {
+    const int id = static_cast<int>(s);
+    const auto scheduler = MakeScheduler(id);
+    sim::InferenceServer server(MakeServerConfig(id), repertoires_[s],
+                                *scheduler);
+    server.InjectSpan(LocalQueries(split, placement_, id));
+    return server.Finish();
+  };
+  return ParallelMap(static_cast<std::size_t>(num_servers()), jobs, replay);
+}
 
+FleetResult Cluster::SimulateSplit(const TraceSplit& split, int jobs) const {
   FleetResult result;
-  result.per_server = std::move(sims);
+  result.per_server = ReplayServers(split, jobs);
   result.global_ids = split.global_ids;
   result.id_offsets = split.offsets;
   FillGlobalTables(result);

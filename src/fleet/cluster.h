@@ -80,8 +80,8 @@ struct FleetResult {
   // server-local model ids -- exactly what that server's engine saw.
   std::vector<sim::SimResult> per_server;
   // Local query id -> fleet-level Query::id, flat server-major (the
-  // TraceSplit arena layout): server s's ids live in
-  // global_ids[id_offsets[s], id_offsets[s+1]).
+  // TraceSplit layout, each server's retries after its routed queries):
+  // server s's ids live in global_ids[id_offsets[s], id_offsets[s+1]).
   std::vector<std::uint64_t> global_ids;
   std::vector<std::size_t> id_offsets;  // size num_servers + 1
   // Per server: local model id -> fleet-global model id (the server's
@@ -158,15 +158,22 @@ class Cluster {
 
   // Routes `trace` and replays every sub-trace, fanning servers over up to
   // `jobs` threads.  Bit-identical per-server records for any jobs >= 1.
+  // The split's id list becomes the result's, uncopied.
   FleetResult Simulate(const workload::QueryTrace& trace, int jobs) const;
 
   // Replays an already-split trace (the route+split stages factored out,
   // so the fleet-scaling bench can time them separately while both
   // pipelines share this simulate stage).  `split` must come from this
-  // cluster's placement; each server replays its arena span in place.
+  // cluster's placement, and its trace must still be alive; each server
+  // rebuilds its queries from that trace (LocalQueries) inside its own
+  // task.
   FleetResult SimulateSplit(const TraceSplit& split, int jobs) const;
 
  private:
+  // Every server's records for `split`, over up to `jobs` threads.
+  std::vector<sim::SimResult> ReplayServers(const TraceSplit& split,
+                                            int jobs) const;
+
   FleetConfig config_;
   PlacementMap placement_;
   const profile::ModelRepertoire* zoo_;

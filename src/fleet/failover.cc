@@ -235,30 +235,34 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
   }
 
   // ---- Stage 2: build the engines (incremental mode), one task each. ---
+  // The split's id list is the one copy of each routed query's global id;
+  // a server keeps only its retries' ids, and stage 4 joins the two.
+  TraceSplit split = SplitByAssignment(trace, assignment, placement, jobs);
+  std::vector<int>().swap(assignment);  // split: no longer needed
   struct Server {
     std::unique_ptr<sched::Scheduler> scheduler;
     std::unique_ptr<sim::InferenceServer> engine;
-    // Local query id -> global id, growing as retries inject new ids.
-    std::vector<std::uint64_t> gids;
+    // Local query id past the split's rows -> global id, one per retry
+    // injected here.
+    std::vector<std::uint64_t> retry_gids;
   };
-  std::vector<Server> servers;
-  {
-    const TraceSplit split =
-        SplitByAssignment(trace, assignment, placement, jobs);
-    servers = ParallelMap(nn, jobs, [&](std::size_t i) {
-      const int s = static_cast<int>(i);
-      sim::ServerConfig sc = cluster.MakeServerConfig(s);
-      sc.deadline = plan.deadline;  // per-attempt queue-staleness shed
-      Server server;
-      server.scheduler = cluster.MakeScheduler(s);
-      server.engine = std::make_unique<sim::InferenceServer>(
-          sc, cluster.server_repertoire(s), *server.scheduler);
-      server.engine->InjectSpan(split.Server(s));
-      const auto gids = split.GlobalIds(s);
-      server.gids.assign(gids.begin(), gids.end());
-      return server;
-    });
-  }
+  std::vector<Server> servers = ParallelMap(nn, jobs, [&](std::size_t i) {
+    const int s = static_cast<int>(i);
+    sim::ServerConfig sc = cluster.MakeServerConfig(s);
+    sc.deadline = plan.deadline;  // per-attempt queue-staleness shed
+    Server server;
+    server.scheduler = cluster.MakeScheduler(s);
+    server.engine = std::make_unique<sim::InferenceServer>(
+        sc, cluster.server_repertoire(s), *server.scheduler);
+    server.engine->InjectSpan(LocalQueries(split, placement, s));
+    return server;
+  });
+  const auto global_id = [&](int s, std::uint64_t local) {
+    const std::span<const std::uint64_t> routed = split.GlobalIds(s);
+    if (local < routed.size()) return routed[local];
+    const Server& server = servers[static_cast<std::size_t>(s)];
+    return server.retry_gids[local - routed.size()];
+  };
 
   // ---- Stage 3: the epoch loop. ----------------------------------------
   // Advance every engine (parallel, one task per engine -- disjoint
@@ -282,8 +286,7 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
   const auto lose = [&](int from_server, SimTime t,
                         const std::vector<workload::Query>& removed) {
     for (const workload::Query& q : removed) {
-      const std::uint64_t gid =
-          servers[static_cast<std::size_t>(from_server)].gids[q.id];
+      const std::uint64_t gid = global_id(from_server, q.id);
       const int attempt = retries_done[gid] + 1;
       const std::optional<SimTime> instant =
           attempt > plan.max_retries
@@ -392,16 +395,17 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
     ParallelMap(group_begin.size() - 1, jobs, [&](std::size_t g) {
       const int s = due[group_begin[g]].server;
       Server& server = servers[static_cast<std::size_t>(s)];
+      const std::size_t routed = split.GlobalIds(s).size();
       for (std::size_t k = group_begin[g]; k < group_begin[g + 1]; ++k) {
         const workload::Query& orig = queries[due[k].gid];
         workload::Query q;
-        q.id = server.gids.size();
+        q.id = routed + server.retry_gids.size();
         q.arrival = t;
         q.batch = orig.batch;
         q.model_id = placement.LocalModel(s, orig.model_id);
         assert(q.model_id >= 0);
         server.engine->InjectQuery(q);
-        server.gids.push_back(due[k].gid);
+        server.retry_gids.push_back(due[k].gid);
       }
       return 0;
     });
@@ -470,18 +474,28 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
   auto results = ParallelMap(nn, jobs, [&](std::size_t s) {
     return servers[s].engine->Finish();
   });
+  std::vector<int>().swap(retries_done);  // no more retries: free it
 
+  // Each server's ids: its split rows, then its retries.
   FleetResult result;
   result.per_server = std::move(results);
   result.id_offsets.assign(nn + 1, 0);
   for (std::size_t s = 0; s < nn; ++s) {
-    result.id_offsets[s + 1] = result.id_offsets[s] + servers[s].gids.size();
+    const std::size_t routed = split.offsets[s + 1] - split.offsets[s];
+    result.id_offsets[s + 1] =
+        result.id_offsets[s] + routed + servers[s].retry_gids.size();
   }
   result.global_ids.reserve(result.id_offsets.back());
-  for (const Server& server : servers) {
-    result.global_ids.insert(result.global_ids.end(), server.gids.begin(),
-                             server.gids.end());
+  for (std::size_t s = 0; s < nn; ++s) {
+    const std::span<const std::uint64_t> routed =
+        split.GlobalIds(static_cast<int>(s));
+    const std::vector<std::uint64_t>& retried = servers[s].retry_gids;
+    result.global_ids.insert(result.global_ids.end(), routed.begin(),
+                             routed.end());
+    result.global_ids.insert(result.global_ids.end(), retried.begin(),
+                             retried.end());
   }
+  split = TraceSplit{};
   cluster.FillGlobalTables(result);
 
   // ---- Stage 5: terminal classification + incident metrics. ------------
@@ -491,8 +505,10 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
   SimTime makespan = last_applied == kForever ? 0 : last_applied;
   std::vector<SimTime> incident_latency;
   for (std::size_t s = 0; s < nn; ++s) {
+    const std::span<const std::uint64_t> gids =
+        result.GlobalIds(static_cast<int>(s));
     for (const sim::QueryRecord& r : result.per_server[s].records) {
-      const std::uint64_t gid = servers[s].gids[r.id];
+      const std::uint64_t gid = gids[r.id];
       makespan = std::max(makespan, r.finished);
       if (!r.failed && !r.shed) {
         any_completed[gid] = true;

@@ -39,6 +39,11 @@
 // seed).  An EMPTY plan delegates to Cluster::Simulate verbatim --
 // record-by-record bit-identical to the fault-free driver (pinned by
 // fleet_failover_test).
+//
+// Memory: each query's inputs live only in the trace, and each routed
+// query's global id only in the split's id list; a server keeps just its
+// retries' ids, which the assembly joins to the split's after the drain.
+// The routing assignment dies once split.
 #pragma once
 
 #include <cstdint>

@@ -409,11 +409,13 @@ TraceSplit SplitByAssignment(const workload::QueryTrace& trace,
   };
 
   // Step 1: per chunk, rows per destination server (-1 = dropped), plus
-  // the chunk's first row with a bad query id and first with a bad server.
+  // the chunk's first row with a bad query id, first with a bad server,
+  // and first sent to a server that does not host its model.
   struct ChunkCount {
     std::vector<std::size_t> rows;  // per server; step 2 makes these cursors
     std::size_t bad_id = kNone;
     std::size_t bad_server = kNone;
+    std::size_t unhosted = kNone;
   };
   auto counts = ParallelMap(chunks, jobs, [&](std::size_t c) {
     ChunkCount out;
@@ -421,7 +423,8 @@ TraceSplit SplitByAssignment(const workload::QueryTrace& trace,
     for (std::size_t i = c * kParallelGrain; i < chunk_end(c); ++i) {
       // Fleet drivers index per-query state by Query::id (global ids,
       // retry bookkeeping), so a fleet trace's ids must be its rows.
-      if (queries[i].id != i) {
+      const workload::Query& q = queries[i];
+      if (q.id != i) {
         out.bad_id = i;
         break;
       }
@@ -431,12 +434,17 @@ TraceSplit SplitByAssignment(const workload::QueryTrace& trace,
         if (out.bad_server == kNone) out.bad_server = i;
         continue;
       }
+      const bool placed =
+          q.model_id >= 0 && q.model_id < placement.num_models();
+      const bool hosted =
+          placed && placement.LocalModel(server, q.model_id) >= 0;
+      if (!hosted && out.unhosted == kNone) out.unhosted = i;
       ++out.rows[static_cast<std::size_t>(server)];
     }
     return out;
   });
   // The serial loop's precedence: a bad query id anywhere first, then a
-  // bad server id, each at its first row.
+  // bad server id, then an unhosted model, each at its first row.
   for (const ChunkCount& chunk : counts) {
     if (chunk.bad_id == kNone) continue;
     const std::size_t i = chunk.bad_id;
@@ -452,10 +460,20 @@ TraceSplit SplitByAssignment(const workload::QueryTrace& trace,
                            std::to_string(i) + " has bad server id " +
                            std::to_string(assignment[i]));
   }
+  for (const ChunkCount& chunk : counts) {
+    if (chunk.unhosted == kNone) continue;
+    const std::size_t i = chunk.unhosted;
+    throw std::logic_error(
+        "SplitByAssignment: trace row " + std::to_string(i) +
+        " routed to server " + std::to_string(assignment[i]) +
+        ", which does not host model " +
+        std::to_string(queries[i].model_id));
+  }
 
   // Step 2: span boundaries per server, then each chunk's starting cursor
   // per server -- the rows earlier chunks send there come first.
   TraceSplit split;
+  split.trace = &trace;
   split.offsets.assign(n + 1, 0);
   for (std::size_t s = 0; s < n; ++s) {
     std::size_t at = split.offsets[s];
@@ -467,41 +485,39 @@ TraceSplit SplitByAssignment(const workload::QueryTrace& trace,
     split.offsets[s + 1] = at;
   }
 
-  // Step 3: each chunk fills its rows into the flat arenas from its
-  // cursors; chunks write disjoint slots, and the dense local id is the
-  // distance from the server's span start.
-  split.arena.resize(split.offsets.back());
+  // Step 3: each chunk writes its row indices -- the global ids -- from
+  // its cursors; chunks write disjoint slots.
   split.global_ids.resize(split.offsets.back());
-  const auto unhosted = ParallelMap(chunks, jobs, [&](std::size_t c) {
+  ParallelMap(chunks, jobs, [&](std::size_t c) {
     std::vector<std::size_t>& cursor = counts[c].rows;
     for (std::size_t i = c * kParallelGrain; i < chunk_end(c); ++i) {
       const int server = assignment[i];
       if (server == -1) continue;
-      const workload::Query& q = queries[i];
-      const bool placed =
-          q.model_id >= 0 && q.model_id < placement.num_models();
-      const int local_model =
-          placed ? placement.LocalModel(server, q.model_id) : -1;
-      if (local_model < 0) return i;
-      const auto s = static_cast<std::size_t>(server);
-      const std::size_t at = cursor[s]++;
-      workload::Query& local = split.arena[at];
-      local = q;
-      local.id = at - split.offsets[s];
-      local.model_id = local_model;
-      split.global_ids[at] = q.id;
+      split.global_ids[cursor[static_cast<std::size_t>(server)]++] = i;
     }
-    return kNone;
+    return 0;
   });
-  for (const std::size_t i : unhosted) {
-    if (i == kNone) continue;
-    throw std::logic_error(
-        "SplitByAssignment: trace row " + std::to_string(i) +
-        " routed to server " + std::to_string(assignment[i]) +
-        ", which does not host model " +
-        std::to_string(queries[i].model_id));
-  }
   return split;
+}
+
+std::vector<workload::Query> LocalQueries(const TraceSplit& split,
+                                          const PlacementMap& placement,
+                                          int server) {
+  if (split.trace == nullptr) {
+    throw std::logic_error("LocalQueries: the split has no trace");
+  }
+  const std::vector<workload::Query>& queries = split.trace->queries();
+  const std::span<const std::uint64_t> gids = split.GlobalIds(server);
+  std::vector<workload::Query> local;
+  local.reserve(gids.size());
+  for (const std::uint64_t gid : gids) {
+    workload::Query q = queries[gid];
+    q.id = local.size();
+    // SplitByAssignment checked that the server hosts every routed model.
+    q.model_id = placement.LocalModel(server, q.model_id);
+    local.push_back(q);
+  }
+  return local;
 }
 
 }  // namespace pe::fleet

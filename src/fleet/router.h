@@ -100,35 +100,41 @@ std::unique_ptr<Router> MakeRouter(RouterPolicy policy,
                                    const profile::ModelRepertoire* repertoire,
                                    std::uint64_t seed);
 
-// A trace split into per-server sub-streams, ready for InferenceServer.
-// One flat server-major arena instead of N separately grown vectors: the
-// queries of server s live in arena[offsets[s], offsets[s+1]) as an
-// offset-indexed span.  Per server, query ids are re-numbered densely
-// from 0 (the engine requires dense ids) and model ids are re-mapped to
-// the server's local repertoire (the index of the global id within its
-// sorted hosted list).
+// A trace split into per-server sub-streams, as row indices into the
+// trace it was built from: the trace stays the only copy of each query's
+// inputs.  Server s's queries are the trace rows
+// global_ids[offsets[s], offsets[s+1]), in arrival order, and its local
+// query id k is the k-th of them; LocalQueries rebuilds those rows as the
+// server's engine sees them.
 struct TraceSplit {
-  // Every query of the input trace, grouped by destination server in
-  // arrival order within each group.
-  std::vector<workload::Query> arena;
-  // Local query id -> the fleet-level Query::id it came from; same
-  // server-major layout as `arena`.
+  // The trace the split indexes (borrowed: it must outlive the split).
+  const workload::QueryTrace* trace = nullptr;
+  // Local query id -> the fleet-level Query::id (its trace row), grouped
+  // by destination server, in arrival order within each group.
   std::vector<std::uint64_t> global_ids;
-  // Per-server span boundaries into the arenas; size num_servers + 1.
+  // Per-server span boundaries into global_ids; size num_servers + 1.
   std::vector<std::size_t> offsets;
 
   int num_servers() const {
     return static_cast<int>(offsets.empty() ? 0 : offsets.size() - 1);
-  }
-  std::span<const workload::Query> Server(int s) const {
-    const auto i = static_cast<std::size_t>(s);
-    return {arena.data() + offsets[i], offsets[i + 1] - offsets[i]};
   }
   std::span<const std::uint64_t> GlobalIds(int s) const {
     const auto i = static_cast<std::size_t>(s);
     return {global_ids.data() + offsets[i], offsets[i + 1] - offsets[i]};
   }
 };
+
+// Server `server`'s queries of `split`, as its engine sees them: the
+// trace rows GlobalIds(server) names, in order, with query ids renumbered
+// densely from 0 (the engine requires dense ids) and model ids re-mapped
+// to the server's local repertoire (PlacementMap::LocalModel).
+// `placement` must be the one the split was built against.  Every fleet
+// driver calls it inside the server's own task, right before InjectSpan,
+// so one server's rows are all that is live per task.  Throws
+// std::logic_error on a split with no trace.
+std::vector<workload::Query> LocalQueries(const TraceSplit& split,
+                                          const PlacementMap& placement,
+                                          int server);
 
 // Routes every query of `trace` through `router` and splits the
 // resulting assignment with SplitByAssignment.  `jobs` feeds both the
@@ -142,15 +148,15 @@ TraceSplit SplitTrace(const workload::QueryTrace& trace, Router& router,
 // (assignment[i] = destination server of trace query i).  An assignment
 // of -1 drops the query from every sub-trace -- the failover driver
 // pre-sheds queries whose model has no healthy replica at arrival and
-// routes the rest around the outage, then splits here.
+// routes the rest around the outage, then splits here.  The split points
+// at `trace`, which must outlive it.
 //
 // The rows are cut into 64k-row chunks (bounds depend only on the row
 // count) spread over up to `jobs` threads, in three steps: count each
 // chunk's rows per server, prefix-sum the counts into a starting cursor
-// per (chunk, server), then fill each chunk's rows from its cursors into
-// one flat arena -- no per-server vector growth, and the placement's
-// precomputed LocalModel tables serve the model remap.  The result is
-// identical at any `jobs`.
+// per (chunk, server), then write each chunk's row indices from its
+// cursors into one flat id list -- no per-server vector growth, and no
+// copy of a query.  The result is identical at any `jobs`.
 //
 // Every fleet driver indexes per-query state by Query::id, so it throws
 // std::invalid_argument unless every query's id equals its row position;

@@ -39,6 +39,12 @@ ModelRepertoire ModelRepertoire::Subset(
 }
 
 int ModelRepertoire::Add(Entry entry) {
+  // sim::QueryRecord keeps the model id in 16 bits.
+  if (entries_.size() >= 65'535) {
+    throw std::invalid_argument(
+        "ModelRepertoire: a model past the 65,535 QueryRecord::model can "
+        "index");
+  }
   if (IdOf(entry.name) != -1) {
     throw std::invalid_argument("ModelRepertoire: duplicate model " +
                                 entry.name);

@@ -43,8 +43,9 @@ class ModelRepertoire {
   ModelRepertoire() = default;
 
   // Registers a model and returns its dense id (0, 1, 2, ...).  Names must
-  // be unique; throws std::invalid_argument on a duplicate or a null
-  // `actual`.  `actual` must be deterministic (see LatencyFn above).
+  // be unique; throws std::invalid_argument on a duplicate, a null
+  // `actual`, or a model past the 65,535th (sim::QueryRecord keeps the id
+  // in 16 bits).  `actual` must be deterministic (see LatencyFn above).
   // Evaluates nothing: the ground-truth memo fills lazily.
   int Register(std::string name, ProfileTable profile, LatencyFn actual);
 

@@ -79,15 +79,22 @@ ElsaScheduler::ElsaScheduler(const profile::ModelRepertoire& repertoire,
     throw std::invalid_argument("ElsaScheduler: empty model repertoire");
   }
   Validate();
+  // One table row per partition size some model profiles, numbered in
+  // ascending size order.
   table_models_ = repertoire.size();
   for (int m = 0; m < table_models_; ++m) {
-    const std::vector<int>& sizes = repertoire.profile(m).partition_sizes();
-    if (!sizes.empty()) table_gpcs_ = std::max(table_gpcs_, sizes.back() + 1);
+    for (const int gpcs : repertoire.profile(m).partition_sizes()) {
+      const auto g = static_cast<std::size_t>(gpcs);
+      if (g >= size_row_.size()) size_row_.resize(g + 1, -1);
+      size_row_[g] = 0;  // profiled; numbered below
+    }
+  }
+  for (int& row : size_row_) {
+    if (row == 0) row = table_sizes_++;
   }
   table_batches_ = repertoire.max_batch() + 1;
-  table_.resize(static_cast<std::size_t>(table_models_) *
-                static_cast<std::size_t>(table_gpcs_) *
-                static_cast<std::size_t>(table_batches_));
+  rows_.resize(static_cast<std::size_t>(table_models_) *
+               static_cast<std::size_t>(table_sizes_));
 }
 
 void ElsaScheduler::Validate() const {
@@ -158,20 +165,24 @@ ElsaScheduler::Thresholds ElsaScheduler::Derive(int model_id, int gpcs,
   return t;
 }
 
-ElsaScheduler::Thresholds ElsaScheduler::ThresholdsAt(int model_id, int gpcs,
+ElsaScheduler::Thresholds ElsaScheduler::ThresholdsAt(int model_id,
+                                                      const SizeRun& run,
                                                       int batch) {
-  if (model_id < 0 || model_id >= table_models_ || gpcs < 0 ||
-      gpcs >= table_gpcs_ || batch < 0 || batch >= table_batches_) {
-    return Derive(model_id, gpcs, batch);
+  if (model_id < 0 || model_id >= table_models_ || run.size_row < 0 ||
+      batch < 0 || batch >= table_batches_) {
+    return Derive(model_id, run.gpcs, batch);
   }
-  Thresholds& entry =
-      table_[(static_cast<std::size_t>(model_id) *
-                  static_cast<std::size_t>(table_gpcs_) +
-              static_cast<std::size_t>(gpcs)) *
-                 static_cast<std::size_t>(table_batches_) +
-             static_cast<std::size_t>(batch)];
+  std::unique_ptr<Thresholds[]>& row =
+      rows_[static_cast<std::size_t>(model_id) *
+                static_cast<std::size_t>(table_sizes_) +
+            static_cast<std::size_t>(run.size_row)];
+  if (!row) {
+    row = std::make_unique<Thresholds[]>(
+        static_cast<std::size_t>(table_batches_));
+  }
+  Thresholds& entry = row[static_cast<std::size_t>(batch)];
   if (entry.free_limit == Thresholds::kUnfilled) {
-    entry = Derive(model_id, gpcs, batch);
+    entry = Derive(model_id, run.gpcs, batch);
   }
   return entry;
 }
@@ -183,7 +194,11 @@ void ElsaScheduler::BuildRuns(const WorkerView& view) {
     const int gpcs = view.Get(k).gpcs;
     std::size_t e = k + 1;
     while (e < n && view.Get(e).gpcs == gpcs) ++e;
-    runs_.push_back(SizeRun{gpcs, static_cast<std::uint32_t>(k),
+    const int size_row =
+        gpcs >= 0 && static_cast<std::size_t>(gpcs) < size_row_.size()
+            ? size_row_[static_cast<std::size_t>(gpcs)]
+            : -1;
+    runs_.push_back(SizeRun{gpcs, size_row, static_cast<std::uint32_t>(k),
                             static_cast<std::uint32_t>(e)});
     k = e;
   }
@@ -237,8 +252,7 @@ int ElsaScheduler::Decide(const workload::Query& query,
   // worker qualifies at wait <= T(0); one whose resident model would be
   // displaced pays Tswap inside Twait and qualifies at wait <= T(Tswap).
   for (const SizeRun& run : runs_) {
-    const Thresholds t =
-        ThresholdsAt(query.model_id, run.gpcs, query.batch);
+    const Thresholds t = ThresholdsAt(query.model_id, run, query.batch);
     if (t.free_limit < 0) continue;
     for (std::size_t from = run.begin; from < run.end;) {
       const int p = view.FirstWaitAtMost(from, run.end, t.free_limit);
@@ -276,8 +290,7 @@ int ElsaScheduler::Decide(const workload::Query& query,
   for (const SizeRun& run : runs_) {
     const SimTime min_wait = view.MinWait(run.begin, run.end);
     if (min_wait == WorkerView::kNoWait) continue;
-    const double tnew =
-        ThresholdsAt(query.model_id, run.gpcs, query.batch).tnew;
+    const double tnew = ThresholdsAt(query.model_id, run, query.batch).tnew;
     const double floor = Completion(min_wait, 0.0, tnew);
     if (best >= 0 && !(floor < t_min)) continue;
     const double ceiling = Completion(min_wait, swap_charge, tnew);
@@ -312,8 +325,7 @@ int ElsaScheduler::Decide(const workload::Query& query,
 int ElsaScheduler::FirstLocalWorker(const workload::Query& query,
                                     const WorkerView& view, double bound) {
   for (const SizeRun& run : runs_) {
-    const Thresholds t =
-        ThresholdsAt(query.model_id, run.gpcs, query.batch);
+    const Thresholds t = ThresholdsAt(query.model_id, run, query.batch);
     const SimTime limit =
         std::min(t.free_limit, CompletionThreshold(t.tnew, bound));
     for (std::size_t from = run.begin; from < run.end;) {

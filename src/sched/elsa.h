@@ -25,11 +25,13 @@
 // keeps a threshold table: per key, Testimated,new, T(0) and T(swap
 // charge), each derived once -- from an algebraic guess corrected by
 // evaluating the Eq. 2 expression itself -- on the key's first arrival
-// and never invalidated (the repertoire's profiles never change).  A key
-// off the table's grid (a batch past the repertoire's largest, an
-// unprofiled size past the largest profiled one) is derived on every
-// call, exactly as a table fill would be, and so throws what the profile
-// lookup throws.  Step A, the locality tie-break and Step B read the
+// and never invalidated (the repertoire's profiles never change).  The
+// table keeps one row of batches per (model, profiled size), allocated
+// on its first use, so sizes no model profiles and rows no arrival reads
+// cost nothing.  A key off the table (a batch past the repertoire's
+// largest, a size no model profiles) is derived on every call, exactly
+// as a table fill would be, and so throws what the profile lookup
+// throws.  Step A, the locality tie-break and Step B read the
 // table; each asks the WorkerView for the leftmost worker at or under a
 // threshold (FirstWaitAtMost), and Step B takes each run's minimum wait
 // (MinWait) and finds the leftmost worker whose completion ties it the
@@ -50,6 +52,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "profile/model_repertoire.h"
@@ -113,9 +116,11 @@ class ElsaScheduler final : public Scheduler {
   double SlackSec(const WorkerState& worker, int model_id, int batch) const;
 
  private:
-  // One equal-size run of view positions, [begin, end).
+  // One equal-size run of view positions, [begin, end), and the
+  // threshold table's row index for its size (-1: no model profiles it).
   struct SizeRun {
     int gpcs = 0;
+    int size_row = -1;
     std::uint32_t begin = 0;
     std::uint32_t end = 0;
   };
@@ -143,9 +148,9 @@ class ElsaScheduler final : public Scheduler {
   static SimTime CompletionThreshold(double tnew, double bound);
   // The entry of (model_id, gpcs, batch): derived from the profile here.
   Thresholds Derive(int model_id, int gpcs, int batch) const;
-  // The table's entry, filled on first use; a key off the table's grid
-  // is derived on every call.
-  Thresholds ThresholdsAt(int model_id, int gpcs, int batch);
+  // The table's entry for a query of `model_id` and `batch` on `run`,
+  // filled on first use; a key off the table is derived on every call.
+  Thresholds ThresholdsAt(int model_id, const SizeRun& run, int batch);
 
   // Splits a (gpcs, index)-ordered view into runs_.
   void BuildRuns(const WorkerView& view);
@@ -162,12 +167,15 @@ class ElsaScheduler final : public Scheduler {
   double sla_sec_;
   ElsaParams params_;
 
-  // The threshold table over models [0, table_models_), partition sizes
-  // [0, table_gpcs_) and batches [0, table_batches_), batch fastest.
+  // The threshold table: per (model, profiled partition size), one row
+  // over batches [0, table_batches_), allocated on the row's first use.
+  // size_row_[gpcs] is the row index of a size some model profiles, -1
+  // for any other size; rows_ is model-major over those sizes.
   int table_models_ = 0;
-  int table_gpcs_ = 0;
+  int table_sizes_ = 0;
   int table_batches_ = 0;
-  std::vector<Thresholds> table_;
+  std::vector<int> size_row_;
+  std::vector<std::unique_ptr<Thresholds[]>> rows_;
 
   // Cached across arrivals while a stable view's layout_version() holds.
   std::vector<SizeRun> runs_;

@@ -12,9 +12,9 @@ namespace {
 // width derived from the actual event density.
 constexpr SimTime kInitialWidth = SimTime{1} << 20;
 
-// Width cap so Horizon() (num_buckets * width) can never overflow SimTime:
-// 2^16 buckets * 2^40 ticks = 2^56 < 2^63.  Events farther out than the
-// capped horizon simply wait in the spill across several re-anchors.
+// Width cap so the wheel's span (num_buckets * width) stays within 2^56:
+// 2^16 buckets * 2^40 ticks.  Events farther out than the capped horizon
+// simply wait in the spill across several re-anchors.
 constexpr SimTime kMaxWidth = SimTime{1} << 40;
 
 constexpr std::size_t kMinBuckets = 64;
@@ -60,7 +60,7 @@ void EventCalendar::Clear() {
 }
 
 void EventCalendar::Place(const Event& ev) {
-  if (ev.time >= Horizon()) {
+  if (PastHorizon(ev.time)) {
     // Far future: the spill absorbs it until a re-anchor promotes it.
     overflow_.push_back(ev);
     overflow_sorted_ = overflow_sorted_ && overflow_.size() == 1;
@@ -109,8 +109,7 @@ void EventCalendar::ReAnchor() {
   // Promote everything inside the new horizon (at least the minimum --
   // base_ <= min_time < base_ + width_ -- so re-anchoring always makes
   // progress even against a wider-than-horizon spill).
-  const SimTime horizon = Horizon();
-  while (!overflow_.empty() && overflow_.back().time < horizon) {
+  while (!overflow_.empty() && !PastHorizon(overflow_.back().time)) {
     const Event& ev = overflow_.back();
     buckets_[static_cast<std::size_t>((ev.time - base_) / width_)].push_back(
         ev);

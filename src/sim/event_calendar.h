@@ -96,8 +96,15 @@ class EventCalendar {
   void ReAnchor();      // wheel exhausted: promote from the sorted spill
   void Rebuild();       // scan pressure: re-derive geometry from content
   void Place(const Event& ev);  // wheel/spill placement (no size_ change)
-  SimTime Horizon() const {
-    return base_ + static_cast<SimTime>(num_buckets_) * width_;
+  // True iff `time` is at or past the wheel's horizon, base_ +
+  // num_buckets_ * width_.  Compared as an unsigned offset from base_, so
+  // a wheel anchored within its span of 2^63 -- an event at INT64_MAX is
+  // legal -- never forms the overflowing sum.
+  bool PastHorizon(SimTime time) const {
+    if (time < base_) return false;
+    const std::uint64_t offset =
+        static_cast<std::uint64_t>(time) - static_cast<std::uint64_t>(base_);
+    return offset >= static_cast<std::uint64_t>(width_) * num_buckets_;
   }
 
   std::vector<std::vector<Event>> buckets_;  // the wheel, one per window

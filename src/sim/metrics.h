@@ -14,41 +14,55 @@
 
 namespace pe::sim {
 
+// One query's life on one server: the engine keeps one per injected query
+// and nothing else, so its 48 bytes are the engine's per-query memory.
+// Every narrowed field is checked where its value enters the engine and
+// throws, naming the field, rather than wrap.
 struct QueryRecord {
-  std::uint64_t id = 0;
-  int batch = 1;
-  // Model identity (repertoire id); 0 for single-model runs.
-  int model = 0;
   SimTime arrival = 0;     // enters the server
   SimTime dispatched = 0;  // bound to a worker (== arrival unless queued)
   SimTime started = 0;     // execution begins on the GPU partition
   SimTime finished = 0;    // execution completes
-  int worker = -1;
-  int worker_gpcs = 0;
-  // True when starting this query displaced a different resident model on
-  // its partition (the server charged the model-swap penalty, if any).
-  bool model_swap = false;
+  // The engine's dense query id; InjectQuery throws past 2^32 queries.
+  std::uint32_t id = 0;
+  // The worker's index, -1 until it starts; BuildWorkers throws past
+  // 32,767 partitions.
+  std::int16_t worker = -1;
+  // InjectQuery throws on a batch outside [0, 65,535].
+  std::uint16_t batch = 1;
+  // Model identity (repertoire id); 0 for single-model runs.
+  // ModelRepertoire holds at most 65,535 models.
+  std::uint16_t model = 0;
   // Number of live-reconfiguration windows this query waited through while
   // queued (held at arrival, already central-queued, or orphaned from a
   // retired partition's local queue).  0 in any run without
-  // reconfigurations; the downtime itself lands in QueueDelay().
-  int reconfig_stalls = 0;
+  // reconfigurations; the downtime itself lands in QueueDelay().  An
+  // increment past 65,535 throws std::overflow_error.
+  std::uint16_t reconfig_stalls = 0;
+  // Times a worker failure re-queued this query on its server; an
+  // increment past 65,535 throws std::overflow_error.  A fleet retry is a
+  // new record on its target server, not a count here.
+  std::uint16_t retries = 0;
+  // The worker's partition size; BuildWorkers throws on a partition wider
+  // than 255 GPCs.
+  std::uint8_t worker_gpcs = 0;
+  // True when starting this query displaced a different resident model on
+  // its partition (the server charged the model-swap penalty, if any).
+  bool model_swap : 1 = false;
   // Fault outcome of this attempt.  `failed`: the query was on a worker
   // (or held by a server) that failed before completing it -- `finished`
   // holds the failure instant, not a completion.  `shed`: the per-query
   // deadline expired before the query could start, so the server dropped
   // it.  Both are excluded from latency statistics and tallied separately
   // (ServerStats::failed / shed).  Always false without fault injection.
-  bool failed = false;
-  bool shed = false;
-  // Times this query was re-placed because of a fault: local re-queues
-  // after a worker failure, plus (for fleet re-injections) the attempt
-  // number the failover driver stamped on this record.
-  int retries = 0;
+  bool failed : 1 = false;
+  bool shed : 1 = false;
 
   SimTime Latency() const { return finished - arrival; }
   SimTime QueueDelay() const { return started - arrival; }
 };
+static_assert(sizeof(QueryRecord) == 48,
+              "QueryRecord is the engine's per-query memory");
 
 struct WorkerStats {
   int index = 0;

@@ -42,6 +42,34 @@ std::uint64_t NextLayoutVersion() {
   throw std::overflow_error(oss.str());
 }
 
+// Throws std::invalid_argument unless a QueryRecord can name every worker
+// of `layout`: worker indices are int16 and partition sizes uint8.
+void CheckLayoutFitsRecords(const std::vector<int>& layout) {
+  if (layout.size() > 32'767) {
+    throw std::invalid_argument(
+        "InferenceServer: a layout of " + std::to_string(layout.size()) +
+        " partitions passes the 32,767 QueryRecord::worker can index");
+  }
+  for (const int gpcs : layout) {
+    if (gpcs > 255) {
+      throw std::invalid_argument(
+          "InferenceServer: a partition of " + std::to_string(gpcs) +
+          " GPCs passes the 255 QueryRecord::worker_gpcs can hold");
+    }
+  }
+}
+
+// Adds one to a record's 16-bit counter `field`, which must not wrap.
+void CountUp(std::uint16_t& counter, const char* field) {
+  if (counter == std::numeric_limits<std::uint16_t>::max()) {
+    std::string message = "InferenceServer: QueryRecord::";
+    message += field;
+    message += " would pass 65,535";
+    throw std::overflow_error(message);
+  }
+  ++counter;
+}
+
 }  // namespace
 
 std::size_t InferenceServer::LiveWorkerView::size() const {
@@ -194,6 +222,7 @@ void InferenceServer::Reset() {
 }
 
 void InferenceServer::BuildWorkers(const std::vector<int>& partition_gpcs) {
+  CheckLayoutFitsRecords(partition_gpcs);
   // Workers ordered by ascending partition size (then creation order);
   // FIFS's "first idle" scan and ELSA's Step A both rely on this order
   // being stable and size-ascending.
@@ -313,8 +342,9 @@ void InferenceServer::StartHead(PartitionWorker& worker, SimTime now) {
   view_.Sync(worker);
   QueryRecord& rec = records_[q.id];
   rec.started = now;
-  rec.worker = worker.index();
-  rec.worker_gpcs = worker.gpcs();
+  // BuildWorkers bounds both narrowings.
+  rec.worker = static_cast<std::int16_t>(worker.index());
+  rec.worker_gpcs = static_cast<std::uint8_t>(worker.gpcs());
   rec.model_swap = swap;
   // The completion's seq is remembered per worker so a mid-flight failure
   // can cancel it (see FailWorker / stale_done_).
@@ -328,7 +358,7 @@ void InferenceServer::Dispatch(const workload::Query& query, SimTime now) {
   if (reconfiguring_) {
     // Held for the drain + downtime window; re-dispatched (in order,
     // behind carried-over orphans) when the new layout comes up.
-    ++records_[query.id].reconfig_stalls;
+    CountUp(records_[query.id].reconfig_stalls, "reconfig_stalls");
     central_queue_.push_back(query);
     return;
   }
@@ -402,11 +432,18 @@ void InferenceServer::InjectQuery(const workload::Query& query) {
     throw std::invalid_argument(
         "InferenceServer: too many queries for one run");
   }
+  if (query.batch < 0 ||
+      query.batch > std::numeric_limits<std::uint16_t>::max()) {
+    throw std::invalid_argument(
+        "InferenceServer: query batch " + std::to_string(query.batch) +
+        " is outside QueryRecord::batch's [0, 65535]");
+  }
   const auto index = static_cast<std::uint32_t>(records_.size());
   QueryRecord rec;
-  rec.id = query.id;
-  rec.batch = query.batch;
-  rec.model = query.model_id;
+  rec.id = index;
+  rec.batch = static_cast<std::uint16_t>(query.batch);
+  // The repertoire holds at most 65,535 models (ModelRepertoire::Register).
+  rec.model = static_cast<std::uint16_t>(query.model_id);
   rec.arrival = query.arrival;
   records_.push_back(rec);
   const std::uint64_t seq = next_seq_++;
@@ -443,6 +480,7 @@ void InferenceServer::BeginReconfigure(std::vector<int> new_layout,
           "BeginReconfigure: partition sizes must be >= 1 GPC");
     }
   }
+  CheckLayoutFitsRecords(new_layout);
   if (downtime < 0) {
     throw std::invalid_argument("BeginReconfigure: negative downtime");
   }
@@ -459,7 +497,9 @@ void InferenceServer::BeginReconfigure(std::vector<int> new_layout,
   } else {
     // Queries already waiting centrally are now additionally delayed by
     // this window; arrivals during the window are marked as they land.
-    for (const auto& q : central_queue_) ++records_[q.id].reconfig_stalls;
+    for (const auto& q : central_queue_) {
+      CountUp(records_[q.id].reconfig_stalls, "reconfig_stalls");
+    }
   }
   reconfiguring_ = true;
   reconfig_ready_ = ready;
@@ -499,7 +539,7 @@ void InferenceServer::CompleteReconfigure(SimTime now) {
   std::deque<workload::Query> held = std::move(central_queue_);
   central_queue_.clear();
   for (const workload::Query& q : orphans) {
-    ++records_[q.id].reconfig_stalls;
+    CountUp(records_[q.id].reconfig_stalls, "reconfig_stalls");
     const int idx = ConsultScheduler(q, /*orphan=*/true);
     if (idx == sched::kNoAssignment) {
       if (!scheduler_.UsesCentralQueue()) {
@@ -633,9 +673,9 @@ std::vector<workload::Query> InferenceServer::FailWorker(int index,
   if (requeue_orphans) {
     for (const workload::Query& q : orphans) {
       QueryRecord& rec = records_[q.id];
-      ++rec.retries;
+      CountUp(rec.retries, "retries");
       if (reconfiguring_) {
-        ++rec.reconfig_stalls;
+        CountUp(rec.reconfig_stalls, "reconfig_stalls");
         central_queue_.push_back(q);
         continue;
       }

@@ -23,9 +23,9 @@
 //    ActualTicks reads the repertoire's ground-truth memo, which every
 //    engine over the same repertoire (or a Subset of it) shares, so a
 //    cell's LatencyFn runs once per zoo rather than once per engine;
-//  * per query, the engine keeps its QueryRecord and nothing else: an
-//    arrival or frontend-done event carries the record's index, and
-//    dispatch rebuilds the Query from the record;
+//  * per query, the engine keeps its 48-byte QueryRecord and nothing
+//    else: an arrival or frontend-done event carries the record's index,
+//    and dispatch rebuilds the Query from the record;
 //  * the scheduler consults a server-owned live WorkerView instead of an
 //    O(W) snapshot-vector rebuild per consultation -- draining a long
 //    central queue after a reconfiguration is no longer O(Q*W).  The view
@@ -139,7 +139,9 @@ class InferenceServer {
   // whose per-model tables provide the scheduler estimates and whose
   // latency functions provide the ground truth; a single-model server
   // serves a one-entry repertoire.  `repertoire` must be non-empty, and it
-  // and `scheduler` must outlive the server.
+  // and `scheduler` must outlive the server.  Every layout, this one or a
+  // BeginReconfigure target, must fit a QueryRecord: at most 32,767
+  // partitions of at most 255 GPCs, or std::invalid_argument.
   InferenceServer(ServerConfig config,
                   const profile::ModelRepertoire& repertoire,
                   sched::Scheduler& scheduler);
@@ -149,14 +151,15 @@ class InferenceServer {
   // InjectTrace(trace) + Finish().
   SimResult Run(const workload::QueryTrace& trace);
 
-  // Span form: same semantics over a borrowed query sequence -- lets the
-  // fleet tier replay an arena slice (fleet::TraceSplit) without copying
-  // it into a QueryTrace first.
+  // Span form: same semantics over a borrowed query sequence, which need
+  // not be a QueryTrace.
   SimResult Run(std::span<const workload::Query> queries);
 
   // --- Incremental driving API ---------------------------------------
   // Feeds one arrival.  Ids must stay dense (query.id == number of queries
-  // injected so far) and arrivals must not predate the current time.
+  // injected so far), arrivals must not predate the current time, and the
+  // batch must lie in [0, 65,535] (QueryRecord::batch), or
+  // std::invalid_argument.
   // Until the engine schedules its first event, injections that keep time
   // order cost one QueryRecord each; any other (out of time order, or
   // later -- a fault driver's retries) also costs one calendar event.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -121,6 +122,31 @@ TEST(EventCalendar, RandomizedStreamMatchesSortReference) {
     const SimTime spike =
         rng.UniformInt(0, 19) == 0 ? SecToTicks(5.0) : SimTime{0};
     events.push_back(Ev(spike + UsToTicks(10.0 * coarse), seq));
+  }
+  for (const Event& e : events) calendar.Push(e);
+  ExpectDrainsSorted(calendar, events);
+}
+
+// A completion may legally finish at INT64_MAX, so the wheel can anchor
+// within its own span of 2^63; its horizon must never be formed as an
+// overflowing sum, and the event there must still pop.
+TEST(EventCalendar, EventAtTheEndOfTimePops) {
+  EventCalendar calendar;
+  const std::vector<Event> events = {
+      Ev(std::numeric_limits<SimTime>::max(), 0), Ev(5, 1)};
+  for (const Event& e : events) calendar.Push(e);
+  ExpectDrainsSorted(calendar, events);
+}
+
+TEST(EventCalendar, WheelAnchoredNearTheEndOfTimeDrainsInOrder) {
+  // Forty events 1 s apart, ending 1,000 ticks short of INT64_MAX: the
+  // re-anchored wheel (128 buckets of about 1 s) spans past 2^63.
+  EventCalendar calendar;
+  std::vector<Event> events;
+  const SimTime last = std::numeric_limits<SimTime>::max() - 1000;
+  for (std::uint64_t seq = 0; seq < 40; ++seq) {
+    const SimTime t = last - static_cast<SimTime>(39 - seq) * kNsPerSec;
+    events.push_back(Ev(t, seq));
   }
   for (const Event& e : events) calendar.Push(e);
   ExpectDrainsSorted(calendar, events);

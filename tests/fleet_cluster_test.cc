@@ -145,7 +145,7 @@ TEST(Cluster, ServerStreamUsedInFleetIsThePureDerivedOne) {
   sc.seed = Cluster::ServerSeed(33, 0);
   sched::FifsScheduler fifs;
   sim::InferenceServer solo(sc, cluster->server_repertoire(0), fifs);
-  const auto expected = solo.Run(split.Server(0));
+  const auto expected = solo.Run(LocalQueries(split, cluster->placement(), 0));
   EXPECT_TRUE(SameRecords(fleet_run.per_server[0], expected));
 }
 

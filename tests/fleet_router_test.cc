@@ -206,13 +206,13 @@ TEST(SplitTrace, DenseLocalIdsAndModelRemap) {
   const auto split = SplitTrace(trace, *router, placement);
 
   ASSERT_EQ(split.num_servers(), 4);
-  ASSERT_EQ(split.arena.size(), trace.size());
+  ASSERT_EQ(split.trace, &trace);
   ASSERT_EQ(split.global_ids.size(), trace.size());
   std::size_t total = 0;
   std::vector<bool> seen(trace.size(), false);
   for (int s = 0; s < 4; ++s) {
     const auto& sp = placement.server(s);
-    const auto queries = split.Server(s);
+    const auto queries = LocalQueries(split, placement, s);
     const auto gids = split.GlobalIds(s);
     ASSERT_EQ(gids.size(), queries.size());
     for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -245,7 +245,8 @@ TEST(SplitTrace, SplitMatchesCheckedInDigest) {
     auto router = MakeRouter(RouterPolicy::kPowerOfTwo, fleet.placement,
                              &fleet.zoo, /*seed=*/71);
     const auto split = SplitTrace(fleet.trace, *router, fleet.placement, jobs);
-    testing::ExpectDigest(testing::DigestSplit(split), 0x9df1d048a24099ef,
+    testing::ExpectDigest(testing::DigestSplit(split, fleet.placement),
+                          0x9df1d048a24099ef,
                           "po2c split, jobs " + std::to_string(jobs));
   }
 }
@@ -291,10 +292,10 @@ TEST(SplitByAssignment, DropsPreShedQueriesAndKeepsDenseIds) {
     ++dropped;
   }
   const auto split = SplitByAssignment(trace, assignment, placement);
-  ASSERT_EQ(split.arena.size(), trace.size() - dropped);
+  ASSERT_EQ(split.global_ids.size(), trace.size() - dropped);
   std::size_t total = 0;
   for (int s = 0; s < 3; ++s) {
-    const auto queries = split.Server(s);
+    const auto queries = LocalQueries(split, placement, s);
     const auto gids = split.GlobalIds(s);
     for (std::size_t i = 0; i < queries.size(); ++i) {
       EXPECT_EQ(queries[i].id, i);  // dense after the drops

@@ -75,15 +75,20 @@ inline std::uint64_t DigestAssignment(const std::vector<int>& assignment) {
   return h.value();
 }
 
-inline std::uint64_t DigestSplit(const fleet::TraceSplit& split) {
+// The offsets, the global ids, then every server's rows as its engine
+// sees them (fleet::LocalQueries), server by server.
+inline std::uint64_t DigestSplit(const fleet::TraceSplit& split,
+                                 const fleet::PlacementMap& placement) {
   Fnv1a h;
   for (const std::size_t o : split.offsets) h.Add(o);
   for (const std::uint64_t g : split.global_ids) h.Add(g);
-  for (const workload::Query& q : split.arena) {
-    h.Add(q.id);
-    h.AddSigned(q.arrival);
-    h.AddSigned(q.batch);
-    h.AddSigned(q.model_id);
+  for (int s = 0; s < split.num_servers(); ++s) {
+    for (const workload::Query& q : fleet::LocalQueries(split, placement, s)) {
+      h.Add(q.id);
+      h.AddSigned(q.arrival);
+      h.AddSigned(q.batch);
+      h.AddSigned(q.model_id);
+    }
   }
   return h.value();
 }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "one_model.h"
+#include "sched/baselines.h"
 #include "sched/elsa.h"
 #include "sched/fifs.h"
 
@@ -246,6 +247,95 @@ TEST(InferenceServer, RejectsNonDenseQueryIds) {
   qs[0].id = 5;
   workload::QueryTrace trace(std::move(qs));
   EXPECT_THROW(server.Run(trace), std::invalid_argument);
+}
+
+// The record is the engine's per-query memory: every narrowed field is
+// checked where its value enters, and a misfit throws naming the field
+// instead of wrapping.
+static_assert(sizeof(QueryRecord) == 48);
+
+// Runs `body`, which must throw an E whose message names `field`.
+template <typename E, typename Body>
+void ExpectThrowNaming(Body body, const std::string& field) {
+  try {
+    body();
+    ADD_FAILURE() << "nothing thrown; expected an error naming " << field;
+  } catch (const E& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(InferenceServer, RejectsABatchTheRecordCannotHold) {
+  const auto rep = testing::ToyModel();
+  sched::FifsScheduler fifs;
+  InferenceServer server(Config({7}), rep, fifs);
+  for (const int batch : {-1, 65'536}) {
+    workload::Query q;
+    q.batch = batch;
+    ExpectThrowNaming<std::invalid_argument>([&] { server.InjectQuery(q); },
+                                             "QueryRecord::batch");
+  }
+  for (const int batch : {0, 65'535}) {
+    workload::Query q;
+    q.id = batch == 0 ? 0 : 1;
+    q.batch = batch;
+    EXPECT_NO_THROW(server.InjectQuery(q)) << "batch " << batch;
+  }
+}
+
+TEST(InferenceServer, RejectsLayoutsTheRecordCannotName) {
+  const auto rep = testing::ToyModel();
+  sched::FifsScheduler fifs;
+  const std::vector<int> too_many(32'768, 1);
+  ExpectThrowNaming<std::invalid_argument>(
+      [&] { InferenceServer server(Config(too_many), rep, fifs); },
+      "QueryRecord::worker ");
+  ExpectThrowNaming<std::invalid_argument>(
+      [&] { InferenceServer server(Config({1, 256}), rep, fifs); },
+      "QueryRecord::worker_gpcs");
+  // A reconfiguration target is checked when it is requested.
+  InferenceServer server(Config({7}), rep, fifs);
+  ExpectThrowNaming<std::invalid_argument>(
+      [&] { server.BeginReconfigure(too_many, 0); }, "QueryRecord::worker ");
+  ExpectThrowNaming<std::invalid_argument>(
+      [&] { server.BeginReconfigure({256}, 0); }, "QueryRecord::worker_gpcs");
+  // The limits themselves fit.
+  EXPECT_NO_THROW(InferenceServer(Config(std::vector<int>(32'767, 1)), rep,
+                                  fifs));
+  EXPECT_NO_THROW(InferenceServer(Config({255}), rep, fifs));
+}
+
+TEST(InferenceServer, RejectsARetryCountTheRecordCannotHold) {
+  // JSQ over two 1-GPC workers (10 ms a query).  Queries 0 and 1 start on
+  // workers 0 and 1 and query 2 queues behind query 0.  Each round fails
+  // the worker query 2 waits on -- killing its running query and
+  // re-queueing query 2 on the other, busy worker (one retry) -- then
+  // recovers it and hands it a fresh query, so query 2 never starts.
+  const auto rep = testing::ToyModel();
+  sched::JsqScheduler jsq;
+  InferenceServer server(Config({1, 1}), rep, jsq);
+  std::uint64_t next_id = 0;
+  const auto inject = [&] {
+    workload::Query q;
+    q.id = next_id++;
+    q.arrival = server.now();
+    q.batch = 32;
+    server.InjectQuery(q);
+  };
+  for (int k = 0; k < 3; ++k) inject();
+  server.AdvanceTo(1);
+  int holder = 0;  // the worker query 2 is queued on
+  for (int retries = 0; retries < 65'535; ++retries) {
+    const std::vector<workload::Query> killed = server.FailWorker(holder);
+    ASSERT_EQ(killed.size(), 1u) << "round " << retries;
+    server.RecoverWorker(holder);
+    inject();
+    server.AdvanceTo(server.now() + 1);
+    holder = 1 - holder;
+  }
+  ExpectThrowNaming<std::overflow_error>([&] { server.FailWorker(holder); },
+                                         "QueryRecord::retries");
 }
 
 TEST(InferenceServer, AllQueriesComplete) {
