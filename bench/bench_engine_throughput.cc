@@ -28,9 +28,13 @@
 //               must produce identical records (`fleet_identical_jobs1`).
 // Chaos and degraded-capacity legs follow (see below); `chaos_sec` is the
 // wall time of the faulted driver on the serverloss schedule.
+// PE_BENCH_SMOKE=1 shrinks every leg to a seconds-long smoke run;
+// PE_BENCH_JSON_DIR=<dir> writes <dir>/engine_throughput.json.
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -38,10 +42,10 @@
 #include <thread>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "core/fleet_runner.h"
+#include "core/result_io.h"
 #include "profile/model_repertoire.h"
 #include "sched/elsa.h"
 #include "sched/fifs.h"
@@ -52,6 +56,17 @@
 namespace {
 
 using namespace pe;  // NOLINT: bench-local convenience
+
+// PE_BENCH_SMOKE set to anything but empty/0/false/off/no, in any case.
+bool SmokeMode() {
+  const char* v = std::getenv("PE_BENCH_SMOKE");
+  std::string s = v == nullptr ? "" : v;
+  std::transform(s.begin(), s.end(), s.begin(),
+                 [](unsigned char c) { return std::tolower(c); });
+  return !(s.empty() || s == "0" || s == "false" || s == "off" || s == "no");
+}
+
+std::size_t Queries(std::size_t n) { return SmokeMode() ? 500 : n; }
 
 const std::vector<std::string>& MixModels() {
   static const std::vector<std::string> kModels = {"resnet", "mobilenet",
@@ -154,10 +169,14 @@ double MeasureStage(Table& table, const std::string& stage,
 }  // namespace
 
 int main() {
-  using pe::bench::SmokeMode;
-  pe::bench::PrintHeader(
-      "Engine throughput (simulated queries / wall-clock second)",
-      "absolute numbers; behaviour pinned by the golden digests in tests/");
+  std::cout << "==================================================\n"
+               "Engine throughput (simulated queries / wall-clock second)\n"
+               "absolute numbers; behaviour pinned by the golden digests in "
+               "tests/\n==================================================\n\n";
+  if (SmokeMode()) {
+    std::cerr << "note: PE_BENCH_SMOKE is set -- reduced work; numbers are "
+                 "NOT meaningful\n";
+  }
 
   const auto repertoire = profile::BuildZooRepertoire(MixModels());
   // Strictest per-model SLA rule across the mix (Section V shape).
@@ -167,7 +186,7 @@ int main() {
     sla = std::max(sla, SecToTicks(1.5 * sec));
   }
 
-  const std::size_t num_queries = pe::bench::Queries(60000);
+  const std::size_t num_queries = Queries(60000);
   const int reps = SmokeMode() ? 1 : 2;
 
   Table table({"workers", "workload", "sched", "queries", "engine_qps"});
@@ -222,7 +241,7 @@ int main() {
   // Fleet-scaling leg: the same 4-model mix behind a sharded router
   // tier, each pipeline stage timed on its own.
   const int fleet_servers = SmokeMode() ? 4 : 100;
-  const std::size_t fleet_queries = pe::bench::Queries(1'000'000);
+  const std::size_t fleet_queries = Queries(1'000'000);
   core::FleetTestbedConfig fleet_config;
   for (const auto& name : MixModels()) {
     core::MixModelConfig m;
@@ -490,6 +509,20 @@ int main() {
   data.Set("degraded_shed_repartition", degraded.shed);
   data.Set("degraded_shed_routing_only", degraded_shed_routing_only);
   data.Set("degraded_repartitions", degraded.repartitions);
-  pe::bench::WriteReport("engine_throughput", std::move(data));
+  // CI gates the fleet, chaos and degraded fields: rename them only with
+  // the workflow.
+  if (const char* dir = std::getenv("PE_BENCH_JSON_DIR"); dir && *dir) {
+    auto report =
+        core::MakeBenchReport("engine_throughput", SmokeMode(), fleet_jobs);
+    report.Set("data", std::move(data));
+    const std::string path = std::string(dir) + "/engine_throughput.json";
+    try {
+      core::WriteJsonFile(path, report);
+      std::cerr << "json: " << path << "\n";
+    } catch (const std::exception& e) {
+      // A broken sink must not turn a finished run into a crash.
+      std::cerr << "warning: JSON report not written: " << e.what() << "\n";
+    }
+  }
   return 0;
 }

@@ -1,8 +1,8 @@
 // ASCII table and CSV output.
 //
-// The bench harness reproduces the paper's tables and figures as text: each
-// bench binary prints an aligned ASCII table (human-readable, diffable) and
-// can optionally emit the same rows as CSV for plotting.
+// The claims ledger, the benches and the CLI print their results as
+// aligned ASCII tables (human-readable, diffable); the CLI can emit the
+// same rows as CSV for plotting.
 #pragma once
 
 #include <ostream>

@@ -1,8 +1,10 @@
 #include "core/experiment.h"
 
 #include <algorithm>
-#include <cassert>
+#include <cmath>
 #include <iterator>
+#include <stdexcept>
+#include <string>
 
 #include "common/thread_pool.h"
 
@@ -29,7 +31,17 @@ ThroughputResult LatencyBoundedThroughput(const MixTestbed& testbed,
                                           double tail_bound_ms,
                                           const SearchOptions& options,
                                           sched::ElsaParams elsa) {
-  assert(tail_bound_ms > 0.0);
+  // An empty probe has p95 0, and a NaN bound is never exceeded: either
+  // would grow the bracket to max_rate_qps and report a cap never measured.
+  if (options.num_queries == 0) {
+    throw std::invalid_argument(
+        "LatencyBoundedThroughput: num_queries must be >= 1");
+  }
+  if (!std::isfinite(tail_bound_ms) || tail_bound_ms <= 0.0) {
+    throw std::invalid_argument(
+        "LatencyBoundedThroughput: tail_bound_ms must be finite and > 0, "
+        "got " + std::to_string(tail_bound_ms));
+  }
   // Bracket: grow the offered rate geometrically until the bound breaks.
   double lo = 0.0;
   double hi = options.initial_rate_qps;
@@ -102,10 +114,9 @@ std::vector<RatePoint> TailLatencyCurve(
 HomogeneousChoice BestHomogeneous(const MixTestbed& testbed, SchedulerKind kind,
                                   double tail_bound_ms,
                                   const SearchOptions& options) {
-  static constexpr int kSizes[] = {1, 2, 3, 7};
   const auto results = ParallelMap(
-      std::size(kSizes), options.jobs, [&](std::size_t i) {
-        const auto plan = testbed.PlanHomogeneous(kSizes[i]);
+      std::size(kHomogeneousSizes), options.jobs, [&](std::size_t i) {
+        const auto plan = testbed.PlanHomogeneous(kHomogeneousSizes[i]);
         return LatencyBoundedThroughput(testbed, plan, kind, tail_bound_ms,
                                         options);
       });
@@ -115,7 +126,7 @@ HomogeneousChoice BestHomogeneous(const MixTestbed& testbed, SchedulerKind kind,
   for (std::size_t i = 0; i < results.size(); ++i) {
     if (results[i].qps > best.qps) {
       best.qps = results[i].qps;
-      best.partition_gpcs = kSizes[i];
+      best.partition_gpcs = kHomogeneousSizes[i];
     }
   }
   return best;

@@ -41,7 +41,10 @@ struct ThroughputResult {
 };
 
 // Max offered rate whose p95 latency (ms) stays <= `tail_bound_ms`.
-// Uses a fresh scheduler instance per probe run.
+// Uses a fresh scheduler instance per probe run.  Throws
+// std::invalid_argument naming the field for zero options.num_queries or a
+// non-positive or non-finite bound (as do the entry points below, which
+// search through it).
 ThroughputResult LatencyBoundedThroughput(
     const MixTestbed& testbed, const partition::PartitionPlan& plan,
     SchedulerKind kind, double tail_bound_ms,
@@ -69,9 +72,13 @@ struct HomogeneousChoice {
   double qps = 0.0;         // its latency-bounded throughput
 };
 
-// Brute-force GPU(max): best homogeneous size among {1, 2, 3, 7} under the
-// given scheduler (the paper excludes GPU(4) because 7 GPCs/GPU strand 3
-// GPCs per A100 under GPU(4) homogeneous partitioning).  The four
+// GPU(max)'s candidate sizes, in the order ties resolve (the paper excludes
+// GPU(4) because 7 GPCs/GPU strand 3 GPCs per A100 under GPU(4)
+// homogeneous partitioning).
+inline constexpr int kHomogeneousSizes[] = {1, 2, 3, 7};
+
+// Brute-force GPU(max): best homogeneous size among kHomogeneousSizes
+// under the given scheduler, the first strictly greater winning.  The four
 // candidate searches are independent and fan out across `options.jobs`
 // threads.
 HomogeneousChoice BestHomogeneous(

@@ -3,9 +3,10 @@
 #include <cassert>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <stdexcept>
+
+#include "common/json_escape.h"
 
 namespace pe::core {
 
@@ -37,31 +38,6 @@ Json& Json::Add(Json value) {
   assert(kind_ == Kind::kArray);
   array_.push_back(std::move(value));
   return *this;
-}
-
-std::string Json::Escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 namespace {
@@ -97,7 +73,7 @@ void Json::DumpTo(std::string& out, int indent, int depth) const {
     case Kind::kDouble: AppendDouble(out, double_); break;
     case Kind::kString:
       out += '"';
-      out += Escape(string_);
+      out += JsonEscape(string_);
       out += '"';
       break;
     case Kind::kArray: {
@@ -125,7 +101,7 @@ void Json::DumpTo(std::string& out, int indent, int depth) const {
         if (i > 0) out += ',';
         if (indent > 0) AppendIndent(out, indent, depth + 1);
         out += '"';
-        out += Escape(object_[i].first);
+        out += JsonEscape(object_[i].first);
         out += "\":";
         if (indent > 0) out += ' ';
         object_[i].second.DumpTo(out, indent, depth + 1);
@@ -148,30 +124,6 @@ Json ToJson(const ThroughputResult& r) {
   j.Set("qps", r.qps);
   j.Set("p95_at_qps_ms", r.p95_at_qps_ms);
   return j;
-}
-
-Json ToJson(const RatePoint& p) {
-  Json j = Json::Object();
-  j.Set("offered_qps", p.offered_qps);
-  j.Set("achieved_qps", p.achieved_qps);
-  j.Set("p95_ms", p.p95_ms);
-  j.Set("mean_ms", p.mean_ms);
-  j.Set("violation_rate", p.violation_rate);
-  j.Set("utilization", p.utilization);
-  return j;
-}
-
-Json ToJson(const HomogeneousChoice& c) {
-  Json j = Json::Object();
-  j.Set("partition_gpcs", c.partition_gpcs);
-  j.Set("qps", c.qps);
-  return j;
-}
-
-Json ToJson(const std::vector<RatePoint>& curve) {
-  Json arr = Json::Array();
-  for (const auto& p : curve) arr.Add(ToJson(p));
-  return arr;
 }
 
 Json ToJson(const sim::ServerStats& s) {

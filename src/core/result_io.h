@@ -1,22 +1,22 @@
 // Machine-readable experiment results.
 //
-// Everything the experiment layer measures (ThroughputResult, RatePoint,
-// HomogeneousChoice) serializes to a small dependency-free JSON document so
-// benches, the CLI, and CI can exchange results without scraping tables.
+// What the experiment layer measures serializes to a small dependency-free
+// JSON document, so the CLI, the engine bench and CI exchange results
+// without scraping tables.
 //
 // Schema (stable; bump kResultSchema on breaking changes):
 //
 //   {
 //     "schema": "paris-elsa-bench-v1",
 //     "bench": "<bench or subcommand name>",
-//     "smoke": false,          // true when PE_BENCH_SMOKE reduced the work
+//     "smoke": false,          // true for bench_engine_throughput's
+//                              //   reduced-work smoke run
 //     "jobs": 4,               // threads used by the experiment engine
 //     "data": { ... }          // producer-specific payload built from the
 //   }                          //   ToJson() helpers below
 //
-// tools/run_all_benches.sh aggregates the per-bench documents into one
-//   { "schema": "paris-elsa-bench-results-v1", "benches": [ ... ] }
-// which CI uploads as the bench_results.json artifact.
+// The claims ledger (bench/claims.h) writes its own paris-elsa-claims-v1
+// document with the same Json tree.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +43,6 @@ class Json {
   Json(bool v) : kind_(Kind::kBool), bool_(v) {}                // NOLINT
   Json(double v) : kind_(Kind::kDouble), double_(v) {}          // NOLINT
   Json(int v) : kind_(Kind::kInt), int_(v) {}                   // NOLINT
-  Json(std::int64_t v) : kind_(Kind::kInt), int_(v) {}          // NOLINT
   Json(std::uint64_t v)                                         // NOLINT
       : kind_(Kind::kInt), int_(static_cast<std::int64_t>(v)) {}
   Json(std::string v)                                           // NOLINT
@@ -64,9 +63,6 @@ class Json {
   // compact single-line form.
   std::string Dump(int indent = 2) const;
 
-  // JSON string escaping for one scalar (shared with tests).
-  static std::string Escape(const std::string& s);
-
  private:
   enum class Kind { kNull, kBool, kInt, kDouble, kString, kArray, kObject };
 
@@ -84,9 +80,6 @@ class Json {
 // --- Experiment-type serializers --------------------------------------
 
 Json ToJson(const ThroughputResult& r);
-Json ToJson(const RatePoint& p);
-Json ToJson(const HomogeneousChoice& c);
-Json ToJson(const std::vector<RatePoint>& curve);
 
 // Simulation / elastic-serving serializers.  ToJson(ServerStats) omits the
 // per-worker breakdown (aggregate metrics only) and adds the per-model

@@ -7,10 +7,10 @@
 // truth for that assignment: per server the hosted model ids, the GPC
 // budget its layout was derived under, and the concrete partition
 // multiset; per model the replica set (the servers the router may send
-// its traffic to).  bench_mix_consolidation's dedicated-vs-consolidated
-// study samples exactly one point of this space (two single-model
-// "servers" vs one two-model server); the builders below generate whole
-// families of placements.
+// its traffic to).  The claims ledger's dedicated-vs-consolidated table
+// (bench/claims.cc) samples exactly one point of this space (two
+// single-model "servers" vs one two-model server); the builders below
+// generate whole families of placements.
 #pragma once
 
 #include <optional>

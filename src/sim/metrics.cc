@@ -224,8 +224,8 @@ void StatsAccumulator::Merge(StatsAccumulator&& other, int worker_base) {
     to.violations += from.violations;
     to.swaps += from.swaps;
     to.latency_sum += from.latency_sum;
-    to.latency.insert(to.latency.end(), from.latency.begin(),
-                      from.latency.end());
+    to.merged.push_back(std::move(from.latency));
+    for (auto& pool : from.merged) to.merged.push_back(std::move(pool));
   }
   for (const auto& variants : other.workers_) {
     for (const WorkerStats& from : variants) {
@@ -243,14 +243,22 @@ ServerStats StatsAccumulator::Finish() {
   stats.shed = shed_;
   std::size_t violations = 0;
   TickSum latency_sum = 0;
+  // A model's pools: its own, then the ones Merge moved in.
+  const auto model_pools = [](const Model& m) {
+    std::vector<std::span<const SimTime>> pools = {m.latency};
+    for (const auto& pool : m.merged) pools.emplace_back(pool);
+    return pools;
+  };
   std::vector<std::span<const SimTime>> pools;
+  std::size_t models = 0;  // with completions
   for (const Model& m : models_) {
     if (m.completed == 0) continue;
+    ++models;
     stats.completed += m.completed;
     stats.model_swaps += m.swaps;
     violations += m.violations;
     latency_sum += m.latency_sum;
-    pools.emplace_back(m.latency);
+    for (const auto pool : model_pools(m)) pools.push_back(pool);
   }
   if (stats.completed == 0) return stats;
 
@@ -278,15 +286,14 @@ ServerStats StatsAccumulator::Finish() {
     ms.model = static_cast<int>(id);
     ms.completed = m.completed;
     ms.mean_latency_ms = MeanMs(m.latency_sum, m.completed);
-    if (pools.size() > 1) {
+    if (models > 1) {
       const double ps[] = {95.0, 99.0};
       double tail[std::size(ps)];
-      const std::span<const SimTime> pool = m.latency;
-      PercentilesMs({&pool, 1}, ps, tail);
+      PercentilesMs(model_pools(m), ps, tail);
       ms.p95_latency_ms = tail[0];
       ms.p99_latency_ms = tail[1];
     } else {
-      // One model: its pool is the aggregate pool.
+      // One model: its pools are the aggregate pools.
       ms.p95_latency_ms = stats.p95_latency_ms;
       ms.p99_latency_ms = stats.p99_latency_ms;
     }

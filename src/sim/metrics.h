@@ -144,7 +144,7 @@ double TickPercentileMs(std::span<const SimTime> ticks, double p);
 //  * means are double(sum of ticks) / kNsPerMs / completed;
 //  * percentiles interpolate between closest ranks over the latencies
 //    in milliseconds, by TickPercentileMs's rule and its bucket
-//    selection -- the aggregate over every model's pool at once, with no
+//    selection -- the aggregate over every model's pools at once, with no
 //    merged copy;
 //  * workers are keyed by (index, gpcs) -- a live reconfiguration reuses
 //    indices -- and utilization is busy ticks over the span from the
@@ -161,7 +161,9 @@ class StatsAccumulator {
   void Add(const QueryRecord& r) { Add(r, r.model); }
 
   // Absorbs `other` (built with the same SLA target), shifting its worker
-  // indices by `worker_base`; `other` is left empty.
+  // indices by `worker_base`; `other` is left empty.  Its latency pools
+  // move in whole, never copied, so merging partials holds each latency
+  // once.
   void Merge(StatsAccumulator&& other, int worker_base = 0);
 
   // Statistics of everything added so far.
@@ -174,7 +176,8 @@ class StatsAccumulator {
     std::size_t violations = 0;
     std::size_t swaps = 0;
     TickSum latency_sum = 0;
-    std::vector<SimTime> latency;  // the completions' latency ticks
+    std::vector<SimTime> latency;  // latency ticks of the completions Added
+    std::vector<std::vector<SimTime>> merged;  // pools Merge moved in
   };
 
   WorkerStats& Worker(int index, int gpcs);

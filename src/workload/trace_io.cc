@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <istream>
 #include <limits>
@@ -13,41 +12,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/json_escape.h"
+
 namespace pe::workload {
 namespace {
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 // A minimal schema-directed JSON reader that tracks the input line so every
 // failure is reported as "trace_io: line N: ...".  It only implements what
@@ -112,6 +80,12 @@ class JsonReader {
             break;
           case '/':
             out += '/';
+            break;
+          case 'b':
+            out += '\b';
+            break;
+          case 'f':
+            out += '\f';
             break;
           case 'n':
             out += '\n';
@@ -289,12 +263,12 @@ void SaveTrace(std::ostream& os, const TraceDocument& doc) {
   os << "  \"schema\": \"" << kTraceSchema << "\",\n";
   os << "  \"time_unit\": \"ns\",\n";
   if (!doc.scenario.empty()) {
-    os << "  \"scenario\": \"" << EscapeJson(doc.scenario) << "\",\n";
+    os << "  \"scenario\": \"" << JsonEscape(doc.scenario) << "\",\n";
   }
   os << "  \"models\": [";
   for (std::size_t i = 0; i < doc.models.size(); ++i) {
     if (i > 0) os << ", ";
-    os << '"' << EscapeJson(doc.models[i]) << '"';
+    os << '"' << JsonEscape(doc.models[i]) << '"';
   }
   os << "],\n";
   os << "  \"queries\": [";

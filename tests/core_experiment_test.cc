@@ -1,5 +1,9 @@
 #include "core/experiment.h"
 
+#include <cmath>
+#include <stdexcept>
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace pe::core {
@@ -34,6 +38,57 @@ TEST(LatencyBoundedThroughput, ZeroForImpossibleBound) {
   const auto r = LatencyBoundedThroughput(tb, plan, SchedulerKind::kFifs,
                                           1e-3, FastSearch());
   EXPECT_EQ(r.qps, 0.0);
+}
+
+// What `fn` throws as std::invalid_argument ("" when it returns).
+template <typename Fn>
+std::string InvalidArgument(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// An empty probe has p95 0, so the bracket used to grow until the search
+// returned max_rate_qps (1,000,000 q/s) for any design.
+TEST(LatencyBoundedThroughput, RejectsZeroQueriesNamingTheField) {
+  const auto& tb = MobilenetTb();
+  const auto plan = tb.PlanHomogeneous(7);
+  const double sla_ms = TicksToMs(tb.sla_target());
+  SearchOptions empty = FastSearch();
+  empty.num_queries = 0;
+  EXPECT_NE(InvalidArgument([&] {
+              LatencyBoundedThroughput(tb, plan, SchedulerKind::kFifs, sla_ms,
+                                       empty);
+            }).find("num_queries"),
+            std::string::npos);
+  // The fan-out entry points search through it.
+  EXPECT_NE(InvalidArgument([&] {
+              BestHomogeneous(tb, SchedulerKind::kFifs, sla_ms, empty);
+            }).find("num_queries"),
+            std::string::npos);
+  EXPECT_NE(InvalidArgument([&] {
+              TailLatencyCurve(tb, plan, SchedulerKind::kFifs, {0.5}, sla_ms,
+                               empty);
+            }).find("num_queries"),
+            std::string::npos);
+}
+
+// The bound was only assert()ed, so in a release build a NaN bound (never
+// exceeded) also returned the rate cap.
+TEST(LatencyBoundedThroughput, RejectsNonPositiveOrNonFiniteBound) {
+  const auto& tb = MobilenetTb();
+  const auto plan = tb.PlanHomogeneous(7);
+  for (const double bound : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+    EXPECT_NE(InvalidArgument([&] {
+                LatencyBoundedThroughput(tb, plan, SchedulerKind::kFifs, bound,
+                                         FastSearch());
+              }).find("tail_bound_ms"),
+              std::string::npos)
+        << bound;
+  }
 }
 
 TEST(LatencyBoundedThroughput, LooserBoundGivesMoreThroughput) {

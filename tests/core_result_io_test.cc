@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json_escape.h"
+
 namespace pe::core {
 namespace {
 
@@ -15,7 +17,7 @@ TEST(Json, ScalarsDumpCompactly) {
   EXPECT_EQ(Json(true).Dump(0), "true");
   EXPECT_EQ(Json(false).Dump(0), "false");
   EXPECT_EQ(Json(42).Dump(0), "42");
-  EXPECT_EQ(Json(std::int64_t{-7}).Dump(0), "-7");
+  EXPECT_EQ(Json(-7).Dump(0), "-7");
   EXPECT_EQ(Json("hi").Dump(0), "\"hi\"");
 }
 
@@ -33,9 +35,10 @@ TEST(Json, NonFiniteDoublesSerializeAsNull) {
 }
 
 TEST(Json, EscapesControlAndQuoteCharacters) {
-  EXPECT_EQ(Json::Escape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(Json::Escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
-  EXPECT_EQ(Json::Escape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(JsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(JsonEscape("line\nbreak\ttab"), "line\\nbreak\\ttab");
+  EXPECT_EQ(JsonEscape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(JsonEscape("\b\f"), "\\b\\f");
 }
 
 TEST(Json, ObjectsPreserveInsertionOrderAndOverwriteInPlace) {
@@ -63,20 +66,6 @@ TEST(ResultIo, ThroughputResultFields) {
   r.qps = 123.5;
   r.p95_at_qps_ms = 9.25;
   EXPECT_EQ(ToJson(r).Dump(0), "{\"qps\":123.5,\"p95_at_qps_ms\":9.25}");
-}
-
-TEST(ResultIo, RatePointAndCurveFields) {
-  RatePoint p;
-  p.offered_qps = 10.0;
-  p.achieved_qps = 9.5;
-  p.p95_ms = 5.25;
-  p.mean_ms = 2.5;
-  p.violation_rate = 0.0;
-  p.utilization = 0.75;
-  const std::string dumped = ToJson(std::vector<RatePoint>{p}).Dump(0);
-  EXPECT_EQ(dumped,
-            "[{\"offered_qps\":10.0,\"achieved_qps\":9.5,\"p95_ms\":5.25,"
-            "\"mean_ms\":2.5,\"violation_rate\":0.0,\"utilization\":0.75}]");
 }
 
 TEST(ResultIo, BenchReportSkeletonCarriesTheSchemaTag) {

@@ -75,6 +75,24 @@ TEST(TraceIo, ModelNamesWithSpecialCharactersSurvive) {
   EXPECT_EQ(loaded.models, doc.models);
 }
 
+// \b and \f are valid JSON escapes (Python's json.dumps writes them); the
+// loader used to reject them while accepting \u0008 and \u000c.
+TEST(TraceIo, BackspaceAndFormFeedRoundTrip) {
+  TraceDocument doc;
+  doc.scenario = "label\bwith\fcontrols";
+  doc.models = {"m\b\f"};
+  doc.trace = QueryTrace(std::vector<Query>{{0, 10, 1, 0}});
+  const auto loaded = RoundTrip(doc);
+  EXPECT_EQ(loaded.scenario, doc.scenario);
+  EXPECT_EQ(loaded.models, doc.models);
+
+  std::stringstream python_written(
+      "{\"schema\": \"paris-elsa-trace-v1\", \"time_unit\": \"ns\", "
+      "\"scenario\": \"a\\bb\\fc\", \"models\": [\"m\"], "
+      "\"queries\": [[0, 10, 1, 0]]}");
+  EXPECT_EQ(LoadTrace(python_written).scenario, "a\bb\fc");
+}
+
 TEST(TraceIo, SaveRejectsInvalidDocument) {
   TraceDocument no_models;
   std::vector<Query> qs = {{0, 10, 1, 0}};

@@ -150,9 +150,9 @@ TEST(DriftingTrace, BadPhasesAndRatesRejected) {
 // Pinned through the phased source this generator replaced: the CLI's
 // default elastic day cycle (resnet's Table-I defaults, median 6 -> 18 ->
 // 6 at 300 q/s, 12,000 queries, seed 1), and the small -> large -> small
-// cycle of the single-model elastic golden test (600 queries per phase)
-// and of bench_ablation_online's smoke run (1,500 per phase), 350 q/s at
-// seed 11.
+// cycle at 350 q/s and seed 11: 600 queries per phase (the single-model
+// elastic golden test) and 1,500 per phase (the shape the claims ledger's
+// online ablation draws at its CTest size, there at seeds 1-3).
 TEST(PhasedTrace, MatchesCheckedInDigests) {
   const LogNormalBatchDist base(6.0, 0.9, 32);
   const LogNormalBatchDist drifted(18.0, 0.9, 32);

@@ -116,6 +116,14 @@ std::size_t GetCount(const ArgParser& args, const std::string& key,
   return static_cast<std::size_t>(v);
 }
 
+// --queries: at least one.  An empty trace prints a table of zeros, and a
+// capacity search over one reports its rate cap.
+std::size_t GetQueries(const ArgParser& args, long long fallback) {
+  const std::size_t n = GetCount(args, "queries", fallback);
+  if (n == 0) throw std::invalid_argument("--queries: expected at least 1");
+  return n;
+}
+
 // Finite non-negative real option: NaN, infinities and negatives are a
 // hard error naming the flag.
 double GetNonNegative(const ArgParser& args, const std::string& key,
@@ -434,10 +442,14 @@ int CmdSimulate(const ArgParser& args) {
   const auto kind = SchedulerFrom(args.GetString("scheduler", "elsa"));
 
   core::RunOptions run;
-  run.num_queries = GetCount(args, "queries", 20000);
+  run.num_queries = GetQueries(args, 20000);
   run.seed = static_cast<std::uint64_t>(GetCount(args, "seed", 1));
   run.rate_qps = args.GetDouble("rate", 0.0);
-  if (run.rate_qps <= 0.0 && !replay) {
+  if (!(run.rate_qps >= 0.0)) {
+    throw std::invalid_argument("--rate: expected a number >= 0 (0 = auto), "
+                                "got " + std::to_string(run.rate_qps));
+  }
+  if (run.rate_qps == 0.0 && !replay) {
     const auto bound = core::LatencyBoundedThroughput(
         tb, plan, kind, TicksToMs(tb.sla_target()));
     run.rate_qps = 0.85 * bound.qps;
@@ -495,7 +507,7 @@ int CmdSweep(const ArgParser& args) {
   const core::MixTestbed tb(ConfigFrom(args));
   const double sla_ms = TicksToMs(tb.sla_target());
   core::SearchOptions search;
-  search.num_queries = GetCount(args, "queries", 4000);
+  search.num_queries = GetQueries(args, 4000);
   search.jobs = jobs;
 
   Table t({"design", "qps", "normalized"});
@@ -661,7 +673,7 @@ int CmdElastic(const ArgParser& args) {
   const auto kind = SchedulerFrom(args.GetString("scheduler", "elsa"));
   const auto seed = static_cast<std::uint64_t>(GetCount(args, "seed", 1));
   const double rate_qps = args.GetDouble("rate", 300.0);
-  const std::size_t num_queries = GetCount(args, "queries", 12000);
+  const std::size_t num_queries = GetQueries(args, 12000);
 
   const bool multi_model =
       args.GetString("models") || (replay && replay->models.size() > 1);
@@ -701,7 +713,7 @@ int CmdMix(const ArgParser& args) {
   const core::MixTestbed tb(mc);
   const auto kind = SchedulerFrom(args.GetString("scheduler", "elsa"));
   const double rate_qps = args.GetDouble("rate", 300.0);
-  const std::size_t num_queries = GetCount(args, "queries", 20000);
+  const std::size_t num_queries = GetQueries(args, 20000);
   const auto seed = static_cast<std::uint64_t>(GetCount(args, "seed", 1));
 
   const auto mixed = tb.PlanMixed();
@@ -807,7 +819,7 @@ int CmdFleet(const ArgParser& args) {
   const core::FleetTestbed tb(fc);
   double rate_qps =
       args.GetDouble("rate", 300.0 * static_cast<double>(fc.num_servers));
-  const std::size_t num_queries = GetCount(args, "queries", 100000);
+  const std::size_t num_queries = GetQueries(args, 100000);
   const auto workload =
       ResolveWorkload(args, tb.mix(), replay, rate_qps, num_queries, seed);
   const auto& trace = workload.trace;
@@ -919,7 +931,7 @@ int CmdTrace(const ArgParser& args) {
     c.sigma = m.dist_sigma;
     spec.components.push_back(std::move(c));
     trace = ScenarioTraceFrom(args, std::move(spec),
-                              GetCount(args, "queries", 10000), seed);
+                              GetQueries(args, 10000), seed);
     models = {m.model};
     scenario_label = ScenarioLabel(args);
   }
