@@ -113,30 +113,49 @@ fleet::ReplanFn FleetTestbed::MakeReplanFn() const {
   // A degraded layout depends only on the server's hosted models, the
   // surviving replica count of each, and its GPC budget, and a run asks
   // for the same few of those after every crash and recovery: each is
-  // planned once.  Copies of the hook share the memo, so it is locked.
+  // planned once.  A run also asks for many survivors under one down set
+  // before the set changes, so every model's surviving count is counted
+  // once per down set and kept beside the memo.  Copies of the hook share
+  // both, so they are locked.
   struct Memo {
     std::mutex mu;
+    // The down set `surviving` was counted for; every replica survives
+    // the empty one.
+    std::vector<int> down;
+    std::vector<int> surviving;  // per fleet model
     // {gpc_budget, model, surviving, model, surviving, ...} -> layout
     std::map<std::vector<int>, std::vector<int>> layouts;
   };
   auto memo = std::make_shared<Memo>();
+  for (int m = 0; m < placement().num_models(); ++m) {
+    memo->surviving.push_back(
+        static_cast<int>(placement().Replicas(m).size()));
+  }
   // The planner inputs borrow profiles and batch distributions from mix_,
   // which this testbed owns and outlives every RunWithFaults call.
   return [this, memo](int server, const std::vector<int>& down) {
     const fleet::ServerPlacement& sp = placement().server(server);
     std::vector<int> surviving(sp.model_ids.size(), 0);
     std::vector<int> key = {sp.gpc_budget};
-    for (std::size_t i = 0; i < sp.model_ids.size(); ++i) {
-      for (const int r : placement().Replicas(sp.model_ids[i])) {
-        if (!std::binary_search(down.begin(), down.end(), r)) {
-          ++surviving[i];
-        }
-      }
-      key.push_back(sp.model_ids[i]);
-      key.push_back(surviving[i]);
-    }
     {
       const std::lock_guard<std::mutex> lock(memo->mu);
+      if (down != memo->down) {
+        memo->down = down;
+        for (int m = 0; m < placement().num_models(); ++m) {
+          const std::vector<int>& reps = placement().Replicas(m);
+          memo->surviving[static_cast<std::size_t>(m)] =
+              static_cast<int>(std::count_if(
+                  reps.begin(), reps.end(), [&](int r) {
+                    return !std::binary_search(down.begin(), down.end(), r);
+                  }));
+        }
+      }
+      for (std::size_t i = 0; i < sp.model_ids.size(); ++i) {
+        surviving[i] =
+            memo->surviving[static_cast<std::size_t>(sp.model_ids[i])];
+        key.push_back(sp.model_ids[i]);
+        key.push_back(surviving[i]);
+      }
       const auto hit = memo->layouts.find(key);
       if (hit != memo->layouts.end()) return hit->second;
     }

@@ -93,9 +93,12 @@ class FleetTestbed {
   // nominal share), on the per-server cluster and GPC budget.  The hook
   // memoizes its plans by (hosted models, surviving replicas of each, GPC
   // budget), the only inputs a plan depends on, so each distinct degraded
-  // layout is planned once per hook; copies share the memo under a mutex
-  // and may be called from several threads.  Each call returns a fresh
-  // hook with an empty memo.
+  // layout is planned once per hook.  Beside the memo it keeps every
+  // model's surviving-replica count for the last down set it saw, counted
+  // again only when the set changes, so a call under the same down set
+  // costs O(hosted models) plus the memo lookup.  Copies share both under
+  // one mutex and may be called from several threads.  Each call returns
+  // a fresh hook with an empty memo.
   fleet::ReplanFn MakeReplanFn() const;
 
  private:

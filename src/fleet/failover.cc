@@ -27,6 +27,27 @@ constexpr std::uint64_t kFailoverSalt = 0xFA11BACCULL;
 
 constexpr SimTime kForever = std::numeric_limits<SimTime>::max();
 
+// Trace rows per parallel chunk of the per-query passes (the health patch
+// and the outcome count).  Bounds depend only on the row count, never on
+// `jobs`.
+constexpr std::size_t kChunkRows = 65536;
+
+// One byte of outcome bits per query: what the driver decided for it, and
+// which terminal kinds its attempts' records reached.
+enum : std::uint8_t {
+  kDriverShed = 1 << 0,
+  kDriverFailed = 1 << 1,
+  kAnyCompleted = 1 << 2,
+  kAnyFailed = 1 << 3,
+  kAnyShed = 1 << 4,
+};
+
+// The outcome bit a record sets for its query.
+std::uint8_t RecordOutcome(const sim::QueryRecord& r) {
+  if (r.failed) return kAnyFailed;
+  return r.shed ? kAnyShed : kAnyCompleted;
+}
+
 // Merges possibly-overlapping [begin, end) windows into a disjoint
 // ascending list.
 std::vector<std::pair<SimTime, SimTime>> MergeWindows(
@@ -217,21 +238,36 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
   // ---- Stage 1: route, then patch around planned downtime. -------------
   std::vector<int> assignment =
       cluster.MakeFleetRouter()->RouteAll(trace, jobs);
-  std::vector<bool> driver_shed(total, false);
-  std::vector<bool> driver_failed(total, false);
+  std::vector<std::uint8_t> outcome(total, 0);
   const std::vector<workload::Query>& queries = trace.queries();
-  for (std::size_t i = 0; i < total; ++i) {
-    const workload::Query& q = queries[i];
-    if (health.IsUp(assignment[i], q.arrival)) continue;
-    const std::span<const int> healthy = health.Healthy(q.model_id, q.arrival);
-    if (healthy.empty()) {
-      assignment[i] = -1;  // pre-shed: nobody can take it
-      driver_shed[i] = true;
-      continue;
-    }
-    const std::uint64_t h = Mix64(q.id ^ Mix64(kFailoverSalt));
-    assignment[i] = healthy[static_cast<std::size_t>(h % healthy.size())];
-    ++fault.rerouted;
+  const std::size_t chunks = (total + kChunkRows - 1) / kChunkRows;
+  const auto chunk_end = [&](std::size_t c) {
+    return std::min(total, (c + 1) * kChunkRows);
+  };
+  // A row's patch reads and writes only that row, so chunks write
+  // disjoint slots; each counts its own reroutes.
+  const std::vector<std::uint64_t> chunk_rerouted =
+      ParallelMap(chunks, jobs, [&](std::size_t c) {
+        std::uint64_t rerouted = 0;
+        for (std::size_t i = c * kChunkRows; i < chunk_end(c); ++i) {
+          const workload::Query& q = queries[i];
+          if (health.IsUp(assignment[i], q.arrival)) continue;
+          const std::span<const int> healthy =
+              health.Healthy(q.model_id, q.arrival);
+          if (healthy.empty()) {
+            assignment[i] = -1;  // pre-shed: nobody can take it
+            outcome[i] = kDriverShed;
+            continue;
+          }
+          const std::uint64_t h = Mix64(q.id ^ Mix64(kFailoverSalt));
+          assignment[i] =
+              healthy[static_cast<std::size_t>(h % healthy.size())];
+          ++rerouted;
+        }
+        return rerouted;
+      });
+  for (const std::uint64_t rerouted : chunk_rerouted) {
+    fault.rerouted += rerouted;
   }
 
   // ---- Stage 2: build the engines (incremental mode), one task each. ---
@@ -254,7 +290,12 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
     server.scheduler = cluster.MakeScheduler(s);
     server.engine = std::make_unique<sim::InferenceServer>(
         sc, cluster.server_repertoire(s), *server.scheduler);
-    server.engine->InjectSpan(LocalQueries(split, placement, s));
+    const std::vector<workload::Query> local =
+        LocalQueries(split, placement, s);
+    // 1/64 of headroom for the retries a survivor takes: past an exact
+    // fit, its first retry would double the records' capacity.
+    server.engine->ReserveRecords(local.size() + local.size() / 64);
+    server.engine->InjectSpan(local);
     return server;
   });
   const auto global_id = [&](int s, std::uint64_t local) {
@@ -294,20 +335,21 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
               : RetryInstant(t, plan.retry_backoff, attempt);
       if (!instant) {
         // An exhausted budget, or a backoff past the end of time.
-        driver_failed[gid] = true;
+        outcome[gid] |= kDriverFailed;
         continue;
       }
       retries_done[gid] = attempt;
       const SimTime retry_time = *instant;
       const workload::Query& orig = queries[gid];
       if (plan.deadline > 0 && retry_time - orig.arrival > plan.deadline) {
-        driver_shed[gid] = true;  // cannot finish in time; drop, don't churn
+        // Cannot finish in time; drop, don't churn.
+        outcome[gid] |= kDriverShed;
         continue;
       }
       const std::span<const int> healthy =
           health.Healthy(orig.model_id, retry_time);
       if (healthy.empty()) {
-        driver_shed[gid] = true;
+        outcome[gid] |= kDriverShed;
         continue;
       }
       const std::uint64_t h = Mix64(
@@ -476,69 +518,105 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
   });
   std::vector<int>().swap(retries_done);  // no more retries: free it
 
-  // Each server's ids: its split rows, then its retries.
+  // Each server's ids: its split rows, then its retries, copied into its
+  // own slice of one flat list.
   FleetResult result;
   result.per_server = std::move(results);
   result.id_offsets.assign(nn + 1, 0);
+  std::vector<std::size_t> routed(nn);
   for (std::size_t s = 0; s < nn; ++s) {
-    const std::size_t routed = split.offsets[s + 1] - split.offsets[s];
+    routed[s] = split.offsets[s + 1] - split.offsets[s];
     result.id_offsets[s + 1] =
-        result.id_offsets[s] + routed + servers[s].retry_gids.size();
+        result.id_offsets[s] + routed[s] + servers[s].retry_gids.size();
   }
-  result.global_ids.reserve(result.id_offsets.back());
-  for (std::size_t s = 0; s < nn; ++s) {
-    const std::span<const std::uint64_t> routed =
+  result.global_ids.resize(result.id_offsets.back());
+  ParallelMap(nn, jobs, [&](std::size_t s) {
+    const std::span<const std::uint64_t> gids =
         split.GlobalIds(static_cast<int>(s));
     const std::vector<std::uint64_t>& retried = servers[s].retry_gids;
-    result.global_ids.insert(result.global_ids.end(), routed.begin(),
-                             routed.end());
-    result.global_ids.insert(result.global_ids.end(), retried.begin(),
-                             retried.end());
-  }
+    std::uint64_t* out = result.global_ids.data() + result.id_offsets[s];
+    out = std::copy(gids.begin(), gids.end(), out);
+    std::copy(retried.begin(), retried.end(), out);
+    return 0;
+  });
   split = TraceSplit{};
   cluster.FillGlobalTables(result);
 
   // ---- Stage 5: terminal classification + incident metrics. ------------
-  std::vector<bool> any_completed(total, false);
-  std::vector<bool> any_failed(total, false);
-  std::vector<bool> any_shed(total, false);
-  SimTime makespan = last_applied == kForever ? 0 : last_applied;
-  std::vector<SimTime> incident_latency;
-  for (std::size_t s = 0; s < nn; ++s) {
+  // Each server marks its routed attempts' outcomes (the split partitions
+  // the trace rows, so no two servers mark one query) and gathers its
+  // makespan and incident latencies.
+  struct Scan {
+    SimTime makespan = 0;
+    std::vector<SimTime> incident_latency;
+  };
+  std::vector<Scan> scans = ParallelMap(nn, jobs, [&](std::size_t s) {
+    Scan scan;
     const std::span<const std::uint64_t> gids =
         result.GlobalIds(static_cast<int>(s));
     for (const sim::QueryRecord& r : result.per_server[s].records) {
-      const std::uint64_t gid = gids[r.id];
-      makespan = std::max(makespan, r.finished);
-      if (!r.failed && !r.shed) {
-        any_completed[gid] = true;
-        if (health.InIncident(r.finished)) {
-          incident_latency.push_back(r.Latency());
-        }
-      } else if (r.failed) {
-        any_failed[gid] = true;
-      } else {
-        any_shed[gid] = true;
+      scan.makespan = std::max(scan.makespan, r.finished);
+      const std::uint8_t bit = RecordOutcome(r);
+      if (bit == kAnyCompleted && health.InIncident(r.finished)) {
+        scan.incident_latency.push_back(r.Latency());
       }
+      if (r.id < routed[s]) outcome[gids[r.id]] |= bit;
     }
+    return scan;
+  });
+  // A query's retries may land on any server, so their marks go serially.
+  SimTime makespan = last_applied == kForever ? 0 : last_applied;
+  std::vector<std::span<const SimTime>> incident_latency;
+  for (std::size_t s = 0; s < nn; ++s) {
+    const std::span<const std::uint64_t> gids =
+        result.GlobalIds(static_cast<int>(s));
+    const std::vector<sim::QueryRecord>& records =
+        result.per_server[s].records;
+    for (std::size_t k = routed[s]; k < records.size(); ++k) {
+      outcome[gids[records[k].id]] |= RecordOutcome(records[k]);
+    }
+    makespan = std::max(makespan, scans[s].makespan);
+    incident_latency.emplace_back(scans[s].incident_latency);
+    fault.incident_completions += scans[s].incident_latency.size();
   }
   // Every query lands in exactly one class; a query with no record that
   // the driver never shed was lost, which is a driver bug.
-  for (std::size_t gid = 0; gid < total; ++gid) {
-    if (any_completed[gid]) {
-      ++fault.completed;
-    } else if (driver_failed[gid]) {
-      ++fault.failed;
-    } else if (driver_shed[gid] || any_shed[gid]) {
-      ++fault.shed;
-    } else if (any_failed[gid]) {
-      // No retry path saw it (e.g. parked work that died at Finish).
-      ++fault.failed;
-    } else {
+  struct Tally {
+    std::uint64_t completed = 0;
+    std::uint64_t failed = 0;
+    std::uint64_t shed = 0;
+    std::optional<std::size_t> lost;  // the chunk's first lost query
+  };
+  const std::vector<Tally> tallies =
+      ParallelMap(chunks, jobs, [&](std::size_t c) {
+        Tally tally;
+        for (std::size_t gid = c * kChunkRows; gid < chunk_end(c); ++gid) {
+          const std::uint8_t o = outcome[gid];
+          if ((o & kAnyCompleted) != 0) {
+            ++tally.completed;
+          } else if ((o & kDriverFailed) != 0) {
+            ++tally.failed;
+          } else if ((o & (kDriverShed | kAnyShed)) != 0) {
+            ++tally.shed;
+          } else if ((o & kAnyFailed) != 0) {
+            // No retry path saw it (e.g. parked work that died at Finish).
+            ++tally.failed;
+          } else {
+            tally.lost = gid;
+            break;
+          }
+        }
+        return tally;
+      });
+  for (const Tally& tally : tallies) {
+    if (tally.lost) {
       throw std::logic_error("SimulateWithFaults: query " +
-                             std::to_string(gid) +
+                             std::to_string(*tally.lost) +
                              " was lost: no record, never shed");
     }
+    fault.completed += tally.completed;
+    fault.failed += tally.failed;
+    fault.shed += tally.shed;
   }
   fault.makespan = makespan;
   fault.availability.reserve(nn);
@@ -552,7 +630,6 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
       fault.availability.push_back(1.0);
     }
   }
-  fault.incident_completions = incident_latency.size();
   if (fault.incident_completions > 0) {
     fault.p99_incident_ms = sim::TickPercentileMs(incident_latency, 99.0);
   }

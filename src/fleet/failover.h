@@ -28,22 +28,29 @@
 //
 // Determinism and threading: the fault schedule is applied serially and
 // in schedule order on the calling thread, and so are routing, the
-// health patch, the replan hook, and stage-5 classification.  Per-server
-// work runs on up to `jobs` threads, one task per server (or per 64k-row
-// chunk for the split): building each engine and injecting its sub-trace,
-// advancing every engine to the next fault or retry instant, injecting
-// the retries due at an instant (grouped by target server, in the order
-// they were scheduled), and draining.  Each task is a pure function of
-// its index over disjoint state, so the result is bit-identical at any
-// --jobs count and across repeated runs with the same (trace, plan,
-// seed).  An EMPTY plan delegates to Cluster::Simulate verbatim --
-// record-by-record bit-identical to the fault-free driver (pinned by
-// fleet_failover_test).
+// replan hook, and marking the outcomes of retry attempts (a query's
+// retries may land on any server).  The rest runs on up to `jobs`
+// threads.  Per 64k-row chunk of the trace: the health patch (each chunk
+// counts its reroutes, summed in chunk order), the split, and the final
+// count of each query's outcome (the lowest lost query still throws).
+// Per server: building each engine and injecting its sub-trace, advancing
+// every engine to the next fault or retry instant, injecting the retries
+// due at an instant (grouped by target server, in the order they were
+// scheduled), draining, copying its global ids into its precomputed slice
+// of the result, and marking its routed attempts' outcomes (the split
+// partitions the trace rows, so no two servers mark one query).  Each
+// task is a pure function of its index over disjoint state, so the result
+// is bit-identical at any --jobs count and across repeated runs with the
+// same (trace, plan, seed).  An EMPTY plan delegates to Cluster::Simulate
+// verbatim -- record-by-record bit-identical to the fault-free driver
+// (pinned by fleet_failover_test).
 //
 // Memory: each query's inputs live only in the trace, and each routed
 // query's global id only in the split's id list; a server keeps just its
 // retries' ids, which the assembly joins to the split's after the drain.
-// The routing assignment dies once split.
+// The routing assignment dies once split.  What the driver learns of a
+// query's fate is one byte of outcome bits.  Each engine reserves records
+// for its routed rows plus 1/64 of them for the retries it may take.
 #pragma once
 
 #include <cstdint>
@@ -68,9 +75,10 @@ namespace pe::fleet {
 // that shares a model with a down server (or still runs a degraded
 // layout) after every crash and recovery, so a hook may memoize by its
 // inputs: core::FleetTestbed::MakeReplanFn re-plans with mixed-PARIS at
-// full/surviving-scaled shares and plans each distinct degraded layout
-// once.  The fleet module cannot depend on the partition planner
-// (layering), so core::FleetTestbed injects it from above.
+// full/surviving-scaled shares, counts surviving replicas once per down
+// set, and plans each distinct degraded layout once.  The fleet module
+// cannot depend on the partition planner (layering), so
+// core::FleetTestbed injects it from above.
 using ReplanFn =
     std::function<std::vector<int>(int server, const std::vector<int>& down)>;
 

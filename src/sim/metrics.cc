@@ -148,9 +148,10 @@ double MeanMs(Sum ticks, std::size_t n) {
 
 }  // namespace
 
-double TickPercentileMs(std::span<const SimTime> ticks, double p) {
+double TickPercentileMs(std::span<const std::span<const SimTime>> pools,
+                        double p) {
   double value = 0.0;
-  PercentilesMs({&ticks, 1}, {&p, 1}, {&value, 1});
+  PercentilesMs(pools, {&p, 1}, {&value, 1});
   return value;
 }
 

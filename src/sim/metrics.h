@@ -123,14 +123,16 @@ struct ServerStats {
 // `warmup_fraction` must lie in [0, 1).
 std::uint64_t WarmupCut(double warmup_fraction, std::size_t n);
 
-// The p-th percentile (p in [0, 100]) of a pool of latency ticks, in
-// milliseconds, interpolated between closest ranks: with the n latencies
-// in milliseconds sorted as x and k + f = (p / 100) * (n - 1) (integer k,
-// fraction f), it is x[k] * (1 - f) + x[k + 1] * f, or x[n - 1] when
-// k + 1 == n.  Picked exactly by bucket selection instead of a sort: a
-// histogram of at most 4,096 buckets over tick - min locates each rank's
-// bucket, and only those buckets are sorted.  0 for an empty pool.
-double TickPercentileMs(std::span<const SimTime> ticks, double p);
+// The p-th percentile (p in [0, 100]) of the latency ticks in `pools`,
+// taken as one pool with no merged copy, in milliseconds, interpolated
+// between closest ranks: with the n latencies in milliseconds sorted as x
+// and k + f = (p / 100) * (n - 1) (integer k, fraction f), it is
+// x[k] * (1 - f) + x[k + 1] * f, or x[n - 1] when k + 1 == n.  Picked
+// exactly by bucket selection instead of a sort: a histogram of at most
+// 4,096 buckets over tick - min locates each rank's bucket, and only those
+// buckets are sorted.  0 when the pools are empty.
+double TickPercentileMs(std::span<const std::span<const SimTime>> pools,
+                        double p);
 
 // Order-free reduction of query records into ServerStats.  Sums are exact
 // integer nanosecond ticks and percentiles are order statistics, so the

@@ -172,6 +172,12 @@ class InferenceServer {
   // Span form of InjectTrace (same dense-id and ordering requirements).
   void InjectSpan(std::span<const workload::Query> queries);
 
+  // Reserves record capacity for `queries` injections in all, as
+  // std::vector::reserve does: a driver that will inject more than one
+  // span (a fault driver's retries) sizes the records once, up front.
+  // Injections past it still grow the records.
+  void ReserveRecords(std::size_t queries) { records_.reserve(queries); }
+
   // Processes every pending event strictly before `when`, then sets the
   // current time to `when` (no-op when `when` is in the past).  Events at
   // exactly `when` stay pending: AdvanceTo leaves the simulation in the

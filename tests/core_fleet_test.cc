@@ -142,12 +142,49 @@ TEST(FleetTestbed, MemoizedReplanHookMatchesADirectPlan) {
   const fleet::ReplanFn copy = hook;
   const std::vector<std::vector<int>> sweep = {
       {0}, {0, 4}, {0}, {1, 2, 3}, {}, {0, 4}, {5, 6}, {}, {1, 2, 3}};
+  std::vector<std::vector<std::vector<int>>> want(sweep.size());
   for (std::size_t k = 0; k < sweep.size(); ++k) {
     for (int s = 0; s < placement.num_servers(); ++s) {
+      want[k].push_back(direct(s, sweep[k]));
       const fleet::ReplanFn& call = (s + k) % 2 == 0 ? hook : copy;
-      EXPECT_EQ(call(s, sweep[k]), direct(s, sweep[k]))
+      EXPECT_EQ(call(s, sweep[k]), want[k].back())
           << "down set " << k << ", server " << s;
     }
+  }
+
+  // Two threads share a fresh hook's memo and survivor counts, one
+  // walking the sweep forward and one backward, so each keeps replacing
+  // the down set the other's counts were taken for.
+  const fleet::ReplanFn shared = tb.MakeReplanFn();
+  constexpr int kRounds = 3;
+  const auto walk = [&](fleet::ReplanFn call, bool backward) {
+    std::vector<std::vector<int>> got;
+    for (int round = 0; round < kRounds; ++round) {
+      for (std::size_t i = 0; i < sweep.size(); ++i) {
+        const std::size_t k = backward ? sweep.size() - 1 - i : i;
+        for (int s = 0; s < placement.num_servers(); ++s) {
+          got.push_back(call(s, sweep[k]));
+        }
+      }
+    }
+    return got;
+  };
+  std::vector<std::vector<int>> forward;
+  std::vector<std::vector<int>> backward;
+  std::jthread other([&] { backward = walk(shared, /*backward=*/true); });
+  forward = walk(shared, /*backward=*/false);
+  other.join();
+  const auto servers = static_cast<std::size_t>(placement.num_servers());
+  ASSERT_EQ(forward.size(), kRounds * sweep.size() * servers);
+  ASSERT_EQ(backward.size(), forward.size());
+  for (std::size_t j = 0; j < forward.size(); ++j) {
+    const std::size_t k = (j / servers) % sweep.size();
+    const std::size_t back = sweep.size() - 1 - k;
+    const std::size_t s = j % servers;
+    EXPECT_EQ(forward[j], want[k][s])
+        << "forward, down set " << k << ", server " << s;
+    EXPECT_EQ(backward[j], want[back][s])
+        << "backward, down set " << back << ", server " << s;
   }
 }
 

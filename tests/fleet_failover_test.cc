@@ -214,6 +214,53 @@ TEST(FleetFailover, SoleReplicaCrashShedsInsteadOfLosingQueries) {
   EXPECT_EQ(f.availability[1], 1.0);
 }
 
+TEST(FleetFailover, SoleReplicaPreShedsMatchAcrossPatchChunksAndJobs) {
+  // The health patch runs per 64k-row chunk of the trace.  A sole-replica
+  // crash early in a trace of two chunks and more pre-sheds its model's
+  // later arrivals in every chunk: the result must not depend on how many
+  // threads patch them, and every query must still be accounted for.
+  constexpr std::size_t kChunkRows = 65536;
+  const int hw =
+      std::max(2, static_cast<int>(std::thread::hardware_concurrency()));
+  const core::FleetTestbed tb(ShardedFleet(2, 1));
+  const auto trace =
+      tb.GenerateFleetTrace(300.0, 2 * kChunkRows + 5000, /*seed=*/29);
+  const SimTime crash = trace.queries()[kChunkRows / 2].arrival;
+  FaultPlan plan;
+  plan.name = "manual-crash";
+  plan.events.push_back({crash, FaultKind::kServerCrash, /*server=*/0});
+
+  // The rows nobody can take: server 0's model, arriving from the crash on.
+  const std::vector<int>& hosted = tb.placement().server(0).model_ids;
+  ASSERT_EQ(hosted.size(), 1u);
+  ASSERT_EQ(tb.placement().Replicas(hosted[0]).size(), 1u);
+  std::vector<bool> pre_shed(trace.size(), false);
+  std::vector<std::size_t> per_chunk(3, 0);
+  for (const workload::Query& q : trace.queries()) {
+    if (q.model_id != hosted[0] || q.arrival < crash) continue;
+    pre_shed[q.id] = true;
+    ++per_chunk[q.id / kChunkRows];
+  }
+  for (std::size_t c = 0; c < per_chunk.size(); ++c) {
+    ASSERT_GT(per_chunk[c], 0u) << "chunk " << c;
+  }
+
+  const auto base = tb.RunWithFaults(trace, plan, /*jobs=*/1);
+  for (const int jobs : {3, hw}) {
+    ExpectSameResult(base, tb.RunWithFaults(trace, plan, jobs),
+                     "jobs=" + std::to_string(jobs));
+  }
+  const auto& f = base.fault;
+  EXPECT_EQ(f.injected, trace.size());
+  EXPECT_EQ(f.completed + f.failed + f.shed, f.injected);
+  EXPECT_GE(f.shed, per_chunk[0] + per_chunk[1] + per_chunk[2]);
+  EXPECT_EQ(f.rerouted, 0u);  // no replica to divert to
+  const auto reached = std::count_if(
+      base.global_ids.begin(), base.global_ids.end(),
+      [&](std::uint64_t gid) { return pre_shed[gid]; });
+  EXPECT_EQ(reached, 0) << "pre-shed rows must never reach an engine";
+}
+
 TEST(FleetFailover, ReplicatedCrashReroutesEverythingWithoutLoss) {
   // replicas=3: two healthy replicas survive any single crash, so every
   // query must complete -- casualties retry, down-window arrivals divert.

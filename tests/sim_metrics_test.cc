@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -266,13 +267,22 @@ std::vector<std::pair<std::string, std::vector<SimTime>>> PercentilePools() {
 std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 TEST(TickPercentileMs, MatchesTheSortingOracleBitForBit) {
+  // Each pool whole, and cut into three pools (the first empty) that are
+  // selected over at once.
   for (const auto& [label, pool] : PercentilePools()) {
     testing::Percentile oracle;
     for (const SimTime t : pool) oracle.Add(TicksToMs(t));
+    const std::span<const SimTime> whole = pool;
+    const std::size_t third = pool.size() / 3;
+    const std::span<const SimTime> cut[] = {
+        whole.first(0), whole.first(third), whole.subspan(third)};
     for (const double p : {0.0, 1.0, 25.0, 50.0, 90.0, 95.0, 99.0, 99.9,
                            100.0}) {
-      EXPECT_EQ(Bits(TickPercentileMs(pool, p)), Bits(oracle.Value(p)))
+      EXPECT_EQ(Bits(TickPercentileMs({&whole, 1}, p)),
+                Bits(oracle.Value(p)))
           << label << " p" << p;
+      EXPECT_EQ(Bits(TickPercentileMs(cut, p)), Bits(oracle.Value(p)))
+          << label << " in three pools, p" << p;
     }
   }
 }
